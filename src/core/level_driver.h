@@ -1,0 +1,106 @@
+// The one boosting loop shared by every device trainer (paper Algorithm 1).
+//
+// Every trainer path grows trees the same way: per tree, set up the round
+// and compute the root's statistics; per level, find every active node's
+// best split, decide the splits on the host (Algorithm 1 lines 14-23), then
+// split the nodes; nodes still active at the depth limit become leaves.
+// grow_forest() owns that loop, the host split decision, the leaf rule and
+// the tree/level counters.  A path plugs in as a LevelBackend: its own
+// kernels, spans, phase timers and invariant checks live inside the steps,
+// so the loop itself adds no device work.
+//
+// The paths and their steps are listed in DESIGN.md §5k.
+#pragma once
+
+#include <chrono>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <vector>
+
+#include "core/param.h"
+#include "core/trainer_detail.h"
+#include "core/tree.h"
+#include "device/device_context.h"
+
+namespace gbdt::detail {
+
+/// Scoped accumulation of modeled device seconds into a phase counter.
+class PhaseScope {
+ public:
+  PhaseScope(device::Device& dev, double& sink)
+      : dev_(dev), sink_(sink), start_(dev.elapsed_seconds()) {}
+  ~PhaseScope() { sink_ += dev_.elapsed_seconds() - start_; }
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+
+ private:
+  device::Device& dev_;
+  double& sink_;
+  double start_;
+};
+
+/// Host wall seconds since `start` (the reports' wall_seconds).
+[[nodiscard]] inline double seconds_since(
+    std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// Rejects parameters no trainer can train with: depth < 1, n_trees < 1,
+/// gamma < 0, lambda < 0, and with `hist` an n_bins outside [1, 4096].
+/// Every trainer class runs it at construction (std::invalid_argument).
+void validate_param(const GBDTParam& p, bool hist);
+
+/// Histogram-method feasibility: the widest level's current and parent
+/// histograms over `n_attr` attributes must fit in a quarter of
+/// `device_mem_bytes` (std::invalid_argument otherwise).
+void check_hist_memory(const GBDTParam& p, std::int64_t n_attr,
+                       std::size_t device_mem_bytes);
+
+/// Makes `node` a leaf: weight eta * -G / (H + lambda), plus its stats.
+void finalize_leaf(Tree& tree, const ActiveNode& node, const GBDTParam& p);
+
+/// Host split decision of one level.  A node splits when best[s] is valid
+/// and its gain is strictly greater than gamma; otherwise it becomes a
+/// leaf.  Children are appended to the tree and to next_active in slot
+/// order (left, right), and next_slot_of_tree maps them back to their slot.
+[[nodiscard]] LevelPlan decide_level(Tree& tree,
+                                     const std::vector<ActiveNode>& active,
+                                     const std::vector<BestSplit>& best,
+                                     const GBDTParam& p);
+
+/// One trainer path's steps.  begin_tree, find_splits, apply_splits and
+/// finish are required; end_tree may stay empty.
+struct LevelBackend {
+  /// Per-tree setup: folds `prev` (null for the first tree) into the
+  /// predictions, computes round `t`'s gradients, and returns the root's
+  /// statistics.  `tree` is the fresh tree this round grows.
+  std::function<ActiveNode(int t, const Tree* prev, Tree& tree)> begin_tree;
+  /// Best split of every active node, in slot order.
+  std::function<std::vector<BestSplit>(const std::vector<ActiveNode>& active)>
+      find_splits;
+  /// Moves the instances of the splitting nodes to their children (the
+  /// level's active nodes are the ones find_splits received).
+  std::function<void(const LevelPlan& plan)> apply_splits;
+  /// After the tree's last leaf is written: per-path checks and releases.
+  std::function<void(const Tree& tree)> end_tree;
+  /// Folds the last tree into the predictions and returns the final raw
+  /// training scores.
+  std::function<std::vector<double>(const Tree& last)> finish;
+};
+
+/// Called after each tree with its index and the forest so far; returning
+/// false stops boosting.
+using TreeCallback =
+    std::function<bool(int tree_index, const std::vector<Tree>& forest)>;
+
+/// Runs the boosting loop over `backend`: grows p.n_trees trees of depth
+/// p.depth into `trees` (fewer when `on_tree` stops early) and returns the
+/// final raw training scores.
+[[nodiscard]] std::vector<double> grow_forest(
+    const LevelBackend& backend, const GBDTParam& p, std::vector<Tree>& trees,
+    const TreeCallback& on_tree = {});
+
+}  // namespace gbdt::detail

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <span>
 
@@ -60,6 +61,48 @@ class LogisticLoss final : public Loss {
                                        double hr, double lambda) {
   const double parent = (gl + gr) * (gl + gr) / (hl + hr + lambda);
   return gl * gl / (hl + lambda) + gr * gr / (hr + lambda) - parent;
+}
+
+/// Gradient sums and instance count of one group of a node's instances.
+struct GainStats {
+  double g = 0.0;
+  double h = 0.0;
+  std::int64_t cnt = 0;
+};
+
+/// Winning gain of one candidate split and where its missing values go.
+struct CandidateGain {
+  double gain = 0.0;
+  bool default_left = false;
+};
+
+/// Split gain of a candidate with a learned missing-value direction: `left`
+/// holds the present instances on the high side, `present` every present
+/// instance of the attribute, `node` the whole node.  Missing values go
+/// right unless folding them into the left child gains strictly more.  With
+/// no missing instances only the right-default gain is evaluated, which
+/// keeps the direction deterministic across the sparse/RLE/out-of-core/CPU
+/// paths.
+[[nodiscard]] inline CandidateGain missing_aware_gain(const GainStats& left,
+                                                      const GainStats& present,
+                                                      const GainStats& node,
+                                                      double lambda) {
+  const std::int64_t miss = node.cnt - present.cnt;
+  const double miss_g = node.g - present.g;
+  const double miss_h = node.h - present.h;
+  double gain_r = 0.0;
+  if (left.cnt > 0 && node.cnt - left.cnt > 0) {
+    gain_r = split_gain(left.g, left.h, node.g - left.g, node.h - left.h,
+                        lambda);
+  }
+  double gain_l = 0.0;
+  if (miss > 0 && present.cnt - left.cnt > 0) {
+    gain_l = split_gain(left.g + miss_g, left.h + miss_h,
+                        node.g - left.g - miss_g, node.h - left.h - miss_h,
+                        lambda);
+  }
+  if (gain_l > gain_r) return {gain_l, true};
+  return {gain_r, false};
 }
 
 /// Optimal leaf weight -G / (H + lambda).

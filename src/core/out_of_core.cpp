@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/level_driver.h"
 #include "core/trainer_detail.h"
 #include "data/csc_matrix.h"
 #include "obs/metrics.h"
@@ -17,6 +18,7 @@
 namespace gbdt {
 
 using detail::ActiveNode;
+using detail::BestSplit;
 using detail::GHPair;
 using device::BlockCtx;
 using device::DeviceBuffer;
@@ -51,15 +53,6 @@ struct ColumnBest {
   std::uint8_t valid = 0;
 };
 
-struct NodeDecision {
-  bool split = false;
-  std::int32_t attr = -1;
-  float split_value = 0.f;
-  bool default_left = false;
-  std::int32_t left_id = -1;
-  std::int32_t right_id = -1;
-};
-
 }  // namespace
 
 OutOfCoreTrainer::OutOfCoreTrainer(device::Device& dev, GBDTParam param,
@@ -67,9 +60,7 @@ OutOfCoreTrainer::OutOfCoreTrainer(device::Device& dev, GBDTParam param,
                                    bool stream_compressed)
     : dev_(dev), param_(std::move(param)), chunk_bytes_(chunk_bytes),
       stream_compressed_(stream_compressed), loss_(make_loss(param_.loss)) {
-  if (param_.depth < 1 || param_.n_trees < 1) {
-    throw std::invalid_argument("bad depth / n_trees");
-  }
+  detail::validate_param(param_, /*hist=*/false);
   if (chunk_bytes_ < (std::size_t{1} << 16)) {
     throw std::invalid_argument("chunk_bytes too small");
   }
@@ -204,466 +195,375 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
   st.n_attr = n_attr;
   objective::RoundDriver round_driver(dev_, param_, ds);
   auto d_labels = dev_.to_device<float>(ds.labels());
-  st.grad = dev_.alloc<double>(static_cast<std::size_t>(n_inst));
-  st.hess = dev_.alloc<double>(static_cast<std::size_t>(n_inst));
-  st.y_pred = dev_.alloc<float>(static_cast<std::size_t>(n_inst));
-  st.node_of = dev_.alloc<std::int32_t>(static_cast<std::size_t>(n_inst));
-  prim::fill(dev_, st.y_pred, static_cast<float>(param_.base_score));
+  detail::alloc_instance_state(st);
 
-  const double lambda = param_.lambda;
-  report.trees.reserve(static_cast<std::size_t>(param_.n_trees));
+  // ---- boosting loop (core/level_driver.h) --------------------------------
+  // The level's node tables: uploaded by the find step, read by both steps.
+  device::ArenaBuffer<std::int32_t> d_slot_of;
+  device::ArenaBuffer<detail::SlotStat> d_stats;
+  detail::LevelBackend backend;
+  backend.begin_tree = [&](int t, const Tree* prev, Tree& tree) {
+    st.tree = &tree;
+    obs::ScopedSpan span("gradient_compute");
+    if (prev != nullptr) detail::update_predictions_smart(st, *prev);
+    round_driver.begin_round(st, d_labels, t);
+    prim::fill(dev_, st.node_of, std::int32_t{0});
+    // Braced initialisation sequences the two reductions left to right.
+    return ActiveNode{
+        0, prim::reduce_sum<double>(dev_, st.grad, "ooc_root_sum_g"),
+        prim::reduce_sum<double>(dev_, st.hess, "ooc_root_sum_h"), n_inst};
+  };
 
-  for (int t = 0; t < param_.n_trees; ++t) {
-    ActiveNode root;
-    {
-      obs::ScopedSpan span("gradient_compute");
-      if (t > 0) detail::update_predictions_smart(st, report.trees.back());
-      round_driver.begin_round(st, d_labels, t);
-      prim::fill(dev_, st.node_of, std::int32_t{0});
-      root.tree_node = 0;
-      root.sum_g = prim::reduce_sum<double>(dev_, st.grad, "ooc_root_sum_g");
-      root.sum_h = prim::reduce_sum<double>(dev_, st.hess, "ooc_root_sum_h");
-      root.count = n_inst;
+  backend.find_splits = [&](const std::vector<ActiveNode>& active) {
+    st.active = active;
+    const auto n_slots = st.n_active();
+    std::vector<std::int32_t> slot_of(
+        static_cast<std::size_t>(st.tree->n_nodes()), -1);
+    for (std::size_t s = 0; s < active.size(); ++s) {
+      slot_of[static_cast<std::size_t>(active[s].tree_node)] =
+          static_cast<std::int32_t>(s);
     }
-    report.trees.emplace_back();
-    Tree& tree = report.trees.back();
-    std::vector<ActiveNode> active{root};
+    // The previous level's tables go back to the arena first.
+    d_stats.free();
+    d_slot_of.free();
+    d_slot_of = detail::upload_pooled(dev_, st.arena, slot_of);
+    d_stats = detail::upload_slot_tables(st);
+    std::vector<BestSplit> best(active.size());
 
-    for (int level = 0; level < param_.depth && !active.empty(); ++level) {
-      const auto n_slots = static_cast<std::int64_t>(active.size());
-      std::vector<std::int32_t> slot_of(
-          static_cast<std::size_t>(tree.n_nodes()), -1);
-      std::vector<detail::SlotStat> node_stats(
-          static_cast<std::size_t>(n_slots));
-      for (std::size_t s = 0; s < active.size(); ++s) {
-        slot_of[static_cast<std::size_t>(active[s].tree_node)] =
-            static_cast<std::int32_t>(s);
-        node_stats[s] = detail::SlotStat{active[s].sum_g, active[s].sum_h,
-                                         active[s].count};
+    // ---- stream every chunk through the device once per level --------
+    obs::ScopedSpan find_span("find_split");
+    // Upload chunk k into slot k % n_slots_db on stream_copy.  The spans
+    // handed to the async copies point into the host CSC / chunk arrays,
+    // which outlive the level.
+    std::vector<int> up_event(live.size(), -1);
+    std::vector<int> last_use_event(n_slots_db, -1);
+    auto upload_chunk = [&](std::size_t k) {
+      const Chunk& c = *live[k];
+      const auto n = static_cast<std::size_t>(c.n_entries());
+      ChunkSlot& sl = slots[k % n_slots_db];
+      obs::ScopedSpan io_span("chunk_io");
+      chunks_streamed.inc();
+      if (async_streams && last_use_event[k % n_slots_db] >= 0) {
+        // hb: enumerate of the slot's previous chunk -> overwrite (WAR)
+        dev_.wait_event(stream_copy, last_use_event[k % n_slots_db]);
       }
-      auto d_slot_of = detail::upload_pooled(dev_, st.arena, slot_of);
-      // Packed into one record so the per-level table costs a single PCI-e
-      // transfer instead of three latency-bound ones.
-      auto d_stats = detail::upload_pooled(dev_, st.arena, node_stats);
-
-      struct GlobalBest {
-        double gain = 0.0;
-        std::int32_t attr = -1;
-        float split_value = 0.f;
-        bool default_left = false;
-        double left_g = 0.0, left_h = 0.0;
-        std::int64_t left_cnt = 0;
-      };
-      std::vector<GlobalBest> best(active.size());
-
-      // ---- stream every chunk through the device once per level ----------
-      {
-      obs::ScopedSpan find_span("find_split");
-      // Upload chunk k into slot k % n_slots_db on stream_copy.  The spans
-      // handed to the async copies point into the host CSC / chunk arrays,
-      // which outlive the level.
-      std::vector<int> up_event(live.size(), -1);
-      std::vector<int> last_use_event(n_slots_db, -1);
-      auto upload_chunk = [&](std::size_t k) {
-        const Chunk& c = *live[k];
-        const auto n = static_cast<std::size_t>(c.n_entries());
-        ChunkSlot& sl = slots[k % n_slots_db];
-        obs::ScopedSpan io_span("chunk_io");
-        chunks_streamed.inc();
-        if (async_streams && last_use_event[k % n_slots_db] >= 0) {
-          // hb: enumerate of the slot's previous chunk -> overwrite (WAR)
-          dev_.wait_event(stream_copy, last_use_event[k % n_slots_db]);
-        }
+      dev_.copy_to_device_async(
+          "stream_ooc_upload_inst", stream_copy,
+          std::span<const std::int32_t>(csc.inst_ids)
+              .subspan(static_cast<std::size_t>(c.entry_lo), n),
+          sl.inst);
+      if (c.compressed) {
+        dev_.copy_to_device_async("stream_ooc_upload_run_values",
+                                  stream_copy,
+                                  std::span<const float>(c.run_values),
+                                  sl.run_values);
         dev_.copy_to_device_async(
-            "stream_ooc_upload_inst", stream_copy,
-            std::span<const std::int32_t>(csc.inst_ids)
-                .subspan(static_cast<std::size_t>(c.entry_lo), n),
-            sl.inst);
-        if (c.compressed) {
-          dev_.copy_to_device_async("stream_ooc_upload_run_values",
-                                    stream_copy,
-                                    std::span<const float>(c.run_values),
-                                    sl.run_values);
-          dev_.copy_to_device_async(
-              "stream_ooc_upload_run_lens", stream_copy,
-              std::span<const std::int32_t>(c.run_lens), sl.run_lens);
-          dev_.copy_to_device_async(
-              "stream_ooc_upload_run_starts", stream_copy,
-              std::span<const std::int64_t>(c.run_starts), sl.run_starts);
-          report.streamed_bytes +=
-              c.run_values.size() * 16 + static_cast<std::uint64_t>(n) * 4;
-        } else {
-          dev_.copy_to_device_async(
-              "stream_ooc_upload_values", stream_copy,
-              std::span<const float>(csc.values)
-                  .subspan(static_cast<std::size_t>(c.entry_lo), n),
-              sl.values);
-          report.streamed_bytes += static_cast<std::uint64_t>(n) * 8;
-        }
-        if (async_streams) {
-          up_event[k] = dev_.record_event(stream_copy);
-        }
-      };
-
-      if (!live.empty()) upload_chunk(0);
-      for (std::size_t k = 0; k < live.size(); ++k) {
-        if (k + 1 < live.size()) upload_chunk(k + 1);
-        const Chunk& c = *live[k];
-        const std::int64_t n = c.n_entries();
-        const std::int64_t n_cols = c.attr_hi - c.attr_lo;
-        ChunkSlot& sl = slots[k % n_slots_db];
-        if (async_streams) {
-          // hb: upload(k) on stream_copy -> decompress/enumerate (RAW)
-          dev_.wait_event(stream_compute, up_event[k]);
-        }
-        if (c.compressed) {
-          const auto n_runs = static_cast<std::int64_t>(c.run_values.size());
-          const auto rv = sl.run_values.span().first(c.run_values.size());
-          const auto rl = sl.run_lens.span().first(c.run_lens.size());
-          const auto rs = sl.run_starts.span().first(c.run_starts.size());
-          const auto out = sl.values.span().first(static_cast<std::size_t>(n));
-          dev_.launch_async(
-              "stream_ooc_decompress", stream_compute,
-              device::grid_for(n_runs, kBlockDim), kBlockDim,
-              [rv, rl, rs, out, n_runs](BlockCtx& b) {
-                std::uint64_t written = 0;
-                b.for_each_thread([&](std::int64_t r) {
-                  if (r >= n_runs) return;
-                  const auto ru = static_cast<std::size_t>(r);
-                  for (std::int32_t j = 0; j < rl[ru]; ++j) {
-                    out[static_cast<std::size_t>(rs[ru] + j)] = rv[ru];
-                  }
-                  b.writes(out, rs[ru], rl[ru]);
-                  written += static_cast<std::uint64_t>(rl[ru]);
-                });
-                b.reads_tile(rv, n_runs);
-                b.reads_tile(rl, n_runs);
-                b.reads_tile(rs, n_runs);
-                b.work(written);
-                b.mem_coalesced(written * 4 + elems_in_block(b, n_runs) * 20);
-              });
-        }
-
-        // Column offsets local to the chunk; uploaded on the compute stream
-        // so the copy stream's lookahead is never stalled behind metadata.
-        // local_offs outlives the per-chunk sync below.
-        std::vector<std::int64_t> local_offs(
-            static_cast<std::size_t>(n_cols) + 1);
-        for (std::int64_t a2 = 0; a2 <= n_cols; ++a2) {
-          local_offs[static_cast<std::size_t>(a2)] =
-              csc.col_offsets[static_cast<std::size_t>(c.attr_lo + a2)] -
-              c.entry_lo;
-        }
-        auto d_offs = st.arena.alloc<std::int64_t>(local_offs.size());
-        dev_.copy_to_device_async("stream_ooc_upload_offs", stream_compute,
-                                  std::span<const std::int64_t>(local_offs),
-                                  d_offs.backing());
-
-        // Per-(column, slot) winners, checked out per chunk (every entry is
-        // written by ooc_enumerate, so the unzeroed checkout is safe).
-        auto d_best = st.arena.alloc<ColumnBest>(
-            static_cast<std::size_t>(n_cols) * static_cast<std::size_t>(n_slots));
-
-        const auto values = sl.values.span().first(static_cast<std::size_t>(n));
-        const auto inst = sl.inst.span().first(static_cast<std::size_t>(n));
-        const auto offs = d_offs.span();
-        const auto node_of = st.node_of.span();
-        const auto so = d_slot_of.span();
-        const auto stats = d_stats.span();
-        const auto out_best = d_best.span();
-        const auto g = st.grad.span();
-        const auto h = st.hess.span();
-
-        // One logical block per column: two fused passes (present totals,
-        // then candidate enumeration with both missing directions) against
-        // per-slot running accumulators — the streaming analogue of node
-        // interleaving.  Spans are captured by value: under schedule
-        // perturbation the body runs at a later drain point.
-        dev_.launch_async(
-            "stream_ooc_enumerate", stream_compute, n_cols, kBlockDim,
-            [values, inst, offs, node_of, so, stats, out_best, g, h, n_slots,
-             lambda](BlockCtx& b) {
-          const std::int64_t col = b.block_idx();
-          const std::int64_t lo = offs[static_cast<std::size_t>(col)];
-          const std::int64_t hi = offs[static_cast<std::size_t>(col) + 1];
-
-          std::vector<GHPair> present(static_cast<std::size_t>(n_slots));
-          std::vector<std::int64_t> present_cnt(
-              static_cast<std::size_t>(n_slots), 0);
-          for (std::int64_t e = lo; e < hi; ++e) {
-            const auto iu = static_cast<std::size_t>(
-                inst[static_cast<std::size_t>(e)]);
-            const std::int32_t slot =
-                so[static_cast<std::size_t>(node_of[iu])];
-            if (slot < 0) continue;
-            present[static_cast<std::size_t>(slot)] += GHPair{g[iu], h[iu]};
-            ++present_cnt[static_cast<std::size_t>(slot)];
-          }
-
-          std::vector<GHPair> acc(static_cast<std::size_t>(n_slots));
-          std::vector<std::int64_t> acc_cnt(static_cast<std::size_t>(n_slots),
-                                            0);
-          std::vector<float> last(static_cast<std::size_t>(n_slots), 0.f);
-          std::vector<ColumnBest> cb(static_cast<std::size_t>(n_slots));
-
-          auto evaluate = [&](std::int32_t slot) {
-            const auto su = static_cast<std::size_t>(slot);
-            const double glp = acc[su].g;
-            const double hlp = acc[su].h;
-            const std::int64_t pos = acc_cnt[su];
-            const double node_g = stats[su].g;
-            const double node_h = stats[su].h;
-            const std::int64_t cnt = stats[su].cnt;
-            const std::int64_t seg_len = present_cnt[su];
-            const std::int64_t miss = cnt - seg_len;
-            const double miss_g = node_g - present[su].g;
-            const double miss_h = node_h - present[su].h;
-            double gain_r = 0.0;
-            if (pos > 0 && cnt - pos > 0) {
-              gain_r = split_gain(glp, hlp, node_g - glp, node_h - hlp,
-                                  lambda);
-            }
-            double gain_l = 0.0;
-            if (miss > 0 && seg_len - pos > 0) {
-              gain_l = split_gain(glp + miss_g, hlp + miss_h,
-                                  node_g - glp - miss_g,
-                                  node_h - hlp - miss_h, lambda);
-            }
-            const bool dl = gain_l > gain_r;
-            const double gain = dl ? gain_l : gain_r;
-            if (gain > cb[su].gain) {
-              cb[su].valid = 1;
-              cb[su].gain = gain;
-              cb[su].split_value = last[su];
-              cb[su].default_left = dl ? 1 : 0;
-              cb[su].left_g = glp + (dl ? miss_g : 0.0);
-              cb[su].left_h = hlp + (dl ? miss_h : 0.0);
-              cb[su].left_cnt = pos + (dl ? miss : 0);
-            }
-          };
-
-          std::uint64_t touched = 0;
-          for (std::int64_t e = lo; e < hi; ++e) {
-            const auto iu = static_cast<std::size_t>(
-                inst[static_cast<std::size_t>(e)]);
-            const std::int32_t slot =
-                so[static_cast<std::size_t>(node_of[iu])];
-            if (slot < 0) continue;
-            const auto su = static_cast<std::size_t>(slot);
-            const float v = values[static_cast<std::size_t>(e)];
-            if (acc_cnt[su] > 0 && v != last[su]) evaluate(slot);
-            acc[su] += GHPair{g[iu], h[iu]};
-            ++acc_cnt[su];
-            last[su] = v;
-            ++touched;
-          }
-          // Final boundary of every slot (all present left, missing right).
-          for (std::int32_t s = 0; s < n_slots; ++s) {
-            if (acc_cnt[static_cast<std::size_t>(s)] > 0) evaluate(s);
-            out_best[static_cast<std::size_t>(col * n_slots + s)] =
-                cb[static_cast<std::size_t>(s)];
-          }
-          b.reads(offs, col, 2);
-          b.reads(values, lo, hi - lo);
-          b.reads(inst, lo, hi - lo);
-          b.writes(out_best, col * n_slots, n_slots);
-          // Two fused passes: stream the chunk twice, gather (g,h) twice.
-          b.work(4 * touched);
-          b.mem_coalesced(2 * touched * 8);
-          b.mem_irregular(2 * 2 * touched);  // node_of + (g,h) per pass
-          b.flop(touched * 8);
-        });
-
-        if (async_streams) {
-          // Recorded after enumerate: the slot may be overwritten (and the
-          // arena blocks reused) once this fires.
-          last_use_event[k % n_slots_db] = dev_.record_event(stream_compute);
-        }
-        // Host merge needs the winners; the copy stream keeps prefetching
-        // chunk k+1 underneath this sync.
-        dev_.sync(stream_compute);
-
-        // Merge the chunk's winners into the per-node best (columns in
-        // ascending attribute order; strict > keeps the lowest attribute on
-        // ties, like the in-core argmax).
-        for (std::int64_t col = 0; col < n_cols; ++col) {
-          // Columns outside this tree's feature bag yield no splits (host
-          // glue over the simulated device: the mask byte read mirrors the
-          // scalar winner reads below).
-          if (!st.feature_mask.empty() &&
-              st.feature_mask[static_cast<std::size_t>(c.attr_lo + col)] == 0) {
-            continue;
-          }
-          for (std::int64_t s = 0; s < n_slots; ++s) {
-            const ColumnBest& cb =
-                d_best[static_cast<std::size_t>(col * n_slots + s)];
-            if (cb.valid == 0) continue;
-            auto& gb = best[static_cast<std::size_t>(s)];
-            if (cb.gain > gb.gain) {
-              gb.gain = cb.gain;
-              gb.attr = static_cast<std::int32_t>(c.attr_lo + col);
-              gb.split_value = cb.split_value;
-              gb.default_left = cb.default_left != 0;
-              gb.left_g = cb.left_g;
-              gb.left_h = cb.left_h;
-              gb.left_cnt = cb.left_cnt;
-            }
-          }
-        }
-      }
-      }
-
-      // ---- split decisions + instance->node updates ----------------------
-      std::vector<NodeDecision> decisions(active.size());
-      std::vector<ActiveNode> next;
-      for (std::size_t s = 0; s < active.size(); ++s) {
-        const ActiveNode& node = active[s];
-        auto& tn = tree.node(node.tree_node);
-        tn.n_instances = node.count;
-        tn.sum_g = node.sum_g;
-        tn.sum_h = node.sum_h;
-        const GlobalBest& gb = best[s];
-        if (gb.attr >= 0 && gb.gain > param_.gamma) {
-          const auto [l, r] = tree.split(node.tree_node, gb.attr,
-                                         gb.split_value, gb.default_left,
-                                         gb.gain);
-          decisions[s] = {true, gb.attr, gb.split_value, gb.default_left, l, r};
-          ActiveNode left;
-          left.tree_node = l;
-          left.sum_g = gb.left_g;
-          left.sum_h = gb.left_h;
-          left.count = gb.left_cnt;
-          ActiveNode right;
-          right.tree_node = r;
-          right.sum_g = node.sum_g - gb.left_g;
-          right.sum_h = node.sum_h - gb.left_h;
-          right.count = node.count - gb.left_cnt;
-          next.push_back(left);
-          next.push_back(right);
-        } else {
-          tn.weight =
-              param_.eta * leaf_weight(node.sum_g, node.sum_h, lambda);
-        }
-      }
-      if (next.empty()) {
-        active.clear();
-        break;
-      }
-
-      // Defaults for every instance of a splitting node, then the exact side
-      // from the winning column, re-streamed from the host.
-      obs::ScopedSpan split_span("split_node");
-      {
-        std::vector<std::int32_t> default_child(
-            static_cast<std::size_t>(tree.n_nodes()), -1);
-        for (std::size_t s = 0; s < active.size(); ++s) {
-          if (!decisions[s].split) continue;
-          default_child[static_cast<std::size_t>(active[s].tree_node)] =
-              decisions[s].default_left ? decisions[s].left_id
-                                        : decisions[s].right_id;
-        }
-        auto d_default = detail::upload_pooled(dev_, st.arena, default_child);
-        auto node_of = st.node_of.span();
-        auto def = d_default.span();
-        dev_.launch("ooc_assign_default", device::grid_for(n_inst, kBlockDim),
-                    kBlockDim, [&](BlockCtx& b) {
-                      b.for_each_thread([&](std::int64_t i) {
-                        if (i >= n_inst) return;
-                        const auto u = static_cast<std::size_t>(i);
-                        const std::int32_t child =
-                            def[static_cast<std::size_t>(node_of[u])];
-                        if (child >= 0) node_of[u] = child;
-                      });
-                      b.reads_tile(node_of, n_inst);
-                      b.writes_tile(node_of, n_inst);
-                      b.reads(def, 0,
-                              static_cast<std::int64_t>(def.size()));
-                      b.mem_coalesced(elems_in_block(b, n_inst) * 8);
-                    });
-      }
-      for (std::size_t s = 0; s < active.size(); ++s) {
-        if (!decisions[s].split) continue;
-        const auto& d = decisions[s];
-        const std::int64_t lo =
-            csc.col_offsets[static_cast<std::size_t>(d.attr)];
-        const std::int64_t hi =
-            csc.col_offsets[static_cast<std::size_t>(d.attr) + 1];
-        const std::int64_t len = hi - lo;
-        if (len == 0) continue;
-        auto d_v = dev_.to_device<float>(
+            "stream_ooc_upload_run_lens", stream_copy,
+            std::span<const std::int32_t>(c.run_lens), sl.run_lens);
+        dev_.copy_to_device_async(
+            "stream_ooc_upload_run_starts", stream_copy,
+            std::span<const std::int64_t>(c.run_starts), sl.run_starts);
+        report.streamed_bytes +=
+            c.run_values.size() * 16 + static_cast<std::uint64_t>(n) * 4;
+      } else {
+        dev_.copy_to_device_async(
+            "stream_ooc_upload_values", stream_copy,
             std::span<const float>(csc.values)
-                .subspan(static_cast<std::size_t>(lo),
-                         static_cast<std::size_t>(len)));
-        auto d_i = dev_.to_device<std::int32_t>(
-            std::span<const std::int32_t>(csc.inst_ids)
-                .subspan(static_cast<std::size_t>(lo),
-                         static_cast<std::size_t>(len)));
-        report.streamed_bytes += static_cast<std::uint64_t>(len) * 8;
-        const std::int32_t left_id = d.left_id;
-        const std::int32_t right_id = d.right_id;
-        const std::int32_t default_id =
-            d.default_left ? d.left_id : d.right_id;
-        const float split_value = d.split_value;
-        auto v = d_v.span();
-        auto ii = d_i.span();
-        auto node_of = st.node_of.span();
-        dev_.launch("ooc_exact_side", device::grid_for(len, kBlockDim),
-                    kBlockDim, [&](BlockCtx& b) {
-                      b.for_each_thread([&](std::int64_t e) {
-                        if (e >= len) return;
-                        const auto u = static_cast<std::size_t>(e);
-                        auto& slot_ref =
-                            node_of[static_cast<std::size_t>(ii[u])];
-                        b.reads(node_of, ii[u]);
-                        if (slot_ref != default_id &&
-                            slot_ref != (d.default_left ? right_id : left_id)) {
-                          return;  // instance not in this node
-                        }
-                        // Instances of other nodes share neither child id.
-                        slot_ref = v[u] >= split_value ? left_id : right_id;
-                        // An instance appears once per streamed column, so
-                        // the scattered node_of updates are block-disjoint;
-                        // the auditor verifies it.
-                        b.writes(node_of, ii[u]);
-                      });
-                      b.reads_tile(v, len);
-                      b.reads_tile(ii, len);
-                      const auto m = elems_in_block(b, len);
-                      b.mem_coalesced(m * 8);
-                      b.mem_irregular(m);
-                    });
+                .subspan(static_cast<std::size_t>(c.entry_lo), n),
+            sl.values);
+        report.streamed_bytes += static_cast<std::uint64_t>(n) * 8;
+      }
+      if (async_streams) {
+        up_event[k] = dev_.record_event(stream_copy);
+      }
+    };
+
+    if (!live.empty()) upload_chunk(0);
+    for (std::size_t k = 0; k < live.size(); ++k) {
+      if (k + 1 < live.size()) upload_chunk(k + 1);
+      const Chunk& c = *live[k];
+      const std::int64_t n = c.n_entries();
+      const std::int64_t n_cols = c.attr_hi - c.attr_lo;
+      ChunkSlot& sl = slots[k % n_slots_db];
+      if (async_streams) {
+        // hb: upload(k) on stream_copy -> decompress/enumerate (RAW)
+        dev_.wait_event(stream_compute, up_event[k]);
+      }
+      if (c.compressed) {
+        const auto n_runs = static_cast<std::int64_t>(c.run_values.size());
+        const auto rv = sl.run_values.span().first(c.run_values.size());
+        const auto rl = sl.run_lens.span().first(c.run_lens.size());
+        const auto rs = sl.run_starts.span().first(c.run_starts.size());
+        const auto out = sl.values.span().first(static_cast<std::size_t>(n));
+        dev_.launch_async(
+            "stream_ooc_decompress", stream_compute,
+            device::grid_for(n_runs, kBlockDim), kBlockDim,
+            [rv, rl, rs, out, n_runs](BlockCtx& b) {
+              std::uint64_t written = 0;
+              b.for_each_thread([&](std::int64_t r) {
+                if (r >= n_runs) return;
+                const auto ru = static_cast<std::size_t>(r);
+                for (std::int32_t j = 0; j < rl[ru]; ++j) {
+                  out[static_cast<std::size_t>(rs[ru] + j)] = rv[ru];
+                }
+                b.writes(out, rs[ru], rl[ru]);
+                written += static_cast<std::uint64_t>(rl[ru]);
+              });
+              b.reads_tile(rv, n_runs);
+              b.reads_tile(rl, n_runs);
+              b.reads_tile(rs, n_runs);
+              b.work(written);
+              b.mem_coalesced(written * 4 + elems_in_block(b, n_runs) * 20);
+            });
       }
 
-      if (testing::invariants_enabled()) {
-        std::vector<std::pair<std::int32_t, std::int64_t>> expected;
-        expected.reserve(next.size());
-        for (const ActiveNode& child : next) {
-          expected.emplace_back(child.tree_node, child.count);
+      // Column offsets local to the chunk; uploaded on the compute stream
+      // so the copy stream's lookahead is never stalled behind metadata.
+      // local_offs outlives the per-chunk sync below.
+      std::vector<std::int64_t> local_offs(
+          static_cast<std::size_t>(n_cols) + 1);
+      for (std::int64_t a2 = 0; a2 <= n_cols; ++a2) {
+        local_offs[static_cast<std::size_t>(a2)] =
+            csc.col_offsets[static_cast<std::size_t>(c.attr_lo + a2)] -
+            c.entry_lo;
+      }
+      auto d_offs = st.arena.alloc<std::int64_t>(local_offs.size());
+      dev_.copy_to_device_async("stream_ooc_upload_offs", stream_compute,
+                                std::span<const std::int64_t>(local_offs),
+                                d_offs.backing());
+
+      // Per-(column, slot) winners, checked out per chunk (every entry is
+      // written by ooc_enumerate, so the unzeroed checkout is safe).
+      auto d_best = st.arena.alloc<ColumnBest>(
+          static_cast<std::size_t>(n_cols) * static_cast<std::size_t>(n_slots));
+
+      const auto values = sl.values.span().first(static_cast<std::size_t>(n));
+      const auto inst = sl.inst.span().first(static_cast<std::size_t>(n));
+      const auto offs = d_offs.span();
+      const auto node_of = st.node_of.span();
+      const auto so = d_slot_of.span();
+      const auto stats = d_stats.span();
+      const auto out_best = d_best.span();
+      const auto g = st.grad.span();
+      const auto h = st.hess.span();
+
+      // One logical block per column: two fused passes (present totals,
+      // then candidate enumeration with both missing directions) against
+      // per-slot running accumulators — the streaming analogue of node
+      // interleaving.  Spans are captured by value: under schedule
+      // perturbation the body runs at a later drain point.
+      dev_.launch_async(
+          "stream_ooc_enumerate", stream_compute, n_cols, kBlockDim,
+          [values, inst, offs, node_of, so, stats, out_best, g, h, n_slots,
+           lambda = param_.lambda](BlockCtx& b) {
+        const std::int64_t col = b.block_idx();
+        const std::int64_t lo = offs[static_cast<std::size_t>(col)];
+        const std::int64_t hi = offs[static_cast<std::size_t>(col) + 1];
+
+        std::vector<GHPair> present(static_cast<std::size_t>(n_slots));
+        std::vector<std::int64_t> present_cnt(
+            static_cast<std::size_t>(n_slots), 0);
+        for (std::int64_t e = lo; e < hi; ++e) {
+          const auto iu = static_cast<std::size_t>(
+              inst[static_cast<std::size_t>(e)]);
+          const std::int32_t slot =
+              so[static_cast<std::size_t>(node_of[iu])];
+          if (slot < 0) continue;
+          present[static_cast<std::size_t>(slot)] += GHPair{g[iu], h[iu]};
+          ++present_cnt[static_cast<std::size_t>(slot)];
         }
-        testing::check_instance_counts(st.node_of.span(), expected,
-                                       "ooc_level");
+
+        std::vector<GHPair> acc(static_cast<std::size_t>(n_slots));
+        std::vector<std::int64_t> acc_cnt(static_cast<std::size_t>(n_slots),
+                                          0);
+        std::vector<float> last(static_cast<std::size_t>(n_slots), 0.f);
+        std::vector<ColumnBest> cb(static_cast<std::size_t>(n_slots));
+
+        auto evaluate = [&](std::int32_t slot) {
+          const auto su = static_cast<std::size_t>(slot);
+          const GainStats left{acc[su].g, acc[su].h, acc_cnt[su]};
+          const GainStats pres{present[su].g, present[su].h, present_cnt[su]};
+          const GainStats& node = stats[su];
+          const CandidateGain c = missing_aware_gain(left, pres, node, lambda);
+          if (c.gain > cb[su].gain) {
+            const bool dl = c.default_left;
+            cb[su].valid = 1;
+            cb[su].gain = c.gain;
+            cb[su].split_value = last[su];
+            cb[su].default_left = dl ? 1 : 0;
+            cb[su].left_g = left.g + (dl ? node.g - pres.g : 0.0);
+            cb[su].left_h = left.h + (dl ? node.h - pres.h : 0.0);
+            cb[su].left_cnt = left.cnt + (dl ? node.cnt - pres.cnt : 0);
+          }
+        };
+
+        std::uint64_t touched = 0;
+        for (std::int64_t e = lo; e < hi; ++e) {
+          const auto iu = static_cast<std::size_t>(
+              inst[static_cast<std::size_t>(e)]);
+          const std::int32_t slot =
+              so[static_cast<std::size_t>(node_of[iu])];
+          if (slot < 0) continue;
+          const auto su = static_cast<std::size_t>(slot);
+          const float v = values[static_cast<std::size_t>(e)];
+          if (acc_cnt[su] > 0 && v != last[su]) evaluate(slot);
+          acc[su] += GHPair{g[iu], h[iu]};
+          ++acc_cnt[su];
+          last[su] = v;
+          ++touched;
+        }
+        // Final boundary of every slot (all present left, missing right).
+        for (std::int32_t s = 0; s < n_slots; ++s) {
+          if (acc_cnt[static_cast<std::size_t>(s)] > 0) evaluate(s);
+          out_best[static_cast<std::size_t>(col * n_slots + s)] =
+              cb[static_cast<std::size_t>(s)];
+        }
+        b.reads(offs, col, 2);
+        b.reads(values, lo, hi - lo);
+        b.reads(inst, lo, hi - lo);
+        b.writes(out_best, col * n_slots, n_slots);
+        // Two fused passes: stream the chunk twice, gather (g,h) twice.
+        b.work(4 * touched);
+        b.mem_coalesced(2 * touched * 8);
+        b.mem_irregular(2 * 2 * touched);  // node_of + (g,h) per pass
+        b.flop(touched * 8);
+      });
+
+      if (async_streams) {
+        // Recorded after enumerate: the slot may be overwritten (and the
+        // arena blocks reused) once this fires.
+        last_use_event[k % n_slots_db] = dev_.record_event(stream_compute);
       }
+      // Host merge needs the winners; the copy stream keeps prefetching
+      // chunk k+1 underneath this sync.
+      dev_.sync(stream_compute);
 
-      active = std::move(next);
+      // Merge the chunk's winners into the per-node best (columns in
+      // ascending attribute order; strict > keeps the lowest attribute on
+      // ties, like the in-core argmax).
+      for (std::int64_t col = 0; col < n_cols; ++col) {
+        // Columns outside this tree's feature bag yield no splits (host
+        // glue over the simulated device: the mask byte read mirrors the
+        // scalar winner reads below).
+        if (!st.feature_mask.empty() &&
+            st.feature_mask[static_cast<std::size_t>(c.attr_lo + col)] == 0) {
+          continue;
+        }
+        for (std::int64_t s = 0; s < n_slots; ++s) {
+          const ColumnBest& cb =
+              d_best[static_cast<std::size_t>(col * n_slots + s)];
+          if (cb.valid == 0) continue;
+          const auto su = static_cast<std::size_t>(s);
+          BestSplit& b = best[su];
+          if (cb.gain > b.gain) {
+            const ActiveNode& node = active[su];
+            b.valid = true;
+            b.gain = cb.gain;
+            b.attr = static_cast<std::int32_t>(c.attr_lo + col);
+            b.split_value = cb.split_value;
+            b.default_left = cb.default_left != 0;
+            b.left = ActiveNode{-1, cb.left_g, cb.left_h, cb.left_cnt};
+            b.right = ActiveNode{-1, node.sum_g - cb.left_g,
+                                 node.sum_h - cb.left_h,
+                                 node.count - cb.left_cnt};
+          }
+        }
+      }
     }
-    for (const ActiveNode& node : active) {
-      auto& tn = tree.node(node.tree_node);
-      tn.weight = param_.eta * leaf_weight(node.sum_g, node.sum_h, lambda);
-      tn.n_instances = node.count;
-      tn.sum_g = node.sum_g;
-      tn.sum_h = node.sum_h;
-    }
-    active.clear();
+    return best;
+  };
 
-    if (testing::invariants_enabled()) {
-      testing::check_leaf_map(st.node_of.span(), tree, ds, "ooc_leaf_map");
+  backend.apply_splits = [&](const detail::LevelPlan& plan) {
+    // Defaults for every instance of a splitting node, then the exact side
+    // from the winning column, re-streamed from the host.
+    obs::ScopedSpan split_span("split_node");
+    {
+      auto d_default = detail::upload_default_children(st, plan);
+      auto node_of = st.node_of.span();
+      auto def = d_default.span();
+      dev_.launch("ooc_assign_default", device::grid_for(n_inst, kBlockDim),
+                  kBlockDim, [&](BlockCtx& b) {
+                    b.for_each_thread([&](std::int64_t i) {
+                      if (i >= n_inst) return;
+                      const auto u = static_cast<std::size_t>(i);
+                      const std::int32_t child =
+                          def[static_cast<std::size_t>(node_of[u])];
+                      if (child >= 0) node_of[u] = child;
+                    });
+                    b.reads_tile(node_of, n_inst);
+                    b.writes_tile(node_of, n_inst);
+                    b.reads(def, 0,
+                            static_cast<std::int64_t>(def.size()));
+                    b.mem_coalesced(elems_in_block(b, n_inst) * 8);
+                  });
     }
-  }
+    for (const auto& d : plan.per_slot) {
+      if (!d.split) continue;
+      const std::int64_t lo =
+          csc.col_offsets[static_cast<std::size_t>(d.attr)];
+      const std::int64_t hi =
+          csc.col_offsets[static_cast<std::size_t>(d.attr) + 1];
+      const std::int64_t len = hi - lo;
+      if (len == 0) continue;
+      auto d_v = dev_.to_device<float>(
+          std::span<const float>(csc.values)
+              .subspan(static_cast<std::size_t>(lo),
+                       static_cast<std::size_t>(len)));
+      auto d_i = dev_.to_device<std::int32_t>(
+          std::span<const std::int32_t>(csc.inst_ids)
+              .subspan(static_cast<std::size_t>(lo),
+                       static_cast<std::size_t>(len)));
+      report.streamed_bytes += static_cast<std::uint64_t>(len) * 8;
+      const std::int32_t left_id = d.left_id;
+      const std::int32_t right_id = d.right_id;
+      const std::int32_t default_id =
+          d.default_left ? d.left_id : d.right_id;
+      const float split_value = d.split_value;
+      auto v = d_v.span();
+      auto ii = d_i.span();
+      auto node_of = st.node_of.span();
+      dev_.launch("ooc_exact_side", device::grid_for(len, kBlockDim),
+                  kBlockDim, [&](BlockCtx& b) {
+                    b.for_each_thread([&](std::int64_t e) {
+                      if (e >= len) return;
+                      const auto u = static_cast<std::size_t>(e);
+                      auto& slot_ref =
+                          node_of[static_cast<std::size_t>(ii[u])];
+                      b.reads(node_of, ii[u]);
+                      if (slot_ref != default_id &&
+                          slot_ref != (d.default_left ? right_id : left_id)) {
+                        return;  // instance not in this node
+                      }
+                      // Instances of other nodes share neither child id.
+                      slot_ref = v[u] >= split_value ? left_id : right_id;
+                      // An instance appears once per streamed column, so
+                      // the scattered node_of updates are block-disjoint;
+                      // the auditor verifies it.
+                      b.writes(node_of, ii[u]);
+                    });
+                    b.reads_tile(v, len);
+                    b.reads_tile(ii, len);
+                    const auto m = elems_in_block(b, len);
+                    b.mem_coalesced(m * 8);
+                    b.mem_irregular(m);
+                  });
+    }
 
-  obs::ScopedSpan final_span("gradient_compute");
-  detail::update_predictions_smart(st, report.trees.back());
-  const auto final_pred = dev_.to_host(st.y_pred);
-  report.train_scores.assign(final_pred.begin(), final_pred.end());
+    testing::check_instance_counts(st.node_of.span(), plan, "ooc_level");
+  };
+
+  backend.end_tree = [&](const Tree& done) {
+    d_stats.free();
+    d_slot_of.free();
+    testing::check_leaf_map(st.node_of.span(), done, ds, "ooc_leaf_map");
+  };
+  backend.finish = [&](const Tree& last) {
+    obs::ScopedSpan final_span("gradient_compute");
+    detail::update_predictions_smart(st, last);
+    const auto final_pred = dev_.to_host(st.y_pred);
+    return std::vector<double>(final_pred.begin(), final_pred.end());
+  };
+  report.train_scores = detail::grow_forest(backend, param_, report.trees);
   report.peak_device_bytes = dev_.allocator().peak();
   report.modeled_seconds = dev_.elapsed_seconds() - modeled_start;
   // Busy seconds are what a single serialized stream would have taken; the
@@ -676,10 +576,7 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
   obs::Registry::global()
       .gauge("gbdt_device_overlap_ratio")
       .set(report.overlap_ratio);
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  report.wall_seconds = detail::seconds_since(wall_start);
   return report;
 }
 

@@ -4,9 +4,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/level_driver.h"
 #include "core/trainer_detail.h"
 #include "data/csc_matrix.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "objective/objective.h"
 #include "primitives/reduce.h"
@@ -18,8 +18,8 @@
 namespace gbdt {
 
 using detail::ActiveNode;
-using detail::BestSplit;
 using detail::LevelPlan;
+using detail::PhaseScope;
 using detail::TrainState;
 using device::Device;
 using device::DeviceBuffer;
@@ -34,15 +34,22 @@ std::int64_t TrainState::segs_per_block(std::int64_t n_segments) const {
              : 1;
 }
 
-SlotTables upload_slot_tables(TrainState& st) {
+device::ArenaBuffer<SlotStat> upload_slot_tables(TrainState& st) {
   std::vector<SlotStat> stats(st.active.size());
   for (std::size_t s = 0; s < st.active.size(); ++s) {
     stats[s] = SlotStat{st.active[s].sum_g, st.active[s].sum_h,
                         st.active[s].count};
   }
-  SlotTables t;
-  t.stats = upload_pooled(st.dev, st.arena, stats);
-  return t;
+  return upload_pooled(st.dev, st.arena, stats);
+}
+
+void alloc_instance_state(TrainState& st) {
+  const auto n = static_cast<std::size_t>(st.n_inst);
+  st.grad = st.dev.alloc<double>(n);
+  st.hess = st.dev.alloc<double>(n);
+  st.y_pred = st.dev.alloc<float>(n);
+  st.node_of = st.dev.alloc<std::int32_t>(n);
+  prim::fill(st.dev, st.y_pred, static_cast<float>(st.param.base_score));
 }
 
 device::ArenaBuffer<SplitCmd> upload_split_cmds(TrainState& st,
@@ -77,9 +84,8 @@ device::ArenaBuffer<std::int64_t> device_node_offsets(TrainState& st,
   return offs;
 }
 
-void assign_default_children(TrainState& st, const LevelPlan& plan) {
-  // Per-tree-node tables: does this node split, and where do its instances
-  // go by default.  Sized by the current tree (< 2^(depth+1) nodes).
+device::ArenaBuffer<std::int32_t> upload_default_children(
+    TrainState& st, const LevelPlan& plan) {
   std::vector<std::int32_t> default_child(
       static_cast<std::size_t>(st.tree->n_nodes()), -1);
   for (std::size_t s = 0; s < plan.per_slot.size(); ++s) {
@@ -88,7 +94,11 @@ void assign_default_children(TrainState& st, const LevelPlan& plan) {
     const auto tn = static_cast<std::size_t>(st.active[s].tree_node);
     default_child[tn] = e.default_left ? e.left_id : e.right_id;
   }
-  auto d_default = upload_pooled(st.dev, st.arena, default_child);
+  return upload_pooled(st.dev, st.arena, default_child);
+}
+
+void assign_default_children(TrainState& st, const LevelPlan& plan) {
+  auto d_default = upload_default_children(st, plan);
 
   const std::int64_t n = st.n_inst;
   auto node_of = st.node_of.span();
@@ -220,21 +230,6 @@ void reset_working_layout(TrainState& st) {
 
 namespace {
 
-/// Scoped accumulation of modeled device seconds into a phase counter.
-class PhaseScope {
- public:
-  PhaseScope(Device& dev, double& sink)
-      : dev_(dev), sink_(sink), start_(dev.elapsed_seconds()) {}
-  ~PhaseScope() { sink_ += dev_.elapsed_seconds() - start_; }
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  Device& dev_;
-  double& sink_;
-  double start_;
-};
-
 /// Naive prediction update (SmartGD disabled): every instance traverses the
 /// freshly trained tree, binary-searching its CSR row at each internal node.
 /// Branch-divergent and irregular — the cost SmartGD removes.
@@ -328,15 +323,6 @@ void update_predictions_naive(TrainState& st, const Tree& tree) {
                 });
 }
 
-void finalize_leaf(TrainState& st, const ActiveNode& node) {
-  auto& tn = st.tree->node(node.tree_node);
-  tn.weight =
-      st.param.eta * leaf_weight(node.sum_g, node.sum_h, st.param.lambda);
-  tn.n_instances = node.count;
-  tn.sum_g = node.sum_g;
-  tn.sum_h = node.sum_h;
-}
-
 /// Models xgbst-gpu's node interleaving: one gradient/hessian copy per node
 /// being split this level (paper Section II-D).  The caller keeps the
 /// returned buffers alive for the whole level, so the copies inflate peak
@@ -361,10 +347,7 @@ void finalize_leaf(TrainState& st, const ActiveNode& node) {
 
 GpuGbdtTrainer::GpuGbdtTrainer(Device& dev, GBDTParam param)
     : dev_(dev), param_(std::move(param)), loss_(make_loss(param_.loss)) {
-  if (param_.depth < 1) throw std::invalid_argument("depth must be >= 1");
-  if (param_.n_trees < 1) throw std::invalid_argument("n_trees must be >= 1");
-  if (param_.gamma < 0) throw std::invalid_argument("gamma must be >= 0");
-  if (param_.lambda < 0) throw std::invalid_argument("lambda must be >= 0");
+  detail::validate_param(param_, /*hist=*/false);
 }
 
 TrainReport GpuGbdtTrainer::train(const data::Dataset& ds) {
@@ -375,10 +358,6 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
                                   const TreeCallback& on_tree) {
   const auto wall_start = std::chrono::steady_clock::now();
   obs::ScopedSpan train_span("train");
-  static obs::Counter& trees_trained =
-      obs::Registry::global().counter("gbdt_trees_trained_total");
-  static obs::Counter& levels_grown =
-      obs::Registry::global().counter("gbdt_levels_grown_total");
   TrainReport report;
   report.base_score = param_.base_score;
 
@@ -431,11 +410,7 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
   // ---- persistent per-instance state -------------------------------------
   objective::RoundDriver round_driver(dev_, param_, ds);
   auto d_labels = dev_.to_device<float>(ds.labels());
-  st.grad = dev_.alloc<double>(static_cast<std::size_t>(st.n_inst));
-  st.hess = dev_.alloc<double>(static_cast<std::size_t>(st.n_inst));
-  st.y_pred = dev_.alloc<float>(static_cast<std::size_t>(st.n_inst));
-  st.node_of = dev_.alloc<std::int32_t>(static_cast<std::size_t>(st.n_inst));
-  prim::fill(dev_, st.y_pred, static_cast<float>(param_.base_score));
+  detail::alloc_instance_state(st);
 
   if (!param_.use_smart_gd) {
     // The naive path needs random access to instance rows: upload the CSR.
@@ -451,142 +426,74 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
     st.csr_values = dev_.to_device<float>(vals);
   }
 
-  // ---- boosting loop ------------------------------------------------------
-  report.trees.reserve(static_cast<std::size_t>(param_.n_trees));
-  for (int t = 0; t < param_.n_trees; ++t) {
+  // ---- boosting loop (core/level_driver.h) --------------------------------
+  const auto update_predictions = param_.use_smart_gd
+                                      ? &detail::update_predictions_smart
+                                      : &update_predictions_naive;
+  // xgbst-gpu's per-level gradient copies (dense layout only), held from
+  // the level's find step until the next level or the end of the tree.
+  std::vector<device::ArenaBuffer<double>> interleaved;
+  detail::LevelBackend backend;
+  backend.begin_tree = [&](int t, const Tree* prev, Tree& tree) {
     {
       PhaseScope phase(dev_, report.modeled.gradients);
       obs::ScopedSpan span("gradient_compute");
-      if (t > 0) {
-        if (param_.use_smart_gd) {
-          update_predictions_smart(st, report.trees.back());
-        } else {
-          update_predictions_naive(st, report.trees.back());
-        }
-      }
+      if (prev != nullptr) update_predictions(st, *prev);
       round_driver.begin_round(st, d_labels, t);
     }
-
     {
       PhaseScope phase(dev_, report.modeled.split_node);
       obs::ScopedSpan span("reset_layout");
       reset_working_layout(st);
     }
-
-    report.trees.emplace_back();
-    Tree& tree = report.trees.back();
     st.tree = &tree;
-
-    ActiveNode root;
-    root.tree_node = 0;
+    PhaseScope phase(dev_, report.modeled.gradients);
+    obs::ScopedSpan span("gradient_compute");
+    // Braced initialisation sequences the two reductions left to right.
+    return ActiveNode{0, prim::reduce_sum<double>(dev_, st.grad, "root_sum_g"),
+                      prim::reduce_sum<double>(dev_, st.hess, "root_sum_h"),
+                      st.n_inst};
+  };
+  backend.find_splits = [&](const std::vector<ActiveNode>& active) {
+    st.active = active;
+    interleaved.clear();
+    if (param_.dense_layout) interleaved = dense_node_interleaving(st);
+    PhaseScope phase(dev_, report.modeled.find_split);
+    obs::ScopedSpan span("find_split");
+    return st.rle ? detail::find_splits_rle(st)
+                  : detail::find_splits_sparse(st);
+  };
+  backend.apply_splits = [&](const LevelPlan& plan) {
+    {
+      PhaseScope phase(dev_, report.modeled.split_node);
+      obs::ScopedSpan span("split_node");
+      if (st.rle) {
+        detail::apply_splits_rle(st, plan);
+      } else {
+        detail::apply_splits_sparse(st, plan);
+      }
+    }
+    testing::check_level_conservation(
+        st, plan, st.rle ? "apply_splits_rle" : "apply_splits_sparse");
+  };
+  backend.end_tree = [&](const Tree& tree) {
+    interleaved.clear();
+    testing::check_leaf_map(st.node_of.span(), tree, ds, "smartgd_leaf_map");
+  };
+  backend.finish = [&](const Tree& last) {
     {
       PhaseScope phase(dev_, report.modeled.gradients);
       obs::ScopedSpan span("gradient_compute");
-      root.sum_g = prim::reduce_sum<double>(dev_, st.grad, "root_sum_g");
-      root.sum_h = prim::reduce_sum<double>(dev_, st.hess, "root_sum_h");
+      update_predictions(st, last);
     }
-    root.count = st.n_inst;
-    st.active.assign(1, root);
-
-    for (int level = 0; level < param_.depth && !st.active.empty(); ++level) {
-      std::vector<device::ArenaBuffer<double>> interleaved;
-      if (param_.dense_layout) interleaved = dense_node_interleaving(st);
-
-      levels_grown.inc();
-      std::vector<BestSplit> best;
-      {
-        PhaseScope phase(dev_, report.modeled.find_split);
-        obs::ScopedSpan span("find_split");
-        best = st.rle ? detail::find_splits_rle(st)
-                      : detail::find_splits_sparse(st);
-      }
-
-      // Host-side split decisions (Algorithm 1 lines 14-23).
-      LevelPlan plan;
-      plan.per_slot.resize(st.active.size());
-      for (std::size_t s = 0; s < st.active.size(); ++s) {
-        const ActiveNode& node = st.active[s];
-        const BestSplit& b = best[s];
-        auto& tn = tree.node(node.tree_node);
-        tn.n_instances = node.count;
-        tn.sum_g = node.sum_g;
-        tn.sum_h = node.sum_h;
-        if (b.valid && b.gain > param_.gamma) {
-          const auto [l, r] =
-              tree.split(node.tree_node, b.attr, b.split_value,
-                         b.default_left, b.gain);
-          auto& e = plan.per_slot[s];
-          e.split = true;
-          e.chosen_seg = b.seg;
-          e.best_pos = b.pos;
-          e.left_id = l;
-          e.right_id = r;
-          e.default_left = b.default_left;
-          ActiveNode left = b.left;
-          left.tree_node = l;
-          ActiveNode right = b.right;
-          right.tree_node = r;
-          plan.next_active.push_back(left);
-          plan.next_active.push_back(right);
-        } else {
-          finalize_leaf(st, node);
-        }
-      }
-      if (plan.next_active.empty()) {
-        st.active.clear();
-        break;
-      }
-      plan.next_slot_of_tree.assign(static_cast<std::size_t>(tree.n_nodes()),
-                                    -1);
-      for (std::size_t k = 0; k < plan.next_active.size(); ++k) {
-        plan.next_slot_of_tree[static_cast<std::size_t>(
-            plan.next_active[k].tree_node)] = static_cast<std::int32_t>(k);
-      }
-
-      {
-        PhaseScope phase(dev_, report.modeled.split_node);
-        obs::ScopedSpan span("split_node");
-        if (st.rle) {
-          detail::apply_splits_rle(st, plan);
-        } else {
-          detail::apply_splits_sparse(st, plan);
-        }
-      }
-      testing::check_level_conservation(
-          st, plan, st.rle ? "apply_splits_rle" : "apply_splits_sparse");
-      st.active = std::move(plan.next_active);
-    }
-
-    // Depth limit reached: remaining active nodes become leaves.
-    for (const ActiveNode& node : st.active) finalize_leaf(st, node);
-    st.active.clear();
-
-    if (testing::invariants_enabled()) {
-      testing::check_leaf_map(st.node_of.span(), tree, ds, "smartgd_leaf_map");
-    }
-
-    trees_trained.inc();
-    if (on_tree && !on_tree(t, report.trees)) break;
-  }
-
-  // Fold the last tree into the scores and return them.
-  {
-    PhaseScope phase(dev_, report.modeled.gradients);
-    obs::ScopedSpan span("gradient_compute");
-    if (param_.use_smart_gd) {
-      update_predictions_smart(st, report.trees.back());
-    } else {
-      update_predictions_naive(st, report.trees.back());
-    }
-  }
-  const auto final_pred = dev_.to_host(st.y_pred);
-  report.train_scores.assign(final_pred.begin(), final_pred.end());
+    const auto final_pred = dev_.to_host(st.y_pred);
+    return std::vector<double>(final_pred.begin(), final_pred.end());
+  };
+  report.train_scores =
+      detail::grow_forest(backend, param_, report.trees, on_tree);
 
   report.peak_device_bytes = dev_.allocator().peak();
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  report.wall_seconds = detail::seconds_since(wall_start);
   return report;
 }
 

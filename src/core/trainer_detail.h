@@ -67,8 +67,31 @@ struct BestSplit {
   ActiveNode right;
 };
 
-/// Host-side plan of one level's node splits (filled by the orchestrator
-/// from BestSplit + tree bookkeeping, consumed by apply_splits_*).
+/// Fills b.left / b.right of a winning candidate.  `prefix` sums the
+/// `present_left` present instances on the high side of the split,
+/// `seg_total` all `seg_len` present instances of the segment; the node's
+/// missing instances follow b.default_left.
+inline void set_children(BestSplit& b, const ActiveNode& node,
+                         const GHPair& prefix, std::int64_t present_left,
+                         const GHPair& seg_total, std::int64_t seg_len) {
+  double left_g = prefix.g;
+  double left_h = prefix.h;
+  std::int64_t left_cnt = present_left;
+  if (b.default_left) {
+    left_g += node.sum_g - seg_total.g;
+    left_h += node.sum_h - seg_total.h;
+    left_cnt += node.count - seg_len;
+  }
+  b.left.sum_g = left_g;
+  b.left.sum_h = left_h;
+  b.left.count = left_cnt;
+  b.right.sum_g = node.sum_g - left_g;
+  b.right.sum_h = node.sum_h - left_h;
+  b.right.count = node.count - left_cnt;
+}
+
+/// Host-side plan of one level's node splits (filled by decide_level in
+/// core/level_driver.h, consumed by each path's apply step).
 struct LevelPlan {
   struct Entry {
     bool split = false;
@@ -77,6 +100,8 @@ struct LevelPlan {
     std::int32_t left_id = -1;    // tree node ids of the children
     std::int32_t right_id = -1;
     bool default_left = false;
+    std::int32_t attr = -1;
+    float split_value = 0.f;
   };
   std::vector<Entry> per_slot;             // indexed by active slot
   std::vector<ActiveNode> next_active;     // children, in slot order
@@ -161,19 +186,15 @@ struct TrainState {
 /// Per-slot statistics packed into one record so the per-level upload is a
 /// single PCI-e transfer (latency-dominated at this size: one 10us transfer
 /// instead of three).
-struct SlotStat {
-  double g = 0.0;
-  double h = 0.0;
-  std::int64_t cnt = 0;
-};
+using SlotStat = GainStats;
 
-/// Per-slot lookup table uploaded to the device once per level
-/// (arena-pooled: re-uploading each level reuses the same block).
-struct SlotTables {
-  device::ArenaBuffer<SlotStat> stats;
-};
+/// Uploads the active slots' stats once per level (arena-pooled:
+/// re-uploading each level reuses the same block).
+[[nodiscard]] device::ArenaBuffer<SlotStat> upload_slot_tables(TrainState& st);
 
-[[nodiscard]] SlotTables upload_slot_tables(TrainState& st);
+/// Allocates grad / hess / y_pred / node_of for st.n_inst rows and fills
+/// y_pred with the base score.
+void alloc_instance_state(TrainState& st);
 
 /// Fills off[s] = s * stride for s in [0, n_slots] on the device.  The table
 /// is tiny and latency-bound, so one kernel launch (~1us) beats the PCI-e
@@ -194,6 +215,27 @@ struct SplitCmd {
 [[nodiscard]] device::ArenaBuffer<SplitCmd> upload_split_cmds(
     TrainState& st, const LevelPlan& plan);
 
+/// Per-segment gain winners of one level's find step (sparse or RLE).  The
+/// fused pipeline writes val / idx / dir directly; the GBDT_UNFUSED_SPLIT
+/// hatch fills the per-element gains / dirs arrays instead.
+struct SegmentWinners {
+  device::ArenaBuffer<double> val;
+  device::ArenaBuffer<std::int64_t> idx;
+  device::ArenaBuffer<std::uint8_t> dir;
+  device::ArenaBuffer<double> gains;
+  device::ArenaBuffer<std::uint8_t> dirs;
+};
+
+/// Best candidate per segment (unfused hatch only: from w.gains), then best
+/// attribute per node (paper step iii), read back on the host: fills valid /
+/// gain / seg / pos / attr / default_left of out[s] for every active slot
+/// whose best gain is positive, and returns those slots.  `seg_name` and
+/// `node_name` label the two argmax passes.
+[[nodiscard]] std::vector<std::size_t> pick_winners(
+    TrainState& st, SegmentWinners& w,
+    const device::ArenaBuffer<std::int64_t>& seg_offsets,
+    const char* seg_name, const char* node_name, std::vector<BestSplit>& out);
+
 /// Sparse (uncompressed) path.  apply_splits_sparse = mark_sides +
 /// partition; the halves are exposed separately because the multi-GPU
 /// trainer synchronises the instance->node map between them.
@@ -201,6 +243,13 @@ struct SplitCmd {
 void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan);
 void apply_partition_sparse(TrainState& st, const LevelPlan& plan);
 void apply_splits_sparse(TrainState& st, const LevelPlan& plan);
+
+/// Present-value totals per segment of `off`: the segmented scan's value at
+/// the segment's last element or run (0 for empty segments).  `name` labels
+/// the kernel (the sparse and RLE paths keep their own labels).
+void segment_present_totals(TrainState& st, std::span<const std::int64_t> off,
+                            std::span<const GHPair> scan,
+                            std::span<GHPair> tot, const char* name);
 
 /// Per-instance gradient/prediction kernels (shared with the multi-GPU
 /// trainer, which runs them replicated on every shard).
@@ -215,6 +264,11 @@ void reset_working_layout(TrainState& st);
 /// RLE path.
 [[nodiscard]] std::vector<BestSplit> find_splits_rle(TrainState& st);
 void apply_splits_rle(TrainState& st, const LevelPlan& plan);
+
+/// Per-tree-node table of where a splitting node's instances go by default
+/// (-1 for every other node), sized by the current tree and uploaded.
+[[nodiscard]] device::ArenaBuffer<std::int32_t> upload_default_children(
+    TrainState& st, const LevelPlan& plan);
 
 /// Shared by both paths: updates node_of for every instance of a splitting
 /// node to the default child, then lets the path-specific element/run kernel

@@ -22,9 +22,8 @@
 // steady-state device allocations are the persistent per-instance buffers.
 //
 // The steps live in HistGrower so the multi-GPU trainer can drive K growers
-// in lockstep, merging histograms between build and subtract; the
-// single-device train() below sequences them back-to-back, preserving the
-// pre-refactor kernel order and span structure exactly.
+// in lockstep, merging histograms between build and subtract; both trainers
+// sequence them as level-driver backends (core/level_driver.h).
 #include "core/trainer_hist.h"
 
 #include <algorithm>
@@ -36,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/level_driver.h"
 #include "core/trainer_detail.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -49,36 +49,9 @@
 namespace gbdt {
 
 using detail::ActiveNode;
+using detail::PhaseScope;
 using detail::TrainState;
 using device::Device;
-
-namespace {
-
-/// Scoped accumulation of modeled device seconds into a phase counter.
-class PhaseScope {
- public:
-  PhaseScope(Device& dev, double& sink)
-      : dev_(dev), sink_(sink), start_(dev.elapsed_seconds()) {}
-  ~PhaseScope() { sink_ += dev_.elapsed_seconds() - start_; }
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  Device& dev_;
-  double& sink_;
-  double start_;
-};
-
-void finalize_leaf(TrainState& st, const ActiveNode& node) {
-  auto& tn = st.tree->node(node.tree_node);
-  tn.weight =
-      st.param.eta * leaf_weight(node.sum_g, node.sum_h, st.param.lambda);
-  tn.n_instances = node.count;
-  tn.sum_g = node.sum_g;
-  tn.sum_h = node.sum_h;
-}
-
-}  // namespace
 
 std::vector<hist::BinCuts> build_hist_cuts(const data::Dataset& ds,
                                            int n_bins) {
@@ -169,18 +142,15 @@ hist::QGH HistGrower::quantize(double max_abs_g, double max_abs_h,
       st_.n_inst};
 }
 
-void HistGrower::begin_tree(Tree& tree, const hist::QGH& global_root) {
+ActiveNode HistGrower::begin_tree(Tree& tree, const hist::QGH& global_root) {
   prim::fill(dev_, st_.node_of, std::int32_t{0});
   st_.tree = &tree;
-  ActiveNode root;
-  root.tree_node = 0;
-  root.sum_g = static_cast<double>(global_root.g) * quant_g_.inv;
-  root.sum_h = static_cast<double>(global_root.h) * quant_h_.inv;
-  root.count = global_root.cnt;
-  st_.active.assign(1, root);
   slotq_.assign(1, global_root);
   hist_prev_ = device::ArenaBuffer<hist::QGH>{};
   pair_parent_slot_.clear();
+  return ActiveNode{0, static_cast<double>(global_root.g) * quant_g_.inv,
+                    static_cast<double>(global_root.h) * quant_h_.inv,
+                    global_root.cnt};
 }
 
 void HistGrower::make_accum_plan() {
@@ -218,12 +188,8 @@ void HistGrower::make_accum_plan() {
   }
 }
 
-void HistGrower::plan_level() {
-  if (!distributed_) {
-    static obs::Counter& levels_grown =
-        obs::Registry::global().counter("gbdt_levels_grown_total");
-    levels_grown.inc();
-  }
+void HistGrower::plan_level(const std::vector<ActiveNode>& active) {
+  st_.active = active;
   hist_cur_ = st_.arena.alloc<hist::QGH>(
       static_cast<std::size_t>(st_.n_active() * cps_));
   make_accum_plan();
@@ -461,46 +427,7 @@ void HistGrower::find_level() {
   }
 }
 
-HistGrower::LevelDecision HistGrower::decide_level() {
-  // Host-side split decisions (Algorithm 1 lines 14-23).  Mutates the shared
-  // tree, so the multi-GPU trainer runs this on exactly one shard.
-  const std::int64_t n_slots = st_.n_active();
-  Tree& tree = *st_.tree;
-  LevelDecision d;
-  d.cmds.assign(static_cast<std::size_t>(n_slots), hist::HistSplitCmd{});
-  for (std::int64_t s = 0; s < n_slots; ++s) {
-    const auto su = static_cast<std::size_t>(s);
-    const ActiveNode& node = st_.active[su];
-    const detail::BestSplit& bs = best_[su];
-    auto& tn = tree.node(node.tree_node);
-    tn.n_instances = node.count;
-    tn.sum_g = node.sum_g;
-    tn.sum_h = node.sum_h;
-    if (bs.valid && bs.gain > param_.gamma) {
-      const auto [l, r] = tree.split(node.tree_node, bs.attr, bs.split_value,
-                                     bs.default_left, bs.gain);
-      d.cmds[su] = hist::HistSplitCmd{
-          bs.attr, static_cast<std::int32_t>(bs.pos), l, r,
-          static_cast<std::uint8_t>(bs.default_left ? 1 : 0)};
-      ActiveNode left = bs.left;
-      left.tree_node = l;
-      ActiveNode right = bs.right;
-      right.tree_node = r;
-      d.next_active.push_back(left);
-      d.next_active.push_back(right);
-      d.next_slotq.push_back(child_q_[2 * su]);
-      d.next_slotq.push_back(child_q_[2 * su + 1]);
-      d.next_pair_parent.push_back(static_cast<std::int32_t>(s));
-      d.expected_counts.emplace_back(l, left.count);
-      d.expected_counts.emplace_back(r, right.count);
-    } else {
-      finalize_leaf(st_, node);
-    }
-  }
-  return d;
-}
-
-void HistGrower::apply_level(const LevelDecision& d) {
+void HistGrower::apply_level(const detail::LevelPlan& plan) {
   // Release the offsets table first: with the back-to-back single-device
   // sequence this reproduces the pre-refactor arena lifetimes exactly.
   seg_offsets_ = device::ArenaBuffer<std::int64_t>{};
@@ -510,40 +437,38 @@ void HistGrower::apply_level(const LevelDecision& d) {
     slot_of_node[static_cast<std::size_t>(st_.active[s].tree_node)] =
         static_cast<std::int32_t>(s);
   }
+  std::vector<hist::HistSplitCmd> cmds(plan.per_slot.size());
+  for (std::size_t s = 0; s < cmds.size(); ++s) {
+    const auto& e = plan.per_slot[s];
+    if (!e.split) continue;
+    cmds[s] = hist::HistSplitCmd{e.attr, static_cast<std::int32_t>(e.best_pos),
+                                 e.left_id, e.right_id,
+                                 static_cast<std::uint8_t>(e.default_left)};
+  }
   auto d_slot = detail::upload_pooled(dev_, st_.arena, slot_of_node);
-  auto d_cmds = detail::upload_pooled(dev_, st_.arena, d.cmds);
+  auto d_cmds = detail::upload_pooled(dev_, st_.arena, cmds);
   hist::update_positions(dev_, binned_.row_offsets.span(),
                          binned_.entry_attr.span(), binned_.entry_bin.span(),
                          d_slot.span(), d_cmds.span(), st_.node_of.span());
 }
 
-void HistGrower::maybe_check_counts(const LevelDecision& d) {
-  if (distributed_ || !testing::invariants_enabled()) return;
-  testing::check_instance_counts(st_.node_of.span(), d.expected_counts,
-                                 "hist_split_node");
-}
-
-void HistGrower::advance_level(const LevelDecision& d) {
+void HistGrower::advance_level(const detail::LevelPlan& plan) {
   hist_prev_ = std::move(hist_cur_);
-  pair_parent_slot_ = d.next_pair_parent;
-  st_.active = d.next_active;
-  slotq_ = d.next_slotq;
+  pair_parent_slot_.clear();
+  slotq_.clear();
+  for (std::size_t s = 0; s < plan.per_slot.size(); ++s) {
+    if (!plan.per_slot[s].split) continue;
+    pair_parent_slot_.push_back(static_cast<std::int32_t>(s));
+    slotq_.push_back(child_q_[2 * s]);
+    slotq_.push_back(child_q_[2 * s + 1]);
+  }
 }
 
 void HistGrower::finish_tree() {
-  // Depth limit reached: remaining active nodes become leaves.  In the
-  // multi-GPU path only the deciding shard writes the shared tree; the
-  // stats are global on every shard, so the values are identical anyway.
-  for (const ActiveNode& node : st_.active) finalize_leaf(st_, node);
   st_.active.clear();
   hist_prev_ = device::ArenaBuffer<hist::QGH>{};
   hist_cur_ = device::ArenaBuffer<hist::QGH>{};
   pair_parent_slot_.clear();
-}
-
-void HistGrower::maybe_check_leaf_map(const data::Dataset& ds) {
-  if (distributed_ || !testing::invariants_enabled()) return;
-  testing::check_leaf_map(st_.node_of.span(), *st_.tree, ds, "hist_leaf_map");
 }
 
 // ---------------------------------------------------------------------------
@@ -552,20 +477,12 @@ void HistGrower::maybe_check_leaf_map(const data::Dataset& ds) {
 
 GpuHistTrainer::GpuHistTrainer(Device& dev, GBDTParam param)
     : dev_(dev), param_(std::move(param)), loss_(make_loss(param_.loss)) {
-  if (param_.depth < 1) throw std::invalid_argument("depth must be >= 1");
-  if (param_.n_trees < 1) throw std::invalid_argument("n_trees must be >= 1");
-  if (param_.gamma < 0) throw std::invalid_argument("gamma must be >= 0");
-  if (param_.lambda < 0) throw std::invalid_argument("lambda must be >= 0");
-  if (param_.n_bins < 1 || param_.n_bins > 4096) {
-    throw std::invalid_argument("n_bins must be in [1, 4096]");
-  }
+  detail::validate_param(param_, /*hist=*/true);
 }
 
 TrainReport GpuHistTrainer::train(const data::Dataset& ds) {
   const auto wall_start = std::chrono::steady_clock::now();
   obs::ScopedSpan train_span("train");
-  static obs::Counter& trees_trained =
-      obs::Registry::global().counter("gbdt_trees_trained_total");
   TrainReport report;
   report.base_score = param_.base_score;
 
@@ -580,23 +497,7 @@ TrainReport GpuHistTrainer::train(const data::Dataset& ds) {
   st.n_inst = ds.n_instances();
   st.n_attr = ds.n_attributes();
   if (st.n_inst == 0) throw std::invalid_argument("empty dataset");
-
-  const int n_bins = param_.n_bins;
-  const std::int64_t cps = st.n_attr * n_bins;  // cells per node slot
-  {
-    // Feasibility: the widest level's current + parent histograms must fit
-    // comfortably (same guard shape as the CPU baseline).
-    const double widest = std::ldexp(
-        1.0, std::min(param_.depth - 1, 24));
-    const double hist_bytes =
-        2.0 * widest * static_cast<double>(cps) * sizeof(hist::QGH);
-    if (hist_bytes >
-        static_cast<double>(dev_.config().global_mem_bytes) / 4.0) {
-      throw std::invalid_argument(
-          "hist trainer: per-level histograms would exceed a quarter of "
-          "device memory; reduce depth or n_bins");
-    }
-  }
+  detail::check_hist_memory(param_, st.n_attr, dev_.config().global_mem_bytes);
 
   dev_.allocator().reset_peak();
 
@@ -605,29 +506,24 @@ TrainReport GpuHistTrainer::train(const data::Dataset& ds) {
   {
     PhaseScope phase(dev_, report.modeled.transfer);
     obs::ScopedSpan span("hist_quantize");
-    binned = build_binned_matrix(dev_, ds, n_bins);
+    binned = build_binned_matrix(dev_, ds, param_.n_bins);
   }
 
   // ---- persistent per-instance state --------------------------------------
   objective::RoundDriver round_driver(dev_, param_, ds);
   auto d_labels = dev_.to_device<float>(ds.labels());
-  st.grad = dev_.alloc<double>(static_cast<std::size_t>(st.n_inst));
-  st.hess = dev_.alloc<double>(static_cast<std::size_t>(st.n_inst));
-  st.y_pred = dev_.alloc<float>(static_cast<std::size_t>(st.n_inst));
-  st.node_of = dev_.alloc<std::int32_t>(static_cast<std::size_t>(st.n_inst));
-  prim::fill(dev_, st.y_pred, static_cast<float>(param_.base_score));
+  detail::alloc_instance_state(st);
   HistGrower grower(dev_, param_, st, binned, /*distributed=*/false);
 
-  // ---- boosting loop -------------------------------------------------------
-  report.trees.reserve(static_cast<std::size_t>(param_.n_trees));
-  for (int t = 0; t < param_.n_trees; ++t) {
+  // ---- boosting loop (core/level_driver.h) --------------------------------
+  detail::LevelBackend backend;
+  backend.begin_tree = [&](int t, const Tree* prev, Tree& tree) {
     {
       PhaseScope phase(dev_, report.modeled.gradients);
       obs::ScopedSpan span("gradient_compute");
-      if (t > 0) detail::update_predictions_smart(st, report.trees.back());
+      if (prev != nullptr) detail::update_predictions_smart(st, *prev);
       round_driver.begin_round(st, d_labels, t);
     }
-
     // Quantize this tree's gradients so histogram accumulation is exact
     // integer arithmetic (counted with the gradient phase).
     hist::QGH rootq;
@@ -637,69 +533,59 @@ TrainReport GpuHistTrainer::train(const data::Dataset& ds) {
       const HistGrower::AbsMax mx = grower.local_abs_max();
       rootq = grower.quantize(mx.g, mx.h, st.n_inst);
     }
-    report.trees.emplace_back();
-    Tree& tree = report.trees.back();
-    grower.begin_tree(tree, rootq);
-
-    for (int level = 0; level < param_.depth && !st.active.empty(); ++level) {
-      grower.plan_level();
-      {
-        PhaseScope phase(dev_, report.modeled.find_split);
-        obs::ScopedSpan span("hist_build");
-        grower.build_level();
-      }
-      if (grower.has_derived()) {
-        {
-          PhaseScope phase(dev_, report.modeled.find_split);
-          obs::ScopedSpan span("hist_subtract");
-          grower.subtract_level();
-        }
-        grower.maybe_verify_subtraction();
-      }
-
-      // ---- find the best bin boundary per node over the histograms --------
-      {
-        PhaseScope phase(dev_, report.modeled.find_split);
-        obs::ScopedSpan span("hist_find_split");
-        grower.prepare_offsets();
-        grower.run_set_keys();
-        grower.find_level();
-      }
-
-      const HistGrower::LevelDecision decision = grower.decide_level();
-      if (decision.next_active.empty()) {
-        st.active.clear();
-        break;
-      }
-
-      {
-        PhaseScope phase(dev_, report.modeled.split_node);
-        obs::ScopedSpan span("hist_split_node");
-        grower.apply_level(decision);
-      }
-      grower.maybe_check_counts(decision);
-      grower.advance_level(decision);
+    return grower.begin_tree(tree, rootq);
+  };
+  backend.find_splits = [&](const std::vector<ActiveNode>& active) {
+    grower.plan_level(active);
+    {
+      PhaseScope phase(dev_, report.modeled.find_split);
+      obs::ScopedSpan span("hist_build");
+      grower.build_level();
     }
-
+    if (grower.has_derived()) {
+      {
+        PhaseScope phase(dev_, report.modeled.find_split);
+        obs::ScopedSpan span("hist_subtract");
+        grower.subtract_level();
+      }
+      grower.maybe_verify_subtraction();
+    }
+    // Best bin boundary per node over the histograms.
+    {
+      PhaseScope phase(dev_, report.modeled.find_split);
+      obs::ScopedSpan span("hist_find_split");
+      grower.prepare_offsets();
+      grower.run_set_keys();
+      grower.find_level();
+    }
+    return grower.best();
+  };
+  backend.apply_splits = [&](const detail::LevelPlan& plan) {
+    {
+      PhaseScope phase(dev_, report.modeled.split_node);
+      obs::ScopedSpan span("hist_split_node");
+      grower.apply_level(plan);
+    }
+    testing::check_instance_counts(st.node_of.span(), plan, "hist_split_node");
+    grower.advance_level(plan);
+  };
+  backend.end_tree = [&](const Tree& tree) {
     grower.finish_tree();
-    grower.maybe_check_leaf_map(ds);
-    trees_trained.inc();
-  }
-
-  // Fold the last tree into the scores and return them.
-  {
-    PhaseScope phase(dev_, report.modeled.gradients);
-    obs::ScopedSpan span("gradient_compute");
-    detail::update_predictions_smart(st, report.trees.back());
-  }
-  const auto final_pred = dev_.to_host(st.y_pred);
-  report.train_scores.assign(final_pred.begin(), final_pred.end());
+    testing::check_leaf_map(st.node_of.span(), tree, ds, "hist_leaf_map");
+  };
+  backend.finish = [&](const Tree& last) {
+    {
+      PhaseScope phase(dev_, report.modeled.gradients);
+      obs::ScopedSpan span("gradient_compute");
+      detail::update_predictions_smart(st, last);
+    }
+    const auto final_pred = dev_.to_host(st.y_pred);
+    return std::vector<double>(final_pred.begin(), final_pred.end());
+  };
+  report.train_scores = detail::grow_forest(backend, param_, report.trees);
 
   report.peak_device_bytes = dev_.allocator().peak();
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  report.wall_seconds = detail::seconds_since(wall_start);
   return report;
 }
 

@@ -17,18 +17,14 @@
 // int64 fixed point, making histogram accumulation exact and the
 // histogram-subtraction trick bitwise-identical to direct accumulation.
 //
-// The per-tree/per-level machinery lives in HistGrower, a stepwise "grower"
-// the single-device trainer drives front to back and the multi-GPU trainer
-// drives in lockstep across K row shards — pausing between steps to
-// allreduce |g| maxima, quantized root sums, and the accumulated histogram
-// slots (histograms, not split candidates), after which every shard reaches
-// bitwise-identical split decisions with no further communication.
+// The per-tree/per-level machinery lives in HistGrower, whose steps the
+// single-device and multi-GPU trainers sequence as level-driver backends
+// (DESIGN.md §5k).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/loss.h"
@@ -73,19 +69,16 @@ struct BinnedMatrix {
     const std::vector<hist::BinCuts>& cuts);
 
 /// Stepwise histogram tree grower over one device (one row shard in the
-/// multi-GPU path).  The caller owns phase spans/timing scopes and sequences
-/// the steps; with `distributed` unset the sequence and kernel order are
-/// exactly the pre-refactor single-device trainer's.  `distributed` growers
-/// skip the single-device self-checks (subtraction verify, instance counts,
-/// leaf map — they assume the full row set) and the process-wide counters.
+/// multi-GPU path); the caller owns spans, timing scopes and the
+/// instance-count / leaf-map checks.  With `distributed` set the grower
+/// skips the subtraction self-check (it assumes the full row set) and the
+/// process-wide subtraction counter.
 ///
 /// Per tree:   local_abs_max -> [max-allreduce] -> quantize ->
 ///             [sum-allreduce] -> begin_tree
 /// Per level:  plan_level -> build_level -> [histogram allreduce over
-///             accumulated_slots, overlapping run_set_keys on a side
-///             stream] -> subtract_level -> find_level -> decide_level
-///             (one shard; identical inputs everywhere) -> apply_level ->
-///             advance_level
+///             accumulated_slots] -> subtract_level -> find_level ->
+///             (shared split decision) -> apply_level -> advance_level
 class HistGrower {
  public:
   HistGrower(device::Device& dev, const GBDTParam& param,
@@ -96,14 +89,6 @@ class HistGrower {
     double g = 0.0;
     double h = 0.0;
   };
-  struct LevelDecision {
-    std::vector<hist::HistSplitCmd> cmds;
-    std::vector<detail::ActiveNode> next_active;
-    std::vector<hist::QGH> next_slotq;
-    std::vector<std::int32_t> next_pair_parent;
-    // (tree node, expected instance count) for the invariant check.
-    std::vector<std::pair<std::int32_t, std::int64_t>> expected_counts;
-  };
 
   // ---- per tree -----------------------------------------------------------
   /// Largest |gradient| / |hessian| over this shard's rows.
@@ -113,12 +98,14 @@ class HistGrower {
   /// shard-local quantized root sums.
   [[nodiscard]] hist::QGH quantize(double max_abs_g, double max_abs_h,
                                    std::int64_t global_n);
-  /// Resets the per-tree state around the (globally reduced) root stats.
-  void begin_tree(Tree& tree, const hist::QGH& global_root);
+  /// Resets the per-tree state around the (globally reduced) root stats and
+  /// returns the root.
+  detail::ActiveNode begin_tree(Tree& tree, const hist::QGH& global_root);
 
   // ---- per level ----------------------------------------------------------
-  /// Allocates this level's histograms and picks the accumulate/derive split.
-  void plan_level();
+  /// Installs the level's active nodes, allocates their histograms and picks
+  /// the accumulate/derive split.
+  void plan_level(const std::vector<detail::ActiveNode>& active);
   /// Builds the accumulated slots' histograms over this shard's rows.
   void build_level();
   /// Spans of the accumulated (directly built) histogram slots — the
@@ -141,23 +128,15 @@ class HistGrower {
   /// Fused scan + gain/argmax + host winner assembly over the (merged)
   /// histograms.  Deterministic in its inputs, so shards agree bitwise.
   void find_level();
-  /// Host-side split decisions; mutates the shared tree.  The multi-GPU
-  /// trainer runs it on one shard and distributes the (identical) result.
-  [[nodiscard]] LevelDecision decide_level();
   /// update_positions over this shard's rows for the decided splits.
-  void apply_level(const LevelDecision& d);
-  /// Instance-count invariant (single-device only; counts are global).
-  void maybe_check_counts(const LevelDecision& d);
+  void apply_level(const detail::LevelPlan& plan);
   /// Rolls slot state forward to the decided children.
-  void advance_level(const LevelDecision& d);
+  void advance_level(const detail::LevelPlan& plan);
 
   // ---- per tree, end ------------------------------------------------------
-  /// Finalizes the still-active nodes as leaves and clears the level state.
+  /// Clears the level state (the leaves are already written).
   void finish_tree();
-  /// Leaf-map invariant over `ds` (single-device only).
-  void maybe_check_leaf_map(const data::Dataset& ds);
 
-  [[nodiscard]] detail::TrainState& state() { return st_; }
   [[nodiscard]] const std::vector<detail::BestSplit>& best() const {
     return best_;
   }

@@ -122,50 +122,28 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
                                           "rle_seg_scan_gh");
     rgh.free();
 
-    // Present totals per segment (value of the scan at the last run).
-    auto roff = st.run_seg_offsets.span();
-    auto scan = ghl.span();
-    auto tot = seg_tot.span();
-    dev.launch("rle_seg_present_totals", device::grid_for(n_seg, kBlockDim),
-               kBlockDim, [&](BlockCtx& b) {
-                 b.for_each_thread([&](std::int64_t s) {
-                   if (s >= n_seg) return;
-                   const auto u = static_cast<std::size_t>(s);
-                   const std::int64_t hi = roff[u + 1];
-                   const bool empty = roff[u] == hi;
-                   if (!empty) b.reads(scan, hi - 1);
-                   tot[u] = empty ? GHPair{}
-                                  : scan[static_cast<std::size_t>(hi - 1)];
-                 });
-                 b.reads_tile(roff, n_seg + 1);
-                 b.writes_tile(tot, n_seg);
-                 const auto m = elems_in_block(b, n_seg);
-                 b.mem_coalesced(m * 32);
-                 b.mem_irregular(m);
-               });
+    segment_present_totals(st, st.run_seg_offsets.span(), ghl.span(),
+                           seg_tot.span(), "rle_seg_present_totals");
   }
 
-  auto tables = upload_slot_tables(st);
+  auto slot_stats = upload_slot_tables(st);
 
   // Gain per run: no duplicate suppression needed — adjacent runs inside a
   // segment always carry distinct values.  Fused mode evaluates gains inside
   // the per-segment argmax walk and keeps only the winners.
-  auto best_seg_val = st.arena.alloc<double>(static_cast<std::size_t>(n_seg));
-  auto best_seg_idx =
-      st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_seg));
-  device::ArenaBuffer<std::uint8_t> best_seg_dir;
-  device::ArenaBuffer<double> gains;
-  device::ArenaBuffer<std::uint8_t> dirs;
+  SegmentWinners w;
+  w.val = st.arena.alloc<double>(static_cast<std::size_t>(n_seg));
+  w.idx = st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_seg));
   if (fused) {
-    best_seg_dir = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_seg));
+    w.dir = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_seg));
     obs::ScopedSpan span("compute_gains");
     auto starts = st.run_starts.span();
     auto scan = ghl.span();
     auto tot = seg_tot.span();
-    auto stats = tables.stats.span();
+    auto stats = slot_stats.span();
     const auto fm = st.feature_mask;
     prim::fused_gain_argmax(
-        dev, st.run_seg_offsets, best_seg_val, best_seg_idx, best_seg_dir,
+        dev, st.run_seg_offsets, w.val, w.idx, w.dir,
         st.segs_per_block(n_seg),
         [starts, scan, tot, stats, fm, n_attr, lambda](
             BlockCtx& b, std::int64_t s, std::int64_t r, std::int64_t run_lo,
@@ -197,47 +175,28 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
               starts[static_cast<std::size_t>(run_lo)];
           const std::int64_t elem_hi =
               starts[static_cast<std::size_t>(run_hi)];
-          const auto slot = static_cast<std::size_t>(
-              static_cast<std::int64_t>(seg) / n_attr);
-          const double node_g = stats[slot].g;
-          const double node_h = stats[slot].h;
-          const std::int64_t cnt = stats[slot].cnt;
-          const std::int64_t seg_len = elem_hi - elem_lo;
-          const std::int64_t miss = cnt - seg_len;
-          const double miss_g = node_g - tot[seg].g;
-          const double miss_h = node_h - tot[seg].h;
-          const std::int64_t pos = starts[u + 1] - elem_lo;
-          const double glp = scan[u].g;
-          const double hlp = scan[u].h;
-
-          double gain_r = 0.0;
-          if (pos > 0 && cnt - pos > 0) {
-            gain_r = split_gain(glp, hlp, node_g - glp, node_h - hlp, lambda);
-          }
-          // With no missing instances the default direction is irrelevant;
-          // evaluating only one keeps it deterministic across paths.
-          double gain_l = 0.0;
-          if (miss > 0 && seg_len - pos > 0) {
-            gain_l = split_gain(glp + miss_g, hlp + miss_h,
-                                node_g - glp - miss_g, node_h - hlp - miss_h,
-                                lambda);
-          }
-          if (gain_l > gain_r) return prim::GainDir{gain_l, 1};
-          return prim::GainDir{gain_r, 0};
+          const SlotStat& node = stats[static_cast<std::size_t>(
+              static_cast<std::int64_t>(seg) / n_attr)];
+          const CandidateGain c = missing_aware_gain(
+              {scan[u].g, scan[u].h, starts[u + 1] - elem_lo},
+              {tot[seg].g, tot[seg].h, elem_hi - elem_lo},
+              node, lambda);
+          return prim::GainDir{c.gain,
+                               static_cast<std::uint8_t>(c.default_left)};
         },
         "fused_rle_gain_argmax");
   } else {
-    gains = st.arena.alloc<double>(static_cast<std::size_t>(n_runs));
-    dirs = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_runs));
+    w.gains = st.arena.alloc<double>(static_cast<std::size_t>(n_runs));
+    w.dirs = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_runs));
     obs::ScopedSpan span("compute_gains");
     auto k = st.run_keys.span();
     auto roff = st.run_seg_offsets.span();
     auto starts = st.run_starts.span();
     auto scan = ghl.span();
     auto tot = seg_tot.span();
-    auto stats = tables.stats.span();
-    auto gn = gains.span();
-    auto dr = dirs.span();
+    auto stats = slot_stats.span();
+    auto gn = w.gains.span();
+    auto dr = w.dirs.span();
     const auto fm = st.feature_mask;
     dev.launch("rle_compute_gains", device::grid_for(n_runs, kBlockDim),
                kBlockDim, [&](BlockCtx& b) {
@@ -259,40 +218,14 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
                        starts[static_cast<std::size_t>(run_lo)];
                    const std::int64_t elem_hi =
                        starts[static_cast<std::size_t>(run_hi)];
-                   const auto slot = static_cast<std::size_t>(
-                       static_cast<std::int64_t>(seg) / n_attr);
-                   const double node_g = stats[slot].g;
-                   const double node_h = stats[slot].h;
-                   const std::int64_t cnt = stats[slot].cnt;
-                   const std::int64_t seg_len = elem_hi - elem_lo;
-                   const std::int64_t miss = cnt - seg_len;
-                   const double miss_g = node_g - tot[seg].g;
-                   const double miss_h = node_h - tot[seg].h;
-                   const std::int64_t pos = starts[u + 1] - elem_lo;
-                   const double glp = scan[u].g;
-                   const double hlp = scan[u].h;
-
-                   double gain_r = 0.0;
-                   if (pos > 0 && cnt - pos > 0) {
-                     gain_r = split_gain(glp, hlp, node_g - glp, node_h - hlp,
-                                         lambda);
-                   }
-                   // With no missing instances the default direction is
-                   // irrelevant; evaluating only one keeps it deterministic
-                   // across the sparse/RLE/CPU paths.
-                   double gain_l = 0.0;
-                   if (miss > 0 && seg_len - pos > 0) {
-                     gain_l = split_gain(glp + miss_g, hlp + miss_h,
-                                         node_g - glp - miss_g,
-                                         node_h - hlp - miss_h, lambda);
-                   }
-                   if (gain_l > gain_r) {
-                     gn[u] = gain_l;
-                     dr[u] = 1;
-                   } else {
-                     gn[u] = gain_r;
-                     dr[u] = 0;
-                   }
+                   const SlotStat& node = stats[static_cast<std::size_t>(
+                       static_cast<std::int64_t>(seg) / n_attr)];
+                   const CandidateGain c = missing_aware_gain(
+                       {scan[u].g, scan[u].h, starts[u + 1] - elem_lo},
+                       {tot[seg].g, tot[seg].h, elem_hi - elem_lo},
+                       node, lambda);
+                   gn[u] = c.gain;
+                   dr[u] = c.default_left ? 1 : 0;
                  });
                  b.reads_tile(k, n_runs);
                  b.reads_tile(scan, n_runs);
@@ -308,63 +241,19 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
                });
   }
 
-  auto d_node_offs = device_node_offsets(st, st.n_active(), n_attr);
-  auto best_node_val = st.arena.alloc<double>(st.active.size());
-  auto best_node_idx = st.arena.alloc<std::int64_t>(st.active.size());
-  {
-    obs::ScopedSpan span("setkey_argmax");
-    if (!fused) {
-      prim::segmented_arg_max(dev, gains, st.run_seg_offsets, best_seg_val,
-                              best_seg_idx, st.segs_per_block(n_seg),
-                              "rle_seg_best_gain");
-    }
-    prim::segmented_arg_max(dev, best_seg_val, d_node_offs, best_node_val,
-                            best_node_idx, 1, "rle_node_best_gain");
-  }
-
-  for (std::size_t s = 0; s < st.active.size(); ++s) {
+  for (const std::size_t s : pick_winners(st, w, st.run_seg_offsets,
+                                          "rle_seg_best_gain",
+                                          "rle_node_best_gain", out)) {
     BestSplit& b = out[s];
-    const std::int64_t seg = best_node_idx[s];
-    if (seg < 0) continue;
-    const std::int64_t pos = best_seg_idx[static_cast<std::size_t>(seg)];
-    if (pos < 0) continue;
-    const double gain = best_node_val[s];
-    if (!(gain > 0.0)) continue;
-
-    const ActiveNode& node = st.active[s];
-    const auto useg = static_cast<std::size_t>(seg);
-    const auto upos = static_cast<std::size_t>(pos);
-    b.valid = true;
-    b.gain = gain;
-    b.seg = seg;
-    b.pos = pos;
-    b.attr = static_cast<std::int32_t>(seg % n_attr);
+    const auto useg = static_cast<std::size_t>(b.seg);
+    const auto upos = static_cast<std::size_t>(b.pos);
     b.split_value = st.run_values[upos];
-    b.default_left = fused ? best_seg_dir[useg] != 0 : dirs[upos] != 0;
-
-    const std::int64_t run_lo = st.run_seg_offsets[useg];
-    const std::int64_t run_hi = st.run_seg_offsets[useg + 1];
-    const std::int64_t elem_lo =
-        st.run_starts[static_cast<std::size_t>(run_lo)];
-    const std::int64_t elem_hi =
-        st.run_starts[static_cast<std::size_t>(run_hi)];
-    const std::int64_t present_left = st.run_starts[upos + 1] - elem_lo;
-    const std::int64_t seg_len = elem_hi - elem_lo;
-    const std::int64_t miss = node.count - seg_len;
-    double left_g = ghl[upos].g;
-    double left_h = ghl[upos].h;
-    std::int64_t left_cnt = present_left;
-    if (b.default_left) {
-      left_g += node.sum_g - seg_tot[useg].g;
-      left_h += node.sum_h - seg_tot[useg].h;
-      left_cnt += miss;
-    }
-    b.left.sum_g = left_g;
-    b.left.sum_h = left_h;
-    b.left.count = left_cnt;
-    b.right.sum_g = node.sum_g - left_g;
-    b.right.sum_h = node.sum_h - left_h;
-    b.right.count = node.count - left_cnt;
+    const std::int64_t elem_lo = st.run_starts[static_cast<std::size_t>(
+        st.run_seg_offsets[useg])];
+    const std::int64_t elem_hi = st.run_starts[static_cast<std::size_t>(
+        st.run_seg_offsets[useg + 1])];
+    set_children(b, st.active[s], ghl[upos], st.run_starts[upos + 1] - elem_lo,
+                 seg_tot[useg], elem_hi - elem_lo);
   }
   return out;
 }

@@ -54,13 +54,15 @@ void gather_gradients(TrainState& st, std::span<GHPair> out) {
                 });
 }
 
+}  // namespace
+
 /// Present-value totals per segment: the segmented scan's value at the last
 /// element of the segment (0 for empty segments).
-void segment_present_totals(TrainState& st, std::span<const GHPair> scan,
-                            std::span<GHPair> tot) {
+void segment_present_totals(TrainState& st, std::span<const std::int64_t> off,
+                            std::span<const GHPair> scan,
+                            std::span<GHPair> tot, const char* name) {
   const std::int64_t n_seg = st.n_seg();
-  auto off = st.seg_offsets.span();
-  st.dev.launch("seg_present_totals", device::grid_for(n_seg, kBlockDim),
+  st.dev.launch(name, device::grid_for(n_seg, kBlockDim),
                 kBlockDim, [&](BlockCtx& b) {
                   b.for_each_thread([&](std::int64_t s) {
                     if (s >= n_seg) return;
@@ -79,7 +81,46 @@ void segment_present_totals(TrainState& st, std::span<const GHPair> scan,
                 });
 }
 
-}  // namespace
+std::vector<std::size_t> pick_winners(
+    TrainState& st, SegmentWinners& w,
+    const device::ArenaBuffer<std::int64_t>& seg_offsets,
+    const char* seg_name, const char* node_name, std::vector<BestSplit>& out) {
+  const std::int64_t n_attr = st.n_attr;
+  auto d_node_offs = device_node_offsets(st, st.n_active(), n_attr);
+  auto best_node_val = st.arena.alloc<double>(st.active.size());
+  auto best_node_idx = st.arena.alloc<std::int64_t>(st.active.size());
+  {
+    obs::ScopedSpan span("setkey_argmax");
+    if (!w.gains.empty()) {
+      prim::segmented_arg_max(st.dev, w.gains, seg_offsets, w.val, w.idx,
+                              st.segs_per_block(st.n_seg()), seg_name);
+    }
+    prim::segmented_arg_max(st.dev, w.val, d_node_offs, best_node_val,
+                            best_node_idx, 1, node_name);
+  }
+
+  // Host glue over the simulated device (one entry per active node).
+  std::vector<std::size_t> won;
+  for (std::size_t s = 0; s < st.active.size(); ++s) {
+    const std::int64_t seg = best_node_idx[s];
+    if (seg < 0) continue;
+    const std::int64_t pos = w.idx[static_cast<std::size_t>(seg)];
+    if (pos < 0) continue;
+    const double gain = best_node_val[s];
+    if (!(gain > 0.0)) continue;
+    BestSplit& b = out[s];
+    b.valid = true;
+    b.gain = gain;
+    b.seg = seg;
+    b.pos = pos;
+    b.attr = static_cast<std::int32_t>(seg % n_attr);
+    b.default_left = w.gains.empty()
+                         ? w.dir[static_cast<std::size_t>(seg)] != 0
+                         : w.dirs[static_cast<std::size_t>(pos)] != 0;
+    won.push_back(s);
+  }
+  return won;
+}
 
 std::vector<BestSplit> find_splits_sparse(TrainState& st) {
   auto& dev = st.dev;
@@ -136,11 +177,12 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
       prim::segmented_inclusive_scan_by_key(dev, ghe, st.keys, ghl,
                                             "seg_scan_gh");
       ghe.free();
-      segment_present_totals(st, ghl.span(), seg_tot.span());
+      segment_present_totals(st, st.seg_offsets.span(), ghl.span(),
+                             seg_tot.span(), "seg_present_totals");
     }
   }
 
-  auto tables = upload_slot_tables(st);
+  auto slot_stats = upload_slot_tables(st);
 
   // Gain of every candidate split point (paper Equation 2).  Candidates at
   // duplicated values are suppressed so that the same split point cannot
@@ -149,22 +191,19 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
   // makes the RLE path agree exactly).  Fused mode evaluates gains inside the
   // per-segment argmax walk and keeps only the winners — the full
   // gains/dirs arrays exist only on the unfused escape hatch.
-  auto best_seg_val = st.arena.alloc<double>(static_cast<std::size_t>(n_seg));
-  auto best_seg_idx =
-      st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_seg));
-  device::ArenaBuffer<std::uint8_t> best_seg_dir;
-  device::ArenaBuffer<double> gains;
-  device::ArenaBuffer<std::uint8_t> dirs;
+  SegmentWinners w;
+  w.val = st.arena.alloc<double>(static_cast<std::size_t>(n_seg));
+  w.idx = st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_seg));
   if (fused) {
-    best_seg_dir = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_seg));
+    w.dir = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_seg));
     obs::ScopedSpan span("compute_gains");
     auto v = st.values.span();
     auto scan = ghl.span();
     auto tot = seg_tot.span();
-    auto stats = tables.stats.span();
+    auto stats = slot_stats.span();
     const auto fm = st.feature_mask;
     prim::fused_gain_argmax(
-        dev, st.seg_offsets, best_seg_val, best_seg_idx, best_seg_dir,
+        dev, st.seg_offsets, w.val, w.idx, w.dir,
         st.segs_per_block(n_seg),
         [v, scan, tot, stats, fm, n_attr, lambda](
             BlockCtx& b, std::int64_t s, std::int64_t e, std::int64_t seg_lo,
@@ -197,50 +236,28 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
             if (v[u + 1] == v[u]) return prim::GainDir{};
           }
           const auto seg = static_cast<std::size_t>(s);
-          const auto slot = static_cast<std::size_t>(s / n_attr);
-          const double node_g = stats[slot].g;
-          const double node_h = stats[slot].h;
-          const std::int64_t cnt = stats[slot].cnt;
+          const SlotStat& node = stats[static_cast<std::size_t>(s / n_attr)];
           b.flop(16);
-          const std::int64_t seg_len = seg_hi - seg_lo;
-          const std::int64_t miss = cnt - seg_len;
-          const double miss_g = node_g - tot[seg].g;
-          const double miss_h = node_h - tot[seg].h;
-          const std::int64_t pos = e - seg_lo + 1;  // left presents
-          const double glp = scan[u].g;
-          const double hlp = scan[u].h;
-
-          // Missing values default right.
-          double gain_r = 0.0;
-          if (pos > 0 && cnt - pos > 0) {
-            gain_r = split_gain(glp, hlp, node_g - glp, node_h - hlp, lambda);
-          }
-          // Missing values default left.
-          // With no missing instances the default direction is irrelevant;
-          // evaluating only one keeps it deterministic across the
-          // sparse/RLE/CPU paths.
-          double gain_l = 0.0;
-          if (miss > 0 && seg_len - pos > 0) {
-            gain_l = split_gain(glp + miss_g, hlp + miss_h,
-                                node_g - glp - miss_g, node_h - hlp - miss_h,
-                                lambda);
-          }
-          if (gain_l > gain_r) return prim::GainDir{gain_l, 1};
-          return prim::GainDir{gain_r, 0};
+          const CandidateGain c = missing_aware_gain(
+              {scan[u].g, scan[u].h, e - seg_lo + 1},
+              {tot[seg].g, tot[seg].h, seg_hi - seg_lo},
+              node, lambda);
+          return prim::GainDir{c.gain,
+                               static_cast<std::uint8_t>(c.default_left)};
         },
         "fused_gain_argmax");
   } else {
-    gains = st.arena.alloc<double>(static_cast<std::size_t>(n));
-    dirs = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n));
+    w.gains = st.arena.alloc<double>(static_cast<std::size_t>(n));
+    w.dirs = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n));
     obs::ScopedSpan span("compute_gains");
     auto v = st.values.span();
     auto k = st.keys.span();
     auto off = st.seg_offsets.span();
     auto scan = ghl.span();
     auto tot = seg_tot.span();
-    auto stats = tables.stats.span();
-    auto gn = gains.span();
-    auto dr = dirs.span();
+    auto stats = slot_stats.span();
+    auto gn = w.gains.span();
+    auto dr = w.dirs.span();
     const auto fm = st.feature_mask;
     dev.launch("compute_gains", device::grid_for(n, kBlockDim), kBlockDim,
                [&](BlockCtx& b) {
@@ -251,55 +268,23 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
                    const std::int64_t seg_lo = off[seg];
                    const std::int64_t seg_hi = off[seg + 1];
                    // Attributes outside this tree's feature bag yield no
-                   // splits (mask, not compaction).
-                   if (!fm.empty() &&
-                       fm[seg % static_cast<std::size_t>(n_attr)] == 0) {
+                   // splits (mask, not compaction); duplicated values are
+                   // suppressed (paper Section III-B step ii).
+                   if ((!fm.empty() &&
+                        fm[seg % static_cast<std::size_t>(n_attr)] == 0) ||
+                       (e + 1 < seg_hi && v[u + 1] == v[u])) {
                      gn[u] = 0.0;
                      dr[u] = 0;
                      return;
                    }
-                   // Duplicate suppression (paper Section III-B step ii).
-                   if (e + 1 < seg_hi && v[u + 1] == v[u]) {
-                     gn[u] = 0.0;
-                     dr[u] = 0;
-                     return;
-                   }
-                   const auto slot = static_cast<std::size_t>(
-                       static_cast<std::int64_t>(seg) / n_attr);
-                   const double node_g = stats[slot].g;
-                   const double node_h = stats[slot].h;
-                   const std::int64_t cnt = stats[slot].cnt;
-                   const std::int64_t seg_len = seg_hi - seg_lo;
-                   const std::int64_t miss = cnt - seg_len;
-                   const double miss_g = node_g - tot[seg].g;
-                   const double miss_h = node_h - tot[seg].h;
-                   const std::int64_t pos = e - seg_lo + 1;  // left presents
-                   const double glp = scan[u].g;
-                   const double hlp = scan[u].h;
-
-                   // Missing values default right.
-                   double gain_r = 0.0;
-                   if (pos > 0 && cnt - pos > 0) {
-                     gain_r = split_gain(glp, hlp, node_g - glp, node_h - hlp,
-                                         lambda);
-                   }
-                   // Missing values default left.
-                   // With no missing instances the default direction is
-                   // irrelevant; evaluating only one keeps it deterministic
-                   // across the sparse/RLE/CPU paths.
-                   double gain_l = 0.0;
-                   if (miss > 0 && seg_len - pos > 0) {
-                     gain_l = split_gain(glp + miss_g, hlp + miss_h,
-                                         node_g - glp - miss_g,
-                                         node_h - hlp - miss_h, lambda);
-                   }
-                   if (gain_l > gain_r) {
-                     gn[u] = gain_l;
-                     dr[u] = 1;
-                   } else {
-                     gn[u] = gain_r;
-                     dr[u] = 0;
-                   }
+                   const SlotStat& node = stats[static_cast<std::size_t>(
+                       static_cast<std::int64_t>(seg) / n_attr)];
+                   const CandidateGain c = missing_aware_gain(
+                       {scan[u].g, scan[u].h, e - seg_lo + 1},
+                       {tot[seg].g, tot[seg].h, seg_hi - seg_lo},
+                       node, lambda);
+                   gn[u] = c.gain;
+                   dr[u] = c.default_left ? 1 : 0;
                  });
                  b.reads_tile(v, n);
                  b.reads_tile(k, n);
@@ -316,64 +301,16 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
                });
   }
 
-  // Best candidate per segment, then best attribute per node (paper step iii:
-  // segmented reduction + reduction).  The fused pipeline already produced
-  // the per-segment winners above.
-  auto d_node_offs = device_node_offsets(st, st.n_active(), n_attr);
-  auto best_node_val = st.arena.alloc<double>(st.active.size());
-  auto best_node_idx = st.arena.alloc<std::int64_t>(st.active.size());
-  {
-    obs::ScopedSpan span("setkey_argmax");
-    if (!fused) {
-      prim::segmented_arg_max(dev, gains, st.seg_offsets, best_seg_val,
-                              best_seg_idx, st.segs_per_block(n_seg),
-                              "seg_best_gain");
-    }
-    prim::segmented_arg_max(dev, best_seg_val, d_node_offs, best_node_val,
-                            best_node_idx, 1, "node_best_gain");
-  }
-
-  // Assemble per-node results on the host (tiny: one entry per active node;
-  // the scalar buffer reads below are host glue over the simulated device).
-  for (std::size_t s = 0; s < st.active.size(); ++s) {
+  for (const std::size_t s : pick_winners(st, w, st.seg_offsets,
+                                          "seg_best_gain", "node_best_gain",
+                                          out)) {
     BestSplit& b = out[s];
-    const std::int64_t seg = best_node_idx[s];
-    if (seg < 0) continue;
-    const std::int64_t pos = best_seg_idx[static_cast<std::size_t>(seg)];
-    if (pos < 0) continue;
-    const double gain = best_node_val[s];
-    if (!(gain > 0.0)) continue;
-
-    const ActiveNode& node = st.active[s];
-    const auto useg = static_cast<std::size_t>(seg);
-    const auto upos = static_cast<std::size_t>(pos);
-    b.valid = true;
-    b.gain = gain;
-    b.seg = seg;
-    b.pos = pos;
-    b.attr = static_cast<std::int32_t>(seg % n_attr);
+    const auto useg = static_cast<std::size_t>(b.seg);
+    const auto upos = static_cast<std::size_t>(b.pos);
     b.split_value = st.values[upos];
-    b.default_left = fused ? best_seg_dir[useg] != 0 : dirs[upos] != 0;
-
     const std::int64_t seg_lo = st.seg_offsets[useg];
-    const std::int64_t seg_hi = st.seg_offsets[useg + 1];
-    const std::int64_t present_left = pos - seg_lo + 1;
-    const std::int64_t seg_len = seg_hi - seg_lo;
-    const std::int64_t miss = node.count - seg_len;
-    double left_g = ghl[upos].g;
-    double left_h = ghl[upos].h;
-    std::int64_t left_cnt = present_left;
-    if (b.default_left) {
-      left_g += node.sum_g - seg_tot[useg].g;
-      left_h += node.sum_h - seg_tot[useg].h;
-      left_cnt += miss;
-    }
-    b.left.sum_g = left_g;
-    b.left.sum_h = left_h;
-    b.left.count = left_cnt;
-    b.right.sum_g = node.sum_g - left_g;
-    b.right.sum_h = node.sum_h - left_h;
-    b.right.count = node.count - left_cnt;
+    set_children(b, st.active[s], ghl[upos], b.pos - seg_lo + 1,
+                 seg_tot[useg], st.seg_offsets[useg + 1] - seg_lo);
   }
   return out;
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/autotune.h"
+#include "core/level_driver.h"
 #include "core/trainer_detail.h"
 #include "core/trainer_hist.h"
 #include "data/csc_matrix.h"
@@ -144,13 +145,18 @@ struct MultiGpuTrainer::Impl {
       : cfg(std::move(c)), n_devices(n), param(std::move(p)), link(l),
         opts(o), loss(make_loss(param.loss)) {
     if (n_devices < 1) throw std::invalid_argument("need >= 1 device");
+    gbdt::detail::validate_param(param, param.use_hist_trainer);
     // The multi-GPU exact path shards by attribute over the sparse layout.
     param.use_rle = false;
     param.force_rle = false;
   }
 
-  [[nodiscard]] MultiTrainReport train_exact(const data::Dataset& ds);
-  [[nodiscard]] MultiTrainReport train_hist(const data::Dataset& ds);
+  /// Each method builds `shards` and fills `report` (trees, scores,
+  /// modeled seconds) and `comm`.
+  void train_exact(const data::Dataset& ds, std::vector<Shard>& shards,
+                   MultiTrainReport& report, CommStats& comm);
+  void train_hist(const data::Dataset& ds, std::vector<Shard>& shards,
+                  MultiTrainReport& report, CommStats& comm);
 
   void finish_comm(MultiTrainReport& report, const CommStats& comm,
                    const std::vector<Shard>& shards) const {
@@ -189,19 +195,34 @@ MultiTrainReport MultiGpuTrainer::train(const data::Dataset& ds) {
         autotune::tune(impl_->cfg, autotune::problem_shape(ds), impl_->param),
         impl_->param);
   }
-  return impl_->param.use_hist_trainer ? impl_->train_hist(ds)
-                                       : impl_->train_exact(ds);
+  obs::ScopedSpan train_span("mgpu_train");
+  const auto wall_start = std::chrono::steady_clock::now();
+  if (ds.n_instances() == 0) throw std::invalid_argument("empty dataset");
+  MultiTrainReport report;
+  report.base_score = impl_->param.base_score;
+  report.device_seconds.assign(static_cast<std::size_t>(impl_->n_devices),
+                               0.0);
+  CommStats comm;
+  std::vector<Shard> shards(static_cast<std::size_t>(impl_->n_devices));
+  if (impl_->param.use_hist_trainer) {
+    impl_->train_hist(ds, shards, report, comm);
+  } else {
+    impl_->train_exact(ds, shards, report, comm);
+  }
+  impl_->finish_comm(report, comm, shards);
+  report.wall_seconds = gbdt::detail::seconds_since(wall_start);
+  return report;
 }
 
 // ---------------------------------------------------------------------------
 // Exact method: column shards (round-robin or contiguous ranges).
 // ---------------------------------------------------------------------------
 
-MultiTrainReport MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds) {
-  obs::ScopedSpan train_span("mgpu_train");
-  const auto wall_start = std::chrono::steady_clock::now();
+void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
+                                        std::vector<Shard>& shards,
+                                        MultiTrainReport& report,
+                                        CommStats& comm) {
   const int K = n_devices;
-  if (ds.n_instances() == 0) throw std::invalid_argument("empty dataset");
   if (K > ds.n_attributes()) {
     throw std::invalid_argument("more devices than attributes");
   }
@@ -210,15 +231,9 @@ MultiTrainReport MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds) {
   const bool feature_sharded = opts.shard == ShardMode::kFeature;
   const bool streams = device::stream_async_enabled();
 
-  MultiTrainReport report;
-  report.base_score = param.base_score;
-  report.device_seconds.assign(static_cast<std::size_t>(K), 0.0);
-  CommStats comm;
-
   // ---- build shards --------------------------------------------------------
   // kData: attribute a lives on device a % K as local a / K.
   // kFeature: device k owns the contiguous range [F*k/K, F*(k+1)/K).
-  std::vector<Shard> shards(static_cast<std::size_t>(K));
   {
     obs::ScopedSpan span("shard_build");
     for (int k = 0; k < K; ++k) {
@@ -273,19 +288,11 @@ MultiTrainReport MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds) {
     ParallelStep step(shards, report.modeled_seconds);
     for (int k = 0; k < K; ++k) {
       auto& sh = shards[static_cast<std::size_t>(k)];
-      auto& st = *sh.state;
       labels[static_cast<std::size_t>(k)] =
           sh.dev->to_device<float>(ds.labels());
-      st.grad = sh.dev->alloc<double>(static_cast<std::size_t>(n_inst));
-      st.hess = sh.dev->alloc<double>(static_cast<std::size_t>(n_inst));
-      st.y_pred = sh.dev->alloc<float>(static_cast<std::size_t>(n_inst));
-      st.node_of = sh.dev->alloc<std::int32_t>(static_cast<std::size_t>(n_inst));
-      prim::fill(*sh.dev, st.y_pred, static_cast<float>(param.base_score));
+      gbdt::detail::alloc_instance_state(*sh.state);
     }
   }
-
-  report.trees.reserve(static_cast<std::size_t>(param.n_trees));
-  std::vector<std::int32_t> owner_of_node;  // winning shard per *child* node
 
   // One RoundDriver per shard: gradients are replicated (every shard holds
   // the full row set), the feature bag is drawn from the global attribute
@@ -311,25 +318,22 @@ MultiTrainReport MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds) {
     return w;
   };
 
-  for (int t = 0; t < param.n_trees; ++t) {
+  // ---- boosting loop (core/level_driver.h) --------------------------------
+  gbdt::detail::LevelBackend backend;
+  backend.begin_tree = [&](int t, const Tree* prev, Tree& tree) {
     {
       obs::ScopedSpan span("gradient_compute");
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);
       for (int k = 0; k < K; ++k) {
         auto& st = *shards[static_cast<std::size_t>(k)].state;
-        if (t > 0) gbdt::detail::update_predictions_smart(st, report.trees.back());
+        if (prev != nullptr) gbdt::detail::update_predictions_smart(st, *prev);
         drivers[static_cast<std::size_t>(k)]->begin_round(
             st, labels[static_cast<std::size_t>(k)], t);
         gbdt::detail::reset_working_layout(st);
       }
     }
 
-    report.trees.emplace_back();
-    Tree& tree = report.trees.back();
-
-    ActiveNode root;
-    root.tree_node = 0;
     std::vector<std::array<double, 2>> root_stats(
         static_cast<std::size_t>(K));
     {
@@ -359,291 +363,218 @@ MultiTrainReport MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds) {
           "comm_root", link, opts.algo, links, payloads,
           [](double a, double b) { return std::max(a, b); }));
     }
-    root.sum_g = root_stats[0][0];
-    root.sum_h = root_stats[0][1];
-    root.count = n_inst;
+    for (auto& sh : shards) sh.state->tree = &tree;
+    return ActiveNode{0, root_stats[0][0], root_stats[0][1], n_inst};
+  };
 
-    std::vector<ActiveNode> active{root};
-    for (auto& sh : shards) {
-      sh.state->tree = &tree;
-      sh.state->active = active;
+  backend.find_splits = [&](const std::vector<ActiveNode>& active) {
+    for (auto& sh : shards) sh.state->active = active;
+    // 1. Local best splits per shard.
+    std::vector<std::vector<BestSplit>> cand(static_cast<std::size_t>(K));
+    {
+      obs::ScopedSpan span("find_split");
+      ParallelStep step(shards, report.modeled_seconds,
+                        &report.device_seconds);
+      for (int k = 0; k < K; ++k) {
+        cand[static_cast<std::size_t>(k)] = gbdt::detail::find_splits_sparse(
+            *shards[static_cast<std::size_t>(k)].state);
+      }
     }
 
-    for (int level = 0; level < param.depth && !active.empty(); ++level) {
-      // 1. Local best splits per shard.
-      std::vector<std::vector<BestSplit>> local(static_cast<std::size_t>(K));
-      {
-        obs::ScopedSpan span("find_split");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        for (int k = 0; k < K; ++k) {
-          local[static_cast<std::size_t>(k)] =
-              gbdt::detail::find_splits_sparse(*shards[static_cast<std::size_t>(k)].state);
-        }
-      }
-
-      // 2. Allreduce the candidates: attribute ids are globalised first, so
-      //    the combine (max gain, ties to the lowest global attribute — the
-      //    same order a single device enumerates) is order-independent and
-      //    every algorithm converges on the same winner bit for bit.
-      std::vector<BestSplit> best;
-      std::vector<int> owner(active.size(), -1);
-      {
-        obs::ScopedSpan span("allreduce_merge");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        std::vector<std::vector<BestSplit>> cand(local);
-        for (int k = 0; k < K; ++k) {
-          auto& sh = shards[static_cast<std::size_t>(k)];
-          for (auto& c : cand[static_cast<std::size_t>(k)]) {
-            if (!c.valid) continue;
-            c.attr = feature_sharded
-                         ? static_cast<std::int32_t>(sh.attr_lo) + c.attr
-                         : c.attr * K + k;
-          }
-        }
-        auto links = make_links(shards);
-        std::vector<std::span<BestSplit>> payloads;
-        payloads.reserve(static_cast<std::size_t>(K));
-        for (auto& c : cand) payloads.push_back(std::span<BestSplit>(c));
-        comm.add_collective(allreduce<BestSplit>(
-            "comm_cand", link, opts.algo, links, payloads,
-            [](const BestSplit& a, const BestSplit& b) {
-              if (!b.valid) return a;
-              if (!a.valid) return b;
-              if (b.gain > a.gain) return b;
-              if (b.gain == a.gain && b.attr < a.attr) return b;
-              return a;
-            }));
-        best = std::move(cand[0]);
-        for (std::size_t s = 0; s < active.size(); ++s) {
-          if (best[s].valid) owner[s] = owner_of_attr(best[s].attr);
-        }
-      }
-
-      // 3. Host-side split decisions (same logic as the single-GPU loop).
-      LevelPlan plan;
-      plan.per_slot.resize(active.size());
-      std::vector<std::array<std::int32_t, 3>> child_owners;  // (l, r, owner)
-      for (std::size_t s = 0; s < active.size(); ++s) {
-        const ActiveNode& node = active[s];
-        const BestSplit& b = best[s];
-        auto& tn = tree.node(node.tree_node);
-        tn.n_instances = node.count;
-        tn.sum_g = node.sum_g;
-        tn.sum_h = node.sum_h;
-        if (b.valid && b.gain > param.gamma) {
-          const auto [l, r] = tree.split(node.tree_node, b.attr,
-                                         b.split_value, b.default_left,
-                                         b.gain);
-          auto& e = plan.per_slot[s];
-          e.split = true;
-          e.chosen_seg = b.seg;  // shard-local; cleared for non-owners below
-          e.best_pos = b.pos;
-          e.left_id = l;
-          e.right_id = r;
-          e.default_left = b.default_left;
-          child_owners.push_back({l, r, owner[s]});
-          ActiveNode left = b.left;
-          left.tree_node = l;
-          ActiveNode right = b.right;
-          right.tree_node = r;
-          plan.next_active.push_back(left);
-          plan.next_active.push_back(right);
-        } else {
-          auto& leaf = tree.node(node.tree_node);
-          leaf.weight =
-              param.eta * leaf_weight(node.sum_g, node.sum_h, param.lambda);
-        }
-      }
-      if (plan.next_active.empty()) {
-        active.clear();
-        break;
-      }
-      plan.next_slot_of_tree.assign(static_cast<std::size_t>(tree.n_nodes()),
-                                    -1);
-      for (std::size_t k2 = 0; k2 < plan.next_active.size(); ++k2) {
-        plan.next_slot_of_tree[static_cast<std::size_t>(
-            plan.next_active[k2].tree_node)] = static_cast<std::int32_t>(k2);
-      }
-      // Authoritative-shard table keyed by the *new* child ids: both
-      // children inherit their slot's winning shard, so the post-split
-      // instance->node value alone selects the owner — no pre-split
-      // snapshot of the map is needed.
-      owner_of_node.assign(static_cast<std::size_t>(tree.n_nodes()), -1);
-      for (const auto& [l, r, w] : child_owners) {
-        owner_of_node[static_cast<std::size_t>(l)] = w;
-        owner_of_node[static_cast<std::size_t>(r)] = w;
-      }
-
-      // 4. Mark instance sides: every shard applies the defaults; only the
-      //    owner of a node's winning attribute knows the exact sides.
-      std::vector<LevelPlan> shard_plans(static_cast<std::size_t>(K), plan);
-      for (std::size_t s = 0; s < active.size(); ++s) {
-        if (!plan.per_slot[s].split) continue;
-        for (int k = 0; k < K; ++k) {
-          if (k != owner[s]) {
-            auto& e = shard_plans[static_cast<std::size_t>(k)].per_slot[s];
-            e.chosen_seg = -1;
-            e.best_pos = -1;
-          }
-        }
-      }
-      {
-        obs::ScopedSpan span("mark_sides");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        for (int k = 0; k < K; ++k) {
-          gbdt::detail::apply_mark_sides_sparse(
-              *shards[static_cast<std::size_t>(k)].state,
-              shard_plans[static_cast<std::size_t>(k)]);
-        }
-      }
-
-      // 5. Synchronise node_of: instance i's authoritative value lives on
-      //    the shard owning its (new) node's winning attribute.  Each shard
-      //    receives one modeled leg per winning peer carrying that peer's
-      //    rows, then a device kernel gathers the rows in place.
-      if (K > 1) {
-        obs::ScopedSpan span("node_sync");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        std::vector<std::uint64_t> rows_of_winner(
-            static_cast<std::size_t>(K), 0);
-        for (std::size_t s = 0; s < active.size(); ++s) {
-          if (plan.per_slot[s].split && owner[s] >= 0) {
-            rows_of_winner[static_cast<std::size_t>(owner[s])] +=
-                static_cast<std::uint64_t>(active[s].count);
-          }
-        }
-        auto links = make_links(shards);
-        std::vector<double> shard_secs(static_cast<std::size_t>(K), 0.0);
-        for (int k = 0; k < K; ++k) {
-          const auto ku = static_cast<std::size_t>(k);
-          bool waited = false;
-          auto dst = shards[ku].state->node_of.span();
-          for (int w = 0; w < K; ++w) {
-            if (w == k || rows_of_winner[static_cast<std::size_t>(w)] == 0) {
-              continue;
-            }
-            const std::uint64_t bytes =
-                rows_of_winner[static_cast<std::size_t>(w)] *
-                sizeof(std::int32_t);
-            const double secs = link.leg_seconds(bytes);
-            detail::enqueue_leg(links[ku], waited, "stream_mgpu_node_sync",
-                                secs, bytes, dst, detail::ChunkRange{0, 0},
-                                detail::ChunkRange{0, dst.size()});
-            comm.bytes += bytes;
-            ++comm.messages;
-            shard_secs[ku] += secs;
-          }
-        }
-        comm.seconds +=
-            *std::max_element(shard_secs.begin(), shard_secs.end());
-        // Device-side masked gather replacing the old host-side O(K·n)
-        // merge loop: w = owner_of_node[node_of[i]] picks the shard whose
-        // mark_sides result is authoritative for row i.  Winner shards
-        // never rewrite their own rows, so cross-device kernel order is
-        // free — and the default stream joins each shard's comm legs.
-        std::vector<std::span<const std::int32_t>> peers(
-            static_cast<std::size_t>(K));
-        for (int w = 0; w < K; ++w) {
-          peers[static_cast<std::size_t>(w)] =
-              shards[static_cast<std::size_t>(w)].state->node_of.span();
-        }
-        for (int k = 0; k < K; ++k) {
-          auto& sh = shards[static_cast<std::size_t>(k)];
-          auto& st = *sh.state;
-          auto d_owner = gbdt::detail::upload_pooled(*sh.dev, st.arena,
-                                               owner_of_node);
-          auto nof = st.node_of.span();
-          auto own = d_owner.span();
-          const std::int64_t n = n_inst;
-          const int me = k;
-          sh.dev->launch(
-              "mgpu_node_merge", device::grid_for(n, prim::kBlockDim),
-              prim::kBlockDim, [&](device::BlockCtx& b) {
-                b.for_each_thread([&](std::int64_t i) {
-                  if (i >= n) return;
-                  const auto u = static_cast<std::size_t>(i);
-                  const std::int32_t c = nof[u];
-                  const int w = own[static_cast<std::size_t>(c)];
-                  if (w >= 0 && w != me) {
-                    nof[u] = peers[static_cast<std::size_t>(w)][u];
-                  }
-                });
-                b.reads_tile(nof, n);
-                b.writes_tile(nof, n);
-                b.reads(own, 0, static_cast<std::int64_t>(own.size()));
-                const std::uint64_t m = prim::elems_in_block(b, n);
-                b.work(m);
-                // own node read + peer gather + masked write
-                b.mem_coalesced(m * 3 * sizeof(std::int32_t));
-              });
-        }
-      }
-
-      // 6. Local order-preserving partition of every shard's lists.
-      {
-        obs::ScopedSpan span("partition");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        for (int k = 0; k < K; ++k) {
-          gbdt::detail::apply_partition_sparse(
-              *shards[static_cast<std::size_t>(k)].state,
-              shard_plans[static_cast<std::size_t>(k)]);
-        }
-      }
-
-      active = plan.next_active;
-      for (auto& sh : shards) sh.state->active = active;
-    }
-
-    // Remaining active nodes become leaves.
-    for (const ActiveNode& node : active) {
-      auto& leaf = tree.node(node.tree_node);
-      leaf.weight =
-          param.eta * leaf_weight(node.sum_g, node.sum_h, param.lambda);
-      leaf.n_instances = node.count;
-      leaf.sum_g = node.sum_g;
-      leaf.sum_h = node.sum_h;
-    }
-    active.clear();
-  }
-
-  // Fold the last tree into the replicated predictions; report shard 0's.
-  {
-    obs::ScopedSpan span("gradient_compute");
+    // 2. Allreduce the candidates: attribute ids are globalised first, so
+    //    the combine (max gain, ties to the lowest global attribute — the
+    //    same order a single device enumerates) is order-independent and
+    //    every algorithm converges on the same winner bit for bit.  The
+    //    winner's seg/pos stay shard-local (only its owner applies them).
+    obs::ScopedSpan span("allreduce_merge");
     ParallelStep step(shards, report.modeled_seconds, &report.device_seconds);
     for (int k = 0; k < K; ++k) {
-      gbdt::detail::update_predictions_smart(*shards[static_cast<std::size_t>(k)].state,
-                                       report.trees.back());
+      auto& sh = shards[static_cast<std::size_t>(k)];
+      for (auto& c : cand[static_cast<std::size_t>(k)]) {
+        if (!c.valid) continue;
+        c.attr = feature_sharded
+                     ? static_cast<std::int32_t>(sh.attr_lo) + c.attr
+                     : c.attr * K + k;
+      }
     }
-  }
-  const auto final_pred = shards[0].dev->to_host(shards[0].state->y_pred);
-  report.train_scores.assign(final_pred.begin(), final_pred.end());
-  finish_comm(report, comm, shards);
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  return report;
+    auto links = make_links(shards);
+    std::vector<std::span<BestSplit>> payloads;
+    payloads.reserve(static_cast<std::size_t>(K));
+    for (auto& c : cand) payloads.push_back(std::span<BestSplit>(c));
+    comm.add_collective(allreduce<BestSplit>(
+        "comm_cand", link, opts.algo, links, payloads,
+        [](const BestSplit& a, const BestSplit& b) {
+          if (!b.valid) return a;
+          if (!a.valid) return b;
+          if (b.gain > a.gain) return b;
+          if (b.gain == a.gain && b.attr < a.attr) return b;
+          return a;
+        }));
+    return std::move(cand[0]);
+  };
+
+  backend.apply_splits = [&](const LevelPlan& plan) {
+    const std::vector<ActiveNode>& active = shards[0].state->active;
+    // Winning shard per splitting slot, and an authoritative-shard table
+    // keyed by the *new* child ids: both children inherit their slot's
+    // winning shard, so the post-split instance->node value alone selects
+    // the owner — no pre-split snapshot of the map is needed.
+    std::vector<int> owner(active.size(), -1);
+    std::vector<std::int32_t> owner_of_node(plan.next_slot_of_tree.size(), -1);
+    for (std::size_t s = 0; s < active.size(); ++s) {
+      const auto& e = plan.per_slot[s];
+      if (!e.split) continue;
+      owner[s] = owner_of_attr(e.attr);
+      owner_of_node[static_cast<std::size_t>(e.left_id)] = owner[s];
+      owner_of_node[static_cast<std::size_t>(e.right_id)] = owner[s];
+    }
+
+    // 4. Mark instance sides: every shard applies the defaults; only the
+    //    owner of a node's winning attribute knows the exact sides.
+    std::vector<LevelPlan> shard_plans(static_cast<std::size_t>(K), plan);
+    for (std::size_t s = 0; s < active.size(); ++s) {
+      if (!plan.per_slot[s].split) continue;
+      for (int k = 0; k < K; ++k) {
+        if (k != owner[s]) {
+          auto& e = shard_plans[static_cast<std::size_t>(k)].per_slot[s];
+          e.chosen_seg = -1;
+          e.best_pos = -1;
+        }
+      }
+    }
+    {
+      obs::ScopedSpan span("mark_sides");
+      ParallelStep step(shards, report.modeled_seconds,
+                        &report.device_seconds);
+      for (int k = 0; k < K; ++k) {
+        gbdt::detail::apply_mark_sides_sparse(
+            *shards[static_cast<std::size_t>(k)].state,
+            shard_plans[static_cast<std::size_t>(k)]);
+      }
+    }
+
+    // 5. Synchronise node_of: instance i's authoritative value lives on
+    //    the shard owning its (new) node's winning attribute.  Each shard
+    //    receives one modeled leg per winning peer carrying that peer's
+    //    rows, then a device kernel gathers the rows in place.
+    if (K > 1) {
+      obs::ScopedSpan span("node_sync");
+      ParallelStep step(shards, report.modeled_seconds,
+                        &report.device_seconds);
+      std::vector<std::uint64_t> rows_of_winner(
+          static_cast<std::size_t>(K), 0);
+      for (std::size_t s = 0; s < active.size(); ++s) {
+        if (plan.per_slot[s].split && owner[s] >= 0) {
+          rows_of_winner[static_cast<std::size_t>(owner[s])] +=
+              static_cast<std::uint64_t>(active[s].count);
+        }
+      }
+      auto links = make_links(shards);
+      std::vector<double> shard_secs(static_cast<std::size_t>(K), 0.0);
+      for (int k = 0; k < K; ++k) {
+        const auto ku = static_cast<std::size_t>(k);
+        bool waited = false;
+        auto dst = shards[ku].state->node_of.span();
+        for (int w = 0; w < K; ++w) {
+          if (w == k || rows_of_winner[static_cast<std::size_t>(w)] == 0) {
+            continue;
+          }
+          const std::uint64_t bytes =
+              rows_of_winner[static_cast<std::size_t>(w)] *
+              sizeof(std::int32_t);
+          const double secs = link.leg_seconds(bytes);
+          detail::enqueue_leg(links[ku], waited, "stream_mgpu_node_sync",
+                              secs, bytes, dst, detail::ChunkRange{0, 0},
+                              detail::ChunkRange{0, dst.size()});
+          comm.bytes += bytes;
+          ++comm.messages;
+          shard_secs[ku] += secs;
+        }
+      }
+      comm.seconds +=
+          *std::max_element(shard_secs.begin(), shard_secs.end());
+      // Device-side masked gather replacing the old host-side O(K·n)
+      // merge loop: w = owner_of_node[node_of[i]] picks the shard whose
+      // mark_sides result is authoritative for row i.  Winner shards
+      // never rewrite their own rows, so cross-device kernel order is
+      // free — and the default stream joins each shard's comm legs.
+      std::vector<std::span<const std::int32_t>> peers(
+          static_cast<std::size_t>(K));
+      for (int w = 0; w < K; ++w) {
+        peers[static_cast<std::size_t>(w)] =
+            shards[static_cast<std::size_t>(w)].state->node_of.span();
+      }
+      for (int k = 0; k < K; ++k) {
+        auto& sh = shards[static_cast<std::size_t>(k)];
+        auto& st = *sh.state;
+        auto d_owner = gbdt::detail::upload_pooled(*sh.dev, st.arena,
+                                             owner_of_node);
+        auto nof = st.node_of.span();
+        auto own = d_owner.span();
+        const std::int64_t n = n_inst;
+        const int me = k;
+        sh.dev->launch(
+            "mgpu_node_merge", device::grid_for(n, prim::kBlockDim),
+            prim::kBlockDim, [&](device::BlockCtx& b) {
+              b.for_each_thread([&](std::int64_t i) {
+                if (i >= n) return;
+                const auto u = static_cast<std::size_t>(i);
+                const std::int32_t c = nof[u];
+                const int w = own[static_cast<std::size_t>(c)];
+                if (w >= 0 && w != me) {
+                  nof[u] = peers[static_cast<std::size_t>(w)][u];
+                }
+              });
+              b.reads_tile(nof, n);
+              b.writes_tile(nof, n);
+              b.reads(own, 0, static_cast<std::int64_t>(own.size()));
+              const std::uint64_t m = prim::elems_in_block(b, n);
+              b.work(m);
+              // own node read + peer gather + masked write
+              b.mem_coalesced(m * 3 * sizeof(std::int32_t));
+            });
+      }
+    }
+
+    // 6. Local order-preserving partition of every shard's lists.
+    {
+      obs::ScopedSpan span("partition");
+      ParallelStep step(shards, report.modeled_seconds,
+                        &report.device_seconds);
+      for (int k = 0; k < K; ++k) {
+        gbdt::detail::apply_partition_sparse(
+            *shards[static_cast<std::size_t>(k)].state,
+            shard_plans[static_cast<std::size_t>(k)]);
+      }
+    }
+  };
+  backend.finish = [&](const Tree& last) {
+    // Fold the last tree into the replicated predictions; report shard 0's.
+    {
+      obs::ScopedSpan span("gradient_compute");
+      ParallelStep step(shards, report.modeled_seconds,
+                        &report.device_seconds);
+      for (auto& sh : shards) {
+        gbdt::detail::update_predictions_smart(*sh.state, last);
+      }
+    }
+    const auto final_pred = shards[0].dev->to_host(shards[0].state->y_pred);
+    return std::vector<double>(final_pred.begin(), final_pred.end());
+  };
+  report.train_scores = gbdt::detail::grow_forest(backend, param, report.trees);
 }
 
 // ---------------------------------------------------------------------------
 // Histogram method: row shards, global cuts, per-level histogram allreduce.
 // ---------------------------------------------------------------------------
 
-MultiTrainReport MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds) {
-  obs::ScopedSpan train_span("mgpu_train");
-  const auto wall_start = std::chrono::steady_clock::now();
+void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
+                                       std::vector<Shard>& shards,
+                                       MultiTrainReport& report,
+                                       CommStats& comm) {
   const int K = n_devices;
-  if (ds.n_instances() == 0) throw std::invalid_argument("empty dataset");
   if (static_cast<std::int64_t>(K) > ds.n_instances()) {
     throw std::invalid_argument("more devices than instances");
-  }
-  if (param.n_bins < 1 || param.n_bins > 4096) {
-    throw std::invalid_argument("n_bins must be in [1, 4096]");
   }
   if (param.subsample < 1.0 || param.feature_bag != 0) {
     throw std::invalid_argument(
@@ -657,17 +588,11 @@ MultiTrainReport MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds) {
   }
   const std::int64_t n_inst = ds.n_instances();
   const std::int64_t n_attr = ds.n_attributes();
+  gbdt::detail::check_hist_memory(param, n_attr, cfg.global_mem_bytes);
   const int n_bins = param.n_bins;
-  const std::int64_t cps = n_attr * n_bins;
   const bool streams = device::stream_async_enabled();
 
-  MultiTrainReport report;
-  report.base_score = param.base_score;
-  report.device_seconds.assign(static_cast<std::size_t>(K), 0.0);
-  CommStats comm;
-
   // ---- row shards binned against the *global* quantile cuts ---------------
-  std::vector<Shard> shards(static_cast<std::size_t>(K));
   std::vector<BinnedMatrix> binned(static_cast<std::size_t>(K));
   std::vector<device::DeviceBuffer<float>> labels(static_cast<std::size_t>(K));
   {
@@ -702,25 +627,7 @@ MultiTrainReport MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds) {
           build_binned_matrix(*sh.dev, local, n_bins, cuts);
       labels[static_cast<std::size_t>(k)] =
           sh.dev->to_device<float>(local.labels());
-      auto& st = *sh.state;
-      st.grad = sh.dev->alloc<double>(static_cast<std::size_t>(st.n_inst));
-      st.hess = sh.dev->alloc<double>(static_cast<std::size_t>(st.n_inst));
-      st.y_pred = sh.dev->alloc<float>(static_cast<std::size_t>(st.n_inst));
-      st.node_of =
-          sh.dev->alloc<std::int32_t>(static_cast<std::size_t>(st.n_inst));
-      prim::fill(*sh.dev, st.y_pred, static_cast<float>(param.base_score));
-    }
-  }
-  {
-    // Feasibility: same guard as the single-device hist trainer (histogram
-    // slots replicate per shard, so the bound is unchanged).
-    const double widest = std::ldexp(1.0, std::min(param.depth - 1, 24));
-    const double hist_bytes =
-        2.0 * widest * static_cast<double>(cps) * sizeof(hist::QGH);
-    if (hist_bytes > static_cast<double>(cfg.global_mem_bytes) / 4.0) {
-      throw std::invalid_argument(
-          "hist trainer: per-level histograms would exceed a quarter of "
-          "device memory; reduce depth or n_bins");
+      gbdt::detail::alloc_instance_state(*sh.state);
     }
   }
 
@@ -733,15 +640,16 @@ MultiTrainReport MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds) {
                          /*distributed=*/true);
   }
 
-  report.trees.reserve(static_cast<std::size_t>(param.n_trees));
-  for (int t = 0; t < param.n_trees; ++t) {
+  // ---- boosting loop (core/level_driver.h) --------------------------------
+  gbdt::detail::LevelBackend backend;
+  backend.begin_tree = [&](int /*t*/, const Tree* prev, Tree& tree) {
     {
       obs::ScopedSpan span("gradient_compute");
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);
       for (int k = 0; k < K; ++k) {
         auto& st = *shards[static_cast<std::size_t>(k)].state;
-        if (t > 0) gbdt::detail::update_predictions_smart(st, report.trees.back());
+        if (prev != nullptr) gbdt::detail::update_predictions_smart(st, *prev);
         gbdt::detail::compute_gradients(st, labels[static_cast<std::size_t>(k)]);
       }
     }
@@ -796,145 +704,115 @@ MultiTrainReport MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds) {
                                                links, payloads, qgh_sum));
     }
 
-    report.trees.emplace_back();
-    Tree& tree = report.trees.back();
+    // The root stats are global, so every shard returns the same root.
+    ActiveNode root;
+    ParallelStep step(shards, report.modeled_seconds, &report.device_seconds);
+    for (auto& g : growers) root = g.begin_tree(tree, rootq[0]);
+    return root;
+  };
+
+  backend.find_splits = [&](const std::vector<ActiveNode>& active) {
+    for (auto& g : growers) g.plan_level(active);
     {
+      obs::ScopedSpan span("hist_build");
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);
-      for (int k = 0; k < K; ++k) {
-        growers[static_cast<std::size_t>(k)].begin_tree(tree, rootq[0]);
-      }
+      for (auto& g : growers) g.build_level();
     }
-
-    auto& st0 = *shards[0].state;
-    for (int level = 0; level < param.depth && !st0.active.empty(); ++level) {
-      for (int k = 0; k < K; ++k) {
-        growers[static_cast<std::size_t>(k)].plan_level();
-      }
-      {
-        obs::ScopedSpan span("hist_build");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
+    // Segment offsets + key buffer ride the default stream and must be
+    // enqueued *before* the comm legs (a later default-stream op would
+    // serialise behind them).
+    {
+      obs::ScopedSpan span("hist_find_split");
+      ParallelStep step(shards, report.modeled_seconds,
+                        &report.device_seconds);
+      for (auto& g : growers) g.prepare_offsets();
+    }
+    {
+      // Histogram allreduce (one collective per accumulated slot, payload
+      // = that slot's cps cells) overlapping the SetKey build: the comm
+      // legs ride each shard's comm stream behind an event recorded after
+      // hist_build, while set_keys runs on the compute stream — the race
+      // detector sees both schedules, the device clocks overlap them.
+      obs::ScopedSpan span("allreduce_merge");
+      ParallelStep step(shards, report.modeled_seconds,
+                        &report.device_seconds);
+      if (K > 1) {
+        auto links = make_links(shards);
+        std::vector<std::vector<std::span<hist::QGH>>> slots(
+            static_cast<std::size_t>(K));
         for (int k = 0; k < K; ++k) {
-          growers[static_cast<std::size_t>(k)].build_level();
+          slots[static_cast<std::size_t>(k)] =
+              growers[static_cast<std::size_t>(k)].accumulated_slots();
         }
-      }
-      // Segment offsets + key buffer ride the default stream and must be
-      // enqueued *before* the comm legs (a later default-stream op would
-      // serialise behind them).
-      {
-        obs::ScopedSpan span("hist_find_split");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        for (int k = 0; k < K; ++k) {
-          growers[static_cast<std::size_t>(k)].prepare_offsets();
-        }
-      }
-      {
-        // Histogram allreduce (one collective per accumulated slot, payload
-        // = that slot's cps cells) overlapping the SetKey build: the comm
-        // legs ride each shard's comm stream behind an event recorded after
-        // hist_build, while set_keys runs on the compute stream — the race
-        // detector sees both schedules, the device clocks overlap them.
-        obs::ScopedSpan span("allreduce_merge");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        if (K > 1) {
-          auto links = make_links(shards);
-          std::vector<std::vector<std::span<hist::QGH>>> slots(
-              static_cast<std::size_t>(K));
+        AllreduceReport rep;
+        std::vector<std::span<hist::QGH>> payloads(
+            static_cast<std::size_t>(K));
+        for (std::size_t j = 0; j < slots[0].size(); ++j) {
           for (int k = 0; k < K; ++k) {
-            slots[static_cast<std::size_t>(k)] =
-                growers[static_cast<std::size_t>(k)].accumulated_slots();
+            payloads[static_cast<std::size_t>(k)] =
+                slots[static_cast<std::size_t>(k)][j];
           }
-          AllreduceReport rep;
-          std::vector<std::span<hist::QGH>> payloads(
-              static_cast<std::size_t>(K));
-          for (std::size_t j = 0; j < slots[0].size(); ++j) {
-            for (int k = 0; k < K; ++k) {
-              payloads[static_cast<std::size_t>(k)] =
-                  slots[static_cast<std::size_t>(k)][j];
-            }
-            rep += allreduce<hist::QGH>("comm_hist", link, opts.algo, links,
-                                        payloads, qgh_sum);
-          }
-          comm.add_collective(rep);
+          rep += allreduce<hist::QGH>("comm_hist", link, opts.algo, links,
+                                      payloads, qgh_sum);
         }
-        for (int k = 0; k < K; ++k) {
-          growers[static_cast<std::size_t>(k)].run_set_keys(
-              shards[static_cast<std::size_t>(k)].compute_stream);
-        }
-      }
-      if (growers[0].has_derived()) {
-        obs::ScopedSpan span("hist_subtract");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        for (int k = 0; k < K; ++k) {
-          growers[static_cast<std::size_t>(k)].subtract_level();
-        }
-      }
-      {
-        obs::ScopedSpan span("hist_find_split");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        for (int k = 0; k < K; ++k) {
-          growers[static_cast<std::size_t>(k)].find_level();
-        }
-      }
-
-      // Shard 0 decides (mutating the shared tree once); the decision is
-      // identical on every shard by construction — the histograms and slot
-      // stats are global — so no decision broadcast is modeled.
-      const HistGrower::LevelDecision decision = growers[0].decide_level();
-      if (decision.next_active.empty()) {
-        for (int k = 0; k < K; ++k) {
-          growers[static_cast<std::size_t>(k)].state().active.clear();
-        }
-        break;
-      }
-      {
-        obs::ScopedSpan span("hist_split_node");
-        ParallelStep step(shards, report.modeled_seconds,
-                          &report.device_seconds);
-        for (int k = 0; k < K; ++k) {
-          growers[static_cast<std::size_t>(k)].apply_level(decision);
-        }
+        comm.add_collective(rep);
       }
       for (int k = 0; k < K; ++k) {
-        growers[static_cast<std::size_t>(k)].advance_level(decision);
+        growers[static_cast<std::size_t>(k)].run_set_keys(
+            shards[static_cast<std::size_t>(k)].compute_stream);
       }
     }
-
-    // Leaf writes are idempotent across shards (all stats are global), so
-    // every grower may finish; only the arena/level state differs.
-    for (int k = 0; k < K; ++k) {
-      growers[static_cast<std::size_t>(k)].finish_tree();
+    if (growers[0].has_derived()) {
+      obs::ScopedSpan span("hist_subtract");
+      ParallelStep step(shards, report.modeled_seconds,
+                        &report.device_seconds);
+      for (auto& g : growers) g.subtract_level();
     }
-  }
-
-  // Fold the last tree into the per-shard predictions and concatenate the
-  // row ranges back into dataset order.
-  {
-    obs::ScopedSpan span("gradient_compute");
-    ParallelStep step(shards, report.modeled_seconds, &report.device_seconds);
-    for (int k = 0; k < K; ++k) {
-      gbdt::detail::update_predictions_smart(*shards[static_cast<std::size_t>(k)].state,
-                                       report.trees.back());
+    {
+      obs::ScopedSpan span("hist_find_split");
+      ParallelStep step(shards, report.modeled_seconds,
+                        &report.device_seconds);
+      for (auto& g : growers) g.find_level();
     }
-  }
-  report.train_scores.reserve(static_cast<std::size_t>(n_inst));
-  for (int k = 0; k < K; ++k) {
-    auto& sh = shards[static_cast<std::size_t>(k)];
-    const auto pred = sh.dev->to_host(sh.state->y_pred);
-    report.train_scores.insert(report.train_scores.end(), pred.begin(),
-                               pred.end());
-  }
-  finish_comm(report, comm, shards);
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  return report;
+    // The histograms and slot stats are global, so every shard found the
+    // same winners; shard 0's feed the shared decision.
+    return growers[0].best();
+  };
+
+  backend.apply_splits = [&](const LevelPlan& plan) {
+    {
+      obs::ScopedSpan span("hist_split_node");
+      ParallelStep step(shards, report.modeled_seconds,
+                        &report.device_seconds);
+      for (auto& g : growers) g.apply_level(plan);
+    }
+    for (auto& g : growers) g.advance_level(plan);
+  };
+  backend.end_tree = [&](const Tree& /*tree*/) {
+    for (auto& g : growers) g.finish_tree();
+  };
+  backend.finish = [&](const Tree& last) {
+    // Fold the last tree into the per-shard predictions and concatenate the
+    // row ranges back into dataset order.
+    {
+      obs::ScopedSpan span("gradient_compute");
+      ParallelStep step(shards, report.modeled_seconds,
+                        &report.device_seconds);
+      for (auto& sh : shards) {
+        gbdt::detail::update_predictions_smart(*sh.state, last);
+      }
+    }
+    std::vector<double> scores;
+    scores.reserve(static_cast<std::size_t>(n_inst));
+    for (int k = 0; k < K; ++k) {
+      auto& sh = shards[static_cast<std::size_t>(k)];
+      const auto pred = sh.dev->to_host(sh.state->y_pred);
+      scores.insert(scores.end(), pred.begin(), pred.end());
+    }
+    return scores;
+  };
+  report.train_scores = gbdt::detail::grow_forest(backend, param, report.trees);
 }
 
 }  // namespace gbdt::multigpu

@@ -112,12 +112,16 @@ void check_level_conservation(const detail::TrainState& st,
                               const char* where);
 
 /// node_of occurrence counts must equal `expected` (pairs of tree-node id
-/// and count) for every listed node.  Used by trainers that do not go
-/// through LevelPlan (out-of-core).
+/// and count) for every listed node.
 void check_instance_counts(
     std::span<const std::int32_t> node_of,
     std::span<const std::pair<std::int32_t, std::int64_t>> expected,
     const char* where);
+
+/// Same, for every child in plan.next_active (the paths whose plan slots do
+/// not index a TrainState's active list: out-of-core and histogram).
+void check_instance_counts(std::span<const std::int32_t> node_of,
+                           const detail::LevelPlan& plan, const char* where);
 
 // ---- SmartGD ---------------------------------------------------------------
 

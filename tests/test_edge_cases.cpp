@@ -7,9 +7,12 @@
 
 #include "baselines/xgb_exact.h"
 #include "core/metrics.h"
+#include "core/out_of_core.h"
 #include "core/trainer.h"
+#include "core/trainer_hist.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
+#include "multigpu/multi_trainer.h"
 
 namespace gbdt {
 namespace {
@@ -216,6 +219,62 @@ TEST(EdgeCases, GammaEqualsBestGainPrunes) {
   pruned.gamma = best_gain;
   const auto r2 = train(ds, pruned);
   EXPECT_TRUE(r2.trees[0].node(0).is_leaf());
+}
+
+// Every trainer class runs the same parameter check at construction.
+// Regressions: MultiGpuTrainer used to accept n_trees = 0 and then read the
+// last tree of an empty forest, and OutOfCoreTrainer accepted a negative
+// gamma or lambda.
+void expect_every_trainer_rejects(const GBDTParam& p) {
+  Device dev(DeviceConfig::titan_x_pascal());
+  EXPECT_THROW((void)GpuGbdtTrainer(dev, p), std::invalid_argument);
+  EXPECT_THROW((void)GpuHistTrainer(dev, p), std::invalid_argument);
+  EXPECT_THROW((void)OutOfCoreTrainer(dev, p), std::invalid_argument);
+  EXPECT_THROW(
+      (void)multigpu::MultiGpuTrainer(DeviceConfig::titan_x_pascal(), 2, p),
+      std::invalid_argument);
+  GBDTParam hist = p;
+  hist.use_hist_trainer = true;
+  EXPECT_THROW(
+      (void)multigpu::MultiGpuTrainer(DeviceConfig::titan_x_pascal(), 2, hist),
+      std::invalid_argument);
+}
+
+TEST(EdgeCases, EveryTrainerRejectsZeroDepth) {
+  GBDTParam p = tiny_param();
+  p.depth = 0;
+  expect_every_trainer_rejects(p);
+}
+
+TEST(EdgeCases, EveryTrainerRejectsZeroTrees) {
+  GBDTParam p = tiny_param();
+  p.n_trees = 0;
+  expect_every_trainer_rejects(p);
+}
+
+TEST(EdgeCases, EveryTrainerRejectsNegativeGamma) {
+  GBDTParam p = tiny_param();
+  p.gamma = -0.5;
+  expect_every_trainer_rejects(p);
+}
+
+TEST(EdgeCases, EveryTrainerRejectsNegativeLambda) {
+  GBDTParam p = tiny_param();
+  p.lambda = -1.0;
+  expect_every_trainer_rejects(p);
+}
+
+TEST(EdgeCases, HistTrainersRejectBinCountOutOfRange) {
+  Device dev(DeviceConfig::titan_x_pascal());
+  for (const int bins : {0, 4097}) {
+    GBDTParam p = tiny_param();
+    p.n_bins = bins;
+    EXPECT_THROW((void)GpuHistTrainer(dev, p), std::invalid_argument);
+    p.use_hist_trainer = true;
+    EXPECT_THROW(
+        (void)multigpu::MultiGpuTrainer(DeviceConfig::titan_x_pascal(), 2, p),
+        std::invalid_argument);
+  }
 }
 
 }  // namespace

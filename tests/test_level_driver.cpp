@@ -1,0 +1,262 @@
+// Unit tests of the shared level driver (core/level_driver.h): the host
+// split decision on hand-built ActiveNode / BestSplit inputs, and the
+// boosting loop over a scripted backend that runs no device work.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "core/level_driver.h"
+#include "core/loss.h"
+#include "obs/metrics.h"
+
+namespace gbdt::detail {
+namespace {
+
+GBDTParam make_param(double gamma = 0.0) {
+  GBDTParam p;
+  p.gamma = gamma;
+  p.eta = 0.3;
+  p.lambda = 1.0;
+  p.depth = 3;
+  p.n_trees = 2;
+  return p;
+}
+
+ActiveNode make_node(std::int32_t id, double g, double h, std::int64_t cnt) {
+  return ActiveNode{id, g, h, cnt};
+}
+
+/// A valid candidate of `parent` whose left child holds (g, h, cnt).
+BestSplit make_split(const ActiveNode& parent, double gain, std::int32_t attr,
+                     double g, double h, std::int64_t cnt) {
+  BestSplit b;
+  b.valid = true;
+  b.gain = gain;
+  b.attr = attr;
+  b.split_value = 0.5f + static_cast<float>(attr);
+  b.default_left = attr % 2 == 0;
+  b.seg = 10 + attr;
+  b.pos = 100 + attr;
+  b.left = make_node(-1, g, h, cnt);
+  b.right = make_node(-1, parent.sum_g - g, parent.sum_h - h,
+                      parent.count - cnt);
+  return b;
+}
+
+double leaf_value(const ActiveNode& n, const GBDTParam& p) {
+  return p.eta * leaf_weight(n.sum_g, n.sum_h, p.lambda);
+}
+
+TEST(LevelDriver, GainEqualToGammaMakesALeaf) {
+  const GBDTParam p = make_param(2.5);
+  const std::vector<ActiveNode> active{make_node(0, -4.0, 10.0, 10)};
+
+  Tree tree;
+  const LevelPlan plan = decide_level(
+      tree, active, {make_split(active[0], 2.5, 1, -3.0, 5.0, 5)}, p);
+  EXPECT_FALSE(plan.per_slot[0].split);
+  EXPECT_TRUE(plan.next_active.empty());
+  EXPECT_EQ(tree.n_nodes(), 1);
+  EXPECT_TRUE(tree.node(0).is_leaf());
+  EXPECT_EQ(tree.node(0).weight, leaf_value(active[0], p));
+
+  // The test is a strict `>`: the next double above gamma splits.
+  Tree above;
+  const LevelPlan split_plan = decide_level(
+      above, active,
+      {make_split(active[0], std::nextafter(2.5, 3.0), 1, -3.0, 5.0, 5)}, p);
+  EXPECT_TRUE(split_plan.per_slot[0].split);
+  EXPECT_EQ(above.n_nodes(), 3);
+}
+
+TEST(LevelDriver, InvalidSplitMakesALeafWithShrunkWeight) {
+  const GBDTParam p = make_param();
+  const std::vector<ActiveNode> active{make_node(0, 6.0, 3.0, 4)};
+  BestSplit b = make_split(active[0], 100.0, 0, 1.0, 1.0, 2);
+  b.valid = false;
+
+  Tree tree;
+  const LevelPlan plan = decide_level(tree, active, {b}, p);
+  EXPECT_TRUE(plan.next_active.empty());
+  const TreeNode& leaf = tree.node(0);
+  EXPECT_TRUE(leaf.is_leaf());
+  EXPECT_EQ(leaf.weight, 0.3 * (-6.0 / (3.0 + 1.0)));
+  EXPECT_EQ(leaf.n_instances, 4);
+  EXPECT_EQ(leaf.sum_g, 6.0);
+  EXPECT_EQ(leaf.sum_h, 3.0);
+}
+
+TEST(LevelDriver, ChildrenComeOutInSlotOrder) {
+  const GBDTParam p = make_param();
+  // Nodes 2, 3 and 4 are active; slots 0 and 2 split, slot 1 does not.
+  Tree tree;
+  (void)decide_level(
+      tree, {make_node(0, 0.0, 9.0, 9)},
+      {make_split(make_node(0, 0.0, 9.0, 9), 1.0, 0, 1.0, 3.0, 3)}, p);
+  (void)decide_level(
+      tree, {make_node(1, 1.0, 3.0, 3)},
+      {make_split(make_node(1, 1.0, 3.0, 3), 1.0, 0, 0.5, 1.0, 1)}, p);
+  ASSERT_EQ(tree.n_nodes(), 5);
+  const std::vector<ActiveNode> active{make_node(2, -1.0, 6.0, 6),
+                                       make_node(3, 0.5, 1.0, 1),
+                                       make_node(4, 0.5, 2.0, 2)};
+  BestSplit none;
+  const std::vector<BestSplit> best{
+      make_split(active[0], 2.0, 4, -2.0, 2.0, 2), none,
+      make_split(active[2], 3.0, 5, 0.25, 1.0, 1)};
+
+  const LevelPlan plan = decide_level(tree, active, best, p);
+  ASSERT_EQ(tree.n_nodes(), 9);
+  ASSERT_EQ(plan.per_slot.size(), 3u);
+
+  const LevelPlan::Entry& e0 = plan.per_slot[0];
+  EXPECT_TRUE(e0.split);
+  EXPECT_EQ(e0.left_id, 5);
+  EXPECT_EQ(e0.right_id, 6);
+  EXPECT_EQ(e0.chosen_seg, best[0].seg);
+  EXPECT_EQ(e0.best_pos, best[0].pos);
+  EXPECT_EQ(e0.attr, 4);
+  EXPECT_EQ(e0.split_value, best[0].split_value);
+  EXPECT_EQ(e0.default_left, best[0].default_left);
+  EXPECT_FALSE(plan.per_slot[1].split);
+  EXPECT_EQ(plan.per_slot[2].left_id, 7);
+  EXPECT_EQ(plan.per_slot[2].right_id, 8);
+
+  // Children in slot order, left before right, carrying the split's stats.
+  ASSERT_EQ(plan.next_active.size(), 4u);
+  const std::vector<std::int32_t> ids{5, 6, 7, 8};
+  const std::vector<const ActiveNode*> stats{&best[0].left, &best[0].right,
+                                             &best[2].left, &best[2].right};
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    EXPECT_EQ(plan.next_active[k].tree_node, ids[k]);
+    EXPECT_EQ(plan.next_active[k].sum_g, stats[k]->sum_g);
+    EXPECT_EQ(plan.next_active[k].sum_h, stats[k]->sum_h);
+    EXPECT_EQ(plan.next_active[k].count, stats[k]->count);
+  }
+  ASSERT_EQ(plan.next_slot_of_tree.size(), 9u);
+  for (std::int32_t id = 0; id < 9; ++id) {
+    EXPECT_EQ(plan.next_slot_of_tree[static_cast<std::size_t>(id)],
+              id >= 5 ? id - 5 : -1);
+  }
+
+  // The tree records the split nodes and the new leaf.
+  EXPECT_EQ(tree.node(2).left, 5);
+  EXPECT_EQ(tree.node(2).attr, 4);
+  EXPECT_EQ(tree.node(2).gain, 2.0);
+  EXPECT_EQ(tree.node(2).n_instances, 6);
+  EXPECT_EQ(tree.node(4).left, 7);
+  EXPECT_TRUE(tree.node(3).is_leaf());
+  EXPECT_EQ(tree.node(3).weight, leaf_value(active[1], p));
+}
+
+/// Scripted backend: the root holds 16 instances; `split_levels` levels of
+/// every tree split each node in half, after which find_splits reports no
+/// valid candidate.  Counts every step.
+struct Script {
+  int split_levels = 0;
+  int find_calls = 0;
+  int apply_calls = 0;
+  int end_calls = 0;
+  int level = 0;
+  std::vector<const Tree*> prevs;
+  const Tree* finished = nullptr;
+
+  LevelBackend backend() {
+    LevelBackend b;
+    b.begin_tree = [this](int /*t*/, const Tree* prev, Tree& /*tree*/) {
+      prevs.push_back(prev);
+      level = 0;
+      return make_node(0, -8.0, 16.0, 16);
+    };
+    b.find_splits = [this](const std::vector<ActiveNode>& active) {
+      ++find_calls;
+      std::vector<BestSplit> best(active.size());
+      if (level++ >= split_levels) return best;
+      for (std::size_t s = 0; s < active.size(); ++s) {
+        const ActiveNode& n = active[s];
+        best[s] = make_split(n, 1.0, 0, n.sum_g / 2, n.sum_h / 2, n.count / 2);
+      }
+      return best;
+    };
+    b.apply_splits = [this](const LevelPlan& /*plan*/) { ++apply_calls; };
+    b.end_tree = [this](const Tree& /*tree*/) { ++end_calls; };
+    b.finish = [this](const Tree& last) {
+      finished = &last;
+      return std::vector<double>{1.0, 2.0};
+    };
+    return b;
+  }
+};
+
+TEST(LevelDriver, LevelWithoutSplitsEndsTheTree) {
+  auto& trees_total =
+      obs::Registry::global().counter("gbdt_trees_trained_total");
+  auto& levels_total =
+      obs::Registry::global().counter("gbdt_levels_grown_total");
+  const std::uint64_t trees_before = trees_total.value();
+  const std::uint64_t levels_before = levels_total.value();
+
+  GBDTParam p = make_param();
+  p.depth = 5;
+  Script script;
+  script.split_levels = 1;
+  std::vector<Tree> trees;
+  const std::vector<double> scores =
+      grow_forest(script.backend(), p, trees);
+
+  ASSERT_EQ(trees.size(), 2u);
+  // Level 0 splits the root, level 1 splits nothing: two levels per tree.
+  EXPECT_EQ(script.find_calls, 4);
+  EXPECT_EQ(script.apply_calls, 2);
+  EXPECT_EQ(script.end_calls, 2);
+  EXPECT_EQ(trees_total.value() - trees_before, 2u);
+  EXPECT_EQ(levels_total.value() - levels_before, 4u);
+  for (const Tree& t : trees) {
+    EXPECT_EQ(t.n_nodes(), 3);
+    EXPECT_EQ(t.depth(), 1);
+    EXPECT_EQ(t.node(1).weight,
+              leaf_value(make_node(1, -4.0, 8.0, 8), p));
+  }
+  EXPECT_EQ(script.prevs, (std::vector<const Tree*>{nullptr, &trees[0]}));
+  EXPECT_EQ(script.finished, &trees.back());
+  EXPECT_EQ(scores, (std::vector<double>{1.0, 2.0}));
+}
+
+TEST(LevelDriver, DepthLimitTurnsActiveNodesIntoLeaves) {
+  GBDTParam p = make_param();
+  p.depth = 2;
+  p.n_trees = 1;
+  Script script;
+  script.split_levels = 10;
+  std::vector<Tree> trees;
+  (void)grow_forest(script.backend(), p, trees);
+
+  ASSERT_EQ(trees.size(), 1u);
+  EXPECT_EQ(script.find_calls, 2);
+  EXPECT_EQ(script.apply_calls, 2);
+  const Tree& t = trees[0];
+  EXPECT_EQ(t.n_nodes(), 7);
+  EXPECT_EQ(t.n_leaves(), 4);
+  for (std::int32_t id = 3; id < 7; ++id) {
+    EXPECT_TRUE(t.node(id).is_leaf());
+    EXPECT_EQ(t.node(id).n_instances, 4);
+    EXPECT_EQ(t.node(id).weight, leaf_value(make_node(id, -2.0, 4.0, 4), p));
+  }
+}
+
+TEST(LevelDriver, CallbackStopsBoosting) {
+  GBDTParam p = make_param();
+  p.n_trees = 5;
+  Script script;
+  std::vector<Tree> trees;
+  (void)grow_forest(script.backend(), p, trees,
+                    [](int t, const std::vector<Tree>&) { return t < 1; });
+  EXPECT_EQ(trees.size(), 2u);
+  EXPECT_EQ(script.end_calls, 2);
+  EXPECT_EQ(script.finished, &trees.back());
+}
+
+}  // namespace
+}  // namespace gbdt::detail

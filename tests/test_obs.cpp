@@ -11,9 +11,12 @@
 #include <string>
 #include <vector>
 
+#include "core/out_of_core.h"
 #include "core/trainer.h"
+#include "core/trainer_hist.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
+#include "multigpu/multi_trainer.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -314,6 +317,75 @@ TEST(ObsMetrics, ArenaHoldsDeviceAllocCallsNearConstantPerLevel) {
       static_cast<std::uint64_t>(p.depth) * static_cast<std::uint64_t>(p.n_trees);
   EXPECT_LT(run_calls, 8 * levels)
       << "device allocations per level regressed; arena pooling broken?";
+}
+
+// gbdt_trees_trained_total / gbdt_levels_grown_total mean the same on every
+// trainer path: one per tree and one per level entered (a level whose nodes
+// all become leaves counts; the multi-GPU trainers count logical trees, not
+// shards).
+TEST(ObsMetrics, TreeAndLevelCountersAgreeAcrossTrainerPaths) {
+  data::SyntheticSpec spec;
+  spec.n_instances = 300;
+  spec.n_attributes = 6;
+  spec.density = 0.8;
+  spec.distinct_values = 12;
+  spec.seed = 23;
+  const auto ds = data::generate(spec);
+  GBDTParam p;
+  p.depth = 4;
+  p.n_trees = 3;
+  p.gamma = 0.5;  // lets some trees stop before the depth limit
+
+  auto& trees_total =
+      obs::Registry::global().counter("gbdt_trees_trained_total");
+  auto& levels_total =
+      obs::Registry::global().counter("gbdt_levels_grown_total");
+  // Levels the driver enters for a finished tree: every split level, plus
+  // the level where nothing split when the tree stopped early.
+  const auto levels_of = [&](const std::vector<Tree>& trees) {
+    std::uint64_t n = 0;
+    for (const Tree& t : trees) {
+      n += static_cast<std::uint64_t>(t.depth() < p.depth ? t.depth() + 1
+                                                          : p.depth);
+    }
+    return n;
+  };
+  const auto check = [&](const char* path, const auto& train) {
+    const std::uint64_t trees_before = trees_total.value();
+    const std::uint64_t levels_before = levels_total.value();
+    const std::vector<Tree> trees = train();
+    ASSERT_EQ(trees.size(), static_cast<std::size_t>(p.n_trees)) << path;
+    EXPECT_EQ(trees_total.value() - trees_before, trees.size()) << path;
+    EXPECT_EQ(levels_total.value() - levels_before, levels_of(trees)) << path;
+  };
+
+  const auto cfg = device::DeviceConfig::titan_x_pascal();
+  check("exact", [&] {
+    device::Device dev(cfg);
+    return GpuGbdtTrainer(dev, p).train(ds).trees;
+  });
+  check("rle", [&] {
+    device::Device dev(cfg);
+    GBDTParam rle = p;
+    rle.force_rle = true;
+    return GpuGbdtTrainer(dev, rle).train(ds).trees;
+  });
+  check("hist", [&] {
+    device::Device dev(cfg);
+    return GpuHistTrainer(dev, p).train(ds).trees;
+  });
+  check("out_of_core", [&] {
+    device::Device dev(cfg);
+    return OutOfCoreTrainer(dev, p).train(ds).trees;
+  });
+  check("mgpu_exact", [&] {
+    return multigpu::MultiGpuTrainer(cfg, 2, p).train(ds).trees;
+  });
+  check("mgpu_hist", [&] {
+    GBDTParam hist = p;
+    hist.use_hist_trainer = true;
+    return multigpu::MultiGpuTrainer(cfg, 2, hist).train(ds).trees;
+  });
 }
 
 }  // namespace

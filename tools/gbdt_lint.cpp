@@ -56,6 +56,14 @@
 //      `peer_transfer_async(` site either labels itself with a `comm_`- or
 //      `stream_`-prefixed literal or forwards the collective's `label`
 //      parameter (the enqueue_leg machinery).
+//  13. One split decision and one leaf rule: outside core/level_driver.cpp
+//      (and the independent CPU baselines in src/baselines/) no file calls
+//      the free `leaf_weight(` function or a `.split(` / `->split(` member
+//      with arguments (Tree::split; DeviceForest::split() takes none).
+//      Every trainer path goes through the shared level driver instead, so
+//      the decision and the leaf weight cannot fork per path again.
+//      Declarations and definitions (`double leaf_weight(`,
+//      `Tree::split(`) are not calls.
 //
 // Comments and string literals are blanked (length-preserving) before any
 // rule other than the justification search runs, so prose never trips the
@@ -490,6 +498,48 @@ void check_file(const fs::path& path) {
                  "parameter) as first argument");
         }
       }
+    }
+  }
+
+  // Rule 13: the level driver owns the split decision and the leaf rule.
+  if (!file.ends_with("core/level_driver.cpp") &&
+      file.find("/baselines/") == std::string::npos) {
+    static const std::regex leaf_re(R"(\bleaf_weight\s*\()");
+    for (auto it = std::sregex_iterator(code.begin(), code.end(), leaf_re);
+         it != std::sregex_iterator(); ++it) {
+      // Walk back over a qualified name (`ns::`, `Class::`) and spaces; a
+      // member access is not the free function, and a preceding type name
+      // (anything but `return`) makes this a declaration.
+      std::size_t b = static_cast<std::size_t>(it->position(0));
+      const auto skip_space = [&] {
+        while (b > 0 && std::isspace(static_cast<unsigned char>(code[b - 1]))) {
+          --b;
+        }
+      };
+      skip_space();
+      if (b > 0 && (code[b - 1] == '.' ||
+                    (b > 1 && code[b - 2] == '-' && code[b - 1] == '>'))) {
+        continue;
+      }
+      while (b > 1 && code[b - 1] == ':' && code[b - 2] == ':') {
+        b -= 2;
+        skip_space();
+        while (b > 0 && is_ident(code[b - 1])) --b;
+        skip_space();
+      }
+      std::size_t w = b;
+      while (w > 0 && is_ident(code[w - 1])) --w;
+      if (w < b && code.compare(w, b - w, "return") != 0) continue;
+      report(file, line_of(code, static_cast<std::size_t>(it->position(0))),
+             "rule 13: free `leaf_weight(` call outside core/level_driver.cpp "
+             "— leaves go through detail::finalize_leaf");
+    }
+    static const std::regex split_re(R"((\.|->)\s*split\s*\(\s*[^\s)])");
+    for (auto it = std::sregex_iterator(code.begin(), code.end(), split_re);
+         it != std::sregex_iterator(); ++it) {
+      report(file, line_of(code, static_cast<std::size_t>(it->position(0))),
+             "rule 13: `.split(` call with arguments outside "
+             "core/level_driver.cpp — splits go through detail::decide_level");
     }
   }
 
