@@ -99,6 +99,23 @@ inline void accumulate_phase_seconds(
   for (const auto& c : s.children()) accumulate_phase_seconds(*c, out);
 }
 
+/// Modeled find-split seconds of the `train` span under `parent`: the exact
+/// trainer's `find_split` subtree plus the histogram trainer's build,
+/// subtract and find phases.  A later training under the same parent merges
+/// into the same `train` span, so read this before running another trainer.
+inline double find_split_seconds(const obs::Span& parent) {
+  const obs::Span* train = parent.child("train");
+  if (train == nullptr) return 0.0;
+  double seconds = 0.0;
+  for (const char* phase :
+       {"find_split", "hist_build", "hist_subtract", "hist_find_split"}) {
+    if (const obs::Span* s = train->child(phase)) {
+      seconds += s->modeled_total_seconds();
+    }
+  }
+  return seconds;
+}
+
 /// Accumulates bench cases and writes the gbdt-bench-v1 report on
 /// destruction (no-op without --json=).
 class BenchJson {
@@ -157,6 +174,9 @@ class BenchCase {
   ~BenchCase() { close(); }
 
   void metric(const char* key, double value) { metrics_[key] = value; }
+
+  /// The case's span tree so far (read it between trainer runs).
+  [[nodiscard]] const obs::Span& root() const { return session_.root(); }
 
   /// Drops the case without appending it to the report — for configurations
   /// that turn out infeasible at the current scale (e.g. a histogram arena

@@ -32,11 +32,11 @@ int main(int argc, char** argv) {
       device::Device dev(cfg);
       GpuGbdtTrainer trainer(dev, param);
       const auto r = trainer.train(ds);
-      if (k20_time == 0.0) k20_time = r.modeled.total();
-      c.metric("modeled_seconds", r.modeled.total());
+      if (k20_time == 0.0) k20_time = r.modeled_seconds;
+      c.metric("modeled_seconds", r.modeled_seconds);
       std::printf("  %-14s %7d %8.0f %10.4f %10.2f\n", cfg.name.c_str(),
                   cfg.num_sms * cfg.cores_per_sm, cfg.mem_bandwidth_gbps,
-                  r.modeled.total(), k20_time / r.modeled.total());
+                  r.modeled_seconds, k20_time / r.modeled_seconds);
     }
   }
   std::printf("(speedup tracks memory bandwidth / core count sublinearly, "

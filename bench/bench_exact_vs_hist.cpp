@@ -1,12 +1,11 @@
 // Exact vs approximate split finding: the paper trains "without
 // approximation" and its related work notes that LightGBM "only supports
 // finding the best split points approximately".  This bench quantifies the
-// trade on the dense/medium-dimensional analogs — for the CPU histogram
-// baseline at several bin budgets AND the device-side histogram trainer
-// (core/trainer_hist) — then sweeps a rows x bins grid to chart where the
-// device histogram method's find-split cost crosses below the exact
-// trainer's (the `xover_*` cases; EXPERIMENTS.md plots the crossover).
-#include "baselines/hist_trainer.h"
+// trade on the dense/medium-dimensional analogs for the device histogram
+// trainer (core/trainer_hist) at several bin budgets, then sweeps a
+// rows x bins grid to chart where its find-split cost crosses below the
+// exact trainer's (the `xover_*` cases; EXPERIMENTS.md plots the
+// crossover).  Find-split seconds are read from each run's span tree.
 #include "bench_common.h"
 #include "core/trainer_hist.h"
 
@@ -33,7 +32,7 @@ int main(int argc, char** argv) {
 
   std::printf("%-10s | %10s %10s | %7s", "dataset", "exact(s)", "rmse", "");
   for (int bins : {16, 64, 256}) std::printf("  hist%-4d(s)  rmse  ", bins);
-  std::printf("  devhist64(s)  rmse\n");
+  std::printf("\n");
 
   for (const char* name : {"susy", "higgs", "covtype", "insurance"}) {
     const auto info = data::paper_dataset(name, opt.scale);
@@ -41,25 +40,22 @@ int main(int argc, char** argv) {
     const auto param = paper_param(opt);
     BenchCase c(sink, name);
     const auto exact = run_gpu(ds, param);
-    c.metric("modeled_seconds", exact.modeled.total());
-    c.metric("exact_find_split_seconds", exact.modeled.find_split);
+    c.metric("modeled_seconds", exact.modeled_seconds);
+    c.metric("exact_find_split_seconds", find_split_seconds(c.root()));
     c.metric("rmse", rmse(exact.train_scores, ds.labels()));
-    std::printf("%-10s | %10.3f %10.4f | %7s", name, exact.modeled.total(),
+    std::printf("%-10s | %10.3f %10.4f | %7s", name, exact.modeled_seconds,
                 rmse(exact.train_scores, ds.labels()), "");
+    // The histogram runs trace under their own root so their `train` spans
+    // stay apart from the exact run's.
+    obs::ScopedSpan hist_span("hist_baseline");
     for (int bins : {16, 64, 256}) {
-      device::Device dev(device::DeviceConfig::titan_x_pascal());
-      baseline::HistGbdtTrainer hist(dev, param, bins);
-      const auto r = hist.train(ds);
+      const auto r = run_device_hist(ds, param, bins);
       c.metric(("hist" + std::to_string(bins) + "_seconds").c_str(),
                r.modeled_seconds);
       std::printf("  %10.3f %6.4f", r.modeled_seconds,
                   rmse(r.train_scores, ds.labels()));
     }
-    const auto dh = run_device_hist(ds, param, 64);
-    c.metric("dhist64_seconds", dh.modeled.total());
-    c.metric("dhist64_find_split_seconds", dh.modeled.find_split);
-    std::printf("    %10.3f %6.4f\n", dh.modeled.total(),
-                rmse(dh.train_scores, ds.labels()));
+    std::printf("\n");
   }
 
   // Crossover sweep: where does the device histogram's modeled find-split
@@ -82,23 +78,28 @@ int main(int argc, char** argv) {
     spec.seed = static_cast<unsigned>(1009 + base_rows);
     const auto ds = data::generate(spec);
     const auto param = paper_param(opt);
-    const auto exact = run_gpu(ds, param);
+    // The exact run belongs to no case: trace it in a session of its own.
+    double exact_fs = 0.0;
+    {
+      obs::ObsSession session;
+      session.activate();
+      (void)run_gpu(ds, param);
+      session.deactivate();
+      exact_fs = find_split_seconds(session.root());
+    }
     for (int bins : {16, 64, 256}) {
       const std::string cname =
           "xover_r" + std::to_string(rows) + "_b" + std::to_string(bins);
       BenchCase c(sink, cname);
-      const auto dh = run_device_hist(ds, param, bins);
-      c.metric("modeled_seconds", dh.modeled.find_split);
-      c.metric("exact_find_split_seconds", exact.modeled.find_split);
-      c.metric("dhist_find_split_seconds", dh.modeled.find_split);
-      c.metric("hist_wins",
-               dh.modeled.find_split < exact.modeled.find_split ? 1.0 : 0.0);
+      (void)run_device_hist(ds, param, bins);
+      const double hist_fs = find_split_seconds(c.root());
+      c.metric("modeled_seconds", hist_fs);
+      c.metric("exact_find_split_seconds", exact_fs);
+      c.metric("dhist_find_split_seconds", hist_fs);
+      c.metric("hist_wins", hist_fs < exact_fs ? 1.0 : 0.0);
       std::printf("%8lld x %-6d | %14.4f %14.4f | %s\n",
-                  static_cast<long long>(rows), bins,
-                  exact.modeled.find_split, dh.modeled.find_split,
-                  dh.modeled.find_split < exact.modeled.find_split
-                      ? "hist"
-                      : "exact");
+                  static_cast<long long>(rows), bins, exact_fs, hist_fs,
+                  hist_fs < exact_fs ? "hist" : "exact");
     }
   }
   std::printf("(exact split finding pays more time per tree for the best "

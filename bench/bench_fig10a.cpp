@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
     BenchCase c(sink, info.paper_name);
     const auto gpu = run_gpu(ds, param);
     const auto cpu = run_cpu(ds, param);
-    const double gpu_s = gpu.modeled.total();
+    const double gpu_s = gpu.modeled_seconds;
     const double cpu_s = cpu.modeled_seconds(cpu_config(), 40);
     // (1 / (t_gpu * price_gpu)) / (1 / (t_cpu * price_cpu))
     const double ratio = (cpu_s * kCpuPriceUsd) / (gpu_s * kGpuPriceUsd);

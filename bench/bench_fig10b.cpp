@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   param.loss = LossKind::kLogistic;
   const auto gpu = run_gpu(train, param);
   const auto cpu = run_cpu(train, param);
-  const double gpu_total = gpu.modeled.total();
+  const double gpu_total = gpu.modeled_seconds;
   const double cpu40_total = cpu.modeled_seconds(cpu_config(), 40);
   const int n_trees = static_cast<int>(gpu.trees.size());
   c.metric("modeled_seconds", gpu_total);

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     OutOfCoreTrainer rle(dev2, p, chunk_budget, true);
     const auto r_rle = rle.train(ds);
     c.metric("modeled_seconds", r_raw.modeled_seconds);
-    c.metric("incore_seconds", in_core.modeled.total());
+    c.metric("incore_seconds", in_core.modeled_seconds);
     c.metric("rle_stream_seconds", r_rle.modeled_seconds);
     c.metric("streamed_bytes_raw",
              static_cast<double>(r_raw.streamed_bytes));
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
     std::printf(
         "%-10s | %9.3f %8.1fM | %9.3f %11.1f | %9.3f %11.1f %7d %4.2f/%4.2f\n",
-        name, in_core.modeled.total(),
+        name, in_core.modeled_seconds,
         static_cast<double>(r_raw.in_core_bytes) / (1 << 20),
         r_raw.modeled_seconds,
         static_cast<double>(r_raw.streamed_bytes) / (1 << 20),

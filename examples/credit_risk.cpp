@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   const auto cpu_report = cpu.train(ds);
   const auto cpu_cfg = device::CpuConfig::dual_xeon_e5_2640v4();
 
-  const double gpu_s = report.modeled.total();
+  const double gpu_s = report.modeled_seconds;
   const double cpu40_s = cpu_report.modeled_seconds(cpu_cfg, 40);
   std::printf("retrain latency (modeled): GPU-GBDT %.3f s, xgbst-40 %.3f s "
               "-> %.2fx faster response to new fraud patterns\n",
@@ -69,11 +69,11 @@ int main(int argc, char** argv) {
     device::Device round_dev(device::DeviceConfig::titan_x_pascal());
     GpuGbdtTrainer trainer(round_dev, param);
     const auto round_report = trainer.train(batch);
-    total_gpu += round_report.modeled.total();
+    total_gpu += round_report.modeled_seconds;
     std::printf("  round %d: %lld transactions, retrained in %.3f s "
                 "(modeled)\n",
                 r + 1, static_cast<long long>(batch.n_instances()),
-                round_report.modeled.total());
+                round_report.modeled_seconds);
   }
   std::printf("%d retraining rounds in %.3f modeled seconds total\n", rounds,
               total_gpu);

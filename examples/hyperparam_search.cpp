@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
           p.loss = LossKind::kLogistic;
           device::Device dev(device::DeviceConfig::titan_x_pascal());
           auto [model, report] = GBDTModel::train(dev, train, p);
-          gpu_total += report.modeled.total();
+          gpu_total += report.modeled_seconds;
 
           const auto prob = model.transform_scores(model.predict(valid));
           const double err = error_rate(prob, valid.labels());

@@ -11,6 +11,7 @@
 #include "core/metrics.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
+#include "obs/trace.h"
 
 int main(int argc, char** argv) {
   using namespace gbdt;
@@ -38,16 +39,22 @@ int main(int argc, char** argv) {
   param.eta = 0.3;
   param.lambda = 1.0;
 
-  // 3. Train.
+  // 3. Train, tracing where the modeled device time goes: while an
+  //    ObsSession is active, the trainer's phase spans collect it.
+  obs::ObsSession session;
+  session.activate();
   auto [model, report] = GBDTModel::train(dev, train, param);
+  session.deactivate();
   std::printf("trained %zu trees  (RLE: %s, ratio %.2f)\n",
               model.trees().size(), report.used_rle ? "on" : "off",
               report.rle_ratio);
-  std::printf("modeled device time: %.4f s  (transfer %.4f, gradients %.4f, "
-              "find-split %.4f, split-node %.4f)\n",
-              report.modeled.total(), report.modeled.transfer,
-              report.modeled.gradients, report.modeled.find_split,
-              report.modeled.split_node);
+  std::printf("modeled device time: %.4f s\n", report.modeled_seconds);
+  if (const obs::Span* train_span = session.root().child("train")) {
+    for (const auto& phase : train_span->children()) {
+      std::printf("  %-18s %.4f s\n", phase->name().c_str(),
+                  phase->modeled_total_seconds());
+    }
+  }
   std::printf("peak device memory: %.1f MiB, wall clock: %.2f s\n",
               static_cast<double>(report.peak_device_bytes) / (1 << 20),
               report.wall_seconds);

@@ -200,11 +200,16 @@ GBDTModel GBDTModel::load(const std::string& path) {
   GBDTModel m;
   int loss_kind = 0;
   std::size_t n_trees = 0;
-  if (!(in >> m.base_score_ >> loss_kind >> m.n_attributes_ >> n_trees)) {
+  if (!(in >> m.base_score_ >> loss_kind >> m.n_attributes_ >> n_trees) ||
+      m.n_attributes_ < 0) {
     throw std::runtime_error("corrupt model header: " + path);
   }
+  if (loss_kind != static_cast<int>(LossKind::kSquaredError) &&
+      loss_kind != static_cast<int>(LossKind::kLogistic)) {
+    throw std::runtime_error("corrupt model header (loss kind " +
+                             std::to_string(loss_kind) + "): " + path);
+  }
   m.param_.loss = static_cast<LossKind>(loss_kind);
-  m.trees_.reserve(n_trees);
   for (std::size_t t = 0; t < n_trees; ++t) {
     m.trees_.push_back(Tree::deserialize(in));
   }

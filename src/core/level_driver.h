@@ -6,8 +6,8 @@
 // split the nodes; nodes still active at the depth limit become leaves.
 // grow_forest() owns that loop, the host split decision, the leaf rule and
 // the tree/level counters.  A path plugs in as a LevelBackend: its own
-// kernels, spans, phase timers and invariant checks live inside the steps,
-// so the loop itself adds no device work.
+// kernels, spans and invariant checks live inside the steps, so the loop
+// itself adds no device work.
 //
 // The paths and their steps are listed in DESIGN.md §5k.
 #pragma once
@@ -24,21 +24,6 @@
 #include "device/device_context.h"
 
 namespace gbdt::detail {
-
-/// Scoped accumulation of modeled device seconds into a phase counter.
-class PhaseScope {
- public:
-  PhaseScope(device::Device& dev, double& sink)
-      : dev_(dev), sink_(sink), start_(dev.elapsed_seconds()) {}
-  ~PhaseScope() { sink_ += dev_.elapsed_seconds() - start_; }
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  device::Device& dev_;
-  double& sink_;
-  double start_;
-};
 
 /// Host wall seconds since `start` (the reports' wall_seconds).
 [[nodiscard]] inline double seconds_since(

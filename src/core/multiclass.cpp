@@ -29,7 +29,7 @@ std::pair<MulticlassModel, double> MulticlassModel::train(
       binary.add_instance(ds.instance(i), is_k ? 1.f : 0.f);
     }
     auto [m, report] = GBDTModel::train(dev, binary, param);
-    modeled += report.modeled.total();
+    modeled += report.modeled_seconds;
     model.per_class_.push_back(std::move(m));
   }
   return {std::move(model), modeled};

@@ -19,7 +19,6 @@ namespace gbdt {
 
 using detail::ActiveNode;
 using detail::LevelPlan;
-using detail::PhaseScope;
 using detail::TrainState;
 using device::Device;
 using device::DeviceBuffer;
@@ -358,6 +357,7 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
                                   const TreeCallback& on_tree) {
   const auto wall_start = std::chrono::steady_clock::now();
   obs::ScopedSpan train_span("train");
+  const double modeled_start = dev_.elapsed_seconds();
   TrainReport report;
   report.base_score = param_.base_score;
 
@@ -375,9 +375,8 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
 
   dev_.allocator().reset_peak();
 
-  // ---- build the original root-level layout (counted as transfer) --------
+  // ---- build the original root-level layout ------------------------------
   {
-    PhaseScope phase(dev_, report.modeled.transfer);
     obs::ScopedSpan span("csc_build");
     auto csc = data::build_csc_device(dev_, ds);
     st.orig_values = std::move(csc.values);
@@ -414,7 +413,6 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
 
   if (!param_.use_smart_gd) {
     // The naive path needs random access to instance rows: upload the CSR.
-    PhaseScope phase(dev_, report.modeled.transfer);
     std::vector<std::int32_t> attrs(static_cast<std::size_t>(ds.n_entries()));
     std::vector<float> vals(static_cast<std::size_t>(ds.n_entries()));
     for (std::size_t k = 0; k < attrs.size(); ++k) {
@@ -436,18 +434,15 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
   detail::LevelBackend backend;
   backend.begin_tree = [&](int t, const Tree* prev, Tree& tree) {
     {
-      PhaseScope phase(dev_, report.modeled.gradients);
       obs::ScopedSpan span("gradient_compute");
       if (prev != nullptr) update_predictions(st, *prev);
       round_driver.begin_round(st, d_labels, t);
     }
     {
-      PhaseScope phase(dev_, report.modeled.split_node);
       obs::ScopedSpan span("reset_layout");
       reset_working_layout(st);
     }
     st.tree = &tree;
-    PhaseScope phase(dev_, report.modeled.gradients);
     obs::ScopedSpan span("gradient_compute");
     // Braced initialisation sequences the two reductions left to right.
     return ActiveNode{0, prim::reduce_sum<double>(dev_, st.grad, "root_sum_g"),
@@ -458,14 +453,12 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
     st.active = active;
     interleaved.clear();
     if (param_.dense_layout) interleaved = dense_node_interleaving(st);
-    PhaseScope phase(dev_, report.modeled.find_split);
     obs::ScopedSpan span("find_split");
     return st.rle ? detail::find_splits_rle(st)
                   : detail::find_splits_sparse(st);
   };
   backend.apply_splits = [&](const LevelPlan& plan) {
     {
-      PhaseScope phase(dev_, report.modeled.split_node);
       obs::ScopedSpan span("split_node");
       if (st.rle) {
         detail::apply_splits_rle(st, plan);
@@ -482,7 +475,6 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
   };
   backend.finish = [&](const Tree& last) {
     {
-      PhaseScope phase(dev_, report.modeled.gradients);
       obs::ScopedSpan span("gradient_compute");
       update_predictions(st, last);
     }
@@ -493,6 +485,7 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
       detail::grow_forest(backend, param_, report.trees, on_tree);
 
   report.peak_device_bytes = dev_.allocator().peak();
+  report.modeled_seconds = dev_.elapsed_seconds() - modeled_start;
   report.wall_seconds = detail::seconds_since(wall_start);
   return report;
 }

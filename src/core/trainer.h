@@ -4,7 +4,7 @@
 //   device::Device dev(device::DeviceConfig::titan_x_pascal());
 //   GpuGbdtTrainer trainer(dev, GBDTParam{});
 //   const TrainReport report = trainer.train(dataset);
-//   // report.trees, report.modeled (device seconds), report.train_scores
+//   // report.trees, report.modeled_seconds, report.train_scores
 #pragma once
 
 #include <cstddef>
@@ -21,23 +21,12 @@
 
 namespace gbdt {
 
-/// Modeled device seconds attributed to the phases the paper discusses
-/// ("finding the best split point [is] around 95% of total training time").
-struct PhaseTimings {
-  double transfer = 0.0;    // PCI-e + initial CSC build / RLE compression
-  double gradients = 0.0;   // prediction update + g/h computation
-  double find_split = 0.0;  // gain computation + reductions
-  double split_node = 0.0;  // node_of update + order-preserving partition
-
-  [[nodiscard]] double total() const {
-    return transfer + gradients + find_split + split_node;
-  }
-};
-
 struct TrainReport {
   std::vector<Tree> trees;
   double base_score = 0.0;
-  PhaseTimings modeled;
+  /// Modeled device seconds of this call: the device clock's advance from
+  /// entry to return.  Per-phase time lives in the obs span tree.
+  double modeled_seconds = 0.0;
   double wall_seconds = 0.0;
   bool used_rle = false;
   double rle_ratio = 1.0;            // elements per run (1 = uncompressed)
@@ -60,8 +49,8 @@ class GpuGbdtTrainer {
   GpuGbdtTrainer(device::Device& dev, GBDTParam param);
 
   /// Trains param.n_trees trees of depth param.depth on ds.  The device
-  /// timeline keeps accumulating across calls; the report contains the
-  /// per-phase attribution of this call only.
+  /// timeline keeps accumulating across calls; the report's modeled seconds
+  /// cover this call only.
   [[nodiscard]] TrainReport train(const data::Dataset& ds);
   [[nodiscard]] TrainReport train(const data::Dataset& ds,
                                   const TreeCallback& on_tree);

@@ -275,14 +275,6 @@ void apply_splits_rle(TrainState& st, const LevelPlan& plan);
 /// overwrite the exact side for present instances.
 void assign_default_children(TrainState& st, const LevelPlan& plan);
 
-/// Uploads a small host vector as a device buffer (per-level lookup tables;
-/// PCI-e accounted).
-template <typename T>
-[[nodiscard]] device::DeviceBuffer<T> upload(device::Device& dev,
-                                             const std::vector<T>& host) {
-  return dev.to_device<T>(host);
-}
-
 /// Arena-pooled upload: checks a block out of the arena and copies the host
 /// vector into it (PCI-e accounted), so per-level lookup tables stop hitting
 /// the device allocator after the first level.

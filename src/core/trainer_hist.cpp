@@ -49,7 +49,6 @@
 namespace gbdt {
 
 using detail::ActiveNode;
-using detail::PhaseScope;
 using detail::TrainState;
 using device::Device;
 
@@ -483,6 +482,7 @@ GpuHistTrainer::GpuHistTrainer(Device& dev, GBDTParam param)
 TrainReport GpuHistTrainer::train(const data::Dataset& ds) {
   const auto wall_start = std::chrono::steady_clock::now();
   obs::ScopedSpan train_span("train");
+  const double modeled_start = dev_.elapsed_seconds();
   TrainReport report;
   report.base_score = param_.base_score;
 
@@ -501,10 +501,9 @@ TrainReport GpuHistTrainer::train(const data::Dataset& ds) {
 
   dev_.allocator().reset_peak();
 
-  // ---- quantize the features (counted as transfer) ------------------------
+  // ---- quantize the features ----------------------------------------------
   BinnedMatrix binned;
   {
-    PhaseScope phase(dev_, report.modeled.transfer);
     obs::ScopedSpan span("hist_quantize");
     binned = build_binned_matrix(dev_, ds, param_.n_bins);
   }
@@ -519,7 +518,6 @@ TrainReport GpuHistTrainer::train(const data::Dataset& ds) {
   detail::LevelBackend backend;
   backend.begin_tree = [&](int t, const Tree* prev, Tree& tree) {
     {
-      PhaseScope phase(dev_, report.modeled.gradients);
       obs::ScopedSpan span("gradient_compute");
       if (prev != nullptr) detail::update_predictions_smart(st, *prev);
       round_driver.begin_round(st, d_labels, t);
@@ -528,7 +526,6 @@ TrainReport GpuHistTrainer::train(const data::Dataset& ds) {
     // integer arithmetic (counted with the gradient phase).
     hist::QGH rootq;
     {
-      PhaseScope phase(dev_, report.modeled.gradients);
       obs::ScopedSpan span("gradient_compute");
       const HistGrower::AbsMax mx = grower.local_abs_max();
       rootq = grower.quantize(mx.g, mx.h, st.n_inst);
@@ -538,13 +535,11 @@ TrainReport GpuHistTrainer::train(const data::Dataset& ds) {
   backend.find_splits = [&](const std::vector<ActiveNode>& active) {
     grower.plan_level(active);
     {
-      PhaseScope phase(dev_, report.modeled.find_split);
       obs::ScopedSpan span("hist_build");
       grower.build_level();
     }
     if (grower.has_derived()) {
       {
-        PhaseScope phase(dev_, report.modeled.find_split);
         obs::ScopedSpan span("hist_subtract");
         grower.subtract_level();
       }
@@ -552,7 +547,6 @@ TrainReport GpuHistTrainer::train(const data::Dataset& ds) {
     }
     // Best bin boundary per node over the histograms.
     {
-      PhaseScope phase(dev_, report.modeled.find_split);
       obs::ScopedSpan span("hist_find_split");
       grower.prepare_offsets();
       grower.run_set_keys();
@@ -562,7 +556,6 @@ TrainReport GpuHistTrainer::train(const data::Dataset& ds) {
   };
   backend.apply_splits = [&](const detail::LevelPlan& plan) {
     {
-      PhaseScope phase(dev_, report.modeled.split_node);
       obs::ScopedSpan span("hist_split_node");
       grower.apply_level(plan);
     }
@@ -575,7 +568,6 @@ TrainReport GpuHistTrainer::train(const data::Dataset& ds) {
   };
   backend.finish = [&](const Tree& last) {
     {
-      PhaseScope phase(dev_, report.modeled.gradients);
       obs::ScopedSpan span("gradient_compute");
       detail::update_predictions_smart(st, last);
     }
@@ -585,6 +577,7 @@ TrainReport GpuHistTrainer::train(const data::Dataset& ds) {
   report.train_scores = detail::grow_forest(backend, param_, report.trees);
 
   report.peak_device_bytes = dev_.allocator().peak();
+  report.modeled_seconds = dev_.elapsed_seconds() - modeled_start;
   report.wall_seconds = detail::seconds_since(wall_start);
   return report;
 }

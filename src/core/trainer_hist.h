@@ -69,8 +69,8 @@ struct BinnedMatrix {
     const std::vector<hist::BinCuts>& cuts);
 
 /// Stepwise histogram tree grower over one device (one row shard in the
-/// multi-GPU path); the caller owns spans, timing scopes and the
-/// instance-count / leaf-map checks.  With `distributed` set the grower
+/// multi-GPU path); the caller owns spans and the instance-count /
+/// leaf-map checks.  With `distributed` set the grower
 /// skips the subtraction self-check (it assumes the full row set) and the
 /// process-wide subtraction counter.
 ///

@@ -149,14 +149,30 @@ Tree Tree::deserialize(std::istream& in) {
   if (!(in >> count) || count == 0) {
     throw std::runtime_error("tree deserialize: bad node count");
   }
+  // The count comes from the file, so the tree grows as nodes parse rather
+  // than trusting it with an allocation.  Children must follow their parent
+  // as an adjacent pair (what Tree::split writes), so traversal always
+  // moves forward and stays in bounds.
   Tree t;
-  t.nodes_.assign(count, TreeNode{});
-  for (auto& n : t.nodes_) {
+  t.nodes_.clear();
+  for (std::size_t id = 0; id < count; ++id) {
+    TreeNode n;
     if (!(in >> n.left >> n.right >> n.attr >> n.split_value >>
           n.default_left >> n.weight >> n.gain >> n.n_instances >> n.sum_g >>
           n.sum_h)) {
       throw std::runtime_error("tree deserialize: truncated node data");
     }
+    const std::int64_t left = n.left;
+    const std::int64_t right = n.right;
+    const bool leaf = left == -1 && right == -1;
+    const bool internal = n.attr >= 0 && left > static_cast<std::int64_t>(id) &&
+                          right == left + 1 &&
+                          right < static_cast<std::int64_t>(count);
+    if (!leaf && !internal) {
+      throw std::runtime_error("tree deserialize: node " + std::to_string(id) +
+                               " has invalid children or attribute");
+    }
+    t.nodes_.push_back(n);
   }
   return t;
 }

@@ -10,8 +10,10 @@
 namespace gbdt::data {
 
 /// Parses LibSVM text.  Lines may end with comments introduced by '#'.
-/// Indices must be strictly increasing within a line (LibSVM convention);
-/// violations raise std::runtime_error with the offending line number.
+/// Indices must be strictly increasing within a line (LibSVM convention)
+/// and at most 2^31; labels and values must parse in full, and labels must
+/// be finite.  Violations raise std::runtime_error with the offending line
+/// number.  A NaN feature value is read as a missing entry.
 [[nodiscard]] Dataset read_libsvm(std::istream& in);
 [[nodiscard]] Dataset read_libsvm_file(const std::string& path);
 

@@ -6,9 +6,8 @@
 // and accumulating per-(node, attribute) gradient histograms instead of
 // scanning sorted value lists.  This header holds the shared pieces:
 //
-//  * BinCuts / build_cuts — host-side quantile binning, shared with the CPU
-//    baseline in src/baselines/hist_trainer.cpp (one implementation, so the
-//    device trainer's bin-index matrix can be verified against
+//  * BinCuts / build_cuts — host-side quantile binning (one implementation,
+//    so the device trainer's bin-index matrix can be verified against
 //    BinCuts::bin_of directly);
 //  * QGH — the histogram cell: gradient/hessian sums quantized to int64
 //    fixed point plus an instance count.  Integer addition is exact and

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <string>
 
 #include "data/csc_matrix.h"
 #include "data/dataset.h"
@@ -171,6 +172,35 @@ TEST(LibsvmIo, RejectsMalformedInput) {
     std::istringstream in("1 2:abc\n");
     EXPECT_THROW((void)read_libsvm(in), std::runtime_error);
   }
+  // Indices past 2^31, values or labels with trailing text, and non-finite
+  // labels are errors that name the line.
+  for (const char* text : {"1 2147483649:1\n", "1 4294967297:1\n",
+                           "1 3:0.5abc\n", "1 3:+-1\n", "1 3:\n",
+                           "abc 1:2\n", "1x 1:2\n", "nan 1:2\n",
+                           "inf 1:2\n", "-inf\n"}) {
+    std::istringstream in(std::string("0 1:1\n") + text);
+    try {
+      (void)read_libsvm(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(LibsvmIo, NanValueIsMissingAndPlusSignParses) {
+  std::istringstream in(
+      "+1 1:nan 2:+0.5\n"
+      "2 1:NaN\n");
+  const auto ds = read_libsvm(in);
+  ASSERT_EQ(ds.n_instances(), 2);
+  EXPECT_EQ(ds.n_attributes(), 2);
+  EXPECT_FLOAT_EQ(ds.labels()[0], 1.f);
+  ASSERT_EQ(ds.instance(0).size(), 1u);
+  EXPECT_EQ(ds.instance(0)[0].attr, 1);
+  EXPECT_FLOAT_EQ(ds.instance(0)[0].value, 0.5f);
+  EXPECT_EQ(ds.instance(1).size(), 0u);
 }
 
 TEST(LibsvmIo, RoundTrips) {

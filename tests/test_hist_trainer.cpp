@@ -1,18 +1,18 @@
-// Tests for the histogram-based (approximate) trainer: learning quality
-// relative to the exact trainer, bin-grid split semantics, feasibility
-// limits, determinism.
+// Tests for the histogram-based (approximate) device trainer: learning
+// quality relative to the exact trainer, bin-grid split semantics,
+// feasibility limits, determinism.
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "baselines/hist_trainer.h"
 #include "core/metrics.h"
 #include "core/trainer.h"
+#include "core/trainer_hist.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
 #include "primitives/histogram.h"
 
-namespace gbdt::baseline {
+namespace gbdt {
 namespace {
 
 using data::SyntheticSpec;
@@ -39,11 +39,12 @@ GBDTParam small_param() {
 
 TEST(HistTrainer, LearnsCloseToExact) {
   const auto ds = make_data(21);
-  const auto p = small_param();
+  auto p = small_param();
   Device dev1(DeviceConfig::titan_x_pascal());
   const auto exact = GpuGbdtTrainer(dev1, p).train(ds);
+  p.n_bins = 64;
   Device dev2(DeviceConfig::titan_x_pascal());
-  const auto hist = HistGbdtTrainer(dev2, p, 64).train(ds);
+  const auto hist = GpuHistTrainer(dev2, p).train(ds);
 
   const double exact_rmse = rmse(exact.train_scores, ds.labels());
   const double hist_rmse = rmse(hist.train_scores, ds.labels());
@@ -55,11 +56,12 @@ TEST(HistTrainer, LearnsCloseToExact) {
 
 TEST(HistTrainer, MoreBinsApproachExactQuality) {
   const auto ds = make_data(22);
-  const auto p = small_param();
+  auto p = small_param();
   double prev = 1e9;
   for (int bins : {4, 16, 256}) {
+    p.n_bins = bins;
     Device dev(DeviceConfig::titan_x_pascal());
-    const auto r = HistGbdtTrainer(dev, p, bins).train(ds);
+    const auto r = GpuHistTrainer(dev, p).train(ds);
     const double e = rmse(r.train_scores, ds.labels());
     EXPECT_LT(e, prev * 1.02) << bins;  // near-monotone improvement
     prev = e;
@@ -72,8 +74,9 @@ TEST(HistTrainer, SplitValuesLieOnTheBinGrid) {
   const auto ds = make_data(23, 1500, 6);
   GBDTParam p = small_param();
   p.n_trees = 4;
+  p.n_bins = 8;
   Device dev(DeviceConfig::titan_x_pascal());
-  const auto r = HistGbdtTrainer(dev, p, 8).train(ds);
+  const auto r = GpuHistTrainer(dev, p).train(ds);
   std::map<std::int32_t, std::set<float>> per_attr;
   for (const auto& t : r.trees) {
     for (const auto& n : t.nodes()) {
@@ -99,9 +102,10 @@ TEST(HistTrainer, FasterThanExactPerModeledSecond) {
   p.n_trees = 5;
   Device dev1(DeviceConfig::titan_x_pascal());
   const auto exact = GpuGbdtTrainer(dev1, p).train(ds);
+  p.n_bins = 64;
   Device dev2(DeviceConfig::titan_x_pascal());
-  const auto hist = HistGbdtTrainer(dev2, p, 64).train(ds);
-  EXPECT_LT(hist.modeled_seconds, exact.modeled.total());
+  const auto hist = GpuHistTrainer(dev2, p).train(ds);
+  EXPECT_LT(hist.modeled_seconds, exact.modeled_seconds);
 }
 
 TEST(HistTrainer, RejectsInfeasibleHighDimensionalHistograms) {
@@ -114,24 +118,28 @@ TEST(HistTrainer, RejectsInfeasibleHighDimensionalHistograms) {
   GBDTParam p;
   p.depth = 12;  // 2^11 nodes x 50k attrs x 256 bins blows the device
   p.n_trees = 1;
+  p.n_bins = 256;
   Device dev(DeviceConfig::titan_x_pascal());
-  HistGbdtTrainer trainer(dev, p, 256);
+  GpuHistTrainer trainer(dev, p);
   EXPECT_THROW((void)trainer.train(ds), std::invalid_argument);
 }
 
 TEST(HistTrainer, RejectsBadConfig) {
   Device dev(DeviceConfig::titan_x_pascal());
   GBDTParam p;
-  EXPECT_THROW(HistGbdtTrainer(dev, p, 0), std::invalid_argument);
-  EXPECT_THROW(HistGbdtTrainer(dev, p, -3), std::invalid_argument);
-  EXPECT_THROW(HistGbdtTrainer(dev, p, 1 << 20), std::invalid_argument);
-  HistGbdtTrainer one_bin_ok(dev, p, 1);  // legal: miss-direction splits only
-  HistGbdtTrainer ok(dev, p, 64);
+  for (int bins : {0, -3, 1 << 20}) {
+    p.n_bins = bins;
+    EXPECT_THROW(GpuHistTrainer(dev, p), std::invalid_argument) << bins;
+  }
+  p.n_bins = 1;
+  GpuHistTrainer one_bin_ok(dev, p);  // legal: miss-direction splits only
+  p.n_bins = 64;
+  GpuHistTrainer ok(dev, p);
   data::Dataset empty(3);
   EXPECT_THROW((void)ok.train(empty), std::invalid_argument);
 }
 
-// ---- build_cuts degenerate shapes (shared with the device trainer) --------
+// ---- build_cuts degenerate shapes (the trainer's quantile cuts) -----------
 
 TEST(HistTrainer, BuildCutsAllEqualColumnIsSingleCleanBin) {
   const auto cuts = hist::build_cuts({3.5f, 3.5f, 3.5f, 3.5f}, 16);
@@ -173,8 +181,9 @@ TEST(HistTrainer, SingleBinTrainingStillLearnsFromMissingness) {
   GBDTParam p;
   p.depth = 3;
   p.n_trees = 3;
+  p.n_bins = 1;
   Device dev(DeviceConfig::titan_x_pascal());
-  const auto r = HistGbdtTrainer(dev, p, 1).train(ds);
+  const auto r = GpuHistTrainer(dev, p).train(ds);
   ASSERT_EQ(r.trees.size(), 3u);
   for (const auto& t : r.trees) {
     for (const auto& n : t.nodes()) {
@@ -195,8 +204,9 @@ TEST(HistTrainer, AllEqualColumnsNeverSplit) {
   GBDTParam p;
   p.depth = 3;
   p.n_trees = 2;
+  p.n_bins = 8;
   Device dev(DeviceConfig::titan_x_pascal());
-  const auto r = HistGbdtTrainer(dev, p, 8).train(ds);
+  const auto r = GpuHistTrainer(dev, p).train(ds);
   for (const auto& t : r.trees) {
     EXPECT_EQ(t.n_leaves(), 1);
   }
@@ -204,11 +214,12 @@ TEST(HistTrainer, AllEqualColumnsNeverSplit) {
 
 TEST(HistTrainer, DeterministicAcrossRuns) {
   const auto ds = make_data(26, 800, 8);
-  const auto p = small_param();
+  auto p = small_param();
+  p.n_bins = 32;
   Device dev1(DeviceConfig::titan_x_pascal());
   Device dev2(DeviceConfig::titan_x_pascal());
-  const auto a = HistGbdtTrainer(dev1, p, 32).train(ds);
-  const auto b = HistGbdtTrainer(dev2, p, 32).train(ds);
+  const auto a = GpuHistTrainer(dev1, p).train(ds);
+  const auto b = GpuHistTrainer(dev2, p).train(ds);
   ASSERT_EQ(a.trees.size(), b.trees.size());
   for (std::size_t t = 0; t < a.trees.size(); ++t) {
     EXPECT_TRUE(Tree::same_structure(a.trees[t], b.trees[t], 0.0)) << t;
@@ -221,8 +232,9 @@ TEST(HistTrainer, DepthAndLeafBoundsHold) {
   GBDTParam p;
   p.depth = 3;
   p.n_trees = 5;
+  p.n_bins = 32;
   Device dev(DeviceConfig::titan_x_pascal());
-  const auto r = HistGbdtTrainer(dev, p, 32).train(ds);
+  const auto r = GpuHistTrainer(dev, p).train(ds);
   for (const auto& t : r.trees) {
     EXPECT_LE(t.depth(), 3);
     EXPECT_LE(t.n_leaves(), 8);
@@ -231,4 +243,4 @@ TEST(HistTrainer, DepthAndLeafBoundsHold) {
 }
 
 }  // namespace
-}  // namespace gbdt::baseline
+}  // namespace gbdt

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -232,19 +233,30 @@ TEST(ObsReport, WritesSchemaVersionedRunReport) {
 
 #ifdef GBDT_BENCH_PATH
 
-int run_tool(const std::string& args) {
-  const std::string cmd =
-      std::string(GBDT_BENCH_PATH) + " " + args + " > /dev/null 2>&1";
+/// Runs gbdt_bench with `args`; its stdout goes to `out_path` when given.
+int run_tool(const std::string& args, const std::string& out_path = "") {
+  const std::string cmd = std::string(GBDT_BENCH_PATH) + " " + args + " > " +
+                          (out_path.empty() ? "/dev/null" : out_path) +
+                          " 2>&1";
   const int rc = std::system(cmd.c_str());
   return rc == -1 ? -1 : (WIFEXITED(rc) ? WEXITSTATUS(rc) : -1);
 }
 
-void write_suite(const std::string& path, double modeled) {
+/// A one-case suite; `find_split` is that case's `find_split` span seconds
+/// in its phases map (the other spans stay fixed and sum to 0.25).
+void write_suite(const std::string& path, double modeled,
+                 double find_split = 0.75) {
   Json c = Json::object();
   c["name"] = "ds1";
   auto metrics = Json::object();
   metrics["modeled_seconds"] = modeled;
   c["metrics"] = std::move(metrics);
+  auto phases = Json::object();
+  phases["train"] = 0.125;
+  phases["split_node"] = 0.0625;
+  phases["find_split"] = find_split;
+  phases["gradient_compute"] = 0.0625;
+  c["phases"] = std::move(phases);
   auto cases = Json::array();
   cases.push_back(std::move(c));
   auto bench = Json::object();
@@ -263,13 +275,26 @@ TEST(ObsBenchCompare, ExitsNonzeroOnInjectedRegression) {
   const std::string old_fast = "/tmp/test_obs_suite_old_fast.json";
   write_suite(now, 1.0);
   write_suite(old_same, 1.0);
-  write_suite(old_fast, 0.5);  // the "new" run is 2x slower: a regression
+  // The "new" run is 2x slower, all of it in find_split: a regression.
+  write_suite(old_fast, 0.5, /*find_split=*/0.25);
 
   EXPECT_EQ(run_tool("--compare-only --json=" + now + " --compare=" + now), 0);
   EXPECT_EQ(
       run_tool("--compare-only --json=" + now + " --compare=" + old_same), 0);
-  EXPECT_EQ(
-      run_tool("--compare-only --json=" + now + " --compare=" + old_fast), 1);
+  const std::string out = "/tmp/test_obs_compare_out.txt";
+  EXPECT_EQ(run_tool("--compare-only --json=" + now + " --compare=" + old_fast,
+                     out),
+            1);
+  {
+    std::ifstream in(out);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    // The regression names the span that moved, and only that span.
+    EXPECT_NE(text.find("REGRESSED"), std::string::npos) << text;
+    EXPECT_NE(text.find("span find_split"), std::string::npos) << text;
+    EXPECT_EQ(text.find("span split_node"), std::string::npos) << text;
+  }
+  std::remove(out.c_str());
   // A generous threshold lets the same pair pass.
   EXPECT_EQ(run_tool("--compare-only --threshold=150 --json=" + now +
                      " --compare=" + old_fast),
@@ -386,6 +411,69 @@ TEST(ObsMetrics, TreeAndLevelCountersAgreeAcrossTrainerPaths) {
     hist.use_hist_trainer = true;
     return multigpu::MultiGpuTrainer(cfg, 2, hist).train(ds).trees;
   });
+}
+
+// The reports and the span tree are one accounting: each trainer's span
+// subtree holds exactly the device's kernel + transfer seconds of the call,
+// the in-core reports' modeled seconds are that same number, and the
+// out-of-core report's overlap ratio is derived from it.
+TEST(ObsTrace, TrainerSpanTreeReconcilesWithReportsAndDeviceClock) {
+  data::SyntheticSpec spec;
+  spec.n_instances = 2000;
+  spec.n_attributes = 16;
+  spec.density = 0.9;
+  spec.distinct_values = 6;
+  spec.seed = 31;
+  const auto ds = data::generate(spec);
+  GBDTParam p;
+  p.depth = 4;
+  p.n_trees = 3;
+  const auto cfg = device::DeviceConfig::titan_x_pascal();
+
+  // Trains on a fresh device under its own session, checks that the
+  // `span_name` subtree holds exactly the device's kernel + transfer
+  // seconds, and returns {that total, the report}.
+  const auto traced = [&](const char* path, const char* span_name,
+                          const auto& train) {
+    device::Device dev(cfg);
+    obs::ObsSession session;
+    session.activate();
+    const auto report = train(dev);
+    session.deactivate();
+    const double busy = dev.timeline().total_seconds();
+    const obs::Span* span = session.root().child(span_name);
+    const double total = span == nullptr ? 0.0 : span->modeled_total_seconds();
+    EXPECT_GT(busy, 0.0) << path;
+    EXPECT_NEAR(total, busy, 1e-9 * busy) << path;
+    return std::pair{total, report};
+  };
+  const auto in_core = [&](const char* path, const auto& train) {
+    const auto [total, report] = traced(path, "train", train);
+    EXPECT_NEAR(report.modeled_seconds, total, 1e-9 * total) << path;
+  };
+
+  in_core("exact_sparse", [&](device::Device& dev) {
+    return GpuGbdtTrainer(dev, p).train(ds);
+  });
+  in_core("rle_forced", [&](device::Device& dev) {
+    GBDTParam rle = p;
+    rle.force_rle = true;
+    auto r = GpuGbdtTrainer(dev, rle).train(ds);
+    EXPECT_TRUE(r.used_rle);
+    return r;
+  });
+  in_core("hist", [&](device::Device& dev) {
+    return GpuHistTrainer(dev, p).train(ds);
+  });
+
+  // Out of core: several 64 KiB chunks, so uploads overlap enumeration.
+  const auto [total, report] =
+      traced("out_of_core", "ooc_train", [&](device::Device& dev) {
+        return OutOfCoreTrainer(dev, p, std::size_t{1} << 16).train(ds);
+      });
+  EXPECT_NEAR(report.overlap_ratio, 1.0 - report.modeled_seconds / total,
+              1e-9);
+  EXPECT_GT(report.overlap_ratio, 0.0);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/gbdt.h"
 #include "core/loss.h"
@@ -105,6 +107,48 @@ TEST(Tree, DeserializeRejectsGarbage) {
   EXPECT_THROW((void)Tree::deserialize(bad), std::runtime_error);
   std::stringstream truncated("3\n1 2 0 0.5 0 0 1 10 0 0\n");
   EXPECT_THROW((void)Tree::deserialize(truncated), std::runtime_error);
+
+  // Child indices that would read out of bounds or loop: each root below is
+  // followed by two valid leaves, so only the root's fields are at fault.
+  const std::string leaves =
+      "-1 -1 -1 0 0 1 0 5 0 0\n-1 -1 -1 0 0 -1 0 5 0 0\n";
+  for (const char* root : {"0 1 0 0.5 0 0 1 10 0 0",    // self loop
+                           "5 6 0 0.5 0 0 1 10 0 0",    // past the end
+                           "2 3 0 0.5 0 0 1 10 0 0",    // right == count
+                           "1 1 0 0.5 0 0 1 10 0 0",    // right != left + 1
+                           "1 -1 0 0.5 0 0 1 10 0 0",   // one child missing
+                           "-1 2 0 0.5 0 0 1 10 0 0",   // one child missing
+                           "1 2 -1 0.5 0 0 1 10 0 0",   // internal, no attr
+                           "-5 -4 0 0.5 0 0 1 10 0 0"}) {
+    std::stringstream in("3\n" + std::string(root) + "\n" + leaves);
+    EXPECT_THROW((void)Tree::deserialize(in), std::runtime_error) << root;
+  }
+  // A child pointing back at an earlier node.
+  std::stringstream backward(
+      "5\n1 2 0 0.5 0 0 1 10 0 0\n0 1 0 0.5 0 0 1 5 0 0\n" + leaves +
+      "-1 -1 -1 0 0 0 0 0 0 0\n");
+  EXPECT_THROW((void)Tree::deserialize(backward), std::runtime_error);
+  // A huge node count is not preallocated: the short payload is reported
+  // as truncated.
+  std::stringstream huge("1000000000000000\n-1 -1 -1 0 0 0 0 1 0 0\n");
+  EXPECT_THROW((void)Tree::deserialize(huge), std::runtime_error);
+  // The well-formed stump still loads.
+  std::stringstream good("3\n1 2 0 0.5 0 0 1 10 0 0\n" + leaves);
+  EXPECT_EQ(Tree::deserialize(good).n_nodes(), 3);
+
+  // Model headers: an out-of-range loss kind, a negative attribute count,
+  // and a tree count far beyond the payload.
+  const std::string path = "/tmp/gbdt_bad_header_model.txt";
+  for (const char* header : {"0 7 4 1", "0 -1 4 1", "0 0 -4 1",
+                             "0 0 4 1000000000000000"}) {
+    {
+      std::ofstream out(path);
+      out << "gpu-gbdt-model v2\n" << header << "\n1\n"
+          << "-1 -1 -1 0 0 0.5 0 1 0 0\n";
+    }
+    EXPECT_THROW((void)GBDTModel::load(path), std::runtime_error) << header;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Tree, SameStructureDetectsDifferences) {

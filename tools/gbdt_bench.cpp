@@ -11,11 +11,15 @@
 //
 // Comparison keys on cases' metrics.modeled_seconds — the simulation is
 // deterministic, so any drift is a real cost-model or algorithm change, not
-// machine noise; the threshold exists for intentional small reworks.
+// machine noise; the threshold exists for intentional small reworks.  Each
+// regressed case also lists the spans of its `phases` map whose modeled
+// seconds moved most, so the report names the layer that moved.
 //
 // Exit codes: 0 ok, 1 regression detected, 2 usage error, 3 a bench failed.
 #include <sys/wait.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -146,9 +150,16 @@ int run_bench(const SuiteOptions& o, const BenchEntry& b,
   return -1;
 }
 
-/// Flattens a suite doc into (bench/case, modeled_seconds) rows.
-std::vector<std::pair<std::string, double>> modeled_rows(const Json& suite) {
-  std::vector<std::pair<std::string, double>> rows;
+/// One case of a suite report.
+struct CaseRow {
+  std::string key;  // bench/case
+  double modeled = 0.0;
+  const Json* phases = nullptr;  // per-span self modeled seconds, if any
+};
+
+/// Flattens a suite doc into one row per case with a modeled_seconds metric.
+std::vector<CaseRow> modeled_rows(const Json& suite) {
+  std::vector<CaseRow> rows;
   const Json* benches = suite.find("benches");
   if (benches == nullptr) return rows;
   for (const auto& [bname, bdoc] : benches->members()) {
@@ -160,10 +171,44 @@ std::vector<std::pair<std::string, double>> modeled_rows(const Json& suite) {
       if (name == nullptr || metrics == nullptr) continue;
       const Json* modeled = metrics->find("modeled_seconds");
       if (modeled == nullptr || !modeled->is_number()) continue;
-      rows.emplace_back(bname + "/" + name->str(), modeled->number_or(0.0));
+      rows.push_back(CaseRow{bname + "/" + name->str(),
+                             modeled->number_or(0.0), c.find("phases")});
     }
   }
   return rows;
+}
+
+/// Seconds of span `name` in a phases map (0 when absent).
+double phase_seconds(const Json* phases, const std::string& name) {
+  const Json* v = phases == nullptr ? nullptr : phases->find(name);
+  return v == nullptr ? 0.0 : v->number_or(0.0);
+}
+
+/// Prints the `top_n` spans whose modeled seconds changed most between two
+/// cases' phases maps, largest absolute change first.
+void print_phase_deltas(const Json* now, const Json* old, std::size_t top_n) {
+  std::vector<std::string> names;
+  for (const Json* phases : {now, old}) {
+    if (phases == nullptr) continue;
+    for (const auto& [name, value] : phases->members()) {
+      if (std::find(names.begin(), names.end(), name) == names.end()) {
+        names.push_back(name);
+      }
+    }
+  }
+  const auto delta = [&](const std::string& n) {
+    return phase_seconds(now, n) - phase_seconds(old, n);
+  };
+  std::stable_sort(names.begin(), names.end(),
+                   [&](const std::string& a, const std::string& b) {
+                     return std::abs(delta(a)) > std::abs(delta(b));
+                   });
+  for (std::size_t i = 0; i < names.size() && i < top_n; ++i) {
+    if (delta(names[i]) == 0.0) break;
+    std::printf("            span %-41s %12.6fs -> %12.6fs (%+.6fs)\n",
+                names[i].c_str(), phase_seconds(old, names[i]),
+                phase_seconds(now, names[i]), delta(names[i]));
+  }
 }
 
 /// Compares two suite reports; returns the number of regressions.
@@ -172,26 +217,25 @@ int compare_suites(const Json& now, const Json& old, double threshold_pct) {
   const auto old_rows = modeled_rows(old);
   int regressions = 0;
   int matched = 0;
-  for (const auto& [key, new_secs] : new_rows) {
-    const double* old_secs = nullptr;
-    for (const auto& [okey, osecs] : old_rows) {
-      if (okey == key) {
-        old_secs = &osecs;
-        break;
-      }
-    }
-    if (old_secs == nullptr) {
-      std::printf("  NEW       %-46s %12.6fs\n", key.c_str(), new_secs);
+  for (const CaseRow& row : new_rows) {
+    const auto it =
+        std::find_if(old_rows.begin(), old_rows.end(),
+                     [&](const CaseRow& o) { return o.key == row.key; });
+    if (it == old_rows.end()) {
+      std::printf("  NEW       %-46s %12.6fs\n", row.key.c_str(),
+                  row.modeled);
       continue;
     }
     ++matched;
-    const double limit = *old_secs * (1.0 + threshold_pct / 100.0);
+    const double limit = it->modeled * (1.0 + threshold_pct / 100.0);
     const double delta_pct =
-        *old_secs > 0.0 ? 100.0 * (new_secs - *old_secs) / *old_secs : 0.0;
-    if (new_secs > limit) {
+        it->modeled > 0.0 ? 100.0 * (row.modeled - it->modeled) / it->modeled
+                          : 0.0;
+    if (row.modeled > limit) {
       ++regressions;
       std::printf("  REGRESSED %-46s %12.6fs -> %12.6fs (%+.1f%%)\n",
-                  key.c_str(), *old_secs, new_secs, delta_pct);
+                  row.key.c_str(), it->modeled, row.modeled, delta_pct);
+      print_phase_deltas(row.phases, it->phases, 3);
     }
   }
   std::printf("compared %d cases, %d regression(s) beyond %.1f%%\n", matched,

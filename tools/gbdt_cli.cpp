@@ -176,19 +176,28 @@ GBDTParam params_from(const Flags& f) {
   return p;
 }
 
-void print_profile_row(const obs::Span& s, int indent) {
-  std::fprintf(stderr, "  %*s%-*s %12.6f %10.3f %8llu\n", indent, "",
-               30 - indent, s.name().c_str(), s.modeled_total_seconds(),
+/// One span row; `total` is the session's modeled seconds, so the share
+/// column shows e.g. find-split's fraction of training (paper §IV-A).
+void print_profile_row(const obs::Span& s, int indent, double total) {
+  const double modeled = s.modeled_total_seconds();
+  std::fprintf(stderr, "  %*s%-*s %12.6f %6.1f%% %10.3f %8llu\n", indent, "",
+               30 - indent, s.name().c_str(), modeled,
+               total > 0.0 ? 100.0 * modeled / total : 0.0,
                s.stats().wall_seconds,
                static_cast<unsigned long long>(s.stats().invocations));
-  for (const auto& c : s.children()) print_profile_row(*c, indent + 2);
+  for (const auto& c : s.children()) {
+    print_profile_row(*c, indent + 2, total);
+  }
 }
 
 void print_profile(const obs::ObsSession& session) {
   std::fprintf(stderr, "\nprofile (per training phase):\n");
-  std::fprintf(stderr, "  %-30s %12s %10s %8s\n", "phase", "modeled(s)",
-               "wall(s)", "calls");
-  for (const auto& c : session.root().children()) print_profile_row(*c, 0);
+  std::fprintf(stderr, "  %-30s %12s %7s %10s %8s\n", "phase", "modeled(s)",
+               "share", "wall(s)", "calls");
+  const double total = session.root().modeled_total_seconds();
+  for (const auto& c : session.root().children()) {
+    print_profile_row(*c, 0, total);
+  }
   std::fprintf(stderr, "  peak device memory: %.1f MiB\n",
                static_cast<double>(session.root().peak_device_bytes_total()) /
                    (1 << 20));
@@ -358,12 +367,10 @@ int cmd_train(const Flags& f) {
   model.save(model_path);
   std::fprintf(stderr,
                "trained %zu trees -> %s\n"
-               "modeled device time %.4f s (find-split %.0f%%), wall %.2f s, "
+               "modeled device time %.4f s, wall %.2f s, "
                "peak device mem %.1f MiB, RLE %s (ratio %.2f)\n",
                model.trees().size(), model_path.c_str(),
-               report.modeled.total(),
-               100.0 * report.modeled.find_split / report.modeled.total(),
-               report.wall_seconds,
+               report.modeled_seconds, report.wall_seconds,
                static_cast<double>(report.peak_device_bytes) / (1 << 20),
                report.used_rle ? "on" : "off", report.rle_ratio);
   const double train_rmse = rmse(report.train_scores, ds.labels());
