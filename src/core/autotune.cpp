@@ -61,13 +61,16 @@ double tree_set_keys_seconds(const device::CostModel& cm,
   return total;
 }
 
-/// Modeled seconds of the deepest level's order-preserving partition under
-/// the given workload policy (the pass count is the real plan's).
+/// Modeled seconds of the deepest order-preserving partition under the
+/// given workload policy (the pass count is the real plan's).  The last
+/// level's children are leaves and never partition, so the deepest one runs
+/// at level depth - 2; a depth-1 tree has none to tune.
 double partition_seconds(const device::CostModel& cm,
                          const ProblemShape& shape, const GBDTParam& param,
                          bool customized) {
+  if (param.depth < 2) return 0.0;
   const std::int64_t nodes =
-      nodes_at_level(param.depth - 1, shape.n_instances);
+      nodes_at_level(param.depth - 2, shape.n_instances);
   const std::int64_t n_parts = std::max<std::int64_t>(2 * nodes, 1);
   const std::int64_t moved =
       param.use_hist_trainer ? shape.n_instances : shape.n_entries;
@@ -76,7 +79,8 @@ double partition_seconds(const device::CostModel& cm,
       moved, n_parts, param.partition_counter_budget, customized);
   device::KernelStats s;
   s.thread_work = static_cast<std::uint64_t>(moved);
-  // part id read + scatter index write, plus zero/scan of the counters.
+  // part id read + the moved value and instance id, plus zero/scan of the
+  // counters.
   s.coalesced_bytes =
       static_cast<std::uint64_t>(moved) *
           (sizeof(std::int32_t) + sizeof(std::int64_t)) +

@@ -100,6 +100,7 @@ std::vector<double> grow_forest(const LevelBackend& backend,
         active.clear();
         break;
       }
+      plan.children_are_leaves = level + 1 == p.depth;
       backend.apply_splits(plan);
       active = std::move(plan.next_active);
     }

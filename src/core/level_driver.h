@@ -67,7 +67,8 @@ struct LevelBackend {
   std::function<std::vector<BestSplit>(const std::vector<ActiveNode>& active)>
       find_splits;
   /// Moves the instances of the splitting nodes to their children (the
-  /// level's active nodes are the ones find_splits received).
+  /// level's active nodes are the ones find_splits received).  On the last
+  /// level (plan.children_are_leaves) only the instance->node map matters.
   std::function<void(const LevelPlan& plan)> apply_splits;
   /// After the tree's last leaf is written: per-path checks and releases.
   std::function<void(const Tree& tree)> end_tree;

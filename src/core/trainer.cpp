@@ -51,15 +51,98 @@ void alloc_instance_state(TrainState& st) {
   prim::fill(st.dev, st.y_pred, static_cast<float>(st.param.base_score));
 }
 
-device::ArenaBuffer<SplitCmd> upload_split_cmds(TrainState& st,
-                                                const LevelPlan& plan) {
-  std::vector<SplitCmd> cmds(st.active.size());
-  for (std::size_t s = 0; s < cmds.size(); ++s) {
+SplitTables upload_split_tables(TrainState& st, const LevelPlan& plan,
+                                bool child_slots) {
+  const std::size_t n_nodes = plan.next_slot_of_tree.size();
+  const std::size_t n_slots = plan.per_slot.size();
+  const bool partition = !plan.children_are_leaves;
+  const bool slots = child_slots && partition;
+  // The block's columns, back to back: {first word, length}.
+  struct Column {
+    std::size_t off = 0;
+    std::size_t len = 0;
+  };
+  std::size_t words = 0;
+  const auto column = [&words](std::size_t len) {
+    const Column c{words, len};
+    words += len;
+    return c;
+  };
+  const Column def = column(n_nodes);
+  const Column next = column(partition ? n_nodes : 0);
+  const Column seg = column(n_slots);
+  const Column pos = column(n_slots);
+  const Column lid = column(n_slots);
+  const Column rid = column(n_slots);
+  const Column lslot = column(slots ? n_slots : 0);
+  const Column rslot = column(slots ? n_slots : 0);
+  const Column parent = column(slots ? plan.next_active.size() : 0);
+
+  std::vector<std::int64_t> host(words, -1);
+  const auto at = [&host](Column c, std::size_t i) -> std::int64_t& {
+    return host[c.off + i];
+  };
+  for (std::size_t tn = 0; tn < next.len; ++tn) {
+    at(next, tn) = plan.next_slot_of_tree[tn];
+  }
+  for (std::size_t s = 0; s < n_slots; ++s) {
     const auto& e = plan.per_slot[s];
     if (!e.split) continue;
-    cmds[s] = SplitCmd{e.chosen_seg, e.best_pos, e.left_id, e.right_id};
+    at(def, static_cast<std::size_t>(st.active[s].tree_node)) =
+        e.default_left ? e.left_id : e.right_id;
+    at(seg, s) = e.chosen_seg;
+    at(pos, s) = e.best_pos;
+    at(lid, s) = e.left_id;
+    at(rid, s) = e.right_id;
+    if (!slots) continue;
+    const std::int32_t l =
+        plan.next_slot_of_tree[static_cast<std::size_t>(e.left_id)];
+    const std::int32_t r =
+        plan.next_slot_of_tree[static_cast<std::size_t>(e.right_id)];
+    at(lslot, s) = l;
+    at(rslot, s) = r;
+    at(parent, static_cast<std::size_t>(l)) = static_cast<std::int64_t>(s);
+    at(parent, static_cast<std::size_t>(r)) = static_cast<std::int64_t>(s);
   }
-  return upload_pooled(st.dev, st.arena, cmds);
+
+  SplitTables t;
+  t.block = upload_pooled(st.dev, st.arena, host);
+  const std::span<const std::int64_t> all = t.block.span();
+  const auto view = [&all](Column c) { return all.subspan(c.off, c.len); };
+  t.default_child = view(def);
+  t.next_slot = view(next);
+  t.chosen_seg = view(seg);
+  t.best_pos = view(pos);
+  t.left_id = view(lid);
+  t.right_id = view(rid);
+  t.left_slot = view(lslot);
+  t.right_slot = view(rslot);
+  t.parent_slot = view(parent);
+  return t;
+}
+
+std::int64_t kept_elements(const TrainState& st, const LevelPlan& plan) {
+  const auto n_attr = static_cast<std::size_t>(st.n_attr);
+  std::int64_t kept = 0;
+  for (std::size_t s = 0; s < plan.per_slot.size(); ++s) {
+    if (!plan.per_slot[s].split) continue;
+    kept += st.seg_offsets[(s + 1) * n_attr] - st.seg_offsets[s * n_attr];
+  }
+  return kept;
+}
+
+void release_working_layout(TrainState& st) {
+  st.values.free();
+  st.inst.free();
+  st.seg_offsets.free();
+  st.run_values.free();
+  st.run_starts.free();
+  st.run_seg_offsets.free();
+  st.keys.free();
+  st.run_keys.free();
+  st.split_tables = {};
+  st.n_elems = 0;
+  st.n_runs = 0;
 }
 
 device::ArenaBuffer<std::int64_t> device_node_offsets(TrainState& st,
@@ -96,20 +179,20 @@ device::ArenaBuffer<std::int32_t> upload_default_children(
   return upload_pooled(st.dev, st.arena, default_child);
 }
 
-void assign_default_children(TrainState& st, const LevelPlan& plan) {
-  auto d_default = upload_default_children(st, plan);
-
+void assign_default_children(TrainState& st) {
   const std::int64_t n = st.n_inst;
   auto node_of = st.node_of.span();
-  auto def = d_default.span();
+  auto def = st.split_tables.default_child;
   st.dev.launch("assign_default_child", device::grid_for(n, kBlockDim),
                 kBlockDim, [&](device::BlockCtx& b) {
                   b.for_each_thread([&](std::int64_t i) {
                     if (i >= n) return;
                     const auto u = static_cast<std::size_t>(i);
-                    const std::int32_t child =
+                    const std::int64_t child =
                         def[static_cast<std::size_t>(node_of[u])];
-                    if (child >= 0) node_of[u] = child;
+                    if (child >= 0) {
+                      node_of[u] = static_cast<std::int32_t>(child);
+                    }
                   });
                   b.reads_tile(node_of, n);
                   b.writes_tile(node_of, n);

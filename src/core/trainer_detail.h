@@ -107,6 +107,33 @@ struct LevelPlan {
   std::vector<ActiveNode> next_active;     // children, in slot order
   /// next_slot_of_tree[tree_node] = slot in next_active, or -1.
   std::vector<std::int32_t> next_slot_of_tree;
+  /// The children reach the depth limit and become leaves: the apply step
+  /// updates only the instance->node map (all SmartGD reads) and skips the
+  /// re-layout of the attribute lists, which the next tree rebuilds anyway.
+  bool children_are_leaves = false;
+};
+
+/// One split step's host->device lookup tables, packed into one arena block
+/// so the step pays a single latency-bound PCI-e upload.  mark_sides uploads
+/// it; it stays in TrainState for the partition step, which the sharded path
+/// runs after node_sync.  Every column is a span of int64 words in `block`.
+struct SplitTables {
+  device::ArenaBuffer<std::int64_t> block;
+  // Indexed by tree node.
+  std::span<const std::int64_t> default_child;  // -1: the node does not split
+  std::span<const std::int64_t> next_slot;  // next level's slot, or -1; empty
+                                            // when the children are leaves
+  // Indexed by active slot: the split command of the exact-side kernels.
+  // Non-splitting slots keep chosen_seg = -1 (matches no segment).
+  std::span<const std::int64_t> chosen_seg;
+  std::span<const std::int64_t> best_pos;
+  std::span<const std::int64_t> left_id;
+  std::span<const std::int64_t> right_id;
+  // Directly-Split-RLE only: the children's next-level slots per active slot
+  // (-1 = leaf), and the parent slot per next-level slot.
+  std::span<const std::int64_t> left_slot;
+  std::span<const std::int64_t> right_slot;
+  std::span<const std::int64_t> parent_slot;
 };
 
 struct TrainState {
@@ -150,6 +177,9 @@ struct TrainState {
   // reused by the apply phase of the same level.
   device::ArenaBuffer<std::int32_t> keys;
   device::ArenaBuffer<std::int32_t> run_keys;
+
+  // The current split step's uploaded tables (mark_sides to partition).
+  SplitTables split_tables;
 
   // ---- per-instance state ------------------------------------------------
   device::DeviceBuffer<double> grad;
@@ -202,18 +232,24 @@ void alloc_instance_state(TrainState& st);
 [[nodiscard]] device::ArenaBuffer<std::int64_t> device_node_offsets(
     TrainState& st, std::int64_t n_slots, std::int64_t stride);
 
-/// Per-slot split command for the exact-side kernels, packed into one record
-/// so mark_sides pays a single latency-bound per-level upload instead of
-/// four.  Non-splitting slots keep chosen_seg = -1 (matches no segment).
-struct SplitCmd {
-  std::int64_t chosen_seg = -1;
-  std::int64_t best_pos = -1;
-  std::int32_t left_id = -1;
-  std::int32_t right_id = -1;
-};
+/// Builds and uploads the split step's tables for `plan` (one transfer).
+/// next_slot is filled unless the children are leaves; the child-slot
+/// columns too when `child_slots` is set (Directly-Split-RLE).
+[[nodiscard]] SplitTables upload_split_tables(TrainState& st,
+                                              const LevelPlan& plan,
+                                              bool child_slots);
 
-[[nodiscard]] device::ArenaBuffer<SplitCmd> upload_split_cmds(
-    TrainState& st, const LevelPlan& plan);
+/// Elements the partition keeps: all of a splitting slot's segments (its
+/// instances move to the two children), none of a leaf's.  Host glue over
+/// the element-domain offsets, so the moved lists can be sized before the
+/// partition writes them.
+[[nodiscard]] std::int64_t kept_elements(const TrainState& st,
+                                         const LevelPlan& plan);
+
+/// Releases the working layout, its keys and the split tables after a level
+/// whose children are leaves: nothing reads them before reset_working_layout
+/// rebuilds the lists for the next tree.
+void release_working_layout(TrainState& st);
 
 /// Per-segment gain winners of one level's find step (sparse or RLE).  The
 /// fused pipeline writes val / idx / dir directly; the GBDT_UNFUSED_SPLIT
@@ -237,8 +273,10 @@ struct SegmentWinners {
     const char* seg_name, const char* node_name, std::vector<BestSplit>& out);
 
 /// Sparse (uncompressed) path.  apply_splits_sparse = mark_sides +
-/// partition; the halves are exposed separately because the multi-GPU
-/// trainer synchronises the instance->node map between them.
+/// partition (mark_sides alone when the children are leaves); the halves are
+/// exposed separately because the multi-GPU trainer synchronises the
+/// instance->node map between them.  mark_sides uploads st.split_tables,
+/// the partition consumes them.
 [[nodiscard]] std::vector<BestSplit> find_splits_sparse(TrainState& st);
 void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan);
 void apply_partition_sparse(TrainState& st, const LevelPlan& plan);
@@ -266,14 +304,16 @@ void reset_working_layout(TrainState& st);
 void apply_splits_rle(TrainState& st, const LevelPlan& plan);
 
 /// Per-tree-node table of where a splitting node's instances go by default
-/// (-1 for every other node), sized by the current tree and uploaded.
+/// (-1 for every other node), sized by the current tree and uploaded (the
+/// out-of-core path's one split-step upload).
 [[nodiscard]] device::ArenaBuffer<std::int32_t> upload_default_children(
     TrainState& st, const LevelPlan& plan);
 
-/// Shared by both paths: updates node_of for every instance of a splitting
-/// node to the default child, then lets the path-specific element/run kernel
-/// overwrite the exact side for present instances.
-void assign_default_children(TrainState& st, const LevelPlan& plan);
+/// Shared by the sparse and RLE paths: updates node_of for every instance of
+/// a splitting node to its default child (st.split_tables), then lets the
+/// path-specific element/run kernel overwrite the exact side for present
+/// instances.
+void assign_default_children(TrainState& st);
 
 /// Arena-pooled upload: checks a block out of the arena and copies the host
 /// vector into it (PCI-e accounted), so per-level lookup tables stop hitting

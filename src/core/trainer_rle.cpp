@@ -262,10 +262,11 @@ namespace {
 
 /// Exact side assignment through the runs of the winning segments: the
 /// sorted prefix of runs up to the split position goes left.
-void assign_exact_side_rle(TrainState& st, std::span<const SplitCmd> cmd) {
+void assign_exact_side_rle(TrainState& st) {
   auto& dev = st.dev;
   const std::int64_t n_runs = st.n_runs;
   const std::int64_t n_attr = st.n_attr;
+  const SplitTables& t = st.split_tables;
   {
     auto k = st.run_keys.span();
     auto starts = st.run_starts.span();
@@ -279,10 +280,10 @@ void assign_exact_side_rle(TrainState& st, std::span<const SplitCmd> cmd) {
                    const auto u = static_cast<std::size_t>(r);
                    const std::int64_t seg = k[u];
                    const auto slot = static_cast<std::size_t>(seg / n_attr);
-                   if (cmd[slot].chosen_seg != seg) return;
-                   const std::int32_t target = r <= cmd[slot].best_pos
-                                                   ? cmd[slot].left_id
-                                                   : cmd[slot].right_id;
+                   if (t.chosen_seg[slot] != seg) return;
+                   const auto target = static_cast<std::int32_t>(
+                       r <= t.best_pos[slot] ? t.left_id[slot]
+                                             : t.right_id[slot]);
                    b.reads(inst, starts[u], starts[u + 1] - starts[u]);
                    for (std::int64_t e = starts[u]; e < starts[u + 1]; ++e) {
                      node_of[static_cast<std::size_t>(
@@ -304,75 +305,51 @@ void assign_exact_side_rle(TrainState& st, std::span<const SplitCmd> cmd) {
   }
 }
 
-/// Child-slot tables of one level, checked out of the workspace arena.
-struct ChildSlotTables {
-  device::ArenaBuffer<std::int32_t> left_slot;  // per active slot, -1 = leaf
-  device::ArenaBuffer<std::int32_t> right_slot;
-  device::ArenaBuffer<std::int32_t> parent_slot;  // per next-level slot
+/// Element-domain result of one RLE partition.
+struct RlePartition {
+  device::ArenaBuffer<std::int64_t> elem_offsets;  // new segment offsets
+  // Directly-Split-RLE: each old run's left/right child lengths.
+  device::ArenaBuffer<std::int64_t> len_l;
+  device::ArenaBuffer<std::int64_t> len_r;
+  // Decompress fallback: each old element's destination (-1 = dropped).
+  device::ArenaBuffer<std::int64_t> scatter;
 };
 
-ChildSlotTables build_child_slot_tables(TrainState& st,
-                                        const LevelPlan& plan) {
-  const auto n_slots = st.active.size();
-  const auto n_new_slots = plan.next_active.size();
-  std::vector<std::int32_t> left_slot(n_slots, -1), right_slot(n_slots, -1);
-  std::vector<std::int32_t> parent_slot(n_new_slots, -1);
-  for (std::size_t s = 0; s < n_slots; ++s) {
-    const auto& e = plan.per_slot[s];
-    if (!e.split) continue;
-    left_slot[s] = plan.next_slot_of_tree[static_cast<std::size_t>(e.left_id)];
-    right_slot[s] =
-        plan.next_slot_of_tree[static_cast<std::size_t>(e.right_id)];
-    parent_slot[static_cast<std::size_t>(left_slot[s])] =
-        static_cast<std::int32_t>(s);
-    parent_slot[static_cast<std::size_t>(right_slot[s])] =
-        static_cast<std::int32_t>(s);
-  }
-  ChildSlotTables t;
-  t.left_slot = upload_pooled(st.dev, st.arena, left_slot);
-  t.right_slot = upload_pooled(st.dev, st.arena, right_slot);
-  t.parent_slot = upload_pooled(st.dev, st.arena, parent_slot);
-  return t;
-}
-
 /// Per-element partition ids and the order-preserving partition of the
-/// (uncompressed) instance ids.  Returns the new element-domain segment
-/// offsets; st.inst is replaced.  Must run after the exact-side assignment
-/// and after any consumer of the *old* element domain (e.g. the child-length
-/// counting of Directly-Split-RLE).
-/// When `slots` is non-null (Directly-Split-RLE), the same pass also counts
-/// each run's left/right child lengths (paper Figure 7 middle row) into
-/// len_l/len_r — the counting must see the *old* element domain, and fusing
-/// it here avoids a second irregular sweep over the instance ids.
-device::ArenaBuffer<std::int64_t> partition_instances_rle(
-    TrainState& st, const LevelPlan& plan,
-    device::ArenaBuffer<std::int64_t>& scatter, const ChildSlotTables* slots,
-    device::ArenaBuffer<std::int64_t>* len_l,
-    device::ArenaBuffer<std::int64_t>* len_r) {
+/// (uncompressed) instance ids; st.inst is replaced.  Must run after the
+/// exact-side assignment.  Directly-Split-RLE's partition moves the instance
+/// ids itself, and its part-id pass also counts each run's left/right child
+/// lengths (paper Figure 7 middle row): the counting must see the *old*
+/// element domain, and fusing it here avoids a second irregular sweep over
+/// the instance ids.  The decompress fallback keeps the scatter index, which
+/// also moves the values it decompresses next.
+RlePartition partition_instances_rle(TrainState& st, const LevelPlan& plan) {
   auto& dev = st.dev;
   const std::int64_t n_runs = st.n_runs;
   const std::int64_t n = st.n_elems;
   const std::int64_t n_attr = st.n_attr;
+  const bool direct = st.param.use_direct_rle_split;
+  RlePartition out;
+  if (direct) {
+    out.len_l = st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_runs));
+    out.len_r = st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_runs));
+  }
 
   // Partition ids in the element domain (attribute comes from the run).
   const auto n_new_slots = static_cast<std::int64_t>(plan.next_active.size());
   const std::int64_t n_parts = n_new_slots * n_attr;
-  auto d_next_slot = upload_pooled(dev, st.arena, plan.next_slot_of_tree);
   auto part_ids = st.arena.alloc<std::int32_t>(static_cast<std::size_t>(n));
   {
     auto k = st.run_keys.span();
     auto starts = st.run_starts.span();
     auto inst = st.inst.span();
     auto node_of = st.node_of.span();
-    auto nsl = d_next_slot.span();
+    auto nsl = st.split_tables.next_slot;
     auto p = part_ids.span();
-    const bool count_children = slots != nullptr;
-    auto ls = count_children ? slots->left_slot.span()
-                             : std::span<const std::int32_t>{};
-    auto rs = count_children ? slots->right_slot.span()
-                             : std::span<const std::int32_t>{};
-    auto ll = count_children ? len_l->span() : std::span<std::int64_t>{};
-    auto lr = count_children ? len_r->span() : std::span<std::int64_t>{};
+    auto ls = st.split_tables.left_slot;
+    auto rs = st.split_tables.right_slot;
+    auto ll = out.len_l.span();
+    auto lr = out.len_r.span();
     dev.launch("rle_compute_part_ids", device::grid_for(n_runs, kBlockDim),
                kBlockDim, [&](BlockCtx& b) {
                  std::uint64_t touched = 0;
@@ -387,18 +364,18 @@ device::ArenaBuffer<std::int64_t> partition_instances_rle(
                    b.writes(p, starts[u], starts[u + 1] - starts[u]);
                    for (std::int64_t e = starts[u]; e < starts[u + 1]; ++e) {
                      const auto eu = static_cast<std::size_t>(e);
-                     const std::int32_t ns =
+                     const std::int64_t ns =
                          nsl[static_cast<std::size_t>(node_of[static_cast<std::size_t>(inst[eu])])];
                      p[eu] = ns < 0 ? -1
                                     : static_cast<std::int32_t>(
                                           ns * n_attr + attr);
-                     if (count_children) {
+                     if (direct) {
                        cl += ns == ls[old_slot];
                        cr += ns == rs[old_slot];
                      }
                      ++touched;
                    }
-                   if (count_children) {
+                   if (direct) {
                      ll[u] = cl;
                      lr[u] = cr;
                      b.writes(ll, r);
@@ -416,16 +393,41 @@ device::ArenaBuffer<std::int64_t> partition_instances_rle(
   const auto pplan = prim::plan_partition(
       n, n_parts, st.param.partition_counter_budget,
       st.param.use_custom_idxcomp_workload);
-  auto new_offsets =
+  out.elem_offsets =
       st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_parts) + 1);
-  prim::histogram_partition(dev, part_ids.span(), n_parts, scatter.span(),
-                            new_offsets.span(), pplan, &st.arena);
-  const std::int64_t new_n = new_offsets[static_cast<std::size_t>(n_parts)];
+  if (direct) {
+    const std::int64_t new_n = kept_elements(st, plan);
+    auto new_inst =
+        st.arena.alloc<std::int32_t>(static_cast<std::size_t>(new_n));
+    auto inst = st.inst.span();
+    auto ni = new_inst.span();
+    prim::histogram_partition_emit(
+        dev, part_ids.span(), n_parts, out.elem_offsets.span(), pplan,
+        &st.arena,
+        [inst, ni](BlockCtx& b, std::int64_t e, std::int64_t dst) {
+          if (dst < 0) return;
+          ni[static_cast<std::size_t>(dst)] = inst[static_cast<std::size_t>(e)];
+          // Destinations are unique by construction of the order-preserving
+          // partition; the auditor verifies it.
+          b.reads(inst, e);
+          b.writes(ni, dst);
+          b.mem_coalesced(sizeof(std::int32_t));
+          b.mem_irregular(e % 4 == 0 ? 1 : 0);  // scatter fronts
+        });
+    st.inst = std::move(new_inst);
+    st.n_elems = new_n;
+    return out;
+  }
 
+  out.scatter = st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n));
+  prim::histogram_partition(dev, part_ids.span(), n_parts, out.scatter.span(),
+                            out.elem_offsets.span(), pplan, &st.arena);
+  const std::int64_t new_n =
+      out.elem_offsets[static_cast<std::size_t>(n_parts)];
   auto new_inst = st.arena.alloc<std::int32_t>(static_cast<std::size_t>(new_n));
   {
     auto inst = st.inst.span();
-    auto sc = scatter.span();
+    auto sc = out.scatter.span();
     auto ni = new_inst.span();
     dev.launch("rle_scatter_inst", device::grid_for(n, kBlockDim), kBlockDim,
                [&](BlockCtx& b) {
@@ -448,24 +450,20 @@ device::ArenaBuffer<std::int64_t> partition_instances_rle(
   }
   st.inst = std::move(new_inst);
   st.n_elems = new_n;
-  return new_offsets;
+  return out;
 }
 
 /// Directly-Split-RLE (paper Figure 7): every run of a splitting node
 /// pre-allocates a left and a right child run with the precomputed child
 /// lengths; zero-length runs are removed by prefix-sum compaction.
-void direct_split_runs(TrainState& st, const ChildSlotTables& slots,
-                       const device::ArenaBuffer<std::int64_t>& len_l,
-                       const device::ArenaBuffer<std::int64_t>& len_r,
-                       std::int64_t n_new_slots,
-                       device::ArenaBuffer<std::int64_t>& new_elem_offsets) {
+void direct_split_runs(TrainState& st, RlePartition& part,
+                       std::int64_t n_new_slots) {
   auto& dev = st.dev;
   const std::int64_t n_runs = st.n_runs;
   const std::int64_t n_attr = st.n_attr;
   const std::int64_t n_new_seg = n_new_slots * n_attr;
-  const auto& d_left_slot = slots.left_slot;
-  const auto& d_right_slot = slots.right_slot;
-  const auto& d_parent_slot = slots.parent_slot;
+  const auto& len_l = part.len_l;
+  const auto& len_r = part.len_r;
 
   // Candidate layout: for each new segment, one candidate slot per run of
   // the parent segment.
@@ -473,18 +471,17 @@ void direct_split_runs(TrainState& st, const ChildSlotTables& slots,
       st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_new_seg));
   {
     auto roff = st.run_seg_offsets.span();
-    auto ps = d_parent_slot.span();
+    auto ps = st.split_tables.parent_slot;
     auto cc = cand_counts.span();
     dev.launch("rle_cand_counts", device::grid_for(n_new_seg, kBlockDim),
                kBlockDim, [&](BlockCtx& b) {
                  b.for_each_thread([&](std::int64_t nseg) {
                    if (nseg >= n_new_seg) return;
                    const auto u = static_cast<std::size_t>(nseg);
-                   const std::int32_t parent =
+                   const std::int64_t parent =
                        ps[static_cast<std::size_t>(nseg / n_attr)];
                    const auto pseg = static_cast<std::size_t>(
-                       static_cast<std::int64_t>(parent) * n_attr +
-                       nseg % n_attr);
+                       parent * n_attr + nseg % n_attr);
                    b.reads(ps, nseg / n_attr);
                    b.reads(roff, static_cast<std::int64_t>(pseg), 2);
                    cc[u] = roff[pseg + 1] - roff[pseg];
@@ -513,8 +510,8 @@ void direct_split_runs(TrainState& st, const ChildSlotTables& slots,
     auto k = st.run_keys.span();
     auto roff = st.run_seg_offsets.span();
     auto rv = st.run_values.span();
-    auto ls = d_left_slot.span();
-    auto rs = d_right_slot.span();
+    auto ls = st.split_tables.left_slot;
+    auto rs = st.split_tables.right_slot;
     auto ll = len_l.span();
     auto lr = len_r.span();
     auto cb = cand_base.span();
@@ -531,10 +528,10 @@ void direct_split_runs(TrainState& st, const ChildSlotTables& slots,
                    const std::int64_t attr = seg % n_attr;
                    const std::int64_t r_local =
                        r - roff[static_cast<std::size_t>(seg)];
-                   const auto lseg = static_cast<std::size_t>(
-                       static_cast<std::int64_t>(ls[slot]) * n_attr + attr);
-                   const auto rseg = static_cast<std::size_t>(
-                       static_cast<std::int64_t>(rs[slot]) * n_attr + attr);
+                   const auto lseg =
+                       static_cast<std::size_t>(ls[slot] * n_attr + attr);
+                   const auto rseg =
+                       static_cast<std::size_t>(rs[slot] * n_attr + attr);
                    const auto lpos =
                        static_cast<std::size_t>(cb[lseg] + r_local);
                    const auto rpos =
@@ -686,17 +683,16 @@ void direct_split_runs(TrainState& st, const ChildSlotTables& slots,
   st.run_starts = std::move(new_starts);
   st.run_seg_offsets = std::move(new_seg_off);
   st.n_runs = n_new_runs;
-  st.seg_offsets = std::move(new_elem_offsets);
+  st.seg_offsets = std::move(part.elem_offsets);
 }
 
 /// Decompress -> partition -> recompress fallback (paper Figure 6).  The
 /// repeated (de)compression every level is the cost Directly-Split-RLE
 /// avoids; Figure 9 quantifies the difference.
-void decompress_split_runs(TrainState& st,
-                           device::ArenaBuffer<std::int64_t>& scatter,
-                           device::ArenaBuffer<std::int64_t>& new_elem_offsets,
+void decompress_split_runs(TrainState& st, RlePartition& part,
                            std::int64_t old_n_elems) {
   auto& dev = st.dev;
+  const auto& scatter = part.scatter;
   const std::int64_t n_runs = st.n_runs;
 
   // Decompress the runs into the (old) element domain.
@@ -758,59 +754,47 @@ void decompress_split_runs(TrainState& st,
   // device buffers; the arena adopts them so next level's checkouts reuse
   // the storage instead of growing the device heap.
   auto compressed = rle::compress(dev, new_values.span(),
-                                  new_elem_offsets.span(), &st.arena);
+                                  part.elem_offsets.span(), &st.arena);
   st.n_runs = compressed.n_runs;
   st.run_values = st.arena.adopt(std::move(compressed.values));
   st.run_starts = st.arena.adopt(std::move(compressed.starts));
   st.run_seg_offsets = st.arena.adopt(std::move(compressed.seg_offsets));
-  st.seg_offsets = std::move(new_elem_offsets);
+  st.seg_offsets = std::move(part.elem_offsets);
 }
 
 }  // namespace
 
 void apply_splits_rle(TrainState& st, const LevelPlan& plan) {
   const std::int64_t old_n_elems = st.n_elems;
+  const bool direct = st.param.use_direct_rle_split;
 
-  assign_default_children(st, plan);
-
-  auto d_cmd = upload_split_cmds(st, plan);
-
+  // The split step's one upload, then the default and exact sides.
+  st.split_tables = upload_split_tables(st, plan, /*child_slots=*/direct);
+  assign_default_children(st);
   {
     obs::ScopedSpan span("mark_sides");
-    assign_exact_side_rle(st, d_cmd.span());
+    assign_exact_side_rle(st);
+  }
+  if (plan.children_are_leaves) {
+    release_working_layout(st);
+    return;
   }
 
-  // Directly-Split-RLE needs the child lengths per run, counted on the old
-  // element domain; the partition pass below counts them on the fly.
-  ChildSlotTables slots;
-  device::ArenaBuffer<std::int64_t> len_l, len_r;
-  const bool direct = st.param.use_direct_rle_split;
-  if (direct) {
-    slots = build_child_slot_tables(st, plan);
-    len_l = st.arena.alloc<std::int64_t>(static_cast<std::size_t>(st.n_runs));
-    len_r = st.arena.alloc<std::int64_t>(static_cast<std::size_t>(st.n_runs));
-  }
-
-  auto scatter =
-      st.arena.alloc<std::int64_t>(static_cast<std::size_t>(old_n_elems));
-  device::ArenaBuffer<std::int64_t> new_elem_offsets;
+  RlePartition part;
   {
     obs::ScopedSpan span("partition");
-    new_elem_offsets = partition_instances_rle(
-        st, plan, scatter, direct ? &slots : nullptr,
-        direct ? &len_l : nullptr, direct ? &len_r : nullptr);
+    part = partition_instances_rle(st, plan);
   }
-
-  if (st.param.use_direct_rle_split) {
+  if (direct) {
     obs::ScopedSpan span("rle_direct_split");
-    direct_split_runs(st, slots, len_l, len_r,
-                      static_cast<std::int64_t>(plan.next_active.size()),
-                      new_elem_offsets);
+    direct_split_runs(st, part,
+                      static_cast<std::int64_t>(plan.next_active.size()));
   } else {
     obs::ScopedSpan span("rle_decompress_split");
-    decompress_split_runs(st, scatter, new_elem_offsets, old_n_elems);
+    decompress_split_runs(st, part, old_n_elems);
   }
   st.run_keys.free();
+  st.split_tables = {};
 
   testing::check_rle_layout(
       st, static_cast<std::int64_t>(plan.next_active.size()) * st.n_attr,

@@ -321,11 +321,10 @@ void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan) {
   const std::int64_t n = st.n_elems;
   const std::int64_t n_attr = st.n_attr;
 
-  assign_default_children(st, plan);
-
-  // Per-slot split commands for the element-side exact assignment, packed
-  // into one per-level upload.
-  auto d_cmd = upload_split_cmds(st, plan);
+  // The split step's one upload: default children, split commands and the
+  // partition's next-slot map.
+  st.split_tables = upload_split_tables(st, plan, /*child_slots=*/false);
+  assign_default_children(st);
 
   // Exact side for instances present on the winning attribute: the sorted
   // prefix up to the split position goes left (high values), the rest right.
@@ -333,7 +332,7 @@ void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan) {
     auto k = st.keys.span();
     auto inst = st.inst.span();
     auto node_of = st.node_of.span();
-    auto cmd = d_cmd.span();
+    const SplitTables& t = st.split_tables;
     dev.launch("assign_exact_side", device::grid_for(n, kBlockDim), kBlockDim,
                [&](BlockCtx& b) {
                  std::uint64_t writes = 0;
@@ -342,10 +341,11 @@ void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan) {
                    const auto u = static_cast<std::size_t>(e);
                    const std::int64_t seg = k[u];
                    const auto slot = static_cast<std::size_t>(seg / n_attr);
-                   if (cmd[slot].chosen_seg != seg) return;
+                   if (t.chosen_seg[slot] != seg) return;
                    node_of[static_cast<std::size_t>(inst[u])] =
-                       e <= cmd[slot].best_pos ? cmd[slot].left_id
-                                               : cmd[slot].right_id;
+                       static_cast<std::int32_t>(e <= t.best_pos[slot]
+                                                     ? t.left_id[slot]
+                                                     : t.right_id[slot]);
                    // An instance appears once per attribute and only the
                    // winning attribute's segment writes, so these scattered
                    // stores are block-disjoint; the auditor verifies it.
@@ -359,6 +359,7 @@ void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan) {
                  b.mem_irregular(writes + m / 8);
                });
   }
+  if (plan.children_are_leaves) release_working_layout(st);
 }
 
 void apply_partition_sparse(TrainState& st, const LevelPlan& plan) {
@@ -371,20 +372,19 @@ void apply_partition_sparse(TrainState& st, const LevelPlan& plan) {
   // elements of nodes that became leaves.
   const auto n_new_slots = static_cast<std::int64_t>(plan.next_active.size());
   const std::int64_t n_parts = n_new_slots * n_attr;
-  auto d_next_slot = upload_pooled(dev, st.arena, plan.next_slot_of_tree);
   auto part_ids = st.arena.alloc<std::int32_t>(static_cast<std::size_t>(n));
   {
     auto k = st.keys.span();
     auto inst = st.inst.span();
     auto node_of = st.node_of.span();
-    auto ns = d_next_slot.span();
+    auto ns = st.split_tables.next_slot;
     auto p = part_ids.span();
     dev.launch("compute_part_ids", device::grid_for(n, kBlockDim), kBlockDim,
                [&](BlockCtx& b) {
                  b.for_each_thread([&](std::int64_t e) {
                    if (e >= n) return;
                    const auto u = static_cast<std::size_t>(e);
-                   const std::int32_t slot =
+                   const std::int64_t slot =
                        ns[static_cast<std::size_t>(node_of[static_cast<std::size_t>(inst[u])])];
                    p[u] = slot < 0 ? -1
                                    : static_cast<std::int32_t>(
@@ -399,49 +399,41 @@ void apply_partition_sparse(TrainState& st, const LevelPlan& plan) {
                  b.mem_irregular(m);  // node_of[inst[e]]
                });
   }
+  st.split_tables = {};
 
-  // Order-preserving histogram partition (paper Figures 2-3).
+  // Order-preserving histogram partition (paper Figures 2-3) whose replay
+  // pass moves each kept element's value and instance id straight to its
+  // destination.
   const auto pplan = prim::plan_partition(
       n, n_parts, st.param.partition_counter_budget,
       st.param.use_custom_idxcomp_workload);
-  auto scatter = st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n));
+  const std::int64_t new_n = kept_elements(st, plan);
   auto new_offsets =
       st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_parts) + 1);
-  prim::histogram_partition(dev, part_ids.span(), n_parts, scatter.span(),
-                            new_offsets.span(), pplan, &st.arena);
-  const std::int64_t new_n =
-      new_offsets[static_cast<std::size_t>(n_parts)];
-
   auto new_values = st.arena.alloc<float>(static_cast<std::size_t>(new_n));
   auto new_inst = st.arena.alloc<std::int32_t>(static_cast<std::size_t>(new_n));
   {
     auto v = st.values.span();
     auto inst = st.inst.span();
-    auto sc = scatter.span();
     auto nv = new_values.span();
     auto ni = new_inst.span();
-    dev.launch("apply_scatter", device::grid_for(n, kBlockDim), kBlockDim,
-               [&](BlockCtx& b) {
-                 b.for_each_thread([&](std::int64_t e) {
-                   if (e >= n) return;
-                   const auto u = static_cast<std::size_t>(e);
-                   const std::int64_t dst = sc[u];
-                   if (dst >= 0) {
-                     nv[static_cast<std::size_t>(dst)] = v[u];
-                     ni[static_cast<std::size_t>(dst)] = inst[u];
-                     // Scatter targets are unique by construction of the
-                     // order-preserving partition; the auditor verifies it.
-                     b.writes(nv, dst);
-                     b.writes(ni, dst);
-                   }
-                 });
-                 b.reads_tile(v, n);
-                 b.reads_tile(inst, n);
-                 b.reads_tile(sc, n);
-                 const auto m = elems_in_block(b, n);
-                 b.mem_coalesced(m * 16);
-                 b.mem_irregular(m / 4 + 1);  // scatter fronts
-               });
+    prim::histogram_partition_emit(
+        dev, part_ids.span(), n_parts, new_offsets.span(), pplan, &st.arena,
+        [v, inst, nv, ni](BlockCtx& b, std::int64_t e, std::int64_t dst) {
+          if (dst < 0) return;
+          const auto u = static_cast<std::size_t>(e);
+          const auto d = static_cast<std::size_t>(dst);
+          nv[d] = v[u];
+          ni[d] = inst[u];
+          // Destinations are unique by construction of the order-preserving
+          // partition; the auditor verifies it.
+          b.reads(v, e);
+          b.reads(inst, e);
+          b.writes(nv, dst);
+          b.writes(ni, dst);
+          b.mem_coalesced(sizeof(float) + sizeof(std::int32_t));
+          b.mem_irregular(e % 4 == 0 ? 1 : 0);  // scatter fronts
+        });
   }
 
   st.values = std::move(new_values);
@@ -456,7 +448,7 @@ void apply_partition_sparse(TrainState& st, const LevelPlan& plan) {
 
 void apply_splits_sparse(TrainState& st, const LevelPlan& plan) {
   apply_mark_sides_sparse(st, plan);
-  apply_partition_sparse(st, plan);
+  if (!plan.children_are_leaves) apply_partition_sparse(st, plan);
 }
 
 }  // namespace gbdt::detail

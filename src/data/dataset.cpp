@@ -1,21 +1,36 @@
 #include "data/dataset.h"
 
-#include <cassert>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace gbdt::data {
 
 void Dataset::add_instance(std::span<const Entry> entries, float label) {
-#ifndef NDEBUG
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    assert(entries[i].attr >= 0 && entries[i].attr < n_attributes_ &&
-           "entry attribute out of range");
-    for (std::size_t j = i + 1; j < entries.size(); ++j) {
-      assert(entries[i].attr != entries[j].attr && "duplicate attribute");
+  // Checked in every build: the CSC build indexes per-attribute counters by
+  // attr and the sorted layout assumes one entry per attribute.
+  const auto reject = [this](const std::string& why) {
+    throw std::invalid_argument("row " + std::to_string(n_instances()) +
+                                ": " + why);
+  };
+  if (!std::isfinite(label)) reject("label is not finite");
+  std::int32_t prev = -1;
+  for (const Entry& e : entries) {
+    if (e.attr <= prev || e.attr >= n_attributes_) [[unlikely]] {
+      if (e.attr < 0 || e.attr >= n_attributes_) {
+        reject("attribute " + std::to_string(e.attr) + " outside [0, " +
+               std::to_string(n_attributes_) + ")");
+      }
+      reject("attributes not strictly increasing (" + std::to_string(prev) +
+             " then " + std::to_string(e.attr) + ")");
     }
+    prev = e.attr;
   }
-#endif
+  append_row(entries, label);
+}
+
+void Dataset::append_row(std::span<const Entry> entries, float label) {
   entries_.insert(entries_.end(), entries.begin(), entries.end());
   row_offsets_.push_back(static_cast<std::int64_t>(entries_.size()));
   labels_.push_back(label);
@@ -43,7 +58,9 @@ std::pair<Dataset, Dataset> Dataset::split_at(std::int64_t head) const {
   Dataset a(n_attributes_);
   Dataset b(n_attributes_);
   for (std::int64_t i = 0; i < n_instances(); ++i) {
-    (i < head ? a : b).add_instance(instance(i), labels_[static_cast<std::size_t>(i)]);
+    // Rows of a dataset passed add_instance's checks already.
+    (i < head ? a : b)
+        .append_row(instance(i), labels_[static_cast<std::size_t>(i)]);
   }
   return {std::move(a), std::move(b)};
 }

@@ -24,8 +24,9 @@ class Dataset {
   Dataset() = default;
   explicit Dataset(std::int64_t n_attributes) : n_attributes_(n_attributes) {}
 
-  /// Appends an instance; entries must have attr in [0, n_attributes) and be
-  /// free of duplicate attributes (checked in debug builds).
+  /// Appends an instance.  Entries must have strictly increasing attributes
+  /// in [0, n_attributes) and the label must be finite; otherwise throws
+  /// std::invalid_argument naming the row, and the dataset is unchanged.
   void add_instance(std::span<const Entry> entries, float label);
 
   [[nodiscard]] std::int64_t n_instances() const {
@@ -86,6 +87,9 @@ class Dataset {
       std::int64_t head_queries) const;
 
  private:
+  /// Appends a row already known to be valid (add_instance's checks passed).
+  void append_row(std::span<const Entry> entries, float label);
+
   std::int64_t n_attributes_ = 0;
   std::vector<std::int64_t> row_offsets_{0};
   std::vector<Entry> entries_;

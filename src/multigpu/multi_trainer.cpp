@@ -536,8 +536,9 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
       }
     }
 
-    // 6. Local order-preserving partition of every shard's lists.
-    {
+    // 6. Local order-preserving partition of every shard's lists (none
+    //    when the children are leaves).
+    if (!plan.children_are_leaves) {
       obs::ScopedSpan span("partition");
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);

@@ -42,6 +42,7 @@ void on_transfer_slow(std::uint64_t bytes, double seconds) {
   Span* span = s->stack_.empty() ? &s->root_ : s->stack_.back();
   span->stats_.transfer_seconds += seconds;
   span->stats_.transfer_bytes += bytes;
+  ++span->stats_.transfers;
 }
 
 void note_device_usage_slow(std::size_t used_bytes) {
@@ -86,6 +87,12 @@ double Span::modeled_total_seconds() const {
   return total;
 }
 
+std::uint64_t Span::transfers_total() const {
+  std::uint64_t total = stats_.transfers;
+  for (const auto& c : children_) total += c->transfers_total();
+  return total;
+}
+
 std::size_t Span::peak_device_bytes_total() const {
   std::size_t peak = stats_.peak_device_bytes;
   for (const auto& c : children_) {
@@ -105,6 +112,7 @@ Json Span::to_json() const {
   j["transfer_seconds"] = Json(stats_.transfer_seconds);
   j["transfer_bytes"] = Json(stats_.transfer_bytes);
   j["launches"] = Json(stats_.launches);
+  j["transfers"] = Json(stats_.transfers);
   j["peak_device_bytes"] = Json(peak_device_bytes_total());
   if (!stats_.kernels.empty()) {
     Json kernels = Json::object();

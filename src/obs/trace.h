@@ -7,7 +7,8 @@
 //
 //   - wall seconds (host clock) and invocation count,
 //   - modeled kernel/transfer seconds plus per-kernel-label KernelStats
-//     (rolled up from Device::launch via the on_kernel hook),
+//     (rolled up from Device::launch via the on_kernel hook), and the
+//     launch and transfer counts,
 //   - the DeviceAllocator high-water mark observed while open.
 //
 // Repeated spans with the same name under the same parent merge, so the
@@ -84,6 +85,9 @@ struct SpanStats {
   double transfer_seconds = 0.0;     // modeled PCI-e time, this span only
   std::uint64_t transfer_bytes = 0;
   std::uint64_t launches = 0;
+  /// PCI-e and peer transfers: latency-bound at table sizes, so the count is
+  /// what a packed upload saves.
+  std::uint64_t transfers = 0;
   /// High-water mark of device-allocator usage observed while open (0 when
   /// nothing was allocated inside the span).
   std::size_t peak_device_bytes = 0;
@@ -113,6 +117,8 @@ class Span {
 
   /// Modeled seconds of this span plus all descendants.
   [[nodiscard]] double modeled_total_seconds() const;
+  /// Transfers of this span plus all descendants.
+  [[nodiscard]] std::uint64_t transfers_total() const;
   /// Peak device bytes over this span and all descendants.
   [[nodiscard]] std::size_t peak_device_bytes_total() const;
 

@@ -83,6 +83,99 @@ PartitionPlan plan_partition(std::int64_t n_elements, std::int64_t n_parts,
   return plan;
 }
 
+namespace partition_detail {
+
+Counters::Counters(device::Device& dev, const PartitionPlan& plan,
+                   device::WorkspaceArena* arena)
+    : arena_(arena) {
+  const std::size_t matrix = static_cast<std::size_t>(plan.parts_per_pass) *
+                             static_cast<std::size_t>(plan.n_threads);
+  if (arena != nullptr) {
+    pooled_counters_ = arena->alloc<std::int64_t>(matrix);
+    pooled_bases_ = arena->alloc<std::int64_t>(matrix);
+    cnt_ = pooled_counters_.span();
+    base_ = pooled_bases_.span();
+  } else {
+    owned_counters_ = dev.alloc<std::int64_t>(matrix);
+    owned_bases_ = dev.alloc<std::int64_t>(matrix);
+    cnt_ = owned_counters_.span();
+    base_ = owned_bases_.span();
+  }
+}
+
+void Counters::count_pass(device::Device& dev,
+                          std::span<const std::int32_t> ids,
+                          std::span<std::int64_t> part_offsets,
+                          const PartitionPlan& plan, std::int64_t p_lo,
+                          std::int64_t p_hi, std::int64_t placed_before) {
+  const auto n = static_cast<std::int64_t>(ids.size());
+  const std::int64_t threads = plan.n_threads;
+  const std::int64_t work = plan.workload;
+  const std::int64_t pass_parts = p_hi - p_lo;
+  const std::int64_t grid = device::grid_for(threads, kBlockDim);
+  auto cnt = cnt_;
+  auto base = base_;
+  auto offs = part_offsets;
+
+  // Partition-major counters, so a flat exclusive scan yields
+  // order-preserving global bases.
+  dev.launch("partition_count", grid, kBlockDim, [&](device::BlockCtx& b) {
+    std::uint64_t scanned = 0;
+    b.for_each_thread([&](std::int64_t t) {
+      if (t >= threads) return;
+      const std::int64_t lo = t * work;
+      const std::int64_t hi = std::min(lo + work, n);
+      for (std::int64_t p = 0; p < pass_parts; ++p) {
+        cnt[static_cast<std::size_t>(p * threads + t)] = 0;
+      }
+      for (std::int64_t i = lo; i < hi; ++i) {
+        const std::int32_t p = ids[static_cast<std::size_t>(i)];
+        if (p >= p_lo && p < p_hi) {
+          ++cnt[static_cast<std::size_t>((p - p_lo) * threads + t)];
+        }
+      }
+      scanned += static_cast<std::uint64_t>(std::max<std::int64_t>(0, hi - lo));
+    });
+    // Block footprint: threads [t_lo, t_hi) own elements [t_lo*work,
+    // t_hi*work) and, per partition, one contiguous counter slice.
+    const std::int64_t t_lo = b.block_idx() * b.block_dim();
+    const std::int64_t t_hi =
+        std::min<std::int64_t>(t_lo + b.block_dim(), threads);
+    if (t_hi > t_lo) {
+      const std::int64_t e_lo = std::min(t_lo * work, n);
+      const std::int64_t e_hi = std::min(t_hi * work, n);
+      b.reads(ids, e_lo, e_hi - e_lo);
+      for (std::int64_t p = 0; p < pass_parts; ++p) {
+        b.writes(cnt, p * threads + t_lo, t_hi - t_lo);
+      }
+    }
+    b.work(scanned);
+    b.mem_coalesced(scanned * sizeof(std::int32_t));
+    // Counter updates are strided (partition-major matrix).
+    b.mem_irregular(scanned / 4 + 1);
+  });
+
+  exclusive_scan(dev, cnt, base, "partition_scan", arena_);
+
+  // Record the start offset of each partition of this pass before the
+  // replay pass consumes the bases.
+  dev.launch("partition_offsets", device::grid_for(pass_parts, kBlockDim),
+             kBlockDim, [&](device::BlockCtx& b) {
+               b.for_each_thread([&](std::int64_t p) {
+                 if (p < pass_parts) {
+                   offs[static_cast<std::size_t>(p_lo + p)] =
+                       placed_before +
+                       base[static_cast<std::size_t>(p * threads)];
+                   b.reads(base, p * threads);
+                   b.writes(offs, p_lo + p);
+                 }
+               });
+               b.mem_coalesced(elems_in_block(b, pass_parts) * 16);
+             });
+}
+
+}  // namespace partition_detail
+
 void histogram_partition(device::Device& dev,
                          std::span<const std::int32_t> part_ids,
                          std::int64_t n_parts,
@@ -90,148 +183,14 @@ void histogram_partition(device::Device& dev,
                          std::span<std::int64_t> part_offsets,
                          const PartitionPlan& plan,
                          device::WorkspaceArena* arena) {
-  const std::int64_t n = static_cast<std::int64_t>(part_ids.size());
-  assert(static_cast<std::int64_t>(part_offsets.size()) == n_parts + 1);
-  if (n == 0) {
-    fill(dev, part_offsets, std::int64_t{0});
-    return;
-  }
-
-  const std::int64_t threads = plan.n_threads;
-  const std::int64_t work = plan.workload;
-  const std::int64_t grid = device::grid_for(threads, kBlockDim);
-
-  // Counter/base matrices: pooled when the caller has an arena (the
-  // trainers' per-level loops), otherwise one-shot device allocations.
-  const std::size_t matrix = static_cast<std::size_t>(plan.parts_per_pass) *
-                             static_cast<std::size_t>(threads);
-  device::DeviceBuffer<std::int64_t> owned_counters;
-  device::DeviceBuffer<std::int64_t> owned_bases;
-  device::ArenaBuffer<std::int64_t> pooled_counters;
-  device::ArenaBuffer<std::int64_t> pooled_bases;
-  if (arena != nullptr) {
-    pooled_counters = arena->alloc<std::int64_t>(matrix);
-    pooled_bases = arena->alloc<std::int64_t>(matrix);
-  } else {
-    owned_counters = dev.alloc<std::int64_t>(matrix);
-    owned_bases = dev.alloc<std::int64_t>(matrix);
-  }
-
-  auto ids = part_ids;
   auto scat = scatter_out;
-  auto offs = part_offsets;
-  auto cnt = arena != nullptr ? pooled_counters.span() : owned_counters.span();
-  auto base = arena != nullptr ? pooled_bases.span() : owned_bases.span();
-
-  std::int64_t placed_before = 0;  // outputs written by earlier passes
-  for (int pass = 0; pass < plan.passes; ++pass) {
-    const std::int64_t p_lo = static_cast<std::int64_t>(pass) * plan.parts_per_pass;
-    const std::int64_t p_hi = std::min(p_lo + plan.parts_per_pass, n_parts);
-    const std::int64_t pass_parts = p_hi - p_lo;
-
-    // Phase 1: per-(thread, partition) occurrence counts, partition-major so
-    // a flat exclusive scan yields order-preserving global bases.
-    dev.launch("partition_count", grid, kBlockDim, [&](device::BlockCtx& b) {
-      std::uint64_t scanned = 0;
-      b.for_each_thread([&](std::int64_t t) {
-        if (t >= threads) return;
-        const std::int64_t lo = t * work;
-        const std::int64_t hi = std::min(lo + work, n);
-        for (std::int64_t p = 0; p < pass_parts; ++p) {
-          cnt[static_cast<std::size_t>(p * threads + t)] = 0;
-        }
-        for (std::int64_t i = lo; i < hi; ++i) {
-          const std::int32_t p = ids[static_cast<std::size_t>(i)];
-          if (p >= p_lo && p < p_hi) {
-            ++cnt[static_cast<std::size_t>((p - p_lo) * threads + t)];
-          }
-        }
-        scanned += static_cast<std::uint64_t>(std::max<std::int64_t>(0, hi - lo));
+  histogram_partition_emit(
+      dev, part_ids, n_parts, part_offsets, plan, arena,
+      [scat](device::BlockCtx& b, std::int64_t i, std::int64_t dst) {
+        scat[static_cast<std::size_t>(i)] = dst;
+        b.writes(scat, i);
+        b.mem_coalesced(sizeof(std::int64_t));
       });
-      // Block footprint: threads [t_lo, t_hi) own elements [t_lo*work,
-      // t_hi*work) and, per partition, one contiguous counter slice.
-      const std::int64_t t_lo = b.block_idx() * b.block_dim();
-      const std::int64_t t_hi =
-          std::min<std::int64_t>(t_lo + b.block_dim(), threads);
-      if (t_hi > t_lo) {
-        const std::int64_t e_lo = std::min(t_lo * work, n);
-        const std::int64_t e_hi = std::min(t_hi * work, n);
-        b.reads(ids, e_lo, e_hi - e_lo);
-        for (std::int64_t p = 0; p < pass_parts; ++p) {
-          b.writes(cnt, p * threads + t_lo, t_hi - t_lo);
-        }
-      }
-      b.work(scanned);
-      b.mem_coalesced(scanned * sizeof(std::int32_t));
-      // Counter updates are strided (partition-major matrix).
-      b.mem_irregular(scanned / 4 + 1);
-    });
-
-    exclusive_scan(dev, cnt, base, "partition_scan", arena);
-
-    // Record the start offset of each partition of this pass before the
-    // scatter phase consumes the bases.
-    dev.launch("partition_offsets", device::grid_for(pass_parts, kBlockDim),
-               kBlockDim, [&](device::BlockCtx& b) {
-                 b.for_each_thread([&](std::int64_t p) {
-                   if (p < pass_parts) {
-                     offs[static_cast<std::size_t>(p_lo + p)] =
-                         placed_before +
-                         base[static_cast<std::size_t>(p * threads)];
-                     b.reads(base, p * threads);
-                     b.writes(offs, p_lo + p);
-                   }
-                 });
-                 b.mem_coalesced(elems_in_block(b, pass_parts) * 16);
-               });
-
-    // Phase 2: replay and scatter.  Each (thread, partition) base cell is
-    // owned by exactly one logical thread, so the increments are race-free.
-    dev.launch("partition_scatter", grid, kBlockDim, [&](device::BlockCtx& b) {
-      std::uint64_t scanned = 0;
-      std::uint64_t placed = 0;
-      b.for_each_thread([&](std::int64_t t) {
-        if (t >= threads) return;
-        const std::int64_t lo = t * work;
-        const std::int64_t hi = std::min(lo + work, n);
-        for (std::int64_t i = lo; i < hi; ++i) {
-          const auto u = static_cast<std::size_t>(i);
-          const std::int32_t p = ids[u];
-          if (p >= p_lo && p < p_hi) {
-            auto& cell = base[static_cast<std::size_t>((p - p_lo) * threads + t)];
-            scat[u] = placed_before + cell++;
-            ++placed;
-          } else if (pass == 0 && p < 0) {
-            scat[u] = -1;  // dropped
-          }
-        }
-        scanned += static_cast<std::uint64_t>(std::max<std::int64_t>(0, hi - lo));
-      });
-      const std::int64_t t_lo = b.block_idx() * b.block_dim();
-      const std::int64_t t_hi =
-          std::min<std::int64_t>(t_lo + b.block_dim(), threads);
-      if (t_hi > t_lo) {
-        const std::int64_t e_lo = std::min(t_lo * work, n);
-        const std::int64_t e_hi = std::min(t_hi * work, n);
-        b.reads(ids, e_lo, e_hi - e_lo);
-        b.writes(scat, e_lo, e_hi - e_lo);
-        for (std::int64_t p = 0; p < pass_parts; ++p) {
-          b.reads(base, p * threads + t_lo, t_hi - t_lo);
-          b.writes(base, p * threads + t_lo, t_hi - t_lo);
-        }
-      }
-      b.work(scanned);
-      b.mem_coalesced(scanned * (sizeof(std::int32_t) + sizeof(std::int64_t)));
-      b.mem_irregular(placed / 2 + 1);  // base cell read-modify-write
-    });
-
-    // Elements placed in this pass = scan total of the last pass counters.
-    const std::size_t last =
-        static_cast<std::size_t>(pass_parts * threads - 1);
-    placed_before += base[last];  // base[last] was incremented past its count
-  }
-
-  offs[static_cast<std::size_t>(n_parts)] = placed_before;
 }
 
 }  // namespace gbdt::prim

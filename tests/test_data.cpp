@@ -6,7 +6,9 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "data/csc_matrix.h"
 #include "data/dataset.h"
@@ -64,6 +66,35 @@ TEST(Dataset, SplitAtPreservesInstances) {
   EXPECT_EQ(b.instance(0).size(), 2u);
   EXPECT_EQ(b.labels()[0], 1.f);
   EXPECT_EQ(a.n_attributes(), 4);
+}
+
+// Replayable malformed rows: an unsorted row and attribute 40000 in a
+// 2-attribute dataset would make the CSC build index its per-attribute
+// counters out of bounds.  Every build (Release included) rejects such a row
+// and leaves the dataset unchanged.
+TEST(Dataset, AddInstanceRejectsMalformedRows) {
+  Dataset ds(2);
+  ds.add_instance(std::vector<Entry>{{0, 1.f}, {1, 2.f}}, 1.f);
+  const auto rejects = [&ds](std::vector<Entry> row, float label,
+                             const char* what) {
+    try {
+      ds.add_instance(row, label);
+      ADD_FAILURE() << "accepted a row with " << what;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("row 1"), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects({{1, 1.f}, {0, 2.f}}, 0.f, "unsorted attributes");
+  rejects({{0, 1.f}, {0, 2.f}}, 0.f, "a duplicate attribute");
+  rejects({{0, 1.f}, {40000, 2.f}}, 0.f, "an attribute past n_attributes");
+  rejects({{-1, 1.f}}, 0.f, "a negative attribute");
+  rejects({{0, 1.f}}, std::nanf(""), "a NaN label");
+  rejects({}, INFINITY, "an infinite label");
+  EXPECT_EQ(ds.n_instances(), 1);
+  EXPECT_EQ(ds.n_entries(), 2);
+  ds.add_instance(std::vector<Entry>{{1, 3.f}}, 0.f);
+  EXPECT_EQ(ds.n_instances(), 2);
 }
 
 TEST(CscHost, MatchesPaperSortedLists) {

@@ -140,6 +140,26 @@ TEST_F(FuzzOracleTest, PartitionFaultIsCaughtOnlyWhileArmed) {
   EXPECT_TRUE(good.pass()) << good.failure_report();
 }
 
+TEST_F(FuzzOracleTest, PartitionFaultIsCaughtAtDepthTwo) {
+  // A depth-2 tree partitions its attribute lists once, after the root
+  // split (the last level only re-maps instances to leaves), so the one
+  // partition must still be checked.
+  FuzzCase c = small_case();
+  c.depth = 2;
+  fault_injection().break_partition_order = true;
+  const OracleResult bad = run_oracle(c, /*check_invariants=*/true);
+  EXPECT_FALSE(bad.pass());
+  bool caught = false;
+  for (const auto& leg : bad.legs) {
+    if (leg.invariant_violation) {
+      caught = true;
+      EXPECT_NE(leg.detail.find("apply_partition_sparse"), std::string::npos)
+          << leg.detail;
+    }
+  }
+  EXPECT_TRUE(caught) << "no leg reported an invariant violation";
+}
+
 TEST_F(FuzzOracleTest, ChildCountFaultIsCaughtByConservationCheck) {
   fault_injection().break_child_counts = true;
   const OracleResult bad = run_oracle(small_case(), /*check_invariants=*/true);
@@ -156,8 +176,9 @@ TEST_F(FuzzOracleTest, ChildCountFaultIsCaughtByConservationCheck) {
 
 TEST_F(FuzzOracleTest, MinimizerShrinksAFailingCase) {
   // An always-firing fault makes every case fail, so the minimizer should
-  // drive each dimension to its floor.
-  fault_injection().break_partition_order = true;
+  // drive each dimension to its floor.  The conservation check runs on every
+  // splitting level, depth 1 included (a depth-1 tree never partitions).
+  fault_injection().break_child_counts = true;
   const FuzzCase big = FuzzCase::from_seed(0xb16ull);
   const FuzzCase small = minimize_case(big, /*check_invariants=*/true);
   EXPECT_EQ(small.n_instances, 10);

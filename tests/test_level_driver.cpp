@@ -153,11 +153,13 @@ TEST(LevelDriver, ChildrenComeOutInSlotOrder) {
 
 /// Scripted backend: the root holds 16 instances; `split_levels` levels of
 /// every tree split each node in half, after which find_splits reports no
-/// valid candidate.  Counts every step.
+/// valid candidate.  Counts every step and records each applied plan's
+/// children_are_leaves.
 struct Script {
   int split_levels = 0;
   int find_calls = 0;
   int apply_calls = 0;
+  std::vector<bool> leaf_children;
   int end_calls = 0;
   int level = 0;
   std::vector<const Tree*> prevs;
@@ -180,7 +182,10 @@ struct Script {
       }
       return best;
     };
-    b.apply_splits = [this](const LevelPlan& /*plan*/) { ++apply_calls; };
+    b.apply_splits = [this](const LevelPlan& plan) {
+      ++apply_calls;
+      leaf_children.push_back(plan.children_are_leaves);
+    };
     b.end_tree = [this](const Tree& /*tree*/) { ++end_calls; };
     b.finish = [this](const Tree& last) {
       finished = &last;
@@ -210,6 +215,8 @@ TEST(LevelDriver, LevelWithoutSplitsEndsTheTree) {
   // Level 0 splits the root, level 1 splits nothing: two levels per tree.
   EXPECT_EQ(script.find_calls, 4);
   EXPECT_EQ(script.apply_calls, 2);
+  // The trees stop early: no applied level reaches the depth limit.
+  EXPECT_EQ(script.leaf_children, (std::vector<bool>{false, false}));
   EXPECT_EQ(script.end_calls, 2);
   EXPECT_EQ(trees_total.value() - trees_before, 2u);
   EXPECT_EQ(levels_total.value() - levels_before, 4u);
@@ -236,6 +243,9 @@ TEST(LevelDriver, DepthLimitTurnsActiveNodesIntoLeaves) {
   ASSERT_EQ(trees.size(), 1u);
   EXPECT_EQ(script.find_calls, 2);
   EXPECT_EQ(script.apply_calls, 2);
+  // Only the last level's children are leaves: its apply step may skip the
+  // re-layout.
+  EXPECT_EQ(script.leaf_children, (std::vector<bool>{false, true}));
   const Tree& t = trees[0];
   EXPECT_EQ(t.n_nodes(), 7);
   EXPECT_EQ(t.n_leaves(), 4);

@@ -99,6 +99,9 @@ TEST(ObsTrace, RecordsTransfersAndPeakDeviceMemory) {
   ASSERT_NE(ship, nullptr);
   EXPECT_GE(ship->stats().transfer_bytes, bytes);
   EXPECT_GT(ship->stats().transfer_seconds, 0.0);
+  EXPECT_EQ(ship->stats().transfers, 1u);
+  EXPECT_EQ(session.root().transfers_total(), 1u);
+  EXPECT_EQ(ship->to_json().find("transfers")->number_or(0.0), 1.0);
   EXPECT_GE(session.root().peak_device_bytes_total(), bytes);
 }
 
@@ -245,7 +248,7 @@ int run_tool(const std::string& args, const std::string& out_path = "") {
 /// A one-case suite; `find_split` is that case's `find_split` span seconds
 /// in its phases map (the other spans stay fixed and sum to 0.25).
 void write_suite(const std::string& path, double modeled,
-                 double find_split = 0.75) {
+                 double find_split = 0.75, int split_transfers = -1) {
   Json c = Json::object();
   c["name"] = "ds1";
   auto metrics = Json::object();
@@ -257,6 +260,23 @@ void write_suite(const std::string& path, double modeled,
   phases["find_split"] = find_split;
   phases["gradient_compute"] = 0.0625;
   c["phases"] = std::move(phases);
+  if (split_transfers >= 0) {
+    // A trace whose split_node span made `split_transfers` transfers.
+    Json split = Json::object();
+    split["name"] = "split_node";
+    split["transfers"] = split_transfers;
+    Json train = Json::object();
+    train["name"] = "train";
+    train["transfers"] = 1;
+    train["children"] = Json::array();
+    train["children"].push_back(std::move(split));
+    Json root = Json::object();
+    root["name"] = "run";
+    root["transfers"] = 0;
+    root["children"] = Json::array();
+    root["children"].push_back(std::move(train));
+    c["trace"] = std::move(root);
+  }
   auto cases = Json::array();
   cases.push_back(std::move(c));
   auto bench = Json::object();
@@ -306,6 +326,41 @@ TEST(ObsBenchCompare, ExitsNonzeroOnInjectedRegression) {
   std::remove(now.c_str());
   std::remove(old_same.c_str());
   std::remove(old_fast.c_str());
+}
+
+TEST(ObsBenchCompare, ListsSpansWhoseTransferCountsChanged) {
+  const std::string now = "/tmp/test_obs_suite_xfer_now.json";
+  const std::string old = "/tmp/test_obs_suite_xfer_old.json";
+  const std::string out = "/tmp/test_obs_compare_xfer_out.txt";
+  write_suite(now, 1.0, 0.75, /*split_transfers=*/240);
+  write_suite(old, 1.0, 0.75, /*split_transfers=*/720);
+  // Fewer transfers at the same modeled seconds is not a regression.
+  EXPECT_EQ(run_tool("--compare-only --json=" + now + " --compare=" + old,
+                     out),
+            0);
+  {
+    std::ifstream in(out);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("TRANSFERS t2/ds1"), std::string::npos) << text;
+    // Each span counts its subtree: train = 1 + split_node.
+    EXPECT_NE(text.find("transfers 720 -> 240"), std::string::npos) << text;
+    EXPECT_NE(text.find("transfers 721 -> 241"), std::string::npos) << text;
+  }
+  // Reports without transfer counts (or unchanged ones) list nothing.
+  write_suite(old, 1.0);
+  EXPECT_EQ(run_tool("--compare-only --json=" + now + " --compare=" + old,
+                     out),
+            0);
+  {
+    std::ifstream in(out);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(text.find("TRANSFERS"), std::string::npos) << text;
+  }
+  std::remove(now.c_str());
+  std::remove(old.c_str());
+  std::remove(out.c_str());
 }
 
 #endif  // GBDT_BENCH_PATH
@@ -474,6 +529,89 @@ TEST(ObsTrace, TrainerSpanTreeReconcilesWithReportsAndDeviceClock) {
   EXPECT_NEAR(report.overlap_ratio, 1.0 - report.modeled_seconds / total,
               1e-9);
   EXPECT_GT(report.overlap_ratio, 0.0);
+}
+
+// ---- split-step launch and transfer counts ---------------------------------
+
+/// Launches of kernel `label` in `span`'s subtree.
+std::uint64_t launches_of(const obs::Span& span, const std::string& label) {
+  std::uint64_t n = 0;
+  for (const auto& [name, agg] : span.stats().kernels) {
+    if (name == label) n += agg.launches;
+  }
+  for (const auto& c : span.children()) n += launches_of(*c, label);
+  return n;
+}
+
+// The node-split step of the exact trainers: the last level's children are
+// leaves, so only n_trees x (depth - 1) levels partition; each split step
+// pays one host->device upload; and the partition's replay pass moves the
+// lists itself, so no separate scatter kernel runs.
+TEST(ObsTrace, SplitStepPartitionsAllButTheLastLevelWithOneUpload) {
+  data::SyntheticSpec spec;
+  spec.n_instances = 1500;
+  spec.n_attributes = 8;
+  spec.density = 0.9;
+  spec.seed = 37;
+  const auto ds = data::generate(spec);
+  GBDTParam p;
+  p.depth = 4;
+  p.n_trees = 3;
+  const auto levels = static_cast<std::uint64_t>(p.n_trees * p.depth);
+  const auto partitioned =
+      static_cast<std::uint64_t>(p.n_trees * (p.depth - 1));
+  const auto cfg = device::DeviceConfig::titan_x_pascal();
+
+  // Trains under a fresh session; every tree must reach the depth limit, so
+  // every level splits.
+  const auto traced = [&](const char* path, obs::ObsSession& session,
+                          const auto& train) {
+    session.activate();
+    const std::vector<Tree> trees = train();
+    session.deactivate();
+    ASSERT_EQ(trees.size(), static_cast<std::size_t>(p.n_trees)) << path;
+    for (const Tree& t : trees) EXPECT_EQ(t.depth(), p.depth) << path;
+    const obs::Span& root = session.root();
+    EXPECT_EQ(launches_of(root, "apply_scatter"), 0u) << path;
+    EXPECT_EQ(launches_of(root, "rle_scatter_inst"), 0u) << path;
+  };
+
+  for (const bool rle : {false, true}) {
+    const char* path = rle ? "rle_forced" : "exact_sparse";
+    obs::ObsSession session;
+    traced(path, session, [&] {
+      device::Device dev(cfg);
+      GBDTParam q = p;
+      q.force_rle = rle;
+      const auto report = GpuGbdtTrainer(dev, q).train(ds);
+      EXPECT_EQ(report.used_rle, rle) << path;
+      return report.trees;
+    });
+    const obs::Span* train = session.root().child("train");
+    ASSERT_NE(train, nullptr) << path;
+    const obs::Span* split = train->child("split_node");
+    ASSERT_NE(split, nullptr) << path;
+    EXPECT_EQ(launches_of(*split, "partition_count"), partitioned) << path;
+    EXPECT_EQ(split->transfers_total(), levels) << path;
+  }
+
+  // Sharded exact: every shard marks sides and partitions its own lists;
+  // node_sync (peer legs, owner table) sits between the two halves.
+  constexpr int kShards = 2;
+  obs::ObsSession session;
+  traced("mgpu_exact", session, [&] {
+    return multigpu::MultiGpuTrainer(cfg, kShards, p).train(ds).trees;
+  });
+  const obs::Span* train = session.root().child("mgpu_train");
+  ASSERT_NE(train, nullptr);
+  const obs::Span* mark = train->child("mark_sides");
+  const obs::Span* partition = train->child("partition");
+  ASSERT_NE(mark, nullptr);
+  ASSERT_NE(partition, nullptr);
+  EXPECT_EQ(launches_of(*partition, "partition_count"),
+            kShards * partitioned);
+  EXPECT_EQ(mark->transfers_total() + partition->transfers_total(),
+            kShards * levels);
 }
 
 }  // namespace

@@ -397,6 +397,62 @@ TEST_P(Partition, GroupsByPartPreservingOrder) {
   ASSERT_EQ(offs[static_cast<std::size_t>(p.n_parts)], counts[p.n_parts]);
 }
 
+// The data-moving form hands every element to the emitter exactly once, in
+// single- and multi-pass plans: kept elements at the index-only form's
+// destination, dropped ones with -1.
+TEST_P(Partition, EmitterSeesEveryElementOnceAtItsDestination) {
+  const auto p = GetParam();
+  auto dev = make_device();
+  std::mt19937 rng(p.seed);
+  std::vector<std::int32_t> ids(p.n);
+  for (auto& x : ids) {
+    x = rng() % 10 == 0 ? -1 : static_cast<std::int32_t>(rng() % p.n_parts);
+  }
+  auto d_ids = dev.to_device<std::int32_t>(ids);
+  const auto plan =
+      plan_partition(p.n, p.n_parts, /*max_counter_bytes=*/1 << 16,
+                     p.customized);
+  auto scatter = dev.alloc<std::int64_t>(p.n);
+  auto offs = dev.alloc<std::int64_t>(p.n_parts + 1);
+  histogram_partition(dev, d_ids.span(), p.n_parts, scatter.span(),
+                      offs.span(), plan);
+
+  auto moved = dev.alloc<std::int64_t>(p.n);  // moved[dst] = source index
+  auto calls = dev.alloc<std::int32_t>(p.n);
+  auto dropped = dev.alloc<std::int32_t>(p.n);
+  auto emit_offs = dev.alloc<std::int64_t>(p.n_parts + 1);
+  auto mv = moved.span();
+  auto cl = calls.span();
+  auto dr = dropped.span();
+  histogram_partition_emit(
+      dev, d_ids.span(), p.n_parts, emit_offs.span(), plan, nullptr,
+      [mv, cl, dr](device::BlockCtx& b, std::int64_t i, std::int64_t dst) {
+        ++cl[static_cast<std::size_t>(i)];
+        b.writes(cl, i);
+        if (dst < 0) {
+          dr[static_cast<std::size_t>(i)] = 1;
+          b.writes(dr, i);
+          return;
+        }
+        mv[static_cast<std::size_t>(dst)] = i;
+        b.writes(mv, dst);
+      });
+
+  for (std::int64_t i = 0; i < p.n; ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    ASSERT_EQ(calls[u], 1) << "i=" << i << " passes=" << plan.passes;
+    ASSERT_EQ(dropped[u], ids[u] < 0 ? 1 : 0) << "i=" << i;
+    if (ids[u] >= 0) {
+      ASSERT_EQ(moved[static_cast<std::size_t>(scatter[u])], i) << "i=" << i;
+    }
+  }
+  for (std::int64_t q = 0; q <= p.n_parts; ++q) {
+    ASSERT_EQ(emit_offs[static_cast<std::size_t>(q)],
+              offs[static_cast<std::size_t>(q)])
+        << q;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Cases, Partition,
     ::testing::Values(PartitionCase{1000, 2, true, 1},

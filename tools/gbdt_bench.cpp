@@ -13,13 +13,17 @@
 // deterministic, so any drift is a real cost-model or algorithm change, not
 // machine noise; the threshold exists for intentional small reworks.  Each
 // regressed case also lists the spans of its `phases` map whose modeled
-// seconds moved most, so the report names the layer that moved.
+// seconds moved most, so the report names the layer that moved.  Any case
+// whose spans changed their transfer counts (each span counting its
+// subtree, from the case's `trace`) lists those spans too, e.g.
+// `split_node transfers 720 -> 240`.
 //
 // Exit codes: 0 ok, 1 regression detected, 2 usage error, 3 a bench failed.
 #include <sys/wait.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -155,6 +159,7 @@ struct CaseRow {
   std::string key;  // bench/case
   double modeled = 0.0;
   const Json* phases = nullptr;  // per-span self modeled seconds, if any
+  const Json* trace = nullptr;   // span tree, if any
 };
 
 /// Flattens a suite doc into one row per case with a modeled_seconds metric.
@@ -172,7 +177,8 @@ std::vector<CaseRow> modeled_rows(const Json& suite) {
       const Json* modeled = metrics->find("modeled_seconds");
       if (modeled == nullptr || !modeled->is_number()) continue;
       rows.push_back(CaseRow{bname + "/" + name->str(),
-                             modeled->number_or(0.0), c.find("phases")});
+                             modeled->number_or(0.0), c.find("phases"),
+                             c.find("trace")});
     }
   }
   return rows;
@@ -211,6 +217,58 @@ void print_phase_deltas(const Json* now, const Json* old, std::size_t top_n) {
   }
 }
 
+/// One span name's transfer count in the old [0] and new [1] report.
+struct SpanTransfers {
+  std::string name;
+  std::uint64_t count[2] = {0, 0};
+};
+
+/// Adds every span's subtree transfer count under its name to `side`
+/// (same-named spans merge, like the phases map) and returns the subtree
+/// total of `span`.
+std::uint64_t accumulate_transfers(const Json& span, int side,
+                                   std::vector<SpanTransfers>& out) {
+  const Json* self = span.find("transfers");
+  auto total = static_cast<std::uint64_t>(
+      self == nullptr ? 0.0 : self->number_or(0.0));
+  if (const Json* kids = span.find("children")) {
+    for (const Json& c : kids->items()) {
+      total += accumulate_transfers(c, side, out);
+    }
+  }
+  const Json* name = span.find("name");
+  const std::string key = name == nullptr ? "" : name->str();
+  auto it = std::find_if(out.begin(), out.end(),
+                         [&](const SpanTransfers& e) { return e.name == key; });
+  if (it == out.end()) it = out.insert(out.end(), SpanTransfers{key});
+  it->count[side] += total;
+  return total;
+}
+
+/// Prints the spans whose transfer counts differ between two cases' traces.
+void print_transfer_deltas(const std::string& key, const Json* now,
+                           const Json* old) {
+  // Reports written before spans counted transfers have nothing to compare.
+  if (now == nullptr || old == nullptr || now->find("transfers") == nullptr ||
+      old->find("transfers") == nullptr) {
+    return;
+  }
+  std::vector<SpanTransfers> spans;
+  accumulate_transfers(*old, 0, spans);
+  accumulate_transfers(*now, 1, spans);
+  bool header = false;
+  for (const SpanTransfers& s : spans) {
+    if (s.count[0] == s.count[1]) continue;
+    if (!header) {
+      std::printf("  TRANSFERS %s\n", key.c_str());
+      header = true;
+    }
+    std::printf("            span %-41s transfers %llu -> %llu\n",
+                s.name.c_str(), static_cast<unsigned long long>(s.count[0]),
+                static_cast<unsigned long long>(s.count[1]));
+  }
+}
+
 /// Compares two suite reports; returns the number of regressions.
 int compare_suites(const Json& now, const Json& old, double threshold_pct) {
   const auto new_rows = modeled_rows(now);
@@ -237,6 +295,7 @@ int compare_suites(const Json& now, const Json& old, double threshold_pct) {
                   row.key.c_str(), it->modeled, row.modeled, delta_pct);
       print_phase_deltas(row.phases, it->phases, 3);
     }
+    print_transfer_deltas(row.key, row.trace, it->trace);
   }
   std::printf("compared %d cases, %d regression(s) beyond %.1f%%\n", matched,
               regressions, threshold_pct);
