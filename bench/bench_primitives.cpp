@@ -57,9 +57,9 @@ void BM_SegmentedScan(benchmark::State& state) {
   }
   auto d_offs = dev.to_device<std::int64_t>(offs);
   auto keys = dev.alloc<std::int32_t>(n);
+  const auto n_seg = static_cast<std::int64_t>(offs.size()) - 1;
   prim::set_keys(dev, d_offs, keys,
-                 prim::auto_segs_per_block(
-                     static_cast<std::int64_t>(offs.size()) - 1, 28));
+                 prim::segs_per_block(n_seg, static_cast<std::int64_t>(n), 28));
   auto out = dev.alloc<double>(n);
   for (auto _ : state) {
     prim::segmented_inclusive_scan_by_key(dev, vals, keys, out);
@@ -86,7 +86,7 @@ void BM_SetKeysCustomVsNaive(benchmark::State& state) {
   for (auto _ : state) {
     const double before = dev.elapsed_seconds();
     prim::set_keys(dev, d_offs, keys,
-                   custom ? prim::auto_segs_per_block(n_seg, 28) : 1);
+                   custom ? prim::segs_per_block(n_seg, 2 * n_seg, 28) : 1);
     modeled += dev.elapsed_seconds() - before;
   }
   state.counters["modeled_us"] =
@@ -149,7 +149,7 @@ BENCHMARK(BM_HistogramPartition)
 
 /// Shared fixture for the fused-find-split ablations: n elements in
 /// seg_len-sized segments, an instance indirection for the gather, and a
-/// gradient array.
+/// gradient-pair array.
 struct FusedFixture {
   Device dev{DeviceConfig::titan_x_pascal()};
   device::WorkspaceArena arena{dev.allocator()};
@@ -157,7 +157,7 @@ struct FusedFixture {
   device::DeviceBuffer<std::int64_t> d_offs;
   device::DeviceBuffer<std::int32_t> keys;
   device::DeviceBuffer<std::int32_t> inst;
-  device::DeviceBuffer<double> grad;
+  device::DeviceBuffer<double> grad;  // one lane stands in for the pair
 
   FusedFixture(std::int64_t n_, std::int64_t seg_len) : n(n_) {
     std::vector<std::int64_t> offs{0};
@@ -167,7 +167,7 @@ struct FusedFixture {
     n_seg = static_cast<std::int64_t>(offs.size()) - 1;
     d_offs = dev.to_device<std::int64_t>(offs);
     keys = dev.alloc<std::int32_t>(static_cast<std::size_t>(n));
-    prim::set_keys(dev, d_offs, keys, prim::auto_segs_per_block(n_seg, 28));
+    prim::set_keys(dev, d_offs, keys, prim::segs_per_block(n_seg, n, 28));
     inst = dev.alloc<std::int32_t>(static_cast<std::size_t>(n));
     grad = dev.alloc<double>(static_cast<std::size_t>(n));
     std::mt19937 rng(3);
@@ -194,7 +194,7 @@ void BM_GatherScanTotals(benchmark::State& state) {
   for (auto _ : state) {
     const double before = f.dev.elapsed_seconds();
     if (fused) {
-      prim::fused_gather_scan_totals(
+      const auto view = prim::fused_gather_scan_totals(
           f.dev, f.arena, f.keys, out, tot,
           [idx, g](device::BlockCtx& b, std::int64_t i) {
             b.reads(idx, i);
@@ -205,6 +205,7 @@ void BM_GatherScanTotals(benchmark::State& state) {
                 idx[static_cast<std::size_t>(i)])];
           },
           "bench_fused_gather_scan");
+      benchmark::DoNotOptimize(view.carries.size());
     } else {
       auto ghe = f.arena.alloc<double>(static_cast<std::size_t>(n));
       auto ge = ghe.span();
@@ -268,23 +269,19 @@ void BM_GainArgmax(benchmark::State& state) {
   auto best_idx = f.dev.alloc<std::int64_t>(static_cast<std::size_t>(f.n_seg));
   auto best_dir = f.dev.alloc<std::uint8_t>(static_cast<std::size_t>(f.n_seg));
   const std::int64_t n = f.n;
-  const std::int64_t spb = prim::auto_segs_per_block(f.n_seg, 28);
+  const std::int64_t spb = prim::segs_per_block(f.n_seg, f.n, 28);
   auto sc = scan.span();
+  const prim::CarriedScan<double> view{sc, {}};
   double modeled = 0.0;
   for (auto _ : state) {
     const double before = f.dev.elapsed_seconds();
     if (fused) {
       prim::fused_gain_argmax(
-          f.dev, f.d_offs, best_val, best_idx, best_dir, spb,
-          [sc](device::BlockCtx& b, std::int64_t s, std::int64_t e,
-               std::int64_t lo, std::int64_t hi) {
-            (void)s;
-            (void)hi;
-            b.reads(sc, e);
-            b.mem_coalesced(sizeof(double));
+          f.dev, f.d_offs, view, best_val, best_idx, best_dir, spb,
+          [](device::BlockCtx& b, std::int64_t, std::int64_t e,
+             std::int64_t lo, std::int64_t, double x) {
             if (e == lo) b.mem_irregular(1);  // segment-invariant tables
             b.flop(16);
-            const double x = sc[static_cast<std::size_t>(e)];
             return prim::GainDir{x * x - x, 0};
           },
           "bench_fused_gain_argmax");

@@ -24,24 +24,6 @@ std::int64_t nodes_at_level(int level, std::int64_t n_instances) {
   return std::min(full, std::max<std::int64_t>(n_instances, 1));
 }
 
-/// Modeled seconds of one set_keys launch, mirroring the kernel's own
-/// accounting (prim::set_keys) under a uniform-segment assumption.
-double set_keys_seconds(const device::CostModel& cm, std::int64_t n_seg,
-                        std::int64_t n_elems, std::int64_t segs_per_block) {
-  if (n_seg <= 0 || n_elems <= 0) return 0.0;
-  segs_per_block = std::max<std::int64_t>(1, segs_per_block);
-  device::KernelStats s;
-  s.thread_work = static_cast<std::uint64_t>(n_elems);
-  s.blocks = static_cast<std::uint64_t>((n_seg + segs_per_block - 1) /
-                                        segs_per_block);
-  s.max_block_work = static_cast<std::uint64_t>(
-      (n_elems * segs_per_block + n_seg - 1) / n_seg);
-  s.coalesced_bytes =
-      static_cast<std::uint64_t>(n_elems) * sizeof(std::int32_t) +
-      static_cast<std::uint64_t>(n_seg) * sizeof(std::int64_t);
-  return cm.kernel_seconds(s);
-}
-
 /// Sum of one tree's set_keys launches (one per level; segment count doubles
 /// with depth, elements stay put).
 double tree_set_keys_seconds(const device::CostModel& cm,
@@ -55,7 +37,8 @@ double tree_set_keys_seconds(const device::CostModel& cm,
     const std::int64_t elems =
         param.use_hist_trainer ? n_seg * param.n_bins : shape.n_entries;
     const std::int64_t spb =
-        custom ? prim::auto_segs_per_block(n_seg, cm.config().num_sms, c) : 1;
+        custom ? prim::segs_per_block(n_seg, elems, cm.config().num_sms, c)
+               : 1;
     total += set_keys_seconds(cm, n_seg, elems, spb);
   }
   return total;
@@ -92,6 +75,22 @@ double partition_seconds(const device::CostModel& cm,
 }
 
 }  // namespace
+
+double set_keys_seconds(const device::CostModel& cm, std::int64_t n_seg,
+                        std::int64_t n_elems, std::int64_t segs_per_block) {
+  if (n_seg <= 0 || n_elems <= 0) return 0.0;
+  segs_per_block = std::clamp<std::int64_t>(segs_per_block, 1, n_seg);
+  device::KernelStats s;
+  s.thread_work = static_cast<std::uint64_t>(n_elems);
+  s.blocks = static_cast<std::uint64_t>((n_seg + segs_per_block - 1) /
+                                        segs_per_block);
+  s.max_block_work = static_cast<std::uint64_t>(
+      (n_elems * segs_per_block + n_seg - 1) / n_seg);
+  s.coalesced_bytes =
+      static_cast<std::uint64_t>(n_elems) * sizeof(std::int32_t) +
+      static_cast<std::uint64_t>(n_seg) * sizeof(std::int64_t);
+  return cm.kernel_seconds(s);
+}
 
 ProblemShape problem_shape(const data::Dataset& ds) {
   return {ds.n_instances(), ds.n_attributes(), ds.n_entries()};

@@ -10,9 +10,11 @@
 //
 // Search space (one pass, all closed-form):
 //   * SetKey segs-per-block constant C over {1, 10, 100, 250, 500, 1000,
-//     2000, 4000} plus the formula disabled (one block per segment).  The
-//     synthesized KernelStats mirror prim::set_keys' accounting exactly
-//     under a uniform-segment assumption.
+//     2000, 4000} plus the formula disabled (one block per segment).  Each
+//     candidate is priced at the grid the trainer launches
+//     (prim::segs_per_block, whose element bound makes C irrelevant below
+//     #SM * C * kBlockDim elements), and the synthesized KernelStats mirror
+//     prim::set_keys' accounting exactly under a uniform-segment assumption.
 //   * Customized IdxComp workload on/off, costed through the real
 //     prim::plan_partition pass structure (the naive fixed workload pays a
 //     multi-pass penalty when the counters blow the budget).
@@ -39,6 +41,7 @@
 
 #include "core/param.h"
 #include "data/dataset.h"
+#include "device/cost_model.h"
 #include "device/device_config.h"
 
 namespace gbdt::autotune {
@@ -83,6 +86,14 @@ struct ProblemShape {
 };
 
 [[nodiscard]] ProblemShape problem_shape(const data::Dataset& ds);
+
+/// Predicted modeled seconds of one prim::set_keys launch of `n_seg`
+/// equal-length segments over `n_elems` elements with `segs_per_block`
+/// segments per block: the kernel's own accounting, synthesized.  On a
+/// uniform-segment layout it equals the launched kernel's modeled seconds.
+[[nodiscard]] double set_keys_seconds(const device::CostModel& cm,
+                                      std::int64_t n_seg, std::int64_t n_elems,
+                                      std::int64_t segs_per_block);
 
 /// Evaluates the whole search space against the analytical cost model.
 /// Pure: no device is touched, no training happens.

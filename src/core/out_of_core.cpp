@@ -208,10 +208,8 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
     if (prev != nullptr) detail::update_predictions_smart(st, *prev);
     round_driver.begin_round(st, d_labels, t);
     prim::fill(dev_, st.node_of, std::int32_t{0});
-    // Braced initialisation sequences the two reductions left to right.
-    return ActiveNode{
-        0, prim::reduce_sum<double>(dev_, st.grad, "ooc_root_sum_g"),
-        prim::reduce_sum<double>(dev_, st.hess, "ooc_root_sum_h"), n_inst};
+    const GHPair root = prim::reduce_sum(dev_, st.gh, "ooc_root_sum_gh");
+    return ActiveNode{0, root.g, root.h, n_inst};
   };
 
   backend.find_splits = [&](const std::vector<ActiveNode>& active) {
@@ -344,8 +342,7 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
       const auto so = d_slot_of.span();
       const auto stats = d_stats.span();
       const auto out_best = d_best.span();
-      const auto g = st.grad.span();
-      const auto h = st.hess.span();
+      const auto gh = st.gh.span();
 
       // One logical block per column: two fused passes (present totals,
       // then candidate enumeration with both missing directions) against
@@ -354,7 +351,7 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
       // perturbation the body runs at a later drain point.
       dev_.launch_async(
           "stream_ooc_enumerate", stream_compute, n_cols, kBlockDim,
-          [values, inst, offs, node_of, so, stats, out_best, g, h, n_slots,
+          [values, inst, offs, node_of, so, stats, out_best, gh, n_slots,
            lambda = param_.lambda](BlockCtx& b) {
         const std::int64_t col = b.block_idx();
         const std::int64_t lo = offs[static_cast<std::size_t>(col)];
@@ -369,7 +366,7 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
           const std::int32_t slot =
               so[static_cast<std::size_t>(node_of[iu])];
           if (slot < 0) continue;
-          present[static_cast<std::size_t>(slot)] += GHPair{g[iu], h[iu]};
+          present[static_cast<std::size_t>(slot)] += gh[iu];
           ++present_cnt[static_cast<std::size_t>(slot)];
         }
 
@@ -407,7 +404,7 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
           const auto su = static_cast<std::size_t>(slot);
           const float v = values[static_cast<std::size_t>(e)];
           if (acc_cnt[su] > 0 && v != last[su]) evaluate(slot);
-          acc[su] += GHPair{g[iu], h[iu]};
+          acc[su] += gh[iu];
           ++acc_cnt[su];
           last[su] = v;
           ++touched;

@@ -18,6 +18,7 @@
 namespace gbdt {
 
 using detail::ActiveNode;
+using detail::GHPair;
 using detail::LevelPlan;
 using detail::TrainState;
 using device::Device;
@@ -26,10 +27,11 @@ using prim::kBlockDim;
 
 namespace detail {
 
-std::int64_t TrainState::segs_per_block(std::int64_t n_segments) const {
+std::int64_t TrainState::segs_per_block(std::int64_t n_segments,
+                                        std::int64_t n_elements) const {
   return param.use_custom_setkey
-             ? prim::auto_segs_per_block(n_segments, dev.config().num_sms,
-                                         param.setkey_c)
+             ? prim::segs_per_block(n_segments, n_elements,
+                                    dev.config().num_sms, param.setkey_c)
              : 1;
 }
 
@@ -44,15 +46,15 @@ device::ArenaBuffer<SlotStat> upload_slot_tables(TrainState& st) {
 
 void alloc_instance_state(TrainState& st) {
   const auto n = static_cast<std::size_t>(st.n_inst);
-  st.grad = st.dev.alloc<double>(n);
-  st.hess = st.dev.alloc<double>(n);
+  st.gh = st.dev.alloc<GHPair>(n);
   st.y_pred = st.dev.alloc<float>(n);
   st.node_of = st.dev.alloc<std::int32_t>(n);
   prim::fill(st.dev, st.y_pred, static_cast<float>(st.param.base_score));
 }
 
 SplitTables upload_split_tables(TrainState& st, const LevelPlan& plan,
-                                bool child_slots) {
+                                bool child_slots,
+                                std::span<const std::int32_t> owner_of_node) {
   const std::size_t n_nodes = plan.next_slot_of_tree.size();
   const std::size_t n_slots = plan.per_slot.size();
   const bool partition = !plan.children_are_leaves;
@@ -77,6 +79,7 @@ SplitTables upload_split_tables(TrainState& st, const LevelPlan& plan,
   const Column lslot = column(slots ? n_slots : 0);
   const Column rslot = column(slots ? n_slots : 0);
   const Column parent = column(slots ? plan.next_active.size() : 0);
+  const Column own = column(owner_of_node.size());
 
   std::vector<std::int64_t> host(words, -1);
   const auto at = [&host](Column c, std::size_t i) -> std::int64_t& {
@@ -84,6 +87,9 @@ SplitTables upload_split_tables(TrainState& st, const LevelPlan& plan,
   };
   for (std::size_t tn = 0; tn < next.len; ++tn) {
     at(next, tn) = plan.next_slot_of_tree[tn];
+  }
+  for (std::size_t tn = 0; tn < own.len; ++tn) {
+    at(own, tn) = owner_of_node[tn];
   }
   for (std::size_t s = 0; s < n_slots; ++s) {
     const auto& e = plan.per_slot[s];
@@ -118,6 +124,7 @@ SplitTables upload_split_tables(TrainState& st, const LevelPlan& plan,
   t.left_slot = view(lslot);
   t.right_slot = view(rslot);
   t.parent_slot = view(parent);
+  t.owner = view(own);
   return t;
 }
 
@@ -207,8 +214,7 @@ void compute_gradients(TrainState& st, const DeviceBuffer<float>& labels) {
   const std::int64_t n = st.n_inst;
   auto y = labels.span();
   auto p = st.y_pred.span();
-  auto g = st.grad.span();
-  auto h = st.hess.span();
+  auto gh = st.gh.span();
   const Loss& loss = st.loss;
   st.dev.launch("compute_gradients", device::grid_for(n, kBlockDim), kBlockDim,
                 [&](device::BlockCtx& b) {
@@ -216,13 +222,11 @@ void compute_gradients(TrainState& st, const DeviceBuffer<float>& labels) {
                     if (i >= n) return;
                     const auto u = static_cast<std::size_t>(i);
                     const GradPair gp = loss.gradient(y[u], p[u]);
-                    g[u] = gp.g;
-                    h[u] = gp.h;
+                    gh[u] = GHPair{gp.g, gp.h};
                   });
                   b.reads_tile(y, n);
                   b.reads_tile(p, n);
-                  b.writes_tile(g, n);
-                  b.writes_tile(h, n);
+                  b.writes_tile(gh, n);
                   b.mem_coalesced(prim::elems_in_block(b, n) * 24);
                   b.flop(prim::elems_in_block(b, n) * 4);
                 });
@@ -405,22 +409,36 @@ void update_predictions_naive(TrainState& st, const Tree& tree) {
                 });
 }
 
-/// Models xgbst-gpu's node interleaving: one gradient/hessian copy per node
-/// being split this level (paper Section II-D).  The caller keeps the
-/// returned buffers alive for the whole level, so the copies inflate peak
-/// device memory alongside the level's working set (and a
-/// DeviceOutOfMemory fires here on oversized data).
+/// Models xgbst-gpu's node interleaving: one gradient copy per node being
+/// split this level (paper Section II-D), its (g, h) lanes as 2n doubles.
+/// The caller keeps the returned buffers alive for the whole level, so the
+/// copies inflate peak device memory alongside the level's working set (and
+/// a DeviceOutOfMemory fires here on oversized data).  Being doubles, they
+/// pool apart from the level's element-sized pair buffers, as xgbst-gpu's
+/// per-node gradient arrays are apart from its scan buffers.
 [[nodiscard]] std::vector<device::ArenaBuffer<double>> dense_node_interleaving(
     TrainState& st) {
+  const std::int64_t n = st.n_inst;
+  auto gh = st.gh.span();
   std::vector<device::ArenaBuffer<double>> copies;
-  copies.reserve(st.active.size() * 2);
+  copies.reserve(st.active.size());
   for (std::size_t k = 0; k < st.active.size(); ++k) {
-    copies.push_back(
-        st.arena.alloc<double>(static_cast<std::size_t>(st.n_inst)));
-    copies.push_back(
-        st.arena.alloc<double>(static_cast<std::size_t>(st.n_inst)));
-    detail::device_copy(st.dev, st.grad, copies[2 * k], st.n_inst);
-    detail::device_copy(st.dev, st.hess, copies[2 * k + 1], st.n_inst);
+    copies.push_back(st.arena.alloc<double>(2 * static_cast<std::size_t>(n)));
+    auto d = copies.back().span();
+    st.dev.launch("dense_interleave_copy", device::grid_for(n, kBlockDim),
+                  kBlockDim, [&](device::BlockCtx& b) {
+                    b.for_each_thread([&](std::int64_t i) {
+                      if (i >= n) return;
+                      const auto u = static_cast<std::size_t>(i);
+                      d[2 * u] = gh[u].g;
+                      d[2 * u + 1] = gh[u].h;
+                    });
+                    const auto m = prim::elems_in_block(b, n);
+                    b.reads_tile(gh, n);
+                    b.writes(d, 2 * b.block_idx() * kBlockDim,
+                             2 * static_cast<std::int64_t>(m));
+                    b.mem_coalesced(m * 2 * sizeof(GHPair));
+                  });
   }
   return copies;
 }
@@ -527,10 +545,8 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
     }
     st.tree = &tree;
     obs::ScopedSpan span("gradient_compute");
-    // Braced initialisation sequences the two reductions left to right.
-    return ActiveNode{0, prim::reduce_sum<double>(dev_, st.grad, "root_sum_g"),
-                      prim::reduce_sum<double>(dev_, st.hess, "root_sum_h"),
-                      st.n_inst};
+    const GHPair root = prim::reduce_sum(dev_, st.gh, "root_sum_gh");
+    return ActiveNode{0, root.g, root.h, st.n_inst};
   };
   backend.find_splits = [&](const std::vector<ActiveNode>& active) {
     st.active = active;

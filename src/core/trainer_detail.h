@@ -30,9 +30,10 @@
 
 namespace gbdt::detail {
 
-/// Fused (g, h) pair scanned in one pass, like the float2/double2 loads real
-/// GPU GBDT implementations use.  Addition is component-wise, so the fused
-/// scan is bit-identical to two separate scans with the same association.
+/// Fused (g, h) pair, stored and scanned as one element like the
+/// float2/double2 loads real GPU GBDT implementations use (XGBoost GPU's
+/// GradientPair).  Addition is component-wise, so one pair pass is
+/// bit-identical to two separate passes with the same association.
 struct GHPair {
   double g = 0.0;
   double h = 0.0;
@@ -134,6 +135,9 @@ struct SplitTables {
   std::span<const std::int64_t> left_slot;
   std::span<const std::int64_t> right_slot;
   std::span<const std::int64_t> parent_slot;
+  // Sharded path only: per tree node, the shard whose mark_sides result is
+  // authoritative for the node's rows (-1: none), read by node_sync.
+  std::span<const std::int64_t> owner;
 };
 
 struct TrainState {
@@ -182,8 +186,9 @@ struct TrainState {
   SplitTables split_tables;
 
   // ---- per-instance state ------------------------------------------------
-  device::DeviceBuffer<double> grad;
-  device::DeviceBuffer<double> hess;
+  /// Per-instance (g, h) gradient pairs, one 16-byte element each, so every
+  /// gather by instance id costs one random transaction, not two.
+  device::DeviceBuffer<GHPair> gh;
   device::DeviceBuffer<float> y_pred;
   device::DeviceBuffer<std::int32_t> node_of;  // tree node id per instance
 
@@ -207,7 +212,10 @@ struct TrainState {
     return static_cast<std::int64_t>(active.size());
   }
   [[nodiscard]] std::int64_t n_seg() const { return n_active() * n_attr; }
-  [[nodiscard]] std::int64_t segs_per_block(std::int64_t n_segments) const;
+  /// SetKey grid of `n_segments` segments over `n_elements` elements (or
+  /// runs, or bins): prim::segs_per_block, or 1 for the naive Fig 9 ablation.
+  [[nodiscard]] std::int64_t segs_per_block(std::int64_t n_segments,
+                                            std::int64_t n_elements) const;
   [[nodiscard]] std::int64_t current_tree_nodes() const {
     return tree->n_nodes();
   }
@@ -222,7 +230,7 @@ using SlotStat = GainStats;
 /// re-uploading each level reuses the same block).
 [[nodiscard]] device::ArenaBuffer<SlotStat> upload_slot_tables(TrainState& st);
 
-/// Allocates grad / hess / y_pred / node_of for st.n_inst rows and fills
+/// Allocates gh / y_pred / node_of for st.n_inst rows and fills
 /// y_pred with the base score.
 void alloc_instance_state(TrainState& st);
 
@@ -234,10 +242,11 @@ void alloc_instance_state(TrainState& st);
 
 /// Builds and uploads the split step's tables for `plan` (one transfer).
 /// next_slot is filled unless the children are leaves; the child-slot
-/// columns too when `child_slots` is set (Directly-Split-RLE).
-[[nodiscard]] SplitTables upload_split_tables(TrainState& st,
-                                              const LevelPlan& plan,
-                                              bool child_slots);
+/// columns too when `child_slots` is set (Directly-Split-RLE), and the owner
+/// column from `owner_of_node` (the sharded path's node_sync table).
+[[nodiscard]] SplitTables upload_split_tables(
+    TrainState& st, const LevelPlan& plan, bool child_slots,
+    std::span<const std::int32_t> owner_of_node = {});
 
 /// Elements the partition keeps: all of a splitting slot's segments (its
 /// instances move to the two children), none of a leaf's.  Host glue over
@@ -273,12 +282,14 @@ struct SegmentWinners {
     const char* seg_name, const char* node_name, std::vector<BestSplit>& out);
 
 /// Sparse (uncompressed) path.  apply_splits_sparse = mark_sides +
-/// partition (mark_sides alone when the children are leaves); the halves are
-/// exposed separately because the multi-GPU trainer synchronises the
-/// instance->node map between them.  mark_sides uploads st.split_tables,
-/// the partition consumes them.
+/// partition (mark_sides and release_working_layout when the children are
+/// leaves); the halves are exposed separately because the multi-GPU trainer
+/// synchronises the instance->node map between them.  mark_sides uploads
+/// st.split_tables (with the sharded path's `owner_of_node` column), the
+/// partition consumes them.
 [[nodiscard]] std::vector<BestSplit> find_splits_sparse(TrainState& st);
-void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan);
+void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan,
+                             std::span<const std::int32_t> owner_of_node = {});
 void apply_partition_sparse(TrainState& st, const LevelPlan& plan);
 void apply_splits_sparse(TrainState& st, const LevelPlan& plan);
 

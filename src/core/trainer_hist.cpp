@@ -49,6 +49,7 @@
 namespace gbdt {
 
 using detail::ActiveNode;
+using detail::GHPair;
 using detail::TrainState;
 using device::Device;
 
@@ -106,21 +107,20 @@ HistGrower::HistGrower(Device& dev, const GBDTParam& param, TrainState& st,
     : dev_(dev), param_(param), st_(st), binned_(binned),
       distributed_(distributed), n_bins_(param.n_bins),
       cps_(st.n_attr * param.n_bins),
-      abs_scratch_(dev.alloc<double>(static_cast<std::size_t>(st.n_inst))),
       qg_(dev.alloc<std::int64_t>(static_cast<std::size_t>(st.n_inst))),
       qh_(dev.alloc<std::int64_t>(static_cast<std::size_t>(st.n_inst))) {}
 
 HistGrower::AbsMax HistGrower::local_abs_max() {
-  AbsMax m;
-  prim::transform(
-      dev_, st_.grad, abs_scratch_, [](double v) { return std::abs(v); },
-      "hist_abs");
-  m.g = prim::arg_max<double>(dev_, abs_scratch_, "hist_max_abs").value;
-  prim::transform(
-      dev_, st_.hess, abs_scratch_, [](double v) { return std::abs(v); },
-      "hist_abs");
-  m.h = prim::arg_max<double>(dev_, abs_scratch_, "hist_max_abs").value;
-  return m;
+  // One pass over the pairs; max is order-free, so the values equal the two
+  // per-array abs + arg_max passes this replaced.
+  const GHPair m = prim::map_reduce(
+      dev_, st_.gh, GHPair{},
+      [](const GHPair& x) { return GHPair{std::abs(x.g), std::abs(x.h)}; },
+      [](const GHPair& a, const GHPair& b) {
+        return GHPair{std::max(a.g, b.g), std::max(a.h, b.h)};
+      },
+      "hist_max_abs");
+  return AbsMax{m.g, m.h};
 }
 
 hist::QGH HistGrower::quantize(double max_abs_g, double max_abs_h,
@@ -129,12 +129,25 @@ hist::QGH HistGrower::quantize(double max_abs_g, double max_abs_h,
   quant_h_ = hist::make_grad_quant(max_abs_h, global_n);
   const double sg = quant_g_.scale;
   const double sh = quant_h_.scale;
-  prim::transform(
-      dev_, st_.grad, qg_, [sg](double v) { return std::llround(v * sg); },
-      "hist_quantize_g");
-  prim::transform(
-      dev_, st_.hess, qh_, [sh](double v) { return std::llround(v * sh); },
-      "hist_quantize_h");
+  const std::int64_t n = st_.n_inst;
+  auto gh = st_.gh.span();
+  auto qg = qg_.span();
+  auto qh = qh_.span();
+  dev_.launch("hist_quantize_gh", device::grid_for(n, prim::kBlockDim),
+              prim::kBlockDim,
+              [&](device::BlockCtx& b) {
+                b.for_each_thread([&](std::int64_t i) {
+                  if (i >= n) return;
+                  const auto u = static_cast<std::size_t>(i);
+                  qg[u] = std::llround(gh[u].g * sg);
+                  qh[u] = std::llround(gh[u].h * sh);
+                });
+                b.reads_tile(gh, n);
+                b.writes_tile(qg, n);
+                b.writes_tile(qh, n);
+                b.mem_coalesced(prim::elems_in_block(b, n) *
+                                (sizeof(GHPair) + 2 * sizeof(std::int64_t)));
+              });
   return hist::QGH{
       prim::reduce_sum<std::int64_t>(dev_, qg_, "hist_root_sum_g"),
       prim::reduce_sum<std::int64_t>(dev_, qh_, "hist_root_sum_h"),
@@ -293,7 +306,8 @@ void HistGrower::prepare_offsets() {
 
 void HistGrower::run_set_keys(int stream) {
   prim::set_keys(dev_, seg_offsets_, st_.keys,
-                 st_.segs_per_block(st_.n_seg()), stream);
+                 st_.segs_per_block(st_.n_seg(), st_.n_active() * cps_),
+                 stream);
 }
 
 void HistGrower::find_level() {
@@ -305,7 +319,7 @@ void HistGrower::find_level() {
       st_.arena.alloc<hist::QGH>(static_cast<std::size_t>(n_slots * cps_));
   auto seg_tot = st_.arena.alloc<hist::QGH>(static_cast<std::size_t>(n_seg));
   auto hc = hist_cur_.span();
-  prim::fused_gather_scan_totals(
+  const prim::CarriedScan<hist::QGH> prefix = prim::fused_gather_scan_totals(
       dev_, st_.arena, st_.keys, scan, seg_tot,
       [hc](device::BlockCtx& b, std::int64_t i) {
         b.reads(hc, i);
@@ -324,20 +338,19 @@ void HistGrower::find_level() {
   const double lambda = param_.lambda;
   const std::int64_t n_attr = st_.n_attr;
   const int n_bins = n_bins_;
-  auto sc = scan.span();
   auto tot = seg_tot.span();
   auto sq = d_slotq.span();
   const auto fm = st_.feature_mask;
   prim::fused_gain_argmax(
-      dev_, seg_offsets_, best_seg_val, best_seg_idx, best_seg_dir,
-      st_.segs_per_block(n_seg),
-      [hc, sc, tot, sq, fm, n_attr, inv_g, inv_h, lambda](
+      dev_, seg_offsets_, prefix, best_seg_val, best_seg_idx, best_seg_dir,
+      st_.segs_per_block(n_seg, n_slots * cps_),
+      [hc, tot, sq, fm, n_attr, inv_g, inv_h, lambda](
           device::BlockCtx& b, std::int64_t s, std::int64_t e,
-          std::int64_t seg_lo, std::int64_t /*seg_hi*/) {
+          std::int64_t seg_lo, std::int64_t /*seg_hi*/,
+          const hist::QGH& left) {
         const auto u = static_cast<std::size_t>(e);
         b.reads(hc, e);
-        b.reads(sc, e);
-        b.mem_coalesced(2 * sizeof(hist::QGH));
+        b.mem_coalesced(sizeof(hist::QGH));
         if (e == seg_lo) {
           // Segment-invariant loads, once per segment.
           b.reads(tot, s);
@@ -355,7 +368,6 @@ void HistGrower::find_level() {
         if (hc[u].cnt == 0) return prim::GainDir{};
         const hist::QGH node = sq[static_cast<std::size_t>(s / n_attr)];
         const hist::QGH pres = tot[static_cast<std::size_t>(s)];
-        const hist::QGH left = sc[u];
         const std::int64_t miss = node.cnt - pres.cnt;
         b.flop(24);
         double gain_r = 0.0;  // missing values to the right child
@@ -403,7 +415,7 @@ void HistGrower::find_level() {
     const auto attr = static_cast<std::int32_t>(seg % st_.n_attr);
     const std::int64_t bin = cell - seg * n_bins;
     const bool dir = best_seg_dir[static_cast<std::size_t>(seg)] != 0;
-    hist::QGH lq = scan[static_cast<std::size_t>(cell)];
+    hist::QGH lq = prefix.at(cell, seg * n_bins_);
     const hist::QGH pres = seg_tot[static_cast<std::size_t>(seg)];
     const hist::QGH node = slotq_[su];
     if (dir) lq += node - pres;  // missing values go left

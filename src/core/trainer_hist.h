@@ -159,7 +159,6 @@ class HistGrower {
   const int n_bins_;
   const std::int64_t cps_;  // cells per node slot = n_attr * n_bins
 
-  device::DeviceBuffer<double> abs_scratch_;
   device::DeviceBuffer<std::int64_t> qg_;
   device::DeviceBuffer<std::int64_t> qh_;
   hist::GradQuant quant_g_;

@@ -36,8 +36,7 @@ void aggregate_run_gradients(TrainState& st, std::span<GHPair> out) {
   const std::int64_t n_runs = st.n_runs;
   auto starts = st.run_starts.span();
   auto inst = st.inst.span();
-  auto g = st.grad.span();
-  auto h = st.hess.span();
+  auto gh = st.gh.span();
   st.dev.launch("rle_aggregate_grad", device::grid_for(n_runs, kBlockDim),
                 kBlockDim, [&](BlockCtx& b) {
                   std::uint64_t touched = 0;
@@ -47,9 +46,8 @@ void aggregate_run_gradients(TrainState& st, std::span<GHPair> out) {
                     GHPair sum;
                     b.reads(inst, starts[u], starts[u + 1] - starts[u]);
                     for (std::int64_t e = starts[u]; e < starts[u + 1]; ++e) {
-                      const auto x = static_cast<std::size_t>(
-                          inst[static_cast<std::size_t>(e)]);
-                      sum += GHPair{g[x], h[x]};
+                      sum += gh[static_cast<std::size_t>(
+                          inst[static_cast<std::size_t>(e)])];
                       ++touched;
                     }
                     out[u] = sum;
@@ -59,7 +57,7 @@ void aggregate_run_gradients(TrainState& st, std::span<GHPair> out) {
                   b.work(touched);
                   b.mem_coalesced(touched * 4 +
                                   elems_in_block(b, n_runs) * 32);
-                  b.mem_irregular(touched * 2);  // grad/hess gathers
+                  b.mem_irregular(touched);  // (g, h) pair gathers
                 });
 }
 
@@ -80,37 +78,38 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
   {
     obs::ScopedSpan span("set_key");
     prim::set_keys(dev, st.run_seg_offsets, st.run_keys,
-                   st.segs_per_block(n_seg));
+                   st.segs_per_block(n_seg, n_runs));
   }
 
   // Per-run aggregated derivatives + segmented prefix sum + present totals.
   // Fused mode folds the Figure-5 aggregation into the scan's first phase
-  // (no `rgh` array) and emits the totals as a scan side product.
+  // (no `rgh` array), emits the totals as a scan side product, and leaves
+  // the block carries for its readers to add (no fixup pass).
   auto ghl = st.arena.alloc<GHPair>(static_cast<std::size_t>(n_runs));
   auto seg_tot = st.arena.alloc<GHPair>(static_cast<std::size_t>(n_seg));
+  prim::CarriedScan<GHPair> scan;
   if (fused) {
     obs::ScopedSpan prefix_span("gain_prefix_sum");
     auto starts = st.run_starts.span();
     auto inst = st.inst.span();
-    auto g = st.grad.span();
-    auto h = st.hess.span();
-    prim::fused_gather_scan_totals(
+    auto gh = st.gh.span();
+    scan = prim::fused_gather_scan_totals(
         dev, st.arena, st.run_keys, ghl, seg_tot,
-        [starts, inst, g, h](BlockCtx& b, std::int64_t r) {
+        [starts, inst, gh](BlockCtx& b, std::int64_t r) {
           const auto u = static_cast<std::size_t>(r);
           GHPair sum;
           b.reads(starts, r, 2);
           b.reads(inst, starts[u], starts[u + 1] - starts[u]);
           std::uint64_t len = 0;
           for (std::int64_t e = starts[u]; e < starts[u + 1]; ++e) {
-            const auto x =
-                static_cast<std::size_t>(inst[static_cast<std::size_t>(e)]);
-            sum += GHPair{g[x], h[x]};
+            const std::int32_t x = inst[static_cast<std::size_t>(e)];
+            b.reads(gh, x);
+            sum += gh[static_cast<std::size_t>(x)];
             ++len;
           }
           b.work(len);
           b.mem_coalesced(len * 4 + 16);  // inst stream + run starts
-          b.mem_irregular(len * 2);       // grad/hess gathers
+          b.mem_irregular(len);           // (g, h) pair gathers
           return sum;
         },
         "fused_rle_aggregate_seg_scan");
@@ -124,6 +123,7 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
 
     segment_present_totals(st, st.run_seg_offsets.span(), ghl.span(),
                            seg_tot.span(), "rle_seg_present_totals");
+    scan.partial = ghl.span();
   }
 
   auto slot_stats = upload_slot_tables(st);
@@ -138,21 +138,19 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
     w.dir = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_seg));
     obs::ScopedSpan span("compute_gains");
     auto starts = st.run_starts.span();
-    auto scan = ghl.span();
     auto tot = seg_tot.span();
     auto stats = slot_stats.span();
     const auto fm = st.feature_mask;
     prim::fused_gain_argmax(
-        dev, st.run_seg_offsets, w.val, w.idx, w.dir,
-        st.segs_per_block(n_seg),
-        [starts, scan, tot, stats, fm, n_attr, lambda](
+        dev, st.run_seg_offsets, scan, w.val, w.idx, w.dir,
+        st.segs_per_block(n_seg, n_runs),
+        [starts, tot, stats, fm, n_attr, lambda](
             BlockCtx& b, std::int64_t s, std::int64_t r, std::int64_t run_lo,
-            std::int64_t run_hi) {
+            std::int64_t run_hi, const GHPair& prefix) {
           const auto u = static_cast<std::size_t>(r);
           const auto seg = static_cast<std::size_t>(s);
-          b.reads(scan, r);
           b.reads(starts, r + 1);
-          b.mem_coalesced(24);  // (g, h) prefix + next-run start, streamed
+          b.mem_coalesced(sizeof(std::int64_t));  // next-run start, streamed
           b.flop(16);
           if (r == run_lo) {
             // Segment-invariant loads: totals, packed slot stats, and the
@@ -178,7 +176,7 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
           const SlotStat& node = stats[static_cast<std::size_t>(
               static_cast<std::int64_t>(seg) / n_attr)];
           const CandidateGain c = missing_aware_gain(
-              {scan[u].g, scan[u].h, starts[u + 1] - elem_lo},
+              {prefix.g, prefix.h, starts[u + 1] - elem_lo},
               {tot[seg].g, tot[seg].h, elem_hi - elem_lo},
               node, lambda);
           return prim::GainDir{c.gain,
@@ -192,7 +190,7 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
     auto k = st.run_keys.span();
     auto roff = st.run_seg_offsets.span();
     auto starts = st.run_starts.span();
-    auto scan = ghl.span();
+    auto prefix = ghl.span();
     auto tot = seg_tot.span();
     auto stats = slot_stats.span();
     auto gn = w.gains.span();
@@ -221,14 +219,14 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
                    const SlotStat& node = stats[static_cast<std::size_t>(
                        static_cast<std::int64_t>(seg) / n_attr)];
                    const CandidateGain c = missing_aware_gain(
-                       {scan[u].g, scan[u].h, starts[u + 1] - elem_lo},
+                       {prefix[u].g, prefix[u].h, starts[u + 1] - elem_lo},
                        {tot[seg].g, tot[seg].h, elem_hi - elem_lo},
                        node, lambda);
                    gn[u] = c.gain;
                    dr[u] = c.default_left ? 1 : 0;
                  });
                  b.reads_tile(k, n_runs);
-                 b.reads_tile(scan, n_runs);
+                 b.reads_tile(prefix, n_runs);
                  b.writes_tile(gn, n_runs);
                  b.writes_tile(dr, n_runs);
                  if (!fm.empty()) {
@@ -252,8 +250,9 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
         st.run_seg_offsets[useg])];
     const std::int64_t elem_hi = st.run_starts[static_cast<std::size_t>(
         st.run_seg_offsets[useg + 1])];
-    set_children(b, st.active[s], ghl[upos], st.run_starts[upos + 1] - elem_lo,
-                 seg_tot[useg], elem_hi - elem_lo);
+    set_children(b, st.active[s], scan.at(b.pos, st.run_seg_offsets[useg]),
+                 st.run_starts[upos + 1] - elem_lo, seg_tot[useg],
+                 elem_hi - elem_lo);
   }
   return out;
 }

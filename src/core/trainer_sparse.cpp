@@ -34,23 +34,20 @@ void gather_gradients(TrainState& st, std::span<GHPair> out) {
   // The sparse CSC layout pays truly random (g, h) fetches instead.
   const bool interleaved = st.param.dense_layout;
   auto inst = st.inst.span();
-  auto g = st.grad.span();
-  auto h = st.hess.span();
+  auto gh = st.gh.span();
   st.dev.launch("gather_gradients", device::grid_for(n, kBlockDim), kBlockDim,
                 [&](BlockCtx& b) {
                   b.for_each_thread([&](std::int64_t i) {
                     if (i >= n) return;
                     const auto u = static_cast<std::size_t>(i);
-                    const auto x = static_cast<std::size_t>(inst[u]);
-                    out[u] = GHPair{g[x], h[x]};
-                    b.reads(g, inst[u]);
-                    b.reads(h, inst[u]);
+                    out[u] = gh[static_cast<std::size_t>(inst[u])];
+                    b.reads(gh, inst[u]);
                   });
                   b.reads_tile(inst, n);
                   b.writes_tile(out, n);
                   const auto m = elems_in_block(b, n);
                   b.mem_coalesced(m * 20);
-                  b.mem_irregular(interleaved ? m / 4 : m * 2);
+                  b.mem_irregular(interleaved ? m / 4 : m);
                 });
 }
 
@@ -93,7 +90,10 @@ std::vector<std::size_t> pick_winners(
     obs::ScopedSpan span("setkey_argmax");
     if (!w.gains.empty()) {
       prim::segmented_arg_max(st.dev, w.gains, seg_offsets, w.val, w.idx,
-                              st.segs_per_block(st.n_seg()), seg_name);
+                              st.segs_per_block(st.n_seg(),
+                                                static_cast<std::int64_t>(
+                                                    w.gains.size())),
+                              seg_name);
     }
     prim::segmented_arg_max(st.dev, w.val, d_node_offs, best_node_val,
                             best_node_idx, 1, node_name);
@@ -140,35 +140,34 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
   st.keys = st.arena.alloc<std::int32_t>(static_cast<std::size_t>(n));
   {
     obs::ScopedSpan span("set_key");
-    prim::set_keys(dev, st.seg_offsets, st.keys, st.segs_per_block(n_seg));
+    prim::set_keys(dev, st.seg_offsets, st.keys, st.segs_per_block(n_seg, n));
   }
 
   // g/h in attribute order, then one fused segmented prefix sum (Figure 1).
-  // Fused mode pulls each (g, h) pair straight from the gradient arrays in
-  // the scan's first phase (no `ghe`) and emits the per-segment present
-  // totals as a scan side product (no seg_present_totals pass).
+  // Fused mode pulls each (g, h) pair straight from the gradient pairs in
+  // the scan's first phase (no `ghe`), emits the per-segment present totals
+  // as a scan side product (no seg_present_totals pass), and leaves the
+  // block carries for its readers to add (no fixup pass).
   auto ghl = st.arena.alloc<GHPair>(static_cast<std::size_t>(n));
   auto seg_tot = st.arena.alloc<GHPair>(static_cast<std::size_t>(n_seg));
+  prim::CarriedScan<GHPair> scan;
   {
     obs::ScopedSpan span("gain_prefix_sum");
     if (fused) {
       const bool interleaved = st.param.dense_layout;
       auto inst = st.inst.span();
-      auto g = st.grad.span();
-      auto h = st.hess.span();
-      prim::fused_gather_scan_totals(
+      auto gh = st.gh.span();
+      scan = prim::fused_gather_scan_totals(
           dev, st.arena, st.keys, ghl, seg_tot,
-          [inst, g, h, interleaved](BlockCtx& b, std::int64_t i) {
+          [inst, gh, interleaved](BlockCtx& b, std::int64_t i) {
             const auto u = static_cast<std::size_t>(i);
-            const auto x = static_cast<std::size_t>(inst[u]);
             b.reads(inst, i);
-            b.reads(g, inst[u]);
-            b.reads(h, inst[u]);
+            b.reads(gh, inst[u]);
             b.mem_coalesced(sizeof(std::int32_t));
             // Same per-element cost as the unfused gather's m/4 (dense
-            // interleaved layout) vs m*2 (random CSC fetches).
-            b.mem_irregular(interleaved ? (i % 4 == 0 ? 1 : 0) : 2);
-            return GHPair{g[x], h[x]};
+            // interleaved layout) vs m (one random pair fetch).
+            b.mem_irregular(interleaved ? (i % 4 == 0 ? 1 : 0) : 1);
+            return gh[static_cast<std::size_t>(inst[u])];
           },
           "fused_gather_seg_scan");
     } else {
@@ -179,6 +178,7 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
       ghe.free();
       segment_present_totals(st, st.seg_offsets.span(), ghl.span(),
                              seg_tot.span(), "seg_present_totals");
+      scan.partial = ghl.span();
     }
   }
 
@@ -198,20 +198,18 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
     w.dir = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_seg));
     obs::ScopedSpan span("compute_gains");
     auto v = st.values.span();
-    auto scan = ghl.span();
     auto tot = seg_tot.span();
     auto stats = slot_stats.span();
     const auto fm = st.feature_mask;
     prim::fused_gain_argmax(
-        dev, st.seg_offsets, w.val, w.idx, w.dir,
-        st.segs_per_block(n_seg),
-        [v, scan, tot, stats, fm, n_attr, lambda](
+        dev, st.seg_offsets, scan, w.val, w.idx, w.dir,
+        st.segs_per_block(n_seg, n),
+        [v, tot, stats, fm, n_attr, lambda](
             BlockCtx& b, std::int64_t s, std::int64_t e, std::int64_t seg_lo,
-            std::int64_t seg_hi) {
+            std::int64_t seg_hi, const GHPair& prefix) {
           const auto u = static_cast<std::size_t>(e);
           b.reads(v, e);
-          b.reads(scan, e);
-          b.mem_coalesced(20);  // v + (g, h) inclusive prefix, streamed
+          b.mem_coalesced(sizeof(float));  // v, streamed
           if (e == seg_lo) {
             // Segment-invariant loads: the walk fetches the segment total and
             // the packed slot stats once and keeps them in registers for the
@@ -239,7 +237,7 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
           const SlotStat& node = stats[static_cast<std::size_t>(s / n_attr)];
           b.flop(16);
           const CandidateGain c = missing_aware_gain(
-              {scan[u].g, scan[u].h, e - seg_lo + 1},
+              {prefix.g, prefix.h, e - seg_lo + 1},
               {tot[seg].g, tot[seg].h, seg_hi - seg_lo},
               node, lambda);
           return prim::GainDir{c.gain,
@@ -253,7 +251,7 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
     auto v = st.values.span();
     auto k = st.keys.span();
     auto off = st.seg_offsets.span();
-    auto scan = ghl.span();
+    auto prefix = ghl.span();
     auto tot = seg_tot.span();
     auto stats = slot_stats.span();
     auto gn = w.gains.span();
@@ -280,7 +278,7 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
                    const SlotStat& node = stats[static_cast<std::size_t>(
                        static_cast<std::int64_t>(seg) / n_attr)];
                    const CandidateGain c = missing_aware_gain(
-                       {scan[u].g, scan[u].h, e - seg_lo + 1},
+                       {prefix[u].g, prefix[u].h, e - seg_lo + 1},
                        {tot[seg].g, tot[seg].h, seg_hi - seg_lo},
                        node, lambda);
                    gn[u] = c.gain;
@@ -288,7 +286,7 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
                  });
                  b.reads_tile(v, n);
                  b.reads_tile(k, n);
-                 b.reads_tile(scan, n);
+                 b.reads_tile(prefix, n);
                  b.writes_tile(gn, n);
                  b.writes_tile(dr, n);
                  if (!fm.empty()) {
@@ -309,21 +307,23 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
     const auto upos = static_cast<std::size_t>(b.pos);
     b.split_value = st.values[upos];
     const std::int64_t seg_lo = st.seg_offsets[useg];
-    set_children(b, st.active[s], ghl[upos], b.pos - seg_lo + 1,
+    set_children(b, st.active[s], scan.at(b.pos, seg_lo), b.pos - seg_lo + 1,
                  seg_tot[useg], st.seg_offsets[useg + 1] - seg_lo);
   }
   return out;
 }
 
-void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan) {
+void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan,
+                             std::span<const std::int32_t> owner_of_node) {
   obs::ScopedSpan span("mark_sides");
   auto& dev = st.dev;
   const std::int64_t n = st.n_elems;
   const std::int64_t n_attr = st.n_attr;
 
-  // The split step's one upload: default children, split commands and the
-  // partition's next-slot map.
-  st.split_tables = upload_split_tables(st, plan, /*child_slots=*/false);
+  // The split step's one upload: default children, split commands, the
+  // partition's next-slot map and (sharded) the node owners.
+  st.split_tables =
+      upload_split_tables(st, plan, /*child_slots=*/false, owner_of_node);
   assign_default_children(st);
 
   // Exact side for instances present on the winning attribute: the sorted
@@ -359,7 +359,6 @@ void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan) {
                  b.mem_irregular(writes + m / 8);
                });
   }
-  if (plan.children_are_leaves) release_working_layout(st);
 }
 
 void apply_partition_sparse(TrainState& st, const LevelPlan& plan) {
@@ -448,7 +447,11 @@ void apply_partition_sparse(TrainState& st, const LevelPlan& plan) {
 
 void apply_splits_sparse(TrainState& st, const LevelPlan& plan) {
   apply_mark_sides_sparse(st, plan);
-  if (!plan.children_are_leaves) apply_partition_sparse(st, plan);
+  if (plan.children_are_leaves) {
+    release_working_layout(st);
+  } else {
+    apply_partition_sparse(st, plan);
+  }
 }
 
 }  // namespace gbdt::detail

@@ -9,7 +9,8 @@ namespace gbdt::data {
 
 void Dataset::add_instance(std::span<const Entry> entries, float label) {
   // Checked in every build: the CSC build indexes per-attribute counters by
-  // attr and the sorted layout assumes one entry per attribute.
+  // attr, the sorted layout assumes one entry per attribute, and the value
+  // sort assumes finite values.
   const auto reject = [this](const std::string& why) {
     throw std::invalid_argument("row " + std::to_string(n_instances()) +
                                 ": " + why);
@@ -24,6 +25,11 @@ void Dataset::add_instance(std::span<const Entry> entries, float label) {
       }
       reject("attributes not strictly increasing (" + std::to_string(prev) +
              " then " + std::to_string(e.attr) + ")");
+    }
+    // A NaN breaks the strict weak ordering the CSC build's value sort
+    // needs (undefined behaviour); a missing value is an absent entry.
+    if (!std::isfinite(e.value)) [[unlikely]] {
+      reject("attribute " + std::to_string(e.attr) + " value is not finite");
     }
     prev = e.attr;
   }

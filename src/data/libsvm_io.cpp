@@ -89,6 +89,7 @@ Dataset read_libsvm(std::istream& in) {
       if (idx > max_attr) max_attr = idx;
       // A NaN value is a missing entry: the CSC layout is missing-aware.
       if (std::isnan(value)) continue;
+      if (std::isinf(value)) bad("non-finite feature value");
       entries.push_back({static_cast<std::int32_t>(idx - 1), value});
     }
     ds.set_n_attributes(max_attr);

@@ -334,37 +334,21 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
       }
     }
 
-    std::vector<std::array<double, 2>> root_stats(
-        static_cast<std::size_t>(K));
+    // Gradients are replicated, so every shard reduces the same pairs in
+    // the same order to the same bitwise root; no collective is needed to
+    // agree on it.
+    std::vector<gbdt::detail::GHPair> roots(static_cast<std::size_t>(K));
     {
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);
-      // Every shard reduces its replicated gradients (bitwise-identical
-      // values), then the collective spreads/validates them — semantically a
-      // broadcast, expressed as an allreduce with max (idempotent here).
       for (int k = 0; k < K; ++k) {
         auto& sh = shards[static_cast<std::size_t>(k)];
-        root_stats[static_cast<std::size_t>(k)] = std::array<double, 2>{
-            prim::reduce_sum<double>(*sh.dev, sh.state->grad,
-                                     "mgpu_root_sum_g"),
-            prim::reduce_sum<double>(*sh.dev, sh.state->hess,
-                                     "mgpu_root_sum_h")};
+        roots[static_cast<std::size_t>(k)] =
+            prim::reduce_sum(*sh.dev, sh.state->gh, "mgpu_root_sum_gh");
       }
     }
-    if (K > 1) {
-      obs::ScopedSpan span("allreduce_merge");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
-      auto links = make_links(shards);
-      std::vector<std::span<double>> payloads;
-      payloads.reserve(static_cast<std::size_t>(K));
-      for (auto& rs : root_stats) payloads.push_back(std::span<double>(rs));
-      comm.add_collective(allreduce<double>(
-          "comm_root", link, opts.algo, links, payloads,
-          [](double a, double b) { return std::max(a, b); }));
-    }
     for (auto& sh : shards) sh.state->tree = &tree;
-    return ActiveNode{0, root_stats[0][0], root_stats[0][1], n_inst};
+    return ActiveNode{0, roots[0].g, roots[0].h, n_inst};
   };
 
   backend.find_splits = [&](const std::vector<ActiveNode>& active) {
@@ -449,7 +433,9 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
       for (int k = 0; k < K; ++k) {
         gbdt::detail::apply_mark_sides_sparse(
             *shards[static_cast<std::size_t>(k)].state,
-            shard_plans[static_cast<std::size_t>(k)]);
+            shard_plans[static_cast<std::size_t>(k)],
+            K > 1 ? std::span<const std::int32_t>(owner_of_node)
+                  : std::span<const std::int32_t>{});
       }
     }
 
@@ -507,10 +493,9 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
       for (int k = 0; k < K; ++k) {
         auto& sh = shards[static_cast<std::size_t>(k)];
         auto& st = *sh.state;
-        auto d_owner = gbdt::detail::upload_pooled(*sh.dev, st.arena,
-                                             owner_of_node);
+        // The owner table rode in with mark_sides' split-table upload.
         auto nof = st.node_of.span();
-        auto own = d_owner.span();
+        auto own = st.split_tables.owner;
         const std::int64_t n = n_inst;
         const int me = k;
         sh.dev->launch(
@@ -520,7 +505,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
                 if (i >= n) return;
                 const auto u = static_cast<std::size_t>(i);
                 const std::int32_t c = nof[u];
-                const int w = own[static_cast<std::size_t>(c)];
+                const std::int64_t w = own[static_cast<std::size_t>(c)];
                 if (w >= 0 && w != me) {
                   nof[u] = peers[static_cast<std::size_t>(w)][u];
                 }
@@ -536,9 +521,11 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
       }
     }
 
-    // 6. Local order-preserving partition of every shard's lists (none
-    //    when the children are leaves).
-    if (!plan.children_are_leaves) {
+    // 6. Local order-preserving partition of every shard's lists; when the
+    //    children are leaves, node_sync was the lists' last reader.
+    if (plan.children_are_leaves) {
+      for (auto& sh : shards) gbdt::detail::release_working_layout(*sh.state);
+    } else {
       obs::ScopedSpan span("partition");
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);

@@ -65,22 +65,17 @@ void RoundDriver::begin_round(detail::TrainState& st,
     dev_.copy_to_device<std::uint8_t>(plan.row_mask(), d_row_mask_);
     const std::int64_t n = st.n_inst;
     auto mask = d_row_mask_.span();
-    auto g = st.grad.span();
-    auto h = st.hess.span();
+    auto gh = st.gh.span();
     dev_.launch("sample_mask_gradients", device::grid_for(n, kBlockDim),
                 kBlockDim, [&](BlockCtx& b) {
                   b.for_each_thread([&](std::int64_t i) {
                     if (i >= n) return;
                     const auto u = static_cast<std::size_t>(i);
-                    if (mask[u] == 0) {
-                      g[u] = 0.0;
-                      h[u] = 0.0;
-                    }
+                    if (mask[u] == 0) gh[u] = detail::GHPair{};
                   });
                   b.reads_tile(mask, n);
-                  b.writes_tile(g, n);
-                  b.writes_tile(h, n);
-                  // mask byte read + up to two double writes per row
+                  b.writes_tile(gh, n);
+                  // mask byte read + up to one (g, h) pair write per row
                   b.mem_coalesced(prim::elems_in_block(b, n) * 17);
                 });
   }

@@ -24,7 +24,7 @@
 
 namespace gbdt::objective {
 
-/// Produces one boosting round's gradients into st.grad / st.hess from the
+/// Produces one boosting round's gradients into st.gh from the
 /// current st.y_pred and the device-resident labels.
 class Objective {
  public:

@@ -43,8 +43,7 @@ void RankingObjective::gradients(detail::TrainState& st,
   auto qo = d_query_offsets_.span();
   auto y = labels.span();
   auto p = st.y_pred.span();
-  auto g = st.grad.span();
-  auto h = st.hess.span();
+  auto gh = st.gh.span();
   constexpr double kSigma = 1.0;
   st.dev.launch(
       "obj_lambda_gradients", device::grid_for(nq, kBlockDim), kBlockDim,
@@ -59,16 +58,14 @@ void RankingObjective::gradients(detail::TrainState& st,
           b.reads(qo, q, 2);
           for (std::int64_t i = lo; i < hi; ++i) {
             const auto u = static_cast<std::size_t>(i);
-            g[u] = 0.0;
-            h[u] = 0.0;
+            gh[u] = detail::GHPair{};
           }
-          // Queries partition the rows, so the scattered g/h writes of
+          // Queries partition the rows, so the scattered (g, h) writes of
           // distinct threads/blocks never alias.  block-disjoint: each
           // query's [lo, hi) range belongs to exactly one thread.
           b.reads(y, lo, m);
           b.reads(p, lo, m);
-          b.writes(g, lo, m);
-          b.writes(h, lo, m);
+          b.writes(gh, lo, m);
           docs += static_cast<std::uint64_t>(m);
           if (m < 2) return;
 
@@ -126,11 +123,11 @@ void RankingObjective::gradients(detail::TrainState& st,
                   1.0 / (1.0 + std::exp(kSigma * (static_cast<double>(p[hu]) -
                                                   static_cast<double>(p[lu]))));
               const double lam = kSigma * rho * dndcg;
-              g[hu] -= lam;
-              g[lu] += lam;
+              gh[hu].g -= lam;
+              gh[lu].g += lam;
               const double w = kSigma * kSigma * rho * (1.0 - rho) * dndcg;
-              h[hu] += w;
-              h[lu] += w;
+              gh[hu].h += w;
+              gh[lu].h += w;
               pair_ops += 1;
             }
           }

@@ -93,6 +93,13 @@ std::uint64_t Span::transfers_total() const {
   return total;
 }
 
+device::KernelStats Span::kernel_stats_total() const {
+  device::KernelStats total;
+  for (const auto& [label, agg] : stats_.kernels) total += agg.stats;
+  for (const auto& c : children_) total += c->kernel_stats_total();
+  return total;
+}
+
 std::size_t Span::peak_device_bytes_total() const {
   std::size_t peak = stats_.peak_device_bytes;
   for (const auto& c : children_) {

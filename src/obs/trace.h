@@ -119,6 +119,9 @@ class Span {
   [[nodiscard]] double modeled_total_seconds() const;
   /// Transfers of this span plus all descendants.
   [[nodiscard]] std::uint64_t transfers_total() const;
+  /// Kernel counters (blocks, irregular transactions, ...) of this span plus
+  /// all descendants, summed over every kernel label.
+  [[nodiscard]] device::KernelStats kernel_stats_total() const;
   /// Peak device bytes over this span and all descendants.
   [[nodiscard]] std::size_t peak_device_bytes_total() const;
 

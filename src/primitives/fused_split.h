@@ -11,11 +11,13 @@
 // primitives below collapse that pipeline:
 //
 //  * fused_gather_scan_totals — the segmented scan's per-block phase pulls
-//    each element straight from the gradient arrays via a caller-supplied
+//    each element straight from the gradient pairs via a caller-supplied
 //    load functor, so `ghe` never exists; per-segment present totals are
 //    emitted as a side product (interior segment ends directly from phase 1,
 //    each block's leading-run end finalised in the carry pass), so the
-//    separate seg_present_totals pass disappears.
+//    separate seg_present_totals pass disappears.  No fixup pass runs
+//    either: the result is a CarriedScan, whose readers add each block's
+//    incoming carry on read.
 //  * fused_gain_argmax — gain computation, duplicate-split suppression and
 //    the per-segment argmax run in one offsets-driven kernel that keeps a
 //    running block-local best (gain, index, direction) and writes only the
@@ -24,10 +26,11 @@
 // Bit-identity with the unfused path (swept by the fuzz oracle under
 // GBDT_UNFUSED_SPLIT): the scan keeps the exact per-block sequential
 // association order and the exact carry/fixup addition order (`run + carry`),
-// totals equal the post-fixup scan value of each segment's last element, and
-// the argmax applies the same `best_i < 0 || gain > best` lowest-index
-// tie-break over the same ascending element order the unfused
-// compute_gains + segmented_arg_max pair uses.
+// CarriedScan::at adds the carry exactly where, and in the order, the
+// fixup would have, totals equal the post-fixup scan value of each
+// segment's last element, and the argmax applies the same
+// `best_i < 0 || gain > best` lowest-index tie-break over the same ascending
+// element order the unfused compute_gains + segmented_arg_max pair uses.
 //
 // The escape hatch: set GBDT_UNFUSED_SPLIT=1 (or "on"/"true") in the
 // environment, or call set_fused_split_enabled(false), to route the trainers
@@ -39,7 +42,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string_view>
+#include <utility>
 
 #include "device/device_context.h"
 #include "device/workspace_arena.h"
@@ -85,26 +90,63 @@ struct GainDir {
   std::uint8_t dir = 0;
 };
 
+/// A segmented inclusive scan read with carry on read.  `partial` holds the
+/// per-block scan (kBlockDim-element blocks); `carries[g]` is block g's
+/// incoming carry, which the unfused path's seg_scan_fixup adds to the
+/// block's leading run.  at() applies that addition when the value is read,
+/// under the fixup's own `incoming == T{}` skip and in its `o[i] += incoming`
+/// order, so it returns the fixed-up value bit for bit without a pass that
+/// re-reads and rewrites the scan.  Empty `carries`: `partial` is already
+/// final (the unfused path's fixed-up scan, read through the same view).
+template <typename T>
+struct CarriedScan {
+  std::span<const T> partial;
+  device::ArenaBuffer<T> carries;
+
+  /// Whether block g's leading run belongs to the segment starting at
+  /// seg_lo, i.e. whether the fixup would add block g's carry to that
+  /// segment's elements in block g.
+  [[nodiscard]] bool carried(std::int64_t g, std::int64_t seg_lo) const {
+    return !carries.empty() && seg_lo <= g * kBlockDim;
+  }
+
+  /// The carry the fixup adds to the segment's elements in block g, or null
+  /// where it adds nothing (the `incoming == T{}` skip included).
+  [[nodiscard]] const T* carry(std::int64_t g, std::int64_t seg_lo) const {
+    if (!carried(g, seg_lo)) return nullptr;
+    const T& incoming = carries[static_cast<std::size_t>(g)];
+    return incoming == T{} ? nullptr : &incoming;
+  }
+
+  /// Scan value of element i, which belongs to the segment starting at
+  /// seg_lo.
+  [[nodiscard]] T at(std::int64_t i, std::int64_t seg_lo) const {
+    T v = partial[static_cast<std::size_t>(i)];
+    if (const T* c = carry(i / kBlockDim, seg_lo)) v += *c;
+    return v;
+  }
+};
+
 /// Fused gradient gather + segmented inclusive scan + per-segment totals.
 ///
 /// `load(b, i)` returns element i's value, declaring its own audit reads and
 /// accounting its own memory traffic (the gather half of the fusion).  Keys
 /// must be non-decreasing segment ids, as in segmented_inclusive_scan_by_key.
-/// On return, `out[i]` holds the segmented inclusive scan of the loaded
-/// values and `totals[s]` the segment-s sum for every non-empty segment
-/// (empty segments are left untouched — callers must not read them, which
-/// the trainers' winner-validity checks guarantee).
+/// On return, `out` holds the per-block scan of the loaded values, and the
+/// returned CarriedScan (which views `out`, so `out` must outlive it) reads
+/// the segmented inclusive scan; `totals[s]` holds the segment-s sum for
+/// every non-empty segment (empty segments are left untouched — callers must
+/// not read them, which the trainers' winner-validity checks guarantee).
 ///
 /// Per-block scratch (trailing-run sums, carries, pending leading-run ends)
 /// is checked out of the arena, so steady-state levels allocate nothing.
 template <typename KeyBuf, typename OutBuf, typename TotBuf, typename LoadFn>
-void fused_gather_scan_totals(device::Device& dev,
-                              device::WorkspaceArena& arena,
-                              const KeyBuf& keys, OutBuf& out, TotBuf& totals,
-                              LoadFn&& load, std::string_view name) {
+[[nodiscard]] CarriedScan<buffer_element_t<OutBuf>> fused_gather_scan_totals(
+    device::Device& dev, device::WorkspaceArena& arena, const KeyBuf& keys,
+    OutBuf& out, TotBuf& totals, LoadFn&& load, std::string_view name) {
   using T = buffer_element_t<OutBuf>;
   const std::int64_t n = static_cast<std::int64_t>(out.size());
-  if (n == 0) return;
+  if (n == 0) return {};
   const std::int64_t grid = device::grid_for(n, kBlockDim);
   auto run_sums = arena.alloc<T>(static_cast<std::size_t>(grid));
   auto carries = arena.alloc<T>(static_cast<std::size_t>(grid));
@@ -179,7 +221,7 @@ void fused_gather_scan_totals(device::Device& dev,
       cr[static_cast<std::size_t>(g)] = incoming;
       const std::int32_t pend = ps[static_cast<std::size_t>(g)];
       if (pend >= 0) {
-        // Same addition order as the fixup kernel's `o[i] += incoming`.
+        // Same addition order as CarriedScan::at (and seg_scan_fixup).
         T t = pv[static_cast<std::size_t>(g)];
         t += incoming;
         tot[static_cast<std::size_t>(pend)] = t;
@@ -201,45 +243,28 @@ void fused_gather_scan_totals(device::Device& dev,
     b.mem_irregular(totals_written);
   });
 
-  // Fixup: identical to the unfused seg_scan_fixup — adds the incoming carry
-  // to each block's leading run.
-  dev.launch("fused_scan_fixup", grid, kBlockDim, [&](device::BlockCtx& b) {
-    const T incoming = cr[static_cast<std::size_t>(b.block_idx())];
-    if (incoming == T{}) return;  // nothing to add (also skips most blocks)
-    const std::int64_t lo = b.block_idx() * b.block_dim();
-    const std::int64_t hi = std::min<std::int64_t>(lo + b.block_dim(), n);
-    const std::int32_t lead = k[static_cast<std::size_t>(lo)];
-    std::uint64_t touched = 0;
-    for (std::int64_t i = lo; i < hi && k[static_cast<std::size_t>(i)] == lead;
-         ++i) {
-      o[static_cast<std::size_t>(i)] += incoming;
-      ++touched;
-    }
-    b.reads(cr, b.block_idx());
-    b.reads(k, lo, hi - lo);
-    b.reads(o, lo, static_cast<std::int64_t>(touched));
-    b.writes(o, lo, static_cast<std::int64_t>(touched));
-    b.work(touched);
-    b.mem_coalesced(touched * 2 * sizeof(T));
-  });
+  return CarriedScan<T>{std::span<const T>(as_span(out)), std::move(carries)};
 }
 
 /// Fused gain computation + duplicate suppression + per-segment argmax.
 ///
-/// `eval(b, s, e, seg_lo, seg_hi)` returns element e's candidate GainDir,
-/// declaring its own audit reads and accounting its own traffic (suppressed
+/// `eval(b, s, e, seg_lo, seg_hi, prefix)` returns element e's candidate
+/// GainDir, where `prefix` is element e's value of `scan` (CarriedScan::at,
+/// read and accounted here); eval declares its other audit reads and
+/// accounts their traffic (suppressed
 /// duplicates return gain 0.0 so they lose to any positive candidate, exactly
 /// like the zeroed entries of the unfused `gains` array).  Each block walks
 /// `segs_per_block` consecutive segments in ascending element order keeping a
 /// running best with the unfused lowest-index tie-break, then writes only the
 /// per-segment winner (value, element index, direction); empty segments get
 /// (0.0, -1, 0) like the unfused segmented_arg_max.
-template <typename OffBuf, typename BestValBuf, typename BestIdxBuf,
-          typename BestDirBuf, typename EvalFn>
+template <typename T, typename OffBuf, typename BestValBuf,
+          typename BestIdxBuf, typename BestDirBuf, typename EvalFn>
 void fused_gain_argmax(device::Device& dev, const OffBuf& seg_offsets,
-                       BestValBuf& best_values, BestIdxBuf& best_indices,
-                       BestDirBuf& best_dirs, std::int64_t segs_per_block,
-                       EvalFn&& eval, std::string_view name) {
+                       const CarriedScan<T>& scan, BestValBuf& best_values,
+                       BestIdxBuf& best_indices, BestDirBuf& best_dirs,
+                       std::int64_t segs_per_block, EvalFn&& eval,
+                       std::string_view name) {
   const std::int64_t n_seg = static_cast<std::int64_t>(seg_offsets.size()) - 1;
   if (n_seg <= 0) return;
   segs_per_block = std::max<std::int64_t>(1, segs_per_block);
@@ -258,12 +283,29 @@ void fused_gain_argmax(device::Device& dev, const OffBuf& seg_offsets,
       double best = 0.0;
       std::int64_t best_i = -1;
       std::uint8_t best_d = 0;
-      for (std::int64_t e = lo; e < hi; ++e) {
-        const GainDir gd = eval(b, s, e, lo, hi);
-        if (best_i < 0 || gd.gain > best) {
-          best = gd.gain;
-          best_i = e;
-          best_d = gd.dir;
+      if (hi > lo) {
+        b.reads(scan.partial, lo, hi - lo);
+        b.mem_coalesced(static_cast<std::uint64_t>(hi - lo) * sizeof(T));
+      }
+      // Walk the segment one scan block at a time: the carry on read is
+      // fixed per block (loaded once, at the block's first element).
+      for (std::int64_t e = lo; e < hi;) {
+        const std::int64_t g = e / kBlockDim;
+        const std::int64_t chunk_hi = std::min(hi, (g + 1) * kBlockDim);
+        if (scan.carried(g, lo)) {
+          b.reads(scan.carries.span(), g);
+          b.mem_coalesced(sizeof(T));
+        }
+        const T* c = scan.carry(g, lo);
+        for (; e < chunk_hi; ++e) {
+          T prefix = scan.partial[static_cast<std::size_t>(e)];
+          if (c != nullptr) prefix += *c;
+          const GainDir gd = eval(b, s, e, lo, hi, prefix);
+          if (best_i < 0 || gd.gain > best) {
+            best = gd.gain;
+            best_i = e;
+            best_d = gd.dir;
+          }
         }
       }
       bv[static_cast<std::size_t>(s)] = best;

@@ -11,40 +11,54 @@
 
 namespace gbdt::prim {
 
-/// Sum of all elements.  Accumulates in Acc (use double for float inputs so
-/// the result does not depend on the block decomposition at float precision).
-template <typename T, typename Acc = T>
-[[nodiscard]] Acc reduce_sum(device::Device& dev,
-                             const device::DeviceBuffer<T>& in,
-                             std::string_view name = "reduce_sum") {
+/// combine() of map(in[i]) over all elements, from `init`: per-block
+/// partials in ascending element order, then one single-block pass over the
+/// partials in block order.  One pass serves reductions of several fields
+/// (a (g, h) pair's sums or abs-maxima) at once.
+template <typename Acc, typename T, typename Map, typename Combine>
+[[nodiscard]] Acc map_reduce(device::Device& dev,
+                             const device::DeviceBuffer<T>& in, Acc init,
+                             Map&& map, Combine&& combine,
+                             std::string_view name) {
   const std::int64_t n = static_cast<std::int64_t>(in.size());
-  if (n == 0) return Acc{};
+  if (n == 0) return init;
   const std::int64_t grid = device::grid_for(n, kBlockDim);
   auto partials = dev.alloc<Acc>(static_cast<std::size_t>(grid));
   auto src = in.span();
   auto part = partials.span();
   dev.launch(name, grid, kBlockDim, [&](device::BlockCtx& b) {
-    Acc acc{};
+    Acc acc = init;
     b.for_each_thread([&](std::int64_t i) {
-      if (i < n) acc += static_cast<Acc>(src[static_cast<std::size_t>(i)]);
+      if (i < n) acc = combine(acc, map(src[static_cast<std::size_t>(i)]));
     });
     part[static_cast<std::size_t>(b.block_idx())] = acc;
     b.reads_tile(src, n);
     b.writes(part, b.block_idx());
     b.mem_coalesced(elems_in_block(b, n) * sizeof(T) + sizeof(Acc));
   });
-  Acc total{};
+  Acc total = init;
   // block-disjoint: single-block final pass, so the captured accumulator is
   // written by exactly one block.
   dev.launch("reduce_final", 1, kBlockDim, [&](device::BlockCtx& b) {
     for (std::int64_t i = 0; i < grid; ++i) {
-      total += part[static_cast<std::size_t>(i)];
+      total = combine(total, part[static_cast<std::size_t>(i)]);
     }
     b.reads(part, 0, grid);
     b.work(static_cast<std::uint64_t>(grid));
     b.mem_coalesced(static_cast<std::uint64_t>(grid) * sizeof(Acc));
   });
   return total;
+}
+
+/// Sum of all elements.  Accumulates in Acc (use double for float inputs so
+/// the result does not depend on the block decomposition at float precision).
+template <typename T, typename Acc = T>
+[[nodiscard]] Acc reduce_sum(device::Device& dev,
+                             const device::DeviceBuffer<T>& in,
+                             std::string_view name = "reduce_sum") {
+  return map_reduce(
+      dev, in, Acc{}, [](const T& x) { return static_cast<Acc>(x); },
+      [](Acc a, const Acc& x) { return a += x; }, name);
 }
 
 /// Result of an argmax reduction.

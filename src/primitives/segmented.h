@@ -27,6 +27,26 @@ namespace gbdt::prim {
   return 1 + n_segments / (static_cast<std::int64_t>(num_sms) * c);
 }
 
+/// Segments per block of every SetKey-style grid (set_keys and the
+/// per-segment argmax walks):
+///   max(1 + S / (#SM * C), ceil(S / ceil(N / kBlockDim)))
+/// for S segments over N elements (elements, RLE runs or histogram bins).
+/// The second term bounds the grid by the element count: however short the
+/// segments, no more blocks launch than a one-thread-per-element kernel
+/// would, so block scheduling never costs more than the elements do.  The
+/// paper's term governs once N > #SM * C * kBlockDim (about 7.2 M elements
+/// on the Titan X preset), the scale the paper measured; below it, deep
+/// levels of short segments would otherwise launch ~1 block per element.
+[[nodiscard]] inline std::int64_t segs_per_block(std::int64_t n_segments,
+                                                 std::int64_t n_elems,
+                                                 int num_sms,
+                                                 std::int64_t c = 1000) {
+  const std::int64_t paper = auto_segs_per_block(n_segments, num_sms, c);
+  const std::int64_t elem_blocks = (n_elems + kBlockDim - 1) / kBlockDim;
+  if (elem_blocks <= 0) return paper;
+  return std::max(paper, (n_segments + elem_blocks - 1) / elem_blocks);
+}
+
 /// Writes keys[e] = segment index of element e, with each block handling
 /// `segs_per_block` consecutive segments.  segs_per_block == 1 is the naive
 /// one-block-per-segment scheme the paper improves on.

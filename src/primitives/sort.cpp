@@ -145,7 +145,7 @@ void segmented_sort_pairs(device::Device& dev,
   // Segment key per element, then one composite-key sort.
   auto seg_keys = dev.alloc<std::int32_t>(static_cast<std::size_t>(n));
   set_keys(dev, seg_offsets, seg_keys,
-           auto_segs_per_block(n_seg, dev.config().num_sms));
+           segs_per_block(n_seg, n, dev.config().num_sms));
 
   auto keys = dev.alloc<std::uint64_t>(static_cast<std::size_t>(n));
   auto order = dev.alloc<std::uint32_t>(static_cast<std::size_t>(n));

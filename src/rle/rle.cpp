@@ -55,7 +55,7 @@ DeviceRle compress(device::Device& dev, std::span<const float> values,
   Scratch<std::int32_t> keys(dev, arena, static_cast<std::size_t>(n));
   auto keys_span = keys.span();
   prim::set_keys(dev, elem_seg_offsets, keys_span,
-                 prim::auto_segs_per_block(n_seg, dev.config().num_sms));
+                 prim::segs_per_block(n_seg, n, dev.config().num_sms));
 
   // Head flags -> run index per element (exclusive scan).
   Scratch<std::int64_t> head(dev, arena, static_cast<std::size_t>(n));

@@ -1,17 +1,22 @@
 // Tests for the cost-model-guided autotuner: the tuned configuration can
 // never predict worse find-split seconds than the paper's fixed C = 1000
-// (the acceptance gate), the sweep always evaluates the paper default, the
-// chosen knobs land in GBDTParam, and a tuned training run still fits.
+// (the acceptance gate), the sweep always evaluates the paper default, a
+// predicted set_keys launch costs what the launched kernel does, the chosen
+// knobs land in GBDTParam, and a tuned training run still fits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "core/autotune.h"
+#include "core/loss.h"
 #include "core/metrics.h"
 #include "core/trainer.h"
+#include "core/trainer_detail.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
+#include "primitives/segmented.h"
 
 namespace gbdt::autotune {
 namespace {
@@ -71,6 +76,55 @@ TEST(Autotune, SweepEvaluatesPaperDefault) {
   // Fusion only removes traffic; the model must confirm it on.
   EXPECT_TRUE(t.fused_find);
   EXPECT_GE(t.fused_saving_seconds, 0.0);
+}
+
+// The tuner's own accuracy, measured: it prices the grid the trainer
+// launches (prim::segs_per_block), so on a uniform-segment layout its
+// predicted set_keys seconds equal the launched kernel's modeled seconds —
+// where the paper's term governs the grid, where the element bound does,
+// and for the naive one-block-per-segment ablation.
+TEST(Autotune, PredictedSetKeysSecondsMatchLaunchedKernel) {
+  const DeviceConfig cfg = DeviceConfig::titan_x_pascal();
+  const device::CostModel cm(cfg);
+  struct Layout {
+    std::int64_t n_seg;
+    std::int64_t seg_len;
+    std::int64_t c;
+  };
+  for (const Layout l : {Layout{10'000, 50, 10},     // paper term governs
+                         Layout{100'000, 1, 1000},   // element bound governs
+                         Layout{40'000, 3, 1000},
+                         Layout{28, 4000, 1000}}) {  // root level
+    const std::int64_t n = l.n_seg * l.seg_len;
+    std::vector<std::int64_t> offs(static_cast<std::size_t>(l.n_seg) + 1);
+    for (std::int64_t s = 0; s <= l.n_seg; ++s) {
+      offs[static_cast<std::size_t>(s)] = s * l.seg_len;
+    }
+    device::Device dev(cfg);
+    auto d_offs = dev.to_device<std::int64_t>(offs);
+    auto keys = dev.alloc<std::int32_t>(static_cast<std::size_t>(n));
+    for (const bool custom : {true, false}) {
+      const std::int64_t spb =
+          custom ? prim::segs_per_block(l.n_seg, n, cfg.num_sms, l.c) : 1;
+      dev.reset_timeline();
+      prim::set_keys(dev, d_offs, keys, spb);
+      const double realized = dev.timeline().kernels.at("set_keys").seconds;
+      EXPECT_NEAR(set_keys_seconds(cm, l.n_seg, n, spb), realized,
+                  1e-9 * realized)
+          << "segments=" << l.n_seg << " len=" << l.seg_len
+          << " custom=" << custom;
+    }
+  }
+  // The trainer's grid: the same function, and one segment per block for
+  // the naive Fig 9 ablation however short the segments are.
+  GBDTParam p;
+  const auto loss = make_loss(p.loss);
+  device::Device dev(cfg);
+  detail::TrainState st(dev, p, *loss);
+  EXPECT_EQ(st.segs_per_block(100'000, 100'000),
+            prim::segs_per_block(100'000, 100'000, cfg.num_sms));
+  p.use_custom_setkey = false;
+  EXPECT_EQ(st.segs_per_block(100'000, 100'000), 1);
 }
 
 TEST(Autotune, ApplyWritesChosenKnobs) {

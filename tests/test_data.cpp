@@ -91,6 +91,17 @@ TEST(Dataset, AddInstanceRejectsMalformedRows) {
   rejects({{-1, 1.f}}, 0.f, "a negative attribute");
   rejects({{0, 1.f}}, std::nanf(""), "a NaN label");
   rejects({}, INFINITY, "an infinite label");
+  // Non-finite feature values name the row and the attribute.
+  for (const float bad : {std::nanf(""), INFINITY, -INFINITY}) {
+    try {
+      ds.add_instance(std::vector<Entry>{{0, 1.f}, {1, bad}}, 0.f);
+      ADD_FAILURE() << "accepted a feature value of " << bad;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("row 1"), std::string::npos) << what;
+      EXPECT_NE(what.find("attribute 1"), std::string::npos) << what;
+    }
+  }
   EXPECT_EQ(ds.n_instances(), 1);
   EXPECT_EQ(ds.n_entries(), 2);
   ds.add_instance(std::vector<Entry>{{1, 3.f}}, 0.f);
@@ -204,11 +215,13 @@ TEST(LibsvmIo, RejectsMalformedInput) {
     EXPECT_THROW((void)read_libsvm(in), std::runtime_error);
   }
   // Indices past 2^31, values or labels with trailing text, and non-finite
-  // labels are errors that name the line.
+  // labels or feature values (NaN aside: it is a missing entry) are errors
+  // that name the line.
   for (const char* text : {"1 2147483649:1\n", "1 4294967297:1\n",
                            "1 3:0.5abc\n", "1 3:+-1\n", "1 3:\n",
                            "abc 1:2\n", "1x 1:2\n", "nan 1:2\n",
-                           "inf 1:2\n", "-inf\n"}) {
+                           "inf 1:2\n", "-inf\n", "1 2:inf\n",
+                           "1 1:0.5 2:-inf\n", "1 2:+inf\n"}) {
     std::istringstream in(std::string("0 1:1\n") + text);
     try {
       (void)read_libsvm(in);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "analysis/access_audit.h"
@@ -122,55 +123,89 @@ TEST(FusedSplit, MultiGpuFusedMatchesUnfusedBitwise) {
   expect_bitwise_equal_forests(shard_train(true), shard_train(false));
 }
 
-// Primitive-level agreement: the fused gather+scan+totals must reproduce
-// the gather -> segmented scan -> present-totals sequence element for
-// element (including per-segment totals) on uneven segment layouts.
+/// Two scan lanes, like the trainers' (g, h) pairs: a carry can be zero in
+/// one lane and not the other, so the fixup's `incoming == T{}` skip and
+/// the signs of zeros both matter.
+struct Lanes {
+  double a = 0.0;
+  double b = 0.0;
+  Lanes& operator+=(const Lanes& o) {
+    a += o.a;
+    b += o.b;
+    return *this;
+  }
+  friend Lanes operator+(Lanes x, const Lanes& y) { return x += y; }
+  friend bool operator==(const Lanes&, const Lanes&) = default;
+};
+
+bool same_bits(const Lanes& x, const Lanes& y) {
+  return std::memcmp(&x, &y, sizeof(Lanes)) == 0;
+}
+
+// Primitive-level agreement: the fused gather+scan+totals, read through its
+// CarriedScan view, must reproduce the gather -> segmented scan -> fixup ->
+// present-totals sequence bit for bit (including per-segment totals) on
+// uneven segment layouts, without launching a fixup pass.
 TEST(FusedSplit, FusedGatherScanTotalsMatchesUnfusedSequence) {
   Device dev(DeviceConfig::titan_x_pascal());
   device::WorkspaceArena arena(dev.allocator());
   const std::int64_t n = 10'000;
-  // Uneven segments, including an empty one, spanning many blocks.
+  // Uneven segments: an empty one, [700, 4096) spanning 14 blocks, one
+  // starting exactly on a block boundary, and [4097, 9000) whose lane a is
+  // all +-0.0 (its carries are zero in lane a only) ahead of [9000, n),
+  // all zeros in both lanes (its carries equal T{}, so the skip applies).
   std::vector<std::int64_t> offs{0, 1, 1, 700, 4096, 4097, 9000, n};
   const auto n_seg = static_cast<std::int64_t>(offs.size()) - 1;
   auto d_offs = dev.to_device<std::int64_t>(offs);
   auto keys = dev.alloc<std::int32_t>(static_cast<std::size_t>(n));
   prim::set_keys(dev, d_offs, keys, 2);
 
-  auto src = dev.alloc<double>(static_cast<std::size_t>(n));
+  auto src = dev.alloc<Lanes>(static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
+    const double v = static_cast<double>((i * 2654435761u) % 97) / 7.0;
+    const double zero = i % 3 == 0 ? -0.0 : 0.0;
     src[static_cast<std::size_t>(i)] =
-        static_cast<double>((i * 2654435761u) % 97) / 7.0;
+        i >= 9000   ? Lanes{zero, zero}
+        : i >= 4097 ? Lanes{zero, v}
+                    : Lanes{v, v / 3.0};
   }
 
-  auto fused_out = arena.alloc<double>(static_cast<std::size_t>(n));
-  auto fused_tot = arena.alloc<double>(static_cast<std::size_t>(n_seg));
+  auto fused_out = arena.alloc<Lanes>(static_cast<std::size_t>(n));
+  auto fused_tot = arena.alloc<Lanes>(static_cast<std::size_t>(n_seg));
   auto s = src.span();
-  prim::fused_gather_scan_totals(
+  const prim::CarriedScan<Lanes> view = prim::fused_gather_scan_totals(
       dev, arena, keys, fused_out, fused_tot,
       [s](device::BlockCtx& b, std::int64_t i) {
         b.reads(s, i);
-        b.mem_coalesced(sizeof(double));
+        b.mem_coalesced(sizeof(Lanes));
         return s[static_cast<std::size_t>(i)];
       },
       "test_fused_gather_scan");
+  EXPECT_EQ(dev.timeline().kernels.count("fused_scan_fixup"), 0u);
+  ASSERT_FALSE(view.carries.empty());
 
-  auto plain_out = dev.alloc<double>(static_cast<std::size_t>(n));
+  auto plain_out = dev.alloc<Lanes>(static_cast<std::size_t>(n));
   prim::segmented_inclusive_scan_by_key(dev, src, keys, plain_out,
                                         "test_plain_scan");
+  std::int64_t carried = 0;  // elements the view adds a carry to
   for (std::int64_t i = 0; i < n; ++i) {
-    ASSERT_EQ(fused_out[static_cast<std::size_t>(i)],
-              plain_out[static_cast<std::size_t>(i)])
-        << "element " << i;
+    const std::int64_t seg_lo =
+        offs[static_cast<std::size_t>(keys[static_cast<std::size_t>(i)])];
+    const Lanes want = plain_out[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(same_bits(view.at(i, seg_lo), want)) << "element " << i;
+    if (!same_bits(fused_out[static_cast<std::size_t>(i)], want)) ++carried;
   }
+  // The carries are real: without them the leading runs read wrong.
+  EXPECT_GT(carried, 0);
   // Totals of every non-empty segment equal the scan value at its end.
   for (std::int64_t g = 0; g < n_seg; ++g) {
     if (offs[static_cast<std::size_t>(g)] ==
         offs[static_cast<std::size_t>(g + 1)]) {
       continue;
     }
-    ASSERT_EQ(fused_tot[static_cast<std::size_t>(g)],
-              plain_out[static_cast<std::size_t>(
-                  offs[static_cast<std::size_t>(g + 1)] - 1)])
+    ASSERT_TRUE(same_bits(fused_tot[static_cast<std::size_t>(g)],
+                          plain_out[static_cast<std::size_t>(
+                              offs[static_cast<std::size_t>(g + 1)] - 1)]))
         << "segment " << g;
   }
 }
@@ -183,18 +218,18 @@ TEST(FusedSplit, FusedGainArgmaxTieBreakAndEmptySegments) {
   auto d_offs = dev.to_device<std::int64_t>(offs);
   // Segment 0: tie of 7.0 at elements 1 and 3 -> element 1 wins.
   // Segment 1: empty.  Segment 2: all zero gains -> first element wins.
-  std::vector<double> gains{1.0, 7.0, 3.0, 7.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  // The gains ride in as the scan the argmax hands each eval.
+  auto gains = dev.to_device<double>(
+      std::vector<double>{1.0, 7.0, 3.0, 7.0, 0.0, 0.0, 0.0, 0.0, 0.0});
+  const prim::CarriedScan<double> scan{gains.span(), {}};
   auto best_val = dev.alloc<double>(3);
   auto best_idx = dev.alloc<std::int64_t>(3);
   auto best_dir = dev.alloc<std::uint8_t>(3);
   prim::fused_gain_argmax(
-      dev, d_offs, best_val, best_idx, best_dir, 2,
-      [&gains](device::BlockCtx& b, std::int64_t s, std::int64_t e,
-               std::int64_t, std::int64_t) {
-        (void)s;
-        b.mem_coalesced(sizeof(double));
-        return prim::GainDir{gains[static_cast<std::size_t>(e)],
-                             static_cast<std::uint8_t>(e % 2)};
+      dev, d_offs, scan, best_val, best_idx, best_dir, 2,
+      [](device::BlockCtx&, std::int64_t, std::int64_t e, std::int64_t,
+         std::int64_t, double gain) {
+        return prim::GainDir{gain, static_cast<std::uint8_t>(e % 2)};
       },
       "test_fused_argmax");
   EXPECT_EQ(best_val[0], 7.0);
@@ -208,8 +243,9 @@ TEST(FusedSplit, FusedGainArgmaxTieBreakAndEmptySegments) {
 }
 
 // Every new fused kernel (phase 1 under its caller-supplied label, the
-// carry and fixup passes, and the fused argmax) must run clean under the
-// shadow-memory access auditor on every trainer path that launches them.
+// carry pass, and the fused argmax with its carry-on-read scan loads) must
+// run clean under the shadow-memory access auditor on every trainer path
+// that launches them.
 TEST(FusedSplit, FusedTrainingRunsCleanUnderAudit) {
   analysis::set_audit_enabled(true);
   ScopedFusedMode mode(true);

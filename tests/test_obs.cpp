@@ -248,7 +248,8 @@ int run_tool(const std::string& args, const std::string& out_path = "") {
 /// A one-case suite; `find_split` is that case's `find_split` span seconds
 /// in its phases map (the other spans stay fixed and sum to 0.25).
 void write_suite(const std::string& path, double modeled,
-                 double find_split = 0.75, int split_transfers = -1) {
+                 double find_split = 0.75, int split_transfers = -1,
+                 int split_blocks = -1) {
   Json c = Json::object();
   c["name"] = "ds1";
   auto metrics = Json::object();
@@ -265,6 +266,15 @@ void write_suite(const std::string& path, double modeled,
     Json split = Json::object();
     split["name"] = "split_node";
     split["transfers"] = split_transfers;
+    if (split_blocks >= 0) {
+      // One kernel label with `split_blocks` blocks and twice as many
+      // irregular transactions.
+      Json k = Json::object();
+      k["blocks"] = split_blocks;
+      k["irregular_accesses"] = 2 * split_blocks;
+      split["kernels"] = Json::object();
+      split["kernels"]["partition_count"] = std::move(k);
+    }
     Json train = Json::object();
     train["name"] = "train";
     train["transfers"] = 1;
@@ -357,6 +367,45 @@ TEST(ObsBenchCompare, ListsSpansWhoseTransferCountsChanged) {
     const std::string text((std::istreambuf_iterator<char>(in)),
                            std::istreambuf_iterator<char>());
     EXPECT_EQ(text.find("TRANSFERS"), std::string::npos) << text;
+  }
+  std::remove(now.c_str());
+  std::remove(old.c_str());
+  std::remove(out.c_str());
+}
+
+TEST(ObsBenchCompare, ListsSpansWhoseBlockAndIrregularCountsChanged) {
+  const std::string now = "/tmp/test_obs_suite_blocks_now.json";
+  const std::string old = "/tmp/test_obs_suite_blocks_old.json";
+  const std::string out = "/tmp/test_obs_compare_blocks_out.txt";
+  const auto compare_text = [&] {
+    EXPECT_EQ(run_tool("--compare-only --json=" + now + " --compare=" + old,
+                       out),
+              0);
+    std::ifstream in(out);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  write_suite(now, 1.0, 0.75, 240, /*split_blocks=*/1000);
+  write_suite(old, 1.0, 0.75, 240, /*split_blocks=*/5000);
+  {
+    const std::string text = compare_text();
+    EXPECT_NE(text.find("BLOCKS    t2/ds1"), std::string::npos) << text;
+    EXPECT_NE(text.find("IRREGULAR t2/ds1"), std::string::npos) << text;
+    // Each span counts its subtree: split_node and train (no kernels of
+    // its own) both list the change.
+    EXPECT_NE(text.find("span split_node"), std::string::npos) << text;
+    EXPECT_NE(text.find("span train"), std::string::npos) << text;
+    EXPECT_NE(text.find("blocks 5000 -> 1000"), std::string::npos) << text;
+    EXPECT_NE(text.find("irregular 10000 -> 2000"), std::string::npos)
+        << text;
+    EXPECT_EQ(text.find("TRANSFERS"), std::string::npos) << text;
+  }
+  // An older report without per-kernel counts lists no block changes.
+  write_suite(old, 1.0, 0.75, 240);
+  {
+    const std::string text = compare_text();
+    EXPECT_EQ(text.find("BLOCKS"), std::string::npos) << text;
+    EXPECT_EQ(text.find("IRREGULAR"), std::string::npos) << text;
   }
   std::remove(now.c_str());
   std::remove(old.c_str());
@@ -612,6 +661,94 @@ TEST(ObsTrace, SplitStepPartitionsAllButTheLastLevelWithOneUpload) {
             kShards * partitioned);
   EXPECT_EQ(mark->transfers_total() + partition->transfers_total(),
             kShards * levels);
+}
+
+/// Counters of kernel `label` summed over `span`'s subtree.
+device::KernelStats stats_of(const obs::Span& span, const std::string& label) {
+  device::KernelStats total;
+  for (const auto& [name, agg] : span.stats().kernels) {
+    if (name == label) total += agg.stats;
+  }
+  for (const auto& c : span.children()) total += stats_of(*c, label);
+  return total;
+}
+
+// Find-split pays for its elements, not for its segment count or its array
+// count: the (g, h) gather is one random transaction per gathered element
+// (plus at most one scattered total store per segment), and every SetKey
+// grid (set_keys and the gain argmax walk) launches at most
+// ceil(N / 256) + 1 blocks per level for its N elements, or runs on RLE.
+TEST(ObsTrace, FindSplitGathersOncePerElementAndSizesGridsByElements) {
+  data::SyntheticSpec spec;
+  spec.n_instances = 2000;
+  spec.n_attributes = 20;
+  spec.density = 0.5;
+  spec.distinct_values = 8;  // few runs per segment on the RLE path
+  spec.seed = 41;
+  const auto ds = data::generate(spec);
+  GBDTParam p;
+  p.depth = 5;
+  p.n_trees = 2;
+  // An upper bound on the segments all levels scan: every node of every
+  // tree above the depth limit, times the attributes.
+  const auto segments = static_cast<std::uint64_t>(
+      spec.n_attributes * p.n_trees * ((1 << p.depth) - 1));
+
+  std::vector<Tree> sparse_trees;
+  std::uint64_t gathered = 0;  // elements gathered, summed over levels
+  for (const bool rle : {false, true}) {
+    const char* path = rle ? "rle_forced" : "exact_sparse";
+    obs::ObsSession session;
+    session.activate();
+    device::Device dev(device::DeviceConfig::titan_x_pascal());
+    GBDTParam q = p;
+    q.force_rle = rle;
+    const auto report = GpuGbdtTrainer(dev, q).train(ds);
+    session.deactivate();
+    ASSERT_EQ(report.used_rle, rle) << path;
+    const obs::Span* train = session.root().child("train");
+    ASSERT_NE(train, nullptr) << path;
+    const obs::Span* find = train->child("find_split");
+    ASSERT_NE(find, nullptr) << path;
+    const obs::Span* set_key = find->child("set_key");
+    const obs::Span* prefix = find->child("gain_prefix_sum");
+    const obs::Span* gains = find->child("compute_gains");
+    ASSERT_TRUE(set_key != nullptr && prefix != nullptr && gains != nullptr)
+        << path;
+
+    // set_keys writes one key per element (per run on RLE), so its work
+    // summed over levels is the levels' total N.
+    const device::KernelStats keys = stats_of(*set_key, "set_keys");
+    const std::uint64_t levels = launches_of(*set_key, "set_keys");
+    ASSERT_GT(levels, 0u) << path;
+    if (!rle) {
+      gathered = keys.thread_work;
+      sparse_trees = report.trees;
+    } else {
+      // Same forest, so the same elements per level; RLE gathers each run's
+      // elements.
+      ASSERT_EQ(report.trees.size(), sparse_trees.size());
+      for (std::size_t t = 0; t < sparse_trees.size(); ++t) {
+        ASSERT_TRUE(Tree::same_structure(report.trees[t], sparse_trees[t],
+                                         0.0))
+            << "tree " << t;
+      }
+      EXPECT_LT(keys.thread_work, gathered) << "runs compress the elements";
+    }
+    EXPECT_LE(prefix->kernel_stats_total().irregular_accesses,
+              gathered + segments)
+        << path;
+    // Sum over levels of ceil(N / 256) + 1 <= N_total / 256 + 2 * levels.
+    const auto grid_bound = [&](std::uint64_t blocks) {
+      return blocks * 256 <= keys.thread_work + 2 * 256 * levels;
+    };
+    EXPECT_TRUE(grid_bound(keys.blocks))
+        << path << ": set_keys " << keys.blocks << " blocks for "
+        << keys.thread_work << " keys over " << levels << " levels";
+    const device::KernelStats walk = gains->kernel_stats_total();
+    EXPECT_TRUE(grid_bound(walk.blocks))
+        << path << ": gain argmax " << walk.blocks << " blocks";
+  }
 }
 
 }  // namespace

@@ -168,6 +168,26 @@ TEST(SetKeys, AutoFormulaMatchesPaper) {
   EXPECT_EQ(auto_segs_per_block(28'000, 28), 2);
   EXPECT_EQ(auto_segs_per_block(1'000'000, 28), 1 + 1'000'000 / 28'000);
   EXPECT_EQ(auto_segs_per_block(5'000'000, 28, 500), 1 + 5'000'000 / 14'000);
+
+  // The launched grid: max(paper term, ceil(S / ceil(N / kBlockDim))).
+  // Paper scale (N > #SM * C * kBlockDim elements): the paper's term governs.
+  EXPECT_EQ(segs_per_block(1'000'000, 50'000'000, 28), 1 + 1'000'000 / 28'000);
+  EXPECT_EQ(segs_per_block(28, 1'000'000, 28), 1);  // root level: 1 per block
+  // Short segments: the element bound governs and caps the grid at
+  // ceil(N / kBlockDim) blocks.  5.5 M segments over 6.6 M elements (1.2
+  // per segment) would launch 5.5 M blocks under the paper's term alone.
+  const std::int64_t s = 5'500'000;
+  const std::int64_t n = 6'600'000;
+  const std::int64_t elem_blocks = (n + kBlockDim - 1) / kBlockDim;
+  const std::int64_t spb = segs_per_block(s, n, 28);
+  EXPECT_EQ(spb, (s + elem_blocks - 1) / elem_blocks);
+  EXPECT_GT(spb, auto_segs_per_block(s, 28));
+  EXPECT_LE((s + spb - 1) / spb, elem_blocks);
+  EXPECT_EQ(segs_per_block(100'000, 1'000, 28), 100'000 / 4);  // 4 blocks
+  // A smaller C raises the paper's term past the element bound again.
+  EXPECT_EQ(segs_per_block(s, n, 28, 1), 1 + s / 28);
+  // No elements: the paper's term alone.
+  EXPECT_EQ(segs_per_block(100, 0, 28), 1);
 }
 
 TEST(SetKeys, FewerBlocksWithCustomFormula) {

@@ -14,14 +14,17 @@
 // machine noise; the threshold exists for intentional small reworks.  Each
 // regressed case also lists the spans of its `phases` map whose modeled
 // seconds moved most, so the report names the layer that moved.  Any case
-// whose spans changed their transfer counts (each span counting its
-// subtree, from the case's `trace`) lists those spans too, e.g.
-// `split_node transfers 720 -> 240`.
+// whose spans changed their transfer, thread-block or irregular-transaction
+// counts (each span counting its subtree, from the case's `trace`) lists
+// those spans too, e.g. `split_node transfers 720 -> 240` or
+// `find_split blocks 11968155 -> 1203311`.
 //
 // Exit codes: 0 ok, 1 regression detected, 2 usage error, 3 a bench failed.
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <array>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -217,55 +220,89 @@ void print_phase_deltas(const Json* now, const Json* old, std::size_t top_n) {
   }
 }
 
-/// One span name's transfer count in the old [0] and new [1] report.
-struct SpanTransfers {
+/// The per-span counters a comparison lists when they change, each counting
+/// the span's subtree: PCI-e transfers (a span's own "transfers") and the
+/// thread blocks and irregular transactions of its kernels ("kernels").
+enum Counter { kTransfers, kBlocks, kIrregular, kCounters };
+constexpr const char* kCounterNames[kCounters] = {"transfers", "blocks",
+                                                  "irregular"};
+
+/// One span name's subtree counters in the old [0] and new [1] report.
+struct SpanCounts {
   std::string name;
-  std::uint64_t count[2] = {0, 0};
+  std::uint64_t count[kCounters][2] = {};
 };
 
-/// Adds every span's subtree transfer count under its name to `side`
-/// (same-named spans merge, like the phases map) and returns the subtree
-/// total of `span`.
-std::uint64_t accumulate_transfers(const Json& span, int side,
-                                   std::vector<SpanTransfers>& out) {
-  const Json* self = span.find("transfers");
-  auto total = static_cast<std::uint64_t>(
-      self == nullptr ? 0.0 : self->number_or(0.0));
+/// Adds every span's subtree counters under its name to `side` (same-named
+/// spans merge, like the phases map) and returns the subtree totals of
+/// `span`.
+std::array<std::uint64_t, kCounters> accumulate_counts(
+    const Json& span, int side, std::vector<SpanCounts>& out) {
+  std::array<std::uint64_t, kCounters> total{};
+  const auto add = [&total](Counter c, const Json* v) {
+    if (v != nullptr) total[c] += static_cast<std::uint64_t>(v->number_or(0.0));
+  };
+  add(kTransfers, span.find("transfers"));
+  if (const Json* kernels = span.find("kernels")) {
+    for (const auto& [label, k] : kernels->members()) {
+      add(kBlocks, k.find("blocks"));
+      add(kIrregular, k.find("irregular_accesses"));
+    }
+  }
   if (const Json* kids = span.find("children")) {
     for (const Json& c : kids->items()) {
-      total += accumulate_transfers(c, side, out);
+      const auto sub = accumulate_counts(c, side, out);
+      for (int k = 0; k < kCounters; ++k) total[k] += sub[k];
     }
   }
   const Json* name = span.find("name");
   const std::string key = name == nullptr ? "" : name->str();
   auto it = std::find_if(out.begin(), out.end(),
-                         [&](const SpanTransfers& e) { return e.name == key; });
-  if (it == out.end()) it = out.insert(out.end(), SpanTransfers{key});
-  it->count[side] += total;
+                         [&](const SpanCounts& e) { return e.name == key; });
+  if (it == out.end()) it = out.insert(out.end(), SpanCounts{key});
+  for (int k = 0; k < kCounters; ++k) it->count[k][side] += total[k];
   return total;
 }
 
-/// Prints the spans whose transfer counts differ between two cases' traces.
-void print_transfer_deltas(const std::string& key, const Json* now,
-                           const Json* old) {
-  // Reports written before spans counted transfers have nothing to compare.
-  if (now == nullptr || old == nullptr || now->find("transfers") == nullptr ||
-      old->find("transfers") == nullptr) {
-    return;
-  }
-  std::vector<SpanTransfers> spans;
-  accumulate_transfers(*old, 0, spans);
-  accumulate_transfers(*now, 1, spans);
-  bool header = false;
-  for (const SpanTransfers& s : spans) {
-    if (s.count[0] == s.count[1]) continue;
-    if (!header) {
-      std::printf("  TRANSFERS %s\n", key.c_str());
-      header = true;
+/// Whether a span tree records counter `c`: reports written before spans
+/// counted transfers, or without per-kernel aggregates, have nothing to
+/// compare for it.
+bool records(const Json& span, Counter c) {
+  if (c == kTransfers) return span.find("transfers") != nullptr;
+  if (span.find("kernels") != nullptr) return true;
+  if (const Json* kids = span.find("children")) {
+    for (const Json& k : kids->items()) {
+      if (records(k, c)) return true;
     }
-    std::printf("            span %-41s transfers %llu -> %llu\n",
-                s.name.c_str(), static_cast<unsigned long long>(s.count[0]),
-                static_cast<unsigned long long>(s.count[1]));
+  }
+  return false;
+}
+
+/// Prints the spans whose transfer, block or irregular-transaction counts
+/// differ between two cases' traces, one headed list per counter.
+void print_count_deltas(const std::string& key, const Json* now,
+                        const Json* old) {
+  if (now == nullptr || old == nullptr) return;
+  std::vector<SpanCounts> spans;
+  accumulate_counts(*old, 0, spans);
+  accumulate_counts(*now, 1, spans);
+  for (int k = 0; k < kCounters; ++k) {
+    const auto c = static_cast<Counter>(k);
+    if (!records(*now, c) || !records(*old, c)) continue;
+    bool header = false;
+    for (const SpanCounts& sc : spans) {
+      if (sc.count[k][0] == sc.count[k][1]) continue;
+      if (!header) {
+        std::string tag = kCounterNames[k];
+        for (char& ch : tag) ch = static_cast<char>(std::toupper(ch));
+        std::printf("  %-9s %s\n", tag.c_str(), key.c_str());
+        header = true;
+      }
+      std::printf("            span %-41s %s %llu -> %llu\n", sc.name.c_str(),
+                  kCounterNames[k],
+                  static_cast<unsigned long long>(sc.count[k][0]),
+                  static_cast<unsigned long long>(sc.count[k][1]));
+    }
   }
 }
 
@@ -295,7 +332,7 @@ int compare_suites(const Json& now, const Json& old, double threshold_pct) {
                   row.key.c_str(), it->modeled, row.modeled, delta_pct);
       print_phase_deltas(row.phases, it->phases, 3);
     }
-    print_transfer_deltas(row.key, row.trace, it->trace);
+    print_count_deltas(row.key, row.trace, it->trace);
   }
   std::printf("compared %d cases, %d regression(s) beyond %.1f%%\n", matched,
               regressions, threshold_pct);

@@ -178,15 +178,20 @@ GBDTParam params_from(const Flags& f) {
 
 /// One span row; `total` is the session's modeled seconds, so the share
 /// column shows e.g. find-split's fraction of training (paper §IV-A).  Like
-/// the modeled column, the transfer count covers the span's subtree.
+/// the modeled column, the transfer, thread-block and irregular-transaction
+/// counts cover the span's subtree.
 void print_profile_row(const obs::Span& s, int indent, double total) {
   const double modeled = s.modeled_total_seconds();
-  std::fprintf(stderr, "  %*s%-*s %12.6f %6.1f%% %10.3f %8llu %9llu\n",
+  const device::KernelStats k = s.kernel_stats_total();
+  std::fprintf(stderr,
+               "  %*s%-*s %12.6f %6.1f%% %10.3f %8llu %9llu %10llu %10llu\n",
                indent, "", 30 - indent, s.name().c_str(), modeled,
                total > 0.0 ? 100.0 * modeled / total : 0.0,
                s.stats().wall_seconds,
                static_cast<unsigned long long>(s.stats().invocations),
-               static_cast<unsigned long long>(s.transfers_total()));
+               static_cast<unsigned long long>(s.transfers_total()),
+               static_cast<unsigned long long>(k.blocks),
+               static_cast<unsigned long long>(k.irregular_accesses));
   for (const auto& c : s.children()) {
     print_profile_row(*c, indent + 2, total);
   }
@@ -194,8 +199,9 @@ void print_profile_row(const obs::Span& s, int indent, double total) {
 
 void print_profile(const obs::ObsSession& session) {
   std::fprintf(stderr, "\nprofile (per training phase):\n");
-  std::fprintf(stderr, "  %-30s %12s %7s %10s %8s %9s\n", "phase",
-               "modeled(s)", "share", "wall(s)", "calls", "transfers");
+  std::fprintf(stderr, "  %-30s %12s %7s %10s %8s %9s %10s %10s\n", "phase",
+               "modeled(s)", "share", "wall(s)", "calls", "transfers",
+               "blocks", "irregular");
   const double total = session.root().modeled_total_seconds();
   for (const auto& c : session.root().children()) {
     print_profile_row(*c, 0, total);
