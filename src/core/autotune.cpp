@@ -174,24 +174,6 @@ TuningReport tune(const device::DeviceConfig& cfg, const ProblemShape& shape,
     t.ooc_chunk_bytes =
         best_secs < def_secs * (1.0 - kMinWin) ? best_chunk : def_chunk;
   }
-
-  // ---- fused find-split ----------------------------------------------------
-  // Fusion removes the scan-totals round trip (write + read of 16 B per
-  // element per level); it can only win, so the knob stays on — the saving
-  // is reported for the profile.
-  {
-    double saving = 0.0;
-    const double bw = cfg.mem_bandwidth_gbps * 1e9;
-    for (int l = 0; l < param.depth; ++l) {
-      const std::int64_t nodes = nodes_at_level(l, shape.n_instances);
-      const std::int64_t elems =
-          param.use_hist_trainer ? nodes * shape.n_attributes * param.n_bins
-                                 : shape.n_entries;
-      saving += 2.0 * static_cast<double>(elems) * 16.0 / bw;
-    }
-    t.fused_saving_seconds = saving;
-    t.fused_find = true;
-  }
   return t;
 }
 

@@ -20,8 +20,6 @@
 //     multi-pass penalty when the counters blow the budget).
 //   * Out-of-core chunk size over {16, 32, 64, 128, 256} MiB (pipeline-fill
 //     vs per-chunk-overhead trade-off).
-//   * Fused find-split on/off (the fusion only removes intermediate
-//     traffic, so the model always confirms it on).
 //
 // The default (paper) configuration is only abandoned when a candidate
 // predicts at least a 3% win — the uniform-segment assumption is not worth
@@ -61,7 +59,6 @@ struct TuningReport {
   bool use_custom_setkey = true;
   bool use_custom_idxcomp_workload = true;
   std::size_t ooc_chunk_bytes = std::size_t{64} << 20;
-  bool fused_find = true;
 
   // ---- predictions --------------------------------------------------------
   /// Paper default (C = 1000, custom formula on), for the acceptance gate.
@@ -70,8 +67,6 @@ struct TuningReport {
   double tuned_find_split_seconds = 0.0;
   double partition_custom_seconds = 0.0;
   double partition_naive_seconds = 0.0;
-  /// Intermediate traffic the fused find-split avoids per tree.
-  double fused_saving_seconds = 0.0;
 
   // ---- full sweeps (for --profile and EXPERIMENTS.md) ---------------------
   std::vector<SetKeyCandidate> candidates;

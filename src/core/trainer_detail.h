@@ -260,26 +260,21 @@ void alloc_instance_state(TrainState& st);
 /// rebuilds the lists for the next tree.
 void release_working_layout(TrainState& st);
 
-/// Per-segment gain winners of one level's find step (sparse or RLE).  The
-/// fused pipeline writes val / idx / dir directly; the GBDT_UNFUSED_SPLIT
-/// hatch fills the per-element gains / dirs arrays instead.
+/// Per-segment gain winners of one level's find step (sparse or RLE), as
+/// prim::fused_gain_argmax writes them: value, element index, direction.
 struct SegmentWinners {
   device::ArenaBuffer<double> val;
   device::ArenaBuffer<std::int64_t> idx;
   device::ArenaBuffer<std::uint8_t> dir;
-  device::ArenaBuffer<double> gains;
-  device::ArenaBuffer<std::uint8_t> dirs;
 };
 
-/// Best candidate per segment (unfused hatch only: from w.gains), then best
-/// attribute per node (paper step iii), read back on the host: fills valid /
-/// gain / seg / pos / attr / default_left of out[s] for every active slot
-/// whose best gain is positive, and returns those slots.  `seg_name` and
-/// `node_name` label the two argmax passes.
+/// Best attribute per node over the per-segment winners (paper step iii),
+/// read back on the host: fills valid / gain / seg / pos / attr /
+/// default_left of out[s] for every active slot whose best gain is
+/// positive, and returns those slots.  `node_name` labels the argmax pass.
 [[nodiscard]] std::vector<std::size_t> pick_winners(
-    TrainState& st, SegmentWinners& w,
-    const device::ArenaBuffer<std::int64_t>& seg_offsets,
-    const char* seg_name, const char* node_name, std::vector<BestSplit>& out);
+    TrainState& st, const SegmentWinners& w, const char* node_name,
+    std::vector<BestSplit>& out);
 
 /// Sparse (uncompressed) path.  apply_splits_sparse = mark_sides +
 /// partition (mark_sides and release_working_layout when the children are
@@ -292,13 +287,6 @@ void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan,
                              std::span<const std::int32_t> owner_of_node = {});
 void apply_partition_sparse(TrainState& st, const LevelPlan& plan);
 void apply_splits_sparse(TrainState& st, const LevelPlan& plan);
-
-/// Present-value totals per segment of `off`: the segmented scan's value at
-/// the segment's last element or run (0 for empty segments).  `name` labels
-/// the kernel (the sparse and RLE paths keep their own labels).
-void segment_present_totals(TrainState& st, std::span<const std::int64_t> off,
-                            std::span<const GHPair> scan,
-                            std::span<GHPair> tot, const char* name);
 
 /// Per-instance gradient/prediction kernels (shared with the multi-GPU
 /// trainer, which runs them replicated on every shard).

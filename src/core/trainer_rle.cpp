@@ -28,41 +28,6 @@ using device::DeviceBuffer;
 using prim::elems_in_block;
 using prim::kBlockDim;
 
-namespace {
-
-/// Per-run aggregated first/second derivatives (paper Figure 5): the
-/// gradients of all instances sharing the run's attribute value are added.
-void aggregate_run_gradients(TrainState& st, std::span<GHPair> out) {
-  const std::int64_t n_runs = st.n_runs;
-  auto starts = st.run_starts.span();
-  auto inst = st.inst.span();
-  auto gh = st.gh.span();
-  st.dev.launch("rle_aggregate_grad", device::grid_for(n_runs, kBlockDim),
-                kBlockDim, [&](BlockCtx& b) {
-                  std::uint64_t touched = 0;
-                  b.for_each_thread([&](std::int64_t r) {
-                    if (r >= n_runs) return;
-                    const auto u = static_cast<std::size_t>(r);
-                    GHPair sum;
-                    b.reads(inst, starts[u], starts[u + 1] - starts[u]);
-                    for (std::int64_t e = starts[u]; e < starts[u + 1]; ++e) {
-                      sum += gh[static_cast<std::size_t>(
-                          inst[static_cast<std::size_t>(e)])];
-                      ++touched;
-                    }
-                    out[u] = sum;
-                  });
-                  b.reads_tile(starts, n_runs + 1);
-                  b.writes_tile(out, n_runs);
-                  b.work(touched);
-                  b.mem_coalesced(touched * 4 +
-                                  elems_in_block(b, n_runs) * 32);
-                  b.mem_irregular(touched);  // (g, h) pair gathers
-                });
-}
-
-}  // namespace
-
 std::vector<BestSplit> find_splits_rle(TrainState& st) {
   auto& dev = st.dev;
   const std::int64_t n_runs = st.n_runs;
@@ -72,8 +37,6 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
   std::vector<BestSplit> out(st.active.size());
   if (n_runs == 0) return out;
 
-  const bool fused = prim::fused_split_enabled();
-
   st.run_keys = st.arena.alloc<std::int32_t>(static_cast<std::size_t>(n_runs));
   {
     obs::ScopedSpan span("set_key");
@@ -81,14 +44,16 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
                    st.segs_per_block(n_seg, n_runs));
   }
 
-  // Per-run aggregated derivatives + segmented prefix sum + present totals.
-  // Fused mode folds the Figure-5 aggregation into the scan's first phase
-  // (no `rgh` array), emits the totals as a scan side product, and leaves
-  // the block carries for its readers to add (no fixup pass).
+  // Per-run aggregated derivatives (paper Figure 5: the gradients of all
+  // instances sharing the run's attribute value are added) + segmented
+  // prefix sum + present totals.  The aggregation runs inside the scan's
+  // first phase (no per-run array), the totals come out as a scan side
+  // product, and the block carries are left for their readers to add (no
+  // fixup pass).
   auto ghl = st.arena.alloc<GHPair>(static_cast<std::size_t>(n_runs));
   auto seg_tot = st.arena.alloc<GHPair>(static_cast<std::size_t>(n_seg));
   prim::CarriedScan<GHPair> scan;
-  if (fused) {
+  {
     obs::ScopedSpan prefix_span("gain_prefix_sum");
     auto starts = st.run_starts.span();
     auto inst = st.inst.span();
@@ -113,29 +78,18 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
           return sum;
         },
         "fused_rle_aggregate_seg_scan");
-  } else {
-    obs::ScopedSpan prefix_span("gain_prefix_sum");
-    auto rgh = st.arena.alloc<GHPair>(static_cast<std::size_t>(n_runs));
-    aggregate_run_gradients(st, rgh.span());
-    prim::segmented_inclusive_scan_by_key(dev, rgh, st.run_keys, ghl,
-                                          "rle_seg_scan_gh");
-    rgh.free();
-
-    segment_present_totals(st, st.run_seg_offsets.span(), ghl.span(),
-                           seg_tot.span(), "rle_seg_present_totals");
-    scan.partial = ghl.span();
   }
 
   auto slot_stats = upload_slot_tables(st);
 
-  // Gain per run: no duplicate suppression needed — adjacent runs inside a
-  // segment always carry distinct values.  Fused mode evaluates gains inside
-  // the per-segment argmax walk and keeps only the winners.
+  // Gain per run, evaluated inside the per-segment argmax walk, which keeps
+  // only the winners: no duplicate suppression needed — adjacent runs inside
+  // a segment always carry distinct values.
   SegmentWinners w;
   w.val = st.arena.alloc<double>(static_cast<std::size_t>(n_seg));
   w.idx = st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_seg));
-  if (fused) {
-    w.dir = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_seg));
+  w.dir = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_seg));
+  {
     obs::ScopedSpan span("compute_gains");
     auto starts = st.run_starts.span();
     auto tot = seg_tot.span();
@@ -183,65 +137,9 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
                                static_cast<std::uint8_t>(c.default_left)};
         },
         "fused_rle_gain_argmax");
-  } else {
-    w.gains = st.arena.alloc<double>(static_cast<std::size_t>(n_runs));
-    w.dirs = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_runs));
-    obs::ScopedSpan span("compute_gains");
-    auto k = st.run_keys.span();
-    auto roff = st.run_seg_offsets.span();
-    auto starts = st.run_starts.span();
-    auto prefix = ghl.span();
-    auto tot = seg_tot.span();
-    auto stats = slot_stats.span();
-    auto gn = w.gains.span();
-    auto dr = w.dirs.span();
-    const auto fm = st.feature_mask;
-    dev.launch("rle_compute_gains", device::grid_for(n_runs, kBlockDim),
-               kBlockDim, [&](BlockCtx& b) {
-                 b.for_each_thread([&](std::int64_t r) {
-                   if (r >= n_runs) return;
-                   const auto u = static_cast<std::size_t>(r);
-                   const auto seg = static_cast<std::size_t>(k[u]);
-                   // Attributes outside this tree's feature bag yield no
-                   // splits (mask, not compaction).
-                   if (!fm.empty() &&
-                       fm[seg % static_cast<std::size_t>(n_attr)] == 0) {
-                     gn[u] = 0.0;
-                     dr[u] = 0;
-                     return;
-                   }
-                   const std::int64_t run_lo = roff[seg];
-                   const std::int64_t run_hi = roff[seg + 1];
-                   const std::int64_t elem_lo =
-                       starts[static_cast<std::size_t>(run_lo)];
-                   const std::int64_t elem_hi =
-                       starts[static_cast<std::size_t>(run_hi)];
-                   const SlotStat& node = stats[static_cast<std::size_t>(
-                       static_cast<std::int64_t>(seg) / n_attr)];
-                   const CandidateGain c = missing_aware_gain(
-                       {prefix[u].g, prefix[u].h, starts[u + 1] - elem_lo},
-                       {tot[seg].g, tot[seg].h, elem_hi - elem_lo},
-                       node, lambda);
-                   gn[u] = c.gain;
-                   dr[u] = c.default_left ? 1 : 0;
-                 });
-                 b.reads_tile(k, n_runs);
-                 b.reads_tile(prefix, n_runs);
-                 b.writes_tile(gn, n_runs);
-                 b.writes_tile(dr, n_runs);
-                 if (!fm.empty()) {
-                   b.reads(fm, 0, static_cast<std::int64_t>(fm.size()));
-                 }
-                 const auto m = elems_in_block(b, n_runs);
-                 b.mem_coalesced(m * 49);
-                 b.mem_irregular(m);  // seg-table lookups
-                 b.flop(m * 16);
-               });
   }
 
-  for (const std::size_t s : pick_winners(st, w, st.run_seg_offsets,
-                                          "rle_seg_best_gain",
-                                          "rle_node_best_gain", out)) {
+  for (const std::size_t s : pick_winners(st, w, "rle_node_best_gain", out)) {
     BestSplit& b = out[s];
     const auto useg = static_cast<std::size_t>(b.seg);
     const auto upos = static_cast<std::size_t>(b.pos);

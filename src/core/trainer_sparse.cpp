@@ -22,79 +22,15 @@ using device::DeviceBuffer;
 using prim::elems_in_block;
 using prim::kBlockDim;
 
-namespace {
-
-/// Gathers per-instance gradients into element order (irregular: the paper's
-/// motivation for keeping everything else streaming).
-void gather_gradients(TrainState& st, std::span<GHPair> out) {
-  const std::int64_t n = st.n_elems;
-  // With the dense layout (the xgbst-gpu baseline), the node-interleaved
-  // gradient copies exist precisely to make this gather coalesced — that is
-  // the lookup-speed advantage the paper observes for xgbst-gpu on susy.
-  // The sparse CSC layout pays truly random (g, h) fetches instead.
-  const bool interleaved = st.param.dense_layout;
-  auto inst = st.inst.span();
-  auto gh = st.gh.span();
-  st.dev.launch("gather_gradients", device::grid_for(n, kBlockDim), kBlockDim,
-                [&](BlockCtx& b) {
-                  b.for_each_thread([&](std::int64_t i) {
-                    if (i >= n) return;
-                    const auto u = static_cast<std::size_t>(i);
-                    out[u] = gh[static_cast<std::size_t>(inst[u])];
-                    b.reads(gh, inst[u]);
-                  });
-                  b.reads_tile(inst, n);
-                  b.writes_tile(out, n);
-                  const auto m = elems_in_block(b, n);
-                  b.mem_coalesced(m * 20);
-                  b.mem_irregular(interleaved ? m / 4 : m);
-                });
-}
-
-}  // namespace
-
-/// Present-value totals per segment: the segmented scan's value at the last
-/// element of the segment (0 for empty segments).
-void segment_present_totals(TrainState& st, std::span<const std::int64_t> off,
-                            std::span<const GHPair> scan,
-                            std::span<GHPair> tot, const char* name) {
-  const std::int64_t n_seg = st.n_seg();
-  st.dev.launch(name, device::grid_for(n_seg, kBlockDim),
-                kBlockDim, [&](BlockCtx& b) {
-                  b.for_each_thread([&](std::int64_t s) {
-                    if (s >= n_seg) return;
-                    const auto u = static_cast<std::size_t>(s);
-                    const std::int64_t hi = off[u + 1];
-                    const bool empty = off[u] == hi;
-                    tot[u] = empty ? GHPair{}
-                                   : scan[static_cast<std::size_t>(hi - 1)];
-                    if (!empty) b.reads(scan, hi - 1);
-                  });
-                  b.reads_tile(off, n_seg + 1);
-                  b.writes_tile(tot, n_seg);
-                  const auto m = elems_in_block(b, n_seg);
-                  b.mem_coalesced(m * 32);
-                  b.mem_irregular(m);
-                });
-}
-
 std::vector<std::size_t> pick_winners(
-    TrainState& st, SegmentWinners& w,
-    const device::ArenaBuffer<std::int64_t>& seg_offsets,
-    const char* seg_name, const char* node_name, std::vector<BestSplit>& out) {
+    TrainState& st, const SegmentWinners& w, const char* node_name,
+    std::vector<BestSplit>& out) {
   const std::int64_t n_attr = st.n_attr;
   auto d_node_offs = device_node_offsets(st, st.n_active(), n_attr);
   auto best_node_val = st.arena.alloc<double>(st.active.size());
   auto best_node_idx = st.arena.alloc<std::int64_t>(st.active.size());
   {
     obs::ScopedSpan span("setkey_argmax");
-    if (!w.gains.empty()) {
-      prim::segmented_arg_max(st.dev, w.gains, seg_offsets, w.val, w.idx,
-                              st.segs_per_block(st.n_seg(),
-                                                static_cast<std::int64_t>(
-                                                    w.gains.size())),
-                              seg_name);
-    }
     prim::segmented_arg_max(st.dev, w.val, d_node_offs, best_node_val,
                             best_node_idx, 1, node_name);
   }
@@ -114,9 +50,7 @@ std::vector<std::size_t> pick_winners(
     b.seg = seg;
     b.pos = pos;
     b.attr = static_cast<std::int32_t>(seg % n_attr);
-    b.default_left = w.gains.empty()
-                         ? w.dir[static_cast<std::size_t>(seg)] != 0
-                         : w.dirs[static_cast<std::size_t>(pos)] != 0;
+    b.default_left = w.dir[static_cast<std::size_t>(seg)] != 0;
     won.push_back(s);
   }
   return won;
@@ -131,12 +65,9 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
   std::vector<BestSplit> out(st.active.size());
   if (n == 0) return out;
 
-  const bool fused = prim::fused_split_enabled();
-
   // Segment key per element (Customized SetKey / naive one-block-per-seg).
-  // Keys stay materialized even in the fused pipeline: they are cheap to
-  // write, the apply phase reuses them, and keeping the scan's key reads
-  // identical is what makes fused == unfused bitwise trivial to audit.
+  // Keys stay materialized: they are cheap to write, the scan reads them,
+  // and the apply phase reuses them.
   st.keys = st.arena.alloc<std::int32_t>(static_cast<std::size_t>(n));
   {
     obs::ScopedSpan span("set_key");
@@ -144,58 +75,50 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
   }
 
   // g/h in attribute order, then one fused segmented prefix sum (Figure 1).
-  // Fused mode pulls each (g, h) pair straight from the gradient pairs in
-  // the scan's first phase (no `ghe`), emits the per-segment present totals
-  // as a scan side product (no seg_present_totals pass), and leaves the
-  // block carries for its readers to add (no fixup pass).
+  // The scan's first phase pulls each (g, h) pair straight from the
+  // gradient pairs (no gathered array), emits the per-segment present totals
+  // as a side product, and leaves the block carries for its readers to add
+  // (no fixup pass).
   auto ghl = st.arena.alloc<GHPair>(static_cast<std::size_t>(n));
   auto seg_tot = st.arena.alloc<GHPair>(static_cast<std::size_t>(n_seg));
   prim::CarriedScan<GHPair> scan;
   {
     obs::ScopedSpan span("gain_prefix_sum");
-    if (fused) {
-      const bool interleaved = st.param.dense_layout;
-      auto inst = st.inst.span();
-      auto gh = st.gh.span();
-      scan = prim::fused_gather_scan_totals(
-          dev, st.arena, st.keys, ghl, seg_tot,
-          [inst, gh, interleaved](BlockCtx& b, std::int64_t i) {
-            const auto u = static_cast<std::size_t>(i);
-            b.reads(inst, i);
-            b.reads(gh, inst[u]);
-            b.mem_coalesced(sizeof(std::int32_t));
-            // Same per-element cost as the unfused gather's m/4 (dense
-            // interleaved layout) vs m (one random pair fetch).
-            b.mem_irregular(interleaved ? (i % 4 == 0 ? 1 : 0) : 1);
-            return gh[static_cast<std::size_t>(inst[u])];
-          },
-          "fused_gather_seg_scan");
-    } else {
-      auto ghe = st.arena.alloc<GHPair>(static_cast<std::size_t>(n));
-      gather_gradients(st, ghe.span());
-      prim::segmented_inclusive_scan_by_key(dev, ghe, st.keys, ghl,
-                                            "seg_scan_gh");
-      ghe.free();
-      segment_present_totals(st, st.seg_offsets.span(), ghl.span(),
-                             seg_tot.span(), "seg_present_totals");
-      scan.partial = ghl.span();
-    }
+    // With the dense layout (the xgbst-gpu baseline), the node-interleaved
+    // gradient copies exist precisely to make this gather coalesced — that
+    // is the lookup-speed advantage the paper observes for xgbst-gpu on
+    // susy.  The sparse CSC layout pays truly random (g, h) fetches instead.
+    const bool interleaved = st.param.dense_layout;
+    auto inst = st.inst.span();
+    auto gh = st.gh.span();
+    scan = prim::fused_gather_scan_totals(
+        dev, st.arena, st.keys, ghl, seg_tot,
+        [inst, gh, interleaved](BlockCtx& b, std::int64_t i) {
+          const auto u = static_cast<std::size_t>(i);
+          b.reads(inst, i);
+          b.reads(gh, inst[u]);
+          b.mem_coalesced(sizeof(std::int32_t));
+          // One random pair fetch per element; a quarter of that when the
+          // interleaved copies coalesce four neighbours.
+          b.mem_irregular(interleaved ? (i % 4 == 0 ? 1 : 0) : 1);
+          return gh[static_cast<std::size_t>(inst[u])];
+        },
+        "fused_gather_seg_scan");
   }
 
   auto slot_stats = upload_slot_tables(st);
 
-  // Gain of every candidate split point (paper Equation 2).  Candidates at
-  // duplicated values are suppressed so that the same split point cannot
-  // carry two different gains; we keep the *last* occurrence, whose inclusive
-  // prefix covers every instance with a value >= the split value (this also
-  // makes the RLE path agree exactly).  Fused mode evaluates gains inside the
-  // per-segment argmax walk and keeps only the winners — the full
-  // gains/dirs arrays exist only on the unfused escape hatch.
+  // Gain of every candidate split point (paper Equation 2), evaluated inside
+  // the per-segment argmax walk, which keeps only the winners.  Candidates
+  // at duplicated values are suppressed so that the same split point cannot
+  // carry two different gains; we keep the *last* occurrence, whose
+  // inclusive prefix covers every instance with a value >= the split value
+  // (this also makes the RLE path agree exactly).
   SegmentWinners w;
   w.val = st.arena.alloc<double>(static_cast<std::size_t>(n_seg));
   w.idx = st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_seg));
-  if (fused) {
-    w.dir = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_seg));
+  w.dir = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_seg));
+  {
     obs::ScopedSpan span("compute_gains");
     auto v = st.values.span();
     auto tot = seg_tot.span();
@@ -213,8 +136,8 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
           if (e == seg_lo) {
             // Segment-invariant loads: the walk fetches the segment total and
             // the packed slot stats once and keeps them in registers for the
-            // rest of the segment — this, not the arithmetic, is the fused
-            // kernel's edge over the per-element unfused gains kernel.
+            // rest of the segment — this, not the arithmetic, is what fusing
+            // the gains into the argmax walk saves over a per-element pass.
             b.reads(tot, s);
             b.reads(stats, s / n_attr);
             if (!fm.empty()) b.reads(fm, s % n_attr);
@@ -226,8 +149,7 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
             return prim::GainDir{};
           }
           // Duplicate suppression (paper Section III-B step ii): a zero gain
-          // loses to any positive candidate, exactly like the zeroed entries
-          // of the unfused gains array.
+          // loses to any positive candidate.
           if (e + 1 < seg_hi) {
             b.reads(v, e + 1);
             b.mem_coalesced(sizeof(float));
@@ -244,64 +166,9 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
                                static_cast<std::uint8_t>(c.default_left)};
         },
         "fused_gain_argmax");
-  } else {
-    w.gains = st.arena.alloc<double>(static_cast<std::size_t>(n));
-    w.dirs = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n));
-    obs::ScopedSpan span("compute_gains");
-    auto v = st.values.span();
-    auto k = st.keys.span();
-    auto off = st.seg_offsets.span();
-    auto prefix = ghl.span();
-    auto tot = seg_tot.span();
-    auto stats = slot_stats.span();
-    auto gn = w.gains.span();
-    auto dr = w.dirs.span();
-    const auto fm = st.feature_mask;
-    dev.launch("compute_gains", device::grid_for(n, kBlockDim), kBlockDim,
-               [&](BlockCtx& b) {
-                 b.for_each_thread([&](std::int64_t e) {
-                   if (e >= n) return;
-                   const auto u = static_cast<std::size_t>(e);
-                   const auto seg = static_cast<std::size_t>(k[u]);
-                   const std::int64_t seg_lo = off[seg];
-                   const std::int64_t seg_hi = off[seg + 1];
-                   // Attributes outside this tree's feature bag yield no
-                   // splits (mask, not compaction); duplicated values are
-                   // suppressed (paper Section III-B step ii).
-                   if ((!fm.empty() &&
-                        fm[seg % static_cast<std::size_t>(n_attr)] == 0) ||
-                       (e + 1 < seg_hi && v[u + 1] == v[u])) {
-                     gn[u] = 0.0;
-                     dr[u] = 0;
-                     return;
-                   }
-                   const SlotStat& node = stats[static_cast<std::size_t>(
-                       static_cast<std::int64_t>(seg) / n_attr)];
-                   const CandidateGain c = missing_aware_gain(
-                       {prefix[u].g, prefix[u].h, e - seg_lo + 1},
-                       {tot[seg].g, tot[seg].h, seg_hi - seg_lo},
-                       node, lambda);
-                   gn[u] = c.gain;
-                   dr[u] = c.default_left ? 1 : 0;
-                 });
-                 b.reads_tile(v, n);
-                 b.reads_tile(k, n);
-                 b.reads_tile(prefix, n);
-                 b.writes_tile(gn, n);
-                 b.writes_tile(dr, n);
-                 if (!fm.empty()) {
-                   b.reads(fm, 0, static_cast<std::int64_t>(fm.size()));
-                 }
-                 const auto m = elems_in_block(b, n);
-                 b.mem_coalesced(m * 41);  // v, v+1, keys, gl, hl, gains, dir
-                 b.mem_irregular(m / 2);   // seg/slot table lookups
-                 b.flop(m * 16);
-               });
   }
 
-  for (const std::size_t s : pick_winners(st, w, st.seg_offsets,
-                                          "seg_best_gain", "node_best_gain",
-                                          out)) {
+  for (const std::size_t s : pick_winners(st, w, "node_best_gain", out)) {
     BestSplit& b = out[s];
     const auto useg = static_cast<std::size_t>(b.seg);
     const auto upos = static_cast<std::size_t>(b.pos);

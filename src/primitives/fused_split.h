@@ -1,47 +1,38 @@
 // Fused find-split primitives (paper Sec. III-B hot loop).
 //
-// The unfused find-split sequence runs 5-6 full passes over every attribute
-// list per level:
-//
-//   gather_gradients -> seg_scan (3 phases) -> seg_present_totals
-//     -> compute_gains -> segmented_arg_max
-//
-// materialising a gathered (g,h) array (`ghe`), full per-element `gains` and
-// `dirs` arrays, and reading the scan output twice more.  The two fused
-// primitives below collapse that pipeline:
+// Find-split is one fixed sequence per level: gather each element's
+// gradient pair, run a segmented prefix sum over the attribute lists, take
+// per-segment present totals, compute every candidate's gain, then the
+// SetKey per-segment argmax.  Written as separate kernels that is 5-6 full
+// passes over every attribute list, with a gathered (g,h) array, full
+// per-element gain and direction arrays, and two more reads of the scan
+// output.  The two primitives below run the whole sequence in two passes:
 //
 //  * fused_gather_scan_totals — the segmented scan's per-block phase pulls
 //    each element straight from the gradient pairs via a caller-supplied
-//    load functor, so `ghe` never exists; per-segment present totals are
-//    emitted as a side product (interior segment ends directly from phase 1,
-//    each block's leading-run end finalised in the carry pass), so the
-//    separate seg_present_totals pass disappears.  No fixup pass runs
-//    either: the result is a CarriedScan, whose readers add each block's
-//    incoming carry on read.
+//    load functor, so no gathered array exists; per-segment present totals
+//    are emitted as a side product (interior segment ends directly from
+//    phase 1, each block's leading-run end finalised in the carry pass).
+//    No fixup pass runs either: the result is a CarriedScan, whose readers
+//    add each block's incoming carry on read.
 //  * fused_gain_argmax — gain computation, duplicate-split suppression and
 //    the per-segment argmax run in one offsets-driven kernel that keeps a
 //    running block-local best (gain, index, direction) and writes only the
-//    per-segment winners; the full `gains`/`dirs` arrays disappear.
+//    per-segment winners.
 //
-// Bit-identity with the unfused path (swept by the fuzz oracle under
-// GBDT_UNFUSED_SPLIT): the scan keeps the exact per-block sequential
-// association order and the exact carry/fixup addition order (`run + carry`),
-// CarriedScan::at adds the carry exactly where, and in the order, the
-// fixup would have, totals equal the post-fixup scan value of each
-// segment's last element, and the argmax applies the same
-// `best_i < 0 || gain > best` lowest-index tie-break over the same ascending
-// element order the unfused compute_gains + segmented_arg_max pair uses.
-//
-// The escape hatch: set GBDT_UNFUSED_SPLIT=1 (or "on"/"true") in the
-// environment, or call set_fused_split_enabled(false), to route the trainers
-// through the historical unfused kernels.
+// Both stay bit-identical to the separate-kernel sequence they replace
+// (segmented_inclusive_scan_by_key with its seg_scan_fixup pass, then
+// segmented_arg_max), which test_fused_split holds them to element for
+// element: the scan keeps the exact per-block sequential association order
+// and the exact carry/fixup addition order (`run + carry`), CarriedScan::at
+// adds the carry exactly where, and in the order, the fixup would have,
+// totals equal the post-fixup scan value of each segment's last element,
+// and the argmax applies segmented_arg_max's `best_i < 0 || gain > best`
+// lowest-index tie-break over the same ascending element order.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -52,37 +43,6 @@
 
 namespace gbdt::prim {
 
-namespace fused_detail {
-
-inline bool unfused_env() {
-  const char* v = std::getenv("GBDT_UNFUSED_SPLIT");
-  if (v == nullptr) return false;
-  return std::strcmp(v, "1") == 0 || std::strcmp(v, "on") == 0 ||
-         std::strcmp(v, "true") == 0;
-}
-
-inline std::atomic<int>& fused_flag() {
-  static std::atomic<int> flag{-1};  // -1: read the environment lazily
-  return flag;
-}
-
-}  // namespace fused_detail
-
-/// True unless GBDT_UNFUSED_SPLIT is set (or a test forced the old path).
-[[nodiscard]] inline bool fused_split_enabled() {
-  int s = fused_detail::fused_flag().load(std::memory_order_relaxed);
-  if (s < 0) {
-    s = fused_detail::unfused_env() ? 0 : 1;
-    fused_detail::fused_flag().store(s, std::memory_order_relaxed);
-  }
-  return s == 1;
-}
-
-/// Test/tool override; wins over the environment.
-inline void set_fused_split_enabled(bool on) {
-  fused_detail::fused_flag().store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
 /// One gain evaluation: the candidate's gain and split direction
 /// (1 = missing values go left, 0 = right).
 struct GainDir {
@@ -92,12 +52,13 @@ struct GainDir {
 
 /// A segmented inclusive scan read with carry on read.  `partial` holds the
 /// per-block scan (kBlockDim-element blocks); `carries[g]` is block g's
-/// incoming carry, which the unfused path's seg_scan_fixup adds to the
-/// block's leading run.  at() applies that addition when the value is read,
-/// under the fixup's own `incoming == T{}` skip and in its `o[i] += incoming`
-/// order, so it returns the fixed-up value bit for bit without a pass that
-/// re-reads and rewrites the scan.  Empty `carries`: `partial` is already
-/// final (the unfused path's fixed-up scan, read through the same view).
+/// incoming carry, which segmented_inclusive_scan_by_key's seg_scan_fixup
+/// pass adds to the block's leading run.  at() applies that addition when
+/// the value is read, under the fixup's own `incoming == T{}` skip and in
+/// its `o[i] += incoming` order, so it returns the fixed-up value bit for
+/// bit without a pass that re-reads and rewrites the scan.  Empty
+/// `carries`: `partial` is already final (a plain array handed to
+/// fused_gain_argmax, as the primitive's tests and benches do).
 template <typename T>
 struct CarriedScan {
   std::span<const T> partial;
@@ -205,9 +166,9 @@ template <typename KeyBuf, typename OutBuf, typename TotBuf, typename LoadFn>
     b.mem_irregular(totals_written);  // scattered segment-total stores
   });
 
-  // Carry pass: the sequential block walk of the unfused scan, plus the
-  // fold-in of seg_present_totals — each block's deferred leading-run end
-  // becomes final once its incoming carry is known.
+  // Carry pass: the sequential block walk of seg_scan_fixup's carry
+  // propagation, plus the segment totals — each block's deferred leading-run
+  // end becomes final once its incoming carry is known.
   dev.launch("fused_scan_carries", 1, kBlockDim, [&](device::BlockCtx& b) {
     T carry{};
     std::uint64_t totals_written = 0;
@@ -251,13 +212,12 @@ template <typename KeyBuf, typename OutBuf, typename TotBuf, typename LoadFn>
 /// `eval(b, s, e, seg_lo, seg_hi, prefix)` returns element e's candidate
 /// GainDir, where `prefix` is element e's value of `scan` (CarriedScan::at,
 /// read and accounted here); eval declares its other audit reads and
-/// accounts their traffic (suppressed
-/// duplicates return gain 0.0 so they lose to any positive candidate, exactly
-/// like the zeroed entries of the unfused `gains` array).  Each block walks
-/// `segs_per_block` consecutive segments in ascending element order keeping a
-/// running best with the unfused lowest-index tie-break, then writes only the
-/// per-segment winner (value, element index, direction); empty segments get
-/// (0.0, -1, 0) like the unfused segmented_arg_max.
+/// accounts their traffic (suppressed duplicates return gain 0.0 so they
+/// lose to any positive candidate).  Each block walks `segs_per_block`
+/// consecutive segments in ascending element order keeping a running best
+/// with segmented_arg_max's lowest-index tie-break, then writes only the
+/// per-segment winner (value, element index, direction); empty segments
+/// get (0.0, -1, 0) like segmented_arg_max.
 template <typename T, typename OffBuf, typename BestValBuf,
           typename BestIdxBuf, typename BestDirBuf, typename EvalFn>
 void fused_gain_argmax(device::Device& dev, const OffBuf& seg_offsets,

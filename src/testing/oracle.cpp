@@ -19,7 +19,6 @@
 #include "core/predictor.h"
 #include "multigpu/allreduce.h"
 #include "multigpu/multi_trainer.h"
-#include "primitives/fused_split.h"
 #include "serve/service.h"
 #include "testing/invariants.h"
 
@@ -362,46 +361,6 @@ OracleResult run_oracle(const FuzzCase& c, bool check_invariants) {
         return LegOutput{std::move(r.trees), std::move(r.train_scores), 1.0};
       },
       ref, 1e-7, ds.labels()));
-
-  // Fused vs unfused find-split pipeline: the GBDT_UNFUSED_SPLIT escape
-  // hatch must reproduce the fused trees bit for bit on every path (only
-  // the modeled cost accounting may differ between the modes).
-  {
-    const bool was_fused = prim::fused_split_enabled();
-    auto fused_pair_leg = [&](const GBDTParam& p, const std::string& name) {
-      LegOutput fused;
-      prim::set_fused_split_enabled(true);
-      try {
-        Device dev(DeviceConfig::titan_x_pascal());
-        auto r = GpuGbdtTrainer(dev, p).train(ds);
-        fused = LegOutput{std::move(r.trees), std::move(r.train_scores), 1.0};
-      } catch (const std::exception& e) {
-        LegResult leg;
-        leg.name = name;
-        leg.ran = true;
-        leg.detail = std::string("fused trainer threw: ") + e.what();
-        result.legs.push_back(std::move(leg));
-        prim::set_fused_split_enabled(was_fused);
-        return;
-      }
-      prim::set_fused_split_enabled(false);
-      result.legs.push_back(run_leg(
-          name,
-          [&] {
-            Device dev(DeviceConfig::titan_x_pascal());
-            auto r = GpuGbdtTrainer(dev, p).train(ds);
-            return LegOutput{std::move(r.trees), std::move(r.train_scores),
-                             1.0};
-          },
-          fused, 0.0, ds.labels()));
-      prim::set_fused_split_enabled(was_fused);
-    };
-    fused_pair_leg(base, "unfused_vs_fused_sparse");
-    GBDTParam p = base;
-    p.use_rle = true;
-    p.force_rle = true;
-    fused_pair_leg(p, "unfused_vs_fused_rle");
-  }
 
   result.legs.push_back(hist_leg(c, ref, ds));
 

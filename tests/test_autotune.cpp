@@ -73,9 +73,6 @@ TEST(Autotune, SweepEvaluatesPaperDefault) {
       [](const SetKeyCandidate& c) { return !c.use_custom_setkey; });
   EXPECT_TRUE(has_off);
   EXPECT_FALSE(t.ooc_candidates.empty());
-  // Fusion only removes traffic; the model must confirm it on.
-  EXPECT_TRUE(t.fused_find);
-  EXPECT_GE(t.fused_saving_seconds, 0.0);
 }
 
 // The tuner's own accuracy, measured: it prices the grid the trainer

@@ -1,12 +1,12 @@
-// Fused find-split pipeline (src/primitives/fused_split.h): the fused and
-// GBDT_UNFUSED_SPLIT escape-hatch paths must produce bitwise-identical
-// forests on every trainer path (dense interleaved, sparse, both RLE split
-// strategies, feature-parallel multi-GPU), the fused primitives must agree
-// element-for-element with the unfused sequence they replace, every fused
-// kernel must run clean under the access auditor, and the workspace arena
-// must hold per-level device allocations at ~O(1).
+// Fused find-split primitives (src/primitives/fused_split.h): they must
+// agree element for element with the separate-kernel sequence they replace
+// (gather -> segmented scan with its fixup pass -> present totals, and
+// per-element gains -> segmented argmax), charge less modeled device time
+// than that sequence on the same inputs, and run clean under the access
+// auditor on every trainer path that launches them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -15,7 +15,6 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
-#include "multigpu/multi_trainer.h"
 #include "primitives/fused_split.h"
 #include "primitives/segmented.h"
 #include "primitives/transform.h"
@@ -26,19 +25,6 @@ namespace {
 using device::Device;
 using device::DeviceConfig;
 
-/// Forces one fused mode for the test body and restores the previous mode
-/// on exit, so the process-wide flag never leaks across tests.
-class ScopedFusedMode {
- public:
-  explicit ScopedFusedMode(bool on) : was_(prim::fused_split_enabled()) {
-    prim::set_fused_split_enabled(on);
-  }
-  ~ScopedFusedMode() { prim::set_fused_split_enabled(was_); }
-
- private:
-  bool was_;
-};
-
 data::Dataset mixed_dataset(unsigned seed, double density = 0.7,
                             int distinct = 5) {
   data::SyntheticSpec spec;
@@ -48,79 +34,6 @@ data::Dataset mixed_dataset(unsigned seed, double density = 0.7,
   spec.distinct_values = distinct;  // duplicates exercise suppression
   spec.seed = seed;
   return data::generate(spec);
-}
-
-std::vector<Tree> train_forest(const GBDTParam& p, const data::Dataset& ds,
-                               bool fused) {
-  ScopedFusedMode mode(fused);
-  Device dev(DeviceConfig::titan_x_pascal());
-  auto r = GpuGbdtTrainer(dev, p).train(ds);
-  return std::move(r.trees);
-}
-
-void expect_bitwise_equal_forests(const std::vector<Tree>& a,
-                                  const std::vector<Tree>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t t = 0; t < a.size(); ++t) {
-    EXPECT_TRUE(Tree::same_structure(a[t], b[t], 0.0)) << "tree " << t;
-  }
-}
-
-TEST(FusedSplit, SparseFusedMatchesUnfusedBitwise) {
-  const auto ds = mixed_dataset(11);
-  GBDTParam p;
-  p.depth = 5;
-  p.n_trees = 3;
-  expect_bitwise_equal_forests(train_forest(p, ds, true),
-                               train_forest(p, ds, false));
-}
-
-TEST(FusedSplit, DenseInterleavedFusedMatchesUnfusedBitwise) {
-  const auto ds = mixed_dataset(12, /*density=*/1.0);
-  GBDTParam p;
-  p.depth = 4;
-  p.n_trees = 3;
-  p.dense_layout = true;
-  expect_bitwise_equal_forests(train_forest(p, ds, true),
-                               train_forest(p, ds, false));
-}
-
-TEST(FusedSplit, RleDirectFusedMatchesUnfusedBitwise) {
-  const auto ds = mixed_dataset(13, 0.8, /*distinct=*/4);
-  GBDTParam p;
-  p.depth = 5;
-  p.n_trees = 3;
-  p.use_rle = true;
-  p.force_rle = true;
-  p.use_direct_rle_split = true;
-  expect_bitwise_equal_forests(train_forest(p, ds, true),
-                               train_forest(p, ds, false));
-}
-
-TEST(FusedSplit, RleFallbackFusedMatchesUnfusedBitwise) {
-  const auto ds = mixed_dataset(14, 0.8, /*distinct=*/4);
-  GBDTParam p;
-  p.depth = 5;
-  p.n_trees = 3;
-  p.use_rle = true;
-  p.force_rle = true;
-  p.use_direct_rle_split = false;
-  expect_bitwise_equal_forests(train_forest(p, ds, true),
-                               train_forest(p, ds, false));
-}
-
-TEST(FusedSplit, MultiGpuFusedMatchesUnfusedBitwise) {
-  const auto ds = mixed_dataset(15);
-  GBDTParam p;
-  p.depth = 4;
-  p.n_trees = 2;
-  auto shard_train = [&](bool fused) {
-    ScopedFusedMode mode(fused);
-    multigpu::MultiGpuTrainer trainer(DeviceConfig::titan_x_pascal(), 3, p);
-    auto r = trainer.train(ds);
-    return std::move(r.trees);
-  };
-  expect_bitwise_equal_forests(shard_train(true), shard_train(false));
 }
 
 /// Two scan lanes, like the trainers' (g, h) pairs: a carry can be zero in
@@ -210,7 +123,7 @@ TEST(FusedSplit, FusedGatherScanTotalsMatchesUnfusedSequence) {
   }
 }
 
-// Primitive-level agreement: the fused argmax applies the unfused
+// Primitive-level agreement: the fused argmax applies segmented_arg_max's
 // lowest-index tie-break and leaves (0.0, -1, 0) on empty segments.
 TEST(FusedSplit, FusedGainArgmaxTieBreakAndEmptySegments) {
   Device dev(DeviceConfig::titan_x_pascal());
@@ -242,13 +155,178 @@ TEST(FusedSplit, FusedGainArgmaxTieBreakAndEmptySegments) {
   EXPECT_EQ(best_idx[2], 4);
 }
 
+// Fusion must pay: on one 2^16-element layout (1000-element segments, a
+// random instance gather, two-lane pairs like the trainers' (g, h)), each
+// fused primitive charges less modeled device time than the separate-kernel
+// sequence it replaces, and returns the same values bit for bit.  The
+// reference gather and present-totals kernels charge what the trainers'
+// separate kernels charged; the reference gains kernel drops their value
+// reads, which this test's gain does not make.
+TEST(FusedSplit, FusedPrimitivesChargeLessThanUnfusedSequence) {
+  using device::BlockCtx;
+  using prim::kBlockDim;
+  Device dev(DeviceConfig::titan_x_pascal());
+  device::WorkspaceArena arena(dev.allocator());
+  const std::int64_t n = 1 << 16;
+  std::vector<std::int64_t> offs{0};
+  while (offs.back() < n) {
+    offs.push_back(std::min<std::int64_t>(n, offs.back() + 1000));
+  }
+  const auto n_seg = static_cast<std::int64_t>(offs.size()) - 1;
+  const std::int64_t spb = prim::segs_per_block(n_seg, n, 28);
+  auto d_offs = dev.to_device<std::int64_t>(offs);
+  auto keys = dev.alloc<std::int32_t>(static_cast<std::size_t>(n));
+  prim::set_keys(dev, d_offs, keys, spb);
+  auto inst = dev.alloc<std::int32_t>(static_cast<std::size_t>(n));
+  auto src = dev.alloc<Lanes>(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    inst[u] = static_cast<std::int32_t>((i * 2654435761u) % n);
+    src[u] = Lanes{static_cast<double>(i % 13) - 6.0,
+                   1.0 + static_cast<double>(i % 5)};
+  }
+  auto ix = inst.span();
+  auto sv = src.span();
+  auto ko = keys.span();
+  auto off = d_offs.span();
+
+  // Gather + segmented scan + per-segment totals.
+  auto fused_out = arena.alloc<Lanes>(static_cast<std::size_t>(n));
+  auto fused_tot = arena.alloc<Lanes>(static_cast<std::size_t>(n_seg));
+  double t0 = dev.elapsed_seconds();
+  const prim::CarriedScan<Lanes> view = prim::fused_gather_scan_totals(
+      dev, arena, keys, fused_out, fused_tot,
+      [ix, sv](BlockCtx& b, std::int64_t i) {
+        const auto u = static_cast<std::size_t>(i);
+        b.reads(ix, i);
+        b.reads(sv, ix[u]);
+        b.mem_coalesced(sizeof(std::int32_t));
+        b.mem_irregular(1);
+        return sv[static_cast<std::size_t>(ix[u])];
+      },
+      "test_fused_gather_scan");
+  const double fused_scan_s = dev.elapsed_seconds() - t0;
+
+  auto ghe = dev.alloc<Lanes>(static_cast<std::size_t>(n));
+  auto plain_out = dev.alloc<Lanes>(static_cast<std::size_t>(n));
+  auto plain_tot = dev.alloc<Lanes>(static_cast<std::size_t>(n_seg));
+  auto ge = ghe.span();
+  auto po = plain_out.span();
+  auto pt = plain_tot.span();
+  t0 = dev.elapsed_seconds();
+  dev.launch("test_gather", device::grid_for(n, kBlockDim), kBlockDim,
+             [&](BlockCtx& b) {
+               b.for_each_thread([&](std::int64_t i) {
+                 if (i >= n) return;
+                 const auto u = static_cast<std::size_t>(i);
+                 ge[u] = sv[static_cast<std::size_t>(ix[u])];
+                 b.reads(sv, ix[u]);
+               });
+               b.reads_tile(ix, n);
+               b.writes_tile(ge, n);
+               const auto m = prim::elems_in_block(b, n);
+               b.mem_coalesced(m * 20);
+               b.mem_irregular(m);
+             });
+  prim::segmented_inclusive_scan_by_key(dev, ghe, keys, plain_out,
+                                        "test_seg_scan");
+  dev.launch("test_seg_totals", device::grid_for(n_seg, kBlockDim), kBlockDim,
+             [&](BlockCtx& b) {
+               b.for_each_thread([&](std::int64_t s) {
+                 if (s >= n_seg) return;
+                 const auto u = static_cast<std::size_t>(s);
+                 pt[u] = po[static_cast<std::size_t>(off[u + 1] - 1)];
+                 b.reads(po, off[u + 1] - 1);
+               });
+               b.reads_tile(off, n_seg + 1);
+               b.writes_tile(pt, n_seg);
+               const auto m = prim::elems_in_block(b, n_seg);
+               b.mem_coalesced(m * 32);
+               b.mem_irregular(m);
+             });
+  const double plain_scan_s = dev.elapsed_seconds() - t0;
+  EXPECT_LT(fused_scan_s, plain_scan_s);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    const std::int64_t seg_lo = offs[static_cast<std::size_t>(ko[u])];
+    ASSERT_TRUE(same_bits(view.at(i, seg_lo), plain_out[u])) << "element " << i;
+  }
+  for (std::int64_t s = 0; s < n_seg; ++s) {
+    const auto u = static_cast<std::size_t>(s);
+    ASSERT_TRUE(same_bits(fused_tot[u], plain_tot[u])) << "segment " << s;
+  }
+
+  // Gains + per-segment argmax, read from the carried scan.
+  const auto gain_of = [](const Lanes& prefix, const Lanes& total) {
+    const Lanes right{total.a - prefix.a, total.b - prefix.b};
+    return prefix.a * prefix.a / prefix.b +
+           right.a * right.a / (right.b + 1.0);
+  };
+  auto fused_val = dev.alloc<double>(static_cast<std::size_t>(n_seg));
+  auto fused_idx = dev.alloc<std::int64_t>(static_cast<std::size_t>(n_seg));
+  auto fused_dir = dev.alloc<std::uint8_t>(static_cast<std::size_t>(n_seg));
+  auto ft = fused_tot.span();
+  t0 = dev.elapsed_seconds();
+  prim::fused_gain_argmax(
+      dev, d_offs, view, fused_val, fused_idx, fused_dir, spb,
+      [ft, gain_of](BlockCtx& b, std::int64_t s, std::int64_t e,
+                    std::int64_t lo, std::int64_t, const Lanes& prefix) {
+        if (e == lo) {
+          b.reads(ft, s);
+          b.mem_irregular(1);  // segment-invariant table, loaded once
+        }
+        b.flop(16);
+        const double g = gain_of(prefix, ft[static_cast<std::size_t>(s)]);
+        return prim::GainDir{g, static_cast<std::uint8_t>(prefix.a < 0.0)};
+      },
+      "test_fused_gain_argmax");
+  const double fused_gain_s = dev.elapsed_seconds() - t0;
+
+  auto gains = dev.alloc<double>(static_cast<std::size_t>(n));
+  auto dirs = dev.alloc<std::uint8_t>(static_cast<std::size_t>(n));
+  auto plain_val = dev.alloc<double>(static_cast<std::size_t>(n_seg));
+  auto plain_idx = dev.alloc<std::int64_t>(static_cast<std::size_t>(n_seg));
+  auto gn = gains.span();
+  auto dr = dirs.span();
+  t0 = dev.elapsed_seconds();
+  dev.launch("test_compute_gains", device::grid_for(n, kBlockDim), kBlockDim,
+             [&](BlockCtx& b) {
+               b.for_each_thread([&](std::int64_t e) {
+                 if (e >= n) return;
+                 const auto u = static_cast<std::size_t>(e);
+                 const auto seg = static_cast<std::size_t>(ko[u]);
+                 gn[u] = gain_of(po[u], pt[seg]);
+                 dr[u] = po[u].a < 0.0 ? 1 : 0;
+                 b.reads(pt, ko[u]);
+               });
+               b.reads_tile(ko, n);
+               b.reads_tile(po, n);
+               b.writes_tile(gn, n);
+               b.writes_tile(dr, n);
+               const auto m = prim::elems_in_block(b, n);
+               b.mem_coalesced(m * 29);  // key, prefix pair, gain, dir
+               b.mem_irregular(m / 2);   // segment-table lookups
+               b.flop(m * 16);
+             });
+  prim::segmented_arg_max(dev, gains, d_offs, plain_val, plain_idx, spb,
+                          "test_seg_argmax");
+  const double plain_gain_s = dev.elapsed_seconds() - t0;
+  EXPECT_LT(fused_gain_s, plain_gain_s);
+  for (std::int64_t s = 0; s < n_seg; ++s) {
+    const auto u = static_cast<std::size_t>(s);
+    ASSERT_EQ(fused_val[u], plain_val[u]) << "segment " << s;
+    ASSERT_EQ(fused_idx[u], plain_idx[u]) << "segment " << s;
+    ASSERT_EQ(fused_dir[u], dirs[static_cast<std::size_t>(plain_idx[u])])
+        << "segment " << s;
+  }
+}
+
 // Every new fused kernel (phase 1 under its caller-supplied label, the
 // carry pass, and the fused argmax with its carry-on-read scan loads) must
 // run clean under the shadow-memory access auditor on every trainer path
 // that launches them.
 TEST(FusedSplit, FusedTrainingRunsCleanUnderAudit) {
   analysis::set_audit_enabled(true);
-  ScopedFusedMode mode(true);
   const auto ds = mixed_dataset(16, 0.7, 4);
 
   GBDTParam p;

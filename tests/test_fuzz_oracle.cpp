@@ -77,7 +77,7 @@ TEST_F(FuzzOracleTest, OraclePassesOnKnownGoodSeeds) {
 
 TEST_F(FuzzOracleTest, OracleRunsEveryLeg) {
   const OracleResult r = run_oracle(small_case(), /*check_invariants=*/true);
-  ASSERT_EQ(r.legs.size(), 8u);
+  ASSERT_EQ(r.legs.size(), 6u);
   EXPECT_EQ(r.legs[0].name, "gpu_sparse");
   EXPECT_EQ(r.legs[1].name, "gpu_rle_direct");
   EXPECT_EQ(r.legs[2].name, "gpu_rle_fallback");
@@ -85,20 +85,15 @@ TEST_F(FuzzOracleTest, OracleRunsEveryLeg) {
                                              small_case().n_attributes);
   EXPECT_EQ(r.legs[3].name, "multigpu_x" + std::to_string(shards));
   EXPECT_EQ(r.legs[4].name, "out_of_core");
-  EXPECT_EQ(r.legs[5].name, "unfused_vs_fused_sparse");
-  EXPECT_EQ(r.legs[6].name, "unfused_vs_fused_rle");
-  EXPECT_EQ(r.legs[7].name, "hist_vs_exact");
+  EXPECT_EQ(r.legs[5].name, "hist_vs_exact");
   for (const auto& leg : r.legs) EXPECT_TRUE(leg.ran) << leg.name;
   // The sparse leg is held to bitwise equality with the CPU reference.
   EXPECT_TRUE(r.legs[0].exact) << r.legs[0].detail;
   // Both RLE strategies must account compression identically.
   EXPECT_EQ(r.legs[1].rle_ratio, r.legs[2].rle_ratio);
-  // The GBDT_UNFUSED_SPLIT hatch is held to bitwise equality with fused.
-  EXPECT_TRUE(r.legs[5].exact) << r.legs[5].detail;
-  EXPECT_TRUE(r.legs[6].exact) << r.legs[6].detail;
   // The histogram leg is approximate: quality equivalence, never exact.
-  EXPECT_TRUE(r.legs[7].quality_equivalent) << r.legs[7].detail;
-  EXPECT_FALSE(r.legs[7].exact);
+  EXPECT_TRUE(r.legs[5].quality_equivalent) << r.legs[5].detail;
+  EXPECT_FALSE(r.legs[5].exact);
 }
 
 TEST_F(FuzzOracleTest, HistOracleRunsReferenceAndHistLegOnly) {

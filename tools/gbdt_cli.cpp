@@ -236,11 +236,8 @@ void print_tuning(const autotune::TuningReport& t) {
                "deepest level)\n",
                t.use_custom_idxcomp_workload ? "custom" : "naive",
                t.partition_custom_seconds, t.partition_naive_seconds);
-  std::fprintf(stderr,
-               "  out-of-core chunk: %zu MiB; fused find-split: %s "
-               "(saves %.6f s/tree of intermediate traffic)\n",
-               t.ooc_chunk_bytes >> 20, t.fused_find ? "on" : "off",
-               t.fused_saving_seconds);
+  std::fprintf(stderr, "  out-of-core chunk: %zu MiB\n",
+               t.ooc_chunk_bytes >> 20);
 }
 
 int cmd_train(const Flags& f) {

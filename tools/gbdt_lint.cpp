@@ -354,20 +354,20 @@ void check_file(const fs::path& path) {
     if (fname == "fused_split.h" && labeled && code[a] == '"' &&
         raw.compare(a + 1, 6, "fused_") != 0) {
       report(file, line_of(code, open),
-             "fused_split.h launch label without `fused_` prefix");
+             "rule 7: fused_split.h launch label without `fused_` prefix");
     }
     // Rule 8: the histogram kernel family (primitives/histogram.h) keeps
     // the same greppable-prefix contract with `hist_`.
     if (fname == "histogram.h" && labeled && code[a] == '"' &&
         raw.compare(a + 1, 5, "hist_") != 0) {
       report(file, line_of(code, open),
-             "histogram.h launch label without `hist_` prefix");
+             "rule 8: histogram.h launch label without `hist_` prefix");
     }
     // Rule 9: serving-layer launches keep the contract with `serve_`.
     if (file.find("/serve/") != std::string::npos && labeled &&
         code[a] == '"' && raw.compare(a + 1, 6, "serve_") != 0) {
       report(file, line_of(code, open),
-             "src/serve/ launch label without `serve_` prefix");
+             "rule 9: src/serve/ launch label without `serve_` prefix");
     }
     // Rule 11: objective-layer launches keep the contract with `obj_` /
     // `sample_` (gradient kernels vs. mask kernels).
@@ -375,8 +375,8 @@ void check_file(const fs::path& path) {
         code[a] == '"' && raw.compare(a + 1, 4, "obj_") != 0 &&
         raw.compare(a + 1, 7, "sample_") != 0) {
       report(file, line_of(code, open),
-             "src/objective/ launch label without `obj_` or `sample_` "
-             "prefix");
+             "rule 11: src/objective/ launch label without `obj_` or "
+             "`sample_` prefix");
     }
     // Region end: matching close paren.
     int depth = 1;
@@ -409,7 +409,7 @@ void check_file(const fs::path& path) {
                            raw.compare(a + 1, 7, "stream_") == 0;
       if (!labeled) {
         report(file, line_of(code, open),
-               "`" + it->str(1) +
+               "rule 10: `" + it->str(1) +
                    "(` without a `stream_`-prefixed label as first argument");
       }
     }
@@ -436,8 +436,8 @@ void check_file(const fs::path& path) {
         continue;
       }
       report(file, line_of(code, at),
-             "`wait_event` without a `// hb: <edge>` justification naming "
-             "the happens-before edge it establishes");
+             "rule 10: `wait_event` without a `// hb: <edge>` justification "
+             "naming the happens-before edge it establishes");
     }
   }
 
@@ -449,8 +449,8 @@ void check_file(const fs::path& path) {
     for (auto it = std::sregex_iterator(code.begin(), code.end(), rng_re);
          it != std::sregex_iterator(); ++it) {
       report(file, line_of(code, static_cast<std::size_t>(it->position(0))),
-             "unseeded randomness in src/objective/ — derive every draw "
-             "from GBDTParam::sampling_seed via splitmix64");
+             "rule 11: unseeded randomness in src/objective/ — derive every "
+             "draw from GBDTParam::sampling_seed via splitmix64");
     }
   }
 
@@ -471,8 +471,8 @@ void check_file(const fs::path& path) {
                       raw.compare(a + 1, 5, "comm_") == 0;
       if (!ok) {
         report(file, line_of(code, open),
-               "`allreduce<...>(` without a `comm_`-prefixed label as first "
-               "argument");
+               "rule 12: `allreduce<...>(` without a `comm_`-prefixed label as "
+               "first argument");
       }
     }
     if (file.find("/multigpu/") != std::string::npos) {
@@ -494,7 +494,8 @@ void check_file(const fs::path& path) {
             !is_ident(code[a + 5]);
         if (!literal_ok && !forwards_label) {
           report(file, line_of(code, open),
-                 "src/multigpu/ `peer_transfer_async(` without a `comm_`/"
+                 "rule 12: src/multigpu/ `peer_transfer_async(` without a "
+                 "`comm_`/"
                  "`stream_`-prefixed label (or the forwarded `label` "
                  "parameter) as first argument");
         }
@@ -576,15 +577,15 @@ void check_file(const fs::path& path) {
         if (file.find("/serve/") != std::string::npos &&
             raw.compare(j + 1, 6, "serve_") != 0) {
           report(file, line_of(code, j),
-                 "src/serve/ ScopedSpan name without `serve_` prefix");
+                 "rule 9: src/serve/ ScopedSpan name without `serve_` prefix");
         }
         // Rule 11: objective-layer spans carry `objective_` / `sampling_`.
         if (file.find("/objective/") != std::string::npos &&
             raw.compare(j + 1, 10, "objective_") != 0 &&
             raw.compare(j + 1, 9, "sampling_") != 0) {
           report(file, line_of(code, j),
-                 "src/objective/ ScopedSpan name without `objective_` or "
-                 "`sampling_` prefix");
+                 "rule 11: src/objective/ ScopedSpan name without `objective_` "
+                 "or `sampling_` prefix");
         }
         continue;
       }
@@ -612,7 +613,7 @@ void check_file(const fs::path& path) {
         continue;
       }
       report(file, line_of(code, open_at),
-             "ScopedSpan name must be a string literal (or add a "
+             "rule 6: ScopedSpan name must be a string literal (or add a "
              "`// span-name-ok:` justification)");
     }
   }
