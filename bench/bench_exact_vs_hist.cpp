@@ -2,12 +2,11 @@
 // approximation" and its related work notes that LightGBM "only supports
 // finding the best split points approximately".  This bench quantifies the
 // trade on the dense/medium-dimensional analogs for the device histogram
-// trainer (core/trainer_hist) at several bin budgets, then sweeps a
+// method (core/trainer_hist) at several bin budgets, then sweeps a
 // rows x bins grid to chart where its find-split cost crosses below the
 // exact trainer's (the `xover_*` cases; EXPERIMENTS.md plots the
 // crossover).  Find-split seconds are read from each run's span tree.
 #include "bench_common.h"
-#include "core/trainer_hist.h"
 
 namespace {
 
@@ -17,7 +16,7 @@ gbdt::TrainReport run_device_hist(const gbdt::data::Dataset& ds,
   param.use_hist_trainer = true;
   param.n_bins = bins;
   gbdt::device::Device dev(gbdt::device::DeviceConfig::titan_x_pascal());
-  return gbdt::GpuHistTrainer(dev, param).train(ds);
+  return gbdt::GpuGbdtTrainer(dev, param).train(ds);
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 //
 // Three sweeps per dataset:
 //  * data-parallel sharding x {alltoone, ring, tree} collectives — the ring
-//    schedule must beat the legacy all-to-one at K >= 4 (mgpu_smoke gates
-//    this via the GBDT_ALLTOONE=1 hatch re-run and gbdt_bench --compare);
+//    schedule must beat the legacy all-to-one at K >= 4 (the mgpu_smoke
+//    case in test_multigpu gates ring and tree against all-to-one);
 //    the ring rows also record an NVLink-interconnect column;
 //  * feature-parallel sharding (ring) — each shard owns a contiguous
 //    column range, trading the node-sync broadcast for per-shard column

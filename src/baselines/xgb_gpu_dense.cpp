@@ -58,6 +58,7 @@ DenseGpuOutcome train_xgb_gpu_dense(const device::DeviceConfig& cfg,
   param.dense_layout = true;
   param.use_rle = false;  // the plugin supports only the dense layout
   param.force_rle = false;
+  param.use_hist_trainer = false;  // xgbst-gpu is an exact trainer
   device::Device dev(cfg);
   try {
     const auto dense = densify(ds);

@@ -1,9 +1,6 @@
 #include "core/autotune.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <string_view>
 
 #include "device/cost_model.h"
 #include "device/kernel_stats.h"
@@ -142,38 +139,6 @@ TuningReport tune(const device::DeviceConfig& cfg, const ProblemShape& shape,
   t.use_custom_idxcomp_workload =
       t.partition_custom_seconds <=
       t.partition_naive_seconds * (1.0 + kMinWin);
-
-  // ---- out-of-core chunk size ---------------------------------------------
-  {
-    // CSC shard per entry: 4 B value + 8 B instance id.
-    const double data_bytes = static_cast<double>(shape.n_entries) * 12.0;
-    const double link_bw = cfg.pcie_bandwidth_gbps * 1e9;
-    const double per_chunk =
-        cfg.pcie_latency_us * 1e-6 + cfg.kernel_launch_us * 1e-6;
-    double best_secs = 0.0;
-    std::size_t best_chunk = 0;
-    for (const std::size_t mib : {16u, 32u, 64u, 128u, 256u}) {
-      const std::size_t chunk = std::size_t{mib} << 20;
-      const double n_chunks =
-          std::max(1.0, std::ceil(data_bytes / static_cast<double>(chunk)));
-      // Pipelined stream: total wire time + pipeline fill + per-chunk costs.
-      const double secs = data_bytes / link_bw +
-                          static_cast<double>(chunk) / link_bw +
-                          n_chunks * per_chunk;
-      t.ooc_candidates.emplace_back(chunk, secs);
-      if (best_chunk == 0 || secs < best_secs) {
-        best_secs = secs;
-        best_chunk = chunk;
-      }
-    }
-    const std::size_t def_chunk = std::size_t{64} << 20;
-    double def_secs = best_secs;
-    for (const auto& [chunk, secs] : t.ooc_candidates) {
-      if (chunk == def_chunk) def_secs = secs;
-    }
-    t.ooc_chunk_bytes =
-        best_secs < def_secs * (1.0 - kMinWin) ? best_chunk : def_chunk;
-  }
   return t;
 }
 
@@ -181,13 +146,6 @@ void apply(const TuningReport& t, GBDTParam& p) {
   p.setkey_c = t.setkey_c;
   p.use_custom_setkey = t.use_custom_setkey;
   p.use_custom_idxcomp_workload = t.use_custom_idxcomp_workload;
-}
-
-bool autotune_forced() {
-  const char* v = std::getenv("GBDT_AUTOTUNE");
-  if (v == nullptr) return false;
-  const std::string_view s(v);
-  return s == "1" || s == "on" || s == "ON" || s == "true" || s == "TRUE";
 }
 
 }  // namespace gbdt::autotune

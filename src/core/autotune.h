@@ -1,8 +1,8 @@
 // Cost-model-guided autotuning of the trainer's performance knobs.
 //
 // The paper fixes its tuning constants globally (Customized SetKey C = 1000,
-// IdxComp counter budget 2^30, 64 MiB out-of-core chunks) and reports they
-// work well on its four datasets.  The simulated device makes the better
+// IdxComp counter budget 2^30) and reports they work well on its four
+// datasets.  The simulated device makes the better
 // experiment cheap: every kernel's modeled time is an analytical function of
 // counted work (device/cost_model.h), so the tuner can *predict* each
 // candidate configuration's find-split seconds from the dataset shape alone
@@ -18,13 +18,11 @@
 //   * Customized IdxComp workload on/off, costed through the real
 //     prim::plan_partition pass structure (the naive fixed workload pays a
 //     multi-pass penalty when the counters blow the budget).
-//   * Out-of-core chunk size over {16, 32, 64, 128, 256} MiB (pipeline-fill
-//     vs per-chunk-overhead trade-off).
 //
 // The default (paper) configuration is only abandoned when a candidate
 // predicts at least a 3% win — the uniform-segment assumption is not worth
 // betting on for less — so `--autotune` can never lose to the paper's fixed
-// C = 1000 by more than model noise, and bench_smoke gates exactly that.
+// C = 1000 by more than model noise, and test_autotune gates exactly that.
 //
 // The chosen knobs are applied onto the GBDTParam the trainers copy into
 // TrainState, so every downstream segs_per_block / plan_partition call sees
@@ -32,9 +30,7 @@
 // CLI `--profile` tuning block and EXPERIMENTS.md.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/param.h"
@@ -58,7 +54,6 @@ struct TuningReport {
   std::int64_t setkey_c = 1000;
   bool use_custom_setkey = true;
   bool use_custom_idxcomp_workload = true;
-  std::size_t ooc_chunk_bytes = std::size_t{64} << 20;
 
   // ---- predictions --------------------------------------------------------
   /// Paper default (C = 1000, custom formula on), for the acceptance gate.
@@ -70,7 +65,6 @@ struct TuningReport {
 
   // ---- full sweeps (for --profile and EXPERIMENTS.md) ---------------------
   std::vector<SetKeyCandidate> candidates;
-  std::vector<std::pair<std::size_t, double>> ooc_candidates;
 };
 
 /// The dataset statistics the predictions depend on.
@@ -97,11 +91,7 @@ struct ProblemShape {
                                 const GBDTParam& param);
 
 /// Writes the chosen knobs into `p` (which the trainers then cache in
-/// TrainState).  The out-of-core chunk size is advisory — it is consumed by
-/// the out-of-core driver's options, not by GBDTParam.
+/// TrainState).
 void apply(const TuningReport& t, GBDTParam& p);
-
-/// True when GBDT_AUTOTUNE=1: tune even when param.autotune is unset.
-[[nodiscard]] bool autotune_forced();
 
 }  // namespace gbdt::autotune

@@ -9,7 +9,6 @@
 
 #include "core/metrics.h"
 #include "core/predictor.h"
-#include "core/trainer_hist.h"
 #include "objective/early_stop.h"
 
 namespace gbdt {
@@ -17,14 +16,7 @@ namespace gbdt {
 std::pair<GBDTModel, TrainReport> GBDTModel::train(device::Device& dev,
                                                    const data::Dataset& ds,
                                                    const GBDTParam& param) {
-  TrainReport report;
-  if (param.use_hist_trainer) {
-    GpuHistTrainer trainer(dev, param);
-    report = trainer.train(ds);
-  } else {
-    GpuGbdtTrainer trainer(dev, param);
-    report = trainer.train(ds);
-  }
+  TrainReport report = GpuGbdtTrainer(dev, param).train(ds);
   GBDTModel model(param, report.trees, report.base_score, ds.n_attributes());
   return {std::move(model), std::move(report)};
 }

@@ -42,7 +42,8 @@ class GBDTModel {
         base_score_(base_score),
         n_attributes_(n_attributes) {}
 
-  /// Trains with GPU-GBDT on `dev` and returns the model plus the report.
+  /// Trains with GpuGbdtTrainer on `dev` (the method param.use_hist_trainer
+  /// picks) and returns the model plus the report.
   [[nodiscard]] static std::pair<GBDTModel, TrainReport> train(
       device::Device& dev, const data::Dataset& ds, const GBDTParam& param);
 

@@ -77,9 +77,8 @@ struct GBDTParam {
   /// xgbst-gpu layout).  Used by the dense baseline, not by GPU-GBDT.
   bool dense_layout = false;
 
-  /// Search setkey_c / idxcomp-workload / out-of-core chunking against the
-  /// analytical device cost model at train start and apply the winners
-  /// (src/core/autotune.h).  GBDT_AUTOTUNE=1 forces it on.
+  /// Search setkey_c and the idxcomp workload against the analytical device
+  /// cost model at train start and apply the winners (src/core/autotune.h).
   bool autotune = false;
 
   // ---- histogram-method knobs -------------------------------------------

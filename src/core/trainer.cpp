@@ -1,11 +1,13 @@
 #include "core/trainer.h"
 
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "core/level_driver.h"
 #include "core/trainer_detail.h"
+#include "core/trainer_hist.h"
 #include "data/csc_matrix.h"
 #include "obs/trace.h"
 #include "objective/objective.h"
@@ -447,7 +449,7 @@ void update_predictions_naive(TrainState& st, const Tree& tree) {
 
 GpuGbdtTrainer::GpuGbdtTrainer(Device& dev, GBDTParam param)
     : dev_(dev), param_(std::move(param)), loss_(make_loss(param_.loss)) {
-  detail::validate_param(param_, /*hist=*/false);
+  detail::validate_param(param_, param_.use_hist_trainer);
 }
 
 TrainReport GpuGbdtTrainer::train(const data::Dataset& ds) {
@@ -462,22 +464,32 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
   TrainReport report;
   report.base_score = param_.base_score;
 
-  if (param_.autotune || autotune::autotune_forced()) {
+  if (param_.autotune) {
     report.tuning =
         autotune::tune(dev_.config(), autotune::problem_shape(ds), param_);
     autotune::apply(report.tuning, param_);
-    report.tuned = true;
   }
 
+  const bool hist = param_.use_hist_trainer;
   TrainState st(dev_, param_, *loss_);
   st.n_inst = ds.n_instances();
   st.n_attr = ds.n_attributes();
   if (st.n_inst == 0) throw std::invalid_argument("empty dataset");
+  if (hist) {
+    detail::check_hist_memory(param_, st.n_attr,
+                              dev_.config().global_mem_bytes);
+  }
 
   dev_.allocator().reset_peak();
 
-  // ---- build the original root-level layout ------------------------------
-  {
+  // ---- the method's root-level layout -------------------------------------
+  // Exact: sorted attribute lists, RLE-compressed past the paper's gate.
+  // Hist: the quantized bin matrix.
+  BinnedMatrix binned;
+  if (hist) {
+    obs::ScopedSpan span("hist_quantize");
+    binned = build_binned_matrix(dev_, ds, param_.n_bins);
+  } else {
     obs::ScopedSpan span("csc_build");
     auto csc = data::build_csc_device(dev_, ds);
     st.orig_values = std::move(csc.values);
@@ -511,8 +523,13 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
   objective::RoundDriver round_driver(dev_, param_, ds);
   auto d_labels = dev_.to_device<float>(ds.labels());
   detail::alloc_instance_state(st);
-
-  if (!param_.use_smart_gd) {
+  // The histogram method always updates predictions from the leaf map that
+  // training leaves (SmartGD); the naive update is an exact-method ablation.
+  const bool smart_gd = hist || param_.use_smart_gd;
+  std::optional<HistGrower> grower;
+  if (hist) {
+    grower.emplace(dev_, param_, st, binned, /*distributed=*/false);
+  } else if (!smart_gd) {
     // The naive path needs random access to instance rows: upload the CSR.
     std::vector<std::int32_t> attrs(static_cast<std::size_t>(ds.n_entries()));
     std::vector<float> vals(static_cast<std::size_t>(ds.n_entries()));
@@ -526,7 +543,7 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
   }
 
   // ---- boosting loop (core/level_driver.h) --------------------------------
-  const auto update_predictions = param_.use_smart_gd
+  const auto update_predictions = smart_gd
                                       ? &detail::update_predictions_smart
                                       : &update_predictions_naive;
   // xgbst-gpu's per-level gradient copies (dense layout only), held from
@@ -539,6 +556,17 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
       if (prev != nullptr) update_predictions(st, *prev);
       round_driver.begin_round(st, d_labels, t);
     }
+    if (hist) {
+      // Quantize this tree's gradients so histogram accumulation is exact
+      // integer arithmetic (counted with the gradient phase).
+      hist::QGH rootq;
+      {
+        obs::ScopedSpan span("gradient_compute");
+        const HistGrower::AbsMax mx = grower->local_abs_max();
+        rootq = grower->quantize(mx.g, mx.h, st.n_inst);
+      }
+      return grower->begin_tree(tree, rootq);
+    }
     {
       obs::ScopedSpan span("reset_layout");
       reset_working_layout(st);
@@ -548,29 +576,65 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
     const GHPair root = prim::reduce_sum(dev_, st.gh, "root_sum_gh");
     return ActiveNode{0, root.g, root.h, st.n_inst};
   };
-  backend.find_splits = [&](const std::vector<ActiveNode>& active) {
-    st.active = active;
-    interleaved.clear();
-    if (param_.dense_layout) interleaved = dense_node_interleaving(st);
-    obs::ScopedSpan span("find_split");
-    return st.rle ? detail::find_splits_rle(st)
-                  : detail::find_splits_sparse(st);
-  };
-  backend.apply_splits = [&](const LevelPlan& plan) {
-    {
-      obs::ScopedSpan span("split_node");
-      if (st.rle) {
-        detail::apply_splits_rle(st, plan);
-      } else {
-        detail::apply_splits_sparse(st, plan);
+  if (hist) {
+    backend.find_splits = [&](const std::vector<ActiveNode>& active) {
+      grower->plan_level(active);
+      {
+        obs::ScopedSpan span("hist_build");
+        grower->build_level();
       }
-    }
-    testing::check_level_conservation(
-        st, plan, st.rle ? "apply_splits_rle" : "apply_splits_sparse");
-  };
+      if (grower->has_derived()) {
+        {
+          obs::ScopedSpan span("hist_subtract");
+          grower->subtract_level();
+        }
+        grower->maybe_verify_subtraction();
+      }
+      // Best bin boundary per node over the histograms.
+      {
+        obs::ScopedSpan span("hist_find_split");
+        grower->prepare_offsets();
+        grower->run_set_keys();
+        grower->find_level();
+      }
+      return grower->best();
+    };
+    backend.apply_splits = [&](const LevelPlan& plan) {
+      {
+        obs::ScopedSpan span("hist_split_node");
+        grower->apply_level(plan);
+      }
+      testing::check_instance_counts(st.node_of.span(), plan,
+                                     "hist_split_node");
+      grower->advance_level(plan);
+    };
+  } else {
+    backend.find_splits = [&](const std::vector<ActiveNode>& active) {
+      st.active = active;
+      interleaved.clear();
+      if (param_.dense_layout) interleaved = dense_node_interleaving(st);
+      obs::ScopedSpan span("find_split");
+      return st.rle ? detail::find_splits_rle(st)
+                    : detail::find_splits_sparse(st);
+    };
+    backend.apply_splits = [&](const LevelPlan& plan) {
+      {
+        obs::ScopedSpan span("split_node");
+        if (st.rle) {
+          detail::apply_splits_rle(st, plan);
+        } else {
+          detail::apply_splits_sparse(st, plan);
+        }
+      }
+      testing::check_level_conservation(
+          st, plan, st.rle ? "apply_splits_rle" : "apply_splits_sparse");
+    };
+  }
   backend.end_tree = [&](const Tree& tree) {
     interleaved.clear();
-    testing::check_leaf_map(st.node_of.span(), tree, ds, "smartgd_leaf_map");
+    if (grower) grower->finish_tree();
+    testing::check_leaf_map(st.node_of.span(), tree, ds,
+                            hist ? "hist_leaf_map" : "smartgd_leaf_map");
   };
   backend.finish = [&](const Tree& last) {
     {

@@ -1,4 +1,5 @@
-// GPU-GBDT: the paper's training algorithm on the simulated device.
+// GPU-GBDT on the simulated device: the paper's exact training algorithm,
+// or the quantized-histogram method with param.use_hist_trainer set.
 //
 // Typical use:
 //   device::Device dev(device::DeviceConfig::titan_x_pascal());
@@ -28,14 +29,12 @@ struct TrainReport {
   /// entry to return.  Per-phase time lives in the obs span tree.
   double modeled_seconds = 0.0;
   double wall_seconds = 0.0;
-  bool used_rle = false;
+  bool used_rle = false;             // always false for the hist method
   double rle_ratio = 1.0;            // elements per run (1 = uncompressed)
   std::size_t peak_device_bytes = 0;
   /// Final raw training scores (base_score + sum of leaf weights).
   std::vector<double> train_scores;
-  /// Set when param.autotune (or GBDT_AUTOTUNE=1) ran the cost-model tuner
-  /// before training; `tuning` then holds the chosen knobs and sweeps.
-  bool tuned = false;
+  /// With param.autotune: the cost-model tuner's chosen knobs and sweeps.
   autotune::TuningReport tuning;
 };
 
@@ -46,11 +45,13 @@ class GpuGbdtTrainer {
   using TreeCallback =
       std::function<bool(int tree_index, const std::vector<Tree>& forest)>;
 
+  /// Validates param (n_bins too with use_hist_trainer; throws
+  /// std::invalid_argument).
   GpuGbdtTrainer(device::Device& dev, GBDTParam param);
 
-  /// Trains param.n_trees trees of depth param.depth on ds.  The device
-  /// timeline keeps accumulating across calls; the report's modeled seconds
-  /// cover this call only.
+  /// Trains param.n_trees trees of depth param.depth on ds with the method
+  /// param.use_hist_trainer picks.  The device timeline keeps accumulating
+  /// across calls; the report's modeled seconds cover this call only.
   [[nodiscard]] TrainReport train(const data::Dataset& ds);
   [[nodiscard]] TrainReport train(const data::Dataset& ds,
                                   const TreeCallback& on_tree);

@@ -1,4 +1,4 @@
-// Device-side histogram trainer (see core/trainer_hist.h).
+// Device-side histogram method (see core/trainer_hist.h).
 //
 // Per tree: gradients are quantized to int64 fixed point (hist::GradQuant),
 // then each level runs
@@ -22,24 +22,20 @@
 // steady-state device allocations are the persistent per-instance buffers.
 //
 // The steps live in HistGrower so the multi-GPU trainer can drive K growers
-// in lockstep, merging histograms between build and subtract; both trainers
-// sequence them as level-driver backends (core/level_driver.h).
+// in lockstep, merging histograms between build and subtract;
+// GpuGbdtTrainer (core/trainer.cpp) and the multi-GPU trainer sequence them
+// as level-driver backends (core/level_driver.h).
 #include "core/trainer_hist.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/level_driver.h"
 #include "core/trainer_detail.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "objective/objective.h"
 #include "primitives/fused_split.h"
 #include "primitives/reduce.h"
 #include "primitives/segmented.h"
@@ -480,118 +476,6 @@ void HistGrower::finish_tree() {
   hist_prev_ = device::ArenaBuffer<hist::QGH>{};
   hist_cur_ = device::ArenaBuffer<hist::QGH>{};
   pair_parent_slot_.clear();
-}
-
-// ---------------------------------------------------------------------------
-// GpuHistTrainer
-// ---------------------------------------------------------------------------
-
-GpuHistTrainer::GpuHistTrainer(Device& dev, GBDTParam param)
-    : dev_(dev), param_(std::move(param)), loss_(make_loss(param_.loss)) {
-  detail::validate_param(param_, /*hist=*/true);
-}
-
-TrainReport GpuHistTrainer::train(const data::Dataset& ds) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  obs::ScopedSpan train_span("train");
-  const double modeled_start = dev_.elapsed_seconds();
-  TrainReport report;
-  report.base_score = param_.base_score;
-
-  if (param_.autotune || autotune::autotune_forced()) {
-    report.tuning =
-        autotune::tune(dev_.config(), autotune::problem_shape(ds), param_);
-    autotune::apply(report.tuning, param_);
-    report.tuned = true;
-  }
-
-  TrainState st(dev_, param_, *loss_);
-  st.n_inst = ds.n_instances();
-  st.n_attr = ds.n_attributes();
-  if (st.n_inst == 0) throw std::invalid_argument("empty dataset");
-  detail::check_hist_memory(param_, st.n_attr, dev_.config().global_mem_bytes);
-
-  dev_.allocator().reset_peak();
-
-  // ---- quantize the features ----------------------------------------------
-  BinnedMatrix binned;
-  {
-    obs::ScopedSpan span("hist_quantize");
-    binned = build_binned_matrix(dev_, ds, param_.n_bins);
-  }
-
-  // ---- persistent per-instance state --------------------------------------
-  objective::RoundDriver round_driver(dev_, param_, ds);
-  auto d_labels = dev_.to_device<float>(ds.labels());
-  detail::alloc_instance_state(st);
-  HistGrower grower(dev_, param_, st, binned, /*distributed=*/false);
-
-  // ---- boosting loop (core/level_driver.h) --------------------------------
-  detail::LevelBackend backend;
-  backend.begin_tree = [&](int t, const Tree* prev, Tree& tree) {
-    {
-      obs::ScopedSpan span("gradient_compute");
-      if (prev != nullptr) detail::update_predictions_smart(st, *prev);
-      round_driver.begin_round(st, d_labels, t);
-    }
-    // Quantize this tree's gradients so histogram accumulation is exact
-    // integer arithmetic (counted with the gradient phase).
-    hist::QGH rootq;
-    {
-      obs::ScopedSpan span("gradient_compute");
-      const HistGrower::AbsMax mx = grower.local_abs_max();
-      rootq = grower.quantize(mx.g, mx.h, st.n_inst);
-    }
-    return grower.begin_tree(tree, rootq);
-  };
-  backend.find_splits = [&](const std::vector<ActiveNode>& active) {
-    grower.plan_level(active);
-    {
-      obs::ScopedSpan span("hist_build");
-      grower.build_level();
-    }
-    if (grower.has_derived()) {
-      {
-        obs::ScopedSpan span("hist_subtract");
-        grower.subtract_level();
-      }
-      grower.maybe_verify_subtraction();
-    }
-    // Best bin boundary per node over the histograms.
-    {
-      obs::ScopedSpan span("hist_find_split");
-      grower.prepare_offsets();
-      grower.run_set_keys();
-      grower.find_level();
-    }
-    return grower.best();
-  };
-  backend.apply_splits = [&](const detail::LevelPlan& plan) {
-    {
-      obs::ScopedSpan span("hist_split_node");
-      grower.apply_level(plan);
-    }
-    testing::check_instance_counts(st.node_of.span(), plan, "hist_split_node");
-    grower.advance_level(plan);
-  };
-  backend.end_tree = [&](const Tree& tree) {
-    grower.finish_tree();
-    testing::check_leaf_map(st.node_of.span(), tree, ds, "hist_leaf_map");
-  };
-  backend.finish = [&](const Tree& last) {
-    {
-      obs::ScopedSpan span("gradient_compute");
-      detail::update_predictions_smart(st, last);
-    }
-    const auto final_pred = dev_.to_host(st.y_pred);
-    return std::vector<double>(final_pred.begin(), final_pred.end());
-  };
-  report.train_scores = detail::grow_forest(backend, param_, report.trees);
-
-  report.peak_device_bytes = dev_.allocator().peak();
-  report.modeled_seconds = dev_.elapsed_seconds() - modeled_start;
-  report.wall_seconds = detail::seconds_since(wall_start);
-  return report;
 }
 
 }  // namespace gbdt

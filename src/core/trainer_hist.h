@@ -1,14 +1,14 @@
-// Device-side histogram trainer: the quantized-histogram training method
-// every production GPU GBDT system uses (XGBoost-GPU, LightGBM, ThunderGBM),
-// built on the same simulated device, workspace arena and fused find-split
-// machinery as the paper's exact trainer.
+// Device-side histogram method: the quantized-histogram training every
+// production GPU GBDT system uses (XGBoost-GPU, LightGBM, ThunderGBM), built
+// on the same simulated device, workspace arena and fused find-split
+// machinery as the paper's exact method.
 //
-// Typical use:
+// Typical use (core/trainer.h):
 //   device::Device dev(device::DeviceConfig::titan_x_pascal());
 //   GBDTParam p;
+//   p.use_hist_trainer = true;
 //   p.n_bins = 64;
-//   GpuHistTrainer trainer(dev, p);
-//   const TrainReport report = trainer.train(dataset);
+//   const TrainReport report = GpuGbdtTrainer(dev, p).train(dataset);
 //
 // Splits are approximate (bin boundaries instead of exact feature values),
 // so the trainer is validated by quality equivalence against the exact
@@ -17,19 +17,16 @@
 // int64 fixed point, making histogram accumulation exact and the
 // histogram-subtraction trick bitwise-identical to direct accumulation.
 //
-// The per-tree/per-level machinery lives in HistGrower, whose steps the
-// single-device and multi-GPU trainers sequence as level-driver backends
-// (DESIGN.md §5k).
+// The per-tree/per-level machinery lives in HistGrower, whose steps
+// GpuGbdtTrainer and the multi-GPU trainer sequence as level-driver
+// backends (DESIGN.md §5k).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "core/loss.h"
 #include "core/param.h"
-#include "core/trainer.h"
 #include "core/trainer_detail.h"
 #include "data/dataset.h"
 #include "device/device_context.h"
@@ -173,23 +170,6 @@ class HistGrower {
   std::vector<detail::BestSplit> best_;
   std::vector<hist::QGH> child_q_;
   std::vector<hist::QGH> level_scan_;     // host copies for winner assembly
-};
-
-/// Histogram-method trainer on the simulated device.  Returns the same
-/// TrainReport as GpuGbdtTrainer (used_rle/rle_ratio stay at their
-/// defaults — the histogram path has no RLE stage).
-class GpuHistTrainer {
- public:
-  GpuHistTrainer(device::Device& dev, GBDTParam param);
-
-  [[nodiscard]] TrainReport train(const data::Dataset& ds);
-
-  [[nodiscard]] const GBDTParam& param() const { return param_; }
-
- private:
-  device::Device& dev_;
-  GBDTParam param_;
-  std::unique_ptr<Loss> loss_;
 };
 
 }  // namespace gbdt

@@ -1,27 +1,6 @@
 #include "multigpu/allreduce.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 namespace gbdt::multigpu {
-
-namespace {
-
-bool alltoone_env() {
-  const char* v = std::getenv("GBDT_ALLTOONE");
-  if (v == nullptr) return false;
-  return std::strcmp(v, "1") == 0 || std::strcmp(v, "on") == 0 ||
-         std::strcmp(v, "true") == 0 || std::strcmp(v, "ON") == 0 ||
-         std::strcmp(v, "TRUE") == 0;
-}
-
-std::atomic<int>& alltoone_state() {
-  static std::atomic<int> state{-1};  // -1: read the environment lazily
-  return state;
-}
-
-}  // namespace
 
 const char* allreduce_algo_name(AllreduceAlgo a) {
   switch (a) {
@@ -46,19 +25,6 @@ bool parse_allreduce_algo(std::string_view s, AllreduceAlgo& out) {
     return false;
   }
   return true;
-}
-
-bool alltoone_forced() {
-  int s = alltoone_state().load(std::memory_order_relaxed);
-  if (s < 0) {
-    s = alltoone_env() ? 1 : 0;
-    alltoone_state().store(s, std::memory_order_relaxed);
-  }
-  return s == 1;
-}
-
-void set_alltoone_forced(int v) {
-  alltoone_state().store(v, std::memory_order_relaxed);
 }
 
 }  // namespace gbdt::multigpu

@@ -14,8 +14,8 @@
 //  * kAllToOne — the legacy reduce: shard 0 receives K-1 full payloads
 //    (ascending shard order, acc = combine(acc, v_k)), then sends K-1 full
 //    copies back.  All 2(K-1) legs serialise on shard 0's comm stream:
-//    t ≈ 2(K-1)(lat + P/bw).  `GBDT_ALLTOONE=1` forces this algorithm
-//    everywhere, restoring the pre-ring merge bit-for-bit.
+//    t ≈ 2(K-1)(lat + P/bw).  MultiGpuOptions::algo = kAllToOne selects it
+//    for every collective, restoring the pre-ring merge bit-for-bit.
 //  * kRing — chunked reduce-scatter + allgather.  Each shard sends chunk
 //    (k-s) mod K at reduce step s and the legs ride each *receiver's* comm
 //    stream, so every shard carries 2(K-1) legs of one chunk each:
@@ -76,12 +76,6 @@ enum class AllreduceAlgo { kAllToOne, kRing, kTree };
 [[nodiscard]] const char* allreduce_algo_name(AllreduceAlgo a);
 /// Parses "alltoone" / "ring" / "tree"; returns false on anything else.
 [[nodiscard]] bool parse_allreduce_algo(std::string_view s, AllreduceAlgo& out);
-
-/// True when GBDT_ALLTOONE=1 (or a test forced it): every collective runs
-/// the legacy all-to-one schedule regardless of the requested algorithm.
-[[nodiscard]] bool alltoone_forced();
-/// Test override: 1 force on, 0 force off, -1 re-read the environment.
-void set_alltoone_forced(int v);
 
 /// One shard's communication endpoints.
 struct ShardLink {
@@ -161,7 +155,7 @@ void enqueue_leg(ShardLink& link, bool& waited, std::string_view label,
 
 /// Allreduce over K same-length payload spans, one per shard: on return every
 /// payload holds combine-fold of all K inputs, folded in the order `algo`
-/// (or the GBDT_ALLTOONE override) prescribes.  `combine(a, b)` must be
+/// prescribes.  `combine(a, b)` must be
 /// associative; it must also be commutative if callers rely on bitwise
 /// equality across algorithms (all trainer combines are).  Leg labels are
 /// `label` + an algorithm suffix and must carry the `comm_` prefix
@@ -174,7 +168,6 @@ AllreduceReport allreduce(std::string_view label, const Interconnect& net,
   const int n_shards = static_cast<int>(shards.size());
   AllreduceReport rep;
   if (n_shards <= 1) return rep;
-  if (alltoone_forced()) algo = AllreduceAlgo::kAllToOne;
   const std::size_t n = payloads[0].size();
   const std::string tag = std::string(label);
   std::vector<double> shard_secs(static_cast<std::size_t>(n_shards), 0.0);

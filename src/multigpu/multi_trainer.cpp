@@ -189,7 +189,7 @@ MultiGpuTrainer::~MultiGpuTrainer() = default;
 int MultiGpuTrainer::n_devices() const { return impl_->n_devices; }
 
 MultiTrainReport MultiGpuTrainer::train(const data::Dataset& ds) {
-  if (impl_->param.autotune || autotune::autotune_forced()) {
+  if (impl_->param.autotune) {
     // Shards share one tuned configuration (they see the same shape).
     autotune::apply(
         autotune::tune(impl_->cfg, autotune::problem_shape(ds), impl_->param),

@@ -23,8 +23,8 @@
 // histogram allreduce on the comm streams.
 //
 // All merges run through multigpu::allreduce (ring by default, tree or
-// all-to-one selectable; GBDT_ALLTOONE=1 restores the legacy all-to-one
-// schedule bit-for-bit).  Communication is modeled over a configurable
+// all-to-one selectable through MultiGpuOptions::algo; all-to-one restores
+// the legacy merge bit-for-bit).  Communication is modeled over a configurable
 // interconnect and rides per-shard dedicated comm streams with
 // record_event/wait_event edges, so the race detector checks the overlap
 // schedule and the per-device clocks price it.

@@ -51,7 +51,7 @@ FuzzCase FuzzCase::from_seed(std::uint64_t seed) {
       pick(s, 2, std::min<std::int64_t>(4, c.n_attributes)));
   // 64 KiB (the trainer's minimum) up to 1 MiB: small enough that most
   // cases stream several chunks per level.
-  c.ooc_chunk_bytes = static_cast<std::size_t>(1)
+  c.chunk_bytes = static_cast<std::size_t>(1)
                       << static_cast<unsigned>(pick(s, 16, 20));
   c.ooc_stream_compressed = pick(s, 0, 1) == 0;
   // Drawn last so the histogram knob never perturbs the replay of fields
@@ -105,7 +105,7 @@ std::string FuzzCase::describe() const {
      << (zipf_values ? " zipf" : " uniform") << " depth=" << depth
      << " trees=" << n_trees << " lambda=" << lambda << " gamma=" << gamma
      << " loss=" << (loss == LossKind::kSquaredError ? "l2" : "logistic")
-     << " gpus=" << n_gpus << " chunk=" << ooc_chunk_bytes
+     << " gpus=" << n_gpus << " chunk=" << chunk_bytes
      << (ooc_stream_compressed ? " ooc-rle" : " ooc-raw")
      << " bins=" << n_bins << " subsample=" << subsample
      << " bag=" << feature_bag << " qsize=" << query_size;

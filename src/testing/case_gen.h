@@ -42,7 +42,7 @@ struct FuzzCase {
 
   // Path-specific knobs.
   int n_gpus = 2;                  // multi-GPU leg (always <= n_attributes)
-  std::size_t ooc_chunk_bytes = std::size_t{1} << 17;
+  std::size_t chunk_bytes = std::size_t{1} << 17;  // out-of-core leg
   bool ooc_stream_compressed = true;
   int n_bins = 64;                 // histogram-trainer leg bin budget
 

@@ -15,7 +15,6 @@
 #include "core/metrics.h"
 #include "core/out_of_core.h"
 #include "core/trainer.h"
-#include "core/trainer_hist.h"
 #include "core/predictor.h"
 #include "multigpu/allreduce.h"
 #include "multigpu/multi_trainer.h"
@@ -132,7 +131,7 @@ LegResult hist_leg(const FuzzCase& c, const LegOutput& ref,
     p.use_hist_trainer = true;
     p.n_bins = c.n_bins;
     Device dev(DeviceConfig::titan_x_pascal());
-    auto r = GpuHistTrainer(dev, p).train(ds);
+    auto r = GpuGbdtTrainer(dev, p).train(ds);
     if (r.trees.size() != ref.trees.size()) {
       leg.detail = "forest size " + std::to_string(r.trees.size()) +
                    " != reference " + std::to_string(ref.trees.size());
@@ -355,7 +354,7 @@ OracleResult run_oracle(const FuzzCase& c, bool check_invariants) {
       "out_of_core",
       [&] {
         Device dev(DeviceConfig::titan_x_pascal());
-        OutOfCoreTrainer trainer(dev, base, c.ooc_chunk_bytes,
+        OutOfCoreTrainer trainer(dev, base, c.chunk_bytes,
                                  c.ooc_stream_compressed);
         auto r = trainer.train(ds);
         return LegOutput{std::move(r.trees), std::move(r.train_scores), 1.0};
@@ -632,7 +631,7 @@ OracleResult run_objective_oracle(const FuzzCase& c, bool check_invariants) {
         "sampled_ooc",
         [&] {
           Device dev(DeviceConfig::titan_x_pascal());
-          OutOfCoreTrainer trainer(dev, sampled, c.ooc_chunk_bytes,
+          OutOfCoreTrainer trainer(dev, sampled, c.chunk_bytes,
                                    c.ooc_stream_compressed);
           auto r = trainer.train(ds);
           return LegOutput{std::move(r.trees), std::move(r.train_scores), 1.0};
@@ -650,7 +649,7 @@ OracleResult run_objective_oracle(const FuzzCase& c, bool check_invariants) {
         p.use_hist_trainer = true;
         p.n_bins = c.n_bins;
         Device dev(DeviceConfig::titan_x_pascal());
-        auto r = GpuHistTrainer(dev, p).train(ds);
+        auto r = GpuGbdtTrainer(dev, p).train(ds);
         if (r.trees.size() != sampled_ref.trees.size()) {
           leg.detail = "forest size " + std::to_string(r.trees.size()) +
                        " != sampled exact " +
@@ -720,24 +719,12 @@ OracleResult run_mgpu_oracle(const FuzzCase& c, bool check_invariants) {
     auto r = trainer.train(ds);
     return LegOutput{std::move(r.trees), std::move(r.train_scores), 1.0};
   };
-  // Runs `body` with the GBDT_ALLTOONE hatch armed, restoring the
-  // environment state afterwards even when the trainer throws.
-  auto with_alltoone = [&](const std::function<LegOutput()>& body) {
-    multigpu::set_alltoone_forced(1);
-    try {
-      LegOutput out = body();
-      multigpu::set_alltoone_forced(-1);
-      return out;
-    } catch (...) {
-      multigpu::set_alltoone_forced(-1);
-      throw;
-    }
-  };
-
   const multigpu::MultiGpuOptions ring_opts;  // data-parallel, ring
+  multigpu::MultiGpuOptions alltoone_opts;     // data-parallel, legacy merge
+  alltoone_opts.algo = multigpu::AllreduceAlgo::kAllToOne;
 
-  // Exact path: the ring-merged forest is the reference; the hatch, the
-  // tree collective and feature sharding are compared against it.
+  // Exact path: the ring-merged forest is the reference; the all-to-one
+  // merge, the tree collective and feature sharding are compared against it.
   bool have_ring = false;
   LegOutput ring_ref;
   try {
@@ -753,8 +740,7 @@ OracleResult run_mgpu_oracle(const FuzzCase& c, bool check_invariants) {
 
   if (have_ring) {
     result.legs.push_back(run_leg(
-        "ring_vs_alltoone",
-        [&] { return with_alltoone([&] { return mgpu_run(base, ring_opts); }); },
+        "ring_vs_alltoone", [&] { return mgpu_run(base, alltoone_opts); },
         ring_ref, 0.0, ds.labels()));
 
     result.legs.push_back(run_leg(
@@ -777,7 +763,7 @@ OracleResult run_mgpu_oracle(const FuzzCase& c, bool check_invariants) {
   }
 
   // Histogram-allreduce mode: K-shard hist training vs the single-device
-  // histogram trainer, and the ring collective vs the hatch — all bitwise.
+  // histogram method, and the ring collective vs all-to-one — all bitwise.
   GBDTParam hist = base;
   hist.use_hist_trainer = true;
   hist.n_bins = c.n_bins;
@@ -786,7 +772,7 @@ OracleResult run_mgpu_oracle(const FuzzCase& c, bool check_invariants) {
   LegOutput hist_ref;
   try {
     Device dev(DeviceConfig::titan_x_pascal());
-    auto r = GpuHistTrainer(dev, hist).train(ds);
+    auto r = GpuGbdtTrainer(dev, hist).train(ds);
     hist_ref = LegOutput{std::move(r.trees), std::move(r.train_scores), 1.0};
     have_hist = true;
   } catch (const std::exception& e) {
@@ -803,8 +789,7 @@ OracleResult run_mgpu_oracle(const FuzzCase& c, bool check_invariants) {
         hist_ref, 0.0, ds.labels()));
 
     result.legs.push_back(run_leg(
-        "hist_ring_vs_alltoone",
-        [&] { return with_alltoone([&] { return mgpu_run(hist, ring_opts); }); },
+        "hist_ring_vs_alltoone", [&] { return mgpu_run(hist, alltoone_opts); },
         hist_ref, 0.0, ds.labels()));
   }
 
@@ -826,7 +811,7 @@ OracleResult run_race_oracle(const FuzzCase& c, bool check_invariants) {
   const auto ds = data::generate(c.dataset_spec());
   const GBDTParam base = c.base_param();
   auto ooc_leg = [&](Device& dev) {
-    auto r = OutOfCoreTrainer(dev, base, c.ooc_chunk_bytes,
+    auto r = OutOfCoreTrainer(dev, base, c.chunk_bytes,
                               c.ooc_stream_compressed)
                  .train(ds);
     return LegOutput{std::move(r.trees), std::move(r.train_scores), 1.0};

@@ -1,9 +1,9 @@
 // Tests for the modeled ring/tree/all-to-one allreduce: bitwise fold
 // equivalence across algorithms (the property the multi-GPU trainer's
 // bitwise-forest guarantee rests on), chunking on adversarial sizes, byte
-// and message accounting, the GBDT_ALLTOONE escape hatch, the cost ordering
-// ring < all-to-one the acceptance gate requires, and a race-detector-armed
-// clean run over the comm streams.
+// and message accounting, the cost ordering ring < all-to-one the
+// acceptance gate requires, and a race-detector-armed clean run over the
+// comm streams.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -247,21 +247,6 @@ TEST(Allreduce, NvlinkBeatsPcieOnSamePayload) {
   const auto nvl = run(AllreduceAlgo::kRing, 4, base, Interconnect::nvlink());
   EXPECT_EQ(pcie.rep.bytes, nvl.rep.bytes);
   EXPECT_LT(nvl.rep.seconds, pcie.rep.seconds);
-}
-
-// GBDT_ALLTOONE forces the legacy schedule regardless of the requested
-// algorithm: a forced kRing run must be indistinguishable from an explicit
-// kAllToOne run, result and accounting alike.
-TEST(Allreduce, AlltooneHatchForcesLegacySchedule) {
-  const auto base = make_payloads(4, 100);
-  const auto a2o = run(AllreduceAlgo::kAllToOne, 4, base);
-  set_alltoone_forced(1);
-  const auto forced = run(AllreduceAlgo::kRing, 4, base);
-  set_alltoone_forced(-1);  // back to the environment
-  EXPECT_EQ(forced.result, a2o.result);
-  EXPECT_EQ(forced.rep.bytes, a2o.rep.bytes);
-  EXPECT_EQ(forced.rep.messages, a2o.rep.messages);
-  EXPECT_EQ(forced.rep.seconds, a2o.rep.seconds);
 }
 
 TEST(Allreduce, ParseAndNameRoundTrip) {

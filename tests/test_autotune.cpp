@@ -1,12 +1,15 @@
 // Tests for the cost-model-guided autotuner: the tuned configuration can
-// never predict worse find-split seconds than the paper's fixed C = 1000
-// (the acceptance gate), the sweep always evaluates the paper default, a
-// predicted set_keys launch costs what the launched kernel does, the chosen
-// knobs land in GBDTParam, and a tuned training run still fits.
+// never predict worse find-split seconds than the paper's fixed C = 1000,
+// the sweep always evaluates the paper default, a predicted set_keys launch
+// costs what the launched kernel does, the chosen knobs land in GBDTParam,
+// and, for both training methods, a tuned run still fits, and on the Figure 9
+// analogs fits like and never models slower than the paper constants (the
+// acceptance gate).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/autotune.h"
@@ -72,7 +75,6 @@ TEST(Autotune, SweepEvaluatesPaperDefault) {
       t.candidates.begin(), t.candidates.end(),
       [](const SetKeyCandidate& c) { return !c.use_custom_setkey; });
   EXPECT_TRUE(has_off);
-  EXPECT_FALSE(t.ooc_candidates.empty());
 }
 
 // The tuner's own accuracy, measured: it prices the grid the trainer
@@ -136,9 +138,12 @@ TEST(Autotune, ApplyWritesChosenKnobs) {
   EXPECT_FALSE(p.use_custom_idxcomp_workload);
 }
 
-// End-to-end: --autotune on the exact trainer produces a report with the
-// tuning evidence attached and a model that still fits the data.
-TEST(Autotune, TrainerRunsTunedAndFits) {
+// Both training methods, by param.use_hist_trainer.
+class AutotuneMethod : public ::testing::TestWithParam<bool> {};
+
+// End-to-end: --autotune produces a report with the tuning evidence attached
+// and a model that fits the data exactly as well as the untuned one.
+TEST_P(AutotuneMethod, TrainerRunsTunedAndFits) {
   data::SyntheticSpec spec;
   spec.n_instances = 1500;
   spec.n_attributes = 24;
@@ -150,15 +155,15 @@ TEST(Autotune, TrainerRunsTunedAndFits) {
   p.depth = 4;
   p.n_trees = 4;
   p.use_rle = false;
+  p.use_hist_trainer = GetParam();
 
   device::Device plain_dev(DeviceConfig::titan_x_pascal());
   const auto plain = GpuGbdtTrainer(plain_dev, p).train(ds);
-  EXPECT_FALSE(plain.tuned);
 
   p.autotune = true;
   device::Device tuned_dev(DeviceConfig::titan_x_pascal());
   const auto tuned = GpuGbdtTrainer(tuned_dev, p).train(ds);
-  EXPECT_TRUE(tuned.tuned);
+  EXPECT_FALSE(tuned.tuning.candidates.empty());
   EXPECT_LE(tuned.tuning.tuned_find_split_seconds,
             tuned.tuning.baseline_find_split_seconds + 1e-15);
   EXPECT_EQ(tuned.trees.size(), plain.trees.size());
@@ -166,6 +171,60 @@ TEST(Autotune, TrainerRunsTunedAndFits) {
   EXPECT_NEAR(rmse(tuned.train_scores, ds.labels()),
               rmse(plain.train_scores, ds.labels()), 1e-9);
 }
+
+// Every Figure 9 analog at the quick-suite shape (`gbdt_bench --quick`:
+// scale 0.1, 2 trees, depth 3, RLE forced on the compressible analogs as
+// bench_fig9 does), trained once with the paper's fixed constants and once
+// with param.autotune.  Calls check(name, fixed, tuned) per analog.
+template <typename Check>
+void for_each_fig9_analog(bool use_hist_trainer, Check check) {
+  for (const auto& info : data::paper_datasets(0.1)) {
+    const auto ds = data::generate(info.spec);
+    GBDTParam p;
+    p.depth = 3;
+    p.n_trees = 2;
+    p.force_rle = info.spec.distinct_values > 0;
+    p.use_hist_trainer = use_hist_trainer;
+    device::Device fixed_dev(DeviceConfig::titan_x_pascal());
+    const auto fixed = GpuGbdtTrainer(fixed_dev, p).train(ds);
+    p.autotune = true;
+    device::Device tuned_dev(DeviceConfig::titan_x_pascal());
+    const auto tuned = GpuGbdtTrainer(tuned_dev, p).train(ds);
+    check(info.paper_name, ds, fixed, tuned);
+  }
+}
+
+// The tuned Figure 9 suite trains every analog and fits it exactly as well
+// as the paper constants do.
+TEST_P(AutotuneMethod, TunedFig9AnalogsFitLikePaperConstants) {
+  for_each_fig9_analog(GetParam(), [](const std::string& name,
+                                      const data::Dataset& ds,
+                                      const TrainReport& fixed,
+                                      const TrainReport& tuned) {
+    EXPECT_FALSE(tuned.tuning.candidates.empty()) << name;
+    EXPECT_EQ(tuned.trees.size(), fixed.trees.size()) << name;
+    EXPECT_NEAR(rmse(tuned.train_scores, ds.labels()),
+                rmse(fixed.train_scores, ds.labels()), 1e-9)
+        << name;
+  });
+}
+
+// The acceptance gate, in modeled device seconds: on every Figure 9 analog
+// training with param.autotune never models slower than the paper's fixed
+// constants.
+TEST_P(AutotuneMethod, NeverModelsSlowerThanPaperConstantsOnFig9Analogs) {
+  for_each_fig9_analog(GetParam(), [](const std::string& name,
+                                      const data::Dataset&,
+                                      const TrainReport& fixed,
+                                      const TrainReport& tuned) {
+    EXPECT_LE(tuned.modeled_seconds, fixed.modeled_seconds) << name;
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Methods, AutotuneMethod, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "hist" : "exact";
+                         });
 
 }  // namespace
 }  // namespace gbdt::autotune

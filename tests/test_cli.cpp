@@ -91,6 +91,16 @@ TEST_F(CliTest, TrainWithValidationAndEarlyStopping) {
   EXPECT_NE(r.output.find("validation rmse"), std::string::npos);
 }
 
+TEST_F(CliTest, HistMethodTrainsWithValidationAndEarlyStopping) {
+  const auto r =
+      run("train --data=/tmp/gbdt_cli_train.libsvm "
+          "--valid=/tmp/gbdt_cli_valid.libsvm --early-stopping=3 "
+          "--method=hist --bins=32 --model=/tmp/gbdt_cli_hist_es.model "
+          "--trees=100 --depth=6 --eta=0.8");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("validation rmse"), std::string::npos);
+}
+
 TEST_F(CliTest, DumpShowsTreeStructure) {
   const auto r = run("dump --model=/tmp/gbdt_cli.model --tree=0");
   ASSERT_EQ(r.exit_code, 0) << r.output;

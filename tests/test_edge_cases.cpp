@@ -9,7 +9,6 @@
 #include "core/metrics.h"
 #include "core/out_of_core.h"
 #include "core/trainer.h"
-#include "core/trainer_hist.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
 #include "multigpu/multi_trainer.h"
@@ -227,14 +226,14 @@ TEST(EdgeCases, GammaEqualsBestGainPrunes) {
 // gamma or lambda.
 void expect_every_trainer_rejects(const GBDTParam& p) {
   Device dev(DeviceConfig::titan_x_pascal());
+  GBDTParam hist = p;
+  hist.use_hist_trainer = true;
   EXPECT_THROW((void)GpuGbdtTrainer(dev, p), std::invalid_argument);
-  EXPECT_THROW((void)GpuHistTrainer(dev, p), std::invalid_argument);
+  EXPECT_THROW((void)GpuGbdtTrainer(dev, hist), std::invalid_argument);
   EXPECT_THROW((void)OutOfCoreTrainer(dev, p), std::invalid_argument);
   EXPECT_THROW(
       (void)multigpu::MultiGpuTrainer(DeviceConfig::titan_x_pascal(), 2, p),
       std::invalid_argument);
-  GBDTParam hist = p;
-  hist.use_hist_trainer = true;
   EXPECT_THROW(
       (void)multigpu::MultiGpuTrainer(DeviceConfig::titan_x_pascal(), 2, hist),
       std::invalid_argument);
@@ -269,8 +268,8 @@ TEST(EdgeCases, HistTrainersRejectBinCountOutOfRange) {
   for (const int bins : {0, 4097}) {
     GBDTParam p = tiny_param();
     p.n_bins = bins;
-    EXPECT_THROW((void)GpuHistTrainer(dev, p), std::invalid_argument);
     p.use_hist_trainer = true;
+    EXPECT_THROW((void)GpuGbdtTrainer(dev, p), std::invalid_argument);
     EXPECT_THROW(
         (void)multigpu::MultiGpuTrainer(DeviceConfig::titan_x_pascal(), 2, p),
         std::invalid_argument);

@@ -208,7 +208,7 @@ TEST(HistDevice, SubtractionSelfCheckCatchesInjectedFault) {
   testing::set_invariants_enabled(true);
   testing::fault_injection() = {};
   testing::fault_injection().break_hist_subtraction = true;
-  EXPECT_THROW((void)GpuHistTrainer(dev, p).train(ds),
+  EXPECT_THROW((void)GpuGbdtTrainer(dev, p).train(ds),
                testing::InvariantViolation);
   testing::fault_injection() = {};
   testing::set_invariants_enabled(false);
@@ -220,7 +220,7 @@ TEST(HistDevice, SingleBinTrainingCompletes) {
   const auto ds = make_data(45, 500, 6, 0.5);
   auto p = hist_param(1, 3, 3);
   Device dev(DeviceConfig::titan_x_pascal());
-  const auto r = GpuHistTrainer(dev, p).train(ds);
+  const auto r = GpuGbdtTrainer(dev, p).train(ds);
   ASSERT_EQ(r.trees.size(), 3u);
   for (const auto& t : r.trees) {
     EXPECT_LE(t.depth(), 3);
@@ -235,8 +235,8 @@ TEST(HistDevice, DeterministicAcrossReplayedRuns) {
   const auto p = hist_param();
   Device dev1(DeviceConfig::titan_x_pascal());
   Device dev2(DeviceConfig::titan_x_pascal());
-  const auto a = GpuHistTrainer(dev1, p).train(ds);
-  const auto b = GpuHistTrainer(dev2, p).train(ds);
+  const auto a = GpuGbdtTrainer(dev1, p).train(ds);
+  const auto b = GpuGbdtTrainer(dev2, p).train(ds);
   ASSERT_EQ(a.trees.size(), b.trees.size());
   for (std::size_t t = 0; t < a.trees.size(); ++t) {
     EXPECT_TRUE(Tree::same_structure(a.trees[t], b.trees[t], 0.0)) << t;
@@ -251,7 +251,8 @@ TEST(HistDevice, QualityTracksExactTrainer) {
   Device dev2(DeviceConfig::titan_x_pascal());
   p.use_hist_trainer = false;
   const auto exact = GpuGbdtTrainer(dev1, p).train(ds);
-  const auto h = GpuHistTrainer(dev2, p).train(ds);
+  p.use_hist_trainer = true;
+  const auto h = GpuGbdtTrainer(dev2, p).train(ds);
   ASSERT_EQ(h.trees.size(), exact.trees.size());
   const double exact_rmse = rmse(exact.train_scores, ds.labels());
   const double hist_rmse = rmse(h.train_scores, ds.labels());
@@ -265,7 +266,7 @@ TEST(HistDevice, SubtractionCounterAdvancesWithDepth) {
       obs::Registry::global().counter("gbdt_hist_subtractions_total");
   const auto before = counter.value();
   Device dev(DeviceConfig::titan_x_pascal());
-  (void)GpuHistTrainer(dev, p).train(ds);
+  (void)GpuGbdtTrainer(dev, p).train(ds);
   EXPECT_GT(counter.value(), before);
 }
 
@@ -275,7 +276,7 @@ TEST(HistDevice, AuditArmedTrainingRunsClean) {
   Device dev(DeviceConfig::titan_x_pascal(), /*host_workers=*/4);
   analysis::set_audit_enabled(true);
   try {
-    const auto r = GpuHistTrainer(dev, p).train(ds);
+    const auto r = GpuGbdtTrainer(dev, p).train(ds);
     EXPECT_EQ(r.trees.size(), 2u);
   } catch (...) {
     analysis::set_audit_enabled(false);

@@ -7,7 +7,6 @@
 
 #include "core/metrics.h"
 #include "core/trainer.h"
-#include "core/trainer_hist.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
 #include "primitives/histogram.h"
@@ -37,6 +36,12 @@ GBDTParam small_param() {
   return p;
 }
 
+/// One run of the histogram method on `dev`.
+TrainReport train_hist(Device& dev, GBDTParam p, const data::Dataset& ds) {
+  p.use_hist_trainer = true;
+  return GpuGbdtTrainer(dev, p).train(ds);
+}
+
 TEST(HistTrainer, LearnsCloseToExact) {
   const auto ds = make_data(21);
   auto p = small_param();
@@ -44,7 +49,7 @@ TEST(HistTrainer, LearnsCloseToExact) {
   const auto exact = GpuGbdtTrainer(dev1, p).train(ds);
   p.n_bins = 64;
   Device dev2(DeviceConfig::titan_x_pascal());
-  const auto hist = GpuHistTrainer(dev2, p).train(ds);
+  const auto hist = train_hist(dev2, p, ds);
 
   const double exact_rmse = rmse(exact.train_scores, ds.labels());
   const double hist_rmse = rmse(hist.train_scores, ds.labels());
@@ -61,7 +66,7 @@ TEST(HistTrainer, MoreBinsApproachExactQuality) {
   for (int bins : {4, 16, 256}) {
     p.n_bins = bins;
     Device dev(DeviceConfig::titan_x_pascal());
-    const auto r = GpuHistTrainer(dev, p).train(ds);
+    const auto r = train_hist(dev, p, ds);
     const double e = rmse(r.train_scores, ds.labels());
     EXPECT_LT(e, prev * 1.02) << bins;  // near-monotone improvement
     prev = e;
@@ -76,7 +81,7 @@ TEST(HistTrainer, SplitValuesLieOnTheBinGrid) {
   p.n_trees = 4;
   p.n_bins = 8;
   Device dev(DeviceConfig::titan_x_pascal());
-  const auto r = GpuHistTrainer(dev, p).train(ds);
+  const auto r = train_hist(dev, p, ds);
   std::map<std::int32_t, std::set<float>> per_attr;
   for (const auto& t : r.trees) {
     for (const auto& n : t.nodes()) {
@@ -104,7 +109,7 @@ TEST(HistTrainer, FasterThanExactPerModeledSecond) {
   const auto exact = GpuGbdtTrainer(dev1, p).train(ds);
   p.n_bins = 64;
   Device dev2(DeviceConfig::titan_x_pascal());
-  const auto hist = GpuHistTrainer(dev2, p).train(ds);
+  const auto hist = train_hist(dev2, p, ds);
   EXPECT_LT(hist.modeled_seconds, exact.modeled_seconds);
 }
 
@@ -119,22 +124,24 @@ TEST(HistTrainer, RejectsInfeasibleHighDimensionalHistograms) {
   p.depth = 12;  // 2^11 nodes x 50k attrs x 256 bins blows the device
   p.n_trees = 1;
   p.n_bins = 256;
+  p.use_hist_trainer = true;
   Device dev(DeviceConfig::titan_x_pascal());
-  GpuHistTrainer trainer(dev, p);
+  GpuGbdtTrainer trainer(dev, p);
   EXPECT_THROW((void)trainer.train(ds), std::invalid_argument);
 }
 
 TEST(HistTrainer, RejectsBadConfig) {
   Device dev(DeviceConfig::titan_x_pascal());
   GBDTParam p;
+  p.use_hist_trainer = true;
   for (int bins : {0, -3, 1 << 20}) {
     p.n_bins = bins;
-    EXPECT_THROW(GpuHistTrainer(dev, p), std::invalid_argument) << bins;
+    EXPECT_THROW(GpuGbdtTrainer(dev, p), std::invalid_argument) << bins;
   }
   p.n_bins = 1;
-  GpuHistTrainer one_bin_ok(dev, p);  // legal: miss-direction splits only
+  GpuGbdtTrainer one_bin_ok(dev, p);  // legal: miss-direction splits only
   p.n_bins = 64;
-  GpuHistTrainer ok(dev, p);
+  GpuGbdtTrainer ok(dev, p);
   data::Dataset empty(3);
   EXPECT_THROW((void)ok.train(empty), std::invalid_argument);
 }
@@ -183,7 +190,7 @@ TEST(HistTrainer, SingleBinTrainingStillLearnsFromMissingness) {
   p.n_trees = 3;
   p.n_bins = 1;
   Device dev(DeviceConfig::titan_x_pascal());
-  const auto r = GpuHistTrainer(dev, p).train(ds);
+  const auto r = train_hist(dev, p, ds);
   ASSERT_EQ(r.trees.size(), 3u);
   for (const auto& t : r.trees) {
     for (const auto& n : t.nodes()) {
@@ -206,7 +213,7 @@ TEST(HistTrainer, AllEqualColumnsNeverSplit) {
   p.n_trees = 2;
   p.n_bins = 8;
   Device dev(DeviceConfig::titan_x_pascal());
-  const auto r = GpuHistTrainer(dev, p).train(ds);
+  const auto r = train_hist(dev, p, ds);
   for (const auto& t : r.trees) {
     EXPECT_EQ(t.n_leaves(), 1);
   }
@@ -218,8 +225,8 @@ TEST(HistTrainer, DeterministicAcrossRuns) {
   p.n_bins = 32;
   Device dev1(DeviceConfig::titan_x_pascal());
   Device dev2(DeviceConfig::titan_x_pascal());
-  const auto a = GpuHistTrainer(dev1, p).train(ds);
-  const auto b = GpuHistTrainer(dev2, p).train(ds);
+  const auto a = train_hist(dev1, p, ds);
+  const auto b = train_hist(dev2, p, ds);
   ASSERT_EQ(a.trees.size(), b.trees.size());
   for (std::size_t t = 0; t < a.trees.size(); ++t) {
     EXPECT_TRUE(Tree::same_structure(a.trees[t], b.trees[t], 0.0)) << t;
@@ -234,7 +241,7 @@ TEST(HistTrainer, DepthAndLeafBoundsHold) {
   p.n_trees = 5;
   p.n_bins = 32;
   Device dev(DeviceConfig::titan_x_pascal());
-  const auto r = GpuHistTrainer(dev, p).train(ds);
+  const auto r = train_hist(dev, p, ds);
   for (const auto& t : r.trees) {
     EXPECT_LE(t.depth(), 3);
     EXPECT_LE(t.n_leaves(), 8);

@@ -1,5 +1,6 @@
 // Tests for the model-facade features around the core trainer: tree
-// callbacks, validation tracking, early stopping, and feature importance.
+// callbacks, validation tracking, early stopping (both training methods),
+// and feature importance.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -116,6 +117,40 @@ TEST(Validation, EarlyStoppingTruncatesToBestIteration) {
   EXPECT_NEAR(rmse(pred, valid.labels()),
               history.metric[static_cast<std::size_t>(history.best_iteration)],
               1e-9);
+}
+
+// The histogram method goes through the same per-tree hook: the history is
+// recorded, early stopping truncates to the best iteration, and the forest is
+// a prefix of a plain histogram run (the hook only stops boosting).
+TEST(Validation, HistMethodEarlyStopsOnAPrefixOfThePlainRun) {
+  const auto full = make_data(5, 260);
+  const auto [train_set, valid] = full.split_at(200);
+  GBDTParam p;
+  p.depth = 6;
+  p.n_trees = 200;
+  p.eta = 0.8;
+  p.use_hist_trainer = true;
+  p.n_bins = 32;
+  Device dev(DeviceConfig::titan_x_pascal());
+  auto [model, report, history] =
+      GBDTModel::train_with_validation(dev, train_set, valid, p,
+                                       /*early_stopping_rounds=*/5);
+  ASSERT_TRUE(history.stopped_early);
+  EXPECT_EQ(history.metric.size(), report.trees.size());
+  ASSERT_EQ(model.trees().size(),
+            static_cast<std::size_t>(history.best_iteration) + 1);
+  const auto pred = model.predict(valid);
+  EXPECT_NEAR(rmse(pred, valid.labels()),
+              history.metric[static_cast<std::size_t>(history.best_iteration)],
+              1e-9);
+
+  Device plain_dev(DeviceConfig::titan_x_pascal());
+  const auto [plain, plain_report] = GBDTModel::train(plain_dev, train_set, p);
+  ASSERT_GT(plain.trees().size(), report.trees.size());
+  for (std::size_t t = 0; t < report.trees.size(); ++t) {
+    EXPECT_TRUE(Tree::same_structure(report.trees[t], plain.trees()[t], 0.0))
+        << "tree " << t;
+  }
 }
 
 TEST(Validation, LogisticUsesErrorRate) {

@@ -1,6 +1,11 @@
 // Tests for the multi-GPU trainer: equivalence with single-device training,
-// communication accounting, device scaling behaviour, degenerate cases.
+// communication accounting, device scaling behaviour, degenerate cases, and
+// the collective smoke cases (MultiGpuSmoke, label mgpu_smoke): all-to-one
+// trains the ring/tree forests, and ring/tree never model slower than it.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "core/metrics.h"
 #include "core/trainer.h"
@@ -152,6 +157,84 @@ TEST(MultiGpu, LargerDatasetFitsAcrossDevicesThatOneCannotHold) {
   MultiGpuTrainer multi(cfg, 4, p);
   const auto r = multi.train(ds);  // must not throw
   EXPECT_EQ(r.trees.size(), 1u);
+}
+
+// The collective smoke sweep (label mgpu_smoke): the multigpu bench's
+// analogs at the quick-suite shape (`gbdt_bench --quick`: scale 0.1, 2 trees,
+// depth 3) trained under every schedule — exact training on data and feature
+// shards at K in {2, 4, 8}, the histogram method at K in {2, 4}.  Calls
+// check(label, all_to_one, ring, tree) once per configuration.
+template <typename Check>
+void for_each_smoke_config(Check check) {
+  const auto train = [](const data::Dataset& ds, const GBDTParam& p, int k,
+                        ShardMode shard, AllreduceAlgo algo) {
+    MultiGpuOptions opts;
+    opts.shard = shard;
+    opts.algo = algo;
+    MultiGpuTrainer trainer(DeviceConfig::titan_x_pascal(), k, p,
+                            Interconnect::pcie3(), opts);
+    return trainer.train(ds);
+  };
+  for (const char* name : {"news20", "higgs"}) {
+    const auto ds = generate(data::paper_dataset(name, 0.1).spec);
+    GBDTParam p;
+    p.depth = 3;
+    p.n_trees = 2;
+    p.use_rle = false;
+    GBDTParam hist = p;
+    hist.use_hist_trainer = true;
+    // 16 bins: news20's 40 k-column histogram payloads stay large enough
+    // for bandwidth to dominate, at a quarter of the 64-bin build time.
+    hist.n_bins = 16;
+    struct Config {
+      const GBDTParam* param;
+      ShardMode shard;
+      std::vector<int> ks;
+    };
+    for (const Config& c : {Config{&p, ShardMode::kData, {2, 4, 8}},
+                            Config{&p, ShardMode::kFeature, {2, 4, 8}},
+                            Config{&hist, ShardMode::kData, {2, 4}}}) {
+      for (const int k : c.ks) {
+        const std::string label =
+            std::string(name) +
+            (c.param->use_hist_trainer ? " hist " : " exact ") +
+            shard_mode_name(c.shard) + " K=" + std::to_string(k);
+        check(label, train(ds, *c.param, k, c.shard, AllreduceAlgo::kAllToOne),
+              train(ds, *c.param, k, c.shard, AllreduceAlgo::kRing),
+              train(ds, *c.param, k, c.shard, AllreduceAlgo::kTree));
+      }
+    }
+  }
+}
+
+// The all-to-one schedule, chosen through MultiGpuOptions::algo, trains the
+// ring and tree forests bit for bit on every smoke configuration.
+TEST(MultiGpuSmoke, AllToOneTrainsTheRingAndTreeForests) {
+  for_each_smoke_config([](const std::string& label,
+                           const MultiTrainReport& a2o,
+                           const MultiTrainReport& ring,
+                           const MultiTrainReport& tree) {
+    for (const MultiTrainReport* r : {&ring, &tree}) {
+      ASSERT_EQ(r->trees.size(), a2o.trees.size()) << label;
+      for (std::size_t t = 0; t < a2o.trees.size(); ++t) {
+        EXPECT_TRUE(Tree::same_structure(r->trees[t], a2o.trees[t], 0.0))
+            << label << " tree " << t;
+      }
+      EXPECT_EQ(r->train_scores, a2o.train_scores) << label;
+    }
+  });
+}
+
+// The collective acceptance gate: the ring and tree schedules never model a
+// slower training than the legacy all-to-one merge.
+TEST(MultiGpuSmoke, RingAndTreeNeverModelSlowerThanAllToOne) {
+  for_each_smoke_config([](const std::string& label,
+                           const MultiTrainReport& a2o,
+                           const MultiTrainReport& ring,
+                           const MultiTrainReport& tree) {
+    EXPECT_LE(ring.modeled_seconds, a2o.modeled_seconds) << label << " ring";
+    EXPECT_LE(tree.modeled_seconds, a2o.modeled_seconds) << label << " tree";
+  });
 }
 
 }  // namespace

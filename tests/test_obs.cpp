@@ -14,7 +14,6 @@
 
 #include "core/out_of_core.h"
 #include "core/trainer.h"
-#include "core/trainer_hist.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
 #include "multigpu/multi_trainer.h"
@@ -501,7 +500,9 @@ TEST(ObsMetrics, TreeAndLevelCountersAgreeAcrossTrainerPaths) {
   });
   check("hist", [&] {
     device::Device dev(cfg);
-    return GpuHistTrainer(dev, p).train(ds).trees;
+    GBDTParam hist = p;
+    hist.use_hist_trainer = true;
+    return GpuGbdtTrainer(dev, hist).train(ds).trees;
   });
   check("out_of_core", [&] {
     device::Device dev(cfg);
@@ -567,7 +568,9 @@ TEST(ObsTrace, TrainerSpanTreeReconcilesWithReportsAndDeviceClock) {
     return r;
   });
   in_core("hist", [&](device::Device& dev) {
-    return GpuHistTrainer(dev, p).train(ds);
+    GBDTParam hist = p;
+    hist.use_hist_trainer = true;
+    return GpuGbdtTrainer(dev, hist).train(ds);
   });
 
   // Out of core: several 64 KiB chunks, so uploads overlap enumeration.

@@ -236,8 +236,6 @@ void print_tuning(const autotune::TuningReport& t) {
                "deepest level)\n",
                t.use_custom_idxcomp_workload ? "custom" : "naive",
                t.partition_custom_seconds, t.partition_naive_seconds);
-  std::fprintf(stderr, "  out-of-core chunk: %zu MiB\n",
-               t.ooc_chunk_bytes >> 20);
 }
 
 int cmd_train(const Flags& f) {
@@ -331,12 +329,6 @@ int cmd_train(const Flags& f) {
   GBDTModel model;
   TrainReport report;
   if (!valid_path.empty()) {
-    if (param.use_hist_trainer) {
-      std::fprintf(stderr,
-                   "--method=hist does not support --valid/--early-stopping "
-                   "(per-tree validation hooks are exact-trainer only)\n");
-      return 2;
-    }
     auto valid = data::read_libsvm_file(valid_path);
     if (!valid_query_path.empty()) data::read_query_file(valid, valid_query_path);
     if (param.objective == ObjectiveKind::kRanking && !valid.has_queries()) {
@@ -368,7 +360,7 @@ int cmd_train(const Flags& f) {
     session.deactivate();
     print_profile(session);
   }
-  if (report.tuned) print_tuning(report.tuning);
+  if (param.autotune) print_tuning(report.tuning);
   model.save(model_path);
   std::fprintf(stderr,
                "trained %zu trees -> %s\n"

@@ -18,8 +18,8 @@
 //                                                   # determinism + ranking)
 //   gbdt_fuzz --mgpu --cases 25                     # multi-GPU collective
 //                                                   # sweep (ring/tree vs
-//                                                   # the GBDT_ALLTOONE
-//                                                   # hatch, bitwise)
+//                                                   # the all-to-one
+//                                                   # schedule, bitwise)
 //   gbdt_fuzz --self-test                           # fault-injection check
 //   gbdt_fuzz --cases 50 --audit                    # sweep with the kernel
 //                                                   # access auditor armed
@@ -97,8 +97,8 @@ void usage() {
          "                     squared-error baseline on held-out NDCG@10\n"
          "  --mgpu             multi-GPU collective sweep: the ring and\n"
          "                     tree allreduce merges and feature-parallel\n"
-         "                     sharding must reproduce the GBDT_ALLTOONE\n"
-         "                     legacy schedule's forest, and K-shard\n"
+         "                     sharding must reproduce the legacy\n"
+         "                     all-to-one schedule's forest, and K-shard\n"
          "                     histogram training must match the\n"
          "                     single-device histogram trainer bit for bit\n"
          "  --no-invariants    do not arm in-trainer invariant checks\n"

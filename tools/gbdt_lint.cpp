@@ -65,6 +65,11 @@
 //      the decision and the leaf weight cannot fork per path again.
 //      Declarations and definitions (`double leaf_weight(`,
 //      `Tree::split(`) are not calls.
+//  14. No environment overrides of what trains: `getenv(` appears only in
+//      the four checker and schedule toggles (analysis/access_audit.cpp,
+//      analysis/hb_race.cpp, testing/invariants.cpp,
+//      device/device_context.h).  Every training choice goes through
+//      GBDTParam, or MultiGpuOptions for the collective.
 //
 // Comments and string literals are blanked (length-preserving) before any
 // rule other than the justification search runs, so prose never trips the
@@ -542,6 +547,21 @@ void check_file(const fs::path& path) {
       report(file, line_of(code, static_cast<std::size_t>(it->position(0))),
              "rule 13: `.split(` call with arguments outside "
              "core/level_driver.cpp — splits go through detail::decide_level");
+    }
+  }
+
+  // Rule 14: environment variables toggle checkers and stream scheduling
+  // only, never what trains.
+  if (!file.ends_with("analysis/access_audit.cpp") &&
+      !file.ends_with("analysis/hb_race.cpp") &&
+      !file.ends_with("testing/invariants.cpp") &&
+      !file.ends_with("device/device_context.h")) {
+    static const std::regex getenv_re(R"(\bgetenv\s*\()");
+    for (auto it = std::sregex_iterator(code.begin(), code.end(), getenv_re);
+         it != std::sregex_iterator(); ++it) {
+      report(file, line_of(code, static_cast<std::size_t>(it->position(0))),
+             "rule 14: `getenv(` outside the checker and schedule toggles — "
+             "training choices go through GBDTParam or MultiGpuOptions");
     }
   }
 
