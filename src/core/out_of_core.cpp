@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "core/level_driver.h"
 #include "core/trainer_detail.h"
@@ -27,19 +29,37 @@ using prim::kBlockDim;
 
 namespace {
 
+/// One streamed attribute-list entry.  Packing value and instance id into
+/// one 8-byte record lets a chunk (or a split column) ship in a single
+/// PCI-e transfer instead of one per array.
+struct Entry {
+  float value = 0.f;
+  std::int32_t inst = 0;
+};
+
+/// One RLE run of a compressed chunk: `len` entries of `value` starting at
+/// chunk-local entry `start`.
+struct Run {
+  float value = 0.f;
+  std::int32_t len = 0;
+  std::int64_t start = 0;
+};
+
 /// A host-resident column chunk, optionally pre-compressed with RLE.
 struct Chunk {
   std::int64_t attr_lo = 0;
   std::int64_t attr_hi = 0;   // exclusive
   std::int64_t entry_lo = 0;  // into the host CSC arrays
   std::int64_t entry_hi = 0;
-  bool compressed = false;
-  // RLE form (root order never changes, so this is computed once).
-  std::vector<float> run_values;
-  std::vector<std::int32_t> run_lens;
-  std::vector<std::int64_t> run_starts;  // exclusive scan of run_lens
+  // Where the chunk's n_cols + 1 local column offsets start in the resident
+  // offset table.
+  std::int64_t offs_base = 0;
+  // RLE form (root order never changes, so this is computed once); empty
+  // when the chunk ships raw entries.
+  std::vector<Run> runs;
 
   [[nodiscard]] std::int64_t n_entries() const { return entry_hi - entry_lo; }
+  [[nodiscard]] bool compressed() const { return !runs.empty(); }
 };
 
 /// Per-(column, slot) best-candidate record produced by the streaming walk.
@@ -51,6 +71,18 @@ struct ColumnBest {
   double left_h = 0.0;
   std::int64_t left_cnt = 0;
   std::uint8_t valid = 0;
+};
+
+/// One tree node's row of a split step's route table.  A node that splits
+/// this level sends its instances to `default_child` first; a child created
+/// this level carries its parent's split, so the exact-side kernel of the
+/// parent's attribute can route the parent's present instances.
+struct Route {
+  std::int32_t default_child = -1;
+  std::int32_t attr = -1;
+  float split_value = 0.f;
+  std::int32_t left = -1;
+  std::int32_t right = -1;
 };
 
 }  // namespace
@@ -84,6 +116,12 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
   // ---- host-resident sorted columns (built once, never partitioned) ------
   const auto csc = data::build_csc_host(ds);
   report.in_core_bytes = csc.bytes();
+  // The packed (value, inst) stream every raw chunk and split column ships
+  // from.
+  std::vector<Entry> entries(csc.values.size());
+  for (std::size_t e = 0; e < entries.size(); ++e) {
+    entries[e] = Entry{csc.values[e], csc.inst_ids[e]};
+  }
 
   // Column chunks bounded by the device budget for streamed lists.
   std::vector<Chunk> chunks;
@@ -113,30 +151,18 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
                                  csc.col_offsets.end(),
                                  static_cast<std::int64_t>(e));
           if (head) {
-            c.run_values.push_back(csc.values[u]);
-            c.run_lens.push_back(1);
+            c.runs.push_back(Run{csc.values[u], 1, e - c.entry_lo});
           } else {
-            ++c.run_lens.back();
+            ++c.runs.back().len;
           }
         }
         const double ratio =
-            c.run_values.empty()
-                ? 1.0
-                : static_cast<double>(c.n_entries()) /
-                      static_cast<double>(c.run_values.size());
-        c.compressed = ratio >= 1.5;
-        if (c.compressed) {
-          c.run_starts.resize(c.run_lens.size());
-          std::int64_t start = 0;
-          for (std::size_t r = 0; r < c.run_lens.size(); ++r) {
-            c.run_starts[r] = start;
-            start += c.run_lens[r];
-          }
-        } else {
-          c.run_values.clear();
-          c.run_values.shrink_to_fit();
-          c.run_lens.clear();
-          c.run_lens.shrink_to_fit();
+            c.runs.empty() ? 1.0
+                           : static_cast<double>(c.n_entries()) /
+                                 static_cast<double>(c.runs.size());
+        if (ratio < 1.5) {
+          c.runs.clear();
+          c.runs.shrink_to_fit();
         }
       }
       chunks.push_back(std::move(c));
@@ -147,7 +173,7 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
 
   // ---- double-buffered chunk streaming setup ------------------------------
   // Uploads ride stream_copy one chunk ahead of stream_compute; events order
-  // upload->consume (RAW) and enumerate->overwrite (WAR).  With
+  // upload->consume (RAW) and consume->overwrite (WAR).  With
   // GBDT_SYNC_STREAMS=1 both names alias the default stream: the same
   // enqueue order executes serially, so trees are bitwise identical.
   const bool async_streams = device::stream_async_enabled();
@@ -157,37 +183,75 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
       async_streams ? dev_.stream() : device::kDefaultStream;
 
   std::vector<const Chunk*> live;
-  for (const Chunk& c : chunks) {
-    if (c.n_entries() > 0) live.push_back(&c);
-  }
+  std::vector<std::int64_t> local_offs;
   std::size_t max_entries = 0;
   std::size_t max_runs = 0;
-  for (const Chunk* c : live) {
+  for (Chunk& c : chunks) {
+    if (c.n_entries() == 0) continue;
+    live.push_back(&c);
+    c.offs_base = static_cast<std::int64_t>(local_offs.size());
+    for (std::int64_t a = c.attr_lo; a <= c.attr_hi; ++a) {
+      local_offs.push_back(csc.col_offsets[static_cast<std::size_t>(a)] -
+                           c.entry_lo);
+    }
     max_entries =
-        std::max(max_entries, static_cast<std::size_t>(c->n_entries()));
-    if (c->compressed) max_runs = std::max(max_runs, c->run_values.size());
+        std::max(max_entries, static_cast<std::size_t>(c.n_entries()));
+    max_runs = std::max(max_runs, c.runs.size());
   }
+  // Every live chunk's column offsets, resident for the whole training run.
+  const auto d_offs = dev_.to_device<std::int64_t>(local_offs);
 
-  // Two reusable landing slots sized for the largest chunk; slot k%2 holds
-  // chunk k while slot (k+1)%2 is being filled.
+  // Two reusable landing slots sized for the largest chunk (a split column
+  // never exceeds the chunk holding it).  Compressed chunks land as inst ids
+  // plus runs and are expanded into `entries` on the device.
   struct ChunkSlot {
+    DeviceBuffer<Entry> entries;
     DeviceBuffer<std::int32_t> inst;
-    DeviceBuffer<float> values;
-    DeviceBuffer<float> run_values;
-    DeviceBuffer<std::int32_t> run_lens;
-    DeviceBuffer<std::int64_t> run_starts;
+    DeviceBuffer<Run> runs;
   };
   const std::size_t n_slots_db = std::min<std::size_t>(2, live.size());
   std::vector<ChunkSlot> slots(n_slots_db);
   for (ChunkSlot& sl : slots) {
-    sl.inst = dev_.alloc<std::int32_t>(max_entries);
-    sl.values = dev_.alloc<float>(max_entries);
+    sl.entries = dev_.alloc<Entry>(max_entries);
     if (max_runs > 0) {
-      sl.run_values = dev_.alloc<float>(max_runs);
-      sl.run_lens = dev_.alloc<std::int32_t>(max_runs);
-      sl.run_starts = dev_.alloc<std::int64_t>(max_runs);
+      sl.inst = dev_.alloc<std::int32_t>(max_entries);
+      sl.runs = dev_.alloc<Run>(max_runs);
     }
   }
+
+  // Streams items 0..count-1 through the slots, shared by the find and
+  // split steps: fill(k, slot) enqueues item k's upload on stream_copy,
+  // consume(k, slot) its readers on stream_compute.  With two slots item
+  // k+1 uploads while item k is consumed; a single slot is refilled only
+  // after its readers.  slot_free[s] fires once slot s's last reader is
+  // done, so it may be overwritten (and the arena blocks that reader used
+  // reused).
+  std::vector<int> slot_free(n_slots_db, -1);
+  auto stream_through_slots = [&](std::size_t count, const auto& fill,
+                                  const auto& consume) {
+    std::vector<int> filled(count, -1);
+    auto upload = [&](std::size_t k) {
+      const std::size_t s = k % n_slots_db;
+      if (async_streams && slot_free[s] >= 0) {
+        // hb: last reader of slot s on stream_compute -> its refill (WAR)
+        dev_.wait_event(stream_copy, slot_free[s]);
+      }
+      fill(k, slots[s]);
+      if (async_streams) filled[k] = dev_.record_event(stream_copy);
+    };
+    const std::size_t ahead = n_slots_db > 1 ? 1 : 0;
+    for (std::size_t k = 0; k < std::min(ahead, count); ++k) upload(k);
+    for (std::size_t k = 0; k < count; ++k) {
+      if (k + ahead < count) upload(k + ahead);
+      const std::size_t s = k % n_slots_db;
+      if (async_streams) {
+        // hb: fill of slot s on stream_copy -> its readers (RAW)
+        dev_.wait_event(stream_compute, filled[k]);
+      }
+      consume(k, slots[s]);
+      if (async_streams) slot_free[s] = dev_.record_event(stream_compute);
+    }
+  };
 
   // ---- resident per-instance state ---------------------------------------
   detail::TrainState st(dev_, param_, *loss_);
@@ -230,114 +294,93 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
 
     // ---- stream every chunk through the device once per level --------
     obs::ScopedSpan find_span("find_split");
-    // Upload chunk k into slot k % n_slots_db on stream_copy.  The spans
-    // handed to the async copies point into the host CSC / chunk arrays,
-    // which outlive the level.
-    std::vector<int> up_event(live.size(), -1);
-    std::vector<int> last_use_event(n_slots_db, -1);
-    auto upload_chunk = [&](std::size_t k) {
-      const Chunk& c = *live[k];
+    // Columns outside this tree's feature bag yield no splits, so a chunk
+    // with none inside it is neither uploaded nor enumerated (host glue
+    // over the mask the merge below reads too).
+    auto in_bag = [&](std::int64_t attr) {
+      return st.feature_mask.empty() ||
+             st.feature_mask[static_cast<std::size_t>(attr)] != 0;
+    };
+    std::vector<const Chunk*> visit;
+    for (const Chunk* c : live) {
+      for (std::int64_t a = c->attr_lo; a < c->attr_hi; ++a) {
+        if (in_bag(a)) {
+          visit.push_back(c);
+          break;
+        }
+      }
+    }
+
+    // One transfer for a raw chunk, two for a compressed one.  The spans
+    // handed to the async copies point into host arrays that outlive the
+    // level.
+    auto upload_chunk = [&](std::size_t k, ChunkSlot& sl) {
+      const Chunk& c = *visit[k];
       const auto n = static_cast<std::size_t>(c.n_entries());
-      ChunkSlot& sl = slots[k % n_slots_db];
+      const auto lo = static_cast<std::size_t>(c.entry_lo);
       obs::ScopedSpan io_span("chunk_io");
       chunks_streamed.inc();
-      if (async_streams && last_use_event[k % n_slots_db] >= 0) {
-        // hb: enumerate of the slot's previous chunk -> overwrite (WAR)
-        dev_.wait_event(stream_copy, last_use_event[k % n_slots_db]);
-      }
-      dev_.copy_to_device_async(
-          "stream_ooc_upload_inst", stream_copy,
-          std::span<const std::int32_t>(csc.inst_ids)
-              .subspan(static_cast<std::size_t>(c.entry_lo), n),
-          sl.inst);
-      if (c.compressed) {
-        dev_.copy_to_device_async("stream_ooc_upload_run_values",
-                                  stream_copy,
-                                  std::span<const float>(c.run_values),
-                                  sl.run_values);
+      if (c.compressed()) {
         dev_.copy_to_device_async(
-            "stream_ooc_upload_run_lens", stream_copy,
-            std::span<const std::int32_t>(c.run_lens), sl.run_lens);
-        dev_.copy_to_device_async(
-            "stream_ooc_upload_run_starts", stream_copy,
-            std::span<const std::int64_t>(c.run_starts), sl.run_starts);
+            "stream_ooc_upload_inst", stream_copy,
+            std::span<const std::int32_t>(csc.inst_ids).subspan(lo, n),
+            sl.inst);
+        dev_.copy_to_device_async("stream_ooc_upload_runs", stream_copy,
+                                  std::span<const Run>(c.runs), sl.runs);
         report.streamed_bytes +=
-            c.run_values.size() * 16 + static_cast<std::uint64_t>(n) * 4;
+            c.runs.size() * sizeof(Run) + n * sizeof(std::int32_t);
       } else {
         dev_.copy_to_device_async(
-            "stream_ooc_upload_values", stream_copy,
-            std::span<const float>(csc.values)
-                .subspan(static_cast<std::size_t>(c.entry_lo), n),
-            sl.values);
-        report.streamed_bytes += static_cast<std::uint64_t>(n) * 8;
-      }
-      if (async_streams) {
-        up_event[k] = dev_.record_event(stream_copy);
+            "stream_ooc_upload_entries", stream_copy,
+            std::span<const Entry>(entries).subspan(lo, n), sl.entries);
+        report.streamed_bytes += n * sizeof(Entry);
       }
     };
 
-    if (!live.empty()) upload_chunk(0);
-    for (std::size_t k = 0; k < live.size(); ++k) {
-      if (k + 1 < live.size()) upload_chunk(k + 1);
-      const Chunk& c = *live[k];
+    stream_through_slots(visit.size(), upload_chunk, [&](std::size_t k,
+                                                         ChunkSlot& sl) {
+      const Chunk& c = *visit[k];
       const std::int64_t n = c.n_entries();
       const std::int64_t n_cols = c.attr_hi - c.attr_lo;
-      ChunkSlot& sl = slots[k % n_slots_db];
-      if (async_streams) {
-        // hb: upload(k) on stream_copy -> decompress/enumerate (RAW)
-        dev_.wait_event(stream_compute, up_event[k]);
-      }
-      if (c.compressed) {
-        const auto n_runs = static_cast<std::int64_t>(c.run_values.size());
-        const auto rv = sl.run_values.span().first(c.run_values.size());
-        const auto rl = sl.run_lens.span().first(c.run_lens.size());
-        const auto rs = sl.run_starts.span().first(c.run_starts.size());
-        const auto out = sl.values.span().first(static_cast<std::size_t>(n));
+      const auto list = sl.entries.span().first(static_cast<std::size_t>(n));
+      if (c.compressed()) {
+        const auto n_runs = static_cast<std::int64_t>(c.runs.size());
+        const auto runs = sl.runs.span().first(c.runs.size());
+        const auto ids = sl.inst.span().first(static_cast<std::size_t>(n));
         dev_.launch_async(
             "stream_ooc_decompress", stream_compute,
             device::grid_for(n_runs, kBlockDim), kBlockDim,
-            [rv, rl, rs, out, n_runs](BlockCtx& b) {
+            [runs, ids, out = list, n_runs](BlockCtx& b) {
               std::uint64_t written = 0;
               b.for_each_thread([&](std::int64_t r) {
                 if (r >= n_runs) return;
-                const auto ru = static_cast<std::size_t>(r);
-                for (std::int32_t j = 0; j < rl[ru]; ++j) {
-                  out[static_cast<std::size_t>(rs[ru] + j)] = rv[ru];
+                const Run run = runs[static_cast<std::size_t>(r)];
+                for (std::int64_t e = run.start; e < run.start + run.len;
+                     ++e) {
+                  const auto u = static_cast<std::size_t>(e);
+                  out[u] = Entry{run.value, ids[u]};
                 }
-                b.writes(out, rs[ru], rl[ru]);
-                written += static_cast<std::uint64_t>(rl[ru]);
+                b.reads(ids, run.start, run.len);
+                b.writes(out, run.start, run.len);
+                written += static_cast<std::uint64_t>(run.len);
               });
-              b.reads_tile(rv, n_runs);
-              b.reads_tile(rl, n_runs);
-              b.reads_tile(rs, n_runs);
+              b.reads_tile(runs, n_runs);
               b.work(written);
-              b.mem_coalesced(written * 4 + elems_in_block(b, n_runs) * 20);
+              // Read each inst id, write each entry.
+              b.mem_coalesced(
+                  written * (sizeof(std::int32_t) + sizeof(Entry)) +
+                  elems_in_block(b, n_runs) * sizeof(Run));
             });
       }
-
-      // Column offsets local to the chunk; uploaded on the compute stream
-      // so the copy stream's lookahead is never stalled behind metadata.
-      // local_offs outlives the per-chunk sync below.
-      std::vector<std::int64_t> local_offs(
-          static_cast<std::size_t>(n_cols) + 1);
-      for (std::int64_t a2 = 0; a2 <= n_cols; ++a2) {
-        local_offs[static_cast<std::size_t>(a2)] =
-            csc.col_offsets[static_cast<std::size_t>(c.attr_lo + a2)] -
-            c.entry_lo;
-      }
-      auto d_offs = st.arena.alloc<std::int64_t>(local_offs.size());
-      dev_.copy_to_device_async("stream_ooc_upload_offs", stream_compute,
-                                std::span<const std::int64_t>(local_offs),
-                                d_offs.backing());
 
       // Per-(column, slot) winners, checked out per chunk (every entry is
       // written by ooc_enumerate, so the unzeroed checkout is safe).
       auto d_best = st.arena.alloc<ColumnBest>(
           static_cast<std::size_t>(n_cols) * static_cast<std::size_t>(n_slots));
 
-      const auto values = sl.values.span().first(static_cast<std::size_t>(n));
-      const auto inst = sl.inst.span().first(static_cast<std::size_t>(n));
-      const auto offs = d_offs.span();
+      const auto offs =
+          d_offs.span().subspan(static_cast<std::size_t>(c.offs_base),
+                                static_cast<std::size_t>(n_cols) + 1);
       const auto node_of = st.node_of.span();
       const auto so = d_slot_of.span();
       const auto stats = d_stats.span();
@@ -351,7 +394,7 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
       // perturbation the body runs at a later drain point.
       dev_.launch_async(
           "stream_ooc_enumerate", stream_compute, n_cols, kBlockDim,
-          [values, inst, offs, node_of, so, stats, out_best, gh, n_slots,
+          [list, offs, node_of, so, stats, out_best, gh, n_slots,
            lambda = param_.lambda](BlockCtx& b) {
         const std::int64_t col = b.block_idx();
         const std::int64_t lo = offs[static_cast<std::size_t>(col)];
@@ -362,7 +405,7 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
             static_cast<std::size_t>(n_slots), 0);
         for (std::int64_t e = lo; e < hi; ++e) {
           const auto iu = static_cast<std::size_t>(
-              inst[static_cast<std::size_t>(e)]);
+              list[static_cast<std::size_t>(e)].inst);
           const std::int32_t slot =
               so[static_cast<std::size_t>(node_of[iu])];
           if (slot < 0) continue;
@@ -396,17 +439,16 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
 
         std::uint64_t touched = 0;
         for (std::int64_t e = lo; e < hi; ++e) {
-          const auto iu = static_cast<std::size_t>(
-              inst[static_cast<std::size_t>(e)]);
+          const Entry en = list[static_cast<std::size_t>(e)];
+          const auto iu = static_cast<std::size_t>(en.inst);
           const std::int32_t slot =
               so[static_cast<std::size_t>(node_of[iu])];
           if (slot < 0) continue;
           const auto su = static_cast<std::size_t>(slot);
-          const float v = values[static_cast<std::size_t>(e)];
-          if (acc_cnt[su] > 0 && v != last[su]) evaluate(slot);
+          if (acc_cnt[su] > 0 && en.value != last[su]) evaluate(slot);
           acc[su] += gh[iu];
           ++acc_cnt[su];
-          last[su] = v;
+          last[su] = en.value;
           ++touched;
         }
         // Final boundary of every slot (all present left, missing right).
@@ -416,21 +458,15 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
               cb[static_cast<std::size_t>(s)];
         }
         b.reads(offs, col, 2);
-        b.reads(values, lo, hi - lo);
-        b.reads(inst, lo, hi - lo);
+        b.reads(list, lo, hi - lo);
         b.writes(out_best, col * n_slots, n_slots);
         // Two fused passes: stream the chunk twice, gather (g,h) twice.
         b.work(4 * touched);
-        b.mem_coalesced(2 * touched * 8);
+        b.mem_coalesced(2 * touched * sizeof(Entry));
         b.mem_irregular(2 * 2 * touched);  // node_of + (g,h) per pass
         b.flop(touched * 8);
       });
 
-      if (async_streams) {
-        // Recorded after enumerate: the slot may be overwritten (and the
-        // arena blocks reused) once this fires.
-        last_use_event[k % n_slots_db] = dev_.record_event(stream_compute);
-      }
       // Host merge needs the winners; the copy stream keeps prefetching
       // chunk k+1 underneath this sync.
       dev_.sync(stream_compute);
@@ -439,13 +475,8 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
       // ascending attribute order; strict > keeps the lowest attribute on
       // ties, like the in-core argmax).
       for (std::int64_t col = 0; col < n_cols; ++col) {
-        // Columns outside this tree's feature bag yield no splits (host
-        // glue over the simulated device: the mask byte read mirrors the
-        // scalar winner reads below).
-        if (!st.feature_mask.empty() &&
-            st.feature_mask[static_cast<std::size_t>(c.attr_lo + col)] == 0) {
-          continue;
-        }
+        // The mask byte read mirrors the scalar winner reads below.
+        if (!in_bag(c.attr_lo + col)) continue;
         for (std::int64_t s = 0; s < n_slots; ++s) {
           const ColumnBest& cb =
               d_best[static_cast<std::size_t>(col * n_slots + s)];
@@ -466,85 +497,101 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
           }
         }
       }
-    }
+    });
     return best;
   };
 
   backend.apply_splits = [&](const detail::LevelPlan& plan) {
     // Defaults for every instance of a splitting node, then the exact side
-    // from the winning column, re-streamed from the host.
+    // from each distinct winning column, re-streamed from the host once no
+    // matter how many nodes split on it.  One route table upload serves
+    // every kernel of the step.
     obs::ScopedSpan split_span("split_node");
-    {
-      auto d_default = detail::upload_default_children(st, plan);
-      auto node_of = st.node_of.span();
-      auto def = d_default.span();
-      dev_.launch("ooc_assign_default", device::grid_for(n_inst, kBlockDim),
-                  kBlockDim, [&](BlockCtx& b) {
-                    b.for_each_thread([&](std::int64_t i) {
-                      if (i >= n_inst) return;
-                      const auto u = static_cast<std::size_t>(i);
-                      const std::int32_t child =
-                          def[static_cast<std::size_t>(node_of[u])];
-                      if (child >= 0) node_of[u] = child;
-                    });
-                    b.reads_tile(node_of, n_inst);
-                    b.writes_tile(node_of, n_inst);
-                    b.reads(def, 0,
-                            static_cast<std::int64_t>(def.size()));
-                    b.mem_coalesced(elems_in_block(b, n_inst) * 8);
-                  });
-    }
-    for (const auto& d : plan.per_slot) {
+    std::vector<Route> route(static_cast<std::size_t>(st.tree->n_nodes()));
+    std::vector<std::int32_t> attrs;
+    for (std::size_t s = 0; s < plan.per_slot.size(); ++s) {
+      const auto& d = plan.per_slot[s];
       if (!d.split) continue;
-      const std::int64_t lo =
-          csc.col_offsets[static_cast<std::size_t>(d.attr)];
-      const std::int64_t hi =
-          csc.col_offsets[static_cast<std::size_t>(d.attr) + 1];
-      const std::int64_t len = hi - lo;
-      if (len == 0) continue;
-      auto d_v = dev_.to_device<float>(
-          std::span<const float>(csc.values)
-              .subspan(static_cast<std::size_t>(lo),
-                       static_cast<std::size_t>(len)));
-      auto d_i = dev_.to_device<std::int32_t>(
-          std::span<const std::int32_t>(csc.inst_ids)
-              .subspan(static_cast<std::size_t>(lo),
-                       static_cast<std::size_t>(len)));
-      report.streamed_bytes += static_cast<std::uint64_t>(len) * 8;
-      const std::int32_t left_id = d.left_id;
-      const std::int32_t right_id = d.right_id;
-      const std::int32_t default_id =
+      route[static_cast<std::size_t>(st.active[s].tree_node)].default_child =
           d.default_left ? d.left_id : d.right_id;
-      const float split_value = d.split_value;
-      auto v = d_v.span();
-      auto ii = d_i.span();
-      auto node_of = st.node_of.span();
-      dev_.launch("ooc_exact_side", device::grid_for(len, kBlockDim),
-                  kBlockDim, [&](BlockCtx& b) {
-                    b.for_each_thread([&](std::int64_t e) {
-                      if (e >= len) return;
-                      const auto u = static_cast<std::size_t>(e);
-                      auto& slot_ref =
-                          node_of[static_cast<std::size_t>(ii[u])];
-                      b.reads(node_of, ii[u]);
-                      if (slot_ref != default_id &&
-                          slot_ref != (d.default_left ? right_id : left_id)) {
-                        return;  // instance not in this node
-                      }
-                      // Instances of other nodes share neither child id.
-                      slot_ref = v[u] >= split_value ? left_id : right_id;
-                      // An instance appears once per streamed column, so
-                      // the scattered node_of updates are block-disjoint;
-                      // the auditor verifies it.
-                      b.writes(node_of, ii[u]);
-                    });
-                    b.reads_tile(v, len);
-                    b.reads_tile(ii, len);
-                    const auto m = elems_in_block(b, len);
-                    b.mem_coalesced(m * 8);
-                    b.mem_irregular(m);
-                  });
+      const Route child{-1, d.attr, d.split_value, d.left_id, d.right_id};
+      route[static_cast<std::size_t>(d.left_id)] = child;
+      route[static_cast<std::size_t>(d.right_id)] = child;
+      attrs.push_back(d.attr);
     }
+    std::sort(attrs.begin(), attrs.end());
+    attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
+    const auto d_route = detail::upload_pooled(dev_, st.arena, route);
+    const auto routes = d_route.span();
+    const auto node_of = st.node_of.span();
+
+    // On the compute stream, so the first column upload overlaps it.
+    dev_.launch_async(
+        "stream_ooc_assign_default", stream_compute,
+        device::grid_for(n_inst, kBlockDim), kBlockDim,
+        [node_of, routes, n_inst](BlockCtx& b) {
+          b.for_each_thread([&](std::int64_t i) {
+            if (i >= n_inst) return;
+            const auto u = static_cast<std::size_t>(i);
+            const std::int32_t child =
+                routes[static_cast<std::size_t>(node_of[u])].default_child;
+            if (child >= 0) node_of[u] = child;
+          });
+          b.reads_tile(node_of, n_inst);
+          b.writes_tile(node_of, n_inst);
+          b.reads(routes, 0, static_cast<std::int64_t>(routes.size()));
+          b.mem_coalesced(elems_in_block(b, n_inst) * 8);
+        });
+
+    // One upload and one exact-side kernel per distinct winning column.
+    auto column_range = [&](std::int64_t attr) {
+      const auto a = static_cast<std::size_t>(attr);
+      return std::pair{csc.col_offsets[a], csc.col_offsets[a + 1]};
+    };
+    auto upload_column = [&](std::size_t j, ChunkSlot& sl) {
+      const auto [lo, hi] = column_range(attrs[j]);
+      const auto len = static_cast<std::size_t>(hi - lo);
+      dev_.copy_to_device_async(
+          "stream_ooc_upload_column", stream_copy,
+          std::span<const Entry>(entries).subspan(
+              static_cast<std::size_t>(lo), len),
+          sl.entries);
+      report.streamed_bytes += len * sizeof(Entry);
+    };
+    stream_through_slots(attrs.size(), upload_column, [&](std::size_t j,
+                                                          ChunkSlot& sl) {
+      const std::int32_t attr = attrs[j];
+      const auto [lo, hi] = column_range(attr);
+      const std::int64_t len = hi - lo;
+      const auto column =
+          sl.entries.span().first(static_cast<std::size_t>(len));
+      dev_.launch_async(
+          "stream_ooc_exact_side", stream_compute,
+          device::grid_for(len, kBlockDim), kBlockDim,
+          [column, node_of, routes, attr, len](BlockCtx& b) {
+            b.for_each_thread([&](std::int64_t e) {
+              if (e >= len) return;
+              const Entry en = column[static_cast<std::size_t>(e)];
+              auto& node = node_of[static_cast<std::size_t>(en.inst)];
+              b.reads(node_of, en.inst);
+              const Route& r = routes[static_cast<std::size_t>(node)];
+              // Only children of a node that split on this attribute move;
+              // the default assignment already put them in one of the two.
+              if (r.attr != attr) return;
+              node = en.value >= r.split_value ? r.left : r.right;
+              // An instance appears once per column, so the scattered
+              // node_of updates are block-disjoint; the auditor verifies
+              // it.
+              b.writes(node_of, en.inst);
+            });
+            b.reads_tile(column, len);
+            b.reads(routes, 0, static_cast<std::int64_t>(routes.size()));
+            const auto m = elems_in_block(b, len);
+            b.mem_coalesced(m * sizeof(Entry));
+            b.mem_irregular(m);
+          });
+    });
+    dev_.sync(stream_compute);
 
     testing::check_instance_counts(st.node_of.span(), plan, "ooc_level");
   };

@@ -7,18 +7,30 @@
 // CPUs and GPUs"):
 //
 //  * only the per-instance state (gradients, predictions, instance->node
-//    map) is resident on the device — O(n_instances);
-//  * the root-sorted attribute lists stay on the host and are streamed in
-//    column chunks once per level; enumeration uses position lookups
-//    against the resident instance->node map, so the lists are never
-//    partitioned and never reshipped in a different order.  Chunk uploads
-//    ride a dedicated copy stream that double-buffers one chunk ahead of
-//    the compute stream (event-ordered, race-checked), so PCI-e time hides
+//    map) is resident on the device — O(n_instances) — plus every chunk's
+//    column offsets, uploaded once per training run;
+//  * the root-sorted attribute lists stay on the host as packed
+//    (value, inst) entries and are streamed in column chunks once per
+//    level; enumeration uses position lookups against the resident
+//    instance->node map, so the lists are never partitioned and never
+//    reshipped in a different order.  A chunk costs one PCI-e transfer (two
+//    when RLE-compressed: inst ids and runs).  Chunk uploads ride a
+//    dedicated copy stream that double-buffers one chunk ahead of the
+//    compute stream (event-ordered, race-checked), so PCI-e time hides
 //    under enumeration; GBDT_SYNC_STREAMS=1 routes both streams through
 //    the default stream for a bitwise-identical serial schedule;
+//  * chunks whose columns all fall outside the tree's feature bag are
+//    skipped;
 //  * per-(node, attribute) running statistics live in a small device table
 //    (#nodes x #chunk-attributes), the streaming analogue of node
-//    interleaving.
+//    interleaving;
+//  * the split step uploads one route table per level, then each distinct
+//    winning attribute's column once, through the same two slots, and runs
+//    one exact-side kernel per column for every node that split on it.
+//
+// A chunk holds up to chunk_bytes / 12 entries; a column never splits
+// across chunks, so a column with more entries than that still streams as
+// one oversized chunk.
 //
 // The price is PCI-e traffic proportional to (#entries x depth x trees) —
 // exactly the traffic the paper's RLE compression attacks, which
@@ -49,11 +61,12 @@ struct OutOfCoreReport {
   /// (0 when GBDT_SYNC_STREAMS routes everything through the default
   /// stream).
   double overlap_ratio = 0.0;
-  /// Total bytes streamed over PCI-e for column chunks.
+  /// Total bytes streamed over PCI-e for column chunks and split columns.
   std::uint64_t streamed_bytes = 0;
   /// Device bytes the in-core trainer would have needed for its lists.
   std::size_t in_core_bytes = 0;
   std::size_t peak_device_bytes = 0;
+  /// Column chunks the attribute lists were cut into.
   int n_chunks = 0;
 };
 

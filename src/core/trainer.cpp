@@ -175,19 +175,6 @@ device::ArenaBuffer<std::int64_t> device_node_offsets(TrainState& st,
   return offs;
 }
 
-device::ArenaBuffer<std::int32_t> upload_default_children(
-    TrainState& st, const LevelPlan& plan) {
-  std::vector<std::int32_t> default_child(
-      static_cast<std::size_t>(st.tree->n_nodes()), -1);
-  for (std::size_t s = 0; s < plan.per_slot.size(); ++s) {
-    const auto& e = plan.per_slot[s];
-    if (!e.split) continue;
-    const auto tn = static_cast<std::size_t>(st.active[s].tree_node);
-    default_child[tn] = e.default_left ? e.left_id : e.right_id;
-  }
-  return upload_pooled(st.dev, st.arena, default_child);
-}
-
 void assign_default_children(TrainState& st) {
   const std::int64_t n = st.n_inst;
   auto node_of = st.node_of.span();

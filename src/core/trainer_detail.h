@@ -302,12 +302,6 @@ void reset_working_layout(TrainState& st);
 [[nodiscard]] std::vector<BestSplit> find_splits_rle(TrainState& st);
 void apply_splits_rle(TrainState& st, const LevelPlan& plan);
 
-/// Per-tree-node table of where a splitting node's instances go by default
-/// (-1 for every other node), sized by the current tree and uploaded (the
-/// out-of-core path's one split-step upload).
-[[nodiscard]] device::ArenaBuffer<std::int32_t> upload_default_children(
-    TrainState& st, const LevelPlan& plan);
-
 /// Shared by the sparse and RLE paths: updates node_of for every instance of
 /// a splitting node to its default child (st.split_tables), then lets the
 /// path-specific element/run kernel overwrite the exact side for present

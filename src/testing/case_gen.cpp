@@ -49,8 +49,11 @@ FuzzCase FuzzCase::from_seed(std::uint64_t seed) {
 
   c.n_gpus = static_cast<int>(
       pick(s, 2, std::min<std::int64_t>(4, c.n_attributes)));
-  // 64 KiB (the trainer's minimum) up to 1 MiB: small enough that most
-  // cases stream several chunks per level.
+  // 64 KiB (the trainer's minimum) up to 1 MiB.  A chunk holds up to
+  // chunk_bytes / 12 entries (5,461 at 64 KiB) and a case at most
+  // 600 x 24 = 14,400, so only about 4-5 % of cases stream two or more
+  // chunks; the rest run the pipeline on one slot.  gbdt_fuzz prints the
+  // count, and test_out_of_core covers multi-chunk streaming directly.
   c.chunk_bytes = static_cast<std::size_t>(1)
                       << static_cast<unsigned>(pick(s, 16, 20));
   c.ooc_stream_compressed = pick(s, 0, 1) == 0;

@@ -1,8 +1,13 @@
 // Tests for the out-of-core (column-streaming) trainer: equivalence with the
 // in-core exact trainer, bounded device footprint, RLE-compressed streaming,
-// PCI-e traffic accounting, and the double-buffered upload pipeline
-// (async-vs-sync bitwise equality, overlap, race cleanliness).
+// PCI-e traffic accounting and transfer structure, feature-bag chunk
+// skipping, and the double-buffered upload pipeline (async-vs-sync bitwise
+// equality, overlap, race cleanliness).  OutOfCoreDedupe runs under the
+// race_smoke label.
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
 
 #include "analysis/hb_race.h"
 #include "core/metrics.h"
@@ -10,6 +15,7 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
+#include "obs/metrics.h"
 
 namespace gbdt {
 namespace {
@@ -46,6 +52,52 @@ GBDTParam small_param() {
   p.depth = 4;
   p.n_trees = 4;
   return p;
+}
+
+/// Process-wide counter value (tests read deltas around one training run).
+std::uint64_t counter(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+/// Labeled async transfers of one device: count (0 when never issued).
+std::uint64_t transfers(const Device& dev, const std::string& label) {
+  const auto& t = dev.timeline().stream_transfers;
+  const auto it = t.find(label);
+  return it == t.end() ? 0 : it->second.count;
+}
+
+/// Internal nodes over the forest: the nodes a split step split.
+std::uint64_t splits(const std::vector<Tree>& trees) {
+  std::uint64_t n = 0;
+  for (const Tree& t : trees) {
+    for (std::int32_t id = 0; id < t.n_nodes(); ++id) {
+      n += t.node(id).is_leaf() ? 0 : 1;
+    }
+  }
+  return n;
+}
+
+/// Sum over every tree and depth of the distinct attributes the internal
+/// nodes at that depth split on: the split step's column uploads.
+std::uint64_t distinct_winning_attributes(const std::vector<Tree>& trees) {
+  std::uint64_t total = 0;
+  for (const Tree& t : trees) {
+    std::vector<std::int32_t> level{0};
+    while (!level.empty()) {
+      std::set<std::int32_t> attrs;
+      std::vector<std::int32_t> next;
+      for (std::int32_t id : level) {
+        const TreeNode& n = t.node(id);
+        if (n.is_leaf()) continue;
+        attrs.insert(n.attr);
+        next.push_back(n.left);
+        next.push_back(n.right);
+      }
+      total += attrs.size();
+      level = std::move(next);
+    }
+  }
+  return total;
 }
 
 TEST(OutOfCore, MatchesInCoreTrainer) {
@@ -255,6 +307,184 @@ TEST(OutOfCore, MissingValuesRouteByLearnedDefault) {
   ASSERT_FALSE(root.is_leaf());
   EXPECT_EQ(root.attr, 0);
   EXPECT_TRUE(root.default_left);
+}
+
+TEST(OutOfCore, OneTransferPerChunkPerLevel) {
+  // Dense 2000-entry columns in 64 KiB chunks (5461 entries): two columns
+  // per chunk, four live chunks.  A raw chunk ships its packed (value, inst)
+  // entries in one transfer, a compressed one its inst ids and one run
+  // array.  Column offsets stay resident, so nothing else streams per chunk;
+  // the split step adds only its column uploads.
+  for (const bool compress : {false, true}) {
+    const auto ds = make_data(91, 2000, 8, 1.0, compress ? 3 : 0);
+    const std::uint64_t levels_before = counter("gbdt_levels_grown_total");
+    Device dev(DeviceConfig::titan_x_pascal());
+    const auto r =
+        OutOfCoreTrainer(dev, small_param(), 1 << 16, compress).train(ds);
+    const std::uint64_t levels =
+        counter("gbdt_levels_grown_total") - levels_before;
+    ASSERT_EQ(r.n_chunks, 4);
+    const std::uint64_t per_chunk_level =
+        levels * static_cast<std::uint64_t>(r.n_chunks);
+    EXPECT_EQ(transfers(dev, "stream_ooc_upload_entries"),
+              compress ? 0 : per_chunk_level);
+    EXPECT_EQ(transfers(dev, "stream_ooc_upload_inst"),
+              compress ? per_chunk_level : 0);
+    EXPECT_EQ(transfers(dev, "stream_ooc_upload_runs"),
+              compress ? per_chunk_level : 0);
+    std::set<std::string> labels;
+    for (const auto& [label, rec] : dev.timeline().stream_transfers) {
+      labels.insert(label);
+    }
+    const std::set<std::string> expected =
+        compress ? std::set<std::string>{"stream_ooc_upload_column",
+                                         "stream_ooc_upload_inst",
+                                         "stream_ooc_upload_runs"}
+                 : std::set<std::string>{"stream_ooc_upload_column",
+                                         "stream_ooc_upload_entries"};
+    EXPECT_EQ(labels, expected) << "compress=" << compress;
+  }
+}
+
+TEST(OutOfCore, SplitStepUploadsEachWinningColumnOnce) {
+  // Per level, the split step uploads each distinct winning attribute's
+  // column once, however many nodes split on it.
+  const auto ds = make_data(92, 3000, 6, 0.8);
+  GBDTParam p = small_param();
+  p.depth = 5;
+  Device dev(DeviceConfig::titan_x_pascal());
+  const auto r = OutOfCoreTrainer(dev, p, 1 << 16).train(ds);
+  const std::uint64_t uploads = transfers(dev, "stream_ooc_upload_column");
+  EXPECT_EQ(uploads, distinct_winning_attributes(r.trees));
+  // Six attributes over up to 16 splitting nodes a level: nodes share.
+  EXPECT_LT(uploads, splits(r.trees));
+}
+
+TEST(OutOfCore, AllocatorCallsDoNotGrowWithTrees) {
+  // Chunks, split columns and every per-level table land in the two chunk
+  // slots or the arena, so streaming and the split step allocate nothing
+  // per tree.  The only per-tree allocation is prim::reduce_sum's partials
+  // for the root sums, which the in-core trainer pays the same way.
+  const auto ds = make_data(93, 2000, 10, 0.8);
+  auto allocs = [&](bool out_of_core, int n_trees) {
+    GBDTParam p = small_param();
+    p.n_trees = n_trees;
+    p.use_rle = false;
+    Device dev(DeviceConfig::titan_x_pascal());
+    const std::uint64_t before = counter("gbdt_device_alloc_calls_total");
+    if (out_of_core) {
+      (void)OutOfCoreTrainer(dev, p, 1 << 16).train(ds);
+    } else {
+      (void)GpuGbdtTrainer(dev, p).train(ds);
+    }
+    return counter("gbdt_device_alloc_calls_total") - before;
+  };
+  const std::uint64_t ooc_growth = allocs(true, 8) - allocs(true, 2);
+  EXPECT_EQ(ooc_growth, allocs(false, 8) - allocs(false, 2));
+  EXPECT_EQ(ooc_growth, 6u);  // the six extra trees' root sums
+}
+
+TEST(OutOfCore, FeatureBagSkipsChunksOutsideTheBag) {
+  // One 3000-entry column per 64 KiB chunk (5461 entries), so a bag of 3 of
+  // 12 attributes streams 3 of the 12 chunks a level.
+  const auto ds = make_data(94, 3000, 12, 1.0);
+  GBDTParam p = small_param();
+  p.depth = 3;
+  p.use_rle = false;
+  GBDTParam bagged = p;
+  bagged.feature_bag = 3;
+  bagged.sampling_seed = 7;
+
+  struct Run {
+    OutOfCoreReport report;
+    std::uint64_t levels = 0;
+    std::uint64_t chunk_uploads = 0;
+    std::uint64_t chunk_bytes = 0;  // streamed by the find step
+  };
+  auto run = [&](const GBDTParam& q) {
+    Run out;
+    const std::uint64_t levels_before = counter("gbdt_levels_grown_total");
+    Device dev(DeviceConfig::titan_x_pascal());
+    out.report = OutOfCoreTrainer(dev, q, 1 << 16, false).train(ds);
+    out.levels = counter("gbdt_levels_grown_total") - levels_before;
+    const auto& t = dev.timeline().stream_transfers;
+    out.chunk_uploads = t.at("stream_ooc_upload_entries").count;
+    out.chunk_bytes =
+        out.report.streamed_bytes - t.at("stream_ooc_upload_column").bytes;
+    return out;
+  };
+  const Run full = run(p);
+  const Run bag = run(bagged);
+  ASSERT_EQ(full.report.n_chunks, 12);
+  EXPECT_EQ(full.chunk_uploads, full.levels * 12);
+  EXPECT_EQ(bag.chunk_uploads, bag.levels * 3);
+  // Find-step bytes per level fall exactly with the bag (equal columns).
+  EXPECT_EQ(bag.chunk_bytes * full.levels * 12,
+            full.chunk_bytes * bag.levels * 3);
+  EXPECT_LT(bag.report.streamed_bytes, full.report.streamed_bytes / 2);
+
+  // The sampled_ooc oracle leg's tolerance against the in-core sampled
+  // trainer: trees equal within 1e-7, or the same fit within 1e-2 RMSE
+  // where an exact gain tie broke differently.
+  Device dev_in(DeviceConfig::titan_x_pascal());
+  const auto in_core = GpuGbdtTrainer(dev_in, bagged).train(ds);
+  ASSERT_EQ(bag.report.trees.size(), in_core.trees.size());
+  bool identical = true;
+  for (std::size_t t = 0; t < in_core.trees.size(); ++t) {
+    identical = identical && Tree::same_structure(in_core.trees[t],
+                                                  bag.report.trees[t], 1e-7);
+  }
+  if (!identical) {
+    EXPECT_NEAR(rmse(in_core.train_scores, ds.labels()),
+                rmse(bag.report.train_scores, ds.labels()), 1e-2);
+  }
+}
+
+TEST(OutOfCoreDedupe, SharedWinningColumnsStayBitwiseAcrossSchedules) {
+  // Depth 6 grows up to 32 nodes a level over 3 or 6 attributes, so most
+  // split steps upload a column that many nodes share, through the same two
+  // slots the chunks stream through (one 4000-entry column per 64 KiB
+  // chunk).  Race-armed async, the sync hatch and two seeded
+  // interleavings must train the identical forest, raw and compressed.
+  ToggleGuard guard;
+  analysis::set_race_detect_enabled(true);
+  GBDTParam p;
+  p.depth = 6;
+  p.n_trees = 2;
+  for (const std::int64_t d : {3, 6}) {
+    for (const bool compress : {false, true}) {
+      const auto ds = make_data(95, 4000, d, 1.0, compress ? 12 : 0);
+      auto train = [&](bool async, std::uint64_t fuzz_seed) {
+        device::set_stream_async_enabled(async);
+        Device dev(DeviceConfig::titan_x_pascal());
+        if (fuzz_seed != 0) dev.set_schedule_fuzz(fuzz_seed);
+        auto r = OutOfCoreTrainer(dev, p, 1 << 16, compress).train(ds);
+        if (fuzz_seed != 0) dev.clear_schedule_fuzz();
+        return r;
+      };
+      const auto ref = train(true, 0);
+      ASSERT_EQ(ref.n_chunks, d);
+      EXPECT_LT(2 * distinct_winning_attributes(ref.trees), splits(ref.trees))
+          << "d=" << d;
+
+      const std::vector<std::pair<bool, std::uint64_t>> schedules{
+          {false, 0}, {true, 1}, {true, 99}};
+      for (const auto& [async, seed] : schedules) {
+        const auto other = train(async, seed);
+        const std::string where = "d=" + std::to_string(d) +
+                                  " compress=" + std::to_string(compress) +
+                                  " async=" + std::to_string(async) +
+                                  " seed=" + std::to_string(seed);
+        ASSERT_EQ(other.trees.size(), ref.trees.size()) << where;
+        for (std::size_t t = 0; t < ref.trees.size(); ++t) {
+          EXPECT_TRUE(Tree::same_structure(other.trees[t], ref.trees[t], 0.0))
+              << where << " tree " << t;
+        }
+        ASSERT_EQ(other.train_scores, ref.train_scores) << where;
+        EXPECT_EQ(other.streamed_bytes, ref.streamed_bytes) << where;
+      }
+    }
+  }
 }
 
 }  // namespace

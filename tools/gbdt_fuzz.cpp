@@ -220,8 +220,9 @@ FuzzCase build_case(std::uint64_t seed, const Options& opt) {
 }
 
 /// Runs one case; on failure minimizes and prints the repro line.  Returns
-/// true when the case passes.
-bool run_case(const FuzzCase& c, const Options& opt, int index, int total) {
+/// the oracle's result.
+OracleResult run_case(const FuzzCase& c, const Options& opt, int index,
+                      int total) {
   const OracleResult r =
       opt.hist_only ? gbdt::testing::run_hist_oracle(c, opt.check_invariants)
       : opt.serve_only
@@ -240,7 +241,7 @@ bool run_case(const FuzzCase& c, const Options& opt, int index, int total) {
               << (r.ties() > 1 ? "s" : "") << ")";
   }
   std::cout << "\n";
-  if (r.pass()) return true;
+  if (r.pass()) return r;
 
   std::cout << r.failure_report();
   FuzzCase repro = c;
@@ -285,7 +286,7 @@ bool run_case(const FuzzCase& c, const Options& opt, int index, int total) {
   if (opt.audit) flags += " --audit";
   if (!opt.check_invariants) flags += " --no-invariants";
   std::cout << "  repro: " << repro.repro_command() << flags << "\n";
-  return false;
+  return r;
 }
 
 /// Fault-injection self-test: armed faults must be caught by the invariant
@@ -456,15 +457,25 @@ int main(int argc, char** argv) {
 
   if (opt.seed) {
     const FuzzCase c = build_case(*opt.seed, opt);
-    return run_case(c, opt, 1, 1) ? 0 : 1;
+    return run_case(c, opt, 1, 1).pass() ? 0 : 1;
   }
 
   int failures = 0;
+  int ooc_cases = 0;
+  int ooc_multi_chunk = 0;
   std::uint64_t stream = opt.start_seed;
   for (int i = 0; i < opt.cases; ++i) {
     const std::uint64_t seed = gbdt::testing::splitmix64(stream);
     const FuzzCase c = build_case(seed, opt);
-    if (!run_case(c, opt, i + 1, opt.cases)) ++failures;
+    const OracleResult r = run_case(c, opt, i + 1, opt.cases);
+    if (!r.pass()) ++failures;
+    if (r.ooc_chunks > 0) ++ooc_cases;
+    if (r.ooc_chunks >= 2) ++ooc_multi_chunk;
+  }
+  // Coverage of the double buffer: a one-chunk case never alternates slots.
+  if (ooc_cases > 0) {
+    std::cout << ooc_multi_chunk << "/" << ooc_cases
+              << " cases' out-of-core legs streamed >= 2 chunks\n";
   }
   std::cout << (opt.cases - failures) << "/" << opt.cases << " cases passed\n";
   return failures == 0 ? 0 : 1;
