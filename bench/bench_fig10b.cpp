@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "bench_common.h"
+#include "core/predictor.h"
 
 int main(int argc, char** argv) {
   using namespace gbdt;
@@ -51,19 +52,11 @@ int main(int argc, char** argv) {
            static_cast<double>(test.n_instances());
   };
   err_after[0] = error_now();
-  std::vector<std::int32_t> attrs;
-  std::vector<float> vals;
+  const auto forest = ForestSoA::flatten(gpu.trees, param.base_score);
   for (int t = 0; t < n_trees; ++t) {
     for (std::int64_t i = 0; i < test.n_instances(); ++i) {
-      const auto row = test.instance(i);
-      attrs.resize(row.size());
-      vals.resize(row.size());
-      for (std::size_t k = 0; k < row.size(); ++k) {
-        attrs[k] = row[k].attr;
-        vals[k] = row[k].value;
-      }
-      score[static_cast<std::size_t>(i)] += gpu.trees[static_cast<std::size_t>(t)].predict(
-          attrs.data(), vals.data(), static_cast<std::int64_t>(row.size()));
+      score[static_cast<std::size_t>(i)] +=
+          forest.leaf_weight(test.instance(i), t);
     }
     err_after[static_cast<std::size_t>(t) + 1] = error_now();
   }

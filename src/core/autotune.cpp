@@ -56,7 +56,7 @@ double partition_seconds(const device::CostModel& cm,
       param.use_hist_trainer ? shape.n_instances : shape.n_entries;
   if (moved <= 0) return 0.0;
   const prim::PartitionPlan plan = prim::plan_partition(
-      moved, n_parts, param.partition_counter_budget, customized);
+      moved, n_parts, prim::kPartitionCounterBudget, customized);
   device::KernelStats s;
   s.thread_work = static_cast<std::uint64_t>(moved);
   // part id read + the moved value and instance id, plus zero/scan of the

@@ -44,8 +44,6 @@ GBDTModel::train_with_validation(device::Device& dev,
   // per-tree update stays cheap even on skipped-evaluation rounds).
   std::vector<double> scores(static_cast<std::size_t>(validation.n_instances()),
                              param.base_score);
-  std::vector<std::int32_t> attrs;
-  std::vector<float> vals;
   auto metric_now = [&]() {
     if (ranking) {
       // NDCG depends only on the score ordering, so raw scores suffice.
@@ -72,17 +70,10 @@ GBDTModel::train_with_validation(device::Device& dev,
   GpuGbdtTrainer trainer(dev, param);
   TrainReport report =
       trainer.train(train_set, [&](int t, const std::vector<Tree>& forest) {
-        const Tree& tree = forest.back();
+        const auto tree = ForestSoA::flatten({&forest.back(), 1}, 0.0);
         for (std::int64_t i = 0; i < validation.n_instances(); ++i) {
-          const auto row = validation.instance(i);
-          attrs.resize(row.size());
-          vals.resize(row.size());
-          for (std::size_t k = 0; k < row.size(); ++k) {
-            attrs[k] = row[k].attr;
-            vals[k] = row[k].value;
-          }
-          scores[static_cast<std::size_t>(i)] += tree.predict(
-              attrs.data(), vals.data(), static_cast<std::int64_t>(row.size()));
+          scores[static_cast<std::size_t>(i)] +=
+              tree.leaf_weight(validation.instance(i), 0);
         }
         if (!stopper.should_eval(t, param.n_trees)) return true;
         const double m = metric_now();
@@ -133,25 +124,14 @@ std::vector<double> GBDTModel::feature_importance(ImportanceKind kind) const {
 }
 
 double GBDTModel::predict_one(std::span<const data::Entry> x) const {
-  // Split the AoS entries into the parallel arrays Tree::predict expects.
-  std::vector<std::int32_t> attrs(x.size());
-  std::vector<float> vals(x.size());
-  for (std::size_t k = 0; k < x.size(); ++k) {
-    attrs[k] = x[k].attr;
-    vals[k] = x[k].value;
-  }
-  double score = base_score_;
-  for (const auto& t : trees_) {
-    score += t.predict(attrs.data(), vals.data(),
-                       static_cast<std::int64_t>(x.size()));
-  }
-  return score;
+  return RowPredictor(trees_, base_score_).score(x);
 }
 
 std::vector<double> GBDTModel::predict(const data::Dataset& ds) const {
+  const RowPredictor rows(trees_, base_score_);
   std::vector<double> out(static_cast<std::size_t>(ds.n_instances()));
   for (std::int64_t i = 0; i < ds.n_instances(); ++i) {
-    out[static_cast<std::size_t>(i)] = predict_one(ds.instance(i));
+    out[static_cast<std::size_t>(i)] = rows.score(ds.instance(i));
   }
   return out;
 }

@@ -63,10 +63,12 @@ class GBDTModel {
   [[nodiscard]] const GBDTParam& param() const { return param_; }
   [[nodiscard]] double base_score() const { return base_score_; }
 
-  /// Raw score of one sparse instance (attrs sorted ascending).
+  /// Raw score of one sparse instance (attrs sorted ascending).  Flattens
+  /// the forest per call; score many rows through predict or RowPredictor.
   [[nodiscard]] double predict_one(std::span<const data::Entry> x) const;
 
-  /// Raw scores on the host, one per instance.
+  /// Raw scores on the host, one per instance: one RowPredictor over the
+  /// forest, bitwise equal to predict_device.
   [[nodiscard]] std::vector<double> predict(const data::Dataset& ds) const;
 
   /// Raw scores computed with the device prediction kernel (paper III-D).

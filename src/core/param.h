@@ -1,7 +1,6 @@
 // Training hyper-parameters and the GPU-GBDT optimization toggles.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace gbdt {
@@ -53,9 +52,6 @@ struct GBDTParam {
   double rle_threshold_r = 10.0;
   /// C in the Customized SetKey formula segs/block = 1 + #segs/(#SM * C).
   std::int64_t setkey_c = 1000;
-  /// Byte budget for the order-preserving partition counters (the paper's
-  /// "maximum allowed memory size", e.g. 2^30).
-  std::size_t partition_counter_budget = std::size_t{1} << 30;
 
   // ---- Figure 9 ablation toggles ----------------------------------------
   /// Customized SetKey: adaptive segments-per-block (off = 1 seg per block).

@@ -9,7 +9,7 @@ namespace gbdt {
 using device::BlockCtx;
 using prim::kBlockDim;
 
-ForestSoA ForestSoA::flatten(const std::vector<Tree>& trees,
+ForestSoA ForestSoA::flatten(std::span<const Tree> trees,
                              double base_score) {
   ForestSoA f;
   f.base_score = base_score;
@@ -28,8 +28,8 @@ ForestSoA ForestSoA::flatten(const std::vector<Tree>& trees,
   return f;
 }
 
-double ForestSoA::leaf_weight(std::span<const data::Entry> row,
-                              std::int64_t t) const {
+std::int64_t ForestSoA::leaf(std::span<const data::Entry> row,
+                             std::int64_t t) const {
   const std::int64_t base = tree_off[static_cast<std::size_t>(t)];
   std::int64_t id = base;
   while (left[static_cast<std::size_t>(id)] >= 0) {
@@ -52,7 +52,7 @@ double ForestSoA::leaf_weight(std::span<const data::Entry> row,
     const bool go_left = found != nullptr ? *found >= split[nu] : def_left[nu] != 0;
     id = base + (go_left ? left[nu] : right[nu]);
   }
-  return weight[static_cast<std::size_t>(id)];
+  return id - base;
 }
 
 DeviceForest::DeviceForest(device::Device& dev, const ForestSoA& host)
@@ -93,11 +93,8 @@ void predict_resident(device::Device& dev, const DeviceForest& forest,
   auto ra = rows.attrs();
   auto rv = rows.values();
   auto toff = forest.tree_off();
-  auto L = forest.left();
-  auto R = forest.right();
-  auto A = forest.attr();
-  auto S = forest.split();
-  auto D = forest.def_left();
+  const DeviceNodes nodes{forest.left(), forest.right(), forest.attr(),
+                          forest.split(), forest.def_left()};
   auto W = forest.weight();
   auto out = inout.span();
   dev.launch(name, device::grid_for(total, kBlockDim), kBlockDim,
@@ -108,36 +105,13 @@ void predict_resident(device::Device& dev, const DeviceForest& forest,
                  const std::int64_t i = x % n;             // instance
                  const std::int64_t t = tree_lo + x / n;   // tree
                  const auto iu = static_cast<std::size_t>(i);
-                 const std::int64_t row_lo = ro[iu];
-                 const std::int64_t row_hi = ro[iu + 1];
-                 const std::int64_t base = toff[static_cast<std::size_t>(t)];
-                 std::int64_t id = base;
-                 while (L[static_cast<std::size_t>(id)] >= 0) {
-                   const auto nu = static_cast<std::size_t>(id);
-                   const std::int32_t want = A[nu];
-                   std::int64_t lo = row_lo, hi = row_hi;
-                   const float* found = nullptr;
-                   while (lo < hi) {
-                     const std::int64_t mid = (lo + hi) / 2;
-                     const auto mu = static_cast<std::size_t>(mid);
-                     if (ra[mu] < want) {
-                       lo = mid + 1;
-                     } else if (ra[mu] > want) {
-                       hi = mid;
-                     } else {
-                       found = &rv[mu];
-                       break;
-                     }
-                     ++steps;
-                   }
-                   const bool go_left =
-                       found != nullptr ? *found >= S[nu] : D[nu] != 0;
-                   id = base + (go_left ? L[nu] : R[nu]);
-                   steps += 3;
-                 }
+                 const DeviceWalk w =
+                     walk_row(ra, rv, ro[iu], ro[iu + 1], nodes,
+                              toff[static_cast<std::size_t>(t)]);
+                 steps += w.misses + 3 * w.nodes;
                  // One thread per (instance, tree): partial sums accumulate
                  // with a global atomic, as in the paper's prediction kernel.
-                 out[iu] += W[static_cast<std::size_t>(id)];
+                 out[iu] += W[static_cast<std::size_t>(w.leaf)];
                });
                b.work(steps);
                b.mem_irregular(steps);

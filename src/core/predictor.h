@@ -17,7 +17,17 @@
 //     tree range into a caller-seeded output buffer (no uploads);
 //   * RowPredictor  — host-side single-row scorer over the same ForestSoA,
 //     bitwise identical to the device batch path (same traversal, same
-//     accumulation order), used by the serving single-row fast path.
+//     accumulation order), used by the serving single-row fast path and by
+//     GBDTModel's host scoring.
+//
+// There are two tree walks, one per side.  walk_row is the device walk:
+// predict_resident and the SmartGD-off training update (the Fig 9 ablation,
+// core/trainer.cpp) both call it and differ only in what they charge and
+// where they add the leaf weight.  ForestSoA::leaf is the host walk under
+// RowPredictor.  They stay two on purpose: the host walk is the reference
+// the device scores are checked against bit for bit (test_serve, the
+// benchmark's device-equals-host check), so a change to the device walk —
+// its grid, its accumulation — cannot also move the reference.
 //
 // predict_on_device keeps its historical signature and behaviour: it is now
 // a thin upload-then-traverse wrapper and stays bitwise identical.
@@ -35,7 +45,8 @@ namespace gbdt {
 
 /// Host-side flat structure-of-arrays view of a forest: per-tree node
 /// offsets plus parallel node arrays.  Immutable once built; shared by the
-/// device uploader, the host RowPredictor and serving snapshots.
+/// device uploader, the host RowPredictor, serving snapshots and the
+/// SmartGD-off training update.
 struct ForestSoA {
   std::vector<std::int64_t> tree_off;   // n_trees + 1 node offsets
   std::vector<std::int32_t> left, right, attr;
@@ -44,7 +55,7 @@ struct ForestSoA {
   std::vector<double> weight;
   double base_score = 0.0;
 
-  [[nodiscard]] static ForestSoA flatten(const std::vector<Tree>& trees,
+  [[nodiscard]] static ForestSoA flatten(std::span<const Tree> trees,
                                          double base_score);
 
   [[nodiscard]] std::int64_t n_trees() const {
@@ -54,10 +65,19 @@ struct ForestSoA {
     return static_cast<std::int64_t>(left.size());
   }
 
-  /// Leaf weight of one sparse row (entries sorted by attr ascending) under
-  /// tree `t` — the exact comparison sequence of the device kernel.
+  /// Tree-local id of the leaf one sparse row (entries sorted by attr
+  /// ascending) lands in under tree `t` — the host walk, with the exact
+  /// comparison sequence of the device walk: value >= split goes left, a
+  /// missing attribute follows the default child.
+  [[nodiscard]] std::int64_t leaf(std::span<const data::Entry> row,
+                                  std::int64_t t) const;
+
+  /// Leaf weight of `row` under tree `t`.
   [[nodiscard]] double leaf_weight(std::span<const data::Entry> row,
-                                   std::int64_t t) const;
+                                   std::int64_t t) const {
+    const auto base = tree_off[static_cast<std::size_t>(t)];
+    return weight[static_cast<std::size_t>(base + leaf(row, t))];
+  }
 };
 
 /// A ForestSoA resident in one device's memory (uploaded at construction).
@@ -122,6 +142,59 @@ class DeviceRows {
   device::DeviceBuffer<std::int32_t> d_attrs_;
   device::DeviceBuffer<float> d_values_;
 };
+
+/// The node arrays the device walk reads: a DeviceForest's, or one tree's
+/// uploads in the SmartGD-off training update.
+struct DeviceNodes {
+  std::span<const std::int32_t> left, right, attr;
+  std::span<const float> split;
+  std::span<const std::uint8_t> def_left;
+};
+
+/// Where one row lands under one tree, and the counts its kernel charges.
+struct DeviceWalk {
+  std::int64_t leaf = 0;       // node index, the tree's base offset included
+  std::uint64_t misses = 0;    // binary-search probes that missed
+  std::uint64_t nodes = 0;     // internal nodes visited
+};
+
+/// The device tree walk: one logical thread routes CSR row entries
+/// [row_lo, row_hi) of (attrs, values), sorted by attr ascending, through
+/// the tree whose root is node `base`.  Each internal node binary-searches
+/// the row for its split attribute; value >= split goes left, a missing
+/// attribute follows the default child.  Child ids are tree-local.
+inline DeviceWalk walk_row(std::span<const std::int32_t> attrs,
+                           std::span<const float> values, std::int64_t row_lo,
+                           std::int64_t row_hi, const DeviceNodes& nodes,
+                           std::int64_t base) {
+  DeviceWalk w;
+  std::int64_t id = base;
+  while (nodes.left[static_cast<std::size_t>(id)] >= 0) {
+    const auto nu = static_cast<std::size_t>(id);
+    const std::int32_t want = nodes.attr[nu];
+    std::int64_t lo = row_lo, hi = row_hi;
+    const float* found = nullptr;
+    while (lo < hi) {
+      const std::int64_t mid = (lo + hi) / 2;
+      const auto mu = static_cast<std::size_t>(mid);
+      if (attrs[mu] < want) {
+        lo = mid + 1;
+      } else if (attrs[mu] > want) {
+        hi = mid;
+      } else {
+        found = &values[mu];
+        break;
+      }
+      ++w.misses;
+    }
+    const bool go_left =
+        found != nullptr ? *found >= nodes.split[nu] : nodes.def_left[nu] != 0;
+    id = base + (go_left ? nodes.left[nu] : nodes.right[nu]);
+    ++w.nodes;
+  }
+  w.leaf = id;
+  return w;
+}
 
 /// Traversal only: accumulates the leaf weights of trees [tree_lo, tree_hi)
 /// of `forest` into `inout` (one cell per row of `rows`), which the caller

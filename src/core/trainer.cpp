@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/level_driver.h"
+#include "core/predictor.h"
 #include "core/trainer_detail.h"
 #include "core/trainer_hist.h"
 #include "data/csc_matrix.h"
@@ -305,32 +306,12 @@ void reset_working_layout(TrainState& st) {
 
 namespace {
 
-/// Naive prediction update (SmartGD disabled): every instance traverses the
-/// freshly trained tree, binary-searching its CSR row at each internal node.
-/// Branch-divergent and irregular — the cost SmartGD removes.
-void update_predictions_naive(TrainState& st, const Tree& tree) {
-  struct NodeSoA {
-    std::vector<std::int32_t> left, right, attr;
-    std::vector<float> split;
-    std::vector<std::uint8_t> def_left;
-    std::vector<double> weight;
-  } soa;
-  const auto n_nodes = static_cast<std::size_t>(tree.n_nodes());
-  soa.left.resize(n_nodes);
-  soa.right.resize(n_nodes);
-  soa.attr.resize(n_nodes);
-  soa.split.resize(n_nodes);
-  soa.def_left.resize(n_nodes);
-  soa.weight.resize(n_nodes);
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    const auto& nd = tree.node(static_cast<std::int32_t>(i));
-    soa.left[i] = nd.left;
-    soa.right[i] = nd.right;
-    soa.attr[i] = nd.attr;
-    soa.split[i] = nd.split_value;
-    soa.def_left[i] = nd.default_left ? 1 : 0;
-    soa.weight[i] = nd.weight;
-  }
+/// Naive prediction update (SmartGD disabled): every instance walks the
+/// freshly trained tree over its CSR row (walk_row, the batch predictor's
+/// device walk).  Branch-divergent and irregular — the cost SmartGD removes.
+void update_predictions_naive(TrainState& st, const DeviceRows& rows,
+                              const Tree& tree) {
+  const auto soa = ForestSoA::flatten({&tree, 1}, 0.0);
   auto d_left = detail::upload_pooled(st.dev, st.arena, soa.left);
   auto d_right = detail::upload_pooled(st.dev, st.arena, soa.right);
   auto d_attr = detail::upload_pooled(st.dev, st.arena, soa.attr);
@@ -340,14 +321,11 @@ void update_predictions_naive(TrainState& st, const Tree& tree) {
 
   const std::int64_t n = st.n_inst;
   auto p = st.y_pred.span();
-  auto ro = st.csr_offsets.span();
-  auto ra = st.csr_attrs.span();
-  auto rv = st.csr_values.span();
-  auto L = d_left.span();
-  auto R = d_right.span();
-  auto A = d_attr.span();
-  auto S = d_split.span();
-  auto D = d_def.span();
+  auto ro = rows.offsets();
+  auto ra = rows.attrs();
+  auto rv = rows.values();
+  const DeviceNodes nodes{d_left.span(), d_right.span(), d_attr.span(),
+                          d_split.span(), d_def.span()};
   auto W = d_weight.span();
   st.dev.launch("naive_traverse_update", device::grid_for(n, kBlockDim),
                 kBlockDim, [&](device::BlockCtx& b) {
@@ -355,35 +333,11 @@ void update_predictions_naive(TrainState& st, const Tree& tree) {
                   b.for_each_thread([&](std::int64_t i) {
                     if (i >= n) return;
                     const auto u = static_cast<std::size_t>(i);
-                    const std::int64_t row_lo = ro[u];
-                    const std::int64_t row_hi = ro[u + 1];
-                    std::int32_t id = 0;
-                    while (L[static_cast<std::size_t>(id)] >= 0) {
-                      const auto nu = static_cast<std::size_t>(id);
-                      // Binary search the CSR row for the split attribute.
-                      const std::int32_t want = A[nu];
-                      std::int64_t lo = row_lo, hi = row_hi;
-                      const float* found = nullptr;
-                      while (lo < hi) {
-                        const std::int64_t mid = (lo + hi) / 2;
-                        const auto mu = static_cast<std::size_t>(mid);
-                        if (ra[mu] < want) {
-                          lo = mid + 1;
-                        } else if (ra[mu] > want) {
-                          hi = mid;
-                        } else {
-                          found = &rv[mu];
-                          break;
-                        }
-                        ++steps;
-                      }
-                      const bool go_left =
-                          found != nullptr ? *found >= S[nu] : D[nu] != 0;
-                      id = go_left ? L[nu] : R[static_cast<std::size_t>(id)];
-                      steps += 4;  // divergent node reads
-                    }
+                    const DeviceWalk w =
+                        walk_row(ra, rv, ro[u], ro[u + 1], nodes, 0);
+                    steps += w.misses + 4 * w.nodes;  // divergent node reads
                     p[u] = static_cast<float>(
-                        p[u] + W[static_cast<std::size_t>(id)]);
+                        p[u] + W[static_cast<std::size_t>(w.leaf)]);
                   });
                   b.reads_tile(p, n);
                   b.writes_tile(p, n);
@@ -514,25 +468,22 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
   // training leaves (SmartGD); the naive update is an exact-method ablation.
   const bool smart_gd = hist || param_.use_smart_gd;
   std::optional<HistGrower> grower;
+  std::optional<DeviceRows> rows;
   if (hist) {
     grower.emplace(dev_, param_, st, binned, /*distributed=*/false);
   } else if (!smart_gd) {
-    // The naive path needs random access to instance rows: upload the CSR.
-    std::vector<std::int32_t> attrs(static_cast<std::size_t>(ds.n_entries()));
-    std::vector<float> vals(static_cast<std::size_t>(ds.n_entries()));
-    for (std::size_t k = 0; k < attrs.size(); ++k) {
-      attrs[k] = ds.entries()[k].attr;
-      vals[k] = ds.entries()[k].value;
-    }
-    st.csr_offsets = dev_.to_device<std::int64_t>(ds.row_offsets());
-    st.csr_attrs = dev_.to_device<std::int32_t>(attrs);
-    st.csr_values = dev_.to_device<float>(vals);
+    // The naive update walks each instance's CSR row: upload the rows.
+    rows.emplace(dev_, ds);
   }
 
   // ---- boosting loop (core/level_driver.h) --------------------------------
-  const auto update_predictions = smart_gd
-                                      ? &detail::update_predictions_smart
-                                      : &update_predictions_naive;
+  const auto update_predictions = [&](const Tree& tree) {
+    if (rows) {
+      update_predictions_naive(st, *rows, tree);
+    } else {
+      detail::update_predictions_smart(st, tree);
+    }
+  };
   // xgbst-gpu's per-level gradient copies (dense layout only), held from
   // the level's find step until the next level or the end of the tree.
   std::vector<device::ArenaBuffer<double>> interleaved;
@@ -540,7 +491,7 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
   backend.begin_tree = [&](int t, const Tree* prev, Tree& tree) {
     {
       obs::ScopedSpan span("gradient_compute");
-      if (prev != nullptr) update_predictions(st, *prev);
+      if (prev != nullptr) update_predictions(*prev);
       round_driver.begin_round(st, d_labels, t);
     }
     if (hist) {
@@ -626,7 +577,7 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
   backend.finish = [&](const Tree& last) {
     {
       obs::ScopedSpan span("gradient_compute");
-      update_predictions(st, last);
+      update_predictions(last);
     }
     const auto final_pred = dev_.to_host(st.y_pred);
     return std::vector<double>(final_pred.begin(), final_pred.end());

@@ -199,11 +199,6 @@ struct TrainState {
   /// code path, so the disabled configuration stays bitwise-identical.
   std::span<const std::uint8_t> feature_mask;
 
-  // ---- naive-gradient mode (SmartGD off) ---------------------------------
-  device::DeviceBuffer<std::int64_t> csr_offsets;
-  device::DeviceBuffer<std::int32_t> csr_attrs;
-  device::DeviceBuffer<float> csr_values;
-
   // ---- per-level host state ----------------------------------------------
   std::vector<ActiveNode> active;
   Tree* tree = nullptr;

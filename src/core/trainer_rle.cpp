@@ -288,7 +288,7 @@ RlePartition partition_instances_rle(TrainState& st, const LevelPlan& plan) {
   }
 
   const auto pplan = prim::plan_partition(
-      n, n_parts, st.param.partition_counter_budget,
+      n, n_parts, prim::kPartitionCounterBudget,
       st.param.use_custom_idxcomp_workload);
   out.elem_offsets =
       st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_parts) + 1);

@@ -271,7 +271,7 @@ void apply_partition_sparse(TrainState& st, const LevelPlan& plan) {
   // pass moves each kept element's value and instance id straight to its
   // destination.
   const auto pplan = prim::plan_partition(
-      n, n_parts, st.param.partition_counter_budget,
+      n, n_parts, prim::kPartitionCounterBudget,
       st.param.use_custom_idxcomp_workload);
   const std::int64_t new_n = kept_elements(st, plan);
   auto new_offsets =

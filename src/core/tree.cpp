@@ -50,36 +50,6 @@ std::int32_t Tree::n_leaves() const {
   return c;
 }
 
-namespace {
-
-/// Binary search for `attr` in a sorted attribute array; returns the value
-/// pointer or nullptr when missing.
-const float* find_attr(const std::int32_t* attrs, const float* values,
-                       std::int64_t n, std::int32_t attr) {
-  const auto* end = attrs + n;
-  const auto* it = std::lower_bound(attrs, end, attr);
-  return (it != end && *it == attr) ? values + (it - attrs) : nullptr;
-}
-
-}  // namespace
-
-std::int32_t Tree::leaf_for(const std::int32_t* attrs, const float* values,
-                            std::int64_t n) const {
-  std::int32_t id = 0;
-  while (!nodes_[static_cast<std::size_t>(id)].is_leaf()) {
-    const auto& nd = nodes_[static_cast<std::size_t>(id)];
-    const float* v = find_attr(attrs, values, n, nd.attr);
-    const bool go_left = v != nullptr ? *v >= nd.split_value : nd.default_left;
-    id = go_left ? nd.left : nd.right;
-  }
-  return id;
-}
-
-double Tree::predict(const std::int32_t* attrs, const float* values,
-                     std::int64_t n) const {
-  return nodes_[static_cast<std::size_t>(leaf_for(attrs, values, n))].weight;
-}
-
 std::string Tree::dump() const {
   std::ostringstream out;
   out.precision(9);

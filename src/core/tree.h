@@ -55,16 +55,6 @@ class Tree {
   [[nodiscard]] int depth() const;
   [[nodiscard]] std::int32_t n_leaves() const;
 
-  /// Prediction for a sparse instance given as parallel (attr, value) arrays
-  /// sorted by attr ascending (binary-searched per node).
-  [[nodiscard]] double predict(const std::int32_t* attrs, const float* values,
-                               std::int64_t n) const;
-
-  /// Leaf id the instance lands in.
-  [[nodiscard]] std::int32_t leaf_for(const std::int32_t* attrs,
-                                      const float* values,
-                                      std::int64_t n) const;
-
   /// Human-readable dump (one line per node, indented by depth).
   [[nodiscard]] std::string dump() const;
 

@@ -61,7 +61,6 @@ struct Shard {
   std::int64_t row_hi = 0;
   int comm_stream = device::kDefaultStream;
   int compute_stream = device::kDefaultStream;
-  double busy_seconds = 0.0;  // accumulated modeled time of this shard
 };
 
 /// Accumulates the max-over-shards modeled time of one parallel step into
@@ -80,7 +79,6 @@ class ParallelStep {
     double slowest = 0.0;
     for (std::size_t k = 0; k < shards_.size(); ++k) {
       const double delta = shards_[k].dev->elapsed_seconds() - before_[k];
-      shards_[k].busy_seconds += delta;
       slowest = std::max(slowest, delta);
       if (per_device_ != nullptr) (*per_device_)[k] += delta;
     }

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -35,6 +36,11 @@ struct PartitionPlan {
   int passes = 1;
   std::size_t counter_bytes = 0;
 };
+
+/// Byte budget for the order-preserving partition counters: the paper's
+/// "maximum allowed memory size", 2^30 bytes.  The trainers and the
+/// autotuner's partition pricing all plan against it.
+inline constexpr std::size_t kPartitionCounterBudget = std::size_t{1} << 30;
 
 /// Sizes the partition counters.  customized == true applies the paper's
 /// workload formula; false uses the fixed workload of 16 elements per thread

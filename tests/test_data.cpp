@@ -12,7 +12,6 @@
 
 #include "data/csc_matrix.h"
 #include "data/dataset.h"
-#include "data/dense_matrix.h"
 #include "data/libsvm_io.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
@@ -168,18 +167,6 @@ TEST(CscDevice, ColumnsSortedDescendingWithStableTies) {
       }
     }
   }
-}
-
-TEST(DenseMatrix, FillsMissingWithZero) {
-  const DenseMatrix m(paper_table1());
-  EXPECT_EQ(m.n_instances(), 4);
-  EXPECT_EQ(m.n_attributes(), 4);
-  EXPECT_FLOAT_EQ(m.at(0, 0), 0.f);  // missing -> 0
-  EXPECT_FLOAT_EQ(m.at(0, 2), 0.1f);
-  EXPECT_FLOAT_EQ(m.at(1, 3), 0.6f);
-  EXPECT_FLOAT_EQ(m.at(3, 2), 2.0f);
-  EXPECT_EQ(m.bytes(), 16 * sizeof(float));
-  EXPECT_EQ(DenseMatrix::bytes_for(paper_table1()), 16 * sizeof(float));
 }
 
 TEST(LibsvmIo, ParsesBasicFile) {

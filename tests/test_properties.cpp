@@ -11,6 +11,7 @@
 #include "baselines/xgb_exact.h"
 #include "core/gbdt.h"
 #include "core/metrics.h"
+#include "core/predictor.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
@@ -245,9 +246,7 @@ TEST(MissingValues, LearnedDefaultDirectionBeatsFixed) {
   EXPECT_TRUE(root.default_left);  // missing joins the +1 group
   // And the missing instances indeed predict positive.
   const std::vector<data::Entry> probe{{1, 0.f}};
-  const std::int32_t attrs[] = {1};
-  const float vals[] = {0.f};
-  EXPECT_GT(r.trees[0].predict(attrs, vals, 1), 0.0);
+  EXPECT_GT(ForestSoA::flatten(r.trees, 0.0).leaf_weight(probe, 0), 0.0);
 }
 
 TEST(MissingValues, AllMissingAttributeNeverChosen) {

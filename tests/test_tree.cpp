@@ -5,12 +5,14 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
 #include "core/gbdt.h"
 #include "core/loss.h"
 #include "core/metrics.h"
+#include "core/predictor.h"
 #include "core/tree.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
@@ -44,37 +46,91 @@ TEST(Tree, SplitCreatesChildren) {
 }
 
 TEST(Tree, PredictRoutesBySplitValue) {
-  const Tree t = stump();
-  const std::int32_t attrs[] = {0};
-  const float hi[] = {1.5f};
-  const float eq[] = {1.0f};  // boundary: >= goes left
-  const float lo[] = {0.5f};
-  EXPECT_EQ(t.predict(attrs, hi, 1), 1.0);
-  EXPECT_EQ(t.predict(attrs, eq, 1), 1.0);
-  EXPECT_EQ(t.predict(attrs, lo, 1), -1.0);
+  const RowPredictor t({stump()}, 0.0);
+  const std::vector<data::Entry> hi{{0, 1.5f}};
+  const std::vector<data::Entry> eq{{0, 1.0f}};  // boundary: >= goes left
+  const std::vector<data::Entry> lo{{0, 0.5f}};
+  EXPECT_EQ(t.score(hi), 1.0);
+  EXPECT_EQ(t.score(eq), 1.0);
+  EXPECT_EQ(t.score(lo), -1.0);
 }
 
 TEST(Tree, MissingFollowsDefaultDirection) {
-  const Tree t = stump();  // default right
-  const std::int32_t attrs[] = {7};  // attribute 0 missing
-  const float vals[] = {3.f};
-  EXPECT_EQ(t.predict(attrs, vals, 1), -1.0);
-  EXPECT_EQ(t.predict(nullptr, nullptr, 0), -1.0);
+  const RowPredictor t({stump()}, 0.0);  // default right
+  const std::vector<data::Entry> row{{7, 3.f}};  // attribute 0 missing
+  EXPECT_EQ(t.score(row), -1.0);
+  EXPECT_EQ(t.score({}), -1.0);
 
   Tree t2;
   const auto [l2, r2] = t2.split(0, 0, 1.0f, /*default_left=*/true, 1.0);
   t2.node(l2).weight = 1.0;
   t2.node(r2).weight = -1.0;
-  EXPECT_EQ(t2.predict(attrs, vals, 1), 1.0);
+  EXPECT_EQ(RowPredictor({t2}, 0.0).score(row), 1.0);
 }
 
 TEST(Tree, LeafForReturnsLeafIds) {
-  Tree t = stump();
-  const std::int32_t attrs[] = {0};
-  const float hi[] = {2.f};
-  const auto leaf = t.leaf_for(attrs, hi, 1);
-  EXPECT_TRUE(t.node(leaf).is_leaf());
-  EXPECT_EQ(t.node(leaf).weight, 1.0);
+  const std::vector<Tree> forest{stump()};
+  const auto soa = ForestSoA::flatten(forest, 0.0);
+  const std::vector<data::Entry> hi{{0, 2.f}};
+  const auto leaf = static_cast<std::int32_t>(soa.leaf(hi, 0));
+  EXPECT_TRUE(forest[0].node(leaf).is_leaf());
+  EXPECT_EQ(forest[0].node(leaf).weight, 1.0);
+}
+
+/// Rows at the edges of the routing rule score the same on the host walk
+/// (GBDTModel::predict, RowPredictor) and the device walk (predict_device):
+/// empty rows, rows of attributes the training set never had, rows holding
+/// a split threshold exactly, and rows missing every split attribute.
+TEST(Tree, EdgeRowsScoreIdenticallyOnEveryWalk) {
+  data::SyntheticSpec spec;
+  spec.n_instances = 400;
+  spec.n_attributes = 8;
+  spec.density = 0.5;
+  spec.seed = 11;
+  const auto train = data::generate(spec);
+  device::Device dev(device::DeviceConfig::titan_x_pascal());
+  GBDTParam p;
+  p.depth = 4;
+  p.n_trees = 6;
+  p.base_score = 0.25;
+  const auto [model, report] = GBDTModel::train(dev, train, p);
+
+  std::set<std::int32_t> split_attrs;
+  bool any_default_left = false;
+  const auto n_attr = static_cast<std::int32_t>(spec.n_attributes);
+  data::Dataset edge(n_attr + 4);
+  const std::vector<data::Entry> empty;
+  edge.add_instance(empty, 0.f);
+  const std::vector<data::Entry> unseen{{n_attr + 1, 5.f}, {n_attr + 3, -5.f}};
+  edge.add_instance(unseen, 0.f);
+  for (const auto& tree : model.trees()) {
+    for (const auto& nd : tree.nodes()) {
+      if (nd.is_leaf()) continue;
+      split_attrs.insert(nd.attr);
+      any_default_left = any_default_left || nd.default_left;
+      const std::vector<data::Entry> at{data::Entry{nd.attr, nd.split_value}};
+      edge.add_instance(at, 0.f);
+    }
+  }
+  // The missing-value rows must exercise both default directions.
+  ASSERT_TRUE(any_default_left);
+  std::vector<data::Entry> no_split_attr;
+  for (std::int32_t a = 0; a < n_attr + 4; ++a) {
+    if (split_attrs.count(a) == 0) no_split_attr.push_back({a, 1.f});
+  }
+  edge.add_instance(no_split_attr, 0.f);
+
+  const auto host = model.predict(edge);
+  const auto device = model.predict_device(dev, edge);
+  const RowPredictor rows(model.trees(), model.base_score());
+  ASSERT_EQ(host.size(), static_cast<std::size_t>(edge.n_instances()));
+  ASSERT_EQ(device.size(), host.size());
+  for (std::int64_t i = 0; i < edge.n_instances(); ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    EXPECT_EQ(host[u], rows.score(edge.instance(i))) << i;
+    EXPECT_EQ(host[u], device[u]) << i;
+    EXPECT_EQ(host[u], model.predict_one(edge.instance(i))) << i;
+  }
 }
 
 TEST(Tree, DumpMentionsEveryNode) {
