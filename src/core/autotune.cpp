@@ -21,8 +21,17 @@ std::int64_t nodes_at_level(int level, std::int64_t n_instances) {
   return std::min(full, std::max<std::int64_t>(n_instances, 1));
 }
 
+/// Segments of a level with `nodes` nodes.  The exact trainer lists only
+/// non-empty (node, attribute) segments, at most one per entry; the
+/// histogram layout keeps every (node, attribute) pair.
+std::int64_t level_segments(const ProblemShape& shape, const GBDTParam& param,
+                            std::int64_t nodes) {
+  const std::int64_t grid = nodes * shape.n_attributes;
+  return param.use_hist_trainer ? grid : std::min(grid, shape.n_entries);
+}
+
 /// Sum of one tree's set_keys launches (one per level; segment count doubles
-/// with depth, elements stay put).
+/// with depth up to the compact bound, elements stay put).
 double tree_set_keys_seconds(const device::CostModel& cm,
                              const ProblemShape& shape,
                              const GBDTParam& param, bool custom,
@@ -30,7 +39,7 @@ double tree_set_keys_seconds(const device::CostModel& cm,
   double total = 0.0;
   for (int l = 0; l < param.depth; ++l) {
     const std::int64_t nodes = nodes_at_level(l, shape.n_instances);
-    const std::int64_t n_seg = nodes * shape.n_attributes;
+    const std::int64_t n_seg = level_segments(shape, param, nodes);
     const std::int64_t elems =
         param.use_hist_trainer ? n_seg * param.n_bins : shape.n_entries;
     const std::int64_t spb =
@@ -44,14 +53,19 @@ double tree_set_keys_seconds(const device::CostModel& cm,
 /// Modeled seconds of the deepest order-preserving partition under the
 /// given workload policy (the pass count is the real plan's).  The last
 /// level's children are leaves and never partition, so the deepest one runs
-/// at level depth - 2; a depth-1 tree has none to tune.
+/// at level depth - 2; a depth-1 tree has none to tune.  The exact trainer
+/// partitions into both children of every listed segment; the histogram
+/// trainer moves rows into the two children of every node.
 double partition_seconds(const device::CostModel& cm,
                          const ProblemShape& shape, const GBDTParam& param,
                          bool customized) {
   if (param.depth < 2) return 0.0;
   const std::int64_t nodes =
       nodes_at_level(param.depth - 2, shape.n_instances);
-  const std::int64_t n_parts = std::max<std::int64_t>(2 * nodes, 1);
+  const std::int64_t n_parts = std::max<std::int64_t>(
+      2 * (param.use_hist_trainer ? nodes
+                                  : level_segments(shape, param, nodes)),
+      1);
   const std::int64_t moved =
       param.use_hist_trainer ? shape.n_instances : shape.n_entries;
   if (moved <= 0) return 0.0;
@@ -67,7 +81,10 @@ double partition_seconds(const device::CostModel& cm,
       2 * static_cast<std::uint64_t>(plan.counter_bytes);
   s.blocks = static_cast<std::uint64_t>(
       std::max<std::int64_t>(1, plan.n_threads / 256));
-  s.max_block_work = static_cast<std::uint64_t>(256 * plan.workload);
+  // The busiest block's threads each scan `workload` elements; a plan of
+  // fewer than 256 threads fills only part of its one block.
+  s.max_block_work = static_cast<std::uint64_t>(
+      std::min<std::int64_t>(256, plan.n_threads) * plan.workload);
   return static_cast<double>(plan.passes) * cm.kernel_seconds(s);
 }
 

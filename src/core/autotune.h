@@ -15,9 +15,12 @@
 //     (prim::segs_per_block, whose element bound makes C irrelevant below
 //     #SM * C * kBlockDim elements), and the synthesized KernelStats mirror
 //     prim::set_keys' accounting exactly under a uniform-segment assumption.
+//     The exact trainer lists only non-empty (node, attribute) segments, so
+//     a level is priced at min(nodes * attributes, entries) segments.
 //   * Customized IdxComp workload on/off, costed through the real
 //     prim::plan_partition pass structure (the naive fixed workload pays a
-//     multi-pass penalty when the counters blow the budget).
+//     multi-pass penalty when the counters blow the budget), at two parts
+//     per segment of that bound.
 //
 // The default (paper) configuration is only abandoned when a candidate
 // predicts at least a 3% win — the uniform-segment assumption is not worth

@@ -1,5 +1,7 @@
 #include "core/trainer.h"
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <optional>
 #include <stdexcept>
@@ -60,6 +62,7 @@ SplitTables upload_split_tables(TrainState& st, const LevelPlan& plan,
                                 std::span<const std::int32_t> owner_of_node) {
   const std::size_t n_nodes = plan.next_slot_of_tree.size();
   const std::size_t n_slots = plan.per_slot.size();
+  const std::size_t n_next = plan.next_active.size();
   const bool partition = !plan.children_are_leaves;
   const bool slots = child_slots && partition;
   // The block's columns, back to back: {first word, length}.
@@ -79,9 +82,11 @@ SplitTables upload_split_tables(TrainState& st, const LevelPlan& plan,
   const Column pos = column(n_slots);
   const Column lid = column(n_slots);
   const Column rid = column(n_slots);
+  const Column cbase = column(partition ? n_next + 1 : 0);
+  const Column cshift = column(partition ? n_next : 0);
   const Column lslot = column(slots ? n_slots : 0);
   const Column rslot = column(slots ? n_slots : 0);
-  const Column parent = column(slots ? plan.next_active.size() : 0);
+  const Column rshift = column(slots ? n_next : 0);
   const Column own = column(owner_of_node.size());
 
   std::vector<std::int64_t> host(words, -1);
@@ -94,6 +99,8 @@ SplitTables upload_split_tables(TrainState& st, const LevelPlan& plan,
   for (std::size_t tn = 0; tn < own.len; ++tn) {
     at(own, tn) = owner_of_node[tn];
   }
+  // Parent slot of every next slot, for the candidate columns.
+  std::vector<std::size_t> parent(n_next, 0);
   for (std::size_t s = 0; s < n_slots; ++s) {
     const auto& e = plan.per_slot[s];
     if (!e.split) continue;
@@ -103,18 +110,41 @@ SplitTables upload_split_tables(TrainState& st, const LevelPlan& plan,
     at(pos, s) = e.best_pos;
     at(lid, s) = e.left_id;
     at(rid, s) = e.right_id;
-    if (!slots) continue;
+    if (!partition) continue;
     const std::int32_t l =
         plan.next_slot_of_tree[static_cast<std::size_t>(e.left_id)];
     const std::int32_t r =
         plan.next_slot_of_tree[static_cast<std::size_t>(e.right_id)];
+    parent[static_cast<std::size_t>(l)] = s;
+    parent[static_cast<std::size_t>(r)] = s;
+    if (!slots) continue;
     at(lslot, s) = l;
     at(rslot, s) = r;
-    at(parent, static_cast<std::size_t>(l)) = static_cast<std::int64_t>(s);
-    at(parent, static_cast<std::size_t>(r)) = static_cast<std::int64_t>(s);
   }
 
   SplitTables t;
+  if (partition) {
+    // Candidate bases from O(slots) reads of the segment table (host glue):
+    // next slot ns continues every segment of its parent slot.
+    const auto so = st.seg.slot_offsets;
+    std::int64_t cands = 0;
+    std::int64_t runs = 0;
+    for (std::size_t ns = 0; ns < n_next; ++ns) {
+      const std::size_t p = parent[ns];
+      at(cbase, ns) = cands;
+      at(cshift, ns) = cands - so[p];
+      cands += so[p + 1] - so[p];
+      if (!slots) continue;
+      const std::int64_t run_lo =
+          st.run_seg_offsets[static_cast<std::size_t>(so[p])];
+      at(rshift, ns) = runs - run_lo;
+      runs += st.run_seg_offsets[static_cast<std::size_t>(so[p + 1])] - run_lo;
+    }
+    at(cbase, n_next) = cands;
+    t.n_candidates = cands;
+    t.n_candidate_runs = runs;
+  }
+
   t.block = upload_pooled(st.dev, st.arena, host);
   const std::span<const std::int64_t> all = t.block.span();
   const auto view = [&all](Column c) { return all.subspan(c.off, c.len); };
@@ -124,19 +154,23 @@ SplitTables upload_split_tables(TrainState& st, const LevelPlan& plan,
   t.best_pos = view(pos);
   t.left_id = view(lid);
   t.right_id = view(rid);
+  t.cand_base = view(cbase);
+  t.cand_shift = view(cshift);
   t.left_slot = view(lslot);
   t.right_slot = view(rslot);
-  t.parent_slot = view(parent);
+  t.run_shift = view(rshift);
   t.owner = view(own);
   return t;
 }
 
 std::int64_t kept_elements(const TrainState& st, const LevelPlan& plan) {
-  const auto n_attr = static_cast<std::size_t>(st.n_attr);
+  const auto so = st.seg.slot_offsets;
+  const auto off = st.seg.offsets;
   std::int64_t kept = 0;
   for (std::size_t s = 0; s < plan.per_slot.size(); ++s) {
     if (!plan.per_slot[s].split) continue;
-    kept += st.seg_offsets[(s + 1) * n_attr] - st.seg_offsets[s * n_attr];
+    kept += off[static_cast<std::size_t>(so[s + 1])] -
+            off[static_cast<std::size_t>(so[s])];
   }
   return kept;
 }
@@ -144,7 +178,7 @@ std::int64_t kept_elements(const TrainState& st, const LevelPlan& plan) {
 void release_working_layout(TrainState& st) {
   st.values.free();
   st.inst.free();
-  st.seg_offsets.free();
+  st.seg = {};
   st.run_values.free();
   st.run_starts.free();
   st.run_seg_offsets.free();
@@ -153,6 +187,87 @@ void release_working_layout(TrainState& st) {
   st.split_tables = {};
   st.n_elems = 0;
   st.n_runs = 0;
+}
+
+void build_root_segments(TrainState& st,
+                         const DeviceBuffer<std::int64_t>& col_offsets) {
+  auto& dev = st.dev;
+  const auto n_attr = static_cast<std::int64_t>(col_offsets.size()) - 1;
+  st.orig_seg_offsets =
+      dev.alloc<std::int64_t>(static_cast<std::size_t>(n_attr) + 1);
+  st.orig_seg_ids = dev.alloc<std::int64_t>(static_cast<std::size_t>(n_attr));
+  st.orig_slot_offsets = dev.alloc<std::int64_t>(2);
+  // One slot: its range is the rank of mark n_attr, the listed count.
+  auto marks = device_node_offsets(st, 1, n_attr);
+  prim::PartList list{st.orig_seg_offsets.span(), marks.span(),
+                      st.orig_slot_offsets.span()};
+  auto ids = st.orig_seg_ids.span();
+  prim::list_nonempty_parts(
+      dev, col_offsets.span(), list, &st.arena,
+      [ids](device::BlockCtx& b, std::int64_t i, std::int64_t attr) {
+        ids[static_cast<std::size_t>(i)] = attr;  // slot 0
+        b.writes(ids, i);
+        b.mem_coalesced(sizeof(std::int64_t));
+      });
+  st.orig_seg_offsets.shrink(static_cast<std::size_t>(list.size) + 1);
+  st.orig_seg_ids.shrink(static_cast<std::size_t>(list.size));
+}
+
+NextSegments begin_next_segments(TrainState& st, bool keep_candidates) {
+  const SplitTables& t = st.split_tables;
+  const auto cap = static_cast<std::size_t>(t.n_candidates);
+  const std::size_t n_next = t.cand_base.size() - 1;
+  NextSegments next;
+  next.n_slots = static_cast<std::int64_t>(n_next);
+  next.block = st.arena.alloc<std::int64_t>(2 * cap + 1 +
+                                            (keep_candidates ? cap : 0) +
+                                            n_next + 1);
+  const std::span<std::int64_t> all = next.block.span();
+  next.list.offsets = all.first(cap + 1);
+  next.ids = all.subspan(cap + 1, cap);
+  if (keep_candidates) next.cand = all.subspan(2 * cap + 1, cap);
+  next.list.marks = t.cand_base;
+  next.list.mark_ranks = all.last(n_next + 1);
+  return next;
+}
+
+NextSegments::Namer NextSegments::namer(const TrainState& st) const {
+  return Namer{st.split_tables.cand_base, st.split_tables.cand_shift,
+               st.seg.ids, ids, cand, st.n_attr};
+}
+
+void NextSegments::Namer::operator()(device::BlockCtx& b, std::int64_t i,
+                                     std::int64_t p) const {
+  const auto ns = static_cast<std::size_t>(
+      std::upper_bound(cand_base.begin(), cand_base.end(), p) -
+      cand_base.begin() - 1);
+  const std::int64_t parent = p - cand_shift[ns];
+  const auto u = static_cast<std::size_t>(i);
+  ids[u] = static_cast<std::int64_t>(ns) * n_attr +
+           parent_ids[static_cast<std::size_t>(parent)] % n_attr;
+  b.reads(cand_base, 0, static_cast<std::int64_t>(cand_base.size()));
+  b.reads(cand_shift, static_cast<std::int64_t>(ns));
+  b.reads(parent_ids, parent);
+  b.writes(ids, i);
+  // The search runs over an O(slots) table that stays cached; listed
+  // candidates ascend, and so do their parents: both id columns stream.
+  b.work(std::bit_width(cand_base.size()));
+  b.mem_coalesced(2 * sizeof(std::int64_t));
+  if (!cand.empty()) {
+    cand[u] = p;
+    b.writes(cand, i);
+    b.mem_coalesced(sizeof(std::int64_t));
+  }
+}
+
+SegmentTable finish_next_segments(NextSegments& next) {
+  const auto n = static_cast<std::size_t>(next.list.size);
+  SegmentTable t;
+  t.offsets = next.list.offsets.first(n + 1);
+  t.ids = next.ids.first(n);
+  t.slot_offsets = next.list.mark_ranks;
+  t.block = std::move(next.block);
+  return t;
 }
 
 device::ArenaBuffer<std::int64_t> device_node_offsets(TrainState& st,
@@ -295,10 +410,13 @@ void reset_working_layout(TrainState& st) {
   }
   st.n_elems = static_cast<std::int64_t>(st.orig_inst.size());
   st.inst = st.arena.alloc<std::int32_t>(st.orig_inst.size());
-  st.seg_offsets = st.arena.alloc<std::int64_t>(st.orig_seg_offsets.size());
   device_copy(dev, st.orig_inst, st.inst, st.n_elems);
-  device_copy(dev, st.orig_seg_offsets, st.seg_offsets,
-              static_cast<std::int64_t>(st.orig_seg_offsets.size()));
+  // The root segment table is never written, so the root level reads the
+  // persistent one in place; each partition builds its successor.
+  st.seg = SegmentTable{{},
+                        st.orig_seg_offsets.span(),
+                        st.orig_seg_ids.span(),
+                        st.orig_slot_offsets.span()};
   prim::fill(dev, st.node_of, std::int32_t{0});
 }
 
@@ -435,7 +553,8 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
     auto csc = data::build_csc_device(dev_, ds);
     st.orig_values = std::move(csc.values);
     st.orig_inst = std::move(csc.inst_ids);
-    st.orig_seg_offsets = std::move(csc.col_offsets);
+    detail::build_root_segments(st, csc.col_offsets);
+    csc.col_offsets.free();
 
     const bool gate =
         param_.force_rle ||

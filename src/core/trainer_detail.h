@@ -8,14 +8,23 @@
 // partitioned as the current tree grows.
 //
 // Working layout invariants:
-//  - the element domain is grouped into (active-node-slot, attribute)
-//    segments, slot-major: segment s = slot * n_attr + attr;
+//  - the element domain is grouped into the level's non-empty
+//    (active-node-slot, attribute) segments, listed once in a compact
+//    segment table (SegmentTable): segment i has id slot * n_attr + attr,
+//    ids ascend strictly, so the list is slot-major and attribute-ascending
+//    inside a slot, and slot s owns the list range
+//    [slot_offsets[s], slot_offsets[s + 1]);
+//  - every listed segment holds at least one element; an (slot, attr) pair
+//    with none is not listed, so per-segment arrays, grids and counters are
+//    sized by the data, not by slots x n_attr;
 //  - values are sorted descending inside each segment;
 //  - instances absent from a segment have a missing value for that attribute
 //    in that node;
 //  - in RLE mode the per-element value array is replaced by runs
-//    (run_values / run_starts / run_seg_offsets) while inst stays
-//    per-element.
+//    (run_values / run_starts / run_seg_offsets, the latter indexed by the
+//    same list) while inst stays per-element.
+// The root table lists the attributes with at least one element; each
+// partition builds the next table from the current one (apply steps below).
 #pragma once
 
 #include <cstdint>
@@ -27,6 +36,7 @@
 #include "core/tree.h"
 #include "device/device_context.h"
 #include "device/workspace_arena.h"
+#include "primitives/partition.h"
 
 namespace gbdt::detail {
 
@@ -130,14 +140,38 @@ struct SplitTables {
   std::span<const std::int64_t> best_pos;
   std::span<const std::int64_t> left_id;
   std::span<const std::int64_t> right_id;
+  // Indexed by next-level slot ns: the partition's candidate segments.
+  // Candidate segments list, for each splitting slot p in order, the
+  // children of p's segments: [left x segs(p)] [right x segs(p)], in the
+  // next slots' order.  Next slot ns owns candidates [cand_base[ns],
+  // cand_base[ns + 1]), and element key k of its parent segment becomes
+  // candidate k + cand_shift[ns].  Empty when the children are leaves.
+  std::span<const std::int64_t> cand_base;   // [n_next + 1]
+  std::span<const std::int64_t> cand_shift;  // [n_next]
+  std::int64_t n_candidates = 0;
   // Directly-Split-RLE only: the children's next-level slots per active slot
-  // (-1 = leaf), and the parent slot per next-level slot.
+  // (-1 = leaf), and per next slot the shift from a parent run to its
+  // candidate child run (one candidate per parent run and child).
   std::span<const std::int64_t> left_slot;
   std::span<const std::int64_t> right_slot;
-  std::span<const std::int64_t> parent_slot;
+  std::span<const std::int64_t> run_shift;  // [n_next]
+  std::int64_t n_candidate_runs = 0;
   // Sharded path only: per tree node, the shard whose mark_sides result is
   // authoritative for the node's rows (-1: none), read by node_sync.
   std::span<const std::int64_t> owner;
+};
+
+/// One level's compact segment list (see the layout invariants above).
+struct SegmentTable {
+  /// Owns the columns; empty while they view the persistent root table.
+  device::ArenaBuffer<std::int64_t> block;
+  std::span<const std::int64_t> offsets;       // [size + 1], element domain
+  std::span<const std::int64_t> ids;           // [size], slot * n_attr + attr
+  std::span<const std::int64_t> slot_offsets;  // [n_slots + 1], list domain
+
+  [[nodiscard]] std::int64_t size() const {
+    return static_cast<std::int64_t>(ids.size());
+  }
 };
 
 struct TrainState {
@@ -159,7 +193,10 @@ struct TrainState {
   // ---- original (root-level) layout, built once -------------------------
   device::DeviceBuffer<float> orig_values;           // empty in RLE mode
   device::DeviceBuffer<std::int32_t> orig_inst;
-  device::DeviceBuffer<std::int64_t> orig_seg_offsets;  // [n_attr + 1]
+  // The root segment table: the attributes with at least one element.
+  device::DeviceBuffer<std::int64_t> orig_seg_offsets;  // [n_root_segs + 1]
+  device::DeviceBuffer<std::int64_t> orig_seg_ids;      // [n_root_segs]
+  device::DeviceBuffer<std::int64_t> orig_slot_offsets;  // {0, n_root_segs}
   bool rle = false;
   device::DeviceBuffer<float> orig_run_values;
   device::DeviceBuffer<std::int64_t> orig_run_starts;
@@ -170,7 +207,7 @@ struct TrainState {
   // ---- working copy, re-initialised per tree (arena-pooled) -------------
   device::ArenaBuffer<float> values;
   device::ArenaBuffer<std::int32_t> inst;
-  device::ArenaBuffer<std::int64_t> seg_offsets;    // [n_seg + 1]
+  SegmentTable seg;
   std::int64_t n_elems = 0;
   device::ArenaBuffer<float> run_values;
   device::ArenaBuffer<std::int64_t> run_starts;     // [n_runs + 1]
@@ -206,7 +243,6 @@ struct TrainState {
   [[nodiscard]] std::int64_t n_active() const {
     return static_cast<std::int64_t>(active.size());
   }
-  [[nodiscard]] std::int64_t n_seg() const { return n_active() * n_attr; }
   /// SetKey grid of `n_segments` segments over `n_elements` elements (or
   /// runs, or bins): prim::segs_per_block, or 1 for the naive Fig 9 ablation.
   [[nodiscard]] std::int64_t segs_per_block(std::int64_t n_segments,
@@ -229,9 +265,10 @@ using SlotStat = GainStats;
 /// y_pred with the base score.
 void alloc_instance_state(TrainState& st);
 
-/// Fills off[s] = s * stride for s in [0, n_slots] on the device.  The table
-/// is tiny and latency-bound, so one kernel launch (~1us) beats the PCI-e
-/// upload (~10us latency) the trainers used to pay every level.
+/// Fills off[s] = s * stride for s in [0, n_slots] on the device: the
+/// histogram trainer's fixed (slot, attribute, bin) grid, and the root
+/// listing's {0, n_attr} marks.  The table is tiny and latency-bound, so one
+/// kernel launch (~1us) beats the PCI-e upload (~10us latency).
 [[nodiscard]] device::ArenaBuffer<std::int64_t> device_node_offsets(
     TrainState& st, std::int64_t n_slots, std::int64_t stride);
 
@@ -245,10 +282,48 @@ void alloc_instance_state(TrainState& st);
 
 /// Elements the partition keeps: all of a splitting slot's segments (its
 /// instances move to the two children), none of a leaf's.  Host glue over
-/// the element-domain offsets, so the moved lists can be sized before the
-/// partition writes them.
+/// O(slots) entries of the segment table, so the moved lists can be sized
+/// before the partition writes them.
 [[nodiscard]] std::int64_t kept_elements(const TrainState& st,
                                          const LevelPlan& plan);
+
+/// Builds the root segment table from CSC column offsets ([n_attr + 1]):
+/// lists the attributes with at least one element (st.orig_seg_*).  Once
+/// per dataset, before RLE compression, which then compresses by segment.
+void build_root_segments(TrainState& st,
+                         const device::DeviceBuffer<std::int64_t>& col_offsets);
+
+/// The next level's segment table while a partition lists it: one arena
+/// block holding room for every candidate segment (st.split_tables), its
+/// PartList (offsets, and the next slots' offsets as the ranks of the
+/// candidate bases), the ids column and, when asked for, each listed
+/// segment's candidate index (Directly-Split-RLE reads it back).
+struct NextSegments {
+  device::ArenaBuffer<std::int64_t> block;
+  prim::PartList list;
+  std::span<std::int64_t> ids;
+  std::span<std::int64_t> cand;
+  std::int64_t n_slots = 0;
+
+  /// Names listed candidate p (PartList's `name`): the next slot ns holding
+  /// it, found by binary search of the O(slots) candidate bases, and the
+  /// attribute of its parent segment p - cand_shift[ns] give its id.
+  struct Namer {
+    std::span<const std::int64_t> cand_base;
+    std::span<const std::int64_t> cand_shift;
+    std::span<const std::int64_t> parent_ids;
+    std::span<std::int64_t> ids;
+    std::span<std::int64_t> cand;
+    std::int64_t n_attr = 0;
+    void operator()(device::BlockCtx& b, std::int64_t i, std::int64_t p) const;
+  };
+  [[nodiscard]] Namer namer(const TrainState& st) const;
+};
+[[nodiscard]] NextSegments begin_next_segments(TrainState& st,
+                                               bool keep_candidates);
+/// The listed table, trimmed to its size, as a SegmentTable (moves the
+/// block; `next.cand` stays readable until the table is released).
+[[nodiscard]] SegmentTable finish_next_segments(NextSegments& next);
 
 /// Releases the working layout, its keys and the split tables after a level
 /// whose children are leaves: nothing reads them before reset_working_layout

@@ -49,6 +49,16 @@ using detail::GHPair;
 using detail::TrainState;
 using device::Device;
 
+namespace {
+
+/// The histogram layout's fixed (slot, attribute) grid: every pair is a
+/// segment of n_bins cells, empty or not.
+std::int64_t grid_segments(const TrainState& st) {
+  return st.n_active() * st.n_attr;
+}
+
+}  // namespace
+
 std::vector<hist::BinCuts> build_hist_cuts(const data::Dataset& ds,
                                            int n_bins) {
   // Per-attribute value columns (present entries only), then quantile cuts.
@@ -295,20 +305,20 @@ void HistGrower::maybe_verify_subtraction() {
 }
 
 void HistGrower::prepare_offsets() {
-  seg_offsets_ = detail::device_node_offsets(st_, st_.n_seg(), n_bins_);
+  seg_offsets_ = detail::device_node_offsets(st_, grid_segments(st_), n_bins_);
   st_.keys = st_.arena.alloc<std::int32_t>(
       static_cast<std::size_t>(st_.n_active() * cps_));
 }
 
 void HistGrower::run_set_keys(int stream) {
   prim::set_keys(dev_, seg_offsets_, st_.keys,
-                 st_.segs_per_block(st_.n_seg(), st_.n_active() * cps_),
+                 st_.segs_per_block(grid_segments(st_), st_.n_active() * cps_),
                  stream);
 }
 
 void HistGrower::find_level() {
   const std::int64_t n_slots = st_.n_active();
-  const std::int64_t n_seg = st_.n_seg();
+  const std::int64_t n_seg = grid_segments(st_);
   best_.assign(static_cast<std::size_t>(n_slots), detail::BestSplit{});
   child_q_.assign(static_cast<std::size_t>(2 * n_slots), hist::QGH{});
   auto scan =

@@ -31,7 +31,7 @@ using prim::kBlockDim;
 std::vector<BestSplit> find_splits_rle(TrainState& st) {
   auto& dev = st.dev;
   const std::int64_t n_runs = st.n_runs;
-  const std::int64_t n_seg = st.n_seg();
+  const std::int64_t n_seg = st.seg.size();
   const std::int64_t n_attr = st.n_attr;
   const double lambda = st.param.lambda;
   std::vector<BestSplit> out(st.active.size());
@@ -93,42 +93,44 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
     obs::ScopedSpan span("compute_gains");
     auto starts = st.run_starts.span();
     auto tot = seg_tot.span();
+    auto ids = st.seg.ids;
     auto stats = slot_stats.span();
     const auto fm = st.feature_mask;
     prim::fused_gain_argmax(
         dev, st.run_seg_offsets, scan, w.val, w.idx, w.dir,
         st.segs_per_block(n_seg, n_runs),
-        [starts, tot, stats, fm, n_attr, lambda](
+        [starts, tot, ids, stats, fm, n_attr, lambda](
             BlockCtx& b, std::int64_t s, std::int64_t r, std::int64_t run_lo,
             std::int64_t run_hi, const GHPair& prefix) {
           const auto u = static_cast<std::size_t>(r);
           const auto seg = static_cast<std::size_t>(s);
+          const std::int64_t id = ids[seg];
           b.reads(starts, r + 1);
           b.mem_coalesced(sizeof(std::int64_t));  // next-run start, streamed
           b.flop(16);
           if (r == run_lo) {
-            // Segment-invariant loads: totals, packed slot stats, and the
-            // segment's element bounds are fetched once per segment and held
-            // in registers across the walk.
+            // Segment-invariant loads: the id, totals, packed slot stats,
+            // and the segment's element bounds are fetched once per segment
+            // and held in registers across the walk.
+            b.reads(ids, s);
             b.reads(tot, s);
-            b.reads(stats, s / n_attr);
+            b.reads(stats, id / n_attr);
             b.reads(starts, run_lo);
             b.reads(starts, run_hi);
-            if (!fm.empty()) b.reads(fm, s % n_attr);
-            b.mem_coalesced(16);
+            if (!fm.empty()) b.reads(fm, id % n_attr);
+            b.mem_coalesced(16 + sizeof(std::int64_t));
             b.mem_irregular(1);
           }
           // Attributes outside this tree's feature bag yield no splits
           // (mask, not compaction: the run layout is untouched).
-          if (!fm.empty() && fm[static_cast<std::size_t>(s % n_attr)] == 0) {
+          if (!fm.empty() && fm[static_cast<std::size_t>(id % n_attr)] == 0) {
             return prim::GainDir{};
           }
           const std::int64_t elem_lo =
               starts[static_cast<std::size_t>(run_lo)];
           const std::int64_t elem_hi =
               starts[static_cast<std::size_t>(run_hi)];
-          const SlotStat& node = stats[static_cast<std::size_t>(
-              static_cast<std::int64_t>(seg) / n_attr)];
+          const SlotStat& node = stats[static_cast<std::size_t>(id / n_attr)];
           const CandidateGain c = missing_aware_gain(
               {prefix.g, prefix.h, starts[u + 1] - elem_lo},
               {tot[seg].g, tot[seg].h, elem_hi - elem_lo},
@@ -166,17 +168,24 @@ void assign_exact_side_rle(TrainState& st) {
   const SplitTables& t = st.split_tables;
   {
     auto k = st.run_keys.span();
+    auto ids = st.seg.ids;
     auto starts = st.run_starts.span();
     auto inst = st.inst.span();
     auto node_of = st.node_of.span();
     dev.launch("rle_assign_exact_side", device::grid_for(n_runs, kBlockDim),
                kBlockDim, [&](BlockCtx& b) {
                  std::uint64_t writes = 0;
+                 std::uint64_t segs = 0;
                  b.for_each_thread([&](std::int64_t r) {
                    if (r >= n_runs) return;
                    const auto u = static_cast<std::size_t>(r);
                    const std::int64_t seg = k[u];
-                   const auto slot = static_cast<std::size_t>(seg / n_attr);
+                   if (r == b.block_idx() * kBlockDim || k[u - 1] != seg) {
+                     b.reads(ids, seg);
+                     ++segs;  // one id load per segment of the tile
+                   }
+                   const auto slot = static_cast<std::size_t>(
+                       ids[static_cast<std::size_t>(seg)] / n_attr);
                    if (t.chosen_seg[slot] != seg) return;
                    const auto target = static_cast<std::int32_t>(
                        r <= t.best_pos[slot] ? t.left_id[slot]
@@ -195,8 +204,13 @@ void assign_exact_side_rle(TrainState& st) {
                  });
                  b.reads_tile(k, n_runs);
                  b.reads_tile(starts, n_runs + 1);
+                 for (const auto col : {t.chosen_seg, t.best_pos, t.left_id,
+                                        t.right_id}) {
+                   b.reads(col, 0, static_cast<std::int64_t>(col.size()));
+                 }
                  b.work(writes);
-                 b.mem_coalesced(elems_in_block(b, n_runs) * 24 + writes * 4);
+                 b.mem_coalesced(elems_in_block(b, n_runs) * 24 + writes * 4 +
+                                 segs * sizeof(std::int64_t));  // ids
                  b.mem_irregular(writes);
                });
   }
@@ -204,7 +218,7 @@ void assign_exact_side_rle(TrainState& st) {
 
 /// Element-domain result of one RLE partition.
 struct RlePartition {
-  device::ArenaBuffer<std::int64_t> elem_offsets;  // new segment offsets
+  NextSegments next;  // the listed next-level segment table
   // Directly-Split-RLE: each old run's left/right child lengths.
   device::ArenaBuffer<std::int64_t> len_l;
   device::ArenaBuffer<std::int64_t> len_r;
@@ -219,7 +233,8 @@ struct RlePartition {
 /// lengths (paper Figure 7 middle row): the counting must see the *old*
 /// element domain, and fusing it here avoids a second irregular sweep over
 /// the instance ids.  The decompress fallback keeps the scatter index, which
-/// also moves the values it decompresses next.
+/// also moves the values it decompresses next.  Both list the non-empty
+/// candidates as the next level's segment table (part.next).
 RlePartition partition_instances_rle(TrainState& st, const LevelPlan& plan) {
   auto& dev = st.dev;
   const std::int64_t n_runs = st.n_runs;
@@ -232,16 +247,18 @@ RlePartition partition_instances_rle(TrainState& st, const LevelPlan& plan) {
     out.len_r = st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_runs));
   }
 
-  // Partition ids in the element domain (attribute comes from the run).
-  const auto n_new_slots = static_cast<std::int64_t>(plan.next_active.size());
-  const std::int64_t n_parts = n_new_slots * n_attr;
+  // Partition ids in the element domain: the run's candidate segment in its
+  // element's next slot.
+  const std::int64_t n_parts = st.split_tables.n_candidates;
   auto part_ids = st.arena.alloc<std::int32_t>(static_cast<std::size_t>(n));
   {
     auto k = st.run_keys.span();
+    auto ids = st.seg.ids;
     auto starts = st.run_starts.span();
     auto inst = st.inst.span();
     auto node_of = st.node_of.span();
     auto nsl = st.split_tables.next_slot;
+    auto shift = st.split_tables.cand_shift;
     auto p = part_ids.span();
     auto ls = st.split_tables.left_slot;
     auto rs = st.split_tables.right_slot;
@@ -253,19 +270,24 @@ RlePartition partition_instances_rle(TrainState& st, const LevelPlan& plan) {
                  b.for_each_thread([&](std::int64_t r) {
                    if (r >= n_runs) return;
                    const auto u = static_cast<std::size_t>(r);
-                   const auto old_slot = static_cast<std::size_t>(k[u] / n_attr);
-                   const std::int32_t attr =
-                       static_cast<std::int32_t>(k[u] % n_attr);
                    std::int64_t cl = 0, cr = 0;
+                   std::size_t old_slot = 0;
+                   if (direct) {
+                     b.reads(ids, k[u]);
+                     old_slot = static_cast<std::size_t>(
+                         ids[static_cast<std::size_t>(k[u])] / n_attr);
+                   }
                    b.reads(inst, starts[u], starts[u + 1] - starts[u]);
                    b.writes(p, starts[u], starts[u + 1] - starts[u]);
                    for (std::int64_t e = starts[u]; e < starts[u + 1]; ++e) {
                      const auto eu = static_cast<std::size_t>(e);
+                     b.reads(node_of, inst[eu]);
                      const std::int64_t ns =
                          nsl[static_cast<std::size_t>(node_of[static_cast<std::size_t>(inst[eu])])];
-                     p[eu] = ns < 0 ? -1
-                                    : static_cast<std::int32_t>(
-                                          ns * n_attr + attr);
+                     p[eu] = ns < 0
+                                 ? -1
+                                 : static_cast<std::int32_t>(
+                                       k[u] + shift[static_cast<std::size_t>(ns)]);
                      if (direct) {
                        cl += ns == ls[old_slot];
                        cr += ns == rs[old_slot];
@@ -281,8 +303,15 @@ RlePartition partition_instances_rle(TrainState& st, const LevelPlan& plan) {
                  });
                  b.reads_tile(k, n_runs);
                  b.reads_tile(starts, n_runs + 1);
+                 for (const auto col : {nsl, shift, ls, rs}) {
+                   b.reads(col, 0, static_cast<std::int64_t>(col.size()));
+                 }
                  b.work(touched);
-                 b.mem_coalesced(touched * 8 + elems_in_block(b, n_runs) * 24);
+                 // The run's segment id rides with its key (the runs of one
+                 // segment are adjacent, so the id loads coalesce).
+                 b.mem_coalesced(touched * 8 +
+                                 elems_in_block(b, n_runs) *
+                                     (direct ? 32 : 24));
                  b.mem_irregular(touched);
                });
   }
@@ -290,8 +319,8 @@ RlePartition partition_instances_rle(TrainState& st, const LevelPlan& plan) {
   const auto pplan = prim::plan_partition(
       n, n_parts, prim::kPartitionCounterBudget,
       st.param.use_custom_idxcomp_workload);
-  out.elem_offsets =
-      st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_parts) + 1);
+  prim::PartitionCounters counters(dev, pplan, &st.arena);
+  out.next = begin_next_segments(st, /*keep_candidates=*/direct);
   if (direct) {
     const std::int64_t new_n = kept_elements(st, plan);
     auto new_inst =
@@ -299,8 +328,7 @@ RlePartition partition_instances_rle(TrainState& st, const LevelPlan& plan) {
     auto inst = st.inst.span();
     auto ni = new_inst.span();
     prim::histogram_partition_emit(
-        dev, part_ids.span(), n_parts, out.elem_offsets.span(), pplan,
-        &st.arena,
+        dev, part_ids.span(), n_parts, out.next.list, pplan, counters,
         [inst, ni](BlockCtx& b, std::int64_t e, std::int64_t dst) {
           if (dst < 0) return;
           ni[static_cast<std::size_t>(dst)] = inst[static_cast<std::size_t>(e)];
@@ -310,17 +338,27 @@ RlePartition partition_instances_rle(TrainState& st, const LevelPlan& plan) {
           b.writes(ni, dst);
           b.mem_coalesced(sizeof(std::int32_t));
           b.mem_irregular(e % 4 == 0 ? 1 : 0);  // scatter fronts
-        });
+        },
+        out.next.namer(st));
     st.inst = std::move(new_inst);
     st.n_elems = new_n;
     return out;
   }
 
   out.scatter = st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n));
-  prim::histogram_partition(dev, part_ids.span(), n_parts, out.scatter.span(),
-                            out.elem_offsets.span(), pplan, &st.arena);
+  {
+    auto sc = out.scatter.span();
+    prim::histogram_partition_emit(
+        dev, part_ids.span(), n_parts, out.next.list, pplan, counters,
+        [sc](BlockCtx& b, std::int64_t e, std::int64_t dst) {
+          sc[static_cast<std::size_t>(e)] = dst;
+          b.writes(sc, e);
+          b.mem_coalesced(sizeof(std::int64_t));
+        },
+        out.next.namer(st));
+  }
   const std::int64_t new_n =
-      out.elem_offsets[static_cast<std::size_t>(n_parts)];
+      out.next.list.offsets[static_cast<std::size_t>(out.next.list.size)];
   auto new_inst = st.arena.alloc<std::int32_t>(static_cast<std::size_t>(new_n));
   {
     auto inst = st.inst.span();
@@ -352,51 +390,17 @@ RlePartition partition_instances_rle(TrainState& st, const LevelPlan& plan) {
 
 /// Directly-Split-RLE (paper Figure 7): every run of a splitting node
 /// pre-allocates a left and a right child run with the precomputed child
-/// lengths; zero-length runs are removed by prefix-sum compaction.
-void direct_split_runs(TrainState& st, RlePartition& part,
-                       std::int64_t n_new_slots) {
+/// lengths; zero-length runs are removed by prefix-sum compaction.  Each
+/// child segment's candidate runs are its parent segment's runs, so a run's
+/// two candidate positions follow from O(slots) shifts (st.split_tables).
+void direct_split_runs(TrainState& st, RlePartition& part) {
   auto& dev = st.dev;
   const std::int64_t n_runs = st.n_runs;
   const std::int64_t n_attr = st.n_attr;
-  const std::int64_t n_new_seg = n_new_slots * n_attr;
+  const SplitTables& t = st.split_tables;
+  const std::int64_t total_cand = t.n_candidate_runs;
   const auto& len_l = part.len_l;
   const auto& len_r = part.len_r;
-
-  // Candidate layout: for each new segment, one candidate slot per run of
-  // the parent segment.
-  auto cand_counts =
-      st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_new_seg));
-  {
-    auto roff = st.run_seg_offsets.span();
-    auto ps = st.split_tables.parent_slot;
-    auto cc = cand_counts.span();
-    dev.launch("rle_cand_counts", device::grid_for(n_new_seg, kBlockDim),
-               kBlockDim, [&](BlockCtx& b) {
-                 b.for_each_thread([&](std::int64_t nseg) {
-                   if (nseg >= n_new_seg) return;
-                   const auto u = static_cast<std::size_t>(nseg);
-                   const std::int64_t parent =
-                       ps[static_cast<std::size_t>(nseg / n_attr)];
-                   const auto pseg = static_cast<std::size_t>(
-                       parent * n_attr + nseg % n_attr);
-                   b.reads(ps, nseg / n_attr);
-                   b.reads(roff, static_cast<std::int64_t>(pseg), 2);
-                   cc[u] = roff[pseg + 1] - roff[pseg];
-                 });
-                 b.writes_tile(cc, n_new_seg);
-                 const auto m = elems_in_block(b, n_new_seg);
-                 b.mem_coalesced(m * 8);
-                 b.mem_irregular(m);
-               });
-  }
-  auto cand_base =
-      st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_new_seg));
-  prim::exclusive_scan(dev, cand_counts, cand_base, "rle_cand_base_scan",
-                       &st.arena);
-  const std::int64_t total_cand =
-      n_new_seg == 0 ? 0
-                     : cand_base[static_cast<std::size_t>(n_new_seg - 1)] +
-                           cand_counts[static_cast<std::size_t>(n_new_seg - 1)];
 
   // Pre-allocate the two child runs of every run (Figure 7 middle row).
   auto cand_len =
@@ -405,13 +409,13 @@ void direct_split_runs(TrainState& st, RlePartition& part,
   prim::fill(dev, cand_len, std::int64_t{0});
   {
     auto k = st.run_keys.span();
-    auto roff = st.run_seg_offsets.span();
+    auto ids = st.seg.ids;
     auto rv = st.run_values.span();
-    auto ls = st.split_tables.left_slot;
-    auto rs = st.split_tables.right_slot;
+    auto ls = t.left_slot;
+    auto rs = t.right_slot;
+    auto shift = t.run_shift;
     auto ll = len_l.span();
     auto lr = len_r.span();
-    auto cb = cand_base.span();
     auto cl = cand_len.span();
     auto cv = cand_val.span();
     dev.launch("rle_emit_candidates", device::grid_for(n_runs, kBlockDim),
@@ -419,26 +423,20 @@ void direct_split_runs(TrainState& st, RlePartition& part,
                  b.for_each_thread([&](std::int64_t r) {
                    if (r >= n_runs) return;
                    const auto u = static_cast<std::size_t>(r);
-                   const std::int64_t seg = k[u];
-                   const auto slot = static_cast<std::size_t>(seg / n_attr);
+                   b.reads(ids, k[u]);
+                   const auto slot = static_cast<std::size_t>(
+                       ids[static_cast<std::size_t>(k[u])] / n_attr);
                    if (ls[slot] < 0) return;  // leaf: runs dropped
-                   const std::int64_t attr = seg % n_attr;
-                   const std::int64_t r_local =
-                       r - roff[static_cast<std::size_t>(seg)];
-                   const auto lseg =
-                       static_cast<std::size_t>(ls[slot] * n_attr + attr);
-                   const auto rseg =
-                       static_cast<std::size_t>(rs[slot] * n_attr + attr);
-                   const auto lpos =
-                       static_cast<std::size_t>(cb[lseg] + r_local);
-                   const auto rpos =
-                       static_cast<std::size_t>(cb[rseg] + r_local);
+                   const auto lpos = static_cast<std::size_t>(
+                       r + shift[static_cast<std::size_t>(ls[slot])]);
+                   const auto rpos = static_cast<std::size_t>(
+                       r + shift[static_cast<std::size_t>(rs[slot])]);
                    cl[lpos] = ll[u];
                    cv[lpos] = rv[u];
                    cl[rpos] = lr[u];
                    cv[rpos] = rv[u];
-                   // Each run owns candidate slot r_local of each child
-                   // segment, so the scattered candidate writes are
+                   // Each run owns one candidate position in each child
+                   // slot, so the scattered candidate writes are
                    // block-disjoint; the auditor verifies it.
                    b.writes(cl, static_cast<std::int64_t>(lpos));
                    b.writes(cv, static_cast<std::int64_t>(lpos));
@@ -449,9 +447,12 @@ void direct_split_runs(TrainState& st, RlePartition& part,
                  b.reads_tile(rv, n_runs);
                  b.reads_tile(ll, n_runs);
                  b.reads_tile(lr, n_runs);
+                 for (const auto col : {ls, rs, shift}) {
+                   b.reads(col, 0, static_cast<std::int64_t>(col.size()));
+                 }
                  const auto m = elems_in_block(b, n_runs);
-                 b.mem_coalesced(m * 36);
-                 b.mem_irregular(m * 2);  // the two candidate writes
+                 b.mem_coalesced(m * 44);  // + the run's segment id
+                 b.mem_irregular(m * 2);   // the two candidate writes
                });
   }
 
@@ -546,11 +547,18 @@ void direct_split_runs(TrainState& st, RlePartition& part,
     new_starts[0] = 0;
   }
 
-  // New segment offsets in the run domain.
+  // New segment offsets in the run domain, one per listed segment: its
+  // first candidate run is its parent segment's first run, shifted into the
+  // segment's next slot.
+  const std::int64_t n_new_seg = part.next.list.size;
   auto new_seg_off =
       st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_new_seg) + 1);
   {
-    auto cb = cand_base.span();
+    auto cand = part.next.cand;
+    auto nid = part.next.ids;
+    auto cshift = t.cand_shift;
+    auto rshift = t.run_shift;
+    auto roff = st.run_seg_offsets.span();
     auto ni = new_idx.span();
     auto so = new_seg_off.span();
     dev.launch("rle_new_seg_offsets", device::grid_for(n_new_seg + 1, kBlockDim),
@@ -561,17 +569,25 @@ void direct_split_runs(TrainState& st, RlePartition& part,
                    if (s == n_new_seg) {
                      so[u] = n_new_runs;
                    } else {
-                     const std::int64_t base = cb[u];
-                     b.reads(cb, s);
-                     if (base < total_cand) b.reads(ni, base);
-                     so[u] = base >= total_cand
-                                 ? n_new_runs
-                                 : ni[static_cast<std::size_t>(base)];
+                     const auto ns = static_cast<std::size_t>(nid[u] / n_attr);
+                     const std::int64_t parent = cand[u] - cshift[ns];
+                     const std::int64_t base =
+                         roff[static_cast<std::size_t>(parent)] + rshift[ns];
+                     b.reads(cand, s);
+                     b.reads(nid, s);
+                     b.reads(cshift, static_cast<std::int64_t>(ns));
+                     b.reads(rshift, static_cast<std::int64_t>(ns));
+                     b.reads(roff, parent);
+                     b.reads(ni, base);
+                     so[u] = ni[static_cast<std::size_t>(base)];
                    }
                    b.writes(so, s);
                  });
+                 // Listed segments and their parents both ascend, so the
+                 // per-segment columns stream; the scan value at each
+                 // segment's first candidate run is a gather.
                  const auto m = elems_in_block(b, n_new_seg + 1);
-                 b.mem_coalesced(m * 16);
+                 b.mem_coalesced(m * 32);
                  b.mem_irregular(m);
                });
   }
@@ -580,7 +596,6 @@ void direct_split_runs(TrainState& st, RlePartition& part,
   st.run_starts = std::move(new_starts);
   st.run_seg_offsets = std::move(new_seg_off);
   st.n_runs = n_new_runs;
-  st.seg_offsets = std::move(part.elem_offsets);
 }
 
 /// Decompress -> partition -> recompress fallback (paper Figure 6).  The
@@ -647,16 +662,17 @@ void decompress_split_runs(TrainState& st, RlePartition& part,
                });
   }
 
-  // Recompress per new segment.  The compressor's outputs are freshly sized
-  // device buffers; the arena adopts them so next level's checkouts reuse
-  // the storage instead of growing the device heap.
-  auto compressed = rle::compress(dev, new_values.span(),
-                                  part.elem_offsets.span(), &st.arena);
+  // Recompress per listed segment.  The compressor's outputs are freshly
+  // sized device buffers; the arena adopts them so next level's checkouts
+  // reuse the storage instead of growing the device heap.
+  const auto& list = part.next.list;
+  auto compressed = rle::compress(
+      dev, new_values.span(),
+      list.offsets.first(static_cast<std::size_t>(list.size) + 1), &st.arena);
   st.n_runs = compressed.n_runs;
   st.run_values = st.arena.adopt(std::move(compressed.values));
   st.run_starts = st.arena.adopt(std::move(compressed.starts));
   st.run_seg_offsets = st.arena.adopt(std::move(compressed.seg_offsets));
-  st.seg_offsets = std::move(part.elem_offsets);
 }
 
 }  // namespace
@@ -684,18 +700,16 @@ void apply_splits_rle(TrainState& st, const LevelPlan& plan) {
   }
   if (direct) {
     obs::ScopedSpan span("rle_direct_split");
-    direct_split_runs(st, part,
-                      static_cast<std::int64_t>(plan.next_active.size()));
+    direct_split_runs(st, part);
   } else {
     obs::ScopedSpan span("rle_decompress_split");
     decompress_split_runs(st, part, old_n_elems);
   }
+  st.seg = finish_next_segments(part.next);
   st.run_keys.free();
   st.split_tables = {};
 
-  testing::check_rle_layout(
-      st, static_cast<std::int64_t>(plan.next_active.size()) * st.n_attr,
-      "apply_splits_rle");
+  testing::check_rle_layout(st, part.next.n_slots, "apply_splits_rle");
 }
 
 }  // namespace gbdt::detail

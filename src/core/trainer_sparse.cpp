@@ -26,12 +26,12 @@ std::vector<std::size_t> pick_winners(
     TrainState& st, const SegmentWinners& w, const char* node_name,
     std::vector<BestSplit>& out) {
   const std::int64_t n_attr = st.n_attr;
-  auto d_node_offs = device_node_offsets(st, st.n_active(), n_attr);
   auto best_node_val = st.arena.alloc<double>(st.active.size());
   auto best_node_idx = st.arena.alloc<std::int64_t>(st.active.size());
   {
+    // A slot's segments are its range of the compact list.
     obs::ScopedSpan span("setkey_argmax");
-    prim::segmented_arg_max(st.dev, w.val, d_node_offs, best_node_val,
+    prim::segmented_arg_max(st.dev, w.val, st.seg.slot_offsets, best_node_val,
                             best_node_idx, 1, node_name);
   }
 
@@ -49,7 +49,8 @@ std::vector<std::size_t> pick_winners(
     b.gain = gain;
     b.seg = seg;
     b.pos = pos;
-    b.attr = static_cast<std::int32_t>(seg % n_attr);
+    b.attr = static_cast<std::int32_t>(
+        st.seg.ids[static_cast<std::size_t>(seg)] % n_attr);
     b.default_left = w.dir[static_cast<std::size_t>(seg)] != 0;
     won.push_back(s);
   }
@@ -59,7 +60,7 @@ std::vector<std::size_t> pick_winners(
 std::vector<BestSplit> find_splits_sparse(TrainState& st) {
   auto& dev = st.dev;
   const std::int64_t n = st.n_elems;
-  const std::int64_t n_seg = st.n_seg();
+  const std::int64_t n_seg = st.seg.size();
   const std::int64_t n_attr = st.n_attr;
   const double lambda = st.param.lambda;
   std::vector<BestSplit> out(st.active.size());
@@ -71,7 +72,7 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
   st.keys = st.arena.alloc<std::int32_t>(static_cast<std::size_t>(n));
   {
     obs::ScopedSpan span("set_key");
-    prim::set_keys(dev, st.seg_offsets, st.keys, st.segs_per_block(n_seg, n));
+    prim::set_keys(dev, st.seg.offsets, st.keys, st.segs_per_block(n_seg, n));
   }
 
   // g/h in attribute order, then one fused segmented prefix sum (Figure 1).
@@ -122,30 +123,35 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
     obs::ScopedSpan span("compute_gains");
     auto v = st.values.span();
     auto tot = seg_tot.span();
+    auto ids = st.seg.ids;
     auto stats = slot_stats.span();
     const auto fm = st.feature_mask;
     prim::fused_gain_argmax(
-        dev, st.seg_offsets, scan, w.val, w.idx, w.dir,
+        dev, st.seg.offsets, scan, w.val, w.idx, w.dir,
         st.segs_per_block(n_seg, n),
-        [v, tot, stats, fm, n_attr, lambda](
+        [v, tot, ids, stats, fm, n_attr, lambda](
             BlockCtx& b, std::int64_t s, std::int64_t e, std::int64_t seg_lo,
             std::int64_t seg_hi, const GHPair& prefix) {
           const auto u = static_cast<std::size_t>(e);
+          const std::int64_t id = ids[static_cast<std::size_t>(s)];
           b.reads(v, e);
           b.mem_coalesced(sizeof(float));  // v, streamed
           if (e == seg_lo) {
-            // Segment-invariant loads: the walk fetches the segment total and
-            // the packed slot stats once and keeps them in registers for the
-            // rest of the segment — this, not the arithmetic, is what fusing
-            // the gains into the argmax walk saves over a per-element pass.
+            // Segment-invariant loads: the walk fetches the segment's id and
+            // total and the packed slot stats once and keeps them in
+            // registers for the rest of the segment — this, not the
+            // arithmetic, is what fusing the gains into the argmax walk saves
+            // over a per-element pass.
+            b.reads(ids, s);
             b.reads(tot, s);
-            b.reads(stats, s / n_attr);
-            if (!fm.empty()) b.reads(fm, s % n_attr);
+            b.reads(stats, id / n_attr);
+            if (!fm.empty()) b.reads(fm, id % n_attr);
+            b.mem_coalesced(sizeof(std::int64_t));  // id, streamed
             b.mem_irregular(1);
           }
           // Attributes outside this tree's feature bag yield no splits
           // (mask, not compaction: the segment layout is untouched).
-          if (!fm.empty() && fm[static_cast<std::size_t>(s % n_attr)] == 0) {
+          if (!fm.empty() && fm[static_cast<std::size_t>(id % n_attr)] == 0) {
             return prim::GainDir{};
           }
           // Duplicate suppression (paper Section III-B step ii): a zero gain
@@ -156,7 +162,7 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
             if (v[u + 1] == v[u]) return prim::GainDir{};
           }
           const auto seg = static_cast<std::size_t>(s);
-          const SlotStat& node = stats[static_cast<std::size_t>(s / n_attr)];
+          const SlotStat& node = stats[static_cast<std::size_t>(id / n_attr)];
           b.flop(16);
           const CandidateGain c = missing_aware_gain(
               {prefix.g, prefix.h, e - seg_lo + 1},
@@ -173,9 +179,9 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
     const auto useg = static_cast<std::size_t>(b.seg);
     const auto upos = static_cast<std::size_t>(b.pos);
     b.split_value = st.values[upos];
-    const std::int64_t seg_lo = st.seg_offsets[useg];
+    const std::int64_t seg_lo = st.seg.offsets[useg];
     set_children(b, st.active[s], scan.at(b.pos, seg_lo), b.pos - seg_lo + 1,
-                 seg_tot[useg], st.seg_offsets[useg + 1] - seg_lo);
+                 seg_tot[useg], st.seg.offsets[useg + 1] - seg_lo);
   }
   return out;
 }
@@ -197,17 +203,24 @@ void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan,
   // prefix up to the split position goes left (high values), the rest right.
   {
     auto k = st.keys.span();
+    auto ids = st.seg.ids;
     auto inst = st.inst.span();
     auto node_of = st.node_of.span();
     const SplitTables& t = st.split_tables;
     dev.launch("assign_exact_side", device::grid_for(n, kBlockDim), kBlockDim,
                [&](BlockCtx& b) {
                  std::uint64_t writes = 0;
+                 std::uint64_t segs = 0;
                  b.for_each_thread([&](std::int64_t e) {
                    if (e >= n) return;
                    const auto u = static_cast<std::size_t>(e);
                    const std::int64_t seg = k[u];
-                   const auto slot = static_cast<std::size_t>(seg / n_attr);
+                   if (e == b.block_idx() * kBlockDim || k[u - 1] != seg) {
+                     b.reads(ids, seg);
+                     ++segs;  // one id load per segment of the tile
+                   }
+                   const auto slot = static_cast<std::size_t>(
+                       ids[static_cast<std::size_t>(seg)] / n_attr);
                    if (t.chosen_seg[slot] != seg) return;
                    node_of[static_cast<std::size_t>(inst[u])] =
                        static_cast<std::int32_t>(e <= t.best_pos[slot]
@@ -221,8 +234,13 @@ void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan,
                  });
                  b.reads_tile(k, n);
                  b.reads_tile(inst, n);
+                 for (const auto col : {t.chosen_seg, t.best_pos, t.left_id,
+                                        t.right_id}) {
+                   b.reads(col, 0, static_cast<std::int64_t>(col.size()));
+                 }
                  const auto m = elems_in_block(b, n);
                  b.mem_coalesced(m * 8);
+                 b.mem_coalesced(segs * sizeof(std::int64_t));  // ids, in order
                  b.mem_irregular(writes + m / 8);
                });
   }
@@ -232,18 +250,18 @@ void apply_partition_sparse(TrainState& st, const LevelPlan& plan) {
   obs::ScopedSpan span("partition");
   auto& dev = st.dev;
   const std::int64_t n = st.n_elems;
-  const std::int64_t n_attr = st.n_attr;
 
-  // Partition ids: (next node slot, attribute) per element; -1 drops the
-  // elements of nodes that became leaves.
-  const auto n_new_slots = static_cast<std::int64_t>(plan.next_active.size());
-  const std::int64_t n_parts = n_new_slots * n_attr;
+  // Partition ids: the element's candidate segment, its key shifted into
+  // the next slot of its instance's node; -1 drops the elements of nodes
+  // that became leaves.
+  const std::int64_t n_parts = st.split_tables.n_candidates;
   auto part_ids = st.arena.alloc<std::int32_t>(static_cast<std::size_t>(n));
   {
     auto k = st.keys.span();
     auto inst = st.inst.span();
     auto node_of = st.node_of.span();
     auto ns = st.split_tables.next_slot;
+    auto shift = st.split_tables.cand_shift;
     auto p = part_ids.span();
     dev.launch("compute_part_ids", device::grid_for(n, kBlockDim), kBlockDim,
                [&](BlockCtx& b) {
@@ -252,30 +270,33 @@ void apply_partition_sparse(TrainState& st, const LevelPlan& plan) {
                    const auto u = static_cast<std::size_t>(e);
                    const std::int64_t slot =
                        ns[static_cast<std::size_t>(node_of[static_cast<std::size_t>(inst[u])])];
-                   p[u] = slot < 0 ? -1
-                                   : static_cast<std::int32_t>(
-                                         slot * n_attr + k[u] % n_attr);
+                   p[u] = slot < 0
+                              ? -1
+                              : static_cast<std::int32_t>(
+                                    k[u] + shift[static_cast<std::size_t>(slot)]);
                    b.reads(node_of, inst[u]);
                  });
                  b.reads_tile(k, n);
                  b.reads_tile(inst, n);
+                 b.reads(ns, 0, static_cast<std::int64_t>(ns.size()));
+                 b.reads(shift, 0, static_cast<std::int64_t>(shift.size()));
                  b.writes_tile(p, n);
                  const auto m = elems_in_block(b, n);
                  b.mem_coalesced(m * 12);
                  b.mem_irregular(m);  // node_of[inst[e]]
                });
   }
-  st.split_tables = {};
 
   // Order-preserving histogram partition (paper Figures 2-3) whose replay
   // pass moves each kept element's value and instance id straight to its
-  // destination.
+  // destination, and which lists the non-empty candidates as the next
+  // level's segment table.
   const auto pplan = prim::plan_partition(
       n, n_parts, prim::kPartitionCounterBudget,
       st.param.use_custom_idxcomp_workload);
   const std::int64_t new_n = kept_elements(st, plan);
-  auto new_offsets =
-      st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_parts) + 1);
+  prim::PartitionCounters counters(dev, pplan, &st.arena);
+  NextSegments next = begin_next_segments(st, /*keep_candidates=*/false);
   auto new_values = st.arena.alloc<float>(static_cast<std::size_t>(new_n));
   auto new_inst = st.arena.alloc<std::int32_t>(static_cast<std::size_t>(new_n));
   {
@@ -284,7 +305,7 @@ void apply_partition_sparse(TrainState& st, const LevelPlan& plan) {
     auto nv = new_values.span();
     auto ni = new_inst.span();
     prim::histogram_partition_emit(
-        dev, part_ids.span(), n_parts, new_offsets.span(), pplan, &st.arena,
+        dev, part_ids.span(), n_parts, next.list, pplan, counters,
         [v, inst, nv, ni](BlockCtx& b, std::int64_t e, std::int64_t dst) {
           if (dst < 0) return;
           const auto u = static_cast<std::size_t>(e);
@@ -299,17 +320,19 @@ void apply_partition_sparse(TrainState& st, const LevelPlan& plan) {
           b.writes(ni, dst);
           b.mem_coalesced(sizeof(float) + sizeof(std::int32_t));
           b.mem_irregular(e % 4 == 0 ? 1 : 0);  // scatter fronts
-        });
+        },
+        next.namer(st));
   }
+  st.split_tables = {};
 
   st.values = std::move(new_values);
   st.inst = std::move(new_inst);
-  st.seg_offsets = std::move(new_offsets);
+  st.seg = finish_next_segments(next);
   st.n_elems = new_n;
   st.keys.free();
 
   testing::maybe_inject_partition_fault(st);
-  testing::check_sparse_layout(st, n_parts, "apply_partition_sparse");
+  testing::check_sparse_layout(st, next.n_slots, "apply_partition_sparse");
 }
 
 void apply_splits_sparse(TrainState& st, const LevelPlan& plan) {

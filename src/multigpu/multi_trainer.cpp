@@ -275,7 +275,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
       auto csc = data::build_csc_device(*sh.dev, local);
       st.orig_values = std::move(csc.values);
       st.orig_inst = std::move(csc.inst_ids);
-      st.orig_seg_offsets = std::move(csc.col_offsets);
+      gbdt::detail::build_root_segments(st, csc.col_offsets);
     }
   }
 

@@ -83,10 +83,9 @@ PartitionPlan plan_partition(std::int64_t n_elements, std::int64_t n_parts,
   return plan;
 }
 
-namespace partition_detail {
-
-Counters::Counters(device::Device& dev, const PartitionPlan& plan,
-                   device::WorkspaceArena* arena)
+PartitionCounters::PartitionCounters(device::Device& dev,
+                                     const PartitionPlan& plan,
+                                     device::WorkspaceArena* arena)
     : arena_(arena) {
   const std::size_t matrix = static_cast<std::size_t>(plan.parts_per_pass) *
                              static_cast<std::size_t>(plan.n_threads);
@@ -103,19 +102,16 @@ Counters::Counters(device::Device& dev, const PartitionPlan& plan,
   }
 }
 
-void Counters::count_pass(device::Device& dev,
+void PartitionCounters::count_pass(device::Device& dev,
                           std::span<const std::int32_t> ids,
-                          std::span<std::int64_t> part_offsets,
                           const PartitionPlan& plan, std::int64_t p_lo,
-                          std::int64_t p_hi, std::int64_t placed_before) {
+                          std::int64_t p_hi) {
   const auto n = static_cast<std::int64_t>(ids.size());
   const std::int64_t threads = plan.n_threads;
   const std::int64_t work = plan.workload;
   const std::int64_t pass_parts = p_hi - p_lo;
   const std::int64_t grid = device::grid_for(threads, kBlockDim);
   auto cnt = cnt_;
-  auto base = base_;
-  auto offs = part_offsets;
 
   // Partition-major counters, so a flat exclusive scan yields
   // order-preserving global bases.
@@ -155,26 +151,60 @@ void Counters::count_pass(device::Device& dev,
     b.mem_irregular(scanned / 4 + 1);
   });
 
-  exclusive_scan(dev, cnt, base, "partition_scan", arena_);
+  exclusive_scan(dev, cnt, base_, "partition_scan", arena_);
+}
 
-  // Record the start offset of each partition of this pass before the
+std::int64_t PartitionCounters::start(device::BlockCtx& b,
+                                      const PartitionPlan& plan,
+                                      std::int64_t pass_parts,
+                                      std::int64_t p) const {
+  const std::int64_t threads = plan.n_threads;
+  if (p < pass_parts) {
+    b.reads(base_, p * threads);
+    return base_[static_cast<std::size_t>(p * threads)];
+  }
+  // The pass total: the last cell's base plus its count.
+  const std::int64_t last = pass_parts * threads - 1;
+  b.reads(base_, last);
+  b.reads(cnt_, last);
+  return base_[static_cast<std::size_t>(last)] +
+         cnt_[static_cast<std::size_t>(last)];
+}
+
+void PartitionCounters::record_offsets(device::Device& dev,
+                                       std::span<std::int64_t> part_offsets,
+                                       std::span<std::int64_t> tile_counts,
+                                       const PartitionPlan& plan,
+                                       std::int64_t p_lo, std::int64_t p_hi,
+                                       std::int64_t placed_before) {
+  const std::int64_t pass_parts = p_hi - p_lo;
+  const bool counting = !tile_counts.empty();
+  auto offs = part_offsets;
+  // Record the start offset of each partition of this pass (and, for a
+  // listing, how many of the block's partitions are non-empty) before the
   // replay pass consumes the bases.
   dev.launch("partition_offsets", device::grid_for(pass_parts, kBlockDim),
              kBlockDim, [&](device::BlockCtx& b) {
+               std::int64_t nonempty = 0;
                b.for_each_thread([&](std::int64_t p) {
-                 if (p < pass_parts) {
-                   offs[static_cast<std::size_t>(p_lo + p)] =
-                       placed_before +
-                       base[static_cast<std::size_t>(p * threads)];
-                   b.reads(base, p * threads);
-                   b.writes(offs, p_lo + p);
+                 if (p >= pass_parts) return;
+                 const std::int64_t lo = start(b, plan, pass_parts, p);
+                 offs[static_cast<std::size_t>(p_lo + p)] = placed_before + lo;
+                 b.writes(offs, p_lo + p);
+                 if (counting && start(b, plan, pass_parts, p + 1) > lo) {
+                   ++nonempty;
                  }
                });
-               b.mem_coalesced(elems_in_block(b, pass_parts) * 16);
+               const auto m = elems_in_block(b, pass_parts);
+               if (counting) {
+                 tile_counts[static_cast<std::size_t>(b.block_idx())] =
+                     nonempty;
+                 b.writes(tile_counts, b.block_idx());
+                 b.mem_coalesced(m * 8 + sizeof(std::int64_t));
+               }
+               b.mem_coalesced(m * 16);
              });
 }
-
-}  // namespace partition_detail
 
 void histogram_partition(device::Device& dev,
                          std::span<const std::int32_t> part_ids,

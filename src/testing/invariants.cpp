@@ -54,7 +54,7 @@ void maybe_inject_partition_fault(detail::TrainState& st) {
     return;
   }
   // Make the first segment with >= 2 elements ascend instead of descend.
-  const auto off = st.seg_offsets.span();
+  const auto off = st.seg.offsets;
   for (std::size_t s = 0; s + 1 < off.size(); ++s) {
     const std::int64_t lo = off[s];
     const std::int64_t hi = off[s + 1];
@@ -66,28 +66,68 @@ void maybe_inject_partition_fault(detail::TrainState& st) {
   }
 }
 
-void check_sparse_layout(const detail::TrainState& st, std::int64_t n_seg,
+namespace {
+
+/// The compact segment table of `n_slots` slots (both layouts): ids
+/// strictly ascending, each inside its slot's list range, slot offsets
+/// covering the list, element offsets strictly increasing (no empty
+/// segment) over [0, n_elems].
+void check_segment_table(const detail::TrainState& st, std::int64_t n_slots,
                          const char* where) {
-  if (!invariants_enabled()) return;
-  const auto off = st.seg_offsets.span();
+  const detail::SegmentTable& t = st.seg;
+  const std::int64_t n_seg = t.size();
+  const auto off = t.offsets;
+  const auto ids = t.ids;
+  const auto so = t.slot_offsets;
   if (static_cast<std::int64_t>(off.size()) != n_seg + 1) {
-    fail(where, "seg_offsets has " + std::to_string(off.size()) +
-                    " entries, expected " + std::to_string(n_seg + 1));
+    fail(where, "seg offsets have " + std::to_string(off.size()) +
+                    " entries for " + std::to_string(n_seg) + " segments");
   }
-  if (n_seg > 0 && off[0] != 0) {
-    fail(where, "seg_offsets[0] = " + std::to_string(off[0]));
+  if (off[0] != 0 || off[static_cast<std::size_t>(n_seg)] != st.n_elems) {
+    fail(where, "seg offsets cover [" + std::to_string(off[0]) + ", " +
+                    std::to_string(off[static_cast<std::size_t>(n_seg)]) +
+                    "), expected [0, " + std::to_string(st.n_elems) + ")");
+  }
+  if (static_cast<std::int64_t>(so.size()) != n_slots + 1 || so[0] != 0 ||
+      so[static_cast<std::size_t>(n_slots)] != n_seg) {
+    fail(where, "slot offsets do not cover the " + std::to_string(n_seg) +
+                    "-segment list over " + std::to_string(n_slots) +
+                    " slots");
+  }
+  for (std::int64_t slot = 0; slot < n_slots; ++slot) {
+    const auto su = static_cast<std::size_t>(slot);
+    if (so[su] > so[su + 1]) {
+      fail(where, "slot offsets not monotone at slot " + std::to_string(slot));
+    }
+    for (std::int64_t s = so[su]; s < so[su + 1]; ++s) {
+      if (ids[static_cast<std::size_t>(s)] / st.n_attr != slot) {
+        fail(where, "segment " + std::to_string(s) + " (id " +
+                        std::to_string(ids[static_cast<std::size_t>(s)]) +
+                        ") listed under slot " + std::to_string(slot));
+      }
+    }
   }
   for (std::int64_t s = 0; s < n_seg; ++s) {
     const auto u = static_cast<std::size_t>(s);
-    if (off[u] > off[u + 1]) {
-      fail(where, "seg_offsets not monotone at segment " + std::to_string(s));
+    if (s > 0 && !(ids[u - 1] < ids[u])) {
+      fail(where, "segment ids not strictly ascending at segment " +
+                      std::to_string(s));
+    }
+    if (!(off[u] < off[u + 1])) {
+      fail(where, "listed segment " + std::to_string(s) + " (id " +
+                      std::to_string(ids[u]) + ") is empty");
     }
   }
-  if (n_seg > 0 && off[static_cast<std::size_t>(n_seg)] != st.n_elems) {
-    fail(where, "seg_offsets do not cover all " + std::to_string(st.n_elems) +
-                    " elements (last = " +
-                    std::to_string(off[static_cast<std::size_t>(n_seg)]) + ")");
-  }
+}
+
+}  // namespace
+
+void check_sparse_layout(const detail::TrainState& st, std::int64_t n_slots,
+                         const char* where) {
+  if (!invariants_enabled()) return;
+  check_segment_table(st, n_slots, where);
+  const auto off = st.seg.offsets;
+  const std::int64_t n_seg = st.seg.size();
   const auto values = st.values.span();
   const auto inst = st.inst.span();
   for (std::int64_t s = 0; s < n_seg; ++s) {
@@ -109,23 +149,23 @@ void check_sparse_layout(const detail::TrainState& st, std::int64_t n_seg,
   }
 }
 
-void check_rle_layout(const detail::TrainState& st, std::int64_t n_seg,
+void check_rle_layout(const detail::TrainState& st, std::int64_t n_slots,
                       const char* where) {
   if (!invariants_enabled()) return;
+  check_segment_table(st, n_slots, where);
+  const std::int64_t n_seg = st.seg.size();
   const std::int64_t n_runs = st.n_runs;
   const auto starts = st.run_starts.span();
   const auto roff = st.run_seg_offsets.span();
-  const auto eoff = st.seg_offsets.span();
+  const auto eoff = st.seg.offsets;
   const auto rv = st.run_values.span();
   if (static_cast<std::int64_t>(starts.size()) != n_runs + 1) {
     fail(where, "run_starts has " + std::to_string(starts.size()) +
                     " entries, expected " + std::to_string(n_runs + 1));
   }
-  if (static_cast<std::int64_t>(roff.size()) != n_seg + 1 ||
-      static_cast<std::int64_t>(eoff.size()) != n_seg + 1) {
-    fail(where, "segment offset arrays sized for " +
-                    std::to_string(roff.size() - 1) + "/" +
-                    std::to_string(eoff.size() - 1) + " segments, expected " +
+  if (static_cast<std::int64_t>(roff.size()) != n_seg + 1) {
+    fail(where, "run segment offsets sized for " +
+                    std::to_string(roff.size() - 1) + " segments, expected " +
                     std::to_string(n_seg));
   }
   if (starts[0] != 0 ||
@@ -146,12 +186,11 @@ void check_rle_layout(const detail::TrainState& st, std::int64_t n_seg,
   }
   for (std::int64_t s = 0; s < n_seg; ++s) {
     const auto u = static_cast<std::size_t>(s);
-    if (roff[u] > roff[u + 1]) {
-      fail(where,
-           "run seg_offsets not monotone at segment " + std::to_string(s));
+    if (roff[u] >= roff[u + 1]) {
+      fail(where, "listed segment " + std::to_string(s) + " holds no run");
     }
     // Element-domain boundary of the segment must be the start of its first
-    // run (empty segments share the boundary with their successor).
+    // run.
     if (starts[static_cast<std::size_t>(roff[u])] != eoff[u]) {
       fail(where, "segment " + std::to_string(s) +
                       ": run/element boundaries disagree (" +

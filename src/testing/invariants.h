@@ -82,18 +82,20 @@ void maybe_inject_partition_fault(detail::TrainState& st);
 
 // ---- layout checks (called after each order-preserving partition) ---------
 
-/// Sparse working layout: seg_offsets monotone over [0, n_elems] with n_seg
-/// segments, values sorted descending inside every segment, instance ids in
-/// range.
-void check_sparse_layout(const detail::TrainState& st, std::int64_t n_seg,
+/// Sparse working layout over the compact segment table of `n_slots`
+/// slots: ids strictly ascending in (slot, attr) with every id in its
+/// slot's list range, the slot offsets covering the list, every listed
+/// segment non-empty and the element offsets covering [0, n_elems]; values
+/// sorted descending inside every segment, instance ids in range.
+void check_sparse_layout(const detail::TrainState& st, std::int64_t n_slots,
                          const char* where);
 
-/// RLE working layout: run_starts strictly increasing (positive run
-/// lengths) covering [0, n_elems], run_seg_offsets monotone over
-/// [0, n_runs], strictly descending distinct run values inside every
-/// segment, and element-domain segment offsets consistent with the run
-/// domain.
-void check_rle_layout(const detail::TrainState& st, std::int64_t n_seg,
+/// RLE working layout: the same segment table checks, run_starts strictly
+/// increasing (positive run lengths) covering [0, n_elems], run_seg_offsets
+/// strictly increasing over [0, n_runs] (every listed segment holds a run),
+/// strictly descending distinct run values inside every segment, and
+/// element-domain segment offsets consistent with the run domain.
+void check_rle_layout(const detail::TrainState& st, std::int64_t n_slots,
                       const char* where);
 
 /// decompress(compressed) must reproduce `original` bit for bit.

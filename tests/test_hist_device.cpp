@@ -225,7 +225,9 @@ TEST(HistDevice, SingleBinTrainingCompletes) {
   for (const auto& t : r.trees) {
     EXPECT_LE(t.depth(), 3);
     for (const auto& n : t.nodes()) {
-      if (!n.is_leaf()) EXPECT_GT(n.n_instances, 0);
+      if (!n.is_leaf()) {
+        EXPECT_GT(n.n_instances, 0);
+      }
     }
   }
 }

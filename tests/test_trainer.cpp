@@ -355,5 +355,57 @@ TEST(Trainer, FindSplitSpanOutweighsGradientsAndTransfer) {
   EXPECT_GT(transfer, 0.0);
 }
 
+// Wide sparse data: 300 rows x 400,000 attributes at about 10 non-zeros per
+// row.  A depth-6 tree reaches 32 slots, where a slots x attributes layout
+// needs 12.8 M segments and 102 MB for each int64 offset array alone; the
+// compact segment table holds one entry per non-empty (slot, attribute)
+// pair.  Both the raw and the RLE path must train in 64 MiB of device
+// memory, build the CPU oracle's forest bit for bit, and launch split steps
+// whose block counts follow the data, not the attribute count.
+TEST(Trainer, WideSparseDataTrainsOnCompactSegments) {
+  SyntheticSpec spec;
+  spec.n_instances = 300;
+  spec.n_attributes = 400'000;
+  spec.density = 10.0 / 400'000;
+  spec.seed = 5;
+  for (const bool rle : {false, true}) {
+    SCOPED_TRACE(rle ? "rle" : "raw");
+    spec.distinct_values = rle ? 4 : 0;
+    const auto ds = generate(spec);
+    GBDTParam p;
+    p.depth = 6;
+    p.n_trees = 2;
+    p.use_rle = rle;
+    p.force_rle = rle;
+
+    DeviceConfig cfg = DeviceConfig::titan_x_pascal();
+    cfg.global_mem_bytes = std::size_t{64} << 20;
+    obs::ObsSession session;
+    session.activate();
+    Device dev(cfg);
+    TrainReport gpu;
+    ASSERT_NO_THROW(gpu = GpuGbdtTrainer(dev, p).train(ds));
+    session.deactivate();
+    EXPECT_EQ(gpu.used_rle, rle);
+    expect_same_forest(gpu.trees, XgbExactTrainer(p).train(ds).trees, 0.0);
+
+    // Every level holds at most the root's elements and as many runs, so a
+    // split step whose grids follow the data launches at most a constant
+    // times that many blocks; one kernel over a slots x attributes grid
+    // launches 50,000 blocks at 32 slots.
+    const obs::Span* train = session.root().child("train");
+    ASSERT_NE(train, nullptr);
+    const obs::Span* split = train->child("split_node");
+    ASSERT_NE(split, nullptr);
+    const std::uint64_t levels = split->stats().invocations;
+    ASSERT_GT(levels, 0u);
+    const auto per_level =
+        static_cast<double>(split->kernel_stats_total().blocks) /
+        static_cast<double>(levels);
+    const auto elems_and_runs = static_cast<double>(2 * ds.n_entries());
+    EXPECT_LE(per_level, elems_and_runs / 8) << "levels " << levels;
+  }
+}
+
 }  // namespace
 }  // namespace gbdt
