@@ -663,7 +663,6 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
       }
       testing::check_instance_counts(st.node_of.span(), plan,
                                      "hist_split_node");
-      grower->advance_level(plan);
     };
   } else {
     backend.find_splits = [&](const std::vector<ActiveNode>& active) {

@@ -265,8 +265,7 @@ using SlotStat = GainStats;
 /// y_pred with the base score.
 void alloc_instance_state(TrainState& st);
 
-/// Fills off[s] = s * stride for s in [0, n_slots] on the device: the
-/// histogram trainer's fixed (slot, attribute, bin) grid, and the root
+/// Fills off[s] = s * stride for s in [0, n_slots] on the device: the root
 /// listing's {0, n_attr} marks.  The table is tiny and latency-bound, so one
 /// kernel launch (~1us) beats the PCI-e upload (~10us latency).
 [[nodiscard]] device::ArenaBuffer<std::int64_t> device_node_offsets(

@@ -1,25 +1,32 @@
 // Device-side histogram method (see core/trainer_hist.h).
 //
-// Per tree: gradients are quantized to int64 fixed point (hist::GradQuant),
-// then each level runs
+// Per tree: gradients are quantized to int64 fixed point (hist::GradQuant)
+// and every row starts in the root; then each level runs
 //
-//   hist_build      per-(node, attribute) gradient histograms over the
-//                   bin-index matrix, privatized per block and merged
-//                   deterministically — and only for the *smaller* sibling
-//                   of each pair;
+//   hist_build      per-(node, attribute) gradient histograms of the
+//                   *smaller* sibling of each pair only, read from the
+//                   slot-sorted row index: one block per (row chunk, tile
+//                   of cells), accumulating a shared-memory-sized tile and
+//                   writing it once — straight into the level's histogram
+//                   when the slot fits one chunk, else into a partial copy
+//                   that hist_merge folds in chunk order;
 //   hist_subtract   the larger sibling's histogram derived as
 //                   parent - sibling (exact in int64, so bitwise identical
 //                   to accumulating it directly — self-checked under
 //                   GBDT_CHECK_INVARIANTS);
-//   hist_find_split the PR 5 fused scan + gain/argmax machinery over bins
+//   hist_find_split the fused scan + gain/argmax machinery over bins
 //                   instead of sorted values: segment s = slot * n_attr +
 //                   attr holds exactly n_bins cells, so the histogram buffer
 //                   itself is the segment layout;
-//   hist_split_node instances of splitting nodes binary-search their CSR row
-//                   for the split attribute and compare bin indices.
+//   hist_split_node rows of splitting nodes binary-search their CSR row for
+//                   the split attribute and compare bin indices, then the
+//                   row index is partitioned by next-level slot.
 //
-// All per-level scratch comes from the TrainState workspace arena; the only
-// steady-state device allocations are the persistent per-instance buffers.
+// Each level's host tables (build plan, subtraction triples, slot stats)
+// reach the device in one upload, packed with the previous level's split
+// commands.  All per-level scratch comes from the TrainState workspace
+// arena; the only steady-state device allocations are the persistent
+// per-instance buffers.
 //
 // The steps live in HistGrower so the multi-GPU trainer can drive K growers
 // in lockstep, merging histograms between build and subtract;
@@ -108,13 +115,17 @@ BinnedMatrix build_binned_matrix(Device& dev, const data::Dataset& ds,
 // HistGrower
 // ---------------------------------------------------------------------------
 
+
 HistGrower::HistGrower(Device& dev, const GBDTParam& param, TrainState& st,
                        const BinnedMatrix& binned, bool distributed)
     : dev_(dev), param_(param), st_(st), binned_(binned),
       distributed_(distributed), n_bins_(param.n_bins),
       cps_(st.n_attr * param.n_bins),
       qg_(dev.alloc<std::int64_t>(static_cast<std::size_t>(st.n_inst))),
-      qh_(dev.alloc<std::int64_t>(static_cast<std::size_t>(st.n_inst))) {}
+      qh_(dev.alloc<std::int64_t>(static_cast<std::size_t>(st.n_inst))),
+      rows_(dev.alloc<std::int32_t>(static_cast<std::size_t>(st.n_inst))),
+      rows_next_(dev.alloc<std::int32_t>(static_cast<std::size_t>(st.n_inst))),
+      chunk_(hist::build_chunk_rows(dev.config(), st.n_inst)) {}
 
 HistGrower::AbsMax HistGrower::local_abs_max() {
   // One pass over the pairs; max is order-free, so the values equal the two
@@ -160,74 +171,92 @@ hist::QGH HistGrower::quantize(double max_abs_g, double max_abs_h,
       st_.n_inst};
 }
 
+HistGrower::Columns HistGrower::pack(const LevelTables& level,
+                                     hist::PackedTables& t) {
+  std::vector<std::int64_t> q;
+  q.reserve(3 * level.slotq.size());
+  for (const hist::QGH& v : level.slotq) q.insert(q.end(), {v.g, v.h, v.cnt});
+  Columns c;
+  c.build = level.build.pack(t);
+  c.der_parent = t.add(level.der_parent);
+  c.der_sibling = t.add(level.der_sibling);
+  c.der_derived = t.add(level.der_derived);
+  c.slotq = t.add(q);
+  return c;
+}
+
+std::span<const std::int64_t> HistGrower::column(
+    hist::PackedTables::Column c) const {
+  return hist::PackedTables::view(tables_.span(), c);
+}
+
 ActiveNode HistGrower::begin_tree(Tree& tree, const hist::QGH& global_root) {
-  prim::fill(dev_, st_.node_of, std::int32_t{0});
   st_.tree = &tree;
-  slotq_.assign(1, global_root);
   hist_prev_ = device::ArenaBuffer<hist::QGH>{};
-  pair_parent_slot_.clear();
+  level_ = LevelTables{};
+  level_.build.chunk = chunk_;
+  level_.build.add(0, st_.n_inst);
+  level_.slotq.assign(1, global_root);
+  level_.n_rows = st_.n_inst;
+  hist::PackedTables t;
+  cols_ = pack(level_, t);
+  tables_ = st_.arena.alloc<std::int64_t>(t.words.size());
+  slot_rows_ = st_.arena.alloc<std::int64_t>(2);
+  // Every row in the root, in row order.  The root level's tables are a
+  // handful of words, passed as kernel arguments rather than uploaded.
+  const std::int64_t n = st_.n_inst;
+  auto node_of = st_.node_of.span();
+  auto rows = rows_.span();
+  auto slot_rows = slot_rows_.span();
+  auto tables = tables_.span();
+  dev_.launch(
+      "hist_begin_tree", device::grid_for(n, prim::kBlockDim), prim::kBlockDim,
+      [&, words = std::move(t.words)](device::BlockCtx& b) {
+        b.for_each_thread([&](std::int64_t i) {
+          if (i >= n) return;
+          node_of[static_cast<std::size_t>(i)] = 0;
+          rows[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(i);
+        });
+        b.writes_tile(node_of, n);
+        b.writes_tile(rows, n);
+        std::uint64_t extra = 0;
+        if (b.block_idx() == 0) {
+          slot_rows[0] = 0;
+          slot_rows[1] = n;
+          std::copy(words.begin(), words.end(), tables.begin());
+          b.writes(slot_rows, 0, 2);
+          b.writes(tables, 0, static_cast<std::int64_t>(words.size()));
+          extra = 2 + words.size();
+        }
+        b.mem_coalesced(prim::elems_in_block(b, n) * 2 *
+                            sizeof(std::int32_t) +
+                        extra * sizeof(std::int64_t));
+      });
   return ActiveNode{0, static_cast<double>(global_root.g) * quant_g_.inv,
                     static_cast<double>(global_root.h) * quant_h_.inv,
                     global_root.cnt};
-}
-
-void HistGrower::make_accum_plan() {
-  AccumPlan& plan = accum_;
-  plan.accum_of_node.assign(
-      static_cast<std::size_t>(st_.current_tree_nodes()), -1);
-  plan.dest_slot.clear();
-  plan.der_parent.clear();
-  plan.der_sibling.clear();
-  plan.der_derived.clear();
-  if (pair_parent_slot_.empty()) {
-    // First level (or no parent histograms): accumulate every slot.
-    for (std::size_t s = 0; s < st_.active.size(); ++s) {
-      plan.accum_of_node[static_cast<std::size_t>(st_.active[s].tree_node)] =
-          static_cast<std::int32_t>(plan.dest_slot.size());
-      plan.dest_slot.push_back(static_cast<std::int32_t>(s));
-    }
-    return;
-  }
-  // Deeper levels: active nodes arrive in sibling pairs (slots 2k, 2k+1);
-  // accumulate the smaller child, derive the other from the parent.  Counts
-  // are global in the multi-GPU path, so every shard picks the same sibling.
-  for (std::size_t k = 0; k < pair_parent_slot_.size(); ++k) {
-    const std::size_t l = 2 * k;
-    const std::size_t r = 2 * k + 1;
-    const std::size_t small =
-        st_.active[l].count <= st_.active[r].count ? l : r;
-    const std::size_t big = small == l ? r : l;
-    plan.accum_of_node[static_cast<std::size_t>(st_.active[small].tree_node)] =
-        static_cast<std::int32_t>(plan.dest_slot.size());
-    plan.dest_slot.push_back(static_cast<std::int32_t>(small));
-    plan.der_parent.push_back(pair_parent_slot_[k]);
-    plan.der_sibling.push_back(static_cast<std::int32_t>(small));
-    plan.der_derived.push_back(static_cast<std::int32_t>(big));
-  }
 }
 
 void HistGrower::plan_level(const std::vector<ActiveNode>& active) {
   st_.active = active;
   hist_cur_ = st_.arena.alloc<hist::QGH>(
       static_cast<std::size_t>(st_.n_active() * cps_));
-  make_accum_plan();
 }
 
 void HistGrower::build_level() {
-  auto d_accum = detail::upload_pooled(dev_, st_.arena, accum_.accum_of_node);
-  auto d_dest = detail::upload_pooled(dev_, st_.arena, accum_.dest_slot);
   hist::build_histograms(dev_, st_.arena, binned_.row_offsets.span(),
                          binned_.entry_attr.span(), binned_.entry_bin.span(),
-                         qg_.span(), qh_.span(), st_.node_of.span(),
-                         d_accum.span(), d_dest.span(), st_.n_attr, n_bins_,
-                         hist_cur_.span());
+                         qg_.span(), qh_.span(), rows_.span(),
+                         slot_rows_.span(),
+                         level_.build.tables(tables_.span(), cols_.build),
+                         st_.n_attr, n_bins_, hist_cur_.span());
 }
 
 std::vector<std::span<hist::QGH>> HistGrower::accumulated_slots() {
   std::vector<std::span<hist::QGH>> out;
-  out.reserve(accum_.dest_slot.size());
+  out.reserve(level_.build.slot.size());
   auto hc = hist_cur_.span();
-  for (const std::int32_t slot : accum_.dest_slot) {
+  for (const std::int64_t slot : level_.build.slot) {
     out.push_back(hc.subspan(
         static_cast<std::size_t>(slot) * static_cast<std::size_t>(cps_),
         static_cast<std::size_t>(cps_)));
@@ -235,20 +264,18 @@ std::vector<std::span<hist::QGH>> HistGrower::accumulated_slots() {
   return out;
 }
 
-bool HistGrower::has_derived() const { return !accum_.der_derived.empty(); }
+bool HistGrower::has_derived() const { return !level_.der_derived.empty(); }
 
 void HistGrower::subtract_level() {
   if (!distributed_) {
     static obs::Counter& subtractions =
         obs::Registry::global().counter("gbdt_hist_subtractions_total");
-    subtractions.inc(accum_.der_derived.size());
+    subtractions.inc(level_.der_derived.size());
   }
-  auto d_parent = detail::upload_pooled(dev_, st_.arena, accum_.der_parent);
-  auto d_sibling = detail::upload_pooled(dev_, st_.arena, accum_.der_sibling);
-  auto d_derived = detail::upload_pooled(dev_, st_.arena, accum_.der_derived);
   hist::subtract_histograms(dev_, hist_prev_.span(), hist_cur_.span(),
-                            d_parent.span(), d_sibling.span(),
-                            d_derived.span(), cps_);
+                            column(cols_.der_parent),
+                            column(cols_.der_sibling),
+                            column(cols_.der_derived), cps_);
 }
 
 /// Bitwise self-check of the subtraction trick: re-accumulates every derived
@@ -260,40 +287,34 @@ void HistGrower::subtract_level() {
 /// check must throw.
 void HistGrower::maybe_verify_subtraction() {
   if (distributed_ || !testing::invariants_enabled()) return;
-  if (accum_.der_derived.empty()) return;
+  if (level_.der_derived.empty()) return;
   if (testing::fault_injection().break_hist_subtraction) {
     // Test-only corruption, injected host-side (not a modeled access).
-    hist_cur_[static_cast<std::size_t>(accum_.der_derived[0]) *
+    hist_cur_[static_cast<std::size_t>(level_.der_derived[0]) *
               static_cast<std::size_t>(cps_)]
         .g += 1;
   }
-  const std::size_t n_derived = accum_.der_derived.size();
-  std::vector<std::int32_t> chk_accum(
-      static_cast<std::size_t>(st_.current_tree_nodes()), -1);
-  std::vector<std::int32_t> chk_dest(n_derived);
-  for (std::size_t k = 0; k < n_derived; ++k) {
-    chk_accum[static_cast<std::size_t>(
-        st_.active[static_cast<std::size_t>(accum_.der_derived[k])]
-            .tree_node)] = static_cast<std::int32_t>(k);
-    chk_dest[k] = static_cast<std::int32_t>(k);
+  hist::BuildPlan plan;
+  plan.chunk = chunk_;
+  for (const std::int64_t slot : level_.der_derived) {
+    plan.add(slot, std::min(st_.active[static_cast<std::size_t>(slot)].count,
+                            st_.n_inst));
   }
-  auto d_accum = detail::upload_pooled(st_.dev, st_.arena, chk_accum);
-  auto d_dest = detail::upload_pooled(st_.dev, st_.arena, chk_dest);
-  auto direct =
-      st_.arena.alloc<hist::QGH>(n_derived * static_cast<std::size_t>(cps_));
+  hist::PackedTables t;
+  const hist::BuildPlan::Columns cols = plan.pack(t);
+  auto block = detail::upload_pooled(st_.dev, st_.arena, t.words);
+  auto direct = st_.arena.alloc<hist::QGH>(hist_cur_.size());
   hist::build_histograms(st_.dev, st_.arena, binned_.row_offsets.span(),
                          binned_.entry_attr.span(), binned_.entry_bin.span(),
-                         qg_.span(), qh_.span(), st_.node_of.span(),
-                         d_accum.span(), d_dest.span(), st_.n_attr, n_bins_,
-                         direct.span());
-  for (std::size_t k = 0; k < n_derived; ++k) {
-    const auto slot = static_cast<std::size_t>(accum_.der_derived[k]);
+                         qg_.span(), qh_.span(), rows_.span(),
+                         slot_rows_.span(), plan.tables(block.span(), cols),
+                         st_.n_attr, n_bins_, direct.span());
+  for (const std::int64_t slot : level_.der_derived) {
+    const std::size_t base =
+        static_cast<std::size_t>(slot) * static_cast<std::size_t>(cps_);
     for (std::int64_t c = 0; c < cps_; ++c) {
-      const auto cu = static_cast<std::size_t>(c);
-      const hist::QGH sub =
-          hist_cur_[slot * static_cast<std::size_t>(cps_) + cu];
-      const hist::QGH acc = direct[k * static_cast<std::size_t>(cps_) + cu];
-      if (!(sub == acc)) {
+      const auto cu = base + static_cast<std::size_t>(c);
+      if (!(hist_cur_[cu] == direct[cu])) {
         throw testing::InvariantViolation(
             "hist_subtract: derived histogram differs from direct "
             "accumulation (slot " +
@@ -305,13 +326,36 @@ void HistGrower::maybe_verify_subtraction() {
 }
 
 void HistGrower::prepare_offsets() {
-  seg_offsets_ = detail::device_node_offsets(st_, grid_segments(st_), n_bins_);
+  // The histogram layout's fixed grids: segment s = slot * n_attr + attr
+  // holds n_bins cells, node s holds n_attr segments.  One launch writes
+  // both offset tables.
+  const std::int64_t n_seg = grid_segments(st_);
+  const std::int64_t n_node = st_.n_active() + 1;
+  const std::int64_t n = n_seg + 1 + n_node;
+  offsets_ = st_.arena.alloc<std::int64_t>(static_cast<std::size_t>(n));
+  auto o = offsets_.span();
+  const std::int64_t n_bins = n_bins_;
+  const std::int64_t n_attr = st_.n_attr;
+  dev_.launch("hist_offsets", device::grid_for(n, prim::kBlockDim),
+              prim::kBlockDim, [&](device::BlockCtx& b) {
+                b.for_each_thread([&](std::int64_t i) {
+                  if (i >= n) return;
+                  o[static_cast<std::size_t>(i)] =
+                      i <= n_seg ? i * n_bins : (i - n_seg - 1) * n_attr;
+                });
+                b.writes_tile(o, n);
+                const auto m = prim::elems_in_block(b, n);
+                b.mem_coalesced(m * sizeof(std::int64_t));
+                b.work(m);
+              });
   st_.keys = st_.arena.alloc<std::int32_t>(
       static_cast<std::size_t>(st_.n_active() * cps_));
 }
 
 void HistGrower::run_set_keys(int stream) {
-  prim::set_keys(dev_, seg_offsets_, st_.keys,
+  const auto seg_offsets = offsets_.span().first(
+      static_cast<std::size_t>(grid_segments(st_) + 1));
+  prim::set_keys(dev_, seg_offsets, st_.keys,
                  st_.segs_per_block(grid_segments(st_), st_.n_active() * cps_),
                  stream);
 }
@@ -333,7 +377,6 @@ void HistGrower::find_level() {
         return hc[static_cast<std::size_t>(i)];
       },
       "hist_scan");
-  auto d_slotq = detail::upload_pooled(dev_, st_.arena, slotq_);
   auto best_seg_val = st_.arena.alloc<double>(static_cast<std::size_t>(n_seg));
   auto best_seg_idx =
       st_.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_seg));
@@ -345,10 +388,12 @@ void HistGrower::find_level() {
   const std::int64_t n_attr = st_.n_attr;
   const int n_bins = n_bins_;
   auto tot = seg_tot.span();
-  auto sq = d_slotq.span();
+  const auto sq = column(cols_.slotq);
+  const auto seg_offsets =
+      offsets_.span().first(static_cast<std::size_t>(n_seg + 1));
   const auto fm = st_.feature_mask;
   prim::fused_gain_argmax(
-      dev_, seg_offsets_, prefix, best_seg_val, best_seg_idx, best_seg_dir,
+      dev_, seg_offsets, prefix, best_seg_val, best_seg_idx, best_seg_dir,
       st_.segs_per_block(n_seg, n_slots * cps_),
       [hc, tot, sq, fm, n_attr, inv_g, inv_h, lambda](
           device::BlockCtx& b, std::int64_t s, std::int64_t e,
@@ -360,7 +405,7 @@ void HistGrower::find_level() {
         if (e == seg_lo) {
           // Segment-invariant loads, once per segment.
           b.reads(tot, s);
-          b.reads(sq, s / n_attr);
+          b.reads(sq, 3 * (s / n_attr), 3);
           if (!fm.empty()) b.reads(fm, s % n_attr);
           b.mem_irregular(1);
         }
@@ -372,7 +417,8 @@ void HistGrower::find_level() {
         // Empty bins carry no boundary (mirrors the CPU baseline's
         // skip); a zero-gain suppressed cell loses to any real split.
         if (hc[u].cnt == 0) return prim::GainDir{};
-        const hist::QGH node = sq[static_cast<std::size_t>(s / n_attr)];
+        const auto q = static_cast<std::size_t>(3 * (s / n_attr));
+        const hist::QGH node{sq[q], sq[q + 1], sq[q + 2]};
         const hist::QGH pres = tot[static_cast<std::size_t>(s)];
         const std::int64_t miss = node.cnt - pres.cnt;
         b.flop(24);
@@ -398,7 +444,8 @@ void HistGrower::find_level() {
         return prim::GainDir{gain_r, 0};
       },
       "hist_gain_argmax");
-  auto node_offs = detail::device_node_offsets(st_, n_slots, st_.n_attr);
+  const auto node_offs =
+      offsets_.span().last(static_cast<std::size_t>(n_slots + 1));
   auto best_node_val =
       st_.arena.alloc<double>(static_cast<std::size_t>(n_slots));
   auto best_node_idx =
@@ -423,7 +470,7 @@ void HistGrower::find_level() {
     const bool dir = best_seg_dir[static_cast<std::size_t>(seg)] != 0;
     hist::QGH lq = prefix.at(cell, seg * n_bins_);
     const hist::QGH pres = seg_tot[static_cast<std::size_t>(seg)];
-    const hist::QGH node = slotq_[su];
+    const hist::QGH node = level_.slotq[su];
     if (dir) lq += node - pres;  // missing values go left
     const hist::QGH rq = node - lq;
     auto& bs = best_[su];
@@ -445,39 +492,73 @@ void HistGrower::find_level() {
 }
 
 void HistGrower::apply_level(const detail::LevelPlan& plan) {
-  // Release the offsets table first: with the back-to-back single-device
-  // sequence this reproduces the pre-refactor arena lifetimes exactly.
-  seg_offsets_ = device::ArenaBuffer<std::int64_t>{};
-  std::vector<std::int32_t> slot_of_node(
-      static_cast<std::size_t>(st_.tree->n_nodes()), -1);
-  for (std::size_t s = 0; s < st_.active.size(); ++s) {
-    slot_of_node[static_cast<std::size_t>(st_.active[s].tree_node)] =
-        static_cast<std::int32_t>(s);
-  }
+  offsets_ = device::ArenaBuffer<std::int64_t>{};  // read by find only
+  const bool grow = !plan.children_are_leaves;
+  // This level's split commands and, unless the children are leaves, the
+  // next level's tables: each split pair accumulates its smaller child and
+  // derives the other from this level's histogram.  Counts are global in
+  // the multi-GPU path, so every shard picks the same sibling.
   std::vector<hist::HistSplitCmd> cmds(plan.per_slot.size());
+  LevelTables next;
+  next.build.chunk = chunk_;
   for (std::size_t s = 0; s < cmds.size(); ++s) {
     const auto& e = plan.per_slot[s];
     if (!e.split) continue;
-    cmds[s] = hist::HistSplitCmd{e.attr, static_cast<std::int32_t>(e.best_pos),
-                                 e.left_id, e.right_id,
-                                 static_cast<std::uint8_t>(e.default_left)};
+    hist::HistSplitCmd& c = cmds[s] =
+        hist::HistSplitCmd{e.attr, e.best_pos, e.left_id, e.right_id,
+                           e.default_left ? 1 : 0, -1};
+    if (!grow) continue;
+    const std::int32_t l =
+        plan.next_slot_of_tree[static_cast<std::size_t>(e.left_id)];
+    const std::int32_t r = l + 1;
+    c.left_slot = l;
+    const std::int64_t l_cnt =
+        plan.next_active[static_cast<std::size_t>(l)].count;
+    const std::int64_t r_cnt =
+        plan.next_active[static_cast<std::size_t>(r)].count;
+    const std::int32_t small = l_cnt <= r_cnt ? l : r;
+    // A shard's rows of a slot are bounded by its global count and by
+    // the shard's own rows (on one device the count is exact).
+    next.build.add(small, std::min({l_cnt, r_cnt, st_.n_inst}));
+    next.der_parent.push_back(static_cast<std::int64_t>(s));
+    next.der_sibling.push_back(small);
+    next.der_derived.push_back(small == l ? r : l);
+    next.slotq.push_back(child_q_[2 * s]);
+    next.slotq.push_back(child_q_[2 * s + 1]);
+    next.n_rows += l_cnt + r_cnt;
   }
-  auto d_slot = detail::upload_pooled(dev_, st_.arena, slot_of_node);
-  auto d_cmds = detail::upload_pooled(dev_, st_.arena, cmds);
-  hist::update_positions(dev_, binned_.row_offsets.span(),
-                         binned_.entry_attr.span(), binned_.entry_bin.span(),
-                         d_slot.span(), d_cmds.span(), st_.node_of.span());
-}
+  next.n_rows = std::min(next.n_rows, st_.n_inst);
 
-void HistGrower::advance_level(const detail::LevelPlan& plan) {
+  hist::PackedTables t;
+  const hist::PackedTables::Column cmd_col =
+      t.add(hist::HistSplitCmd::pack(cmds));
+  const Columns next_cols = grow ? pack(next, t) : Columns{};
+  auto block = detail::upload_pooled(dev_, st_.arena, t.words);
+  auto next_slot_rows = st_.arena.alloc<std::int64_t>(
+      grow ? plan.next_active.size() + 1 : 0);
+  hist::split_rows(dev_, st_.arena, binned_.row_offsets.span(),
+                   binned_.entry_attr.span(), binned_.entry_bin.span(),
+                   hist::PackedTables::view(block.span(), cmd_col),
+                   rows_.span(), slot_rows_.span(), level_.n_rows,
+                   st_.node_of.span(), rows_next_.span(),
+                   next_slot_rows.span());
+
   hist_prev_ = std::move(hist_cur_);
-  pair_parent_slot_.clear();
-  slotq_.clear();
-  for (std::size_t s = 0; s < plan.per_slot.size(); ++s) {
-    if (!plan.per_slot[s].split) continue;
-    pair_parent_slot_.push_back(static_cast<std::int32_t>(s));
-    slotq_.push_back(child_q_[2 * s]);
-    slotq_.push_back(child_q_[2 * s + 1]);
+  if (!grow) {
+    tables_ = device::ArenaBuffer<std::int64_t>{};
+    return;
+  }
+  std::swap(rows_, rows_next_);
+  slot_rows_ = std::move(next_slot_rows);
+  level_ = std::move(next);
+  cols_ = next_cols;
+  tables_ = std::move(block);
+  if (testing::invariants_enabled()) {
+    std::vector<std::int32_t> nodes;
+    nodes.reserve(plan.next_active.size());
+    for (const ActiveNode& a : plan.next_active) nodes.push_back(a.tree_node);
+    testing::check_row_index(rows_.span(), slot_rows_.span(),
+                             st_.node_of.span(), nodes, "hist_row_index");
   }
 }
 
@@ -485,7 +566,8 @@ void HistGrower::finish_tree() {
   st_.active.clear();
   hist_prev_ = device::ArenaBuffer<hist::QGH>{};
   hist_cur_ = device::ArenaBuffer<hist::QGH>{};
-  pair_parent_slot_.clear();
+  tables_ = device::ArenaBuffer<std::int64_t>{};
+  slot_rows_ = device::ArenaBuffer<std::int64_t>{};
 }
 
 }  // namespace gbdt

@@ -71,11 +71,18 @@ struct BinnedMatrix {
 /// skips the subtraction self-check (it assumes the full row set) and the
 /// process-wide subtraction counter.
 ///
+/// The grower keeps a row index sorted by level slot (Mitchell 2018's row
+/// partitioner), so each level's build reads only the accumulated slots'
+/// rows, and one arena block of int64 tables per level: the build plan, the
+/// subtraction triples and the slots' quantized stats.  apply_level packs
+/// the next level's tables with its own split commands into one upload; the
+/// root level's few words ride begin_tree's kernel as arguments.
+///
 /// Per tree:   local_abs_max -> [max-allreduce] -> quantize ->
 ///             [sum-allreduce] -> begin_tree
 /// Per level:  plan_level -> build_level -> [histogram allreduce over
 ///             accumulated_slots] -> subtract_level -> find_level ->
-///             (shared split decision) -> apply_level -> advance_level
+///             (shared split decision) -> apply_level
 class HistGrower {
  public:
   HistGrower(device::Device& dev, const GBDTParam& param,
@@ -95,13 +102,12 @@ class HistGrower {
   /// shard-local quantized root sums.
   [[nodiscard]] hist::QGH quantize(double max_abs_g, double max_abs_h,
                                    std::int64_t global_n);
-  /// Resets the per-tree state around the (globally reduced) root stats and
-  /// returns the root.
+  /// Resets the per-tree state (every row in the root, the root level's
+  /// tables) around the (globally reduced) root stats and returns the root.
   detail::ActiveNode begin_tree(Tree& tree, const hist::QGH& global_root);
 
   // ---- per level ----------------------------------------------------------
-  /// Installs the level's active nodes, allocates their histograms and picks
-  /// the accumulate/derive split.
+  /// Installs the level's active nodes and allocates their histograms.
   void plan_level(const std::vector<detail::ActiveNode>& active);
   /// Builds the accumulated slots' histograms over this shard's rows.
   void build_level();
@@ -116,8 +122,9 @@ class HistGrower {
   /// mode only; distributed growers skip — the fuzz oracle's bitwise
   /// mgpu_hist_vs_single leg subsumes it).
   void maybe_verify_subtraction();
-  /// Uploads the segment-offset table and checks the key buffer out of the
-  /// arena (must precede any comm enqueue: it rides the default stream).
+  /// Writes the segment- and node-offset tables (one launch) and checks the
+  /// key buffer out of the arena (must precede any comm enqueue: it rides
+  /// the default stream).
   void prepare_offsets();
   /// set_keys over the prepared offsets; `stream` lets the multi-GPU path
   /// overlap it with the histogram allreduce.
@@ -125,10 +132,10 @@ class HistGrower {
   /// Fused scan + gain/argmax + host winner assembly over the (merged)
   /// histograms.  Deterministic in its inputs, so shards agree bitwise.
   void find_level();
-  /// update_positions over this shard's rows for the decided splits.
+  /// Uploads the decided splits with the next level's tables (one
+  /// transfer), moves this shard's rows to their children, partitions the
+  /// row index by next-level slot and rolls the level state forward.
   void apply_level(const detail::LevelPlan& plan);
-  /// Rolls slot state forward to the decided children.
-  void advance_level(const detail::LevelPlan& plan);
 
   // ---- per tree, end ------------------------------------------------------
   /// Clears the level state (the leaves are already written).
@@ -139,14 +146,26 @@ class HistGrower {
   }
 
  private:
-  struct AccumPlan {
-    std::vector<std::int32_t> accum_of_node;  // tree-node id -> accum index
-    std::vector<std::int32_t> dest_slot;      // accum index -> level slot
-    std::vector<std::int32_t> der_parent;     // per derived: parent slot
-    std::vector<std::int32_t> der_sibling;    // per derived: sibling slot
-    std::vector<std::int32_t> der_derived;    // per derived: slot to fill
+  /// One level's host-side tables: the accumulated slots and their build
+  /// items, the derived slots' (parent, sibling, derived) triples, and
+  /// every slot's quantized stats.
+  struct LevelTables {
+    hist::BuildPlan build;
+    std::vector<std::int64_t> der_parent;
+    std::vector<std::int64_t> der_sibling;
+    std::vector<std::int64_t> der_derived;
+    std::vector<hist::QGH> slotq;
+    std::int64_t n_rows = 0;  // bound on the rows in the level's index
   };
-  void make_accum_plan();
+  /// Where a LevelTables' columns sit in its device block.
+  struct Columns {
+    hist::BuildPlan::Columns build;
+    hist::PackedTables::Column der_parent, der_sibling, der_derived, slotq;
+  };
+  [[nodiscard]] static Columns pack(const LevelTables& level,
+                                    hist::PackedTables& t);
+  [[nodiscard]] std::span<const std::int64_t> column(
+      hist::PackedTables::Column c) const;
 
   device::Device& dev_;
   const GBDTParam& param_;
@@ -161,15 +180,22 @@ class HistGrower {
   hist::GradQuant quant_g_;
   hist::GradQuant quant_h_;
 
-  std::vector<hist::QGH> slotq_;  // per-slot quantized node stats (global)
+  // The slot-sorted row index (double-buffered across the partition) and
+  // each level slot's range in it ([n_slots + 1], written on the device).
+  device::DeviceBuffer<std::int32_t> rows_;
+  device::DeviceBuffer<std::int32_t> rows_next_;
+  device::ArenaBuffer<std::int64_t> slot_rows_;
+  const std::int64_t chunk_;  // rows per build item
+
+  LevelTables level_;
+  Columns cols_;
+  device::ArenaBuffer<std::int64_t> tables_;  // level_'s columns on device
+
   device::ArenaBuffer<hist::QGH> hist_prev_;
   device::ArenaBuffer<hist::QGH> hist_cur_;
-  std::vector<std::int32_t> pair_parent_slot_;
-  AccumPlan accum_;
-  device::ArenaBuffer<std::int64_t> seg_offsets_;
+  device::ArenaBuffer<std::int64_t> offsets_;  // segment, then node offsets
   std::vector<detail::BestSplit> best_;
   std::vector<hist::QGH> child_q_;
-  std::vector<hist::QGH> level_scan_;     // host copies for winner assembly
 };
 
 }  // namespace gbdt

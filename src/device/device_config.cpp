@@ -13,6 +13,7 @@ DeviceConfig DeviceConfig::titan_x_pascal() {
   c.clock_ghz = 1.417;
   c.mem_bandwidth_gbps = 480.0;
   c.global_mem_bytes = std::size_t{12} * (1u << 30);
+  c.shared_mem_per_block_bytes = std::size_t{48} << 10;
   return c;
 }
 
@@ -24,6 +25,7 @@ DeviceConfig DeviceConfig::tesla_p100() {
   c.clock_ghz = 1.328;
   c.mem_bandwidth_gbps = 732.0;
   c.global_mem_bytes = std::size_t{16} * (1u << 30);
+  c.shared_mem_per_block_bytes = std::size_t{48} << 10;
   return c;
 }
 
@@ -36,6 +38,7 @@ DeviceConfig DeviceConfig::tesla_k20() {
   c.ipc = 0.5;  // Kepler cores sustain less of peak on divergent code
   c.mem_bandwidth_gbps = 208.0;
   c.global_mem_bytes = std::size_t{5} * (1u << 30);
+  c.shared_mem_per_block_bytes = std::size_t{48} << 10;
   return c;
 }
 

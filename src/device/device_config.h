@@ -54,6 +54,10 @@ struct DeviceConfig {
 
   /// Global memory capacity in bytes.
   std::size_t global_mem_bytes = std::size_t{12} * (1u << 30);
+  /// Shared memory one thread block can allocate, in bytes (48 KB on every
+  /// preset: the static per-block limit from Kepler through Pascal).  A
+  /// launch whose blocks declare more fails (Device::launch throws).
+  std::size_t shared_mem_per_block_bytes = std::size_t{48} << 10;
 
   /// Peak parallel work throughput in (work items)/second.
   [[nodiscard]] double compute_throughput() const {

@@ -139,6 +139,12 @@ class BlockCtx {
   void atomic(std::uint64_t n) { stats_.atomic_ops += n; }
   /// Floating point operations.
   void flop(std::uint64_t n) { stats_.flops += n; }
+  /// Declares the block's shared-memory footprint in bytes (free to access,
+  /// like registers; the launch fails when it exceeds the device's
+  /// DeviceConfig::shared_mem_per_block_bytes).
+  void uses_shared(std::uint64_t bytes) {
+    if (bytes > stats_.max_shared_bytes) stats_.max_shared_bytes = bytes;
+  }
 
   // ---- Access declarations (see src/analysis/access_audit.h and
   // src/analysis/hb_race.h) ------------------------------------------------
@@ -615,6 +621,13 @@ class Device {
       throw;
     }
     if (race != nullptr) hb_.on_op(stream, name, "kernel", fp.take());
+    if (total.max_shared_bytes > config().shared_mem_per_block_bytes) {
+      throw std::runtime_error(
+          "kernel '" + std::string(name) + "' declares " +
+          std::to_string(total.max_shared_bytes) +
+          " B of shared memory per block; the device has " +
+          std::to_string(config().shared_mem_per_block_bytes) + " B");
+    }
     record_kernel(stream, name, total);
   }
 

@@ -28,6 +28,8 @@ struct KernelStats {
   std::uint64_t blocks = 0;
   /// Largest single-block thread_work, lower-bounds kernel time by one SM.
   std::uint64_t max_block_work = 0;
+  /// Largest shared-memory footprint one block declared, in bytes.
+  std::uint64_t max_shared_bytes = 0;
 
   KernelStats& operator+=(const KernelStats& o) {
     thread_work += o.thread_work;
@@ -37,6 +39,9 @@ struct KernelStats {
     flops += o.flops;
     blocks += o.blocks;
     if (o.max_block_work > max_block_work) max_block_work = o.max_block_work;
+    if (o.max_shared_bytes > max_shared_bytes) {
+      max_shared_bytes = o.max_shared_bytes;
+    }
     return *this;
   }
 };

@@ -773,7 +773,6 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
                         &report.device_seconds);
       for (auto& g : growers) g.apply_level(plan);
     }
-    for (auto& g : growers) g.advance_level(plan);
   };
   backend.end_tree = [&](const Tree& /*tree*/) {
     for (auto& g : growers) g.finish_tree();

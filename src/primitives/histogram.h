@@ -16,17 +16,23 @@
 //    regardless of the block decomposition — with double cells the
 //    subtraction would drift in the last ulp and the trainer could not be
 //    deterministic;
-//  * the `hist_`-labelled kernels: privatized build (per-block histogram
-//    tiles, the simulator's stand-in for CUDA shared-memory privatization —
-//    see the merge note below), deterministic merge, and the subtraction
-//    kernel.  gbdt_lint enforces the `hist_` label prefix for every launch
-//    in this file.
+//  * the packed per-level tables (PackedTables, BuildPlan, HistSplitCmd):
+//    int64 columns laid back to back so a level's tables take one upload;
+//  * the `hist_`-labelled kernels over a row index sorted by tree node
+//    (Mitchell 2018's row partitioner): the tiled build (each block
+//    accumulates one shared-memory-sized tile of one slot's histogram over
+//    a chunk of that slot's rows and writes it once), the merge of the
+//    partial copies of slots that span several chunks, the subtraction
+//    kernel, and the row split that moves rows to their children and
+//    partitions the index by next-level slot.  gbdt_lint enforces the
+//    `hist_` label prefix for every launch in this file.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "device/device_context.h"
@@ -160,33 +166,132 @@ struct GradQuant {
   return q;
 }
 
-// ---- device kernels --------------------------------------------------------
+// ---- packed level tables ---------------------------------------------------
 
-/// Number of privatized histogram copies for the build kernel: enough blocks
-/// to keep every SM busy twice over, but bounded so the partial grid stays
-/// small relative to the entry stream (a real GPU would privatize per thread
-/// block in shared memory; the bound models the same residency limit).
-[[nodiscard]] inline std::int64_t partial_block_count(
-    const device::Device& dev, std::int64_t n_inst) {
-  const std::int64_t grid = device::grid_for(n_inst, prim::kBlockDim);
-  return std::min<std::int64_t>(
-      grid, 2 * static_cast<std::int64_t>(dev.config().num_sms));
+/// Host image of a block of int64 table columns laid back to back, so one
+/// level's tables reach the device in a single latency-bound upload (the
+/// SplitTables pattern of core/trainer_detail.h).
+struct PackedTables {
+  struct Column {
+    std::size_t off = 0;
+    std::size_t len = 0;
+  };
+  std::vector<std::int64_t> words;
+
+  Column add(std::span<const std::int64_t> values) {
+    const Column c{words.size(), values.size()};
+    words.insert(words.end(), values.begin(), values.end());
+    return c;
+  }
+  /// Column `c` of the block once it is on the device.
+  [[nodiscard]] static std::span<const std::int64_t> view(
+      std::span<const std::int64_t> block, Column c) {
+    return block.subspan(c.off, c.len);
+  }
+};
+
+// ---- build plan -------------------------------------------------------------
+
+/// Rows one build item holds: `n` rows over min(ceil(n / kBlockDim),
+/// 2 * SMs) blocks, so the root keeps every SM busy twice over without
+/// giving a block fewer rows than it has threads.
+[[nodiscard]] inline std::int64_t build_chunk_rows(
+    const device::DeviceConfig& cfg, std::int64_t n) {
+  const std::int64_t blocks = std::min<std::int64_t>(
+      device::grid_for(n, prim::kBlockDim),
+      2 * static_cast<std::int64_t>(cfg.num_sms));
+  return std::max<std::int64_t>(1, (n + blocks - 1) / blocks);
 }
 
-/// Accumulates per-(slot, attribute, bin) gradient histograms over the
-/// quantized entry stream.
+/// Cells of one build block's shared-memory tile: as many whole attributes
+/// (n_bins cells each) as DeviceConfig::shared_mem_per_block_bytes holds, or
+/// the capacity itself when one attribute does not fit, and never more than
+/// the slot's `cells_per_slot`.
+[[nodiscard]] inline std::int64_t tile_cells(const device::DeviceConfig& cfg,
+                                             std::int64_t n_bins,
+                                             std::int64_t cells_per_slot) {
+  const auto cap = static_cast<std::int64_t>(cfg.shared_mem_per_block_bytes /
+                                             sizeof(QGH));
+  if (cap < 1) {
+    throw std::invalid_argument(
+        "hist: shared memory per block holds no histogram cell");
+  }
+  const std::int64_t tile = n_bins <= cap ? cap / n_bins * n_bins : cap;
+  return std::max<std::int64_t>(1, std::min(tile, cells_per_slot));
+}
+
+/// Device view of a packed BuildPlan (spans into the level's table block).
+struct BuildTables {
+  std::span<const std::int64_t> slot;   // [n_accum]
+  std::span<const std::int64_t> item;   // [n_accum + 1]
+  std::span<const std::int64_t> part;   // [n_accum]
+  std::span<const std::int64_t> multi;  // [n_multi]
+  std::int64_t chunk = 1;
+  std::int64_t n_items = 0;
+  std::int64_t n_parts = 0;
+};
+
+/// One level's build plan, made on the host from slot row counts.  Each
+/// accumulated slot's rows split into build items of at most `chunk` rows,
+/// and one block runs per (item, tile).  A slot with a single item writes
+/// its tiles straight into its row of the output; only a slot with several
+/// items gives each one a partial copy, which hist_merge folds in item order.
+struct BuildPlan {
+  std::int64_t chunk = 1;
+  std::vector<std::int64_t> slot;        // accumulated slot = output row
+  std::vector<std::int64_t> item = {0};  // first item per slot, then the total
+  std::vector<std::int64_t> part;        // first partial copy, -1: direct
+  std::vector<std::int64_t> multi;       // accum indices with copies
+  std::int64_t n_parts = 0;
+
+  /// Appends level slot `s`, which holds at most `rows` rows.
+  void add(std::int64_t s, std::int64_t rows) {
+    const std::int64_t items =
+        std::max<std::int64_t>(1, (rows + chunk - 1) / chunk);
+    if (items > 1) {
+      multi.push_back(static_cast<std::int64_t>(slot.size()));
+      part.push_back(n_parts);
+      n_parts += items;
+    } else {
+      part.push_back(-1);
+    }
+    slot.push_back(s);
+    item.push_back(item.back() + items);
+  }
+
+  struct Columns {
+    PackedTables::Column slot, item, part, multi;
+  };
+  Columns pack(PackedTables& t) const {
+    return Columns{t.add(slot), t.add(item), t.add(part), t.add(multi)};
+  }
+  [[nodiscard]] BuildTables tables(std::span<const std::int64_t> block,
+                                   const Columns& c) const {
+    return BuildTables{PackedTables::view(block, c.slot),
+                       PackedTables::view(block, c.item),
+                       PackedTables::view(block, c.part),
+                       PackedTables::view(block, c.multi),
+                       chunk,
+                       item.back(),
+                       n_parts};
+  }
+};
+
+// ---- device kernels --------------------------------------------------------
+
+/// Accumulates the planned slots' per-(attribute, bin) gradient histograms
+/// from the slot-sorted row index: slot s's rows are
+/// rows[slot_rows[s], slot_rows[s + 1]).
 ///
-/// Each of the `partial_block_count` blocks walks a contiguous instance
-/// chunk and accumulates into its *private* histogram copy (the
-/// shared-memory tile: block-disjoint writes, no atomics — the win over the
-/// atomic-per-entry CPU-baseline kernel), then a merge kernel folds the
-/// copies in ascending block order.  With int64 cells the merge order cannot
-/// change the result, so the build is bit-deterministic by construction.
-///
-/// `accum_of_node[tree_node]` selects the accumulation slot (-1 = skip the
-/// instance), `dest_slot_of_accum[a]` the destination row of `out`; `out`
-/// must hold max(dest)+1 rows of n_attr * n_bins cells, and only the
-/// destination rows are written.
+/// Block (item, tile) walks its item's rows and accumulates the tile's cells
+/// in shared memory (QGH cells, zeroed on entry, never larger than
+/// DeviceConfig::shared_mem_per_block_bytes), then writes the tile once:
+/// into the slot's row of `out` when the slot has one item, else into the
+/// item's partial copy, which hist_merge folds in item order.  Cells are
+/// int64, so neither the tile split nor the fold order can change a bit.
+/// Every item writes all its cells, so no output is filled beforehand;
+/// `out` needs max(slot)+1 rows of n_attr * n_bins cells, and only the
+/// planned slots' rows are written.
 inline void build_histograms(device::Device& dev,
                              device::WorkspaceArena& arena,
                              std::span<const std::int64_t> row_offsets,
@@ -194,105 +299,141 @@ inline void build_histograms(device::Device& dev,
                              std::span<const std::uint16_t> entry_bin,
                              std::span<const std::int64_t> qg,
                              std::span<const std::int64_t> qh,
-                             std::span<const std::int32_t> node_of,
-                             std::span<const std::int32_t> accum_of_node,
-                             std::span<const std::int32_t> dest_slot_of_accum,
-                             std::int64_t n_attr, std::int64_t n_bins,
-                             std::span<QGH> out) {
-  const auto n_inst = static_cast<std::int64_t>(node_of.size());
-  const auto n_accum = static_cast<std::int64_t>(dest_slot_of_accum.size());
-  const std::int64_t cells_per_slot = n_attr * n_bins;
-  const std::int64_t cells = n_accum * cells_per_slot;
-  if (cells == 0) return;
-
-  const std::int64_t n_blocks = partial_block_count(dev, n_inst);
-  const std::int64_t chunk = (std::max<std::int64_t>(n_inst, 1) + n_blocks - 1) / n_blocks;
+                             std::span<const std::int32_t> rows,
+                             std::span<const std::int64_t> slot_rows,
+                             const BuildTables& plan, std::int64_t n_attr,
+                             std::int64_t n_bins, std::span<QGH> out) {
+  const std::int64_t cps = n_attr * n_bins;
+  if (plan.slot.empty() || cps == 0) return;
+  const std::int64_t tile = tile_cells(dev.config(), n_bins, cps);
+  const std::int64_t n_tiles = (cps + tile - 1) / tile;
+  const bool whole_rows = n_tiles == 1;
   auto partials =
-      arena.alloc<QGH>(static_cast<std::size_t>(n_blocks * cells));
-  prim::fill(dev, partials, QGH{});
+      arena.alloc<QGH>(static_cast<std::size_t>(plan.n_parts * cps));
   auto part = partials.span();
 
-  dev.launch("hist_build", n_blocks, prim::kBlockDim,
-             [&](device::BlockCtx& b) {
-               const std::int64_t lo = b.block_idx() * chunk;
-               const std::int64_t hi = std::min(lo + chunk, n_inst);
-               const std::int64_t base = b.block_idx() * cells;
-               std::uint64_t touched = 0;
-               for (std::int64_t i = lo; i < hi; ++i) {
-                 const auto u = static_cast<std::size_t>(i);
-                 const std::int32_t accum =
-                     accum_of_node[static_cast<std::size_t>(node_of[u])];
-                 if (accum < 0) continue;
-                 const QGH gh{qg[u], qh[u], 1};
-                 const std::int64_t slot_base =
-                     base + static_cast<std::int64_t>(accum) * cells_per_slot;
-                 for (std::int64_t e = row_offsets[u]; e < row_offsets[u + 1];
-                      ++e) {
-                   const auto eu = static_cast<std::size_t>(e);
-                   const auto cell = static_cast<std::size_t>(
-                       slot_base + entry_attr[eu] * n_bins + entry_bin[eu]);
-                   part[cell] += gh;
-                   ++touched;
-                 }
-               }
-               if (hi > lo) {
-                 b.reads(row_offsets, lo, hi - lo + 1);
-                 b.reads(qg, lo, hi - lo);
-                 b.reads(qh, lo, hi - lo);
-                 b.reads(node_of, lo, hi - lo);
-                 b.reads(accum_of_node, 0,
-                         static_cast<std::int64_t>(accum_of_node.size()));
-                 const std::int64_t e_lo = row_offsets[static_cast<std::size_t>(lo)];
-                 const std::int64_t e_hi = row_offsets[static_cast<std::size_t>(hi)];
-                 b.reads(entry_attr, e_lo, e_hi - e_lo);
-                 b.reads(entry_bin, e_lo, e_hi - e_lo);
-               }
-               b.reads(part, base, cells);
-               b.writes(part, base, cells);
-               b.work(touched + static_cast<std::uint64_t>(
-                                    hi > lo ? hi - lo : 0));
-               // Entry stream + per-instance state, streamed; the privatized
-               // histogram updates hit the block's own tile (shared memory,
-               // not counted), which is flushed to the partial grid once.
-               b.mem_coalesced(
-                   touched * (sizeof(std::int32_t) + sizeof(std::uint16_t)) +
-                   static_cast<std::uint64_t>(hi > lo ? hi - lo : 0) * 28 +
-                   static_cast<std::uint64_t>(cells) * sizeof(QGH));
-             });
+  dev.launch(
+      "hist_build", plan.n_items * n_tiles, prim::kBlockDim,
+      [&](device::BlockCtx& b) {
+        const std::int64_t it = b.block_idx() / n_tiles;
+        const std::int64_t c_lo = (b.block_idx() % n_tiles) * tile;
+        const std::int64_t c_hi = std::min(c_lo + tile, cps);
+        const std::int64_t a_lo = c_lo / n_bins;
+        const std::int64_t a_hi = (c_hi + n_bins - 1) / n_bins;
+        const auto a = static_cast<std::size_t>(
+            std::upper_bound(plan.item.begin(), plan.item.end(), it) -
+            plan.item.begin() - 1);
+        const std::int64_t j = it - plan.item[a];
+        const auto s = static_cast<std::size_t>(plan.slot[a]);
+        const std::int64_t s_hi = slot_rows[s + 1];
+        const std::int64_t lo = std::min(slot_rows[s] + j * plan.chunk, s_hi);
+        const std::int64_t hi = std::min(lo + plan.chunk, s_hi);
+        std::vector<QGH> acc(static_cast<std::size_t>(c_hi - c_lo));
+        b.uses_shared(acc.size() * sizeof(QGH));
+        std::uint64_t touched = 0;
+        std::uint64_t probes = 0;
+        std::uint64_t run_starts = 0;
+        for (std::int64_t k = lo; k < hi; ++k) {
+          const auto ku = static_cast<std::size_t>(k);
+          const auto r = static_cast<std::size_t>(rows[ku]);
+          // A row that continues its predecessor's id streams with it.
+          run_starts += k == lo || rows[ku] != rows[ku - 1] + 1;
+          const QGH gh{qg[r], qh[r], 1};
+          std::int64_t e = row_offsets[r];
+          const std::int64_t e_end = row_offsets[r + 1];
+          if (!whole_rows) {
+            // First entry of the tile's attributes (rows are attr-sorted).
+            std::int64_t hi_e = e_end;
+            while (e < hi_e) {
+              const std::int64_t mid = (e + hi_e) / 2;
+              ++probes;
+              if (entry_attr[static_cast<std::size_t>(mid)] < a_lo) {
+                e = mid + 1;
+              } else {
+                hi_e = mid;
+              }
+            }
+          }
+          const std::int64_t e_first = e;
+          for (; e < e_end; ++e) {
+            const auto eu = static_cast<std::size_t>(e);
+            if (entry_attr[eu] >= a_hi) break;
+            const std::int64_t c =
+                entry_attr[eu] * n_bins + entry_bin[eu] - c_lo;
+            if (c < 0 || c >= c_hi - c_lo) continue;  // tile cuts the attr
+            acc[static_cast<std::size_t>(c)] += gh;
+            ++touched;
+          }
+          b.reads(qg, static_cast<std::int64_t>(r));
+          b.reads(qh, static_cast<std::int64_t>(r));
+          b.reads(row_offsets, static_cast<std::int64_t>(r), 2);
+          b.reads(entry_attr, e_first, e - e_first);
+          b.reads(entry_bin, e_first, e - e_first);
+        }
+        const std::int64_t first = plan.part[a];
+        const auto dst = first < 0 ? out : part;
+        const std::int64_t base =
+            (first < 0 ? static_cast<std::int64_t>(s) : first + j) * cps +
+            c_lo;
+        std::copy(acc.begin(), acc.end(),
+                  dst.begin() + static_cast<std::ptrdiff_t>(base));
+        b.reads(plan.item, 0, static_cast<std::int64_t>(plan.item.size()));
+        b.reads(plan.slot, static_cast<std::int64_t>(a));
+        b.reads(plan.part, static_cast<std::int64_t>(a));
+        b.reads(slot_rows, static_cast<std::int64_t>(s), 2);
+        if (hi > lo) b.reads(rows, lo, hi - lo);
+        b.writes(dst, base, c_hi - c_lo);
+        const auto n = static_cast<std::uint64_t>(hi - lo);
+        b.work(n + touched + probes + acc.size());
+        // Per row: its index entry streams; the gathered (qg, qh, CSR
+        // offsets) and the start of its entry range cost one transaction
+        // each at a run start, stream otherwise — except that a tile of
+        // some attributes starts a new entry range on every row.  The
+        // histogram updates hit shared memory; the tile is written once.
+        b.mem_irregular(3 * run_starts + (whole_rows ? run_starts : n) +
+                        probes);
+        b.mem_coalesced(n * sizeof(std::int32_t) + (n - run_starts) * 24 +
+                        touched * (sizeof(std::int32_t) +
+                                   sizeof(std::uint16_t)) +
+                        acc.size() * sizeof(QGH));
+      });
 
-  // Deterministic merge: one thread per cell sums the private copies in
-  // ascending block order and scatters the total to its destination row.
-  const std::int64_t grid = device::grid_for(cells, prim::kBlockDim);
-  dev.launch("hist_merge", grid, prim::kBlockDim, [&](device::BlockCtx& b) {
-    b.for_each_thread([&](std::int64_t c) {
-      if (c >= cells) return;
-      QGH sum{};
-      for (std::int64_t blk = 0; blk < n_blocks; ++blk) {
-        sum += part[static_cast<std::size_t>(blk * cells + c)];
-      }
-      const std::int64_t accum = c / cells_per_slot;
-      const std::int64_t dc =
-          static_cast<std::int64_t>(
-              dest_slot_of_accum[static_cast<std::size_t>(accum)]) *
-              cells_per_slot +
-          c % cells_per_slot;
-      out[static_cast<std::size_t>(dc)] = sum;
-      // Destination rows are distinct per accumulation slot, so the
-      // scattered stores stay block-disjoint; the auditor verifies it.
-      b.writes(out, dc);
-    });
-    for (std::int64_t blk = 0; blk < n_blocks; ++blk) {
-      const std::int64_t t_lo = std::min(b.block_idx() * b.block_dim(), cells);
-      const std::int64_t t_n =
-          std::min<std::int64_t>(b.block_dim(), cells - t_lo);
-      b.reads(part, blk * cells + t_lo, t_n);
-    }
-    b.reads(dest_slot_of_accum, 0, n_accum);
-    const auto m = prim::elems_in_block(b, cells);
-    b.work(m * static_cast<std::uint64_t>(n_blocks));
-    b.mem_coalesced(m * (static_cast<std::uint64_t>(n_blocks) + 1) *
-                    sizeof(QGH));
-  });
+  if (plan.multi.empty()) return;
+  // Fold the partial copies: one thread per cell of a multi-item slot sums
+  // its items' copies in item order and writes the slot's output row.
+  const auto n_multi = static_cast<std::int64_t>(plan.multi.size());
+  const std::int64_t cells = n_multi * cps;
+  dev.launch("hist_merge", device::grid_for(cells, prim::kBlockDim),
+             prim::kBlockDim, [&](device::BlockCtx& b) {
+               std::uint64_t folded = 0;
+               b.for_each_thread([&](std::int64_t idx) {
+                 if (idx >= cells) return;
+                 const auto a = static_cast<std::size_t>(
+                     plan.multi[static_cast<std::size_t>(idx / cps)]);
+                 const std::int64_t c = idx % cps;
+                 const std::int64_t first = plan.part[a];
+                 const std::int64_t items = plan.item[a + 1] - plan.item[a];
+                 QGH sum{};
+                 for (std::int64_t j = 0; j < items; ++j) {
+                   const std::int64_t p = (first + j) * cps + c;
+                   sum += part[static_cast<std::size_t>(p)];
+                   b.reads(part, p);
+                 }
+                 const std::int64_t d = plan.slot[a] * cps + c;
+                 out[static_cast<std::size_t>(d)] = sum;
+                 // Output rows are distinct per slot, so the stores stay
+                 // block-disjoint; the auditor verifies it.
+                 b.writes(out, d);
+                 folded += static_cast<std::uint64_t>(items);
+               });
+               b.reads(plan.multi, 0, n_multi);
+               for (const auto col : {plan.slot, plan.item, plan.part}) {
+                 b.reads(col, 0, static_cast<std::int64_t>(col.size()));
+               }
+               const auto m = prim::elems_in_block(b, cells);
+               b.work(folded);
+               b.mem_coalesced((folded + m) * sizeof(QGH));
+             });
 }
 
 /// Histogram-subtraction trick: for each derived slot k,
@@ -305,9 +446,9 @@ inline void build_histograms(device::Device& dev,
 inline void subtract_histograms(device::Device& dev,
                                 std::span<const QGH> parent,
                                 std::span<QGH> cur,
-                                std::span<const std::int32_t> parent_slot,
-                                std::span<const std::int32_t> sibling_slot,
-                                std::span<const std::int32_t> derived_slot,
+                                std::span<const std::int64_t> parent_slot,
+                                std::span<const std::int64_t> sibling_slot,
+                                std::span<const std::int64_t> derived_slot,
                                 std::int64_t cells_per_slot) {
   const auto n_derived = static_cast<std::int64_t>(derived_slot.size());
   const std::int64_t n = n_derived * cells_per_slot;
@@ -317,21 +458,14 @@ inline void subtract_histograms(device::Device& dev,
              [&](device::BlockCtx& b) {
                b.for_each_thread([&](std::int64_t idx) {
                  if (idx >= n) return;
-                 const std::int64_t k = idx / cells_per_slot;
+                 const auto ku = static_cast<std::size_t>(idx / cells_per_slot);
                  const std::int64_t rest = idx % cells_per_slot;
-                 const auto ku = static_cast<std::size_t>(k);
                  const std::int64_t p =
-                     static_cast<std::int64_t>(parent_slot[ku]) *
-                         cells_per_slot +
-                     rest;
+                     parent_slot[ku] * cells_per_slot + rest;
                  const std::int64_t s =
-                     static_cast<std::int64_t>(sibling_slot[ku]) *
-                         cells_per_slot +
-                     rest;
+                     sibling_slot[ku] * cells_per_slot + rest;
                  const std::int64_t d =
-                     static_cast<std::int64_t>(derived_slot[ku]) *
-                         cells_per_slot +
-                     rest;
+                     derived_slot[ku] * cells_per_slot + rest;
                  cur[static_cast<std::size_t>(d)] =
                      parent[static_cast<std::size_t>(p)] -
                      cur[static_cast<std::size_t>(s)];
@@ -350,72 +484,253 @@ inline void subtract_histograms(device::Device& dev,
              });
 }
 
-/// Per-slot split command for the position-update kernel, packed into one
-/// record so the per-level upload is a single transfer.  attr < 0 marks a
-/// slot that does not split this level.
+/// One slot's split command, packed as kWords int64 words so it rides the
+/// level's table upload.  attr < 0 marks a slot that does not split this
+/// level: its rows become a leaf's and leave the row index.
 struct HistSplitCmd {
-  std::int32_t attr = -1;
-  std::int32_t bin = -1;  // last bin on the left (high-value) side
-  std::int32_t left_id = -1;
-  std::int32_t right_id = -1;
-  std::uint8_t default_left = 0;
+  static constexpr std::size_t kWords = 6;
+  std::int64_t attr = -1;
+  std::int64_t bin = -1;  // last bin on the left (high-value) side
+  std::int64_t left_id = -1;
+  std::int64_t right_id = -1;
+  std::int64_t default_left = 0;
+  /// Next-level slot of the left child (the right child's is left_slot + 1);
+  /// -1 when the children are leaves.
+  std::int64_t left_slot = -1;
+
+  /// The words of `cmds` (slot order).
+  [[nodiscard]] static std::vector<std::int64_t> pack(
+      std::span<const HistSplitCmd> cmds) {
+    std::vector<std::int64_t> w;
+    w.reserve(cmds.size() * kWords);
+    for (const HistSplitCmd& c : cmds) {
+      w.insert(w.end(), {c.attr, c.bin, c.left_id, c.right_id, c.default_left,
+                         c.left_slot});
+    }
+    return w;
+  }
+  /// Slot `s`'s command from packed words.
+  [[nodiscard]] static HistSplitCmd at(std::span<const std::int64_t> words,
+                                       std::int64_t s) {
+    const auto w = words.subspan(static_cast<std::size_t>(s) * kWords, kWords);
+    return HistSplitCmd{w[0], w[1], w[2], w[3], w[4], w[5]};
+  }
 };
 
-/// Moves every instance of a splitting node to its child: binary-search the
-/// instance's CSR row for the split attribute; present instances compare
-/// their bin index against the split bin, absent ones follow the default
-/// direction.  Mirrors the exact trainer's instance->node map contract, so
-/// SmartGD and check_leaf_map work unchanged on the histogram path.
-inline void update_positions(device::Device& dev,
-                             std::span<const std::int64_t> row_offsets,
-                             std::span<const std::int32_t> entry_attr,
-                             std::span<const std::uint16_t> entry_bin,
-                             std::span<const std::int32_t> slot_of_node,
-                             std::span<const HistSplitCmd> cmds,
-                             std::span<std::int32_t> node_of) {
-  const auto n_inst = static_cast<std::int64_t>(node_of.size());
+/// Moves the rows of every splitting slot to their children and, when
+/// `next_slot_rows` is non-empty, partitions the slot-sorted row index by
+/// next-level slot into `next_rows` (stable, so each child's rows stay in
+/// ascending order: Mitchell 2018's row partitioner).
+///
+///  - hist_update_positions: one thread per index position; a row of a
+///    splitting slot binary-searches its CSR row for the split attribute,
+///    compares bin indices (absent: the default direction) and writes its
+///    child into node_of; it also records its side and each block's left
+///    count.  Mirrors the exact trainer's instance->node map contract, so
+///    SmartGD and check_leaf_map work unchanged.
+///  - hist_partition_offsets: one block scans the per-block left counts and
+///    lays out the children's index ranges in next-slot order.
+///  - hist_partition_scatter: each row moves to its child's range at its
+///    stable rank.
+///
+/// `n_rows` bounds the index's length (the device's own is
+/// slot_rows[n_slots]); `cmds` holds HistSplitCmd words per slot.
+inline void split_rows(device::Device& dev, device::WorkspaceArena& arena,
+                       std::span<const std::int64_t> row_offsets,
+                       std::span<const std::int32_t> entry_attr,
+                       std::span<const std::uint16_t> entry_bin,
+                       std::span<const std::int64_t> cmds,
+                       std::span<const std::int32_t> rows,
+                       std::span<const std::int64_t> slot_rows,
+                       std::int64_t n_rows, std::span<std::int32_t> node_of,
+                       std::span<std::int32_t> next_rows,
+                       std::span<std::int64_t> next_slot_rows) {
+  constexpr std::uint8_t kRight = 0;
+  constexpr std::uint8_t kLeft = 1;
+  constexpr std::uint8_t kLeaf = 2;
+  const auto n_slots = static_cast<std::int64_t>(slot_rows.size()) - 1;
+  const bool partition = !next_slot_rows.empty();
+  const std::int64_t grid = device::grid_for(n_rows, prim::kBlockDim);
+  auto side_buf = arena.alloc<std::uint8_t>(
+      partition ? static_cast<std::size_t>(n_rows) : 0);
+  auto left_buf = arena.alloc<std::int64_t>(
+      partition ? static_cast<std::size_t>(grid) : 0);
+  auto side = side_buf.span();
+  auto block_left = left_buf.span();
+  // Index positions [lo, hi) of block b, and the slot holding position lo.
+  const auto tile_of = [slot_rows, n_rows, n_slots](const device::BlockCtx& b,
+                                                    std::int64_t& lo,
+                                                    std::int64_t& hi) {
+    hi = std::min({(b.block_idx() + 1) * b.block_dim(), n_rows,
+                   slot_rows[static_cast<std::size_t>(n_slots)]});
+    lo = std::min(b.block_idx() * b.block_dim(), hi);
+    return std::upper_bound(slot_rows.begin(), slot_rows.end() - 1, lo) -
+           slot_rows.begin() - 1;
+  };
+
   dev.launch(
-      "hist_update_positions", device::grid_for(n_inst, prim::kBlockDim),
-      prim::kBlockDim, [&](device::BlockCtx& b) {
+      "hist_update_positions", grid, prim::kBlockDim,
+      [&](device::BlockCtx& b) {
+        std::int64_t lo = 0;
+        std::int64_t hi = 0;
+        std::int64_t s = tile_of(b, lo, hi);
+        std::int64_t lefts = 0;
+        std::uint64_t moved = 0;
         std::uint64_t probes = 0;
-        b.for_each_thread([&](std::int64_t i) {
-          if (i >= n_inst) return;
-          const auto u = static_cast<std::size_t>(i);
-          const std::int32_t slot =
-              slot_of_node[static_cast<std::size_t>(node_of[u])];
-          if (slot < 0) return;
-          const auto su = static_cast<std::size_t>(slot);
-          if (cmds[su].attr < 0) return;
-          // Binary search the row for the split attribute.
-          const std::int32_t want = cmds[su].attr;
-          std::int64_t lo = row_offsets[u], hi = row_offsets[u + 1];
-          int found_bin = -1;
-          while (lo < hi) {
-            const std::int64_t mid = (lo + hi) / 2;
-            const auto mu = static_cast<std::size_t>(mid);
-            if (entry_attr[mu] < want) {
-              lo = mid + 1;
-            } else if (entry_attr[mu] > want) {
-              hi = mid;
-            } else {
-              found_bin = entry_bin[mu];
-              break;
+        std::uint64_t run_starts = 0;
+        for (std::int64_t k = lo; k < hi; ++k) {
+          while (slot_rows[static_cast<std::size_t>(s + 1)] <= k) ++s;
+          const HistSplitCmd cmd = HistSplitCmd::at(cmds, s);
+          std::uint8_t to = kLeaf;
+          if (cmd.attr >= 0) {
+            const auto ku = static_cast<std::size_t>(k);
+            const auto r = static_cast<std::size_t>(rows[ku]);
+            run_starts += k == lo || rows[ku] != rows[ku - 1] + 1;
+            std::int64_t e_lo = row_offsets[r];
+            std::int64_t e_hi = row_offsets[r + 1];
+            int found_bin = -1;
+            while (e_lo < e_hi) {
+              const std::int64_t mid = (e_lo + e_hi) / 2;
+              const auto mu = static_cast<std::size_t>(mid);
+              if (entry_attr[mu] < cmd.attr) {
+                e_lo = mid + 1;
+              } else if (entry_attr[mu] > cmd.attr) {
+                e_hi = mid;
+              } else {
+                found_bin = entry_bin[mu];
+                break;
+              }
+              ++probes;
             }
-            ++probes;
+            const bool go_left = found_bin >= 0 ? found_bin <= cmd.bin
+                                                : cmd.default_left != 0;
+            node_of[r] =
+                static_cast<std::int32_t>(go_left ? cmd.left_id : cmd.right_id);
+            b.reads(row_offsets, static_cast<std::int64_t>(r), 2);
+            // Rows are distinct, so the scattered stores stay
+            // block-disjoint; the auditor verifies it.
+            b.writes(node_of, static_cast<std::int64_t>(r));
+            to = go_left ? kLeft : kRight;
+            lefts += go_left;
+            ++moved;
           }
-          const bool go_left = found_bin >= 0 ? found_bin <= cmds[su].bin
-                                              : cmds[su].default_left != 0;
-          node_of[u] = go_left ? cmds[su].left_id : cmds[su].right_id;
-        });
-        b.reads_tile(row_offsets, n_inst + 1);
-        b.reads_tile(node_of, n_inst);
-        b.writes_tile(node_of, n_inst);
-        b.reads(slot_of_node, 0,
-                static_cast<std::int64_t>(slot_of_node.size()));
+          if (partition) side[static_cast<std::size_t>(k)] = to;
+        }
+        if (partition) {
+          block_left[static_cast<std::size_t>(b.block_idx())] = lefts;
+          b.writes(block_left, b.block_idx());
+          b.writes(side, lo, hi - lo);
+        }
+        b.reads(slot_rows, 0, n_slots + 1);
         b.reads(cmds, 0, static_cast<std::int64_t>(cmds.size()));
-        b.work(probes + prim::elems_in_block(b, n_inst));
-        b.mem_irregular(probes);
-        b.mem_coalesced(prim::elems_in_block(b, n_inst) * 12);
+        b.reads(rows, lo, hi - lo);
+        const auto n = static_cast<std::uint64_t>(hi - lo);
+        b.work(n + probes);
+        // A moved row gathers its CSR offsets and scatters its node id: one
+        // transaction each at a run start, streamed otherwise.
+        b.mem_irregular(probes + 2 * run_starts);
+        b.mem_coalesced(n * (sizeof(std::int32_t) + (partition ? 1 : 0)) +
+                        (moved - run_starts) * 20);
+      });
+  if (!partition) return;
+
+  auto lpre_buf =
+      arena.alloc<std::int64_t>(static_cast<std::size_t>(n_slots + 1));
+  auto slot_lpre = lpre_buf.span();
+  dev.launch(
+      "hist_partition_offsets", 1, prim::kBlockDim, [&](device::BlockCtx& b) {
+        // Exclusive scan of the block left counts.
+        std::int64_t total = 0;
+        for (std::int64_t g = 0; g < grid; ++g) {
+          const auto gu = static_cast<std::size_t>(g);
+          const std::int64_t v = block_left[gu];
+          block_left[gu] = total;
+          total += v;
+        }
+        // Lefts before each slot's first position.
+        std::uint64_t counted = 0;
+        for (std::int64_t s = 0; s <= n_slots; ++s) {
+          const std::int64_t pos = slot_rows[static_cast<std::size_t>(s)];
+          const std::int64_t g = pos / prim::kBlockDim;
+          std::int64_t l = g < grid ? block_left[static_cast<std::size_t>(g)]
+                                    : total;
+          for (std::int64_t k = g * prim::kBlockDim; k < pos && g < grid; ++k) {
+            l += side[static_cast<std::size_t>(k)] == kLeft;
+            ++counted;
+          }
+          slot_lpre[static_cast<std::size_t>(s)] = l;
+        }
+        // Children's ranges in next-slot order: left then right child of
+        // each splitting slot, in slot order.
+        std::int64_t at = 0;
+        for (std::int64_t s = 0; s < n_slots; ++s) {
+          const HistSplitCmd cmd = HistSplitCmd::at(cmds, s);
+          if (cmd.attr < 0) continue;
+          const auto su = static_cast<std::size_t>(s);
+          const auto ls = static_cast<std::size_t>(cmd.left_slot);
+          next_slot_rows[ls] = at;
+          next_slot_rows[ls + 1] = at + slot_lpre[su + 1] - slot_lpre[su];
+          at += slot_rows[su + 1] - slot_rows[su];
+        }
+        next_slot_rows[next_slot_rows.size() - 1] = at;
+        b.reads(block_left, 0, grid);
+        b.writes(block_left, 0, grid);
+        b.reads(slot_rows, 0, n_slots + 1);
+        b.reads(cmds, 0, static_cast<std::int64_t>(cmds.size()));
+        b.reads(side, 0,
+                std::min(n_rows, slot_rows[static_cast<std::size_t>(n_slots)]));
+        b.writes(slot_lpre, 0, n_slots + 1);
+        b.writes(next_slot_rows, 0,
+                 static_cast<std::int64_t>(next_slot_rows.size()));
+        const auto n = static_cast<std::uint64_t>(grid + 3 * (n_slots + 1));
+        b.work(n + counted);
+        b.mem_coalesced(n * sizeof(std::int64_t) + counted);
+      });
+
+  dev.launch(
+      "hist_partition_scatter", grid, prim::kBlockDim,
+      [&](device::BlockCtx& b) {
+        std::int64_t lo = 0;
+        std::int64_t hi = 0;
+        std::int64_t s = tile_of(b, lo, hi);
+        std::int64_t lefts =
+            hi > lo ? block_left[static_cast<std::size_t>(b.block_idx())] : 0;
+        std::uint64_t moved = 0;
+        for (std::int64_t k = lo; k < hi; ++k) {
+          while (slot_rows[static_cast<std::size_t>(s + 1)] <= k) ++s;
+          const auto ku = static_cast<std::size_t>(k);
+          if (side[ku] == kLeaf) continue;
+          const auto su = static_cast<std::size_t>(s);
+          const auto ls =
+              static_cast<std::size_t>(HistSplitCmd::at(cmds, s).left_slot);
+          const std::int64_t rank = lefts - slot_lpre[su];
+          const std::int64_t d =
+              side[ku] == kLeft
+                  ? next_slot_rows[ls] + rank
+                  : next_slot_rows[ls + 1] + (k - slot_rows[su]) - rank;
+          next_rows[static_cast<std::size_t>(d)] = rows[ku];
+          // Destinations are distinct ranks, so the stores stay
+          // block-disjoint; the auditor verifies it.
+          b.writes(next_rows, d);
+          lefts += side[ku] == kLeft;
+          ++moved;
+        }
+        if (hi > lo) {
+          b.reads(block_left, b.block_idx());
+          b.reads(side, lo, hi - lo);
+          b.reads(rows, lo, hi - lo);
+        }
+        b.reads(slot_rows, 0, n_slots + 1);
+        b.reads(slot_lpre, 0, n_slots + 1);
+        b.reads(cmds, 0, static_cast<std::int64_t>(cmds.size()));
+        b.reads(next_slot_rows, 0,
+                static_cast<std::int64_t>(next_slot_rows.size()));
+        const auto n = static_cast<std::uint64_t>(hi - lo);
+        b.work(n);
+        // The side flags and row ids stream in; each child's rows land in
+        // one contiguous run.
+        b.mem_coalesced(n * (1 + sizeof(std::int32_t)) +
+                        moved * sizeof(std::int32_t));
       });
 }
 

@@ -308,6 +308,49 @@ void check_instance_counts(
   }
 }
 
+void check_row_index(std::span<const std::int32_t> rows,
+                     std::span<const std::int64_t> slot_rows,
+                     std::span<const std::int32_t> node_of,
+                     std::span<const std::int32_t> nodes, const char* where) {
+  if (!invariants_enabled()) return;
+  std::vector<std::int64_t> count(nodes.size(), 0);
+  std::vector<std::size_t> slot_of_node;
+  for (std::size_t s = 0; s < nodes.size(); ++s) {
+    const auto id = static_cast<std::size_t>(nodes[s]);
+    if (slot_of_node.size() <= id) slot_of_node.resize(id + 1, nodes.size());
+    slot_of_node[id] = s;
+  }
+  for (const std::int32_t id : node_of) {
+    const auto u = static_cast<std::size_t>(id);
+    if (id >= 0 && u < slot_of_node.size() && slot_of_node[u] < nodes.size()) {
+      ++count[slot_of_node[u]];
+    }
+  }
+  for (std::size_t s = 0; s < nodes.size(); ++s) {
+    const std::int64_t lo = slot_rows[s];
+    const std::int64_t hi = slot_rows[s + 1];
+    const std::string slot = "row index slot " + std::to_string(s);
+    if (hi - lo != count[s]) {
+      fail(where, slot + " holds " + std::to_string(hi - lo) +
+                      " rows, node " + std::to_string(nodes[s]) + " has " +
+                      std::to_string(count[s]));
+    }
+    for (std::int64_t k = lo; k < hi; ++k) {
+      const std::int32_t r = rows[static_cast<std::size_t>(k)];
+      if (node_of[static_cast<std::size_t>(r)] != nodes[s]) {
+        fail(where, slot + " holds row " + std::to_string(r) +
+                        " of node " +
+                        std::to_string(node_of[static_cast<std::size_t>(r)]) +
+                        ", expected node " + std::to_string(nodes[s]));
+      }
+      if (k > lo && r <= rows[static_cast<std::size_t>(k - 1)]) {
+        fail(where, slot + " is not in ascending row order at position " +
+                        std::to_string(k));
+      }
+    }
+  }
+}
+
 namespace {
 
 /// Host traversal mirroring the trainer's split convention: present value

@@ -125,6 +125,14 @@ void check_instance_counts(
 void check_instance_counts(std::span<const std::int32_t> node_of,
                            const detail::LevelPlan& plan, const char* where);
 
+/// The histogram trainer's slot-sorted row index: slot s's range
+/// [slot_rows[s], slot_rows[s + 1]) holds, in ascending order, exactly the
+/// rows whose instance->node entry is nodes[s].
+void check_row_index(std::span<const std::int32_t> rows,
+                     std::span<const std::int64_t> slot_rows,
+                     std::span<const std::int32_t> node_of,
+                     std::span<const std::int32_t> nodes, const char* where);
+
 // ---- SmartGD ---------------------------------------------------------------
 
 /// The instance->leaf map left by tree construction (what SmartGD gathers

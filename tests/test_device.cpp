@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "device/cost_model.h"
@@ -96,6 +97,20 @@ TEST(Device, LaunchRunsEveryBlockOnce) {
   for (std::size_t i = 0; i < 1000; ++i) EXPECT_EQ(buf[i], 1) << i;
   EXPECT_EQ(dev.timeline().launches, 1u);
   EXPECT_EQ(dev.timeline().kernels.at("touch").stats.blocks, 4u);
+}
+
+TEST(Device, SharedMemoryBeyondTheBlockCapacityFailsTheLaunch) {
+  DeviceConfig cfg = small_config();
+  cfg.shared_mem_per_block_bytes = 1024;
+  Device dev(cfg);
+  dev.launch("fits", 2, 32, [](BlockCtx& b) { b.uses_shared(1024); });
+  EXPECT_EQ(dev.timeline().kernels.at("fits").stats.max_shared_bytes, 1024u);
+  EXPECT_THROW(dev.launch("too_big", 2, 32,
+                          [](BlockCtx& b) {
+                            b.uses_shared(b.block_idx() == 1 ? 1025 : 8);
+                          }),
+               std::runtime_error);
+  EXPECT_FALSE(dev.timeline().kernels.contains("too_big"));
 }
 
 TEST(Device, MultiWorkerLaunchMatchesSerial) {

@@ -1,12 +1,17 @@
 // Tests for the device-side histogram trainer (core/trainer_hist) and its
-// kernel layer (primitives/histogram.h): the histogram-subtraction trick is
-// bitwise-identical to direct accumulation, the device bin-index matrix
+// kernel layer (primitives/histogram.h): the tiled build is bitwise equal to
+// a host reference across bin counts, tile capacities, worker counts and
+// skewed slots, the row partition is stable (and its invariant check
+// fires on a misplaced row), the histogram-subtraction trick
+// is bitwise-identical to direct accumulation, the device bin-index matrix
 // round-trips through BinCuts::bin_of, empty-node and single-bin edge cases,
 // determinism across replayed runs, the subtraction self-check catches an
 // injected fault, and an audit-armed end-to-end training run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "analysis/access_audit.h"
@@ -18,6 +23,7 @@
 #include "device/workspace_arena.h"
 #include "obs/metrics.h"
 #include "primitives/histogram.h"
+#include "primitives/transform.h"
 #include "testing/invariants.h"
 
 namespace gbdt {
@@ -61,77 +67,129 @@ std::vector<std::int64_t> fake_quantized(std::int64_t n, std::int64_t salt) {
 
 // ---- kernel layer ----------------------------------------------------------
 
+/// A slot-sorted row index on the device: the rows of each slot in
+/// ascending order (rows whose slot is -1 left out) and the slots' ranges.
+struct RowIndex {
+  device::DeviceBuffer<std::int32_t> rows;
+  device::DeviceBuffer<std::int64_t> slot_rows;
+  std::vector<std::int64_t> counts;
+};
+
+RowIndex make_index(Device& dev, const std::vector<int>& slot_of_row,
+                    int n_slots) {
+  std::vector<std::vector<std::int32_t>> by_slot(
+      static_cast<std::size_t>(n_slots));
+  for (std::size_t r = 0; r < slot_of_row.size(); ++r) {
+    if (slot_of_row[r] >= 0) {
+      by_slot[static_cast<std::size_t>(slot_of_row[r])].push_back(
+          static_cast<std::int32_t>(r));
+    }
+  }
+  std::vector<std::int32_t> rows;
+  std::vector<std::int64_t> slot_rows = {0};
+  RowIndex idx;
+  for (const auto& v : by_slot) {
+    rows.insert(rows.end(), v.begin(), v.end());
+    slot_rows.push_back(static_cast<std::int64_t>(rows.size()));
+    idx.counts.push_back(static_cast<std::int64_t>(v.size()));
+  }
+  rows.resize(std::max<std::size_t>(rows.size(), 1));  // no empty upload
+  idx.rows = dev.to_device<std::int32_t>(rows);
+  idx.slot_rows = dev.to_device<std::int64_t>(slot_rows);
+  return idx;
+}
+
+/// Builds the listed slots of `idx` into `out` (rows of n_attr * n_bins
+/// cells), planning `chunk` rows per build item.
+void build_slots(Device& dev, device::WorkspaceArena& arena,
+                 const BinnedMatrix& binned,
+                 const device::DeviceBuffer<std::int64_t>& qg,
+                 const device::DeviceBuffer<std::int64_t>& qh,
+                 const RowIndex& idx, const std::vector<std::int64_t>& slots,
+                 std::int64_t chunk, std::span<QGH> out) {
+  hist::BuildPlan plan;
+  plan.chunk = chunk;
+  for (const std::int64_t s : slots) {
+    plan.add(s, idx.counts[static_cast<std::size_t>(s)]);
+  }
+  hist::PackedTables t;
+  const auto cols = plan.pack(t);
+  auto block = dev.to_device<std::int64_t>(t.words);
+  hist::build_histograms(dev, arena, binned.row_offsets.span(),
+                         binned.entry_attr.span(), binned.entry_bin.span(),
+                         qg.span(), qh.span(), idx.rows.span(),
+                         idx.slot_rows.span(),
+                         plan.tables(block.span(), cols), binned.n_attr,
+                         binned.n_bins, out);
+}
+
+/// Host reference: per-slot histograms of every row's present entries.
+std::vector<QGH> reference_histograms(const data::Dataset& ds,
+                                      const BinnedMatrix& binned,
+                                      const std::vector<std::int64_t>& qg,
+                                      const std::vector<std::int64_t>& qh,
+                                      const std::vector<int>& slot_of_row,
+                                      int n_slots) {
+  const std::int64_t cps = binned.n_attr * binned.n_bins;
+  std::vector<QGH> ref(static_cast<std::size_t>(n_slots * cps));
+  for (std::int64_t r = 0; r < ds.n_instances(); ++r) {
+    const int s = slot_of_row[static_cast<std::size_t>(r)];
+    if (s < 0) continue;
+    const QGH gh{qg[static_cast<std::size_t>(r)],
+                 qh[static_cast<std::size_t>(r)], 1};
+    for (const data::Entry& e : ds.instance(r)) {
+      const int bin =
+          binned.cuts[static_cast<std::size_t>(e.attr)].bin_of(e.value);
+      ref[static_cast<std::size_t>(s * cps + e.attr * binned.n_bins + bin)] +=
+          gh;
+    }
+  }
+  return ref;
+}
+
 TEST(HistDevice, SubtractionBitwiseMatchesDirectAccumulation) {
   const auto ds = make_data(41, 900, 6);
   Device dev(DeviceConfig::titan_x_pascal());
   device::WorkspaceArena arena(dev.allocator());
   const auto binned = build_binned_matrix(dev, ds, 16);
   const std::int64_t cps = binned.n_attr * binned.n_bins;
+  const std::int64_t chunk = hist::build_chunk_rows(dev.config(), 900);
 
-  const auto qg_h = fake_quantized(ds.n_instances(), 1);
-  const auto qh_h = fake_quantized(ds.n_instances(), 7);
-  auto qg = dev.to_device<std::int64_t>(qg_h);
-  auto qh = dev.to_device<std::int64_t>(qh_h);
+  auto qg = dev.to_device<std::int64_t>(fake_quantized(ds.n_instances(), 1));
+  auto qh = dev.to_device<std::int64_t>(fake_quantized(ds.n_instances(), 7));
 
-  // Instances split across two sibling nodes 3 and 4 of parent 1.
-  std::vector<std::int32_t> node_of_h(
-      static_cast<std::size_t>(ds.n_instances()));
-  for (std::size_t i = 0; i < node_of_h.size(); ++i) {
-    node_of_h[i] = (i % 3 == 0) ? 3 : 4;
+  // Parent level: every row in slot 0.  Current level: the rows split
+  // across sibling slots 0 (every third row) and 1.
+  const std::vector<int> root(static_cast<std::size_t>(ds.n_instances()), 0);
+  std::vector<int> children(root.size());
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    children[i] = (i % 3 == 0) ? 0 : 1;
   }
-  auto node_of = dev.to_device<std::int32_t>(node_of_h);
+  const RowIndex parent_idx = make_index(dev, root, 1);
+  const RowIndex child_idx = make_index(dev, children, 2);
 
-  // Parent histogram: both children accumulate into slot 0.
   auto parent = arena.alloc<QGH>(static_cast<std::size_t>(cps));
-  {
-    std::vector<std::int32_t> accum_of_node = {-1, -1, -1, 0, 0};
-    std::vector<std::int32_t> dest = {0};
-    auto a = dev.to_device<std::int32_t>(accum_of_node);
-    auto d = dev.to_device<std::int32_t>(dest);
-    hist::build_histograms(dev, arena, binned.row_offsets.span(),
-                           binned.entry_attr.span(), binned.entry_bin.span(),
-                           qg.span(), qh.span(), node_of.span(), a.span(),
-                           d.span(), binned.n_attr, binned.n_bins,
-                           parent.span());
-  }
-  // Current level: sibling (node 3) accumulated into slot 0; node 4 skipped.
+  build_slots(dev, arena, binned, qg, qh, parent_idx, {0}, chunk,
+              parent.span());
+  // Sibling (slot 0) accumulated; slot 1 derived as parent - sibling.
   auto cur = arena.alloc<QGH>(static_cast<std::size_t>(2 * cps));
+  build_slots(dev, arena, binned, qg, qh, child_idx, {0}, chunk, cur.span());
   {
-    std::vector<std::int32_t> accum_of_node = {-1, -1, -1, 0, -1};
-    std::vector<std::int32_t> dest = {0};
-    auto a = dev.to_device<std::int32_t>(accum_of_node);
-    auto d = dev.to_device<std::int32_t>(dest);
-    hist::build_histograms(dev, arena, binned.row_offsets.span(),
-                           binned.entry_attr.span(), binned.entry_bin.span(),
-                           qg.span(), qh.span(), node_of.span(), a.span(),
-                           d.span(), binned.n_attr, binned.n_bins, cur.span());
-  }
-  // Derived child (node 4) at slot 1 via parent - sibling.
-  {
-    std::vector<std::int32_t> ps = {0}, ss = {0}, der = {1};
-    auto p = dev.to_device<std::int32_t>(ps);
-    auto s = dev.to_device<std::int32_t>(ss);
-    auto de = dev.to_device<std::int32_t>(der);
+    const std::vector<std::int64_t> ps = {0}, ss = {0}, der = {1};
+    auto p = dev.to_device<std::int64_t>(ps);
+    auto s = dev.to_device<std::int64_t>(ss);
+    auto de = dev.to_device<std::int64_t>(der);
     hist::subtract_histograms(dev, parent.span(), cur.span(), p.span(),
                               s.span(), de.span(), cps);
   }
-  // Direct accumulation of node 4, for the bitwise comparison.
-  auto direct = arena.alloc<QGH>(static_cast<std::size_t>(cps));
-  {
-    std::vector<std::int32_t> accum_of_node = {-1, -1, -1, -1, 0};
-    std::vector<std::int32_t> dest = {0};
-    auto a = dev.to_device<std::int32_t>(accum_of_node);
-    auto d = dev.to_device<std::int32_t>(dest);
-    hist::build_histograms(dev, arena, binned.row_offsets.span(),
-                           binned.entry_attr.span(), binned.entry_bin.span(),
-                           qg.span(), qh.span(), node_of.span(), a.span(),
-                           d.span(), binned.n_attr, binned.n_bins,
-                           direct.span());
-  }
+  // Direct accumulation of slot 1, for the bitwise comparison.
+  auto direct = arena.alloc<QGH>(static_cast<std::size_t>(2 * cps));
+  build_slots(dev, arena, binned, qg, qh, child_idx, {1}, chunk,
+              direct.span());
   std::int64_t occupied = 0;
-  for (std::int64_t c = 0; c < cps; ++c) {
+  for (std::int64_t c = cps; c < 2 * cps; ++c) {
     const QGH& want = direct[static_cast<std::size_t>(c)];
-    const QGH& got = cur[static_cast<std::size_t>(cps + c)];
+    const QGH& got = cur[static_cast<std::size_t>(c)];
     ASSERT_EQ(want.g, got.g) << "cell " << c;
     ASSERT_EQ(want.h, got.h) << "cell " << c;
     ASSERT_EQ(want.cnt, got.cnt) << "cell " << c;
@@ -171,34 +229,184 @@ TEST(HistDevice, EmptyNodeYieldsZeroHistogramAndOnlyDestRowsAreWritten) {
 
   auto qg = dev.to_device<std::int64_t>(fake_quantized(ds.n_instances(), 3));
   auto qh = dev.to_device<std::int64_t>(fake_quantized(ds.n_instances(), 9));
-  // Every instance sits in node 1; node 2 is empty.
-  std::vector<std::int32_t> node_of_h(
-      static_cast<std::size_t>(ds.n_instances()), 1);
-  auto node_of = dev.to_device<std::int32_t>(node_of_h);
+  // Every row sits in slot 0; slot 2 is empty; slot 1 is not planned.
+  const RowIndex idx = make_index(
+      dev, std::vector<int>(static_cast<std::size_t>(ds.n_instances()), 0), 3);
 
   auto out = arena.alloc<QGH>(static_cast<std::size_t>(3 * cps));
   const QGH sentinel{7, 7, 7};
   prim::fill(dev, out, sentinel);
-  // Node 1 -> slot 0, empty node 2 -> slot 2; slot 1 is not a destination.
-  std::vector<std::int32_t> accum_of_node = {-1, 0, 1};
-  std::vector<std::int32_t> dest = {0, 2};
-  auto a = dev.to_device<std::int32_t>(accum_of_node);
-  auto d = dev.to_device<std::int32_t>(dest);
-  hist::build_histograms(dev, arena, binned.row_offsets.span(),
-                         binned.entry_attr.span(), binned.entry_bin.span(),
-                         qg.span(), qh.span(), node_of.span(), a.span(),
-                         d.span(), binned.n_attr, binned.n_bins, out.span());
+  build_slots(dev, arena, binned, qg, qh, idx, {0, 2},
+              hist::build_chunk_rows(dev.config(), ds.n_instances()),
+              out.span());
 
   std::int64_t populated_count = 0;
   for (std::int64_t c = 0; c < cps; ++c) {
     populated_count += out[static_cast<std::size_t>(c)].cnt;  // slot 0
     const QGH& skipped = out[static_cast<std::size_t>(cps + c)];
-    EXPECT_TRUE(skipped == sentinel) << "non-dest cell " << c;
+    EXPECT_TRUE(skipped == sentinel) << "unplanned cell " << c;
     const QGH& empty = out[static_cast<std::size_t>(2 * cps + c)];
-    EXPECT_TRUE(empty == QGH{}) << "empty-node cell " << c;
+    EXPECT_TRUE(empty == QGH{}) << "empty-slot cell " << c;
   }
   // Each present entry lands exactly once in slot 0.
-  EXPECT_GT(populated_count, 0);
+  EXPECT_EQ(populated_count, static_cast<std::int64_t>(ds.entries().size()));
+}
+
+TEST(HistDevice, TiledBuildMatchesHostReference) {
+  // 28 attributes: at 256 bins one slot's 7,168 cells need four 48 KB tiles;
+  // a 1 KB capacity cuts every attribute over 42 bins across tiles.
+  const auto ds = make_data(50, 900, 28, 0.8);
+  const auto qg_h = fake_quantized(ds.n_instances(), 5);
+  const auto qh_h = fake_quantized(ds.n_instances(), 11);
+  constexpr int kSlots = 4;
+  std::vector<int> spread(static_cast<std::size_t>(ds.n_instances()));
+  for (std::size_t r = 0; r < spread.size(); ++r) {
+    const int s = static_cast<int>((r * 7 + r / 5) % 5);
+    spread[r] = s == 4 ? -1 : s;  // a fifth of the rows are in no slot
+  }
+  // Skewed: slot 1 holds every row, slots 0, 2 and 3 are empty.
+  std::vector<int> skewed(spread.size(), 1);
+
+  for (const int bins : {2, 64, 256}) {
+    for (const std::size_t shared :
+         {std::size_t{48} << 10, std::size_t{1024}}) {
+      for (const unsigned workers : {1u, 4u}) {
+        for (const std::vector<int>* slots : {&spread, &skewed}) {
+          // 100 rows per item: every non-empty slot folds partial copies;
+          // 1,000: every slot writes its tiles directly.
+          for (const std::int64_t chunk : {100, 1000}) {
+            SCOPED_TRACE("bins " + std::to_string(bins) + ", shared " +
+                         std::to_string(shared) + ", workers " +
+                         std::to_string(workers) +
+                         (slots == &skewed ? ", skewed" : ", spread") +
+                         ", chunk " + std::to_string(chunk));
+            DeviceConfig cfg = DeviceConfig::titan_x_pascal();
+            cfg.shared_mem_per_block_bytes = shared;
+            Device dev(cfg, workers);
+            device::WorkspaceArena arena(dev.allocator());
+            const auto binned = build_binned_matrix(dev, ds, bins);
+            const std::int64_t cps = binned.n_attr * binned.n_bins;
+            auto qg = dev.to_device<std::int64_t>(qg_h);
+            auto qh = dev.to_device<std::int64_t>(qh_h);
+            const RowIndex idx = make_index(dev, *slots, kSlots);
+            auto out =
+                arena.alloc<QGH>(static_cast<std::size_t>(kSlots * cps));
+            build_slots(dev, arena, binned, qg, qh, idx, {0, 1, 2, 3}, chunk,
+                        out.span());
+            const auto ref = reference_histograms(ds, binned, qg_h, qh_h,
+                                                  *slots, kSlots);
+            for (std::size_t c = 0; c < ref.size(); ++c) {
+              ASSERT_TRUE(out[c] == ref[c]) << "cell " << c;
+            }
+            const auto& kernels = dev.timeline().kernels;
+            const auto& build = kernels.at("hist_build");
+            EXPECT_GT(build.stats.max_shared_bytes, 0u);
+            EXPECT_LE(build.stats.max_shared_bytes, shared);
+            EXPECT_EQ(kernels.contains("hist_merge"), chunk == 100);
+            EXPECT_FALSE(kernels.contains("fill"));
+            if (bins == 256 || shared == 1024) {
+              EXPECT_LT(hist::tile_cells(cfg, binned.n_bins, cps), cps)
+                  << "one tile held the whole slot";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(HistDevice, SplitRowsPartitionsIndexStablyBySlot) {
+  // 1,000 rows over four slots whose ranges start mid-block; slot 2 is a
+  // leaf (its rows leave the index).  Node ids: slot s holds node 10 + s.
+  const auto ds = make_data(51, 1000, 6, 0.7);
+  Device dev(DeviceConfig::titan_x_pascal(), 4);
+  device::WorkspaceArena arena(dev.allocator());
+  const auto binned = build_binned_matrix(dev, ds, 16);
+  std::vector<int> slot_of_row(static_cast<std::size_t>(ds.n_instances()));
+  for (std::size_t r = 0; r < slot_of_row.size(); ++r) {
+    slot_of_row[r] = static_cast<int>((r * r + 3 * r) % 7) % 4;
+  }
+  const RowIndex idx = make_index(dev, slot_of_row, 4);
+  std::vector<std::int32_t> node_h(slot_of_row.size());
+  for (std::size_t r = 0; r < node_h.size(); ++r) {
+    node_h[r] = 10 + slot_of_row[r];
+  }
+  auto node_of = dev.to_device<std::int32_t>(node_h);
+
+  // Slots 0, 1, 3 split on attributes 0, 3, 5 at bin 7; children get next
+  // slots (0, 1), (2, 3), (4, 5) and tree nodes 20 + next slot.
+  std::vector<hist::HistSplitCmd> cmds(4);
+  const std::int64_t attr_of[4] = {0, 3, -1, 5};
+  std::int64_t next = 0;
+  for (std::int64_t s = 0; s < 4; ++s) {
+    if (attr_of[s] < 0) continue;
+    cmds[static_cast<std::size_t>(s)] = hist::HistSplitCmd{
+        attr_of[s], 7, 20 + next, 21 + next, s == 1 ? 1 : 0, next};
+    next += 2;
+  }
+  auto d_cmds = dev.to_device<std::int64_t>(hist::HistSplitCmd::pack(cmds));
+  auto next_rows =
+      dev.alloc<std::int32_t>(static_cast<std::size_t>(ds.n_instances()));
+  auto next_slot_rows = dev.alloc<std::int64_t>(7);
+  hist::split_rows(dev, arena, binned.row_offsets.span(),
+                   binned.entry_attr.span(), binned.entry_bin.span(),
+                   d_cmds.span(), idx.rows.span(), idx.slot_rows.span(),
+                   ds.n_instances(), node_of.span(), next_rows.span(),
+                   next_slot_rows.span());
+
+  // Host reference: each child's rows in ascending order.
+  std::vector<std::vector<std::int32_t>> want(6);
+  for (std::size_t r = 0; r < slot_of_row.size(); ++r) {
+    const auto s = static_cast<std::size_t>(slot_of_row[r]);
+    if (attr_of[s] < 0) {
+      EXPECT_EQ(node_of[r], 10 + slot_of_row[r]) << "leaf row " << r;
+      continue;
+    }
+    int bin = -1;
+    for (const data::Entry& e :
+         ds.instance(static_cast<std::int64_t>(r))) {
+      if (e.attr == attr_of[s]) {
+        bin = binned.cuts[static_cast<std::size_t>(e.attr)].bin_of(e.value);
+      }
+    }
+    const bool left = bin >= 0 ? bin <= 7 : cmds[s].default_left != 0;
+    const std::int64_t child = cmds[s].left_slot + (left ? 0 : 1);
+    EXPECT_EQ(node_of[r], 20 + child) << "row " << r;
+    want[static_cast<std::size_t>(child)].push_back(
+        static_cast<std::int32_t>(r));
+  }
+  std::int64_t at = 0;
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    ASSERT_EQ(next_slot_rows[c], at) << "child " << c;
+    for (const std::int32_t r : want[c]) {
+      ASSERT_EQ(next_rows[static_cast<std::size_t>(at++)], r) << "child " << c;
+    }
+  }
+  EXPECT_EQ(next_slot_rows[6], at);
+}
+
+TEST(HistDevice, RowIndexCheckCatchesMisplacedRows) {
+  // Rows 0..5; nodes 3 and 4 hold rows {0, 2, 5} and {1, 3, 4}.
+  const std::vector<std::int32_t> node_of = {3, 4, 3, 4, 4, 3};
+  const std::vector<std::int32_t> nodes = {3, 4};
+  const std::vector<std::int64_t> slot_rows = {0, 3, 6};
+  const std::vector<std::int32_t> good = {0, 2, 5, 1, 3, 4};
+  const std::vector<std::int32_t> swapped = {1, 3, 4, 0, 2, 5};
+  const std::vector<std::int32_t> unsorted = {2, 0, 5, 1, 3, 4};
+  const std::vector<std::int64_t> short_slot = {0, 2, 6};
+  testing::set_invariants_enabled(true);
+  EXPECT_NO_THROW(
+      testing::check_row_index(good, slot_rows, node_of, nodes, "t"));
+  EXPECT_THROW(
+      testing::check_row_index(swapped, slot_rows, node_of, nodes, "t"),
+      testing::InvariantViolation);
+  EXPECT_THROW(
+      testing::check_row_index(unsorted, slot_rows, node_of, nodes, "t"),
+      testing::InvariantViolation);
+  EXPECT_THROW(
+      testing::check_row_index(good, short_slot, node_of, nodes, "t"),
+      testing::InvariantViolation);
+  testing::set_invariants_enabled(false);
 }
 
 TEST(HistDevice, SubtractionSelfCheckCatchesInjectedFault) {

@@ -372,12 +372,15 @@ TEST(Sort, FullWidthKeys) {
 
 // ---- histogram partition ---------------------------------------------------
 
+// No padding: gtest names each case by the bytes of its parameter, so every
+// byte must be a field's.
 struct PartitionCase {
   std::int64_t n;
   std::int64_t n_parts;
-  bool customized;
-  unsigned seed;
+  std::int32_t customized;  // 0/1
+  std::uint32_t seed;
 };
+static_assert(sizeof(PartitionCase) == 24);
 
 class Partition : public ::testing::TestWithParam<PartitionCase> {};
 

@@ -117,12 +117,15 @@ TEST(Rle, EmptyInput) {
   EXPECT_DOUBLE_EQ(measured_ratio(rle), 1.0);
 }
 
+// No padding: gtest names each case by the bytes of its parameter, so every
+// byte must be a field's.
 struct RleCase {
   std::int64_t n;
-  int distinct;  // values drawn from this many; smaller = longer runs
-  int seg_len;   // average segment length
-  unsigned seed;
+  std::int32_t distinct;  // values drawn from this many; smaller = longer runs
+  std::int32_t seg_len;   // average segment length
+  std::uint64_t seed;
 };
+static_assert(sizeof(RleCase) == 24);
 
 class RleRoundTrip : public ::testing::TestWithParam<RleCase> {};
 

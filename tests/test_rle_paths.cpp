@@ -6,6 +6,7 @@
 // losses and depths.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,10 @@ struct RleSweepCase {
 std::string case_name(const ::testing::TestParamInfo<RleSweepCase>& info) {
   return info.param.tag;
 }
+
+// Prints the tag where gtest would print the struct's bytes (the tag's heap
+// pointer among them) in each case's `GetParam() =` note.
+void PrintTo(const RleSweepCase& c, std::ostream* os) { *os << c.tag; }
 
 class RlePathSweep : public ::testing::TestWithParam<RleSweepCase> {};
 

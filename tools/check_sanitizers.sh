@@ -5,6 +5,8 @@
 #   tools/check_sanitizers.sh                      # ASan+UBSan, all tests
 #   tools/check_sanitizers.sh -L unit              # extra args go to ctest
 #   GBDT_SANITIZE=thread tools/check_sanitizers.sh # ThreadSanitizer
+#   JOBS=2 tools/check_sanitizers.sh               # compile jobs (default:
+#                                                  # nproc)
 #
 # The ASan+UBSan tree lives in build-asan/, the TSan tree in build-tsan/,
 # both next to the regular build/.  The TSan lane runs the unit, property,
@@ -12,9 +14,10 @@
 # mgpu_smoke labels (the
 # concurrency-relevant suites: every kernel launch exercises the thread
 # pool, the bench smoke drives the observability hooks — trace spans,
-# metrics shards — from those workers, the hist smoke hammers the privatized
-# histogram build/merge kernels whose block-disjoint partial tiles are
-# exactly the kind of sharing TSan would catch if they overlapped, the serve
+# metrics shards — from those workers, the hist smoke hammers the tiled
+# histogram build/merge kernels whose block-disjoint output tiles and
+# partial copies are exactly the kind of sharing TSan would catch if they
+# overlapped, the serve
 # smoke runs the serving layer's producer/worker/hot-swap machinery — the
 # request queue, the engine shared_ptr swap and the per-shard device locks —
 # under real threads, the race smoke runs the happens-before detector's
@@ -34,11 +37,13 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 mode="${GBDT_SANITIZE:-address}"
+# A bare `-j` starts every compile at once: bound it.
+jobs="${JOBS:-$(nproc)}"
 
 if [[ "${mode}" == "thread" ]]; then
   build_dir="${repo_root}/build-tsan"
   cmake -B "${build_dir}" -S "${repo_root}" -DGBDT_SANITIZE=thread
-  cmake --build "${build_dir}" -j
+  cmake --build "${build_dir}" -j "${jobs}"
 
   export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
@@ -51,7 +56,7 @@ if [[ "${mode}" == "thread" ]]; then
 else
   build_dir="${repo_root}/build-asan"
   cmake -B "${build_dir}" -S "${repo_root}" -DGBDT_SANITIZE=ON
-  cmake --build "${build_dir}" -j
+  cmake --build "${build_dir}" -j "${jobs}"
 
   # halt_on_error keeps a sanitizer report from being drowned out by later
   # tests; detect_leaks stays on (the default) to catch allocator misuse in
