@@ -133,8 +133,14 @@ void BM_HistogramPartition(benchmark::State& state) {
   double modeled = 0.0;
   for (auto _ : state) {
     const double before = dev.elapsed_seconds();
-    prim::histogram_partition(dev, d_ids.span(), parts, scatter.span(),
-                              offs.span(), plan);
+    prim::histogram_partition_emit(
+        dev, d_ids.span(), parts, offs.span(), plan, nullptr,
+        [s = scatter.span()](device::BlockCtx& b, std::int64_t i,
+                             std::int64_t dst) {
+          s[static_cast<std::size_t>(i)] = dst;
+          b.writes(s, i);
+          b.mem_coalesced(sizeof(std::int64_t));
+        });
     modeled += dev.elapsed_seconds() - before;
   }
   state.SetItemsProcessed(state.iterations() * n);

@@ -36,12 +36,46 @@ void check_hist_memory(const GBDTParam& p, std::int64_t n_attr,
   }
 }
 
-void finalize_leaf(Tree& tree, const ActiveNode& node, const GBDTParam& p) {
-  auto& tn = tree.node(node.tree_node);
+TreeNode leaf_node(const ActiveNode& node, const GBDTParam& p) {
+  TreeNode tn;
   tn.weight = p.eta * leaf_weight(node.sum_g, node.sum_h, p.lambda);
   tn.n_instances = node.count;
   tn.sum_g = node.sum_g;
   tn.sum_h = node.sum_h;
+  return tn;
+}
+
+void finalize_leaf(Tree& tree, const ActiveNode& node, const GBDTParam& p) {
+  tree.node(node.tree_node) = leaf_node(node, p);
+}
+
+bool splits(const BestSplit& b, const GBDTParam& p) {
+  return b.valid && b.gain > p.gamma;
+}
+
+TreeNode decide_slot(const ActiveNode& node, const BestSplit& b,
+                     const GBDTParam& p, std::int32_t first_child) {
+  if (!splits(b, p)) return leaf_node(node, p);
+  TreeNode tn;
+  tn.left = first_child;
+  tn.right = first_child + 1;
+  tn.attr = b.attr;
+  tn.split_value = b.split_value;
+  tn.default_left = b.default_left;
+  tn.gain = b.gain;
+  tn.n_instances = node.count;
+  tn.sum_g = node.sum_g;
+  tn.sum_h = node.sum_h;
+  return tn;
+}
+
+TreeNode child_node(const ActiveNode& child, bool leaf, const GBDTParam& p) {
+  if (leaf) return leaf_node(child, p);
+  TreeNode tn;
+  tn.n_instances = child.count;
+  tn.sum_g = child.sum_g;
+  tn.sum_h = child.sum_h;
+  return tn;
 }
 
 LevelPlan decide_level(Tree& tree, const std::vector<ActiveNode>& active,
@@ -52,23 +86,20 @@ LevelPlan decide_level(Tree& tree, const std::vector<ActiveNode>& active,
   for (std::size_t s = 0; s < active.size(); ++s) {
     const ActiveNode& node = active[s];
     const BestSplit& b = best[s];
-    if (!b.valid || !(b.gain > p.gamma)) {
-      finalize_leaf(tree, node, p);
-      continue;
+    const TreeNode tn = decide_slot(node, b, p, tree.n_nodes());
+    if (!tn.is_leaf()) {
+      (void)tree.split(node.tree_node, tn.attr, tn.split_value,
+                       tn.default_left, tn.gain);
     }
-    auto& tn = tree.node(node.tree_node);
-    tn.n_instances = node.count;
-    tn.sum_g = node.sum_g;
-    tn.sum_h = node.sum_h;
-    const auto [l, r] = tree.split(node.tree_node, b.attr, b.split_value,
-                                   b.default_left, b.gain);
+    tree.node(node.tree_node) = tn;
+    if (tn.is_leaf()) continue;
     plan.per_slot[s] = LevelPlan::Entry{true,  b.seg,         b.pos,
-                                        l,     r,             b.default_left,
+                                        tn.left, tn.right,    b.default_left,
                                         b.attr, b.split_value};
     plan.next_active.push_back(b.left);
-    plan.next_active.back().tree_node = l;
+    plan.next_active.back().tree_node = tn.left;
     plan.next_active.push_back(b.right);
-    plan.next_active.back().tree_node = r;
+    plan.next_active.back().tree_node = tn.right;
   }
   plan.next_slot_of_tree.assign(static_cast<std::size_t>(tree.n_nodes()), -1);
   for (std::size_t k = 0; k < plan.next_active.size(); ++k) {
@@ -78,35 +109,62 @@ LevelPlan decide_level(Tree& tree, const std::vector<ActiveNode>& active,
   return plan;
 }
 
+namespace {
+
+obs::Counter& levels_grown() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("gbdt_levels_grown_total");
+  return c;
+}
+
+/// Host-decided levels: decide_level between the find and apply steps;
+/// nodes still active at the depth limit become leaves.
+void grow_host_decided(const LevelBackend& backend, const GBDTParam& p,
+                       Tree& tree, const ActiveNode& root) {
+  std::vector<ActiveNode> active{root};
+  for (int level = 0; level < p.depth && !active.empty(); ++level) {
+    levels_grown().inc();
+    const std::vector<BestSplit> best = backend.find_splits(active);
+    LevelPlan plan = decide_level(tree, active, best, p);
+    if (plan.next_active.empty()) return;
+    plan.children_are_leaves = level + 1 == p.depth;
+    backend.apply_splits(plan);
+    active = std::move(plan.next_active);
+  }
+  for (const ActiveNode& node : active) finalize_leaf(tree, node, p);
+}
+
+/// Device-decided levels: the decision makes the last level's children
+/// leaves, so the device tree is complete once a level splits nothing or
+/// the depth limit is reached; then it is read back once.
+void grow_device_decided(const LevelBackend& backend, const GBDTParam& p,
+                         Tree& tree) {
+  std::int64_t n_slots = 1;
+  for (int level = 0; level < p.depth && n_slots > 0; ++level) {
+    levels_grown().inc();
+    n_slots = backend.split_level(level + 1 == p.depth);
+  }
+  backend.read_tree(tree);
+}
+
+}  // namespace
+
 std::vector<double> grow_forest(const LevelBackend& backend,
                                 const GBDTParam& p, std::vector<Tree>& trees,
                                 const TreeCallback& on_tree) {
   static obs::Counter& trees_trained =
       obs::Registry::global().counter("gbdt_trees_trained_total");
-  static obs::Counter& levels_grown =
-      obs::Registry::global().counter("gbdt_levels_grown_total");
   trees.reserve(static_cast<std::size_t>(p.n_trees));
   for (int t = 0; t < p.n_trees; ++t) {
     // reserve() keeps `prev` valid across the emplace.
     const Tree* prev = t > 0 ? &trees.back() : nullptr;
     Tree& tree = trees.emplace_back();
-    std::vector<ActiveNode> active{backend.begin_tree(t, prev, tree)};
-
-    for (int level = 0; level < p.depth && !active.empty(); ++level) {
-      levels_grown.inc();
-      const std::vector<BestSplit> best = backend.find_splits(active);
-      LevelPlan plan = decide_level(tree, active, best, p);
-      if (plan.next_active.empty()) {
-        active.clear();
-        break;
-      }
-      plan.children_are_leaves = level + 1 == p.depth;
-      backend.apply_splits(plan);
-      active = std::move(plan.next_active);
+    const ActiveNode root = backend.begin_tree(t, prev, tree);
+    if (backend.split_level) {
+      grow_device_decided(backend, p, tree);
+    } else {
+      grow_host_decided(backend, p, tree, root);
     }
-
-    // Depth limit reached: remaining active nodes become leaves.
-    for (const ActiveNode& node : active) finalize_leaf(tree, node, p);
     if (backend.end_tree) backend.end_tree(tree);
     trees_trained.inc();
     if (on_tree && !on_tree(t, trees)) break;

@@ -57,122 +57,194 @@ void alloc_instance_state(TrainState& st) {
   prim::fill(st.dev, st.y_pred, static_cast<float>(st.param.base_score));
 }
 
-SplitTables upload_split_tables(TrainState& st, const LevelPlan& plan,
-                                bool child_slots,
-                                std::span<const std::int32_t> owner_of_node) {
-  const std::size_t n_nodes = plan.next_slot_of_tree.size();
-  const std::size_t n_slots = plan.per_slot.size();
-  const std::size_t n_next = plan.next_active.size();
-  const bool partition = !plan.children_are_leaves;
-  const bool slots = child_slots && partition;
-  // The block's columns, back to back: {first word, length}.
-  struct Column {
-    std::size_t off = 0;
-    std::size_t len = 0;
-  };
-  std::size_t words = 0;
-  const auto column = [&words](std::size_t len) {
-    const Column c{words, len};
-    words += len;
-    return c;
-  };
-  const Column def = column(n_nodes);
-  const Column next = column(partition ? n_nodes : 0);
-  const Column seg = column(n_slots);
-  const Column pos = column(n_slots);
-  const Column lid = column(n_slots);
-  const Column rid = column(n_slots);
-  const Column cbase = column(partition ? n_next + 1 : 0);
-  const Column cshift = column(partition ? n_next : 0);
-  const Column lslot = column(slots ? n_slots : 0);
-  const Column rslot = column(slots ? n_slots : 0);
-  const Column rshift = column(slots ? n_next : 0);
-  const Column own = column(owner_of_node.size());
-
-  std::vector<std::int64_t> host(words, -1);
-  const auto at = [&host](Column c, std::size_t i) -> std::int64_t& {
-    return host[c.off + i];
-  };
-  for (std::size_t tn = 0; tn < next.len; ++tn) {
-    at(next, tn) = plan.next_slot_of_tree[tn];
-  }
-  for (std::size_t tn = 0; tn < own.len; ++tn) {
-    at(own, tn) = owner_of_node[tn];
-  }
-  // Parent slot of every next slot, for the candidate columns.
-  std::vector<std::size_t> parent(n_next, 0);
-  for (std::size_t s = 0; s < n_slots; ++s) {
-    const auto& e = plan.per_slot[s];
-    if (!e.split) continue;
-    at(def, static_cast<std::size_t>(st.active[s].tree_node)) =
-        e.default_left ? e.left_id : e.right_id;
-    at(seg, s) = e.chosen_seg;
-    at(pos, s) = e.best_pos;
-    at(lid, s) = e.left_id;
-    at(rid, s) = e.right_id;
-    if (!partition) continue;
-    const std::int32_t l =
-        plan.next_slot_of_tree[static_cast<std::size_t>(e.left_id)];
-    const std::int32_t r =
-        plan.next_slot_of_tree[static_cast<std::size_t>(e.right_id)];
-    parent[static_cast<std::size_t>(l)] = s;
-    parent[static_cast<std::size_t>(r)] = s;
-    if (!slots) continue;
-    at(lslot, s) = l;
-    at(rslot, s) = r;
-  }
-
-  SplitTables t;
-  if (partition) {
-    // Candidate bases from O(slots) reads of the segment table (host glue):
-    // next slot ns continues every segment of its parent slot.
-    const auto so = st.seg.slot_offsets;
-    std::int64_t cands = 0;
-    std::int64_t runs = 0;
-    for (std::size_t ns = 0; ns < n_next; ++ns) {
-      const std::size_t p = parent[ns];
-      at(cbase, ns) = cands;
-      at(cshift, ns) = cands - so[p];
-      cands += so[p + 1] - so[p];
-      if (!slots) continue;
-      const std::int64_t run_lo =
-          st.run_seg_offsets[static_cast<std::size_t>(so[p])];
-      at(rshift, ns) = runs - run_lo;
-      runs += st.run_seg_offsets[static_cast<std::size_t>(so[p + 1])] - run_lo;
-    }
-    at(cbase, n_next) = cands;
-    t.n_candidates = cands;
-    t.n_candidate_runs = runs;
-  }
-
-  t.block = upload_pooled(st.dev, st.arena, host);
-  const std::span<const std::int64_t> all = t.block.span();
-  const auto view = [&all](Column c) { return all.subspan(c.off, c.len); };
-  t.default_child = view(def);
-  t.next_slot = view(next);
-  t.chosen_seg = view(seg);
-  t.best_pos = view(pos);
-  t.left_id = view(lid);
-  t.right_id = view(rid);
-  t.cand_base = view(cbase);
-  t.cand_shift = view(cshift);
-  t.left_slot = view(lslot);
-  t.right_slot = view(rslot);
-  t.run_shift = view(rshift);
-  t.owner = view(own);
-  return t;
+void alloc_device_tree(TrainState& st) {
+  // 2^(depth+1) - 1 nodes at most, and 2 * n_inst - 1 (each leaf holds a
+  // row); the shift is capped where the row bound always binds.
+  const int depth = std::min(st.param.depth, 40);
+  const std::int64_t full = (std::int64_t{1} << (depth + 1)) - 1;
+  st.nodes = st.dev.alloc<TreeNode>(
+      static_cast<std::size_t>(std::min(full, 2 * st.n_inst - 1)));
 }
 
-std::int64_t kept_elements(const TrainState& st, const LevelPlan& plan) {
+GHPair begin_device_tree(TrainState& st, std::string_view kernel_name) {
+  auto nodes = st.nodes.span();
+  const std::int64_t n = st.n_inst;
+  const GBDTParam& p = st.param;
+  const GHPair root = prim::reduce_sum(
+      st.dev, st.gh, kernel_name,
+      [nodes, n, &p](device::BlockCtx& b, const GHPair& total) {
+        nodes[0] = child_node(ActiveNode{0, total.g, total.h, n},
+                              /*leaf=*/false, p);
+        b.writes(nodes, 0);
+        b.mem_coalesced(sizeof(TreeNode));
+      });
+  st.level_base = 0;
+  st.n_slots = 1;
+  return root;
+}
+
+void decide_on_device(TrainState& st, bool children_are_leaves,
+                      std::span<const BestSplit> records, int shard,
+                      int n_shards) {
+  const std::int64_t n_slots = st.n_slots;
+  const std::int64_t base = st.level_base;
+  const std::int64_t next_base = base + n_slots;
+  const bool partition = !children_are_leaves;
+  const bool runs = partition && st.rle && st.param.use_direct_rle_split;
+  const bool sharded = n_shards > 1;
+  const auto slots = static_cast<std::size_t>(n_slots);
+  const std::size_t max_next = 2 * slots;
+
+  // The block's columns, back to back, each sized for every slot splitting;
+  // the sizes go last.
+  SplitTables& t = st.split_tables;
+  t = SplitTables{};
+  const std::size_t n_owner =
+      sharded ? static_cast<std::size_t>(next_base) + max_next : 0;
+  const std::size_t n_sizes = 4 + (sharded ? static_cast<std::size_t>(n_shards)
+                                           : 0);
+  const std::size_t words = 2 * slots + (partition ? 2 * max_next + 1 : 0) +
+                            (runs ? max_next : 0) + n_owner + n_sizes;
+  t.block = st.arena.alloc<std::int64_t>(words);
+  const std::span<std::int64_t> all = t.block.span();
+  std::size_t at = 0;
+  const auto column = [&all, &at](std::size_t len) {
+    const std::span<std::int64_t> c = all.subspan(at, len);
+    at += len;
+    return c;
+  };
+  const auto seg = column(slots);
+  const auto pos = column(slots);
+  const auto cbase = column(partition ? max_next + 1 : 0);
+  const auto cshift = column(partition ? max_next : 0);
+  const auto rshift = column(runs ? max_next : 0);
+  const auto own = column(n_owner);
+  const auto sizes = column(n_sizes);
+
+  auto nodes = st.nodes.span();
   const auto so = st.seg.slot_offsets;
   const auto off = st.seg.offsets;
-  std::int64_t kept = 0;
-  for (std::size_t s = 0; s < plan.per_slot.size(); ++s) {
-    if (!plan.per_slot[s].split) continue;
-    kept += off[static_cast<std::size_t>(so[s + 1])] -
-            off[static_cast<std::size_t>(so[s])];
+  const auto rso = st.run_seg_offsets.span();
+  const SplitSearch& search = st.search;
+  const GBDTParam& p = st.param;
+  st.dev.launch(
+      "decide_level", 1, kBlockDim, [&](device::BlockCtx& b) {
+        std::fill(own.begin(), own.end(), -1);
+        std::fill(sizes.begin(), sizes.end(), 0);
+        std::int64_t n_next = 0;
+        std::int64_t kept = 0;
+        std::int64_t cands = 0;
+        std::int64_t cand_runs = 0;
+        // Scattered transactions besides the winner's own gathers: every
+        // slot's node record, read and rewritten; per split, the two child
+        // records, the kept range's element offsets and, when asked for,
+        // its run offsets and the owner entries.
+        std::uint64_t irregular = 2 * slots;
+        for (std::int64_t s = 0; s < n_slots; ++s) {
+          const auto u = static_cast<std::size_t>(s);
+          const std::int64_t id = base + s;
+          const TreeNode& tn = nodes[static_cast<std::size_t>(id)];
+          const ActiveNode node{static_cast<std::int32_t>(id), tn.sum_g,
+                                tn.sum_h, tn.n_instances};
+          const BestSplit w =
+              records.empty() ? search.winner(b, s, node) : records[u];
+          const TreeNode rec = decide_slot(
+              node, w, p, static_cast<std::int32_t>(next_base + n_next));
+          nodes[static_cast<std::size_t>(id)] = rec;
+          seg[u] = -1;
+          pos[u] = -1;
+          if (rec.is_leaf()) continue;
+          if (records.empty() || w.owner == shard) {
+            seg[u] = w.seg;
+            pos[u] = w.pos;
+          }
+          nodes[static_cast<std::size_t>(rec.left)] =
+              child_node(w.left, children_are_leaves, p);
+          nodes[static_cast<std::size_t>(rec.right)] =
+              child_node(w.right, children_are_leaves, p);
+          // The slot's segments [so[s], so[s + 1]) move to both children.
+          const std::int64_t lo = so[u];
+          const std::int64_t hi = so[u + 1];
+          kept += off[static_cast<std::size_t>(hi)] -
+                  off[static_cast<std::size_t>(lo)];
+          irregular += 4;
+          const std::int64_t run_lo =
+              runs ? rso[static_cast<std::size_t>(lo)] : 0;
+          const std::int64_t run_hi =
+              runs ? rso[static_cast<std::size_t>(hi)] : 0;
+          if (runs) irregular += 2;
+          for (std::int64_t c = 0; c < 2; ++c) {
+            const auto ns = static_cast<std::size_t>(n_next + c);
+            if (partition) {
+              cbase[ns] = cands;
+              cshift[ns] = cands - lo;
+              cands += hi - lo;
+            }
+            if (runs) {
+              rshift[ns] = cand_runs - run_lo;
+              cand_runs += run_hi - run_lo;
+            }
+          }
+          if (sharded) {
+            own[static_cast<std::size_t>(rec.left)] = w.owner;
+            own[static_cast<std::size_t>(rec.right)] = w.owner;
+            sizes[4 + static_cast<std::size_t>(w.owner)] += node.count;
+            irregular += 3;
+          }
+          n_next += 2;
+        }
+        if (partition) cbase[static_cast<std::size_t>(n_next)] = cands;
+        sizes[0] = n_next;
+        sizes[1] = kept;
+        sizes[2] = cands;
+        sizes[3] = cand_runs;
+
+        b.reads(nodes, base, n_slots);
+        b.writes(nodes, base, n_slots + n_next);
+        b.reads(so, 0, n_slots + 1);
+        b.reads(off, 0, static_cast<std::int64_t>(off.size()));
+        b.reads(rso, 0, runs ? static_cast<std::int64_t>(rso.size()) : 0);
+        b.writes(all, 0, static_cast<std::int64_t>(words));
+        if (!records.empty()) b.reads(records, 0, n_slots);
+        b.work(slots + static_cast<std::uint64_t>(n_next));
+        b.mem_irregular(irregular);
+        // Streamed: the records (in slot order), each slot's range and split
+        // command, the next slots' candidate columns, the owner column's
+        // fill and the sizes.
+        const auto next = static_cast<std::uint64_t>(n_next);
+        b.mem_coalesced((records.empty() ? 0 : slots * sizeof(BestSplit)) +
+                        (3 * slots + (2 + (runs ? 1 : 0)) * next + n_owner +
+                         n_sizes) *
+                            sizeof(std::int64_t));
+      });
+
+  // The sizes the host reads; the columns shrink to the next level's slots.
+  t.next_base = next_base;
+  t.n_next = sizes[0];
+  t.kept = sizes[1];
+  t.n_candidates = sizes[2];
+  t.n_candidate_runs = sizes[3];
+  t.rows_of_owner.assign(sizes.begin() + 4, sizes.end());
+  const auto next = static_cast<std::size_t>(t.n_next);
+  t.chosen_seg = seg;
+  t.best_pos = pos;
+  if (partition) {
+    t.cand_base = cbase.first(next + 1);
+    t.cand_shift = cshift.first(next);
   }
-  return kept;
+  if (runs) t.run_shift = rshift.first(next);
+  t.owner = own.first(sharded ? static_cast<std::size_t>(next_base) + next : 0);
+}
+
+void advance_level(TrainState& st, std::int64_t n_next) {
+  st.level_base += st.n_slots;
+  st.n_slots = n_next;
+  st.split_tables = {};
+}
+
+Tree read_device_tree(TrainState& st) {
+  return Tree(st.dev.to_host(
+      st.nodes, static_cast<std::size_t>(st.level_base + st.n_slots)));
 }
 
 void release_working_layout(TrainState& st) {
@@ -294,21 +366,22 @@ device::ArenaBuffer<std::int64_t> device_node_offsets(TrainState& st,
 void assign_default_children(TrainState& st) {
   const std::int64_t n = st.n_inst;
   auto node_of = st.node_of.span();
-  auto def = st.split_tables.default_child;
+  const auto nodes = std::span<const TreeNode>(st.nodes.span()).first(
+      static_cast<std::size_t>(st.level_base + st.n_slots));
   st.dev.launch("assign_default_child", device::grid_for(n, kBlockDim),
                 kBlockDim, [&](device::BlockCtx& b) {
                   b.for_each_thread([&](std::int64_t i) {
                     if (i >= n) return;
                     const auto u = static_cast<std::size_t>(i);
-                    const std::int64_t child =
-                        def[static_cast<std::size_t>(node_of[u])];
-                    if (child >= 0) {
-                      node_of[u] = static_cast<std::int32_t>(child);
+                    const TreeNode& tn =
+                        nodes[static_cast<std::size_t>(node_of[u])];
+                    if (!tn.is_leaf()) {
+                      node_of[u] = tn.default_left ? tn.left : tn.right;
                     }
                   });
                   b.reads_tile(node_of, n);
                   b.writes_tile(node_of, n);
-                  b.reads(def, 0, static_cast<std::int64_t>(def.size()));
+                  b.reads(nodes, 0, static_cast<std::int64_t>(nodes.size()));
                   const auto m = prim::elems_in_block(b, n);
                   b.mem_coalesced(m * 2 * sizeof(std::int32_t));
                   b.mem_irregular(m / 8 + 1);  // small table lookups, cached
@@ -337,34 +410,54 @@ void compute_gradients(TrainState& st, const DeviceBuffer<float>& labels) {
                 });
 }
 
+namespace {
+
 /// SmartGD prediction update: one gather through the instance->leaf map the
 /// tree construction left behind — no tree traversal (paper Section III-B).
-void update_predictions_smart(TrainState& st, const Tree& tree) {
-  std::vector<double> weights(static_cast<std::size_t>(tree.n_nodes()), 0.0);
-  for (std::int32_t i = 0; i < tree.n_nodes(); ++i) {
-    weights[static_cast<std::size_t>(i)] = tree.node(i).weight;
-  }
-  auto d_w = upload_pooled(st.dev, st.arena, weights);
+/// `table` is indexed by tree node; `weight` reads a leaf's weight from it.
+template <typename Row, typename Weight>
+void smartgd_update(TrainState& st, std::span<const Row> table,
+                    Weight weight) {
   const std::int64_t n = st.n_inst;
   auto p = st.y_pred.span();
   auto node_of = st.node_of.span();
-  auto w = d_w.span();
   st.dev.launch("smartgd_update", device::grid_for(n, kBlockDim), kBlockDim,
                 [&](device::BlockCtx& b) {
                   b.for_each_thread([&](std::int64_t i) {
                     if (i >= n) return;
                     const auto u = static_cast<std::size_t>(i);
                     p[u] = static_cast<float>(
-                        p[u] + w[static_cast<std::size_t>(node_of[u])]);
+                        p[u] +
+                        weight(table[static_cast<std::size_t>(node_of[u])]));
                   });
                   b.reads_tile(p, n);
                   b.reads_tile(node_of, n);
-                  b.reads(w, 0, static_cast<std::int64_t>(w.size()));
+                  b.reads(table, 0, static_cast<std::int64_t>(table.size()));
                   b.writes_tile(p, n);
                   const auto m = prim::elems_in_block(b, n);
                   b.mem_coalesced(m * 12);
                   b.mem_irregular(m / 8 + 1);  // leaf-weight table, cached
                 });
+}
+
+}  // namespace
+
+void update_predictions_smart(TrainState& st, const Tree& tree) {
+  std::vector<double> weights(static_cast<std::size_t>(tree.n_nodes()), 0.0);
+  for (std::int32_t i = 0; i < tree.n_nodes(); ++i) {
+    weights[static_cast<std::size_t>(i)] = tree.node(i).weight;
+  }
+  auto d_w = upload_pooled(st.dev, st.arena, weights);
+  smartgd_update(st, std::span<const double>(d_w.span()),
+                 [](double w) { return w; });
+}
+
+void update_predictions_smart(TrainState& st) {
+  smartgd_update(st,
+                 std::span<const TreeNode>(st.nodes.span())
+                     .first(static_cast<std::size_t>(st.level_base +
+                                                     st.n_slots)),
+                 [](const TreeNode& tn) { return tn.weight; });
 }
 
 template <typename SrcBuf, typename DstBuf>
@@ -482,8 +575,8 @@ void update_predictions_naive(TrainState& st, const DeviceRows& rows,
   const std::int64_t n = st.n_inst;
   auto gh = st.gh.span();
   std::vector<device::ArenaBuffer<double>> copies;
-  copies.reserve(st.active.size());
-  for (std::size_t k = 0; k < st.active.size(); ++k) {
+  copies.reserve(static_cast<std::size_t>(st.n_slots));
+  for (std::int64_t k = 0; k < st.n_slots; ++k) {
     copies.push_back(st.arena.alloc<double>(2 * static_cast<std::size_t>(n)));
     auto d = copies.back().span();
     st.dev.launch("dense_interleave_copy", device::grid_for(n, kBlockDim),
@@ -590,17 +683,20 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
   std::optional<DeviceRows> rows;
   if (hist) {
     grower.emplace(dev_, param_, st, binned, /*distributed=*/false);
-  } else if (!smart_gd) {
+  } else {
+    detail::alloc_device_tree(st);
     // The naive update walks each instance's CSR row: upload the rows.
-    rows.emplace(dev_, ds);
+    if (!smart_gd) rows.emplace(dev_, ds);
   }
 
   // ---- boosting loop (core/level_driver.h) --------------------------------
   const auto update_predictions = [&](const Tree& tree) {
     if (rows) {
       update_predictions_naive(st, *rows, tree);
-    } else {
+    } else if (hist) {
       detail::update_predictions_smart(st, tree);
+    } else {
+      detail::update_predictions_smart(st);  // the device tree's weights
     }
   };
   // xgbst-gpu's per-level gradient copies (dense layout only), held from
@@ -628,9 +724,8 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
       obs::ScopedSpan span("reset_layout");
       reset_working_layout(st);
     }
-    st.tree = &tree;
     obs::ScopedSpan span("gradient_compute");
-    const GHPair root = prim::reduce_sum(dev_, st.gh, "root_sum_gh");
+    const GHPair root = detail::begin_device_tree(st, "root_sum_gh");
     return ActiveNode{0, root.g, root.h, st.n_inst};
   };
   if (hist) {
@@ -665,25 +760,45 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
                                      "hist_split_node");
     };
   } else {
-    backend.find_splits = [&](const std::vector<ActiveNode>& active) {
-      st.active = active;
+    // Each level is found and decided on the device; the host reads only
+    // the decision's sizes, and the finished tree once.
+    backend.split_level = [&](bool children_are_leaves) {
       interleaved.clear();
       if (param_.dense_layout) interleaved = dense_node_interleaving(st);
-      obs::ScopedSpan span("find_split");
-      return st.rle ? detail::find_splits_rle(st)
-                    : detail::find_splits_sparse(st);
-    };
-    backend.apply_splits = [&](const LevelPlan& plan) {
+      {
+        obs::ScopedSpan span("find_split");
+        if (st.rle) {
+          detail::find_splits_rle(st);
+        } else {
+          detail::find_splits_sparse(st);
+        }
+        obs::ScopedSpan decide("setkey_argmax");
+        detail::decide_on_device(st, children_are_leaves);
+        st.search = {};
+      }
+      const std::int64_t n_next = st.split_tables.n_next;
+      if (n_next == 0) {
+        st.split_tables = {};
+        return n_next;
+      }
       {
         obs::ScopedSpan span("split_node");
         if (st.rle) {
-          detail::apply_splits_rle(st, plan);
+          detail::apply_splits_rle(st, children_are_leaves);
         } else {
-          detail::apply_splits_sparse(st, plan);
+          detail::apply_splits_sparse(st, children_are_leaves);
         }
       }
       testing::check_level_conservation(
-          st, plan, st.rle ? "apply_splits_rle" : "apply_splits_sparse");
+          st, st.rle ? "apply_splits_rle" : "apply_splits_sparse");
+      detail::advance_level(st, n_next);
+      return n_next;
+    };
+    backend.read_tree = [&](Tree& tree) {
+      // The decision's output: charged with the decide kernels that wrote
+      // the tree.
+      obs::ScopedSpan span("find_split");
+      tree = detail::read_device_tree(st);
     };
   }
   backend.end_tree = [&](const Tree& tree) {

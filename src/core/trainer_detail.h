@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/loss.h"
@@ -36,6 +37,7 @@
 #include "core/tree.h"
 #include "device/device_context.h"
 #include "device/workspace_arena.h"
+#include "primitives/fused_split.h"
 #include "primitives/partition.h"
 
 namespace gbdt::detail {
@@ -72,6 +74,7 @@ struct BestSplit {
   std::int32_t attr = -1;
   float split_value = 0.f;     // smallest value on the high (left) side
   bool default_left = false;   // direction for missing values
+  std::int32_t owner = -1;     // sharded exact path: the shard holding seg/pos
   std::int64_t seg = -1;       // global segment index of the winning attr
   std::int64_t pos = -1;       // element index (sparse) / run index (RLE)
   ActiveNode left;             // stats of the would-be children
@@ -102,7 +105,7 @@ inline void set_children(BestSplit& b, const ActiveNode& node,
 }
 
 /// Host-side plan of one level's node splits (filled by decide_level in
-/// core/level_driver.h, consumed by each path's apply step).
+/// core/level_driver.h, consumed by the host-decided paths' apply steps).
 struct LevelPlan {
   struct Entry {
     bool split = false;
@@ -124,22 +127,19 @@ struct LevelPlan {
   bool children_are_leaves = false;
 };
 
-/// One split step's host->device lookup tables, packed into one arena block
-/// so the step pays a single latency-bound PCI-e upload.  mark_sides uploads
-/// it; it stays in TrainState for the partition step, which the sharded path
-/// runs after node_sync.  Every column is a span of int64 words in `block`.
+/// One level's split tables, written on the device by the decide kernel
+/// (decide_on_device) into one arena block, and the level's sizes, which
+/// the host reads to size the split step.  The rest of the decision lives
+/// in the device tree (TrainState::nodes): slot s of the level is tree node
+/// level_base + s, a splitting node's children are its `left` and
+/// `left + 1`, and next-level slot k is tree node next_base + k.
 struct SplitTables {
   device::ArenaBuffer<std::int64_t> block;
-  // Indexed by tree node.
-  std::span<const std::int64_t> default_child;  // -1: the node does not split
-  std::span<const std::int64_t> next_slot;  // next level's slot, or -1; empty
-                                            // when the children are leaves
   // Indexed by active slot: the split command of the exact-side kernels.
-  // Non-splitting slots keep chosen_seg = -1 (matches no segment).
+  // -1 where the slot does not split (matches no segment), and on the
+  // sharded path where another shard holds the winning attribute.
   std::span<const std::int64_t> chosen_seg;
   std::span<const std::int64_t> best_pos;
-  std::span<const std::int64_t> left_id;
-  std::span<const std::int64_t> right_id;
   // Indexed by next-level slot ns: the partition's candidate segments.
   // Candidate segments list, for each splitting slot p in order, the
   // children of p's segments: [left x segs(p)] [right x segs(p)], in the
@@ -148,17 +148,28 @@ struct SplitTables {
   // candidate k + cand_shift[ns].  Empty when the children are leaves.
   std::span<const std::int64_t> cand_base;   // [n_next + 1]
   std::span<const std::int64_t> cand_shift;  // [n_next]
-  std::int64_t n_candidates = 0;
-  // Directly-Split-RLE only: the children's next-level slots per active slot
-  // (-1 = leaf), and per next slot the shift from a parent run to its
-  // candidate child run (one candidate per parent run and child).
-  std::span<const std::int64_t> left_slot;
-  std::span<const std::int64_t> right_slot;
+  // Directly-Split-RLE only: per next slot the shift from a parent run to
+  // its candidate child run (one candidate per parent run and child).
   std::span<const std::int64_t> run_shift;  // [n_next]
-  std::int64_t n_candidate_runs = 0;
   // Sharded path only: per tree node, the shard whose mark_sides result is
   // authoritative for the node's rows (-1: none), read by node_sync.
   std::span<const std::int64_t> owner;
+
+  // ---- sizes, read by the host --------------------------------------------
+  std::int64_t next_base = 0;  // tree node of next-level slot 0
+  std::int64_t n_next = 0;     // next-level slots (children)
+  std::int64_t kept = 0;       // elements the partition keeps
+  std::int64_t n_candidates = 0;
+  std::int64_t n_candidate_runs = 0;
+  /// Sharded path only: rows of the splitting nodes per owning shard (the
+  /// node_sync message sizes).
+  std::vector<std::int64_t> rows_of_owner;
+
+  /// Next-level slot of tree node `node`, or -1 when it is no child of
+  /// this level.
+  [[nodiscard]] std::int64_t next_slot(std::int64_t node) const {
+    return node >= next_base ? node - next_base : -1;
+  }
 };
 
 /// One level's compact segment list (see the layout invariants above).
@@ -172,6 +183,39 @@ struct SegmentTable {
   [[nodiscard]] std::int64_t size() const {
     return static_cast<std::int64_t>(ids.size());
   }
+};
+
+/// Per-segment gain winners of one level's find step (sparse or RLE), as
+/// prim::fused_gain_argmax writes them: value, element index, direction.
+struct SegmentWinners {
+  device::ArenaBuffer<double> val;
+  device::ArenaBuffer<std::int64_t> idx;
+  device::ArenaBuffer<std::uint8_t> dir;
+};
+
+/// The find step's outputs that the split decision reads.  A position is
+/// an element (sparse) or an RLE run; `w` and `node_*` say which position
+/// wins each segment and which segment wins each slot (paper step iii).
+struct SplitSearch {
+  SegmentWinners w;
+  device::ArenaBuffer<double> node_val;        // [slots] best segment gain
+  device::ArenaBuffer<std::int64_t> node_idx;  // [slots] best segment, or -1
+  device::ArenaBuffer<GHPair> partial;  // the carried scan's storage
+  prim::CarriedScan<GHPair> scan;       // inclusive (g, h) per position
+  device::ArenaBuffer<GHPair> seg_tot;  // [segments] present totals
+  std::span<const std::int64_t> seg_ids;   // [segments] slot * n_attr + attr
+  std::span<const std::int64_t> seg_pos;   // [segments + 1] first position
+  std::span<const std::int64_t> pos_elem;  // RLE: [runs + 1] first element
+                                           // of each run; empty for sparse
+  std::span<const float> pos_value;        // [positions] attribute value
+  std::int64_t n_attr = 0;
+
+  /// Slot s's winner over node statistics `node`: valid when its best gain
+  /// is positive, with attr / seg / pos / split value / direction and the
+  /// would-be children (set_children).  Runs inside a device kernel and
+  /// charges one irregular transaction per gathered field.
+  [[nodiscard]] BestSplit winner(device::BlockCtx& b, std::int64_t s,
+                                 const ActiveNode& node) const;
 };
 
 struct TrainState {
@@ -219,7 +263,17 @@ struct TrainState {
   device::ArenaBuffer<std::int32_t> keys;
   device::ArenaBuffer<std::int32_t> run_keys;
 
-  // The current split step's uploaded tables (mark_sides to partition).
+  // ---- the device-decided tree (exact paths) -----------------------------
+  /// The tree being grown, decided level by level on the device: sized for
+  /// the deepest tree (alloc_device_tree), read back once per tree.  Slot s
+  /// of the current level is node level_base + s, so the nodes' statistics
+  /// are the level's slot statistics.
+  device::DeviceBuffer<TreeNode> nodes;
+  std::int64_t level_base = 0;
+  std::int64_t n_slots = 0;
+  /// The current level's find-step outputs (find step to decision).
+  SplitSearch search;
+  // The current level's decision tables (decision to partition).
   SplitTables split_tables;
 
   // ---- per-instance state ------------------------------------------------
@@ -236,7 +290,7 @@ struct TrainState {
   /// code path, so the disabled configuration stays bitwise-identical.
   std::span<const std::uint8_t> feature_mask;
 
-  // ---- per-level host state ----------------------------------------------
+  // ---- per-level host state (host-decided paths) -------------------------
   std::vector<ActiveNode> active;
   Tree* tree = nullptr;
 
@@ -247,9 +301,6 @@ struct TrainState {
   /// runs, or bins): prim::segs_per_block, or 1 for the naive Fig 9 ablation.
   [[nodiscard]] std::int64_t segs_per_block(std::int64_t n_segments,
                                             std::int64_t n_elements) const;
-  [[nodiscard]] std::int64_t current_tree_nodes() const {
-    return tree->n_nodes();
-  }
 };
 
 /// Per-slot statistics packed into one record so the per-level upload is a
@@ -258,7 +309,8 @@ struct TrainState {
 using SlotStat = GainStats;
 
 /// Uploads the active slots' stats once per level (arena-pooled:
-/// re-uploading each level reuses the same block).
+/// re-uploading each level reuses the same block).  The out-of-core path's;
+/// the in-core exact paths read their slot statistics from the device tree.
 [[nodiscard]] device::ArenaBuffer<SlotStat> upload_slot_tables(TrainState& st);
 
 /// Allocates gh / y_pred / node_of for st.n_inst rows and fills
@@ -271,20 +323,33 @@ void alloc_instance_state(TrainState& st);
 [[nodiscard]] device::ArenaBuffer<std::int64_t> device_node_offsets(
     TrainState& st, std::int64_t n_slots, std::int64_t stride);
 
-/// Builds and uploads the split step's tables for `plan` (one transfer).
-/// next_slot is filled unless the children are leaves; the child-slot
-/// columns too when `child_slots` is set (Directly-Split-RLE), and the owner
-/// column from `owner_of_node` (the sharded path's node_sync table).
-[[nodiscard]] SplitTables upload_split_tables(
-    TrainState& st, const LevelPlan& plan, bool child_slots,
-    std::span<const std::int32_t> owner_of_node = {});
+/// Allocates st.nodes for the largest tree st.param can grow over st.n_inst
+/// rows: min(2^(depth+1) - 1, 2 * n_inst - 1) nodes (every leaf holds a row).
+void alloc_device_tree(TrainState& st);
 
-/// Elements the partition keeps: all of a splitting slot's segments (its
-/// instances move to the two children), none of a leaf's.  Host glue over
-/// O(slots) entries of the segment table, so the moved lists can be sized
-/// before the partition writes them.
-[[nodiscard]] std::int64_t kept_elements(const TrainState& st,
-                                         const LevelPlan& plan);
+/// Starts a tree on the device: reduces the gradient pairs (kernel
+/// `kernel_name`), whose final pass writes the root record st.nodes[0], and
+/// makes the root the level's only slot.  Returns the root's sums.
+GHPair begin_device_tree(TrainState& st, std::string_view kernel_name);
+
+/// The split decision of the current level as one one-block kernel
+/// (`decide_level`): decide_slot for every slot over its winner, the tree
+/// records of the slots and their children (child_node), and st.split_tables
+/// with the sizes the host reads.  Winners come from `records` when given
+/// (the sharded path's merged winners, whose seg/pos count only where
+/// owner == `shard`; `n_shards` > 1 adds the owner column and the rows per
+/// owner), else from st.search.  Advances nothing: the level's slots stay
+/// current until advance_level.
+void decide_on_device(TrainState& st, bool children_are_leaves,
+                      std::span<const BestSplit> records = {}, int shard = 0,
+                      int n_shards = 1);
+
+/// Makes the decided level's `n_next` children the current slots (the
+/// split step may have released st.split_tables by then).
+void advance_level(TrainState& st, std::int64_t n_next);
+
+/// Reads the finished device tree back to the host (one PCI-e transfer).
+[[nodiscard]] Tree read_device_tree(TrainState& st);
 
 /// Builds the root segment table from CSC column offsets ([n_attr + 1]):
 /// lists the attributes with at least one element (st.orig_seg_*).  Once
@@ -329,50 +394,47 @@ struct NextSegments {
 /// rebuilds the lists for the next tree.
 void release_working_layout(TrainState& st);
 
-/// Per-segment gain winners of one level's find step (sparse or RLE), as
-/// prim::fused_gain_argmax writes them: value, element index, direction.
-struct SegmentWinners {
-  device::ArenaBuffer<double> val;
-  device::ArenaBuffer<std::int64_t> idx;
-  device::ArenaBuffer<std::uint8_t> dir;
-};
+/// Each slot's best segment over st.search's per-segment winners (paper
+/// step iii): the `node_name` argmax pass writes st.search.node_val /
+/// node_idx.  Part of the find step, under its setkey_argmax span.
+void pick_node_winners(TrainState& st, const char* node_name);
 
-/// Best attribute per node over the per-segment winners (paper step iii),
-/// read back on the host: fills valid / gain / seg / pos / attr /
-/// default_left of out[s] for every active slot whose best gain is
-/// positive, and returns those slots.  `node_name` labels the argmax pass.
-[[nodiscard]] std::vector<std::size_t> pick_winners(
-    TrainState& st, const SegmentWinners& w, const char* node_name,
-    std::vector<BestSplit>& out);
+/// The sharded path's winner records: st.search's winner of every slot,
+/// its attribute mapped to global id attr * attr_scale + attr_offset and
+/// its owner set to `shard`, written to `out` ([slots]) for the allreduce.
+void assemble_winners(TrainState& st, std::span<BestSplit> out,
+                      std::int32_t attr_scale, std::int32_t attr_offset,
+                      int shard);
 
-/// Sparse (uncompressed) path.  apply_splits_sparse = mark_sides +
-/// partition (mark_sides and release_working_layout when the children are
-/// leaves); the halves are exposed separately because the multi-GPU trainer
-/// synchronises the instance->node map between them.  mark_sides uploads
-/// st.split_tables (with the sharded path's `owner_of_node` column), the
-/// partition consumes them.
-[[nodiscard]] std::vector<BestSplit> find_splits_sparse(TrainState& st);
-void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan,
-                             std::span<const std::int32_t> owner_of_node = {});
-void apply_partition_sparse(TrainState& st, const LevelPlan& plan);
-void apply_splits_sparse(TrainState& st, const LevelPlan& plan);
+/// Sparse (uncompressed) path.  find_splits_sparse fills st.search.
+/// apply_splits_sparse = mark_sides + partition (mark_sides and
+/// release_working_layout when the children are leaves); the halves are
+/// exposed separately because the multi-GPU trainer synchronises the
+/// instance->node map between them.  Both read the decided level
+/// (st.nodes, st.split_tables).
+void find_splits_sparse(TrainState& st);
+void apply_mark_sides_sparse(TrainState& st);
+void apply_partition_sparse(TrainState& st);
+void apply_splits_sparse(TrainState& st, bool children_are_leaves);
 
 /// Per-instance gradient/prediction kernels (shared with the multi-GPU
 /// trainer, which runs them replicated on every shard).
 void compute_gradients(TrainState& st,
                        const device::DeviceBuffer<float>& labels);
 void update_predictions_smart(TrainState& st, const Tree& tree);
+/// The same, with the leaf weights of the device tree st.nodes (no upload).
+void update_predictions_smart(TrainState& st);
 
 /// Restores the working attribute-list layout from the root-level
 /// originals (start of every tree).
 void reset_working_layout(TrainState& st);
 
 /// RLE path.
-[[nodiscard]] std::vector<BestSplit> find_splits_rle(TrainState& st);
-void apply_splits_rle(TrainState& st, const LevelPlan& plan);
+void find_splits_rle(TrainState& st);
+void apply_splits_rle(TrainState& st, bool children_are_leaves);
 
 /// Shared by the sparse and RLE paths: updates node_of for every instance of
-/// a splitting node to its default child (st.split_tables), then lets the
+/// a splitting node to its default child (the device tree), then lets the
 /// path-specific element/run kernel overwrite the exact side for present
 /// instances.
 void assign_default_children(TrainState& st);

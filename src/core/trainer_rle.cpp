@@ -28,14 +28,15 @@ using device::DeviceBuffer;
 using prim::elems_in_block;
 using prim::kBlockDim;
 
-std::vector<BestSplit> find_splits_rle(TrainState& st) {
+void find_splits_rle(TrainState& st) {
   auto& dev = st.dev;
   const std::int64_t n_runs = st.n_runs;
   const std::int64_t n_seg = st.seg.size();
   const std::int64_t n_attr = st.n_attr;
   const double lambda = st.param.lambda;
-  std::vector<BestSplit> out(st.active.size());
-  if (n_runs == 0) return out;
+  SplitSearch& f = st.search;
+  f = SplitSearch{};
+  if (n_runs == 0) return;
 
   st.run_keys = st.arena.alloc<std::int32_t>(static_cast<std::size_t>(n_runs));
   {
@@ -50,16 +51,15 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
   // first phase (no per-run array), the totals come out as a scan side
   // product, and the block carries are left for their readers to add (no
   // fixup pass).
-  auto ghl = st.arena.alloc<GHPair>(static_cast<std::size_t>(n_runs));
-  auto seg_tot = st.arena.alloc<GHPair>(static_cast<std::size_t>(n_seg));
-  prim::CarriedScan<GHPair> scan;
+  f.partial = st.arena.alloc<GHPair>(static_cast<std::size_t>(n_runs));
+  f.seg_tot = st.arena.alloc<GHPair>(static_cast<std::size_t>(n_seg));
   {
     obs::ScopedSpan prefix_span("gain_prefix_sum");
     auto starts = st.run_starts.span();
     auto inst = st.inst.span();
     auto gh = st.gh.span();
-    scan = prim::fused_gather_scan_totals(
-        dev, st.arena, st.run_keys, ghl, seg_tot,
+    f.scan = prim::fused_gather_scan_totals(
+        dev, st.arena, st.run_keys, f.partial, f.seg_tot,
         [starts, inst, gh](BlockCtx& b, std::int64_t r) {
           const auto u = static_cast<std::size_t>(r);
           GHPair sum;
@@ -80,26 +80,25 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
         "fused_rle_aggregate_seg_scan");
   }
 
-  auto slot_stats = upload_slot_tables(st);
-
   // Gain per run, evaluated inside the per-segment argmax walk, which keeps
   // only the winners: no duplicate suppression needed — adjacent runs inside
   // a segment always carry distinct values.
-  SegmentWinners w;
+  SegmentWinners& w = f.w;
   w.val = st.arena.alloc<double>(static_cast<std::size_t>(n_seg));
   w.idx = st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_seg));
   w.dir = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_seg));
   {
     obs::ScopedSpan span("compute_gains");
     auto starts = st.run_starts.span();
-    auto tot = seg_tot.span();
+    auto tot = f.seg_tot.span();
     auto ids = st.seg.ids;
-    auto stats = slot_stats.span();
+    const auto stats = std::span<const TreeNode>(st.nodes.span());
+    const std::int64_t base = st.level_base;
     const auto fm = st.feature_mask;
     prim::fused_gain_argmax(
-        dev, st.run_seg_offsets, scan, w.val, w.idx, w.dir,
+        dev, st.run_seg_offsets, f.scan, w.val, w.idx, w.dir,
         st.segs_per_block(n_seg, n_runs),
-        [starts, tot, ids, stats, fm, n_attr, lambda](
+        [starts, tot, ids, stats, base, fm, n_attr, lambda](
             BlockCtx& b, std::int64_t s, std::int64_t r, std::int64_t run_lo,
             std::int64_t run_hi, const GHPair& prefix) {
           const auto u = static_cast<std::size_t>(r);
@@ -114,7 +113,7 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
             // and held in registers across the walk.
             b.reads(ids, s);
             b.reads(tot, s);
-            b.reads(stats, id / n_attr);
+            b.reads(stats, base + id / n_attr);
             b.reads(starts, run_lo);
             b.reads(starts, run_hi);
             if (!fm.empty()) b.reads(fm, id % n_attr);
@@ -130,31 +129,24 @@ std::vector<BestSplit> find_splits_rle(TrainState& st) {
               starts[static_cast<std::size_t>(run_lo)];
           const std::int64_t elem_hi =
               starts[static_cast<std::size_t>(run_hi)];
-          const SlotStat& node = stats[static_cast<std::size_t>(id / n_attr)];
+          const TreeNode& node =
+              stats[static_cast<std::size_t>(base + id / n_attr)];
           const CandidateGain c = missing_aware_gain(
               {prefix.g, prefix.h, starts[u + 1] - elem_lo},
               {tot[seg].g, tot[seg].h, elem_hi - elem_lo},
-              node, lambda);
+              {node.sum_g, node.sum_h, node.n_instances}, lambda);
           return prim::GainDir{c.gain,
                                static_cast<std::uint8_t>(c.default_left)};
         },
         "fused_rle_gain_argmax");
   }
 
-  for (const std::size_t s : pick_winners(st, w, "rle_node_best_gain", out)) {
-    BestSplit& b = out[s];
-    const auto useg = static_cast<std::size_t>(b.seg);
-    const auto upos = static_cast<std::size_t>(b.pos);
-    b.split_value = st.run_values[upos];
-    const std::int64_t elem_lo = st.run_starts[static_cast<std::size_t>(
-        st.run_seg_offsets[useg])];
-    const std::int64_t elem_hi = st.run_starts[static_cast<std::size_t>(
-        st.run_seg_offsets[useg + 1])];
-    set_children(b, st.active[s], scan.at(b.pos, st.run_seg_offsets[useg]),
-                 st.run_starts[upos + 1] - elem_lo, seg_tot[useg],
-                 elem_hi - elem_lo);
-  }
-  return out;
+  pick_node_winners(st, "rle_node_best_gain");
+  f.seg_ids = st.seg.ids;
+  f.seg_pos = st.run_seg_offsets.span();
+  f.pos_elem = st.run_starts.span();
+  f.pos_value = st.run_values.span();
+  f.n_attr = n_attr;
 }
 
 namespace {
@@ -172,6 +164,9 @@ void assign_exact_side_rle(TrainState& st) {
     auto starts = st.run_starts.span();
     auto inst = st.inst.span();
     auto node_of = st.node_of.span();
+    const auto slots = std::span<const TreeNode>(st.nodes.span())
+                           .subspan(static_cast<std::size_t>(st.level_base),
+                                    static_cast<std::size_t>(st.n_slots));
     dev.launch("rle_assign_exact_side", device::grid_for(n_runs, kBlockDim),
                kBlockDim, [&](BlockCtx& b) {
                  std::uint64_t writes = 0;
@@ -187,9 +182,10 @@ void assign_exact_side_rle(TrainState& st) {
                    const auto slot = static_cast<std::size_t>(
                        ids[static_cast<std::size_t>(seg)] / n_attr);
                    if (t.chosen_seg[slot] != seg) return;
-                   const auto target = static_cast<std::int32_t>(
-                       r <= t.best_pos[slot] ? t.left_id[slot]
-                                             : t.right_id[slot]);
+                   // Left child: the high side, the sorted prefix of runs.
+                   const std::int32_t left = slots[slot].left;
+                   const std::int32_t target =
+                       r <= t.best_pos[slot] ? left : left + 1;
                    b.reads(inst, starts[u], starts[u + 1] - starts[u]);
                    for (std::int64_t e = starts[u]; e < starts[u + 1]; ++e) {
                      node_of[static_cast<std::size_t>(
@@ -204,10 +200,11 @@ void assign_exact_side_rle(TrainState& st) {
                  });
                  b.reads_tile(k, n_runs);
                  b.reads_tile(starts, n_runs + 1);
-                 for (const auto col : {t.chosen_seg, t.best_pos, t.left_id,
-                                        t.right_id}) {
-                   b.reads(col, 0, static_cast<std::int64_t>(col.size()));
-                 }
+                 b.reads(t.chosen_seg, 0,
+                         static_cast<std::int64_t>(t.chosen_seg.size()));
+                 b.reads(t.best_pos, 0,
+                         static_cast<std::int64_t>(t.best_pos.size()));
+                 b.reads(slots, 0, static_cast<std::int64_t>(slots.size()));
                  b.work(writes);
                  b.mem_coalesced(elems_in_block(b, n_runs) * 24 + writes * 4 +
                                  segs * sizeof(std::int64_t));  // ids
@@ -235,7 +232,7 @@ struct RlePartition {
 /// the instance ids.  The decompress fallback keeps the scatter index, which
 /// also moves the values it decompresses next.  Both list the non-empty
 /// candidates as the next level's segment table (part.next).
-RlePartition partition_instances_rle(TrainState& st, const LevelPlan& plan) {
+RlePartition partition_instances_rle(TrainState& st) {
   auto& dev = st.dev;
   const std::int64_t n_runs = st.n_runs;
   const std::int64_t n = st.n_elems;
@@ -257,11 +254,12 @@ RlePartition partition_instances_rle(TrainState& st, const LevelPlan& plan) {
     auto starts = st.run_starts.span();
     auto inst = st.inst.span();
     auto node_of = st.node_of.span();
-    auto nsl = st.split_tables.next_slot;
-    auto shift = st.split_tables.cand_shift;
+    const SplitTables& t = st.split_tables;
+    auto shift = t.cand_shift;
     auto p = part_ids.span();
-    auto ls = st.split_tables.left_slot;
-    auto rs = st.split_tables.right_slot;
+    const auto slots = std::span<const TreeNode>(st.nodes.span())
+                           .subspan(static_cast<std::size_t>(st.level_base),
+                                    static_cast<std::size_t>(st.n_slots));
     auto ll = out.len_l.span();
     auto lr = out.len_r.span();
     dev.launch("rle_compute_part_ids", device::grid_for(n_runs, kBlockDim),
@@ -271,26 +269,32 @@ RlePartition partition_instances_rle(TrainState& st, const LevelPlan& plan) {
                    if (r >= n_runs) return;
                    const auto u = static_cast<std::size_t>(r);
                    std::int64_t cl = 0, cr = 0;
-                   std::size_t old_slot = 0;
+                   // Directly-Split-RLE: the next slot of the run's left
+                   // child (its right child's is one more), or -1.
+                   std::int64_t left_slot = -1;
                    if (direct) {
                      b.reads(ids, k[u]);
-                     old_slot = static_cast<std::size_t>(
+                     const auto old_slot = static_cast<std::size_t>(
                          ids[static_cast<std::size_t>(k[u])] / n_attr);
+                     b.reads(slots, static_cast<std::int64_t>(old_slot));
+                     left_slot = slots[old_slot].is_leaf()
+                                     ? -1
+                                     : t.next_slot(slots[old_slot].left);
                    }
                    b.reads(inst, starts[u], starts[u + 1] - starts[u]);
                    b.writes(p, starts[u], starts[u + 1] - starts[u]);
                    for (std::int64_t e = starts[u]; e < starts[u + 1]; ++e) {
                      const auto eu = static_cast<std::size_t>(e);
                      b.reads(node_of, inst[eu]);
-                     const std::int64_t ns =
-                         nsl[static_cast<std::size_t>(node_of[static_cast<std::size_t>(inst[eu])])];
+                     const std::int64_t ns = t.next_slot(
+                         node_of[static_cast<std::size_t>(inst[eu])]);
                      p[eu] = ns < 0
                                  ? -1
                                  : static_cast<std::int32_t>(
                                        k[u] + shift[static_cast<std::size_t>(ns)]);
-                     if (direct) {
-                       cl += ns == ls[old_slot];
-                       cr += ns == rs[old_slot];
+                     if (left_slot >= 0) {
+                       cl += ns == left_slot;
+                       cr += ns == left_slot + 1;
                      }
                      ++touched;
                    }
@@ -303,9 +307,7 @@ RlePartition partition_instances_rle(TrainState& st, const LevelPlan& plan) {
                  });
                  b.reads_tile(k, n_runs);
                  b.reads_tile(starts, n_runs + 1);
-                 for (const auto col : {nsl, shift, ls, rs}) {
-                   b.reads(col, 0, static_cast<std::int64_t>(col.size()));
-                 }
+                 b.reads(shift, 0, static_cast<std::int64_t>(shift.size()));
                  b.work(touched);
                  // The run's segment id rides with its key (the runs of one
                  // segment are adjacent, so the id loads coalesce).
@@ -322,7 +324,7 @@ RlePartition partition_instances_rle(TrainState& st, const LevelPlan& plan) {
   prim::PartitionCounters counters(dev, pplan, &st.arena);
   out.next = begin_next_segments(st, /*keep_candidates=*/direct);
   if (direct) {
-    const std::int64_t new_n = kept_elements(st, plan);
+    const std::int64_t new_n = st.split_tables.kept;
     auto new_inst =
         st.arena.alloc<std::int32_t>(static_cast<std::size_t>(new_n));
     auto inst = st.inst.span();
@@ -411,8 +413,9 @@ void direct_split_runs(TrainState& st, RlePartition& part) {
     auto k = st.run_keys.span();
     auto ids = st.seg.ids;
     auto rv = st.run_values.span();
-    auto ls = t.left_slot;
-    auto rs = t.right_slot;
+    const auto slots = std::span<const TreeNode>(st.nodes.span())
+                           .subspan(static_cast<std::size_t>(st.level_base),
+                                    static_cast<std::size_t>(st.n_slots));
     auto shift = t.run_shift;
     auto ll = len_l.span();
     auto lr = len_r.span();
@@ -426,11 +429,13 @@ void direct_split_runs(TrainState& st, RlePartition& part) {
                    b.reads(ids, k[u]);
                    const auto slot = static_cast<std::size_t>(
                        ids[static_cast<std::size_t>(k[u])] / n_attr);
-                   if (ls[slot] < 0) return;  // leaf: runs dropped
+                   b.reads(slots, static_cast<std::int64_t>(slot));
+                   if (slots[slot].is_leaf()) return;  // leaf: runs dropped
+                   const std::int64_t ls = t.next_slot(slots[slot].left);
                    const auto lpos = static_cast<std::size_t>(
-                       r + shift[static_cast<std::size_t>(ls[slot])]);
+                       r + shift[static_cast<std::size_t>(ls)]);
                    const auto rpos = static_cast<std::size_t>(
-                       r + shift[static_cast<std::size_t>(rs[slot])]);
+                       r + shift[static_cast<std::size_t>(ls + 1)]);
                    cl[lpos] = ll[u];
                    cv[lpos] = rv[u];
                    cl[rpos] = lr[u];
@@ -447,9 +452,7 @@ void direct_split_runs(TrainState& st, RlePartition& part) {
                  b.reads_tile(rv, n_runs);
                  b.reads_tile(ll, n_runs);
                  b.reads_tile(lr, n_runs);
-                 for (const auto col : {ls, rs, shift}) {
-                   b.reads(col, 0, static_cast<std::int64_t>(col.size()));
-                 }
+                 b.reads(shift, 0, static_cast<std::int64_t>(shift.size()));
                  const auto m = elems_in_block(b, n_runs);
                  b.mem_coalesced(m * 44);  // + the run's segment id
                  b.mem_irregular(m * 2);   // the two candidate writes
@@ -677,18 +680,17 @@ void decompress_split_runs(TrainState& st, RlePartition& part,
 
 }  // namespace
 
-void apply_splits_rle(TrainState& st, const LevelPlan& plan) {
+void apply_splits_rle(TrainState& st, bool children_are_leaves) {
   const std::int64_t old_n_elems = st.n_elems;
   const bool direct = st.param.use_direct_rle_split;
 
-  // The split step's one upload, then the default and exact sides.
-  st.split_tables = upload_split_tables(st, plan, /*child_slots=*/direct);
+  // The default and exact sides of the decided level.
   assign_default_children(st);
   {
     obs::ScopedSpan span("mark_sides");
     assign_exact_side_rle(st);
   }
-  if (plan.children_are_leaves) {
+  if (children_are_leaves) {
     release_working_layout(st);
     return;
   }
@@ -696,7 +698,7 @@ void apply_splits_rle(TrainState& st, const LevelPlan& plan) {
   RlePartition part;
   {
     obs::ScopedSpan span("partition");
-    part = partition_instances_rle(st, plan);
+    part = partition_instances_rle(st);
   }
   if (direct) {
     obs::ScopedSpan span("rle_direct_split");

@@ -22,49 +22,111 @@ using device::DeviceBuffer;
 using prim::elems_in_block;
 using prim::kBlockDim;
 
-std::vector<std::size_t> pick_winners(
-    TrainState& st, const SegmentWinners& w, const char* node_name,
-    std::vector<BestSplit>& out) {
-  const std::int64_t n_attr = st.n_attr;
-  auto best_node_val = st.arena.alloc<double>(st.active.size());
-  auto best_node_idx = st.arena.alloc<std::int64_t>(st.active.size());
-  {
-    // A slot's segments are its range of the compact list.
-    obs::ScopedSpan span("setkey_argmax");
-    prim::segmented_arg_max(st.dev, w.val, st.seg.slot_offsets, best_node_val,
-                            best_node_idx, 1, node_name);
-  }
-
-  // Host glue over the simulated device (one entry per active node).
-  std::vector<std::size_t> won;
-  for (std::size_t s = 0; s < st.active.size(); ++s) {
-    const std::int64_t seg = best_node_idx[s];
-    if (seg < 0) continue;
-    const std::int64_t pos = w.idx[static_cast<std::size_t>(seg)];
-    if (pos < 0) continue;
-    const double gain = best_node_val[s];
-    if (!(gain > 0.0)) continue;
-    BestSplit& b = out[s];
-    b.valid = true;
-    b.gain = gain;
-    b.seg = seg;
-    b.pos = pos;
-    b.attr = static_cast<std::int32_t>(
-        st.seg.ids[static_cast<std::size_t>(seg)] % n_attr);
-    b.default_left = w.dir[static_cast<std::size_t>(seg)] != 0;
-    won.push_back(s);
-  }
-  return won;
+BestSplit SplitSearch::winner(BlockCtx& b, std::int64_t s,
+                              const ActiveNode& node) const {
+  BestSplit out;
+  if (node_idx.empty()) return out;  // the level holds no elements
+  const auto us = static_cast<std::size_t>(s);
+  const std::int64_t seg = node_idx[us];
+  b.reads(node_idx, s);
+  b.mem_irregular(1);
+  if (seg < 0) return out;
+  const auto useg = static_cast<std::size_t>(seg);
+  const std::int64_t pos = w.idx[useg];
+  b.reads(w.idx, seg);
+  b.mem_irregular(1);
+  if (pos < 0) return out;
+  const double gain = node_val[us];
+  b.reads(node_val, s);
+  b.mem_irregular(1);
+  if (!(gain > 0.0)) return out;
+  const auto upos = static_cast<std::size_t>(pos);
+  out.valid = true;
+  out.gain = gain;
+  out.seg = seg;
+  out.pos = pos;
+  out.attr = static_cast<std::int32_t>(seg_ids[useg] % n_attr);
+  out.default_left = w.dir[useg] != 0;
+  out.split_value = pos_value[upos];
+  // Element counts from positions: the identity for sparse elements, the
+  // run starts for RLE runs.
+  const auto elem = [this, &b](std::int64_t p) {
+    if (pos_elem.empty()) return p;
+    b.reads(pos_elem, p);
+    b.mem_irregular(1);
+    return pos_elem[static_cast<std::size_t>(p)];
+  };
+  const std::int64_t seg_lo = seg_pos[useg];
+  const std::int64_t seg_hi = seg_pos[useg + 1];
+  const std::int64_t elem_lo = elem(seg_lo);
+  set_children(out, node, scan.at(pos, seg_lo), elem(pos + 1) - elem_lo,
+               seg_tot[useg], elem(seg_hi) - elem_lo);
+  b.reads(seg_ids, seg);
+  b.reads(w.dir, seg);
+  b.reads(pos_value, pos);
+  b.reads(seg_pos, seg, 2);
+  b.reads(seg_tot, seg);
+  b.reads(scan.partial, pos);
+  const bool carried = scan.carried(pos / prim::kBlockDim, seg_lo);
+  if (carried) b.reads(scan.carries, pos / prim::kBlockDim);
+  // id, direction, value, the segment's bounds and total, the scan value
+  // and its block carry: one transaction per gathered field.
+  b.mem_irregular(6 + (carried ? 1 : 0));
+  return out;
 }
 
-std::vector<BestSplit> find_splits_sparse(TrainState& st) {
+void pick_node_winners(TrainState& st, const char* node_name) {
+  SplitSearch& f = st.search;
+  const auto n_slots = static_cast<std::size_t>(st.n_slots);
+  f.node_val = st.arena.alloc<double>(n_slots);
+  f.node_idx = st.arena.alloc<std::int64_t>(n_slots);
+  // A slot's segments are its range of the compact list.
+  obs::ScopedSpan span("setkey_argmax");
+  prim::segmented_arg_max(st.dev, f.w.val, st.seg.slot_offsets, f.node_val,
+                          f.node_idx, 1, node_name);
+}
+
+void assemble_winners(TrainState& st, std::span<BestSplit> out,
+                      std::int32_t attr_scale, std::int32_t attr_offset,
+                      int shard) {
+  const std::int64_t n_slots = st.n_slots;
+  const std::int64_t base = st.level_base;
+  const auto nodes = std::span<const TreeNode>(st.nodes.span());
+  const SplitSearch& f = st.search;
+  st.dev.launch("assemble_winners", device::grid_for(n_slots, kBlockDim),
+                kBlockDim, [&](BlockCtx& b) {
+                  b.for_each_thread([&](std::int64_t s) {
+                    if (s >= n_slots) return;
+                    const auto id = static_cast<std::size_t>(base + s);
+                    const TreeNode& tn = nodes[id];
+                    BestSplit w = f.winner(
+                        b, s,
+                        ActiveNode{static_cast<std::int32_t>(id), tn.sum_g,
+                                   tn.sum_h, tn.n_instances});
+                    if (w.valid) {
+                      w.attr = w.attr * attr_scale + attr_offset;
+                      w.owner = shard;
+                    }
+                    out[static_cast<std::size_t>(s)] = w;
+                  });
+                  b.reads(nodes, base + b.block_idx() * kBlockDim,
+                          elems_in_block(b, n_slots));
+                  b.writes_tile(out, n_slots);
+                  const auto m = elems_in_block(b, n_slots);
+                  b.mem_irregular(m);  // the slots' node records
+                  b.mem_coalesced(m * sizeof(BestSplit));
+                });
+}
+
+void find_splits_sparse(TrainState& st) {
   auto& dev = st.dev;
   const std::int64_t n = st.n_elems;
   const std::int64_t n_seg = st.seg.size();
   const std::int64_t n_attr = st.n_attr;
   const double lambda = st.param.lambda;
-  std::vector<BestSplit> out(st.active.size());
-  if (n == 0) return out;
+  SplitSearch& f = st.search;
+  f = SplitSearch{};
+  if (n == 0) return;
 
   // Segment key per element (Customized SetKey / naive one-block-per-seg).
   // Keys stay materialized: they are cheap to write, the scan reads them,
@@ -80,9 +142,8 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
   // gradient pairs (no gathered array), emits the per-segment present totals
   // as a side product, and leaves the block carries for its readers to add
   // (no fixup pass).
-  auto ghl = st.arena.alloc<GHPair>(static_cast<std::size_t>(n));
-  auto seg_tot = st.arena.alloc<GHPair>(static_cast<std::size_t>(n_seg));
-  prim::CarriedScan<GHPair> scan;
+  f.partial = st.arena.alloc<GHPair>(static_cast<std::size_t>(n));
+  f.seg_tot = st.arena.alloc<GHPair>(static_cast<std::size_t>(n_seg));
   {
     obs::ScopedSpan span("gain_prefix_sum");
     // With the dense layout (the xgbst-gpu baseline), the node-interleaved
@@ -92,8 +153,8 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
     const bool interleaved = st.param.dense_layout;
     auto inst = st.inst.span();
     auto gh = st.gh.span();
-    scan = prim::fused_gather_scan_totals(
-        dev, st.arena, st.keys, ghl, seg_tot,
+    f.scan = prim::fused_gather_scan_totals(
+        dev, st.arena, st.keys, f.partial, f.seg_tot,
         [inst, gh, interleaved](BlockCtx& b, std::int64_t i) {
           const auto u = static_cast<std::size_t>(i);
           b.reads(inst, i);
@@ -107,29 +168,28 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
         "fused_gather_seg_scan");
   }
 
-  auto slot_stats = upload_slot_tables(st);
-
   // Gain of every candidate split point (paper Equation 2), evaluated inside
   // the per-segment argmax walk, which keeps only the winners.  Candidates
   // at duplicated values are suppressed so that the same split point cannot
   // carry two different gains; we keep the *last* occurrence, whose
   // inclusive prefix covers every instance with a value >= the split value
   // (this also makes the RLE path agree exactly).
-  SegmentWinners w;
+  SegmentWinners& w = f.w;
   w.val = st.arena.alloc<double>(static_cast<std::size_t>(n_seg));
   w.idx = st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_seg));
   w.dir = st.arena.alloc<std::uint8_t>(static_cast<std::size_t>(n_seg));
   {
     obs::ScopedSpan span("compute_gains");
     auto v = st.values.span();
-    auto tot = seg_tot.span();
+    auto tot = f.seg_tot.span();
     auto ids = st.seg.ids;
-    auto stats = slot_stats.span();
+    const auto stats = std::span<const TreeNode>(st.nodes.span());
+    const std::int64_t base = st.level_base;
     const auto fm = st.feature_mask;
     prim::fused_gain_argmax(
-        dev, st.seg.offsets, scan, w.val, w.idx, w.dir,
+        dev, st.seg.offsets, f.scan, w.val, w.idx, w.dir,
         st.segs_per_block(n_seg, n),
-        [v, tot, ids, stats, fm, n_attr, lambda](
+        [v, tot, ids, stats, base, fm, n_attr, lambda](
             BlockCtx& b, std::int64_t s, std::int64_t e, std::int64_t seg_lo,
             std::int64_t seg_hi, const GHPair& prefix) {
           const auto u = static_cast<std::size_t>(e);
@@ -144,7 +204,7 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
             // over a per-element pass.
             b.reads(ids, s);
             b.reads(tot, s);
-            b.reads(stats, id / n_attr);
+            b.reads(stats, base + id / n_attr);
             if (!fm.empty()) b.reads(fm, id % n_attr);
             b.mem_coalesced(sizeof(std::int64_t));  // id, streamed
             b.mem_irregular(1);
@@ -162,41 +222,32 @@ std::vector<BestSplit> find_splits_sparse(TrainState& st) {
             if (v[u + 1] == v[u]) return prim::GainDir{};
           }
           const auto seg = static_cast<std::size_t>(s);
-          const SlotStat& node = stats[static_cast<std::size_t>(id / n_attr)];
+          const TreeNode& node =
+              stats[static_cast<std::size_t>(base + id / n_attr)];
           b.flop(16);
           const CandidateGain c = missing_aware_gain(
               {prefix.g, prefix.h, e - seg_lo + 1},
               {tot[seg].g, tot[seg].h, seg_hi - seg_lo},
-              node, lambda);
+              {node.sum_g, node.sum_h, node.n_instances}, lambda);
           return prim::GainDir{c.gain,
                                static_cast<std::uint8_t>(c.default_left)};
         },
         "fused_gain_argmax");
   }
 
-  for (const std::size_t s : pick_winners(st, w, "node_best_gain", out)) {
-    BestSplit& b = out[s];
-    const auto useg = static_cast<std::size_t>(b.seg);
-    const auto upos = static_cast<std::size_t>(b.pos);
-    b.split_value = st.values[upos];
-    const std::int64_t seg_lo = st.seg.offsets[useg];
-    set_children(b, st.active[s], scan.at(b.pos, seg_lo), b.pos - seg_lo + 1,
-                 seg_tot[useg], st.seg.offsets[useg + 1] - seg_lo);
-  }
-  return out;
+  pick_node_winners(st, "node_best_gain");
+  f.seg_ids = st.seg.ids;
+  f.seg_pos = st.seg.offsets;
+  f.pos_value = st.values.span();
+  f.n_attr = n_attr;
 }
 
-void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan,
-                             std::span<const std::int32_t> owner_of_node) {
+void apply_mark_sides_sparse(TrainState& st) {
   obs::ScopedSpan span("mark_sides");
   auto& dev = st.dev;
   const std::int64_t n = st.n_elems;
   const std::int64_t n_attr = st.n_attr;
 
-  // The split step's one upload: default children, split commands, the
-  // partition's next-slot map and (sharded) the node owners.
-  st.split_tables =
-      upload_split_tables(st, plan, /*child_slots=*/false, owner_of_node);
   assign_default_children(st);
 
   // Exact side for instances present on the winning attribute: the sorted
@@ -207,6 +258,9 @@ void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan,
     auto inst = st.inst.span();
     auto node_of = st.node_of.span();
     const SplitTables& t = st.split_tables;
+    const auto slots = std::span<const TreeNode>(st.nodes.span())
+                           .subspan(static_cast<std::size_t>(st.level_base),
+                                    static_cast<std::size_t>(st.n_slots));
     dev.launch("assign_exact_side", device::grid_for(n, kBlockDim), kBlockDim,
                [&](BlockCtx& b) {
                  std::uint64_t writes = 0;
@@ -222,10 +276,10 @@ void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan,
                    const auto slot = static_cast<std::size_t>(
                        ids[static_cast<std::size_t>(seg)] / n_attr);
                    if (t.chosen_seg[slot] != seg) return;
+                   // Left child: the high side, the sorted prefix.
+                   const std::int32_t left = slots[slot].left;
                    node_of[static_cast<std::size_t>(inst[u])] =
-                       static_cast<std::int32_t>(e <= t.best_pos[slot]
-                                                     ? t.left_id[slot]
-                                                     : t.right_id[slot]);
+                       e <= t.best_pos[slot] ? left : left + 1;
                    // An instance appears once per attribute and only the
                    // winning attribute's segment writes, so these scattered
                    // stores are block-disjoint; the auditor verifies it.
@@ -234,10 +288,11 @@ void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan,
                  });
                  b.reads_tile(k, n);
                  b.reads_tile(inst, n);
-                 for (const auto col : {t.chosen_seg, t.best_pos, t.left_id,
-                                        t.right_id}) {
-                   b.reads(col, 0, static_cast<std::int64_t>(col.size()));
-                 }
+                 b.reads(t.chosen_seg, 0,
+                         static_cast<std::int64_t>(t.chosen_seg.size()));
+                 b.reads(t.best_pos, 0,
+                         static_cast<std::int64_t>(t.best_pos.size()));
+                 b.reads(slots, 0, static_cast<std::int64_t>(slots.size()));
                  const auto m = elems_in_block(b, n);
                  b.mem_coalesced(m * 8);
                  b.mem_coalesced(segs * sizeof(std::int64_t));  // ids, in order
@@ -246,7 +301,7 @@ void apply_mark_sides_sparse(TrainState& st, const LevelPlan& plan,
   }
 }
 
-void apply_partition_sparse(TrainState& st, const LevelPlan& plan) {
+void apply_partition_sparse(TrainState& st) {
   obs::ScopedSpan span("partition");
   auto& dev = st.dev;
   const std::int64_t n = st.n_elems;
@@ -260,8 +315,8 @@ void apply_partition_sparse(TrainState& st, const LevelPlan& plan) {
     auto k = st.keys.span();
     auto inst = st.inst.span();
     auto node_of = st.node_of.span();
-    auto ns = st.split_tables.next_slot;
-    auto shift = st.split_tables.cand_shift;
+    const SplitTables& t = st.split_tables;
+    auto shift = t.cand_shift;
     auto p = part_ids.span();
     dev.launch("compute_part_ids", device::grid_for(n, kBlockDim), kBlockDim,
                [&](BlockCtx& b) {
@@ -269,7 +324,7 @@ void apply_partition_sparse(TrainState& st, const LevelPlan& plan) {
                    if (e >= n) return;
                    const auto u = static_cast<std::size_t>(e);
                    const std::int64_t slot =
-                       ns[static_cast<std::size_t>(node_of[static_cast<std::size_t>(inst[u])])];
+                       t.next_slot(node_of[static_cast<std::size_t>(inst[u])]);
                    p[u] = slot < 0
                               ? -1
                               : static_cast<std::int32_t>(
@@ -278,7 +333,6 @@ void apply_partition_sparse(TrainState& st, const LevelPlan& plan) {
                  });
                  b.reads_tile(k, n);
                  b.reads_tile(inst, n);
-                 b.reads(ns, 0, static_cast<std::int64_t>(ns.size()));
                  b.reads(shift, 0, static_cast<std::int64_t>(shift.size()));
                  b.writes_tile(p, n);
                  const auto m = elems_in_block(b, n);
@@ -294,7 +348,7 @@ void apply_partition_sparse(TrainState& st, const LevelPlan& plan) {
   const auto pplan = prim::plan_partition(
       n, n_parts, prim::kPartitionCounterBudget,
       st.param.use_custom_idxcomp_workload);
-  const std::int64_t new_n = kept_elements(st, plan);
+  const std::int64_t new_n = st.split_tables.kept;
   prim::PartitionCounters counters(dev, pplan, &st.arena);
   NextSegments next = begin_next_segments(st, /*keep_candidates=*/false);
   auto new_values = st.arena.alloc<float>(static_cast<std::size_t>(new_n));
@@ -335,12 +389,12 @@ void apply_partition_sparse(TrainState& st, const LevelPlan& plan) {
   testing::check_sparse_layout(st, next.n_slots, "apply_partition_sparse");
 }
 
-void apply_splits_sparse(TrainState& st, const LevelPlan& plan) {
-  apply_mark_sides_sparse(st, plan);
-  if (plan.children_are_leaves) {
+void apply_splits_sparse(TrainState& st, bool children_are_leaves) {
+  apply_mark_sides_sparse(st);
+  if (children_are_leaves) {
     release_working_layout(st);
   } else {
-    apply_partition_sparse(st, plan);
+    apply_partition_sparse(st);
   }
 }
 

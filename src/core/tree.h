@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace gbdt {
@@ -33,6 +34,9 @@ struct TreeNode {
 class Tree {
  public:
   Tree() { nodes_.emplace_back(); }
+  /// A tree from its node records (node 0 is the root), as a device-built
+  /// tree is read back.
+  explicit Tree(std::vector<TreeNode> nodes) : nodes_(std::move(nodes)) {}
 
   [[nodiscard]] const TreeNode& node(std::int32_t id) const {
     return nodes_[static_cast<std::size_t>(id)];

@@ -447,8 +447,18 @@ class Device {
 
   template <typename T>
   [[nodiscard]] std::vector<T> to_host(const DeviceBuffer<T>& buf) {
+    return to_host(buf, buf.size());
+  }
+
+  /// Copies buf[0, n) to the host.
+  template <typename T>
+  [[nodiscard]] std::vector<T> to_host(const DeviceBuffer<T>& buf,
+                                       std::size_t n) {
+    if (n > buf.size()) {
+      throw std::invalid_argument("to_host: count larger than device buffer");
+    }
     if (defer_) drain_all();
-    std::vector<T> out(buf.size());
+    std::vector<T> out(n);
     exec_copy_to_host(kDefaultStream, "d2h", buf, std::span<T>(out));
     return out;
   }

@@ -289,6 +289,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
       labels[static_cast<std::size_t>(k)] =
           sh.dev->to_device<float>(ds.labels());
       gbdt::detail::alloc_instance_state(*sh.state);
+      gbdt::detail::alloc_device_tree(*sh.state);
     }
   }
 
@@ -305,27 +306,18 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
                         : objective::ShardAttrMap::kRoundRobin));
   }
 
-  // Maps a winning global attribute back to the shard that owns it.
-  const auto owner_of_attr = [&](std::int32_t attr) {
-    if (!feature_sharded) return static_cast<int>(attr % K);
-    int w = 0;
-    while (w + 1 < K &&
-           attr >= shards[static_cast<std::size_t>(w + 1)].attr_lo) {
-      ++w;
-    }
-    return w;
-  };
-
   // ---- boosting loop (core/level_driver.h) --------------------------------
+  // Every shard holds the whole tree on its device and decides each level
+  // itself from the allreduced winners, so no level crosses PCI-e.
   gbdt::detail::LevelBackend backend;
-  backend.begin_tree = [&](int t, const Tree* prev, Tree& tree) {
+  backend.begin_tree = [&](int t, const Tree* prev, Tree& /*tree*/) {
     {
       obs::ScopedSpan span("gradient_compute");
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);
       for (int k = 0; k < K; ++k) {
         auto& st = *shards[static_cast<std::size_t>(k)].state;
-        if (prev != nullptr) gbdt::detail::update_predictions_smart(st, *prev);
+        if (prev != nullptr) gbdt::detail::update_predictions_smart(st);
         drivers[static_cast<std::size_t>(k)]->begin_round(
             st, labels[static_cast<std::size_t>(k)], t);
         gbdt::detail::reset_working_layout(st);
@@ -340,119 +332,101 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);
       for (int k = 0; k < K; ++k) {
-        auto& sh = shards[static_cast<std::size_t>(k)];
-        roots[static_cast<std::size_t>(k)] =
-            prim::reduce_sum(*sh.dev, sh.state->gh, "mgpu_root_sum_gh");
+        roots[static_cast<std::size_t>(k)] = gbdt::detail::begin_device_tree(
+            *shards[static_cast<std::size_t>(k)].state, "mgpu_root_sum_gh");
       }
     }
-    for (auto& sh : shards) sh.state->tree = &tree;
     return ActiveNode{0, roots[0].g, roots[0].h, n_inst};
   };
 
-  backend.find_splits = [&](const std::vector<ActiveNode>& active) {
-    for (auto& sh : shards) sh.state->active = active;
-    // 1. Local best splits per shard.
-    std::vector<std::vector<BestSplit>> cand(static_cast<std::size_t>(K));
+  backend.split_level = [&](bool children_are_leaves) -> std::int64_t {
+    // 1. Local best splits per shard, assembled on the device into winner
+    //    records whose attribute ids are global and whose owner is the
+    //    shard, so the combine (max gain, ties to the lowest global
+    //    attribute — the order a single device enumerates) is
+    //    order-independent and every algorithm converges on the same winner
+    //    bit for bit.  A winner's seg/pos stay shard-local: only its owner
+    //    applies them.
+    std::vector<device::ArenaBuffer<BestSplit>> records;
+    records.reserve(static_cast<std::size_t>(K));
     {
       obs::ScopedSpan span("find_split");
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);
       for (int k = 0; k < K; ++k) {
-        cand[static_cast<std::size_t>(k)] = gbdt::detail::find_splits_sparse(
-            *shards[static_cast<std::size_t>(k)].state);
+        auto& sh = shards[static_cast<std::size_t>(k)];
+        auto& st = *sh.state;
+        gbdt::detail::find_splits_sparse(st);
+        records.push_back(
+            st.arena.alloc<BestSplit>(static_cast<std::size_t>(st.n_slots)));
+        gbdt::detail::assemble_winners(
+            st, records.back().span(),
+            feature_sharded ? 1 : K,
+            feature_sharded ? static_cast<std::int32_t>(sh.attr_lo) : k, k);
       }
     }
 
-    // 2. Allreduce the candidates: attribute ids are globalised first, so
-    //    the combine (max gain, ties to the lowest global attribute — the
-    //    same order a single device enumerates) is order-independent and
-    //    every algorithm converges on the same winner bit for bit.  The
-    //    winner's seg/pos stay shard-local (only its owner applies them).
-    obs::ScopedSpan span("allreduce_merge");
-    ParallelStep step(shards, report.modeled_seconds, &report.device_seconds);
-    for (int k = 0; k < K; ++k) {
-      auto& sh = shards[static_cast<std::size_t>(k)];
-      for (auto& c : cand[static_cast<std::size_t>(k)]) {
-        if (!c.valid) continue;
-        c.attr = feature_sharded
-                     ? static_cast<std::int32_t>(sh.attr_lo) + c.attr
-                     : c.attr * K + k;
+    // 2. Allreduce the records in place, device to device.
+    {
+      obs::ScopedSpan span("allreduce_merge");
+      ParallelStep step(shards, report.modeled_seconds,
+                        &report.device_seconds);
+      auto links = make_links(shards);
+      std::vector<std::span<BestSplit>> payloads;
+      payloads.reserve(static_cast<std::size_t>(K));
+      for (auto& r : records) payloads.push_back(r.span());
+      comm.add_collective(allreduce<BestSplit>(
+          "comm_cand", link, opts.algo, links, payloads,
+          [](const BestSplit& a, const BestSplit& b) {
+            if (!b.valid) return a;
+            if (!a.valid) return b;
+            if (b.gain > a.gain) return b;
+            if (b.gain == a.gain && b.attr < a.attr) return b;
+            return a;
+          }));
+    }
+
+    // 3. Every shard decides the level from the same merged winners.
+    {
+      obs::ScopedSpan span("find_split");
+      ParallelStep step(shards, report.modeled_seconds,
+                        &report.device_seconds);
+      for (int k = 0; k < K; ++k) {
+        auto& st = *shards[static_cast<std::size_t>(k)].state;
+        gbdt::detail::decide_on_device(st, children_are_leaves,
+                                       records[static_cast<std::size_t>(k)]
+                                           .span(),
+                                       k, K);
+        st.search = {};
       }
     }
-    auto links = make_links(shards);
-    std::vector<std::span<BestSplit>> payloads;
-    payloads.reserve(static_cast<std::size_t>(K));
-    for (auto& c : cand) payloads.push_back(std::span<BestSplit>(c));
-    comm.add_collective(allreduce<BestSplit>(
-        "comm_cand", link, opts.algo, links, payloads,
-        [](const BestSplit& a, const BestSplit& b) {
-          if (!b.valid) return a;
-          if (!a.valid) return b;
-          if (b.gain > a.gain) return b;
-          if (b.gain == a.gain && b.attr < a.attr) return b;
-          return a;
-        }));
-    return std::move(cand[0]);
-  };
-
-  backend.apply_splits = [&](const LevelPlan& plan) {
-    const std::vector<ActiveNode>& active = shards[0].state->active;
-    // Winning shard per splitting slot, and an authoritative-shard table
-    // keyed by the *new* child ids: both children inherit their slot's
-    // winning shard, so the post-split instance->node value alone selects
-    // the owner — no pre-split snapshot of the map is needed.
-    std::vector<int> owner(active.size(), -1);
-    std::vector<std::int32_t> owner_of_node(plan.next_slot_of_tree.size(), -1);
-    for (std::size_t s = 0; s < active.size(); ++s) {
-      const auto& e = plan.per_slot[s];
-      if (!e.split) continue;
-      owner[s] = owner_of_attr(e.attr);
-      owner_of_node[static_cast<std::size_t>(e.left_id)] = owner[s];
-      owner_of_node[static_cast<std::size_t>(e.right_id)] = owner[s];
+    records.clear();
+    const gbdt::detail::SplitTables& decided = shards[0].state->split_tables;
+    const std::int64_t n_next = decided.n_next;
+    if (n_next == 0) {
+      for (auto& sh : shards) sh.state->split_tables = {};
+      return n_next;
     }
 
     // 4. Mark instance sides: every shard applies the defaults; only the
     //    owner of a node's winning attribute knows the exact sides.
-    std::vector<LevelPlan> shard_plans(static_cast<std::size_t>(K), plan);
-    for (std::size_t s = 0; s < active.size(); ++s) {
-      if (!plan.per_slot[s].split) continue;
-      for (int k = 0; k < K; ++k) {
-        if (k != owner[s]) {
-          auto& e = shard_plans[static_cast<std::size_t>(k)].per_slot[s];
-          e.chosen_seg = -1;
-          e.best_pos = -1;
-        }
-      }
-    }
     {
       obs::ScopedSpan span("mark_sides");
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);
-      for (int k = 0; k < K; ++k) {
-        gbdt::detail::apply_mark_sides_sparse(
-            *shards[static_cast<std::size_t>(k)].state,
-            shard_plans[static_cast<std::size_t>(k)],
-            K > 1 ? std::span<const std::int32_t>(owner_of_node)
-                  : std::span<const std::int32_t>{});
-      }
+      for (auto& sh : shards) gbdt::detail::apply_mark_sides_sparse(*sh.state);
     }
 
     // 5. Synchronise node_of: instance i's authoritative value lives on
     //    the shard owning its (new) node's winning attribute.  Each shard
     //    receives one modeled leg per winning peer carrying that peer's
-    //    rows, then a device kernel gathers the rows in place.
+    //    rows (the decision's rows per owner), then a device kernel gathers
+    //    the rows in place.
     if (K > 1) {
       obs::ScopedSpan span("node_sync");
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);
-      std::vector<std::uint64_t> rows_of_winner(
-          static_cast<std::size_t>(K), 0);
-      for (std::size_t s = 0; s < active.size(); ++s) {
-        if (plan.per_slot[s].split && owner[s] >= 0) {
-          rows_of_winner[static_cast<std::size_t>(owner[s])] +=
-              static_cast<std::uint64_t>(active[s].count);
-        }
-      }
+      const std::vector<std::int64_t>& rows_of_winner = decided.rows_of_owner;
       auto links = make_links(shards);
       std::vector<double> shard_secs(static_cast<std::size_t>(K), 0.0);
       for (int k = 0; k < K; ++k) {
@@ -463,8 +437,9 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
           if (w == k || rows_of_winner[static_cast<std::size_t>(w)] == 0) {
             continue;
           }
-          const std::uint64_t bytes =
-              rows_of_winner[static_cast<std::size_t>(w)] *
+          const auto bytes =
+              static_cast<std::uint64_t>(
+                  rows_of_winner[static_cast<std::size_t>(w)]) *
               sizeof(std::int32_t);
           const double secs = link.leg_seconds(bytes);
           detail::enqueue_leg(links[ku], waited, "stream_mgpu_node_sync",
@@ -478,10 +453,10 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
       comm.seconds +=
           *std::max_element(shard_secs.begin(), shard_secs.end());
       // Device-side masked gather replacing the old host-side O(K·n)
-      // merge loop: w = owner_of_node[node_of[i]] picks the shard whose
-      // mark_sides result is authoritative for row i.  Winner shards
-      // never rewrite their own rows, so cross-device kernel order is
-      // free — and the default stream joins each shard's comm legs.
+      // merge loop: w = owner[node_of[i]] picks the shard whose mark_sides
+      // result is authoritative for row i.  Winner shards never rewrite
+      // their own rows, so cross-device kernel order is free — and the
+      // default stream joins each shard's comm legs.
       std::vector<std::span<const std::int32_t>> peers(
           static_cast<std::size_t>(K));
       for (int w = 0; w < K; ++w) {
@@ -491,7 +466,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
       for (int k = 0; k < K; ++k) {
         auto& sh = shards[static_cast<std::size_t>(k)];
         auto& st = *sh.state;
-        // The owner table rode in with mark_sides' split-table upload.
+        // The decision wrote the owner column next to the split tables.
         auto nof = st.node_of.span();
         auto own = st.split_tables.owner;
         const std::int64_t n = n_inst;
@@ -521,27 +496,32 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
 
     // 6. Local order-preserving partition of every shard's lists; when the
     //    children are leaves, node_sync was the lists' last reader.
-    if (plan.children_are_leaves) {
+    if (children_are_leaves) {
       for (auto& sh : shards) gbdt::detail::release_working_layout(*sh.state);
     } else {
       obs::ScopedSpan span("partition");
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);
-      for (int k = 0; k < K; ++k) {
-        gbdt::detail::apply_partition_sparse(
-            *shards[static_cast<std::size_t>(k)].state,
-            shard_plans[static_cast<std::size_t>(k)]);
-      }
+      for (auto& sh : shards) gbdt::detail::apply_partition_sparse(*sh.state);
     }
+    for (auto& sh : shards) gbdt::detail::advance_level(*sh.state, n_next);
+    return n_next;
   };
-  backend.finish = [&](const Tree& last) {
+  backend.read_tree = [&](Tree& tree) {
+    // Every shard holds the same tree; shard 0's comes back (charged with
+    // the decide kernels that wrote it).
+    obs::ScopedSpan span("find_split");
+    ParallelStep step(shards, report.modeled_seconds, &report.device_seconds);
+    tree = gbdt::detail::read_device_tree(*shards[0].state);
+  };
+  backend.finish = [&](const Tree& /*last*/) {
     // Fold the last tree into the replicated predictions; report shard 0's.
     {
       obs::ScopedSpan span("gradient_compute");
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);
       for (auto& sh : shards) {
-        gbdt::detail::update_predictions_smart(*sh.state, last);
+        gbdt::detail::update_predictions_smart(*sh.state);
       }
     }
     const auto final_pred = shards[0].dev->to_host(shards[0].state->y_pred);

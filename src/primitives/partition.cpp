@@ -206,21 +206,4 @@ void PartitionCounters::record_offsets(device::Device& dev,
              });
 }
 
-void histogram_partition(device::Device& dev,
-                         std::span<const std::int32_t> part_ids,
-                         std::int64_t n_parts,
-                         std::span<std::int64_t> scatter_out,
-                         std::span<std::int64_t> part_offsets,
-                         const PartitionPlan& plan,
-                         device::WorkspaceArena* arena) {
-  auto scat = scatter_out;
-  histogram_partition_emit(
-      dev, part_ids, n_parts, part_offsets, plan, arena,
-      [scat](device::BlockCtx& b, std::int64_t i, std::int64_t dst) {
-        scat[static_cast<std::size_t>(i)] = dst;
-        b.writes(scat, i);
-        b.mem_coalesced(sizeof(std::int64_t));
-      });
-}
-
 }  // namespace gbdt::prim

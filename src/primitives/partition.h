@@ -4,7 +4,7 @@
 // destination such that the output is grouped by partition and the original
 // relative order *within* each partition is preserved, and hands each
 // (element, destination) pair to a caller-supplied emitter that moves the
-// data (or, in the index-only form, records the destination).  This is what
+// data or records the destination.  This is what
 // lets GPU-GBDT keep every attribute's value list sorted inside the child
 // nodes without re-sorting: elements only ever move to positions computed
 // from per-thread, per-partition counters.
@@ -521,17 +521,5 @@ void histogram_partition_emit(device::Device& dev,
   partition_detail::list_in_tiles(dev, offs, tile_counts, counted, list,
                                   name);
 }
-
-/// The index-only partition: the emitter writes each element's destination
-/// to scatter_out (-1 for dropped elements), for callers that move several
-/// arrays with one scatter (the RLE decompress fallback, tests, benches).
-/// Spans accept both owned (DeviceBuffer) and pooled (ArenaBuffer) storage.
-void histogram_partition(device::Device& dev,
-                         std::span<const std::int32_t> part_ids,
-                         std::int64_t n_parts,
-                         std::span<std::int64_t> scatter_out,
-                         std::span<std::int64_t> part_offsets,
-                         const PartitionPlan& plan,
-                         device::WorkspaceArena* arena = nullptr);
 
 }  // namespace gbdt::prim

@@ -5,21 +5,31 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
+#include <utility>
 
 #include "device/device_context.h"
 #include "primitives/transform.h"
 
 namespace gbdt::prim {
 
+/// The final pass of a reduction that keeps its total on the host only.
+struct NoStore {
+  template <typename Acc>
+  void operator()(device::BlockCtx& /*b*/, const Acc& /*total*/) const {}
+};
+
 /// combine() of map(in[i]) over all elements, from `init`: per-block
 /// partials in ascending element order, then one single-block pass over the
 /// partials in block order.  One pass serves reductions of several fields
-/// (a (g, h) pair's sums or abs-maxima) at once.
-template <typename Acc, typename T, typename Map, typename Combine>
+/// (a (g, h) pair's sums or abs-maxima) at once.  The final pass also hands
+/// the total to `store(b, total)`, which may write it to device memory
+/// (declaring and charging its own write).
+template <typename Acc, typename T, typename Map, typename Combine,
+          typename Store = NoStore>
 [[nodiscard]] Acc map_reduce(device::Device& dev,
                              const device::DeviceBuffer<T>& in, Acc init,
                              Map&& map, Combine&& combine,
-                             std::string_view name) {
+                             std::string_view name, Store&& store = {}) {
   const std::int64_t n = static_cast<std::int64_t>(in.size());
   if (n == 0) return init;
   const std::int64_t grid = device::grid_for(n, kBlockDim);
@@ -46,19 +56,23 @@ template <typename Acc, typename T, typename Map, typename Combine>
     b.reads(part, 0, grid);
     b.work(static_cast<std::uint64_t>(grid));
     b.mem_coalesced(static_cast<std::uint64_t>(grid) * sizeof(Acc));
+    store(b, total);
   });
   return total;
 }
 
 /// Sum of all elements.  Accumulates in Acc (use double for float inputs so
 /// the result does not depend on the block decomposition at float precision).
-template <typename T, typename Acc = T>
+/// `store` as in map_reduce.
+template <typename T, typename Acc = T, typename Store = NoStore>
 [[nodiscard]] Acc reduce_sum(device::Device& dev,
                              const device::DeviceBuffer<T>& in,
-                             std::string_view name = "reduce_sum") {
+                             std::string_view name = "reduce_sum",
+                             Store&& store = {}) {
   return map_reduce(
       dev, in, Acc{}, [](const T& x) { return static_cast<Acc>(x); },
-      [](Acc a, const Acc& x) { return a += x; }, name);
+      [](Acc a, const Acc& x) { return a += x; }, name,
+      std::forward<Store>(store));
 }
 
 /// Result of an argmax reduction.

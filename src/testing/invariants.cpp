@@ -233,35 +233,29 @@ void check_rle_roundtrip(device::Device& dev, const rle::DeviceRle& compressed,
 }
 
 void check_level_conservation(const detail::TrainState& st,
-                              const detail::LevelPlan& plan,
                               const char* where) {
   if (!invariants_enabled()) return;
   std::vector<std::pair<std::int32_t, std::int64_t>> expected;
-  expected.reserve(plan.next_active.size());
-  for (std::size_t s = 0; s < plan.per_slot.size(); ++s) {
-    const auto& e = plan.per_slot[s];
-    if (!e.split) continue;
-    const detail::ActiveNode& parent = st.active[s];
-    const std::int32_t lslot =
-        plan.next_slot_of_tree[static_cast<std::size_t>(e.left_id)];
-    const std::int32_t rslot =
-        plan.next_slot_of_tree[static_cast<std::size_t>(e.right_id)];
-    detail::ActiveNode left = plan.next_active[static_cast<std::size_t>(lslot)];
-    detail::ActiveNode right =
-        plan.next_active[static_cast<std::size_t>(rslot)];
-    if (fault_injection().break_child_counts && left.count > 0) {
-      left.count -= 1;
+  for (std::int64_t s = 0; s < st.n_slots; ++s) {
+    const TreeNode& parent =
+        st.nodes[static_cast<std::size_t>(st.level_base + s)];
+    if (parent.is_leaf()) continue;
+    const TreeNode& left = st.nodes[static_cast<std::size_t>(parent.left)];
+    const TreeNode& right = st.nodes[static_cast<std::size_t>(parent.right)];
+    std::int64_t left_count = left.n_instances;
+    if (fault_injection().break_child_counts && left_count > 0) {
+      left_count -= 1;
     }
-    if (left.count <= 0 || right.count <= 0) {
+    if (left_count <= 0 || right.n_instances <= 0) {
       fail(where, "slot " + std::to_string(s) + " split produced an empty " +
-                      "child (" + std::to_string(left.count) + " / " +
-                      std::to_string(right.count) + ")");
+                      "child (" + std::to_string(left_count) + " / " +
+                      std::to_string(right.n_instances) + ")");
     }
-    if (left.count + right.count != parent.count) {
+    if (left_count + right.n_instances != parent.n_instances) {
       fail(where, "slot " + std::to_string(s) + " child counts " +
-                      std::to_string(left.count) + " + " +
-                      std::to_string(right.count) + " != parent " +
-                      std::to_string(parent.count));
+                      std::to_string(left_count) + " + " +
+                      std::to_string(right.n_instances) + " != parent " +
+                      std::to_string(parent.n_instances));
     }
     const double scale =
         1.0 + std::abs(parent.sum_g) + std::abs(parent.sum_h);
@@ -270,8 +264,8 @@ void check_level_conservation(const detail::TrainState& st,
       fail(where, "slot " + std::to_string(s) +
                       " child gradient sums do not conserve the parent");
     }
-    expected.emplace_back(e.left_id, left.count);
-    expected.emplace_back(e.right_id, right.count);
+    expected.emplace_back(parent.left, left_count);
+    expected.emplace_back(parent.right, right.n_instances);
   }
   check_instance_counts(st.node_of.span(), expected, where);
 }

@@ -17,7 +17,7 @@
 //    segment, and run/element segment boundaries agree;
 //  * decompress(compress(x)) == x for the root-level RLE build;
 //  * child instance counts (and gradient sums) conserve the parent, both in
-//    the host-side level plan and in the device instance->node map;
+//    the decided tree and in the device instance->node map;
 //  * the instance->leaf map SmartGD gathers through matches a host-side
 //    traversal of the finished tree (the gradients it produces are exactly
 //    the traversal-computed ones).
@@ -62,8 +62,8 @@ struct FaultInjection {
   /// Break the descending value order of one partitioned segment (sparse
   /// path): the next check_sparse_layout must throw.
   bool break_partition_order = false;
-  /// Drop one instance from a child count in the level plan before the
-  /// conservation check (host-side bookkeeping corruption).
+  /// Drop one instance from a child count of the decided level before the
+  /// conservation check (bookkeeping corruption).
   bool break_child_counts = false;
   /// Corrupt one derived cell after the histogram-subtraction kernel: the
   /// hist trainer's bitwise subtraction self-check must throw.
@@ -105,12 +105,12 @@ void check_rle_roundtrip(device::Device& dev, const rle::DeviceRle& compressed,
 
 // ---- conservation checks ---------------------------------------------------
 
-/// Host-side level plan: each splitting node's children must conserve its
+/// The level the device decided (TrainState::nodes, slots level_base ..
+/// level_base + n_slots): each splitting node's children must conserve its
 /// instance count exactly and its gradient/hessian sums to within fp
 /// tolerance, with both children non-empty; the device instance->node map
-/// must agree with the planned child counts.
+/// must agree with the children's counts.
 void check_level_conservation(const detail::TrainState& st,
-                              const detail::LevelPlan& plan,
                               const char* where);
 
 /// node_of occurrence counts must equal `expected` (pairs of tree-node id

@@ -70,8 +70,14 @@ TEST_F(AccessAudit, AnnotatedPrimitivesRunClean) {
   auto scatter = dev.alloc<std::int64_t>(static_cast<std::size_t>(n));
   auto offsets = dev.alloc<std::int64_t>(8);
   const auto plan = prim::plan_partition(n, 7, 1 << 20, true);
-  EXPECT_NO_THROW(prim::histogram_partition(dev, ids.span(), 7, scatter.span(),
-                                            offsets.span(), plan));
+  EXPECT_NO_THROW(prim::histogram_partition_emit(
+      dev, ids.span(), 7, offsets.span(), plan, nullptr,
+      [s = scatter.span()](device::BlockCtx& b, std::int64_t i,
+                           std::int64_t dst) {
+        s[static_cast<std::size_t>(i)] = dst;
+        b.writes(s, i);
+        b.mem_coalesced(sizeof(std::int64_t));
+      }));
   EXPECT_EQ(offsets[7], n);
 }
 

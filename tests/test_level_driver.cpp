@@ -1,6 +1,7 @@
 // Unit tests of the shared level driver (core/level_driver.h): the host
 // split decision on hand-built ActiveNode / BestSplit inputs, and the
-// boosting loop over a scripted backend that runs no device work.
+// boosting loop over scripted host- and device-decided backends that run
+// no device work.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -253,6 +254,47 @@ TEST(LevelDriver, DepthLimitTurnsActiveNodesIntoLeaves) {
     EXPECT_TRUE(t.node(id).is_leaf());
     EXPECT_EQ(t.node(id).n_instances, 4);
     EXPECT_EQ(t.node(id).weight, leaf_value(make_node(id, -2.0, 4.0, 4), p));
+  }
+}
+
+// A device-decided backend: the loop asks split_level for levels until one
+// splits nothing or the depth limit, flags only the last level's children
+// as leaves, and reads each finished tree back once.
+TEST(LevelDriver, DeviceDecidedLevelsStopAtNoSplitOrDepth) {
+  GBDTParam p = make_param();
+  p.depth = 4;
+  p.n_trees = 2;
+  for (const int splitting_levels : {1, 10}) {
+    SCOPED_TRACE(splitting_levels);
+    std::vector<bool> leaf_flags;
+    int level = 0;
+    int reads = 0;
+    LevelBackend b;
+    b.begin_tree = [&](int, const Tree*, Tree&) {
+      level = 0;
+      return make_node(0, -8.0, 16.0, 16);
+    };
+    b.split_level = [&](bool children_are_leaves) -> std::int64_t {
+      leaf_flags.push_back(children_are_leaves);
+      return level++ < splitting_levels ? std::int64_t{2} << level : 0;
+    };
+    b.read_tree = [&](Tree& tree) {
+      ++reads;
+      (void)tree.split(0, 1, 0.5f, true, 3.0);
+    };
+    b.finish = [](const Tree&) { return std::vector<double>{}; };
+    std::vector<Tree> trees;
+    (void)grow_forest(b, p, trees);
+
+    ASSERT_EQ(trees.size(), 2u);
+    EXPECT_EQ(reads, 2);
+    EXPECT_EQ(trees[1].n_nodes(), 3);  // what read_tree wrote
+    const std::vector<bool> per_tree =
+        splitting_levels == 1 ? std::vector<bool>{false, false}
+                              : std::vector<bool>{false, false, false, true};
+    std::vector<bool> both = per_tree;
+    both.insert(both.end(), per_tree.begin(), per_tree.end());
+    EXPECT_EQ(leaf_flags, both);
   }
 }
 

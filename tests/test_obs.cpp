@@ -596,10 +596,11 @@ std::uint64_t launches_of(const obs::Span& span, const std::string& label) {
 }
 
 // The node-split step of the exact trainers: the last level's children are
-// leaves, so only n_trees x (depth - 1) levels partition; each split step
-// pays one host->device upload; and the partition's replay pass moves the
-// lists itself, so no separate scatter kernel runs.
-TEST(ObsTrace, SplitStepPartitionsAllButTheLastLevelWithOneUpload) {
+// leaves, so only n_trees x (depth - 1) levels partition; the split step
+// reads the device-decided tables, so it makes no PCI-e transfer (the one
+// per tree is find_split's tree read-back); and the partition's replay pass
+// moves the lists itself, so no separate scatter kernel runs.
+TEST(ObsTrace, SplitStepPartitionsAllButTheLastLevelWithoutTransfers) {
   data::SyntheticSpec spec;
   spec.n_instances = 1500;
   spec.n_attributes = 8;
@@ -609,7 +610,7 @@ TEST(ObsTrace, SplitStepPartitionsAllButTheLastLevelWithOneUpload) {
   GBDTParam p;
   p.depth = 4;
   p.n_trees = 3;
-  const auto levels = static_cast<std::uint64_t>(p.n_trees * p.depth);
+  const auto trees = static_cast<std::uint64_t>(p.n_trees);
   const auto partitioned =
       static_cast<std::uint64_t>(p.n_trees * (p.depth - 1));
   const auto cfg = device::DeviceConfig::titan_x_pascal();
@@ -644,7 +645,10 @@ TEST(ObsTrace, SplitStepPartitionsAllButTheLastLevelWithOneUpload) {
     const obs::Span* split = train->child("split_node");
     ASSERT_NE(split, nullptr) << path;
     EXPECT_EQ(launches_of(*split, "partition_count"), partitioned) << path;
-    EXPECT_EQ(split->transfers_total(), levels) << path;
+    EXPECT_EQ(split->transfers_total(), 0u) << path;
+    const obs::Span* find = train->child("find_split");
+    ASSERT_NE(find, nullptr) << path;
+    EXPECT_EQ(find->transfers_total(), trees) << path;
   }
 
   // Sharded exact: every shard marks sides and partitions its own lists;
@@ -662,8 +666,10 @@ TEST(ObsTrace, SplitStepPartitionsAllButTheLastLevelWithOneUpload) {
   ASSERT_NE(partition, nullptr);
   EXPECT_EQ(launches_of(*partition, "partition_count"),
             kShards * partitioned);
-  EXPECT_EQ(mark->transfers_total() + partition->transfers_total(),
-            kShards * levels);
+  EXPECT_EQ(mark->transfers_total() + partition->transfers_total(), 0u);
+  const obs::Span* find = train->child("find_split");
+  ASSERT_NE(find, nullptr);
+  EXPECT_EQ(find->transfers_total(), trees);
 }
 
 /// Counters of kernel `label` summed over `span`'s subtree.

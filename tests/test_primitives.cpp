@@ -25,6 +25,21 @@ using device::DeviceConfig;
 
 Device make_device() { return Device(DeviceConfig::titan_x_pascal()); }
 
+/// The order-preserving partition writing each element's destination to
+/// `scatter` (-1 for dropped elements) and the part offsets to `offs`.
+void partition_scatter(Device& dev, std::span<const std::int32_t> ids,
+                       std::int64_t n_parts, std::span<std::int64_t> scatter,
+                       std::span<std::int64_t> offs,
+                       const PartitionPlan& plan) {
+  histogram_partition_emit(
+      dev, ids, n_parts, offs, plan, nullptr,
+      [scatter](device::BlockCtx& b, std::int64_t i, std::int64_t dst) {
+        scatter[static_cast<std::size_t>(i)] = dst;
+        b.writes(scatter, i);
+        b.mem_coalesced(sizeof(std::int64_t));
+      });
+}
+
 std::vector<double> random_doubles(std::size_t n, unsigned seed) {
   std::mt19937 rng(seed);
   std::uniform_real_distribution<double> d(-10.0, 10.0);
@@ -399,7 +414,7 @@ TEST_P(Partition, GroupsByPartPreservingOrder) {
   const auto plan =
       plan_partition(p.n, p.n_parts, /*max_counter_bytes=*/1 << 16,
                      p.customized);
-  histogram_partition(dev, d_ids.span(), p.n_parts, scatter.span(),
+  partition_scatter(dev, d_ids.span(), p.n_parts, scatter.span(),
                       offs.span(), plan);
 
   // Reference: stable grouping by part id.
@@ -437,7 +452,7 @@ TEST_P(Partition, EmitterSeesEveryElementOnceAtItsDestination) {
                      p.customized);
   auto scatter = dev.alloc<std::int64_t>(p.n);
   auto offs = dev.alloc<std::int64_t>(p.n_parts + 1);
-  histogram_partition(dev, d_ids.span(), p.n_parts, scatter.span(),
+  partition_scatter(dev, d_ids.span(), p.n_parts, scatter.span(),
                       offs.span(), plan);
 
   auto moved = dev.alloc<std::int64_t>(p.n);  // moved[dst] = source index
@@ -532,11 +547,11 @@ TEST(PartitionPlan, CustomizedIsCheaperForManyParts) {
   auto scatter = dev.alloc<std::int64_t>(n);
   auto offs = dev.alloc<std::int64_t>(parts + 1);
 
-  histogram_partition(dev, d_ids.span(), parts, scatter.span(), offs.span(),
+  partition_scatter(dev, d_ids.span(), parts, scatter.span(), offs.span(),
                       plan_partition(n, parts, 1 << 18, false));
   const double naive = dev.elapsed_seconds();
   dev.reset_timeline();
-  histogram_partition(dev, d_ids.span(), parts, scatter.span(), offs.span(),
+  partition_scatter(dev, d_ids.span(), parts, scatter.span(), offs.span(),
                       plan_partition(n, parts, 1 << 18, true));
   const double custom = dev.elapsed_seconds();
   EXPECT_LT(custom, naive);

@@ -186,8 +186,15 @@ TEST(WorkerDeterminism, ScanAndPartitionMatchAcrossWorkerCounts) {
     auto d_p = dev.to_device<std::int32_t>(parts);
     auto scatter = dev.alloc<std::int64_t>(static_cast<std::size_t>(n));
     auto offs = dev.alloc<std::int64_t>(18);
-    histogram_partition(dev, d_p.span(), 17, scatter.span(), offs.span(),
-                        plan_partition(n, 17, 1 << 20, true));
+    histogram_partition_emit(
+        dev, d_p.span(), 17, offs.span(), plan_partition(n, 17, 1 << 20, true),
+        nullptr,
+        [s = scatter.span()](device::BlockCtx& b, std::int64_t i,
+                             std::int64_t dst) {
+          s[static_cast<std::size_t>(i)] = dst;
+          b.writes(s, i);
+          b.mem_coalesced(sizeof(std::int64_t));
+        });
     auto& scan_out = workers == 1 ? scan1 : scan4;
     auto& scat_out = workers == 1 ? scat1 : scat4;
     scan_out.assign(out.span().begin(), out.span().end());
