@@ -175,6 +175,11 @@ class BenchCase {
 
   void metric(const char* key, double value) { metrics_[key] = value; }
 
+  /// Marks the case's modeled seconds as following host wall-clock timing
+  /// (e.g. serving batches that close on host time), so `gbdt_bench
+  /// --compare` prints the case without gating it.
+  void modeled_follows_wall_clock() { wall_clock_ = true; }
+
   /// The case's span tree so far (read it between trainer runs).
   [[nodiscard]] const obs::Span& root() const { return session_.root(); }
 
@@ -206,6 +211,7 @@ class BenchCase {
     if (sink_->enabled()) {
       auto c = obs::Json::object();
       c["name"] = name_;
+      if (wall_clock_) c["modeled_follows_wall_clock"] = true;
       c["metrics"] = std::move(metrics_);
       std::vector<std::pair<std::string, double>> phases;
       accumulate_phase_seconds(root, phases);
@@ -222,6 +228,7 @@ class BenchCase {
   BenchJson* sink_;
   std::string name_;
   obs::Json metrics_;
+  bool wall_clock_ = false;
   obs::ObsSession session_;
   std::chrono::steady_clock::time_point wall_start_;
 };

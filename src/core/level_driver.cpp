@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 #include "core/loss.h"
 #include "obs/metrics.h"
@@ -45,10 +44,6 @@ TreeNode leaf_node(const ActiveNode& node, const GBDTParam& p) {
   return tn;
 }
 
-void finalize_leaf(Tree& tree, const ActiveNode& node, const GBDTParam& p) {
-  tree.node(node.tree_node) = leaf_node(node, p);
-}
-
 bool splits(const BestSplit& b, const GBDTParam& p) {
   return b.valid && b.gain > p.gamma;
 }
@@ -78,11 +73,12 @@ TreeNode child_node(const ActiveNode& child, bool leaf, const GBDTParam& p) {
   return tn;
 }
 
-LevelPlan decide_level(Tree& tree, const std::vector<ActiveNode>& active,
-                       const std::vector<BestSplit>& best,
-                       const GBDTParam& p) {
-  LevelPlan plan;
-  plan.per_slot.resize(active.size());
+std::vector<ActiveNode> decide_level(Tree& tree,
+                                     const std::vector<ActiveNode>& active,
+                                     const std::vector<BestSplit>& best,
+                                     const GBDTParam& p,
+                                     bool children_are_leaves) {
+  std::vector<ActiveNode> next;
   for (std::size_t s = 0; s < active.size(); ++s) {
     const ActiveNode& node = active[s];
     const BestSplit& b = best[s];
@@ -93,78 +89,38 @@ LevelPlan decide_level(Tree& tree, const std::vector<ActiveNode>& active,
     }
     tree.node(node.tree_node) = tn;
     if (tn.is_leaf()) continue;
-    plan.per_slot[s] = LevelPlan::Entry{true,  b.seg,         b.pos,
-                                        tn.left, tn.right,    b.default_left,
-                                        b.attr, b.split_value};
-    plan.next_active.push_back(b.left);
-    plan.next_active.back().tree_node = tn.left;
-    plan.next_active.push_back(b.right);
-    plan.next_active.back().tree_node = tn.right;
+    tree.node(tn.left) = child_node(b.left, children_are_leaves, p);
+    tree.node(tn.right) = child_node(b.right, children_are_leaves, p);
+    next.push_back(b.left);
+    next.back().tree_node = tn.left;
+    next.push_back(b.right);
+    next.back().tree_node = tn.right;
   }
-  plan.next_slot_of_tree.assign(static_cast<std::size_t>(tree.n_nodes()), -1);
-  for (std::size_t k = 0; k < plan.next_active.size(); ++k) {
-    plan.next_slot_of_tree[static_cast<std::size_t>(
-        plan.next_active[k].tree_node)] = static_cast<std::int32_t>(k);
-  }
-  return plan;
+  return next;
 }
-
-namespace {
-
-obs::Counter& levels_grown() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("gbdt_levels_grown_total");
-  return c;
-}
-
-/// Host-decided levels: decide_level between the find and apply steps;
-/// nodes still active at the depth limit become leaves.
-void grow_host_decided(const LevelBackend& backend, const GBDTParam& p,
-                       Tree& tree, const ActiveNode& root) {
-  std::vector<ActiveNode> active{root};
-  for (int level = 0; level < p.depth && !active.empty(); ++level) {
-    levels_grown().inc();
-    const std::vector<BestSplit> best = backend.find_splits(active);
-    LevelPlan plan = decide_level(tree, active, best, p);
-    if (plan.next_active.empty()) return;
-    plan.children_are_leaves = level + 1 == p.depth;
-    backend.apply_splits(plan);
-    active = std::move(plan.next_active);
-  }
-  for (const ActiveNode& node : active) finalize_leaf(tree, node, p);
-}
-
-/// Device-decided levels: the decision makes the last level's children
-/// leaves, so the device tree is complete once a level splits nothing or
-/// the depth limit is reached; then it is read back once.
-void grow_device_decided(const LevelBackend& backend, const GBDTParam& p,
-                         Tree& tree) {
-  std::int64_t n_slots = 1;
-  for (int level = 0; level < p.depth && n_slots > 0; ++level) {
-    levels_grown().inc();
-    n_slots = backend.split_level(level + 1 == p.depth);
-  }
-  backend.read_tree(tree);
-}
-
-}  // namespace
 
 std::vector<double> grow_forest(const LevelBackend& backend,
                                 const GBDTParam& p, std::vector<Tree>& trees,
                                 const TreeCallback& on_tree) {
   static obs::Counter& trees_trained =
       obs::Registry::global().counter("gbdt_trees_trained_total");
+  static obs::Counter& levels_grown =
+      obs::Registry::global().counter("gbdt_levels_grown_total");
   trees.reserve(static_cast<std::size_t>(p.n_trees));
   for (int t = 0; t < p.n_trees; ++t) {
     // reserve() keeps `prev` valid across the emplace.
     const Tree* prev = t > 0 ? &trees.back() : nullptr;
     Tree& tree = trees.emplace_back();
-    const ActiveNode root = backend.begin_tree(t, prev, tree);
-    if (backend.split_level) {
-      grow_device_decided(backend, p, tree);
-    } else {
-      grow_host_decided(backend, p, tree, root);
+    backend.begin_tree(t, prev, tree);
+    // The decision of the level at the depth limit makes its children
+    // leaves, so the tree is complete once a level splits nothing or the
+    // depth limit is reached.
+    std::int64_t n_slots = 1;
+    for (int level = 0; level < p.depth && n_slots > 0; ++level) {
+      levels_grown.inc();
+      n_slots = backend.split_level(level + 1 == p.depth);
     }
+    if (backend.read_tree) backend.read_tree(tree);
     if (backend.end_tree) backend.end_tree(tree);
     trees_trained.inc();
     if (on_tree && !on_tree(t, trees)) break;

@@ -262,25 +262,29 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
   detail::alloc_instance_state(st);
 
   // ---- boosting loop (core/level_driver.h) --------------------------------
+  // The tree and its level's active nodes stay on the host: each level's
+  // winners are merged on the host, and the host decide_level decides it.
+  Tree* tree = nullptr;
+  std::vector<ActiveNode> active;
   // The level's node tables: uploaded by the find step, read by both steps.
   device::ArenaBuffer<std::int32_t> d_slot_of;
-  device::ArenaBuffer<detail::SlotStat> d_stats;
+  device::ArenaBuffer<GainStats> d_stats;
   detail::LevelBackend backend;
-  backend.begin_tree = [&](int t, const Tree* prev, Tree& tree) {
-    st.tree = &tree;
+  backend.begin_tree = [&](int t, const Tree* prev, Tree& fresh) {
+    tree = &fresh;
     obs::ScopedSpan span("gradient_compute");
     if (prev != nullptr) detail::update_predictions_smart(st, *prev);
     round_driver.begin_round(st, d_labels, t);
     prim::fill(dev_, st.node_of, std::int32_t{0});
     const GHPair root = prim::reduce_sum(dev_, st.gh, "ooc_root_sum_gh");
-    return ActiveNode{0, root.g, root.h, n_inst};
+    active.assign(1, ActiveNode{0, root.g, root.h, n_inst});
   };
 
-  backend.find_splits = [&](const std::vector<ActiveNode>& active) {
-    st.active = active;
-    const auto n_slots = st.n_active();
+  // Best split of every active node, streaming every chunk once.
+  const auto find_splits = [&] {
+    const auto n_slots = static_cast<std::int64_t>(active.size());
     std::vector<std::int32_t> slot_of(
-        static_cast<std::size_t>(st.tree->n_nodes()), -1);
+        static_cast<std::size_t>(tree->n_nodes()), -1);
     for (std::size_t s = 0; s < active.size(); ++s) {
       slot_of[static_cast<std::size_t>(active[s].tree_node)] =
           static_cast<std::int32_t>(s);
@@ -288,8 +292,14 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
     // The previous level's tables go back to the arena first.
     d_stats.free();
     d_slot_of.free();
+    // Each slot's statistics packed into one record, so the upload is one
+    // latency-bound PCI-e transfer instead of three.
+    std::vector<GainStats> stats;
+    for (const ActiveNode& a : active) {
+      stats.push_back(GainStats{a.sum_g, a.sum_h, a.count});
+    }
     d_slot_of = detail::upload_pooled(dev_, st.arena, slot_of);
-    d_stats = detail::upload_slot_tables(st);
+    d_stats = detail::upload_pooled(dev_, st.arena, stats);
     std::vector<BestSplit> best(active.size());
 
     // ---- stream every chunk through the device once per level --------
@@ -501,22 +511,23 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
     return best;
   };
 
-  backend.apply_splits = [&](const detail::LevelPlan& plan) {
-    // Defaults for every instance of a splitting node, then the exact side
-    // from each distinct winning column, re-streamed from the host once no
-    // matter how many nodes split on it.  One route table upload serves
-    // every kernel of the step.
+  // Moves the instances of the level's splitting nodes to their children:
+  // defaults for every instance of a splitting node, then the exact side
+  // from each distinct winning column, re-streamed from the host once no
+  // matter how many nodes split on it.  One route table upload serves every
+  // kernel of the step.
+  const auto apply_splits = [&](const std::vector<ActiveNode>& next) {
     obs::ScopedSpan split_span("split_node");
-    std::vector<Route> route(static_cast<std::size_t>(st.tree->n_nodes()));
+    std::vector<Route> route(static_cast<std::size_t>(tree->n_nodes()));
     std::vector<std::int32_t> attrs;
-    for (std::size_t s = 0; s < plan.per_slot.size(); ++s) {
-      const auto& d = plan.per_slot[s];
-      if (!d.split) continue;
-      route[static_cast<std::size_t>(st.active[s].tree_node)].default_child =
-          d.default_left ? d.left_id : d.right_id;
-      const Route child{-1, d.attr, d.split_value, d.left_id, d.right_id};
-      route[static_cast<std::size_t>(d.left_id)] = child;
-      route[static_cast<std::size_t>(d.right_id)] = child;
+    for (const ActiveNode& a : active) {
+      const TreeNode& d = tree->node(a.tree_node);
+      if (d.is_leaf()) continue;
+      route[static_cast<std::size_t>(a.tree_node)].default_child =
+          d.default_left ? d.left : d.right;
+      const Route child{-1, d.attr, d.split_value, d.left, d.right};
+      route[static_cast<std::size_t>(d.left)] = child;
+      route[static_cast<std::size_t>(d.right)] = child;
       attrs.push_back(d.attr);
     }
     std::sort(attrs.begin(), attrs.end());
@@ -593,7 +604,21 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
     });
     dev_.sync(stream_compute);
 
-    testing::check_instance_counts(st.node_of.span(), plan, "ooc_level");
+    if (testing::invariants_enabled()) {
+      std::vector<std::pair<std::int32_t, std::int64_t>> counts;
+      for (const ActiveNode& c : next) {
+        counts.emplace_back(c.tree_node, c.count);
+      }
+      testing::check_instance_counts(st.node_of.span(), counts, "ooc_level");
+    }
+  };
+
+  backend.split_level = [&](bool children_are_leaves) -> std::int64_t {
+    std::vector<ActiveNode> next = detail::decide_level(
+        *tree, active, find_splits(), param_, children_are_leaves);
+    if (!next.empty()) apply_splits(next);
+    active = std::move(next);
+    return static_cast<std::int64_t>(active.size());
   };
 
   backend.end_tree = [&](const Tree& done) {

@@ -104,29 +104,6 @@ inline void set_children(BestSplit& b, const ActiveNode& node,
   b.right.count = node.count - left_cnt;
 }
 
-/// Host-side plan of one level's node splits (filled by decide_level in
-/// core/level_driver.h, consumed by the host-decided paths' apply steps).
-struct LevelPlan {
-  struct Entry {
-    bool split = false;
-    std::int64_t chosen_seg = -1;
-    std::int64_t best_pos = -1;
-    std::int32_t left_id = -1;    // tree node ids of the children
-    std::int32_t right_id = -1;
-    bool default_left = false;
-    std::int32_t attr = -1;
-    float split_value = 0.f;
-  };
-  std::vector<Entry> per_slot;             // indexed by active slot
-  std::vector<ActiveNode> next_active;     // children, in slot order
-  /// next_slot_of_tree[tree_node] = slot in next_active, or -1.
-  std::vector<std::int32_t> next_slot_of_tree;
-  /// The children reach the depth limit and become leaves: the apply step
-  /// updates only the instance->node map (all SmartGD reads) and skips the
-  /// re-layout of the attribute lists, which the next tree rebuilds anyway.
-  bool children_are_leaves = false;
-};
-
 /// One level's split tables, written on the device by the decide kernel
 /// (decide_on_device) into one arena block, and the level's sizes, which
 /// the host reads to size the split step.  The rest of the decision lives
@@ -263,7 +240,7 @@ struct TrainState {
   device::ArenaBuffer<std::int32_t> keys;
   device::ArenaBuffer<std::int32_t> run_keys;
 
-  // ---- the device-decided tree (exact paths) -----------------------------
+  // ---- the device-decided tree (in-core paths) ---------------------------
   /// The tree being grown, decided level by level on the device: sized for
   /// the deepest tree (alloc_device_tree), read back once per tree.  Slot s
   /// of the current level is node level_base + s, so the nodes' statistics
@@ -271,9 +248,9 @@ struct TrainState {
   device::DeviceBuffer<TreeNode> nodes;
   std::int64_t level_base = 0;
   std::int64_t n_slots = 0;
-  /// The current level's find-step outputs (find step to decision).
+  /// The exact paths' find-step outputs (find step to decision).
   SplitSearch search;
-  // The current level's decision tables (decision to partition).
+  // The exact paths' decision tables (decision to partition).
   SplitTables split_tables;
 
   // ---- per-instance state ------------------------------------------------
@@ -290,28 +267,11 @@ struct TrainState {
   /// code path, so the disabled configuration stays bitwise-identical.
   std::span<const std::uint8_t> feature_mask;
 
-  // ---- per-level host state (host-decided paths) -------------------------
-  std::vector<ActiveNode> active;
-  Tree* tree = nullptr;
-
-  [[nodiscard]] std::int64_t n_active() const {
-    return static_cast<std::int64_t>(active.size());
-  }
   /// SetKey grid of `n_segments` segments over `n_elements` elements (or
   /// runs, or bins): prim::segs_per_block, or 1 for the naive Fig 9 ablation.
   [[nodiscard]] std::int64_t segs_per_block(std::int64_t n_segments,
                                             std::int64_t n_elements) const;
 };
-
-/// Per-slot statistics packed into one record so the per-level upload is a
-/// single PCI-e transfer (latency-dominated at this size: one 10us transfer
-/// instead of three).
-using SlotStat = GainStats;
-
-/// Uploads the active slots' stats once per level (arena-pooled:
-/// re-uploading each level reuses the same block).  The out-of-core path's;
-/// the in-core exact paths read their slot statistics from the device tree.
-[[nodiscard]] device::ArenaBuffer<SlotStat> upload_slot_tables(TrainState& st);
 
 /// Allocates gh / y_pred / node_of for st.n_inst rows and fills
 /// y_pred with the base score.
@@ -323,14 +283,15 @@ void alloc_instance_state(TrainState& st);
 [[nodiscard]] device::ArenaBuffer<std::int64_t> device_node_offsets(
     TrainState& st, std::int64_t n_slots, std::int64_t stride);
 
-/// Allocates st.nodes for the largest tree st.param can grow over st.n_inst
-/// rows: min(2^(depth+1) - 1, 2 * n_inst - 1) nodes (every leaf holds a row).
-void alloc_device_tree(TrainState& st);
+/// Allocates st.nodes for the largest tree st.param can grow over `n_rows`
+/// rows (every shard's, on a row-sharded path): min(2^(depth+1) - 1,
+/// 2 * n_rows - 1) nodes, as every leaf holds a row.
+void alloc_device_tree(TrainState& st, std::int64_t n_rows);
 
 /// Starts a tree on the device: reduces the gradient pairs (kernel
 /// `kernel_name`), whose final pass writes the root record st.nodes[0], and
-/// makes the root the level's only slot.  Returns the root's sums.
-GHPair begin_device_tree(TrainState& st, std::string_view kernel_name);
+/// makes the root the level's only slot.
+void begin_device_tree(TrainState& st, std::string_view kernel_name);
 
 /// The split decision of the current level as one one-block kernel
 /// (`decide_level`): decide_slot for every slot over its winner, the tree

@@ -19,7 +19,8 @@
 //
 // The per-tree/per-level machinery lives in HistGrower, whose steps
 // GpuGbdtTrainer and the multi-GPU trainer sequence as level-driver
-// backends (DESIGN.md §5k).
+// backends (DESIGN.md §5k); each level is decided on the device
+// (decide_hist_level), so no level crosses PCI-e.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +31,7 @@
 #include "core/trainer_detail.h"
 #include "data/dataset.h"
 #include "device/device_context.h"
+#include "primitives/fused_split.h"
 #include "primitives/histogram.h"
 
 namespace gbdt {
@@ -39,6 +41,9 @@ namespace gbdt {
 /// once per training run; every tree and level reads bins, never raw floats.
 struct BinnedMatrix {
   std::vector<hist::BinCuts> cuts;                   // per attribute
+  /// cuts[a].bin_low[b] at a * n_bins + b (0 past an attribute's last bin):
+  /// the split values the device decision reads.
+  device::DeviceBuffer<float> cut_values;
   device::DeviceBuffer<std::int64_t> row_offsets;    // [n_inst + 1]
   device::DeviceBuffer<std::int32_t> entry_attr;     // per CSR entry
   device::DeviceBuffer<std::uint16_t> entry_bin;
@@ -54,7 +59,8 @@ struct BinnedMatrix {
     const data::Dataset& ds, int n_bins);
 
 /// Quantizes the dataset: builds per-attribute quantile cuts (hist::build_cuts)
-/// and uploads the bin-index entry stream (PCI-e accounted).
+/// and uploads the cut values and the bin-index entry stream (PCI-e
+/// accounted).
 [[nodiscard]] BinnedMatrix build_binned_matrix(device::Device& dev,
                                                const data::Dataset& ds,
                                                int n_bins);
@@ -65,24 +71,79 @@ struct BinnedMatrix {
     device::Device& dev, const data::Dataset& ds, int n_bins,
     const std::vector<hist::BinCuts>& cuts);
 
+/// One histogram level's tables: int64 columns of one arena block that the
+/// previous level's decision wrote on the device (the root's: begin_tree),
+/// trimmed to the sizes it wrote.
+struct HistTables {
+  device::ArenaBuffer<std::int64_t> block;
+  /// The deciding level's split bins: per slot, the last bin on the left
+  /// (high-value) side, or -1 where it does not split.  Empty at the root.
+  std::span<const std::int64_t> split_bin;
+  /// The accumulated slots: the smaller child of each split pair.
+  hist::BuildTables build;
+  /// Derived slot k is der_parent[k]'s histogram minus der_sibling[k]'s.
+  std::span<const std::int64_t> der_parent;
+  std::span<const std::int64_t> der_sibling;
+  std::span<const std::int64_t> der_derived;
+  std::span<const std::int64_t> slotq;  // (g, h, cnt) per slot
+  std::int64_t n_slots = 0;
+  std::int64_t n_rows = 0;  // bound on the rows in the level's index
+};
+
+/// The histogram find step's outputs the split decision reads: segment =
+/// slot * n_attr + attribute, cell = segment * n_bins + bin.
+struct HistSearch {
+  std::span<const double> node_val;        // [slots] best segment gain
+  std::span<const std::int64_t> node_idx;  // [slots] best segment, or -1
+  std::span<const std::int64_t> seg_idx;   // [segments] best cell, or -1
+  std::span<const std::uint8_t> seg_dir;   // [segments] 1: missing go left
+  prim::CarriedScan<hist::QGH> scan;       // inclusive scan per cell
+  std::span<const hist::QGH> seg_tot;      // [segments] present totals
+  std::span<const std::int64_t> slotq;     // [3 * slots] (g, h, cnt)
+  std::span<const float> cut_values;       // BinnedMatrix::cut_values
+  std::int64_t n_attr = 0;
+  std::int64_t n_bins = 0;
+  hist::GradQuant quant_g;
+  hist::GradQuant quant_h;
+
+  /// Slot s's winner (valid for a segment, a cell and a positive gain; pos
+  /// is the bin) with its children's quantized statistics.  Runs inside a
+  /// device kernel, one irregular transaction per gathered field.
+  struct Winner {
+    detail::BestSplit split;
+    hist::QGH left;
+    hist::QGH right;
+  };
+  [[nodiscard]] Winner winner(device::BlockCtx& b, std::int64_t s) const;
+};
+
+/// The split decision of st's current level as one one-block kernel
+/// (`hist_decide_level`): decide_slot per slot over its winner, the records
+/// of the slots and their children (child_node), the split bins and, unless
+/// `children_are_leaves`, the next level's tables (build items of `chunk`
+/// rows).  Advances nothing: the slots stay current until advance_level.
+[[nodiscard]] HistTables decide_hist_level(detail::TrainState& st,
+                                           const HistSearch& search,
+                                           bool children_are_leaves,
+                                           std::int64_t chunk);
+
 /// Stepwise histogram tree grower over one device (one row shard in the
-/// multi-GPU path); the caller owns spans and the instance-count /
-/// leaf-map checks.  With `distributed` set the grower
-/// skips the subtraction self-check (it assumes the full row set) and the
-/// process-wide subtraction counter.
+/// multi-GPU path); the caller owns spans, the conservation and leaf-map
+/// checks, and advancing the level (advance_level).  With `distributed`
+/// set the grower skips the subtraction self-check (it assumes the full
+/// row set) and the process-wide subtraction counter.
 ///
 /// The grower keeps a row index sorted by level slot (Mitchell 2018's row
 /// partitioner), so each level's build reads only the accumulated slots'
-/// rows, and one arena block of int64 tables per level: the build plan, the
-/// subtraction triples and the slots' quantized stats.  apply_level packs
-/// the next level's tables with its own split commands into one upload; the
-/// root level's few words ride begin_tree's kernel as arguments.
+/// rows, and the level's HistTables, which the previous level's decision
+/// wrote on the device.  The tree is st.nodes: the current level's slots
+/// are its nodes level_base .. level_base + n_slots.
 ///
 /// Per tree:   local_abs_max -> [max-allreduce] -> quantize ->
 ///             [sum-allreduce] -> begin_tree
 /// Per level:  plan_level -> build_level -> [histogram allreduce over
-///             accumulated_slots] -> subtract_level -> find_level ->
-///             (shared split decision) -> apply_level
+///             accumulated_slots] -> subtract_level -> find_level (ends in
+///             the decision) -> apply_level
 class HistGrower {
  public:
   HistGrower(device::Device& dev, const GBDTParam& param,
@@ -102,13 +163,14 @@ class HistGrower {
   /// shard-local quantized root sums.
   [[nodiscard]] hist::QGH quantize(double max_abs_g, double max_abs_h,
                                    std::int64_t global_n);
-  /// Resets the per-tree state (every row in the root, the root level's
-  /// tables) around the (globally reduced) root stats and returns the root.
-  detail::ActiveNode begin_tree(Tree& tree, const hist::QGH& global_root);
+  /// Resets the per-tree state around the (globally reduced) root stats:
+  /// every row in the root, the root's tree record st.nodes[0] and the
+  /// root level's tables; the root becomes the level's only slot.
+  void begin_tree(const hist::QGH& global_root);
 
   // ---- per level ----------------------------------------------------------
-  /// Installs the level's active nodes and allocates their histograms.
-  void plan_level(const std::vector<detail::ActiveNode>& active);
+  /// Allocates the level's histograms.
+  void plan_level();
   /// Builds the accumulated slots' histograms over this shard's rows.
   void build_level();
   /// Spans of the accumulated (directly built) histogram slots — the
@@ -129,44 +191,22 @@ class HistGrower {
   /// set_keys over the prepared offsets; `stream` lets the multi-GPU path
   /// overlap it with the histogram allreduce.
   void run_set_keys(int stream = device::kDefaultStream);
-  /// Fused scan + gain/argmax + host winner assembly over the (merged)
-  /// histograms.  Deterministic in its inputs, so shards agree bitwise.
-  void find_level();
-  /// Uploads the decided splits with the next level's tables (one
-  /// transfer), moves this shard's rows to their children, partitions the
-  /// row index by next-level slot and rolls the level state forward.
-  void apply_level(const detail::LevelPlan& plan);
+  /// Fused scan + gain/argmax over the (merged) histograms, then the
+  /// level's decision on the device (decide_hist_level).  Deterministic in
+  /// its inputs, so shards agree bitwise.
+  void find_level(bool children_are_leaves);
+  /// The decided level's next slot count (0: nothing splits).
+  [[nodiscard]] std::int64_t n_next() const { return next_.n_slots; }
+  /// Moves this shard's rows to the children the device tree names and,
+  /// unless `children_are_leaves`, partitions the row index by next-level
+  /// slot and makes the decided tables current.
+  void apply_level(bool children_are_leaves);
 
   // ---- per tree, end ------------------------------------------------------
   /// Clears the level state (the leaves are already written).
   void finish_tree();
 
-  [[nodiscard]] const std::vector<detail::BestSplit>& best() const {
-    return best_;
-  }
-
  private:
-  /// One level's host-side tables: the accumulated slots and their build
-  /// items, the derived slots' (parent, sibling, derived) triples, and
-  /// every slot's quantized stats.
-  struct LevelTables {
-    hist::BuildPlan build;
-    std::vector<std::int64_t> der_parent;
-    std::vector<std::int64_t> der_sibling;
-    std::vector<std::int64_t> der_derived;
-    std::vector<hist::QGH> slotq;
-    std::int64_t n_rows = 0;  // bound on the rows in the level's index
-  };
-  /// Where a LevelTables' columns sit in its device block.
-  struct Columns {
-    hist::BuildPlan::Columns build;
-    hist::PackedTables::Column der_parent, der_sibling, der_derived, slotq;
-  };
-  [[nodiscard]] static Columns pack(const LevelTables& level,
-                                    hist::PackedTables& t);
-  [[nodiscard]] std::span<const std::int64_t> column(
-      hist::PackedTables::Column c) const;
-
   device::Device& dev_;
   const GBDTParam& param_;
   detail::TrainState& st_;
@@ -187,15 +227,12 @@ class HistGrower {
   device::ArenaBuffer<std::int64_t> slot_rows_;
   const std::int64_t chunk_;  // rows per build item
 
-  LevelTables level_;
-  Columns cols_;
-  device::ArenaBuffer<std::int64_t> tables_;  // level_'s columns on device
+  HistTables tables_;  // the current level's
+  HistTables next_;    // the decided level's split bins and next tables
 
   device::ArenaBuffer<hist::QGH> hist_prev_;
   device::ArenaBuffer<hist::QGH> hist_cur_;
   device::ArenaBuffer<std::int64_t> offsets_;  // segment, then node offsets
-  std::vector<detail::BestSplit> best_;
-  std::vector<hist::QGH> child_q_;
 };
 
 }  // namespace gbdt

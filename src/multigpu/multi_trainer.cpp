@@ -22,9 +22,7 @@
 
 namespace gbdt::multigpu {
 
-using gbdt::detail::ActiveNode;
 using gbdt::detail::BestSplit;
-using gbdt::detail::LevelPlan;
 using gbdt::detail::TrainState;
 using device::Device;
 
@@ -289,7 +287,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
       labels[static_cast<std::size_t>(k)] =
           sh.dev->to_device<float>(ds.labels());
       gbdt::detail::alloc_instance_state(*sh.state);
-      gbdt::detail::alloc_device_tree(*sh.state);
+      gbdt::detail::alloc_device_tree(*sh.state, n_inst);
     }
   }
 
@@ -327,16 +325,10 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
     // Gradients are replicated, so every shard reduces the same pairs in
     // the same order to the same bitwise root; no collective is needed to
     // agree on it.
-    std::vector<gbdt::detail::GHPair> roots(static_cast<std::size_t>(K));
-    {
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
-      for (int k = 0; k < K; ++k) {
-        roots[static_cast<std::size_t>(k)] = gbdt::detail::begin_device_tree(
-            *shards[static_cast<std::size_t>(k)].state, "mgpu_root_sum_gh");
-      }
+    ParallelStep step(shards, report.modeled_seconds, &report.device_seconds);
+    for (auto& sh : shards) {
+      gbdt::detail::begin_device_tree(*sh.state, "mgpu_root_sum_gh");
     }
-    return ActiveNode{0, roots[0].g, roots[0].h, n_inst};
   };
 
   backend.split_level = [&](bool children_are_leaves) -> std::int64_t {
@@ -594,6 +586,7 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
       labels[static_cast<std::size_t>(k)] =
           sh.dev->to_device<float>(local.labels());
       gbdt::detail::alloc_instance_state(*sh.state);
+      gbdt::detail::alloc_device_tree(*sh.state, n_inst);
     }
   }
 
@@ -607,15 +600,17 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
   }
 
   // ---- boosting loop (core/level_driver.h) --------------------------------
+  // The histograms and slot stats are global once merged, so every shard
+  // decides each level the same on its own device tree.
   gbdt::detail::LevelBackend backend;
-  backend.begin_tree = [&](int /*t*/, const Tree* prev, Tree& tree) {
+  backend.begin_tree = [&](int /*t*/, const Tree* prev, Tree& /*tree*/) {
     {
       obs::ScopedSpan span("gradient_compute");
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);
       for (int k = 0; k < K; ++k) {
         auto& st = *shards[static_cast<std::size_t>(k)].state;
-        if (prev != nullptr) gbdt::detail::update_predictions_smart(st, *prev);
+        if (prev != nullptr) gbdt::detail::update_predictions_smart(st);
         gbdt::detail::compute_gradients(st, labels[static_cast<std::size_t>(k)]);
       }
     }
@@ -670,15 +665,13 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
                                                links, payloads, qgh_sum));
     }
 
-    // The root stats are global, so every shard returns the same root.
-    ActiveNode root;
+    // The root stats are global, so every shard writes the same root.
     ParallelStep step(shards, report.modeled_seconds, &report.device_seconds);
-    for (auto& g : growers) root = g.begin_tree(tree, rootq[0]);
-    return root;
+    for (auto& g : growers) g.begin_tree(rootq[0]);
   };
 
-  backend.find_splits = [&](const std::vector<ActiveNode>& active) {
-    for (auto& g : growers) g.plan_level(active);
+  backend.split_level = [&](bool children_are_leaves) -> std::int64_t {
+    for (auto& g : growers) g.plan_level();
     {
       obs::ScopedSpan span("hist_build");
       ParallelStep step(shards, report.modeled_seconds,
@@ -739,34 +732,37 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
       obs::ScopedSpan span("hist_find_split");
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);
-      for (auto& g : growers) g.find_level();
+      for (auto& g : growers) g.find_level(children_are_leaves);
     }
-    // The histograms and slot stats are global, so every shard found the
-    // same winners; shard 0's feed the shared decision.
-    return growers[0].best();
-  };
-
-  backend.apply_splits = [&](const LevelPlan& plan) {
+    const std::int64_t n_next = growers[0].n_next();
+    if (n_next == 0) return n_next;
     {
       obs::ScopedSpan span("hist_split_node");
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);
-      for (auto& g : growers) g.apply_level(plan);
+      for (auto& g : growers) g.apply_level(children_are_leaves);
     }
+    for (auto& sh : shards) gbdt::detail::advance_level(*sh.state, n_next);
+    return n_next;
+  };
+  backend.read_tree = [&](Tree& tree) {
+    // Every shard holds the same tree; shard 0's comes back (charged with
+    // the decide kernels that wrote it).
+    obs::ScopedSpan span("hist_find_split");
+    ParallelStep step(shards, report.modeled_seconds, &report.device_seconds);
+    tree = gbdt::detail::read_device_tree(*shards[0].state);
   };
   backend.end_tree = [&](const Tree& /*tree*/) {
     for (auto& g : growers) g.finish_tree();
   };
-  backend.finish = [&](const Tree& last) {
+  backend.finish = [&](const Tree& /*last*/) {
     // Fold the last tree into the per-shard predictions and concatenate the
     // row ranges back into dataset order.
     {
       obs::ScopedSpan span("gradient_compute");
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);
-      for (auto& sh : shards) {
-        gbdt::detail::update_predictions_smart(*sh.state, last);
-      }
+      for (auto& sh : shards) gbdt::detail::update_predictions_smart(*sh.state);
     }
     std::vector<double> scores;
     scores.reserve(static_cast<std::size_t>(n_inst));

@@ -44,10 +44,10 @@ std::string Registry::key_of(std::string_view name, const Labels& labels) {
   return key;
 }
 
-Registry::Entry& Registry::find_or_create(std::string_view name,
-                                          const Labels& labels,
-                                          MetricKind kind,
-                                          std::vector<double> bounds) {
+template <typename M>
+M& Registry::find_or_create(std::string_view name, const Labels& labels,
+                            MetricKind kind, std::vector<double> bounds,
+                            std::unique_ptr<M> Entry::*member) {
   const std::string key = key_of(name, labels);
   std::lock_guard lk(mu_);
   for (auto& [k, e] : metrics_) {
@@ -56,7 +56,7 @@ Registry::Entry& Registry::find_or_create(std::string_view name,
         throw std::logic_error("metric '" + key +
                                "' registered with a different type");
       }
-      return e;
+      return *(e.*member);
     }
   }
   Entry e;
@@ -74,31 +74,31 @@ Registry::Entry& Registry::find_or_create(std::string_view name,
       break;
   }
   metrics_.emplace_back(key, std::move(e));
-  return metrics_.back().second;
+  return *(metrics_.back().second.*member);
 }
 
 Counter& Registry::counter(std::string_view name, const Labels& labels) {
-  return *find_or_create(name, labels, MetricKind::kCounter, {}).counter;
+  return find_or_create(name, labels, MetricKind::kCounter, {},
+                        &Entry::counter);
 }
 
 Gauge& Registry::gauge(std::string_view name, const Labels& labels) {
-  return *find_or_create(name, labels, MetricKind::kGauge, {}).gauge;
+  return find_or_create(name, labels, MetricKind::kGauge, {}, &Entry::gauge);
 }
 
 Histogram& Registry::histogram(std::string_view name, const Labels& labels,
                                std::vector<double> bounds) {
-  return *find_or_create(name, labels, MetricKind::kHistogram,
-                         std::move(bounds))
-              .histogram;
+  return find_or_create(name, labels, MetricKind::kHistogram,
+                        std::move(bounds), &Entry::histogram);
 }
 
 Json Registry::to_json() const {
+  // The entry pointers stay valid only while the lock holds off
+  // registrations.
+  std::lock_guard lk(mu_);
   std::vector<std::pair<std::string, const Entry*>> sorted;
-  {
-    std::lock_guard lk(mu_);
-    sorted.reserve(metrics_.size());
-    for (const auto& [k, e] : metrics_) sorted.emplace_back(k, &e);
-  }
+  sorted.reserve(metrics_.size());
+  for (const auto& [k, e] : metrics_) sorted.emplace_back(k, &e);
   std::sort(sorted.begin(), sorted.end());
   Json counters = Json::object();
   Json gauges = Json::object();

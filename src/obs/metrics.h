@@ -204,8 +204,13 @@ class Registry {
   };
   [[nodiscard]] static std::string key_of(std::string_view name,
                                           const Labels& labels);
-  Entry& find_or_create(std::string_view name, const Labels& labels,
-                        MetricKind kind, std::vector<double> bounds);
+  /// The `member` metric of the entry under `name` and `labels`, created
+  /// when absent.  Dereferenced under the lock: a concurrent registration
+  /// may reallocate metrics_ once it is released (the metric itself stays).
+  template <typename M>
+  M& find_or_create(std::string_view name, const Labels& labels,
+                    MetricKind kind, std::vector<double> bounds,
+                    std::unique_ptr<M> Entry::*member);
 
   mutable std::mutex mu_;
   std::vector<std::pair<std::string, Entry>> metrics_;  // key -> entry

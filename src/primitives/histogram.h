@@ -16,15 +16,16 @@
 //    regardless of the block decomposition — with double cells the
 //    subtraction would drift in the last ulp and the trainer could not be
 //    deterministic;
-//  * the packed per-level tables (PackedTables, BuildPlan, HistSplitCmd):
-//    int64 columns laid back to back so a level's tables take one upload;
+//  * the build plan (BuildTables): the accumulated slots as int64 columns
+//    of the level's table block;
 //  * the `hist_`-labelled kernels over a row index sorted by tree node
 //    (Mitchell 2018's row partitioner): the tiled build (each block
 //    accumulates one shared-memory-sized tile of one slot's histogram over
 //    a chunk of that slot's rows and writes it once), the merge of the
 //    partial copies of slots that span several chunks, the subtraction
-//    kernel, and the row split that moves rows to their children and
-//    partitions the index by next-level slot.  gbdt_lint enforces the
+//    kernel, and the row split that moves rows to the children the device
+//    tree names and partitions the index by next-level slot.  gbdt_lint
+//    enforces the
 //    `hist_` label prefix for every launch in this file.
 #pragma once
 
@@ -35,6 +36,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/tree.h"
 #include "device/device_context.h"
 #include "device/workspace_arena.h"
 #include "primitives/transform.h"
@@ -166,30 +168,6 @@ struct GradQuant {
   return q;
 }
 
-// ---- packed level tables ---------------------------------------------------
-
-/// Host image of a block of int64 table columns laid back to back, so one
-/// level's tables reach the device in a single latency-bound upload (the
-/// SplitTables pattern of core/trainer_detail.h).
-struct PackedTables {
-  struct Column {
-    std::size_t off = 0;
-    std::size_t len = 0;
-  };
-  std::vector<std::int64_t> words;
-
-  Column add(std::span<const std::int64_t> values) {
-    const Column c{words.size(), values.size()};
-    words.insert(words.end(), values.begin(), values.end());
-    return c;
-  }
-  /// Column `c` of the block once it is on the device.
-  [[nodiscard]] static std::span<const std::int64_t> view(
-      std::span<const std::int64_t> block, Column c) {
-    return block.subspan(c.off, c.len);
-  }
-};
-
 // ---- build plan -------------------------------------------------------------
 
 /// Rows one build item holds: `n` rows over min(ceil(n / kBlockDim),
@@ -220,61 +198,20 @@ struct PackedTables {
   return std::max<std::int64_t>(1, std::min(tile, cells_per_slot));
 }
 
-/// Device view of a packed BuildPlan (spans into the level's table block).
+/// Device view of a level's build plan (spans into the level's table block,
+/// which the split decision writes on the device).  Each accumulated slot's
+/// rows split into build items of at most `chunk` rows, and one block runs
+/// per (item, tile).  A slot with a single item writes its tiles straight
+/// into its row of the output; only a slot with several items gives each
+/// one a partial copy, which hist_merge folds in item order.
 struct BuildTables {
-  std::span<const std::int64_t> slot;   // [n_accum]
-  std::span<const std::int64_t> item;   // [n_accum + 1]
-  std::span<const std::int64_t> part;   // [n_accum]
-  std::span<const std::int64_t> multi;  // [n_multi]
+  std::span<const std::int64_t> slot;   // [n_accum] slot = output row
+  std::span<const std::int64_t> item;   // [n_accum + 1] first item, total
+  std::span<const std::int64_t> part;   // [n_accum] first copy, -1: direct
+  std::span<const std::int64_t> multi;  // [n_multi] accum indices w/ copies
   std::int64_t chunk = 1;
   std::int64_t n_items = 0;
   std::int64_t n_parts = 0;
-};
-
-/// One level's build plan, made on the host from slot row counts.  Each
-/// accumulated slot's rows split into build items of at most `chunk` rows,
-/// and one block runs per (item, tile).  A slot with a single item writes
-/// its tiles straight into its row of the output; only a slot with several
-/// items gives each one a partial copy, which hist_merge folds in item order.
-struct BuildPlan {
-  std::int64_t chunk = 1;
-  std::vector<std::int64_t> slot;        // accumulated slot = output row
-  std::vector<std::int64_t> item = {0};  // first item per slot, then the total
-  std::vector<std::int64_t> part;        // first partial copy, -1: direct
-  std::vector<std::int64_t> multi;       // accum indices with copies
-  std::int64_t n_parts = 0;
-
-  /// Appends level slot `s`, which holds at most `rows` rows.
-  void add(std::int64_t s, std::int64_t rows) {
-    const std::int64_t items =
-        std::max<std::int64_t>(1, (rows + chunk - 1) / chunk);
-    if (items > 1) {
-      multi.push_back(static_cast<std::int64_t>(slot.size()));
-      part.push_back(n_parts);
-      n_parts += items;
-    } else {
-      part.push_back(-1);
-    }
-    slot.push_back(s);
-    item.push_back(item.back() + items);
-  }
-
-  struct Columns {
-    PackedTables::Column slot, item, part, multi;
-  };
-  Columns pack(PackedTables& t) const {
-    return Columns{t.add(slot), t.add(item), t.add(part), t.add(multi)};
-  }
-  [[nodiscard]] BuildTables tables(std::span<const std::int64_t> block,
-                                   const Columns& c) const {
-    return BuildTables{PackedTables::view(block, c.slot),
-                       PackedTables::view(block, c.item),
-                       PackedTables::view(block, c.part),
-                       PackedTables::view(block, c.multi),
-                       chunk,
-                       item.back(),
-                       n_parts};
-  }
 };
 
 // ---- device kernels --------------------------------------------------------
@@ -484,43 +421,14 @@ inline void subtract_histograms(device::Device& dev,
              });
 }
 
-/// One slot's split command, packed as kWords int64 words so it rides the
-/// level's table upload.  attr < 0 marks a slot that does not split this
-/// level: its rows become a leaf's and leave the row index.
-struct HistSplitCmd {
-  static constexpr std::size_t kWords = 6;
-  std::int64_t attr = -1;
-  std::int64_t bin = -1;  // last bin on the left (high-value) side
-  std::int64_t left_id = -1;
-  std::int64_t right_id = -1;
-  std::int64_t default_left = 0;
-  /// Next-level slot of the left child (the right child's is left_slot + 1);
-  /// -1 when the children are leaves.
-  std::int64_t left_slot = -1;
-
-  /// The words of `cmds` (slot order).
-  [[nodiscard]] static std::vector<std::int64_t> pack(
-      std::span<const HistSplitCmd> cmds) {
-    std::vector<std::int64_t> w;
-    w.reserve(cmds.size() * kWords);
-    for (const HistSplitCmd& c : cmds) {
-      w.insert(w.end(), {c.attr, c.bin, c.left_id, c.right_id, c.default_left,
-                         c.left_slot});
-    }
-    return w;
-  }
-  /// Slot `s`'s command from packed words.
-  [[nodiscard]] static HistSplitCmd at(std::span<const std::int64_t> words,
-                                       std::int64_t s) {
-    const auto w = words.subspan(static_cast<std::size_t>(s) * kWords, kWords);
-    return HistSplitCmd{w[0], w[1], w[2], w[3], w[4], w[5]};
-  }
-};
-
 /// Moves the rows of every splitting slot to their children and, when
 /// `next_slot_rows` is non-empty, partitions the slot-sorted row index by
 /// next-level slot into `next_rows` (stable, so each child's rows stay in
-/// ascending order: Mitchell 2018's row partitioner).
+/// ascending order: Mitchell 2018's row partitioner).  Slot s's split is
+/// the decided tree record `slots[s]` (a leaf does not split: its rows
+/// leave the index) with `split_bin[s]`, the last bin on its left
+/// (high-value) side; its children are next-level slots
+/// slots[s].left - next_base and the one after.
 ///
 ///  - hist_update_positions: one thread per index position; a row of a
 ///    splitting slot binary-searches its CSR row for the split attribute,
@@ -534,12 +442,14 @@ struct HistSplitCmd {
 ///    stable rank.
 ///
 /// `n_rows` bounds the index's length (the device's own is
-/// slot_rows[n_slots]); `cmds` holds HistSplitCmd words per slot.
+/// slot_rows[n_slots]).
 inline void split_rows(device::Device& dev, device::WorkspaceArena& arena,
                        std::span<const std::int64_t> row_offsets,
                        std::span<const std::int32_t> entry_attr,
                        std::span<const std::uint16_t> entry_bin,
-                       std::span<const std::int64_t> cmds,
+                       std::span<const TreeNode> slots,
+                       std::span<const std::int64_t> split_bin,
+                       std::int64_t next_base,
                        std::span<const std::int32_t> rows,
                        std::span<const std::int64_t> slot_rows,
                        std::int64_t n_rows, std::span<std::int32_t> node_of,
@@ -580,9 +490,9 @@ inline void split_rows(device::Device& dev, device::WorkspaceArena& arena,
         std::uint64_t run_starts = 0;
         for (std::int64_t k = lo; k < hi; ++k) {
           while (slot_rows[static_cast<std::size_t>(s + 1)] <= k) ++s;
-          const HistSplitCmd cmd = HistSplitCmd::at(cmds, s);
+          const TreeNode& tn = slots[static_cast<std::size_t>(s)];
           std::uint8_t to = kLeaf;
-          if (cmd.attr >= 0) {
+          if (!tn.is_leaf()) {
             const auto ku = static_cast<std::size_t>(k);
             const auto r = static_cast<std::size_t>(rows[ku]);
             run_starts += k == lo || rows[ku] != rows[ku - 1] + 1;
@@ -592,9 +502,9 @@ inline void split_rows(device::Device& dev, device::WorkspaceArena& arena,
             while (e_lo < e_hi) {
               const std::int64_t mid = (e_lo + e_hi) / 2;
               const auto mu = static_cast<std::size_t>(mid);
-              if (entry_attr[mu] < cmd.attr) {
+              if (entry_attr[mu] < tn.attr) {
                 e_lo = mid + 1;
-              } else if (entry_attr[mu] > cmd.attr) {
+              } else if (entry_attr[mu] > tn.attr) {
                 e_hi = mid;
               } else {
                 found_bin = entry_bin[mu];
@@ -602,10 +512,11 @@ inline void split_rows(device::Device& dev, device::WorkspaceArena& arena,
               }
               ++probes;
             }
-            const bool go_left = found_bin >= 0 ? found_bin <= cmd.bin
-                                                : cmd.default_left != 0;
-            node_of[r] =
-                static_cast<std::int32_t>(go_left ? cmd.left_id : cmd.right_id);
+            const bool go_left =
+                found_bin >= 0
+                    ? found_bin <= split_bin[static_cast<std::size_t>(s)]
+                    : tn.default_left;
+            node_of[r] = go_left ? tn.left : tn.right;
             b.reads(row_offsets, static_cast<std::int64_t>(r), 2);
             // Rows are distinct, so the scattered stores stay
             // block-disjoint; the auditor verifies it.
@@ -622,7 +533,8 @@ inline void split_rows(device::Device& dev, device::WorkspaceArena& arena,
           b.writes(side, lo, hi - lo);
         }
         b.reads(slot_rows, 0, n_slots + 1);
-        b.reads(cmds, 0, static_cast<std::int64_t>(cmds.size()));
+        b.reads(slots, 0, n_slots);
+        b.reads(split_bin, 0, n_slots);
         b.reads(rows, lo, hi - lo);
         const auto n = static_cast<std::uint64_t>(hi - lo);
         b.work(n + probes);
@@ -664,10 +576,9 @@ inline void split_rows(device::Device& dev, device::WorkspaceArena& arena,
         // each splitting slot, in slot order.
         std::int64_t at = 0;
         for (std::int64_t s = 0; s < n_slots; ++s) {
-          const HistSplitCmd cmd = HistSplitCmd::at(cmds, s);
-          if (cmd.attr < 0) continue;
           const auto su = static_cast<std::size_t>(s);
-          const auto ls = static_cast<std::size_t>(cmd.left_slot);
+          if (slots[su].is_leaf()) continue;
+          const auto ls = static_cast<std::size_t>(slots[su].left - next_base);
           next_slot_rows[ls] = at;
           next_slot_rows[ls + 1] = at + slot_lpre[su + 1] - slot_lpre[su];
           at += slot_rows[su + 1] - slot_rows[su];
@@ -676,7 +587,7 @@ inline void split_rows(device::Device& dev, device::WorkspaceArena& arena,
         b.reads(block_left, 0, grid);
         b.writes(block_left, 0, grid);
         b.reads(slot_rows, 0, n_slots + 1);
-        b.reads(cmds, 0, static_cast<std::int64_t>(cmds.size()));
+        b.reads(slots, 0, n_slots);
         b.reads(side, 0,
                 std::min(n_rows, slot_rows[static_cast<std::size_t>(n_slots)]));
         b.writes(slot_lpre, 0, n_slots + 1);
@@ -701,8 +612,7 @@ inline void split_rows(device::Device& dev, device::WorkspaceArena& arena,
           const auto ku = static_cast<std::size_t>(k);
           if (side[ku] == kLeaf) continue;
           const auto su = static_cast<std::size_t>(s);
-          const auto ls =
-              static_cast<std::size_t>(HistSplitCmd::at(cmds, s).left_slot);
+          const auto ls = static_cast<std::size_t>(slots[su].left - next_base);
           const std::int64_t rank = lefts - slot_lpre[su];
           const std::int64_t d =
               side[ku] == kLeft
@@ -722,7 +632,7 @@ inline void split_rows(device::Device& dev, device::WorkspaceArena& arena,
         }
         b.reads(slot_rows, 0, n_slots + 1);
         b.reads(slot_lpre, 0, n_slots + 1);
-        b.reads(cmds, 0, static_cast<std::int64_t>(cmds.size()));
+        b.reads(slots, 0, n_slots);
         b.reads(next_slot_rows, 0,
                 static_cast<std::int64_t>(next_slot_rows.size()));
         const auto n = static_cast<std::uint64_t>(hi - lo);

@@ -270,17 +270,6 @@ void check_level_conservation(const detail::TrainState& st,
   check_instance_counts(st.node_of.span(), expected, where);
 }
 
-void check_instance_counts(std::span<const std::int32_t> node_of,
-                           const detail::LevelPlan& plan, const char* where) {
-  if (!invariants_enabled()) return;
-  std::vector<std::pair<std::int32_t, std::int64_t>> expected;
-  expected.reserve(plan.next_active.size());
-  for (const detail::ActiveNode& child : plan.next_active) {
-    expected.emplace_back(child.tree_node, child.count);
-  }
-  check_instance_counts(node_of, expected, where);
-}
-
 void check_instance_counts(
     std::span<const std::int32_t> node_of,
     std::span<const std::pair<std::int32_t, std::int64_t>> expected,

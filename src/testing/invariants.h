@@ -37,7 +37,6 @@
 
 namespace gbdt::detail {
 struct TrainState;
-struct LevelPlan;
 }  // namespace gbdt::detail
 
 namespace gbdt::testing {
@@ -119,11 +118,6 @@ void check_instance_counts(
     std::span<const std::int32_t> node_of,
     std::span<const std::pair<std::int32_t, std::int64_t>> expected,
     const char* where);
-
-/// Same, for every child in plan.next_active (the paths whose plan slots do
-/// not index a TrainState's active list: out-of-core and histogram).
-void check_instance_counts(std::span<const std::int32_t> node_of,
-                           const detail::LevelPlan& plan, const char* where);
 
 /// The histogram trainer's slot-sorted row index: slot s's range
 /// [slot_rows[s], slot_rows[s + 1]) holds, in ascending order, exactly the

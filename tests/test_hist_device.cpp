@@ -100,27 +100,38 @@ RowIndex make_index(Device& dev, const std::vector<int>& slot_of_row,
 }
 
 /// Builds the listed slots of `idx` into `out` (rows of n_attr * n_bins
-/// cells), planning `chunk` rows per build item.
+/// cells), planning `chunk` rows per build item: a slot's rows split into
+/// ceil(rows / chunk) items, and a slot of several items gets partial copies.
 void build_slots(Device& dev, device::WorkspaceArena& arena,
                  const BinnedMatrix& binned,
                  const device::DeviceBuffer<std::int64_t>& qg,
                  const device::DeviceBuffer<std::int64_t>& qh,
                  const RowIndex& idx, const std::vector<std::int64_t>& slots,
                  std::int64_t chunk, std::span<QGH> out) {
-  hist::BuildPlan plan;
-  plan.chunk = chunk;
+  std::vector<std::int64_t> item{0}, part, multi;
+  std::int64_t n_parts = 0;
   for (const std::int64_t s : slots) {
-    plan.add(s, idx.counts[static_cast<std::size_t>(s)]);
+    const std::int64_t rows = idx.counts[static_cast<std::size_t>(s)];
+    const std::int64_t items = std::max<std::int64_t>(1, (rows + chunk - 1) /
+                                                             chunk);
+    part.push_back(items > 1 ? n_parts : -1);
+    if (items > 1) {
+      multi.push_back(static_cast<std::int64_t>(part.size()) - 1);
+      n_parts += items;
+    }
+    item.push_back(item.back() + items);
   }
-  hist::PackedTables t;
-  const auto cols = plan.pack(t);
-  auto block = dev.to_device<std::int64_t>(t.words);
-  hist::build_histograms(dev, arena, binned.row_offsets.span(),
-                         binned.entry_attr.span(), binned.entry_bin.span(),
-                         qg.span(), qh.span(), idx.rows.span(),
-                         idx.slot_rows.span(),
-                         plan.tables(block.span(), cols), binned.n_attr,
-                         binned.n_bins, out);
+  auto d_slot = dev.to_device<std::int64_t>(slots);
+  auto d_item = dev.to_device<std::int64_t>(item);
+  auto d_part = dev.to_device<std::int64_t>(part);
+  auto d_multi = dev.to_device<std::int64_t>(multi);
+  hist::build_histograms(
+      dev, arena, binned.row_offsets.span(), binned.entry_attr.span(),
+      binned.entry_bin.span(), qg.span(), qh.span(), idx.rows.span(),
+      idx.slot_rows.span(),
+      hist::BuildTables{d_slot.span(), d_item.span(), d_part.span(),
+                        d_multi.span(), chunk, item.back(), n_parts},
+      binned.n_attr, binned.n_bins, out);
 }
 
 /// Host reference: per-slot histograms of every row's present entries.
@@ -334,25 +345,31 @@ TEST(HistDevice, SplitRowsPartitionsIndexStablyBySlot) {
   auto node_of = dev.to_device<std::int32_t>(node_h);
 
   // Slots 0, 1, 3 split on attributes 0, 3, 5 at bin 7; children get next
-  // slots (0, 1), (2, 3), (4, 5) and tree nodes 20 + next slot.
-  std::vector<hist::HistSplitCmd> cmds(4);
-  const std::int64_t attr_of[4] = {0, 3, -1, 5};
-  std::int64_t next = 0;
-  for (std::int64_t s = 0; s < 4; ++s) {
+  // slots (0, 1), (2, 3), (4, 5) and tree nodes 20 + next slot.  The
+  // slots' decided tree records name the children; slot 2's is a leaf.
+  std::vector<TreeNode> slots(4);
+  std::vector<std::int64_t> split_bin(4, -1);
+  const std::int32_t attr_of[4] = {0, 3, -1, 5};
+  std::int32_t next = 0;
+  for (std::size_t s = 0; s < 4; ++s) {
     if (attr_of[s] < 0) continue;
-    cmds[static_cast<std::size_t>(s)] = hist::HistSplitCmd{
-        attr_of[s], 7, 20 + next, 21 + next, s == 1 ? 1 : 0, next};
+    slots[s].attr = attr_of[s];
+    slots[s].left = 20 + next;
+    slots[s].right = 21 + next;
+    slots[s].default_left = s == 1;
+    split_bin[s] = 7;
     next += 2;
   }
-  auto d_cmds = dev.to_device<std::int64_t>(hist::HistSplitCmd::pack(cmds));
+  auto d_slots = dev.to_device<TreeNode>(slots);
+  auto d_split_bin = dev.to_device<std::int64_t>(split_bin);
   auto next_rows =
       dev.alloc<std::int32_t>(static_cast<std::size_t>(ds.n_instances()));
   auto next_slot_rows = dev.alloc<std::int64_t>(7);
   hist::split_rows(dev, arena, binned.row_offsets.span(),
                    binned.entry_attr.span(), binned.entry_bin.span(),
-                   d_cmds.span(), idx.rows.span(), idx.slot_rows.span(),
-                   ds.n_instances(), node_of.span(), next_rows.span(),
-                   next_slot_rows.span());
+                   d_slots.span(), d_split_bin.span(), /*next_base=*/20,
+                   idx.rows.span(), idx.slot_rows.span(), ds.n_instances(),
+                   node_of.span(), next_rows.span(), next_slot_rows.span());
 
   // Host reference: each child's rows in ascending order.
   std::vector<std::vector<std::int32_t>> want(6);
@@ -369,8 +386,8 @@ TEST(HistDevice, SplitRowsPartitionsIndexStablyBySlot) {
         bin = binned.cuts[static_cast<std::size_t>(e.attr)].bin_of(e.value);
       }
     }
-    const bool left = bin >= 0 ? bin <= 7 : cmds[s].default_left != 0;
-    const std::int64_t child = cmds[s].left_slot + (left ? 0 : 1);
+    const bool left = bin >= 0 ? bin <= 7 : slots[s].default_left;
+    const std::int64_t child = slots[s].left - 20 + (left ? 0 : 1);
     EXPECT_EQ(node_of[r], 20 + child) << "row " << r;
     want[static_cast<std::size_t>(child)].push_back(
         static_cast<std::int32_t>(r));

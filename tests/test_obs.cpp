@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/out_of_core.h"
@@ -158,6 +159,48 @@ TEST(ObsMetrics, CountersSurviveConcurrentKernelWriters) {
   EXPECT_NE(&reg.counter("test_obs_block_hits_total", {{"k", "v"}}), &hits);
 }
 
+// Registration reallocates the registry's entry list, so lookups must not
+// read an entry after its lock is released.  Three threads register fresh
+// counters, gauges and histograms while looking up (and writing) metrics
+// that already exist and reading the JSON view; under the sanitizer lanes a
+// lookup that dereferenced a moved entry fails as a use-after-free.
+TEST(ObsMetrics, ConcurrentRegistrationAndLookupAgree) {
+  auto& reg = obs::Registry::global();
+  obs::Counter& shared = reg.counter("test_obs_race_shared_total");
+  const std::uint64_t before = shared.value();
+  constexpr int kThreads = 3;
+  constexpr int kPerThread = 200;
+  std::vector<std::vector<obs::Counter*>> mine(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&reg, &mine, t] {
+      const std::string prefix = "test_obs_race_t" + std::to_string(t) + "_";
+      for (int i = 0; i < kPerThread; ++i) {
+        const std::string id = std::to_string(i);
+        obs::Counter& c = reg.counter(prefix + "total_" + id);
+        c.inc();
+        mine[static_cast<std::size_t>(t)].push_back(&c);
+        reg.gauge(prefix + "gauge_" + id).set(i);
+        reg.histogram(prefix + "hist_" + id).observe(1e-3);
+        reg.counter("test_obs_race_shared_total").inc();
+        if (i % 50 == 0) (void)reg.to_json();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(shared.value() - before,
+            static_cast<std::uint64_t>(kThreads * kPerThread));
+  for (int t = 0; t < kThreads; ++t) {
+    const std::string prefix = "test_obs_race_t" + std::to_string(t) + "_";
+    for (int i = 0; i < kPerThread; ++i) {
+      obs::Counter& c = reg.counter(prefix + "total_" + std::to_string(i));
+      EXPECT_EQ(&c, mine[static_cast<std::size_t>(t)]
+                        [static_cast<std::size_t>(i)]);
+      EXPECT_EQ(c.value(), 1u);
+    }
+  }
+}
+
 TEST(ObsMetrics, RegistryReportsJson) {
   auto& reg = obs::Registry::global();
   reg.counter("test_obs_report_total").inc(7);
@@ -245,12 +288,15 @@ int run_tool(const std::string& args, const std::string& out_path = "") {
 }
 
 /// A one-case suite; `find_split` is that case's `find_split` span seconds
-/// in its phases map (the other spans stay fixed and sum to 0.25).
+/// in its phases map (the other spans stay fixed and sum to 0.25).  With
+/// `wall_clock` the case is marked as one whose modeled seconds follow
+/// host wall-clock batching.
 void write_suite(const std::string& path, double modeled,
                  double find_split = 0.75, int split_transfers = -1,
-                 int split_blocks = -1) {
+                 int split_blocks = -1, bool wall_clock = false) {
   Json c = Json::object();
   c["name"] = "ds1";
+  if (wall_clock) c["modeled_follows_wall_clock"] = true;
   auto metrics = Json::object();
   metrics["modeled_seconds"] = modeled;
   c["metrics"] = std::move(metrics);
@@ -335,6 +381,33 @@ TEST(ObsBenchCompare, ExitsNonzeroOnInjectedRegression) {
   std::remove(now.c_str());
   std::remove(old_same.c_str());
   std::remove(old_fast.c_str());
+}
+
+// Serving cases whose batches close on host time are reported, not gated:
+// a moved marked case passes, the same move on an unmarked case fails.
+TEST(ObsBenchCompare, PrintsWallClockBatchedCasesWithoutGating) {
+  const std::string now = "/tmp/test_obs_suite_wall_now.json";
+  const std::string old = "/tmp/test_obs_suite_wall_old.json";
+  const std::string out = "/tmp/test_obs_compare_wall_out.txt";
+  write_suite(now, 1.0, 0.75, -1, -1, /*wall_clock=*/true);
+  write_suite(old, 0.5, 0.25, -1, -1, /*wall_clock=*/true);
+  EXPECT_EQ(run_tool("--compare-only --json=" + now + " --compare=" + old,
+                     out),
+            0);
+  {
+    std::ifstream in(out);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("UNGATED   t2/ds1"), std::string::npos) << text;
+    EXPECT_EQ(text.find("REGRESSED"), std::string::npos) << text;
+  }
+  write_suite(now, 1.0);
+  write_suite(old, 0.5, 0.25);
+  EXPECT_EQ(run_tool("--compare-only --json=" + now + " --compare=" + old),
+            1);
+  std::remove(now.c_str());
+  std::remove(old.c_str());
+  std::remove(out.c_str());
 }
 
 TEST(ObsBenchCompare, ListsSpansWhoseTransferCountsChanged) {

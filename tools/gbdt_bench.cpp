@@ -11,7 +11,10 @@
 //
 // Comparison keys on cases' metrics.modeled_seconds — the simulation is
 // deterministic, so any drift is a real cost-model or algorithm change, not
-// machine noise; the threshold exists for intentional small reworks.  Each
+// machine noise; the threshold exists for intentional small reworks.  A
+// case marked `"modeled_follows_wall_clock": true` (serving batches that
+// close on host time) is printed as UNGATED and never counts as a
+// regression, since its modeled seconds move with host load.  Each
 // regressed case also lists the spans of its `phases` map whose modeled
 // seconds moved most, so the report names the layer that moved.  Any case
 // whose spans changed their transfer, thread-block or irregular-transaction
@@ -163,6 +166,7 @@ struct CaseRow {
   double modeled = 0.0;
   const Json* phases = nullptr;  // per-span self modeled seconds, if any
   const Json* trace = nullptr;   // span tree, if any
+  bool wall_clock = false;  // modeled seconds follow host wall-clock timing
 };
 
 /// Flattens a suite doc into one row per case with a modeled_seconds metric.
@@ -179,9 +183,11 @@ std::vector<CaseRow> modeled_rows(const Json& suite) {
       if (name == nullptr || metrics == nullptr) continue;
       const Json* modeled = metrics->find("modeled_seconds");
       if (modeled == nullptr || !modeled->is_number()) continue;
+      const Json* wall = c.find("modeled_follows_wall_clock");
       rows.push_back(CaseRow{bname + "/" + name->str(),
                              modeled->number_or(0.0), c.find("phases"),
-                             c.find("trace")});
+                             c.find("trace"),
+                             wall != nullptr && wall->bool_or(false)});
     }
   }
   return rows;
@@ -312,6 +318,7 @@ int compare_suites(const Json& now, const Json& old, double threshold_pct) {
   const auto old_rows = modeled_rows(old);
   int regressions = 0;
   int matched = 0;
+  int ungated = 0;
   for (const CaseRow& row : new_rows) {
     const auto it =
         std::find_if(old_rows.begin(), old_rows.end(),
@@ -326,6 +333,13 @@ int compare_suites(const Json& now, const Json& old, double threshold_pct) {
     const double delta_pct =
         it->modeled > 0.0 ? 100.0 * (row.modeled - it->modeled) / it->modeled
                           : 0.0;
+    if (row.wall_clock || it->wall_clock) {
+      ++ungated;
+      std::printf("  UNGATED   %-46s %12.6fs -> %12.6fs (%+.1f%%, follows "
+                  "wall-clock batching)\n",
+                  row.key.c_str(), it->modeled, row.modeled, delta_pct);
+      continue;
+    }
     if (row.modeled > limit) {
       ++regressions;
       std::printf("  REGRESSED %-46s %12.6fs -> %12.6fs (%+.1f%%)\n",
@@ -334,8 +348,9 @@ int compare_suites(const Json& now, const Json& old, double threshold_pct) {
     }
     print_count_deltas(row.key, row.trace, it->trace);
   }
-  std::printf("compared %d cases, %d regression(s) beyond %.1f%%\n", matched,
-              regressions, threshold_pct);
+  std::printf("compared %d cases (%d ungated), %d regression(s) beyond "
+              "%.1f%%\n",
+              matched, ungated, regressions, threshold_pct);
   return regressions;
 }
 

@@ -539,7 +539,7 @@ void check_file(const fs::path& path) {
       if (w < b && code.compare(w, b - w, "return") != 0) continue;
       report(file, line_of(code, static_cast<std::size_t>(it->position(0))),
              "rule 13: free `leaf_weight(` call outside core/level_driver.cpp "
-             "— leaves go through detail::finalize_leaf");
+             "— leaves go through detail::leaf_node");
     }
     static const std::regex split_re(R"((\.|->)\s*split\s*\(\s*[^\s)])");
     for (auto it = std::sregex_iterator(code.begin(), code.end(), split_re);
