@@ -30,15 +30,25 @@ std::int64_t level_segments(const ProblemShape& shape, const GBDTParam& param,
   return param.use_hist_trainer ? grid : std::min(grid, shape.n_entries);
 }
 
-/// Sum of one tree's set_keys launches (one per level; segment count doubles
-/// with depth up to the compact bound, elements stay put).
+/// The set_keys launches the trainer makes, priced per candidate.  The
+/// exact trainer keys every level of every tree, so one tree's levels are
+/// summed (segment count doubles with depth up to the compact bound,
+/// elements stay put).  The histogram trainer keys its fixed grid only when
+/// a level is wider than any before it, growing the grid at least twofold,
+/// so a training's launches are the first tree's growing levels, each over
+/// the grid's slots.
 double tree_set_keys_seconds(const device::CostModel& cm,
                              const ProblemShape& shape,
                              const GBDTParam& param, bool custom,
                              std::int64_t c) {
   double total = 0.0;
+  std::int64_t grid_nodes = 0;
   for (int l = 0; l < param.depth; ++l) {
-    const std::int64_t nodes = nodes_at_level(l, shape.n_instances);
+    std::int64_t nodes = nodes_at_level(l, shape.n_instances);
+    if (param.use_hist_trainer) {
+      if (nodes <= grid_nodes) continue;
+      nodes = grid_nodes = std::max(nodes, 2 * grid_nodes);
+    }
     const std::int64_t n_seg = level_segments(shape, param, nodes);
     const std::int64_t elems =
         param.use_hist_trainer ? n_seg * param.n_bins : shape.n_entries;

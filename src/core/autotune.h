@@ -16,7 +16,9 @@
 //     #SM * C * kBlockDim elements), and the synthesized KernelStats mirror
 //     prim::set_keys' accounting exactly under a uniform-segment assumption.
 //     The exact trainer lists only non-empty (node, attribute) segments, so
-//     a level is priced at min(nodes * attributes, entries) segments.
+//     a level is priced at min(nodes * attributes, entries) segments; the
+//     histogram trainer keys its fixed grid only when a level outgrows it,
+//     so only those levels are priced, at the grid's size.
 //   * Customized IdxComp workload on/off, costed through the real
 //     prim::plan_partition pass structure (the naive fixed workload pays a
 //     multi-pass penalty when the counters blow the budget), at two parts
@@ -47,7 +49,9 @@ namespace gbdt::autotune {
 struct SetKeyCandidate {
   std::int64_t setkey_c = 0;  // meaningful when use_custom_setkey
   bool use_custom_setkey = true;
-  /// Predicted modeled seconds of all set_keys launches of one tree.
+  /// Predicted modeled seconds of all set_keys launches of one tree (of
+  /// the whole training for the histogram method, which keys its grid at
+  /// most `depth` times).
   double find_split_seconds = 0.0;
 };
 

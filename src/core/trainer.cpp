@@ -433,57 +433,25 @@ void update_predictions_smart(TrainState& st) {
                  [](const TreeNode& tn) { return tn.weight; });
 }
 
-template <typename SrcBuf, typename DstBuf>
-void device_copy(Device& dev, const SrcBuf& src, DstBuf& dst, std::int64_t n) {
-  using T = prim::buffer_element_t<DstBuf>;
-  auto s = prim::as_span(src);
-  auto d = prim::as_span(dst);
-  dev.launch("tree_reset_copy", device::grid_for(n, kBlockDim), kBlockDim,
-             [&](device::BlockCtx& b) {
-               b.for_each_thread([&](std::int64_t i) {
-                 if (i < n) {
-                   d[static_cast<std::size_t>(i)] = s[static_cast<std::size_t>(i)];
-                 }
-               });
-               b.reads_tile(s, n);
-               b.writes_tile(d, n);
-               b.mem_coalesced(prim::elems_in_block(b, n) * 2 * sizeof(T));
-             });
-}
-
-/// Re-initialises the working layout from the root-level originals.  The
-/// working buffers shrink level by level (leaves drop out), so every tree
-/// checks its fresh original-sized copies out of the arena — after the first
-/// tree the pool already holds blocks of the right size classes and the
-/// device allocator is never touched again.
 void reset_working_layout(TrainState& st) {
-  auto& dev = st.dev;
+  // The root level reads the persistent lists and segment table in place;
+  // each partition writes its successors into the arena.
   if (st.rle) {
     st.n_runs = st.orig_n_runs;
-    st.run_values = st.arena.alloc<float>(static_cast<std::size_t>(st.n_runs));
-    st.run_starts =
-        st.arena.alloc<std::int64_t>(static_cast<std::size_t>(st.n_runs) + 1);
+    st.run_values = LevelList<float>(st.orig_run_values.span());
+    st.run_starts = LevelList<std::int64_t>(st.orig_run_starts.span());
     st.run_seg_offsets =
-        st.arena.alloc<std::int64_t>(st.orig_run_seg_offsets.size());
-    device_copy(dev, st.orig_run_values, st.run_values, st.n_runs);
-    device_copy(dev, st.orig_run_starts, st.run_starts, st.n_runs + 1);
-    device_copy(dev, st.orig_run_seg_offsets, st.run_seg_offsets,
-                static_cast<std::int64_t>(st.orig_run_seg_offsets.size()));
+        LevelList<std::int64_t>(st.orig_run_seg_offsets.span());
   } else {
-    st.values = st.arena.alloc<float>(st.orig_values.size());
-    device_copy(dev, st.orig_values, st.values,
-                static_cast<std::int64_t>(st.orig_values.size()));
+    st.values = LevelList<float>(st.orig_values.span());
   }
+  st.inst = LevelList<std::int32_t>(st.orig_inst.span());
   st.n_elems = static_cast<std::int64_t>(st.orig_inst.size());
-  st.inst = st.arena.alloc<std::int32_t>(st.orig_inst.size());
-  device_copy(dev, st.orig_inst, st.inst, st.n_elems);
-  // The root segment table is never written, so the root level reads the
-  // persistent one in place; each partition builds its successor.
   st.seg = SegmentTable{{},
                         st.orig_seg_offsets.span(),
                         st.orig_seg_ids.span(),
                         st.orig_slot_offsets.span()};
-  prim::fill(dev, st.node_of, std::int32_t{0});
+  prim::fill(st.dev, st.node_of, std::int32_t{0});
 }
 
 }  // namespace detail
@@ -627,8 +595,11 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
         rle::paper_gate(st.n_attr, st.n_inst, param_.rle_threshold_r);
     if (param_.use_rle && gate) {
       obs::ScopedSpan rle_span("rle_compress");
+      // Once per dataset: the scratch goes back to the device allocator,
+      // not into the level pool, where its root-sized blocks would go to
+      // small per-level checkouts (the root lists are never checked out).
       auto compressed = rle::compress(dev_, st.orig_values.span(),
-                                      st.orig_seg_offsets.span(), &st.arena);
+                                      st.orig_seg_offsets.span());
       if (testing::invariants_enabled()) {
         testing::check_rle_roundtrip(dev_, compressed, st.orig_values,
                                      "root_rle_build");
@@ -718,8 +689,6 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
       // Best bin boundary per node over the histograms, and the decision.
       {
         obs::ScopedSpan span("hist_find_split");
-        grower->prepare_offsets();
-        grower->run_set_keys();
         grower->find_level(children_are_leaves);
       }
       const std::int64_t n_next = grower->n_next();

@@ -1,13 +1,16 @@
 // Internal shared state of the GPU-GBDT trainer.  Not part of the public
 // API — include core/trainer.h instead.
 //
-// The trainer keeps two copies of the attribute lists: the *original*
-// root-level layout (built once per dataset, reused by every tree, as the
-// paper notes for RLE: "the compressed data can be used ... the number of
-// times equals to the number of trees"), and the *working* copy that gets
-// partitioned as the current tree grows.
+// The attribute lists exist once at the root: the *original* root-level
+// layout, built once per dataset and reused by every tree, as the paper
+// notes for RLE ("the compressed data can be used ... the number of times
+// equals to the number of trees").  Each level reads its lists through
+// read-only LevelList views: the root level views the originals in place,
+// and every partition writes the next level's lists into fresh arena blocks
+// that the next level's views own.  Nothing writes a level's lists in
+// place, so a tree never copies the originals.
 //
-// Working layout invariants:
+// Level layout invariants:
 //  - the element domain is grouped into the level's non-empty
 //    (active-node-slot, attribute) segments, listed once in a compact
 //    segment table (SegmentTable): segment i has id slot * n_attr + attr,
@@ -30,6 +33,7 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/loss.h"
@@ -149,6 +153,33 @@ struct SplitTables {
   }
 };
 
+/// One of a level's attribute lists, read-only: a view of the persistent
+/// root list on the root level, else of the arena block the previous
+/// partition wrote, which it then owns (the view-or-own shape of
+/// SegmentTable).
+template <typename T>
+class LevelList {
+ public:
+  LevelList() = default;
+  /// Views a root list in place.
+  explicit LevelList(std::span<const T> root) : view_(root) {}
+  /// Owns the block a partition wrote.
+  LevelList(device::ArenaBuffer<T>&& block)
+      : block_(std::move(block)), view_(std::as_const(block_).span()) {}
+
+  [[nodiscard]] std::span<const T> span() const { return view_; }
+  [[nodiscard]] std::size_t size() const { return view_.size(); }
+
+  void free() {
+    block_.free();
+    view_ = {};
+  }
+
+ private:
+  device::ArenaBuffer<T> block_;  // empty while viewing a root list
+  std::span<const T> view_;
+};
+
 /// One level's compact segment list (see the layout invariants above).
 struct SegmentTable {
   /// Owns the columns; empty while they view the persistent root table.
@@ -225,14 +256,14 @@ struct TrainState {
   std::int64_t orig_n_runs = 0;
   double rle_ratio = 1.0;
 
-  // ---- working copy, re-initialised per tree (arena-pooled) -------------
-  device::ArenaBuffer<float> values;
-  device::ArenaBuffer<std::int32_t> inst;
+  // ---- the current level's lists (views of the originals at the root) ---
+  LevelList<float> values;
+  LevelList<std::int32_t> inst;
   SegmentTable seg;
   std::int64_t n_elems = 0;
-  device::ArenaBuffer<float> run_values;
-  device::ArenaBuffer<std::int64_t> run_starts;     // [n_runs + 1]
-  device::ArenaBuffer<std::int64_t> run_seg_offsets;
+  LevelList<float> run_values;
+  LevelList<std::int64_t> run_starts;     // [n_runs + 1]
+  LevelList<std::int64_t> run_seg_offsets;
   std::int64_t n_runs = 0;
 
   // Element->segment (or run->segment) keys, written by the find phase and
@@ -350,9 +381,9 @@ struct NextSegments {
 /// block; `next.cand` stays readable until the table is released).
 [[nodiscard]] SegmentTable finish_next_segments(NextSegments& next);
 
-/// Releases the working layout, its keys and the split tables after a level
+/// Releases the level's lists, its keys and the split tables after a level
 /// whose children are leaves: nothing reads them before reset_working_layout
-/// rebuilds the lists for the next tree.
+/// views the root lists for the next tree.
 void release_working_layout(TrainState& st);
 
 /// Each slot's best segment over st.search's per-segment winners (paper
@@ -386,8 +417,8 @@ void update_predictions_smart(TrainState& st, const Tree& tree);
 /// The same, with the leaf weights of the device tree st.nodes (no upload).
 void update_predictions_smart(TrainState& st);
 
-/// Restores the working attribute-list layout from the root-level
-/// originals (start of every tree).
+/// Starts a tree's lists: the root level views the root-level originals in
+/// place, and every instance starts in the root.
 void reset_working_layout(TrainState& st);
 
 /// RLE path.

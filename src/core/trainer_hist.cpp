@@ -17,7 +17,8 @@
 //   hist_find_split the fused scan + gain/argmax machinery over bins
 //                   instead of sorted values: segment s = slot * n_attr +
 //                   attr holds exactly n_bins cells, so the histogram buffer
-//                   itself is the segment layout;
+//                   itself is the segment layout, and its offsets and cell
+//                   keys are one grid kept for the widest level yet;
 //   hist_split_node rows of splitting nodes binary-search their CSR row for
 //                   the split attribute and compare bin indices, then the
 //                   row index is partitioned by next-level slot.
@@ -59,12 +60,6 @@ using detail::TrainState;
 using device::Device;
 
 namespace {
-
-/// The histogram layout's fixed (slot, attribute) grid: every pair is a
-/// segment of n_bins cells, empty or not.
-std::int64_t grid_segments(const TrainState& st) {
-  return st.n_slots * st.n_attr;
-}
 
 /// A HistTables block's columns, writable: `n_split` split bins, room for
 /// `n_pairs` split pairs' next-level tables, then the sizes.
@@ -516,15 +511,16 @@ void HistGrower::maybe_verify_subtraction() {
   }
 }
 
-void HistGrower::prepare_offsets() {
-  // The histogram layout's fixed grids: segment s = slot * n_attr + attr
-  // holds n_bins cells, node s holds n_attr segments.  One launch writes
-  // both offset tables.
-  const std::int64_t n_seg = grid_segments(st_);
-  const std::int64_t n_node = st_.n_slots + 1;
-  const std::int64_t n = n_seg + 1 + n_node;
-  offsets_ = st_.arena.alloc<std::int64_t>(static_cast<std::size_t>(n));
-  auto o = offsets_.span();
+void HistGrower::grow_grid() {
+  if (st_.n_slots <= grid_slots_) return;
+  grid_slots_ = std::max(st_.n_slots, 2 * grid_slots_);
+  grid_offsets_.free();
+  grid_keys_.free();
+  // One launch writes both offset tables, then set_keys the cell keys.
+  const std::int64_t n_seg = grid_slots_ * st_.n_attr;
+  const std::int64_t n = n_seg + 1 + grid_slots_ + 1;
+  grid_offsets_ = dev_.alloc<std::int64_t>(static_cast<std::size_t>(n));
+  auto o = grid_offsets_.span();
   const std::int64_t n_bins = n_bins_;
   const std::int64_t n_attr = st_.n_attr;
   dev_.launch("hist_offsets", device::grid_for(n, prim::kBlockDim),
@@ -539,27 +535,28 @@ void HistGrower::prepare_offsets() {
                 b.mem_coalesced(m * sizeof(std::int64_t));
                 b.work(m);
               });
-  st_.keys = st_.arena.alloc<std::int32_t>(
-      static_cast<std::size_t>(st_.n_slots * cps_));
-}
-
-void HistGrower::run_set_keys(int stream) {
-  const auto seg_offsets = offsets_.span().first(
-      static_cast<std::size_t>(grid_segments(st_) + 1));
-  prim::set_keys(dev_, seg_offsets, st_.keys,
-                 st_.segs_per_block(grid_segments(st_), st_.n_slots * cps_),
-                 stream);
+  grid_keys_ = dev_.alloc<std::int32_t>(
+      static_cast<std::size_t>(grid_slots_ * cps_));
+  prim::set_keys(dev_, o.first(static_cast<std::size_t>(n_seg + 1)),
+                 grid_keys_,
+                 st_.segs_per_block(n_seg, grid_slots_ * cps_));
 }
 
 void HistGrower::find_level(bool children_are_leaves) {
+  grow_grid();
   const std::int64_t n_slots = st_.n_slots;
-  const std::int64_t n_seg = grid_segments(st_);
+  const std::int64_t n_seg = n_slots * st_.n_attr;
+  const std::span<const std::int64_t> grid = grid_offsets_.span();
+  const auto seg_offsets = grid.first(static_cast<std::size_t>(n_seg + 1));
+  const auto node_offs =
+      grid.subspan(static_cast<std::size_t>(grid_slots_ * st_.n_attr + 1),
+                   static_cast<std::size_t>(n_slots + 1));
   auto scan =
       st_.arena.alloc<hist::QGH>(static_cast<std::size_t>(n_slots * cps_));
   auto seg_tot = st_.arena.alloc<hist::QGH>(static_cast<std::size_t>(n_seg));
   auto hc = hist_cur_.span();
   prim::CarriedScan<hist::QGH> prefix = prim::fused_gather_scan_totals(
-      dev_, st_.arena, st_.keys, scan, seg_tot,
+      dev_, st_.arena, grid_keys_, scan, seg_tot,
       [hc](device::BlockCtx& b, std::int64_t i) {
         b.reads(hc, i);
         b.mem_coalesced(sizeof(hist::QGH));
@@ -577,8 +574,6 @@ void HistGrower::find_level(bool children_are_leaves) {
   const std::int64_t n_attr = st_.n_attr;
   auto tot = seg_tot.span();
   const auto sq = tables_.slotq;
-  const auto seg_offsets =
-      offsets_.span().first(static_cast<std::size_t>(n_seg + 1));
   const auto fm = st_.feature_mask;
   prim::fused_gain_argmax(
       dev_, seg_offsets, prefix, best_seg_val, best_seg_idx, best_seg_dir,
@@ -632,8 +627,6 @@ void HistGrower::find_level(bool children_are_leaves) {
         return prim::GainDir{gain_r, 0};
       },
       "hist_gain_argmax");
-  const auto node_offs =
-      offsets_.span().last(static_cast<std::size_t>(n_slots + 1));
   auto best_node_val =
       st_.arena.alloc<double>(static_cast<std::size_t>(n_slots));
   auto best_node_idx =
@@ -653,7 +646,6 @@ void HistGrower::find_level(bool children_are_leaves) {
 }
 
 void HistGrower::apply_level(bool children_are_leaves) {
-  offsets_ = device::ArenaBuffer<std::int64_t>{};  // read by find only
   const bool grow = !children_are_leaves;
   const std::int64_t next_base = st_.level_base + st_.n_slots;
   auto next_slot_rows = st_.arena.alloc<std::int64_t>(

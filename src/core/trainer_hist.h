@@ -142,8 +142,9 @@ struct HistSearch {
 /// Per tree:   local_abs_max -> [max-allreduce] -> quantize ->
 ///             [sum-allreduce] -> begin_tree
 /// Per level:  plan_level -> build_level -> [histogram allreduce over
-///             accumulated_slots] -> subtract_level -> find_level (ends in
-///             the decision) -> apply_level
+///             accumulated_slots] -> subtract_level -> find_level (grows the
+///             segment grids when the level is the widest yet; ends in the
+///             decision) -> apply_level
 class HistGrower {
  public:
   HistGrower(device::Device& dev, const GBDTParam& param,
@@ -184,13 +185,6 @@ class HistGrower {
   /// mode only; distributed growers skip — the fuzz oracle's bitwise
   /// mgpu_hist_vs_single leg subsumes it).
   void maybe_verify_subtraction();
-  /// Writes the segment- and node-offset tables (one launch) and checks the
-  /// key buffer out of the arena (must precede any comm enqueue: it rides
-  /// the default stream).
-  void prepare_offsets();
-  /// set_keys over the prepared offsets; `stream` lets the multi-GPU path
-  /// overlap it with the histogram allreduce.
-  void run_set_keys(int stream = device::kDefaultStream);
   /// Fused scan + gain/argmax over the (merged) histograms, then the
   /// level's decision on the device (decide_hist_level).  Deterministic in
   /// its inputs, so shards agree bitwise.
@@ -207,6 +201,9 @@ class HistGrower {
   void finish_tree();
 
  private:
+  /// Makes the grids cover the current level (see grid_slots_).
+  void grow_grid();
+
   device::Device& dev_;
   const GBDTParam& param_;
   detail::TrainState& st_;
@@ -232,7 +229,15 @@ class HistGrower {
 
   device::ArenaBuffer<hist::QGH> hist_prev_;
   device::ArenaBuffer<hist::QGH> hist_cur_;
-  device::ArenaBuffer<std::int64_t> offsets_;  // segment, then node offsets
+
+  // The histogram layout's fixed grids, built for grid_slots_ slots: segment
+  // s = slot * n_attr + attr holds n_bins cells and node s holds n_attr
+  // segments, so a level of k <= grid_slots_ slots reads the first k slots'
+  // entries.  They are rebuilt only for a level wider than any before it,
+  // at least doubling, so a training builds them at most `depth` times.
+  std::int64_t grid_slots_ = 0;
+  device::DeviceBuffer<std::int64_t> grid_offsets_;  // segment, then node
+  device::DeviceBuffer<std::int32_t> grid_keys_;     // cell -> segment
 };
 
 }  // namespace gbdt

@@ -404,11 +404,15 @@ void direct_split_runs(TrainState& st, RlePartition& part) {
   const auto& len_l = part.len_l;
   const auto& len_r = part.len_r;
 
-  // Pre-allocate the two child runs of every run (Figure 7 middle row).
+  // Pre-allocate the two child runs of every run (Figure 7 middle row): a
+  // length, a keep flag and a value per candidate.  The candidates are
+  // exactly both children's copies of each splitting slot's runs
+  // (decide_on_device sizes them so), so every position is written.
   auto cand_len =
       st.arena.alloc<std::int64_t>(static_cast<std::size_t>(total_cand));
   auto cand_val = st.arena.alloc<float>(static_cast<std::size_t>(total_cand));
-  prim::fill(dev, cand_len, std::int64_t{0});
+  auto keep =
+      st.arena.alloc<std::int64_t>(static_cast<std::size_t>(total_cand));
   {
     auto k = st.run_keys.span();
     auto ids = st.seg.ids;
@@ -421,6 +425,7 @@ void direct_split_runs(TrainState& st, RlePartition& part) {
     auto lr = len_r.span();
     auto cl = cand_len.span();
     auto cv = cand_val.span();
+    auto f = keep.span();
     dev.launch("rle_emit_candidates", device::grid_for(n_runs, kBlockDim),
                kBlockDim, [&](BlockCtx& b) {
                  b.for_each_thread([&](std::int64_t r) {
@@ -437,16 +442,19 @@ void direct_split_runs(TrainState& st, RlePartition& part) {
                    const auto rpos = static_cast<std::size_t>(
                        r + shift[static_cast<std::size_t>(ls + 1)]);
                    cl[lpos] = ll[u];
+                   f[lpos] = ll[u] > 0 ? 1 : 0;
                    cv[lpos] = rv[u];
                    cl[rpos] = lr[u];
+                   f[rpos] = lr[u] > 0 ? 1 : 0;
                    cv[rpos] = rv[u];
                    // Each run owns one candidate position in each child
                    // slot, so the scattered candidate writes are
                    // block-disjoint; the auditor verifies it.
-                   b.writes(cl, static_cast<std::int64_t>(lpos));
-                   b.writes(cv, static_cast<std::int64_t>(lpos));
-                   b.writes(cl, static_cast<std::int64_t>(rpos));
-                   b.writes(cv, static_cast<std::int64_t>(rpos));
+                   for (const auto pos : {lpos, rpos}) {
+                     b.writes(cl, static_cast<std::int64_t>(pos));
+                     b.writes(f, static_cast<std::int64_t>(pos));
+                     b.writes(cv, static_cast<std::int64_t>(pos));
+                   }
                  });
                  b.reads_tile(k, n_runs);
                  b.reads_tile(rv, n_runs);
@@ -454,38 +462,22 @@ void direct_split_runs(TrainState& st, RlePartition& part) {
                  b.reads_tile(lr, n_runs);
                  b.reads(shift, 0, static_cast<std::int64_t>(shift.size()));
                  const auto m = elems_in_block(b, n_runs);
-                 b.mem_coalesced(m * 44);  // + the run's segment id
-                 b.mem_irregular(m * 2);   // the two candidate writes
+                 // The run's fields and segment id, and the two keep flags,
+                 // which follow their lengths' stores.
+                 b.mem_coalesced(m * (44 + 2 * sizeof(std::int64_t)));
+                 b.mem_irregular(m * 2);  // the two candidate writes
                });
   }
 
   // Remove zero-length runs with a prefix sum (Figure 7 bottom row).
-  auto flags =
-      st.arena.alloc<std::int64_t>(static_cast<std::size_t>(total_cand));
-  {
-    auto cl = cand_len.span();
-    auto f = flags.span();
-    dev.launch("rle_flag_nonzero", device::grid_for(total_cand, kBlockDim),
-               kBlockDim, [&](BlockCtx& b) {
-                 b.for_each_thread([&](std::int64_t c) {
-                   if (c < total_cand) {
-                     const auto u = static_cast<std::size_t>(c);
-                     f[u] = cl[u] > 0 ? 1 : 0;
-                   }
-                 });
-                 b.reads_tile(cl, total_cand);
-                 b.writes_tile(f, total_cand);
-                 b.mem_coalesced(elems_in_block(b, total_cand) * 16);
-               });
-  }
   auto new_idx =
       st.arena.alloc<std::int64_t>(static_cast<std::size_t>(total_cand));
-  prim::exclusive_scan(dev, flags, new_idx, "rle_compact_scan", &st.arena);
+  prim::exclusive_scan(dev, keep, new_idx, "rle_compact_scan", &st.arena);
   const std::int64_t n_new_runs =
       total_cand == 0
           ? 0
           : new_idx[static_cast<std::size_t>(total_cand - 1)] +
-                flags[static_cast<std::size_t>(total_cand - 1)];
+                keep[static_cast<std::size_t>(total_cand - 1)];
 
   auto new_val = st.arena.alloc<float>(static_cast<std::size_t>(n_new_runs));
   auto new_len =
@@ -493,7 +485,7 @@ void direct_split_runs(TrainState& st, RlePartition& part) {
   {
     auto cl = cand_len.span();
     auto cv = cand_val.span();
-    auto f = flags.span();
+    auto f = keep.span();
     auto ni = new_idx.span();
     auto nv = new_val.span();
     auto nl = new_len.span();
@@ -521,28 +513,12 @@ void direct_split_runs(TrainState& st, RlePartition& part) {
                });
   }
 
-  // New run starts: exclusive scan of the surviving lengths.
+  // New run starts: exclusive scan of the surviving lengths, then the end.
   auto new_starts =
       st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_new_runs) + 1);
   if (n_new_runs > 0) {
-    auto starts_body =
-        st.arena.alloc<std::int64_t>(static_cast<std::size_t>(n_new_runs));
-    prim::exclusive_scan(dev, new_len, starts_body, "rle_new_starts_scan",
-                         &st.arena);
-    auto src = starts_body.span();
-    auto dst = new_starts.span();
-    dev.launch("rle_new_starts_copy", device::grid_for(n_new_runs, kBlockDim),
-               kBlockDim, [&](BlockCtx& b) {
-                 b.for_each_thread([&](std::int64_t r) {
-                   if (r < n_new_runs) {
-                     dst[static_cast<std::size_t>(r)] =
-                         src[static_cast<std::size_t>(r)];
-                   }
-                 });
-                 b.reads_tile(src, n_new_runs);
-                 b.writes_tile(dst, n_new_runs);
-                 b.mem_coalesced(elems_in_block(b, n_new_runs) * 16);
-               });
+    auto body = new_starts.span().first(static_cast<std::size_t>(n_new_runs));
+    prim::exclusive_scan(dev, new_len, body, "rle_new_starts_scan", &st.arena);
     new_starts[static_cast<std::size_t>(n_new_runs)] =
         new_starts[static_cast<std::size_t>(n_new_runs - 1)] +
         new_len[static_cast<std::size_t>(n_new_runs - 1)];

@@ -379,13 +379,13 @@ void apply_partition_sparse(TrainState& st) {
   }
   st.split_tables = {};
 
+  st.seg = finish_next_segments(next);
+  testing::maybe_inject_partition_fault(st.seg.offsets, new_values.span());
   st.values = std::move(new_values);
   st.inst = std::move(new_inst);
-  st.seg = finish_next_segments(next);
   st.n_elems = new_n;
   st.keys.free();
 
-  testing::maybe_inject_partition_fault(st);
   testing::check_sparse_layout(st, next.n_slots, "apply_partition_sparse");
 }
 

@@ -166,14 +166,4 @@ DeviceCsc build_csc_device(device::Device& dev, const Dataset& ds) {
   return out;
 }
 
-DeviceCsc upload_csc(device::Device& dev, const CscMatrix& csc) {
-  DeviceCsc out;
-  out.n_instances = csc.n_instances;
-  out.n_attributes = csc.n_attributes;
-  out.col_offsets = dev.to_device<std::int64_t>(csc.col_offsets);
-  out.values = dev.to_device<float>(csc.values);
-  out.inst_ids = dev.to_device<std::int32_t>(csc.inst_ids);
-  return out;
-}
-
 }  // namespace gbdt::data

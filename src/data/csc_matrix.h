@@ -50,7 +50,4 @@ struct DeviceCsc {
 /// instance asc for ties) — the pipeline GPU-GBDT runs once per dataset.
 [[nodiscard]] DeviceCsc build_csc_device(device::Device& dev, const Dataset& ds);
 
-/// Uploads a host CSC as-is (counts the PCI-e traffic, skips the sort).
-[[nodiscard]] DeviceCsc upload_csc(device::Device& dev, const CscMatrix& csc);
-
 }  // namespace gbdt::data

@@ -52,25 +52,6 @@ class WorkspaceArena {
   template <typename T>
   [[nodiscard]] ArenaBuffer<T> adopt(DeviceBuffer<T>&& buf);
 
-  /// Returns every pooled (currently free) block to the DeviceAllocator.
-  void trim() { pools_.clear(); }
-
-  // ---- statistics ---------------------------------------------------------
-  /// Real DeviceAllocator acquisitions performed on behalf of checkouts.
-  [[nodiscard]] std::size_t device_allocs() const { return device_allocs_; }
-  /// Total alloc<T>() calls.
-  [[nodiscard]] std::size_t checkouts() const { return checkouts_; }
-  /// Checkouts satisfied from the pool without touching the allocator.
-  [[nodiscard]] std::size_t reuse_hits() const { return reuse_hits_; }
-  /// Bytes currently checked out to live ArenaBuffers.
-  [[nodiscard]] std::size_t checked_out_bytes() const {
-    return checked_out_bytes_;
-  }
-  /// High-water mark of checked-out bytes over the arena's life.
-  [[nodiscard]] std::size_t peak_checked_out_bytes() const {
-    return peak_checked_out_bytes_;
-  }
-
  private:
   template <typename T>
   friend class ArenaBuffer;
@@ -95,8 +76,7 @@ class WorkspaceArena {
 
   /// Parks a block back in the pool (no DeviceAllocator release).
   template <typename T>
-  void give_back(DeviceBuffer<T>&& b, std::size_t logical_bytes) {
-    checked_out_bytes_ -= logical_bytes;
+  void give_back(DeviceBuffer<T>&& b) {
     pool<T>().blocks.push_back(std::move(b));
   }
 
@@ -106,21 +86,8 @@ class WorkspaceArena {
     return c;
   }
 
-  void note_checkout(std::size_t logical_bytes) {
-    ++checkouts_;
-    checked_out_bytes_ += logical_bytes;
-    if (checked_out_bytes_ > peak_checked_out_bytes_) {
-      peak_checked_out_bytes_ = checked_out_bytes_;
-    }
-  }
-
   DeviceAllocator* alloc_;
   std::vector<std::pair<std::type_index, std::unique_ptr<PoolBase>>> pools_;
-  std::size_t device_allocs_ = 0;
-  std::size_t checkouts_ = 0;
-  std::size_t reuse_hits_ = 0;
-  std::size_t checked_out_bytes_ = 0;
-  std::size_t peak_checked_out_bytes_ = 0;
 };
 
 /// A checked-out arena block: DeviceBuffer semantics (spans, indexing,
@@ -176,7 +143,7 @@ class ArenaBuffer {
   /// Returns the block to the arena (the arena keeps the device memory).
   void free() {
     if (arena_ != nullptr) {
-      arena_->give_back<T>(std::move(buf_), bytes());
+      arena_->give_back<T>(std::move(buf_));
       arena_ = nullptr;
     }
     n_ = 0;
@@ -194,7 +161,6 @@ class ArenaBuffer {
 
 template <typename T>
 ArenaBuffer<T> WorkspaceArena::alloc(std::size_t n) {
-  note_checkout(n * sizeof(T));
   auto& blocks = pool<T>().blocks;
   // Best fit: the smallest free block with capacity >= n.
   std::size_t best = blocks.size();
@@ -205,21 +171,17 @@ ArenaBuffer<T> WorkspaceArena::alloc(std::size_t n) {
     }
   }
   if (best < blocks.size()) {
-    ++reuse_hits_;
     DeviceBuffer<T> b = std::move(blocks[best]);
     blocks[best] = std::move(blocks.back());
     blocks.pop_back();
     return ArenaBuffer<T>(*this, std::move(b), n);
   }
-  ++device_allocs_;
   return ArenaBuffer<T>(*this, DeviceBuffer<T>(*alloc_, size_class(n)), n);
 }
 
 template <typename T>
 ArenaBuffer<T> WorkspaceArena::adopt(DeviceBuffer<T>&& buf) {
   const std::size_t n = buf.size();
-  note_checkout(n * sizeof(T));
-  ++reuse_hits_;  // no allocator traffic happens on this path either
   return ArenaBuffer<T>(*this, std::move(buf), n);
 }
 

@@ -19,6 +19,7 @@
 #include "objective/objective.h"
 #include "primitives/reduce.h"
 #include "primitives/transform.h"
+#include "testing/invariants.h"
 
 namespace gbdt::multigpu {
 
@@ -58,7 +59,6 @@ struct Shard {
   std::int64_t row_lo = 0;         // hist mode: global row range [lo, hi)
   std::int64_t row_hi = 0;
   int comm_stream = device::kDefaultStream;
-  int compute_stream = device::kDefaultStream;
 };
 
 /// Accumulates the max-over-shards modeled time of one parallel step into
@@ -181,8 +181,6 @@ MultiGpuTrainer::MultiGpuTrainer(device::DeviceConfig cfg, int n_devices,
                                    link, opts)) {}
 
 MultiGpuTrainer::~MultiGpuTrainer() = default;
-
-int MultiGpuTrainer::n_devices() const { return impl_->n_devices; }
 
 MultiTrainReport MultiGpuTrainer::train(const data::Dataset& ds) {
   if (impl_->param.autotune) {
@@ -486,6 +484,12 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
       }
     }
 
+    // node_of is replicated again: every shard's map must conserve the
+    // decided level.
+    for (auto& sh : shards) {
+      testing::check_level_conservation(*sh.state, "mgpu_node_sync");
+    }
+
     // 6. Local order-preserving partition of every shard's lists; when the
     //    children are leaves, node_sync was the lists' last reader.
     if (children_are_leaves) {
@@ -505,6 +509,13 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
     obs::ScopedSpan span("find_split");
     ParallelStep step(shards, report.modeled_seconds, &report.device_seconds);
     tree = gbdt::detail::read_device_tree(*shards[0].state);
+  };
+  backend.end_tree = [&](const Tree& tree) {
+    // Every shard's replicated instance->leaf map must match the tree.
+    for (auto& sh : shards) {
+      testing::check_leaf_map(sh.state->node_of.span(), tree, ds,
+                              "mgpu_leaf_map");
+    }
   };
   backend.finish = [&](const Tree& /*last*/) {
     // Fold the last tree into the replicated predictions; report shard 0's.
@@ -559,10 +570,7 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
     for (int k = 0; k < K; ++k) {
       auto& sh = shards[static_cast<std::size_t>(k)];
       sh.dev = std::make_unique<Device>(cfg);
-      if (streams) {
-        sh.comm_stream = sh.dev->stream();
-        sh.compute_stream = sh.dev->stream();
-      }
+      if (streams) sh.comm_stream = sh.dev->stream();
       const auto r =
           detail::chunk_range(static_cast<std::size_t>(n_inst), K, k);
       sh.row_lo = static_cast<std::int64_t>(r.lo);
@@ -678,49 +686,31 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
                         &report.device_seconds);
       for (auto& g : growers) g.build_level();
     }
-    // Segment offsets + key buffer ride the default stream and must be
-    // enqueued *before* the comm legs (a later default-stream op would
-    // serialise behind them).
-    {
-      obs::ScopedSpan span("hist_find_split");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
-      for (auto& g : growers) g.prepare_offsets();
-    }
-    {
-      // Histogram allreduce (one collective per accumulated slot, payload
-      // = that slot's cps cells) overlapping the SetKey build: the comm
-      // legs ride each shard's comm stream behind an event recorded after
-      // hist_build, while set_keys runs on the compute stream — the race
-      // detector sees both schedules, the device clocks overlap them.
+    if (K > 1) {
+      // Histogram allreduce: one collective per accumulated slot, payload
+      // = that slot's cps cells, on each shard's comm stream behind an
+      // event recorded after hist_build.
       obs::ScopedSpan span("allreduce_merge");
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);
-      if (K > 1) {
-        auto links = make_links(shards);
-        std::vector<std::vector<std::span<hist::QGH>>> slots(
-            static_cast<std::size_t>(K));
-        for (int k = 0; k < K; ++k) {
-          slots[static_cast<std::size_t>(k)] =
-              growers[static_cast<std::size_t>(k)].accumulated_slots();
-        }
-        AllreduceReport rep;
-        std::vector<std::span<hist::QGH>> payloads(
-            static_cast<std::size_t>(K));
-        for (std::size_t j = 0; j < slots[0].size(); ++j) {
-          for (int k = 0; k < K; ++k) {
-            payloads[static_cast<std::size_t>(k)] =
-                slots[static_cast<std::size_t>(k)][j];
-          }
-          rep += allreduce<hist::QGH>("comm_hist", link, opts.algo, links,
-                                      payloads, qgh_sum);
-        }
-        comm.add_collective(rep);
-      }
+      auto links = make_links(shards);
+      std::vector<std::vector<std::span<hist::QGH>>> slots(
+          static_cast<std::size_t>(K));
       for (int k = 0; k < K; ++k) {
-        growers[static_cast<std::size_t>(k)].run_set_keys(
-            shards[static_cast<std::size_t>(k)].compute_stream);
+        slots[static_cast<std::size_t>(k)] =
+            growers[static_cast<std::size_t>(k)].accumulated_slots();
       }
+      AllreduceReport rep;
+      std::vector<std::span<hist::QGH>> payloads(static_cast<std::size_t>(K));
+      for (std::size_t j = 0; j < slots[0].size(); ++j) {
+        for (int k = 0; k < K; ++k) {
+          payloads[static_cast<std::size_t>(k)] =
+              slots[static_cast<std::size_t>(k)][j];
+        }
+        rep += allreduce<hist::QGH>("comm_hist", link, opts.algo, links,
+                                    payloads, qgh_sum);
+      }
+      comm.add_collective(rep);
     }
     if (growers[0].has_derived()) {
       obs::ScopedSpan span("hist_subtract");
@@ -752,6 +742,8 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
     ParallelStep step(shards, report.modeled_seconds, &report.device_seconds);
     tree = gbdt::detail::read_device_tree(*shards[0].state);
   };
+  // No conservation or leaf-map check runs here: each shard's instance->
+  // node map holds only its own rows, while the tree's counts are global.
   backend.end_tree = [&](const Tree& /*tree*/) {
     for (auto& g : growers) g.finish_tree();
   };

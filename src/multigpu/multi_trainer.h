@@ -18,9 +18,8 @@
 // cuts, and every level allreduces the accumulated (smaller-sibling)
 // histogram slots — histograms, not candidates — after which all shards
 // reach bitwise-identical split decisions with no further communication
-// (the production data-parallel scheme of LightGBM/XGBoost).  The key-build
-// of the find phase rides a dedicated compute stream so it overlaps the
-// histogram allreduce on the comm streams.
+// (the production data-parallel scheme of LightGBM/XGBoost).  Each shard
+// keeps its own histogram segment grid, keyed only when a level outgrows it.
 //
 // All merges run through multigpu::allreduce (ring by default, tree or
 // all-to-one selectable through MultiGpuOptions::algo; all-to-one restores
@@ -97,8 +96,6 @@ class MultiGpuTrainer {
   ~MultiGpuTrainer();
 
   [[nodiscard]] MultiTrainReport train(const data::Dataset& ds);
-
-  [[nodiscard]] int n_devices() const;
 
  private:
   struct Impl;

@@ -1,7 +1,8 @@
 // Stream compaction: keep the flagged elements of an array, preserving order
-// (Thrust copy_if analog), built from exclusive scan + scatter.  Used by the
-// Directly-Split-RLE technique to drop zero-length RLE elements (paper
-// Section III-C, Figure 7).
+// (Thrust copy_if analog), built from exclusive scan + scatter.  The
+// trainers do not call it: Directly-Split-RLE (paper Section III-C, Figure
+// 7) fuses its flags into the candidate pass and compacts the runs' values
+// and lengths in one kernel of its own (core/trainer_rle.cpp).
 #pragma once
 
 #include <cstdint>

@@ -50,23 +50,16 @@ namespace gbdt::prim {
 /// Writes keys[e] = segment index of element e, with each block handling
 /// `segs_per_block` consecutive segments.  segs_per_block == 1 is the naive
 /// one-block-per-segment scheme the paper improves on.
-///
-/// `stream` defaults to the legacy synchronous default stream; the multi-GPU
-/// histogram path runs it on a dedicated compute stream so the key build
-/// overlaps the histogram allreduce (the kernel reads only the offsets
-/// table, never the histogram payload).  The body captures by value so a
-/// deferred (schedule-fuzzed) async launch outlives this call.
 template <typename OffBuf, typename KeyBuf>
 void set_keys(device::Device& dev, const OffBuf& offsets, KeyBuf& keys,
-              std::int64_t segs_per_block,
-              int stream = device::kDefaultStream) {
+              std::int64_t segs_per_block) {
   const std::int64_t n_seg = static_cast<std::int64_t>(offsets.size()) - 1;
   if (n_seg <= 0) return;
   segs_per_block = std::max<std::int64_t>(1, segs_per_block);
   const std::int64_t grid = (n_seg + segs_per_block - 1) / segs_per_block;
   auto off = as_span(offsets);
   auto k = as_span(keys);
-  const auto body = [off, k, n_seg, segs_per_block](device::BlockCtx& b) {
+  dev.launch("set_keys", grid, kBlockDim, [&](device::BlockCtx& b) {
     const std::int64_t s_lo = b.block_idx() * segs_per_block;
     const std::int64_t s_hi = std::min(s_lo + segs_per_block, n_seg);
     std::uint64_t written = 0;
@@ -88,12 +81,7 @@ void set_keys(device::Device& dev, const OffBuf& offsets, KeyBuf& keys,
     b.work(written);
     b.mem_coalesced(written * sizeof(std::int32_t) +
                     static_cast<std::uint64_t>(s_hi - s_lo) * sizeof(std::int64_t));
-  };
-  if (stream == device::kDefaultStream) {
-    dev.launch("set_keys", grid, kBlockDim, body);
-  } else {
-    dev.launch_async("stream_set_keys", stream, grid, kBlockDim, body);
-  }
+  });
 }
 
 /// Inclusive prefix sum restarting wherever the key changes.  Keys must be

@@ -96,23 +96,6 @@ void transform(device::Device& dev, const InBuf& in, OutBuf& out, F&& f,
              });
 }
 
-/// out[i] = f(i) over [0, n): generic indexed kernel with coalesced counting
-/// delegated to the caller via extra_* knobs (bytes per element).
-template <typename F>
-void for_each_index(device::Device& dev, std::int64_t n, F&& f,
-                    std::string_view name, std::uint64_t coalesced_per_elem,
-                    std::uint64_t irregular_per_elem = 0) {
-  dev.launch(name, device::grid_for(n, kBlockDim), kBlockDim,
-             [&](device::BlockCtx& b) {
-               b.for_each_thread([&](std::int64_t i) {
-                 if (i < n) f(i);
-               });
-               const std::uint64_t m = elems_in_block(b, n);
-               b.mem_coalesced(m * coalesced_per_elem);
-               b.mem_irregular(m * irregular_per_elem);
-             });
-}
-
 /// out[i] = src[map[i]] — the map-directed read is irregular.
 template <typename SrcBuf, typename MapBuf, typename OutBuf>
 void gather(device::Device& dev, const SrcBuf& src, const MapBuf& map,

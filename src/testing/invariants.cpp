@@ -49,18 +49,16 @@ FaultInjection& fault_injection() {
   return fi;
 }
 
-void maybe_inject_partition_fault(detail::TrainState& st) {
+void maybe_inject_partition_fault(std::span<const std::int64_t> seg_offsets,
+                                  std::span<float> values) {
   if (!invariants_enabled() || !fault_injection().break_partition_order) {
     return;
   }
   // Make the first segment with >= 2 elements ascend instead of descend.
-  const auto off = st.seg.offsets;
-  for (std::size_t s = 0; s + 1 < off.size(); ++s) {
-    const std::int64_t lo = off[s];
-    const std::int64_t hi = off[s + 1];
-    if (hi - lo >= 2) {
-      auto& head = st.values[static_cast<std::size_t>(lo)];
-      head = st.values[static_cast<std::size_t>(lo) + 1] - 1.f;
+  for (std::size_t s = 0; s + 1 < seg_offsets.size(); ++s) {
+    const auto lo = static_cast<std::size_t>(seg_offsets[s]);
+    if (seg_offsets[s + 1] - seg_offsets[s] >= 2) {
+      values[lo] = values[lo + 1] - 1.f;
       return;
     }
   }

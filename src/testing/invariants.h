@@ -75,9 +75,11 @@ struct FaultInjection {
 };
 [[nodiscard]] FaultInjection& fault_injection();
 
-/// Applies any armed fault to the freshly partitioned sparse working layout
-/// (no-op unless invariants are enabled and a fault is armed).
-void maybe_inject_partition_fault(detail::TrainState& st);
+/// Applies any armed fault to the values a sparse partition just wrote,
+/// segmented by `seg_offsets` (no-op unless invariants are enabled and a
+/// fault is armed).
+void maybe_inject_partition_fault(std::span<const std::int64_t> seg_offsets,
+                                  std::span<float> values);
 
 // ---- layout checks (called after each order-preserving partition) ---------
 

@@ -12,6 +12,7 @@
 #include "data/synthetic.h"
 #include "device/device_context.h"
 #include "multigpu/multi_trainer.h"
+#include "testing/invariants.h"
 
 namespace gbdt::multigpu {
 namespace {
@@ -132,6 +133,35 @@ TEST(MultiGpu, RejectsDegenerateConfigurations) {
   data::Dataset empty(4);
   MultiGpuTrainer two(DeviceConfig::titan_x_pascal(), 2, small_param());
   EXPECT_THROW((void)two.train(empty), std::invalid_argument);
+}
+
+// GBDT_CHECK_INVARIANTS reaches inside a sharded exact training: every
+// shard's replicated instance->node map is checked for conservation after
+// node_sync and against the tree at its end.  So a corrupted child count
+// throws under both shardings, and a clean run passes.
+TEST(MultiGpu, ShardedExactTrainingRunsTheInvariantChecks) {
+  struct Restore {
+    bool enabled = gbdt::testing::invariants_enabled();
+    ~Restore() {
+      gbdt::testing::fault_injection() = {};
+      gbdt::testing::set_invariants_enabled(enabled);
+    }
+  } restore;
+  gbdt::testing::set_invariants_enabled(true);
+  const auto ds = make_data(17, 400, 8);
+  for (const ShardMode mode : {ShardMode::kData, ShardMode::kFeature}) {
+    const MultiGpuOptions opts{mode, AllreduceAlgo::kRing};
+    const auto train = [&] {
+      return MultiGpuTrainer(DeviceConfig::titan_x_pascal(), 2, small_param(),
+                             Interconnect::pcie3(), opts)
+          .train(ds);
+    };
+    gbdt::testing::fault_injection().break_child_counts = true;
+    EXPECT_THROW((void)train(), gbdt::testing::InvariantViolation)
+        << shard_mode_name(mode);
+    gbdt::testing::fault_injection().break_child_counts = false;
+    EXPECT_NO_THROW((void)train()) << shard_mode_name(mode);
+  }
 }
 
 TEST(MultiGpu, LargerDatasetFitsAcrossDevicesThatOneCannotHold) {

@@ -745,6 +745,79 @@ TEST(ObsTrace, SplitStepPartitionsAllButTheLastLevelWithoutTransfers) {
   EXPECT_EQ(find->transfers_total(), trees);
 }
 
+// Every device array is written once where it can be.  The exact trainers
+// read the root lists in place, with no per-tree copy.  Directly-Split-RLE
+// writes each candidate with its keep flag (no zero fill, no flag pass) and
+// scans the run starts in place.  The histogram trainer keys its offset grid
+// and cells only when a level outgrows them: at most `depth` times per
+// training and device, not once per level of every tree.
+TEST(ObsTrace, TrainersWriteEachDeviceArrayOnce) {
+  data::SyntheticSpec spec;
+  spec.n_instances = 1500;
+  spec.n_attributes = 8;
+  spec.density = 0.9;
+  spec.distinct_values = 8;
+  spec.seed = 43;
+  const auto ds = data::generate(spec);
+  GBDTParam p;
+  p.depth = 4;
+  p.n_trees = 3;
+  const auto depth = static_cast<std::uint64_t>(p.depth);
+  const auto cfg = device::DeviceConfig::titan_x_pascal();
+
+  for (const bool rle : {false, true}) {
+    const char* path = rle ? "rle_forced" : "exact_sparse";
+    obs::ObsSession session;
+    session.activate();
+    device::Device dev(cfg);
+    GBDTParam q = p;
+    q.force_rle = rle;
+    const auto report = GpuGbdtTrainer(dev, q).train(ds);
+    session.deactivate();
+    ASSERT_EQ(report.used_rle, rle) << path;
+    EXPECT_EQ(launches_of(session.root(), "tree_reset_copy"), 0u) << path;
+    if (!rle) continue;
+    const obs::Span* train = session.root().child("train");
+    ASSERT_NE(train, nullptr);
+    const obs::Span* split = train->child("split_node");
+    ASSERT_NE(split, nullptr);
+    const obs::Span* direct = split->child("rle_direct_split");
+    ASSERT_NE(direct, nullptr);
+    EXPECT_GT(launches_of(*direct, "rle_emit_candidates"), 0u);
+    for (const char* label :
+         {"fill", "rle_flag_nonzero", "rle_new_starts_copy"}) {
+      EXPECT_EQ(launches_of(*direct, label), 0u) << label;
+    }
+  }
+
+  // Histogram training on one device and on two row shards, each shard
+  // keying its own grid.
+  GBDTParam hist = p;
+  hist.use_hist_trainer = true;
+  const auto expect_grid_builds = [&](const char* path, const char* root,
+                                      std::uint64_t devices,
+                                      const auto& train) {
+    obs::ObsSession session;
+    session.activate();
+    const std::vector<Tree> trees = train();
+    session.deactivate();
+    ASSERT_EQ(trees.size(), static_cast<std::size_t>(p.n_trees)) << path;
+    const obs::Span* span = session.root().child(root);
+    ASSERT_NE(span, nullptr) << path;
+    const std::uint64_t offsets = launches_of(*span, "hist_offsets");
+    EXPECT_GT(offsets, 0u) << path;
+    EXPECT_LE(offsets, devices * depth) << path;
+    EXPECT_EQ(launches_of(*span, "set_keys"), offsets) << path;
+  };
+  expect_grid_builds("hist", "train", 1, [&] {
+    device::Device dev(cfg);
+    return GpuGbdtTrainer(dev, hist).train(ds).trees;
+  });
+  expect_grid_builds("mgpu_hist", "mgpu_train", 2, [&] {
+    return multigpu::MultiGpuTrainer(cfg, 2, hist).train(ds).trees;
+  });
+}
+
 /// Counters of kernel `label` summed over `span`'s subtree.
 device::KernelStats stats_of(const obs::Span& span, const std::string& label) {
   device::KernelStats total;

@@ -211,15 +211,18 @@ void print_profile(const obs::ObsSession& session) {
                    (1 << 20));
 }
 
-void print_tuning(const autotune::TuningReport& t) {
+/// `per` names what the predictions cover: one tree (exact), or the
+/// whole training (histogram, which keys its grid at most `depth` times).
+void print_tuning(const autotune::TuningReport& t, const char* per) {
   std::fprintf(stderr, "\ntuning (cost-model autotuner):\n");
   std::fprintf(stderr,
-               "  setkey: %s, predicted find-split %.6f s/tree "
-               "(paper C=1000: %.6f s/tree)\n",
+               "  setkey: %s, predicted find-split %.6f s/%s "
+               "(paper C=1000: %.6f s/%s)\n",
                t.use_custom_setkey
                    ? ("custom C=" + std::to_string(t.setkey_c)).c_str()
                    : "one block per segment",
-               t.tuned_find_split_seconds, t.baseline_find_split_seconds);
+               t.tuned_find_split_seconds, per, t.baseline_find_split_seconds,
+               per);
   std::fprintf(stderr, "  setkey sweep:");
   for (const auto& c : t.candidates) {
     if (c.use_custom_setkey) {
@@ -360,7 +363,9 @@ int cmd_train(const Flags& f) {
     session.deactivate();
     print_profile(session);
   }
-  if (param.autotune) print_tuning(report.tuning);
+  if (param.autotune) {
+    print_tuning(report.tuning, param.use_hist_trainer ? "training" : "tree");
+  }
   model.save(model_path);
   std::fprintf(stderr,
                "trained %zu trees -> %s\n"
