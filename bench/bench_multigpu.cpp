@@ -1,18 +1,15 @@
 // Multi-GPU scaling (the paper's Section VI future work: "our algorithm is
 // naturally applicable to multiple GPUs"): trains the dataset analogs on
 // 1/2/4/8 simulated Titan X boards and reports the modeled end-to-end time,
-// the communication share, the comm/compute overlap, and the speedup over
-// one device.
+// the communication share, and the speedup over one device.
 //
-// Three sweeps per dataset:
-//  * data-parallel sharding x {alltoone, ring, tree} collectives — the ring
-//    schedule must beat the legacy all-to-one at K >= 4 (the mgpu_smoke
-//    case in test_multigpu gates ring and tree against all-to-one);
-//    the ring rows also record an NVLink-interconnect column;
-//  * feature-parallel sharding (ring) — each shard owns a contiguous
-//    column range, trading the node-sync broadcast for per-shard column
-//    locality;
-//  * the histogram trainer on K shards (ring histogram-allreduce) — the
+// Two sweeps per dataset:
+//  * the exact trainer on round-robin attribute shards x {alltoone, ring,
+//    tree} collectives — the ring schedule must beat the legacy all-to-one
+//    at K >= 4 (the mgpu_smoke case in test_multigpu gates ring and tree
+//    against all-to-one); the ring rows also record an NVLink-interconnect
+//    column;
+//  * the histogram trainer on K row shards (ring histogram-allreduce) — the
 //    QGH histograms are merged with the same collective machinery.
 #include "bench_common.h"
 #include "multigpu/multi_trainer.h"
@@ -43,20 +40,19 @@ int main(int argc, char** argv) {
     // One case: train, record the comm metrics, print one table row.
     const auto run_case = [&](const std::string& case_name,
                               const GBDTParam& param,
-                              multigpu::MultiGpuOptions mo, int k,
+                              multigpu::AllreduceAlgo algo, int k,
                               double base, bool with_nvlink) {
       BenchCase c(sink, case_name);
       multigpu::MultiGpuTrainer pcie(device::DeviceConfig::titan_x_pascal(),
                                      k, param, multigpu::Interconnect::pcie3(),
-                                     mo);
+                                     algo);
       multigpu::MultiTrainReport rp;
       try {
         rp = pcie.train(ds);
       } catch (const std::exception& e) {
         c.skip();
-        std::printf("  %-8s %8s %4d  skipped: %s\n",
-                    multigpu::shard_mode_name(mo.shard),
-                    multigpu::allreduce_algo_name(mo.algo), k, e.what());
+        std::printf("  %8s %4d  skipped: %s\n",
+                    multigpu::allreduce_algo_name(algo), k, e.what());
         return 0.0;
       }
       c.metric("modeled_seconds", rp.modeled_seconds);
@@ -64,21 +60,17 @@ int main(int argc, char** argv) {
       c.metric("allreduce_seconds", rp.allreduce_seconds);
       c.metric("comm_bytes", static_cast<double>(rp.comm_bytes));
       c.metric("comm_messages", static_cast<double>(rp.comm_messages));
-      c.metric("comm_overlap_ratio", rp.comm_overlap_ratio);
       double nv_secs = 0.0;
       if (with_nvlink) {
         multigpu::MultiGpuTrainer nv(device::DeviceConfig::titan_x_pascal(),
                                      k, param,
-                                     multigpu::Interconnect::nvlink(), mo);
+                                     multigpu::Interconnect::nvlink(), algo);
         nv_secs = nv.train(ds).modeled_seconds;
         c.metric("nvlink_seconds", nv_secs);
       }
-      std::printf("  %-8s %8s %4d %12.4f %11.1f%% %9.0f%% %10.2f",
-                  multigpu::shard_mode_name(mo.shard),
-                  multigpu::allreduce_algo_name(mo.algo), k,
-                  rp.modeled_seconds,
+      std::printf("  %8s %4d %12.4f %11.1f%% %10.2f",
+                  multigpu::allreduce_algo_name(algo), k, rp.modeled_seconds,
                   100.0 * rp.comm_seconds / rp.modeled_seconds,
-                  100.0 * rp.comm_overlap_ratio,
                   base > 0.0 ? base / rp.modeled_seconds : 1.0);
       if (with_nvlink) {
         std::printf(" | %12.4f %10.2f", nv_secs,
@@ -88,39 +80,29 @@ int main(int argc, char** argv) {
       return rp.modeled_seconds;
     };
 
-    std::printf("  %-8s %8s %4s %12s %12s %10s %10s | %12s %10s\n", "shard",
-                "algo", "GPUs", "pcie(s)", "comm-share", "overlap", "speedup",
-                "nvlink(s)", "speedup");
+    std::printf("  %8s %4s %12s %12s %10s | %12s %10s\n", "algo", "GPUs",
+                "pcie(s)", "comm-share", "speedup", "nvlink(s)", "speedup");
 
-    // Data-parallel sharding, collective-algorithm sweep.  A single shard
-    // has no collective, so K=1 is one row (the speedup baseline).
-    const double base = run_case(std::string(name) + "_data_ring_gpus1", p,
-                                 multigpu::MultiGpuOptions{}, 1, 0.0, true);
+    // Exact trainer, collective-algorithm sweep.  A single shard has no
+    // collective, so K=1 is one row (the speedup baseline).
+    const double base =
+        run_case(std::string(name) + "_data_ring_gpus1", p,
+                 multigpu::AllreduceAlgo::kRing, 1, 0.0, true);
     for (int k : {2, 4, 8}) {
       for (const char* algo : {"alltoone", "ring", "tree"}) {
-        multigpu::MultiGpuOptions mo;
-        mo.algo = algo_of(algo);
         const std::string cn =
             std::string(name) + "_data_" + algo + "_gpus" + std::to_string(k);
-        run_case(cn, p, mo, k, base, std::string(algo) == "ring");
+        run_case(cn, p, algo_of(algo), k, base, std::string(algo) == "ring");
       }
     }
 
-    // Feature-parallel sharding (ring).
-    for (int k : {2, 4, 8}) {
-      multigpu::MultiGpuOptions mo;
-      mo.shard = multigpu::ShardMode::kFeature;
-      run_case(std::string(name) + "_feature_ring_gpus" + std::to_string(k),
-               p, mo, k, base, false);
-    }
-
-    // Histogram-allreduce mode (data shards, ring).
+    // Histogram-allreduce mode (row shards, ring).
     std::printf("  histogram-allreduce mode:\n");
     GBDTParam ph = p;
     ph.use_hist_trainer = true;
     for (int k : {2, 4}) {
       run_case(std::string(name) + "_hist_ring_gpus" + std::to_string(k), ph,
-               multigpu::MultiGpuOptions{}, k, 0.0, false);
+               multigpu::AllreduceAlgo::kRing, k, 0.0, false);
     }
   }
   std::printf(

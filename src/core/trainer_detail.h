@@ -392,10 +392,10 @@ void release_working_layout(TrainState& st);
 void pick_node_winners(TrainState& st, const char* node_name);
 
 /// The sharded path's winner records: st.search's winner of every slot,
-/// its attribute mapped to global id attr * attr_scale + attr_offset and
-/// its owner set to `shard`, written to `out` ([slots]) for the allreduce.
-void assemble_winners(TrainState& st, std::span<BestSplit> out,
-                      std::int32_t attr_scale, std::int32_t attr_offset,
+/// its local attribute mapped to the global id attr * n_shards + shard (the
+/// round-robin shard map) and its owner set to `shard`, written to `out`
+/// ([slots]) for the allreduce.
+void assemble_winners(TrainState& st, std::span<BestSplit> out, int n_shards,
                       int shard);
 
 /// Sparse (uncompressed) path.  find_splits_sparse fills st.search.

@@ -86,8 +86,7 @@ void pick_node_winners(TrainState& st, const char* node_name) {
                           f.node_idx, 1, node_name);
 }
 
-void assemble_winners(TrainState& st, std::span<BestSplit> out,
-                      std::int32_t attr_scale, std::int32_t attr_offset,
+void assemble_winners(TrainState& st, std::span<BestSplit> out, int n_shards,
                       int shard) {
   const std::int64_t n_slots = st.n_slots;
   const std::int64_t base = st.level_base;
@@ -104,7 +103,7 @@ void assemble_winners(TrainState& st, std::span<BestSplit> out,
                         ActiveNode{static_cast<std::int32_t>(id), tn.sum_g,
                                    tn.sum_h, tn.n_instances});
                     if (w.valid) {
-                      w.attr = w.attr * attr_scale + attr_offset;
+                      w.attr = w.attr * n_shards + shard;
                       w.owner = shard;
                     }
                     out[static_cast<std::size_t>(s)] = w;

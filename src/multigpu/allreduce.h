@@ -14,8 +14,8 @@
 //  * kAllToOne — the legacy reduce: shard 0 receives K-1 full payloads
 //    (ascending shard order, acc = combine(acc, v_k)), then sends K-1 full
 //    copies back.  All 2(K-1) legs serialise on shard 0's comm stream:
-//    t ≈ 2(K-1)(lat + P/bw).  MultiGpuOptions::algo = kAllToOne selects it
-//    for every collective, restoring the pre-ring merge bit-for-bit.
+//    t ≈ 2(K-1)(lat + P/bw).  Passing kAllToOne to MultiGpuTrainer selects
+//    it for every collective, restoring the pre-ring merge bit-for-bit.
 //  * kRing — chunked reduce-scatter + allgather.  Each shard sends chunk
 //    (k-s) mod K at reduce step s and the legs ride each *receiver's* comm
 //    stream, so every shard carries 2(K-1) legs of one chunk each:

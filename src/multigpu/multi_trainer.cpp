@@ -27,27 +27,6 @@ using gbdt::detail::BestSplit;
 using gbdt::detail::TrainState;
 using device::Device;
 
-const char* shard_mode_name(ShardMode m) {
-  switch (m) {
-    case ShardMode::kData:
-      return "data";
-    case ShardMode::kFeature:
-      return "feature";
-  }
-  return "?";
-}
-
-bool parse_shard_mode(std::string_view s, ShardMode& out) {
-  if (s == "data") {
-    out = ShardMode::kData;
-  } else if (s == "feature") {
-    out = ShardMode::kFeature;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 namespace {
 
 /// One device + its shard of the training matrix.
@@ -55,7 +34,6 @@ struct Shard {
   std::unique_ptr<Device> dev;
   std::unique_ptr<TrainState> state;
   std::int64_t n_local_attrs = 0;  // exact mode: columns held locally
-  std::int64_t attr_lo = 0;        // feature mode: global id of local attr 0
   std::int64_t row_lo = 0;         // hist mode: global row range [lo, hi)
   std::int64_t row_hi = 0;
   int comm_stream = device::kDefaultStream;
@@ -105,6 +83,16 @@ struct CommStats {
     bytes += r.bytes;
     messages += r.messages;
   }
+
+  void finish(MultiTrainReport& report) const {
+    static obs::Counter& comm_bytes_total =
+        obs::Registry::global().counter("gbdt_mgpu_comm_bytes_total");
+    comm_bytes_total.inc(bytes);
+    report.comm_seconds = seconds;
+    report.allreduce_seconds = allreduce_seconds;
+    report.comm_bytes = bytes;
+    report.comm_messages = messages;
+  }
 };
 
 /// Fresh ShardLinks with a ready event recorded on each shard's default
@@ -133,13 +121,13 @@ struct MultiGpuTrainer::Impl {
   int n_devices;
   GBDTParam param;
   Interconnect link;
-  MultiGpuOptions opts;
+  AllreduceAlgo algo;
   std::unique_ptr<Loss> loss;
 
   Impl(device::DeviceConfig c, int n, GBDTParam p, Interconnect l,
-       MultiGpuOptions o)
+       AllreduceAlgo a)
       : cfg(std::move(c)), n_devices(n), param(std::move(p)), link(l),
-        opts(o), loss(make_loss(param.loss)) {
+        algo(a), loss(make_loss(param.loss)) {
     if (n_devices < 1) throw std::invalid_argument("need >= 1 device");
     gbdt::detail::validate_param(param, param.use_hist_trainer);
     // The multi-GPU exact path shards by attribute over the sparse layout.
@@ -153,32 +141,13 @@ struct MultiGpuTrainer::Impl {
                    MultiTrainReport& report, CommStats& comm);
   void train_hist(const data::Dataset& ds, std::vector<Shard>& shards,
                   MultiTrainReport& report, CommStats& comm);
-
-  void finish_comm(MultiTrainReport& report, const CommStats& comm,
-                   const std::vector<Shard>& shards) const {
-    static obs::Counter& comm_bytes_total =
-        obs::Registry::global().counter("gbdt_mgpu_comm_bytes_total");
-    static obs::Gauge& overlap_gauge =
-        obs::Registry::global().gauge("gbdt_mgpu_comm_overlap_ratio");
-    comm_bytes_total.inc(comm.bytes);
-    report.comm_seconds = comm.seconds;
-    report.allreduce_seconds = comm.allreduce_seconds;
-    report.comm_bytes = comm.bytes;
-    report.comm_messages = comm.messages;
-    double overlap = 0.0;
-    for (const auto& sh : shards) {
-      overlap = std::max(overlap, sh.dev->overlap_ratio());
-    }
-    report.comm_overlap_ratio = overlap;
-    overlap_gauge.set(overlap);
-  }
 };
 
 MultiGpuTrainer::MultiGpuTrainer(device::DeviceConfig cfg, int n_devices,
                                  GBDTParam param, Interconnect link,
-                                 MultiGpuOptions opts)
+                                 AllreduceAlgo algo)
     : impl_(std::make_unique<Impl>(std::move(cfg), n_devices, std::move(param),
-                                   link, opts)) {}
+                                   link, algo)) {}
 
 MultiGpuTrainer::~MultiGpuTrainer() = default;
 
@@ -203,13 +172,13 @@ MultiTrainReport MultiGpuTrainer::train(const data::Dataset& ds) {
   } else {
     impl_->train_exact(ds, shards, report, comm);
   }
-  impl_->finish_comm(report, comm, shards);
+  comm.finish(report);
   report.wall_seconds = gbdt::detail::seconds_since(wall_start);
   return report;
 }
 
 // ---------------------------------------------------------------------------
-// Exact method: column shards (round-robin or contiguous ranges).
+// Exact method: round-robin attribute shards.
 // ---------------------------------------------------------------------------
 
 void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
@@ -222,12 +191,10 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
   }
   const std::int64_t n_inst = ds.n_instances();
   const std::int64_t n_attr = ds.n_attributes();
-  const bool feature_sharded = opts.shard == ShardMode::kFeature;
   const bool streams = device::stream_async_enabled();
 
   // ---- build shards --------------------------------------------------------
-  // kData: attribute a lives on device a % K as local a / K.
-  // kFeature: device k owns the contiguous range [F*k/K, F*(k+1)/K).
+  // Attribute a lives on device a % K as local a / K.
   {
     obs::ScopedSpan span("shard_build");
     for (int k = 0; k < K; ++k) {
@@ -235,14 +202,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
       sh.dev = std::make_unique<Device>(cfg);
       sh.comm_stream =
           streams ? sh.dev->stream() : device::kDefaultStream;
-      if (feature_sharded) {
-        const auto r = detail::chunk_range(
-            static_cast<std::size_t>(n_attr), K, k);
-        sh.attr_lo = static_cast<std::int64_t>(r.lo);
-        sh.n_local_attrs = static_cast<std::int64_t>(r.hi - r.lo);
-      } else {
-        sh.n_local_attrs = (n_attr + (K - 1 - k)) / K;  // ceil((d - k) / K)
-      }
+      sh.n_local_attrs = (n_attr + (K - 1 - k)) / K;  // ceil((d - k) / K)
       sh.state = std::make_unique<TrainState>(*sh.dev, param, *loss);
       sh.state->n_inst = n_inst;
       sh.state->n_attr = sh.n_local_attrs;
@@ -256,14 +216,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
       for (std::int64_t i = 0; i < n_inst; ++i) {
         row.clear();
         for (const auto& e : ds.instance(i)) {
-          if (feature_sharded) {
-            if (e.attr >= sh.attr_lo && e.attr < sh.attr_lo + sh.n_local_attrs) {
-              row.push_back(
-                  {static_cast<std::int32_t>(e.attr - sh.attr_lo), e.value});
-            }
-          } else if (e.attr % K == k) {
-            row.push_back({e.attr / K, e.value});
-          }
+          if (e.attr % K == k) row.push_back({e.attr / K, e.value});
         }
         local.add_instance(row, ds.labels()[static_cast<std::size_t>(i)]);
       }
@@ -297,9 +250,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
   drivers.reserve(static_cast<std::size_t>(K));
   for (int k = 0; k < K; ++k) {
     drivers.push_back(std::make_unique<objective::RoundDriver>(
-        *shards[static_cast<std::size_t>(k)].dev, param, ds, K, k,
-        feature_sharded ? objective::ShardAttrMap::kContiguous
-                        : objective::ShardAttrMap::kRoundRobin));
+        *shards[static_cast<std::size_t>(k)].dev, param, ds, K, k));
   }
 
   // ---- boosting loop (core/level_driver.h) --------------------------------
@@ -344,15 +295,11 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
       ParallelStep step(shards, report.modeled_seconds,
                         &report.device_seconds);
       for (int k = 0; k < K; ++k) {
-        auto& sh = shards[static_cast<std::size_t>(k)];
-        auto& st = *sh.state;
+        auto& st = *shards[static_cast<std::size_t>(k)].state;
         gbdt::detail::find_splits_sparse(st);
         records.push_back(
             st.arena.alloc<BestSplit>(static_cast<std::size_t>(st.n_slots)));
-        gbdt::detail::assemble_winners(
-            st, records.back().span(),
-            feature_sharded ? 1 : K,
-            feature_sharded ? static_cast<std::int32_t>(sh.attr_lo) : k, k);
+        gbdt::detail::assemble_winners(st, records.back().span(), K, k);
       }
     }
 
@@ -366,7 +313,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
       payloads.reserve(static_cast<std::size_t>(K));
       for (auto& r : records) payloads.push_back(r.span());
       comm.add_collective(allreduce<BestSplit>(
-          "comm_cand", link, opts.algo, links, payloads,
+          "comm_cand", link, algo, links, payloads,
           [](const BestSplit& a, const BestSplit& b) {
             if (!b.valid) return a;
             if (!a.valid) return b;
@@ -645,7 +592,7 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
       payloads.reserve(static_cast<std::size_t>(K));
       for (auto& m : maxima) payloads.push_back(std::span<double>(m));
       comm.add_collective(allreduce<double>(
-          "comm_absmax", link, opts.algo, links, payloads,
+          "comm_absmax", link, algo, links, payloads,
           [](double a, double b) { return std::max(a, b); }));
     }
     std::vector<hist::QGH> rootq(static_cast<std::size_t>(K));
@@ -669,7 +616,7 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
       for (auto& q : rootq) {
         payloads.push_back(std::span<hist::QGH>(&q, 1));
       }
-      comm.add_collective(allreduce<hist::QGH>("comm_rootq", link, opts.algo,
+      comm.add_collective(allreduce<hist::QGH>("comm_rootq", link, algo,
                                                links, payloads, qgh_sum));
     }
 
@@ -707,7 +654,7 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
           payloads[static_cast<std::size_t>(k)] =
               slots[static_cast<std::size_t>(k)][j];
         }
-        rep += allreduce<hist::QGH>("comm_hist", link, opts.algo, links,
+        rep += allreduce<hist::QGH>("comm_hist", link, algo, links,
                                     payloads, qgh_sum);
       }
       comm.add_collective(rep);

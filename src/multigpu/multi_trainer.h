@@ -1,17 +1,11 @@
 // Multi-GPU GBDT training — the paper's stated future work ("our algorithm
 // is naturally applicable to multiple GPUs or GPU clusters", Section VI).
 //
-// Two sharding modes over K simulated devices:
-//
-//  * kData (default, the historical layout): attribute lists sharded
-//    round-robin across devices, per-instance state replicated.  Each level
-//    merges per-node best split candidates, then synchronises the
-//    instance->node map (only the winning attribute's owner knows the exact
-//    sides).
-//  * kFeature (--shard=feature): each shard owns the contiguous column
-//    range [F*k/K, F*(k+1)/K) instead of an interleave, so candidate merges
-//    are the only per-level communication pattern that changes shape —
-//    winners are located by range lookup rather than modulo.
+// The exact method shards attributes over K simulated devices: attribute a
+// lives on device a % K as local attribute a / K, and per-instance state is
+// replicated.  Each level merges per-node best split candidates, then
+// synchronises the instance->node map (only the winning attribute's owner
+// knows the exact sides).
 //
 // With --method=hist the shards switch to row parallelism: each device owns
 // a contiguous row range, bins it against the *global* dataset's quantile
@@ -22,10 +16,10 @@
 // keeps its own histogram segment grid, keyed only when a level outgrows it.
 //
 // All merges run through multigpu::allreduce (ring by default, tree or
-// all-to-one selectable through MultiGpuOptions::algo; all-to-one restores
-// the legacy merge bit-for-bit).  Communication is modeled over a configurable
-// interconnect and rides per-shard dedicated comm streams with
-// record_event/wait_event edges, so the race detector checks the overlap
+// all-to-one selectable through the trainer's AllreduceAlgo; all-to-one
+// restores the legacy merge bit-for-bit).  Communication is modeled over a
+// configurable interconnect and rides per-shard dedicated comm streams with
+// record_event/wait_event edges, so the race detector checks the comm
 // schedule and the per-device clocks price it.
 //
 // The exact-mode trees are equivalent to single-device training (identical
@@ -37,7 +31,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "core/param.h"
@@ -47,22 +40,6 @@
 #include "multigpu/allreduce.h"
 
 namespace gbdt::multigpu {
-
-/// How the training matrix is split across devices (exact method only; the
-/// hist method always shards rows).
-enum class ShardMode {
-  kData,     // attributes round-robin, instance state replicated (default)
-  kFeature,  // contiguous column range per shard
-};
-
-[[nodiscard]] const char* shard_mode_name(ShardMode m);
-/// Parses "data" / "feature"; returns false on anything else.
-[[nodiscard]] bool parse_shard_mode(std::string_view s, ShardMode& out);
-
-struct MultiGpuOptions {
-  ShardMode shard = ShardMode::kData;
-  AllreduceAlgo algo = AllreduceAlgo::kRing;
-};
 
 struct MultiTrainReport {
   std::vector<Tree> trees;
@@ -78,9 +55,6 @@ struct MultiTrainReport {
   double allreduce_seconds = 0.0;      // comm_seconds share spent in merges
   std::uint64_t comm_bytes = 0;
   std::uint64_t comm_messages = 0;
-  /// Max over shards of Device::overlap_ratio() at train end: the fraction
-  /// of busy time hidden by comm/compute overlap.
-  double comm_overlap_ratio = 0.0;
   std::vector<double> device_seconds;  // per-shard busy time
   double wall_seconds = 0.0;
 };
@@ -89,10 +63,11 @@ class MultiGpuTrainer {
  public:
   /// n_devices identical devices of configuration `cfg`.  With
   /// param.use_hist_trainer the shards train the histogram method over row
-  /// shards; otherwise the exact method over `opts.shard` column shards.
+  /// shards; otherwise the exact method over round-robin attribute shards.
+  /// `algo` picks the collective every merge runs through.
   MultiGpuTrainer(device::DeviceConfig cfg, int n_devices, GBDTParam param,
                   Interconnect link = Interconnect::pcie3(),
-                  MultiGpuOptions opts = {});
+                  AllreduceAlgo algo = AllreduceAlgo::kRing);
   ~MultiGpuTrainer();
 
   [[nodiscard]] MultiTrainReport train(const data::Dataset& ds);

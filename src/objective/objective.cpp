@@ -26,11 +26,11 @@ std::unique_ptr<Objective> make_objective(device::Device& dev,
 
 RoundDriver::RoundDriver(device::Device& dev, const GBDTParam& param,
                          const data::Dataset& ds, int n_shards,
-                         int shard_index, ShardAttrMap attr_map)
+                         int shard_index)
     : dev_(dev), param_(param),
       objective_(make_objective(dev, param, ds)),
       global_n_attr_(ds.n_attributes()), n_shards_(n_shards),
-      shard_index_(shard_index), attr_map_(attr_map) {
+      shard_index_(shard_index) {
   if (n_shards_ < 1 || shard_index_ < 0 || shard_index_ >= n_shards_) {
     throw std::invalid_argument("bad shard spec");
   }
@@ -81,20 +81,9 @@ void RoundDriver::begin_round(detail::TrainState& st,
   }
 
   if (plan.features_masked()) {
-    std::vector<std::uint8_t> local;
-    if (n_shards_ == 1) {
-      local = plan.feature_mask();
-    } else if (attr_map_ == ShardAttrMap::kRoundRobin) {
-      local = plan.shard_feature_mask(n_shards_, shard_index_);
-    } else {
-      // Contiguous column range [F*k/K, F*(k+1)/K): a straight slice.
-      const auto& full = plan.feature_mask();
-      const auto f = static_cast<std::size_t>(global_n_attr_);
-      const auto k = static_cast<std::size_t>(shard_index_);
-      const auto n = static_cast<std::size_t>(n_shards_);
-      local.assign(full.begin() + static_cast<std::ptrdiff_t>(f * k / n),
-                   full.begin() + static_cast<std::ptrdiff_t>(f * (k + 1) / n));
-    }
+    const std::vector<std::uint8_t> local =
+        n_shards_ == 1 ? plan.feature_mask()
+                       : plan.shard_feature_mask(n_shards_, shard_index_);
     if (d_feature_mask_.size() == 0) {
       d_feature_mask_ = dev_.alloc<std::uint8_t>(local.size());
     }

@@ -51,27 +51,17 @@ class PointwiseObjective final : public Objective {
 [[nodiscard]] std::unique_ptr<Objective> make_objective(
     device::Device& dev, const GBDTParam& param, const data::Dataset& ds);
 
-/// How a multi-GPU shard's local attribute ids map to global ones.
-enum class ShardAttrMap {
-  /// Global attribute a lives on shard a % K as local a / K (the data-
-  /// parallel exact path's historical layout).
-  kRoundRobin,
-  /// Shard k owns the contiguous global range [F*k/K, F*(k+1)/K) and local
-  /// a maps to global lo_k + a (the --shard=feature layout).
-  kContiguous,
-};
-
 /// Per-trainer driver of the objective/sampling layer: owns the Objective
 /// and the device-resident masks, and runs the start-of-round sequence.
 ///
 /// Multi-GPU shards pass (n_shards, shard_index) so the feature mask is
-/// remapped to shard-local attribute ids; gradients are replicated (every
-/// shard holds the full row set), so the same driver works unchanged.
+/// remapped to shard-local attribute ids (global attribute a lives on shard
+/// a % K as local a / K); gradients are replicated (every shard holds the
+/// full row set), so the same driver works unchanged.
 class RoundDriver {
  public:
   RoundDriver(device::Device& dev, const GBDTParam& param,
-              const data::Dataset& ds, int n_shards = 1, int shard_index = 0,
-              ShardAttrMap attr_map = ShardAttrMap::kRoundRobin);
+              const data::Dataset& ds, int n_shards = 1, int shard_index = 0);
 
   /// Start-of-round hook, replacing the trainers' direct
   /// detail::compute_gradients call: produces gradients, then (only when
@@ -92,7 +82,6 @@ class RoundDriver {
   std::int64_t global_n_attr_ = 0;
   int n_shards_ = 1;
   int shard_index_ = 0;
-  ShardAttrMap attr_map_ = ShardAttrMap::kRoundRobin;
   bool sampling_enabled_ = false;
   device::DeviceBuffer<std::uint8_t> d_row_mask_;
   device::DeviceBuffer<std::uint8_t> d_feature_mask_;

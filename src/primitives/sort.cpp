@@ -5,7 +5,6 @@
 #include <cassert>
 
 #include "primitives/scan.h"
-#include "primitives/segmented.h"
 #include "primitives/transform.h"
 
 namespace gbdt::prim {
@@ -131,81 +130,5 @@ void radix_sort_pairs(device::Device& dev,
   }
 }
 
-
-void segmented_sort_pairs(device::Device& dev,
-                          device::DeviceBuffer<float>& values,
-                          device::DeviceBuffer<std::uint32_t>& payload,
-                          const device::DeviceBuffer<std::int64_t>& seg_offsets,
-                          bool descending) {
-  const std::int64_t n = static_cast<std::int64_t>(values.size());
-  if (n <= 1) return;
-  const std::int64_t n_seg =
-      static_cast<std::int64_t>(seg_offsets.size()) - 1;
-
-  // Segment key per element, then one composite-key sort.
-  auto seg_keys = dev.alloc<std::int32_t>(static_cast<std::size_t>(n));
-  set_keys(dev, seg_offsets, seg_keys,
-           segs_per_block(n_seg, n, dev.config().num_sms));
-
-  auto keys = dev.alloc<std::uint64_t>(static_cast<std::size_t>(n));
-  auto order = dev.alloc<std::uint32_t>(static_cast<std::size_t>(n));
-  {
-    auto v = values.span();
-    auto sk = seg_keys.span();
-    auto k = keys.span();
-    auto o = order.span();
-    dev.launch("seg_sort_make_keys", device::grid_for(n, kBlockDim),
-               kBlockDim, [&](device::BlockCtx& b) {
-                 b.for_each_thread([&](std::int64_t i) {
-                   if (i >= n) return;
-                   const auto u = static_cast<std::size_t>(i);
-                   const std::uint32_t ord = float_to_ordered(v[u]);
-                   k[u] = (static_cast<std::uint64_t>(
-                               static_cast<std::uint32_t>(sk[u]))
-                           << 32) |
-                          (descending ? static_cast<std::uint64_t>(~ord)
-                                      : static_cast<std::uint64_t>(ord));
-                   o[u] = static_cast<std::uint32_t>(i);
-                 });
-                 b.reads_tile(v, n);
-                 b.reads_tile(sk, n);
-                 b.writes_tile(k, n);
-                 b.writes_tile(o, n);
-                 b.mem_coalesced(elems_in_block(b, n) * 20);
-               });
-  }
-  radix_sort_pairs(dev, keys, order, 64);
-
-  // Permute values and payloads by the sorted order.
-  auto new_values = dev.alloc<float>(static_cast<std::size_t>(n));
-  auto new_payload = dev.alloc<std::uint32_t>(static_cast<std::size_t>(n));
-  {
-    auto v = values.span();
-    auto pl = payload.span();
-    auto o = order.span();
-    auto nv = new_values.span();
-    auto np = new_payload.span();
-    dev.launch("seg_sort_permute", device::grid_for(n, kBlockDim), kBlockDim,
-               [&](device::BlockCtx& b) {
-                 b.for_each_thread([&](std::int64_t i) {
-                   if (i >= n) return;
-                   const auto u = static_cast<std::size_t>(i);
-                   const auto src = static_cast<std::size_t>(o[u]);
-                   nv[u] = v[src];
-                   np[u] = pl[src];
-                   b.reads(v, static_cast<std::int64_t>(src));
-                   b.reads(pl, static_cast<std::int64_t>(src));
-                 });
-                 b.reads_tile(o, n);
-                 b.writes_tile(nv, n);
-                 b.writes_tile(np, n);
-                 const auto m = elems_in_block(b, n);
-                 b.mem_coalesced(m * 12);
-                 b.mem_irregular(m * 2);
-               });
-  }
-  values = std::move(new_values);
-  payload = std::move(new_payload);
-}
 
 }  // namespace gbdt::prim

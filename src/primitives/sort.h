@@ -42,15 +42,4 @@ void radix_sort_pairs(device::Device& dev,
                       device::DeviceBuffer<std::uint32_t>& values,
                       int key_bits = 64);
 
-/// Sorts float values within each segment (descending when `descending`),
-/// moving the 32-bit payloads alongside; stable within equal values.  One
-/// composite-key radix sort over (segment id, ordered value) — the batched
-/// small-sort pattern the paper's Section III-A identifies as expensive on
-/// GPUs when done naively per segment.
-void segmented_sort_pairs(device::Device& dev,
-                          device::DeviceBuffer<float>& values,
-                          device::DeviceBuffer<std::uint32_t>& payload,
-                          const device::DeviceBuffer<std::int64_t>& seg_offsets,
-                          bool descending = true);
-
 }  // namespace gbdt::prim

@@ -714,23 +714,21 @@ OracleResult run_mgpu_oracle(const FuzzCase& c, bool check_invariants) {
     return result;
   }
 
-  auto mgpu_run = [&](const GBDTParam& p, multigpu::MultiGpuOptions opts) {
+  using multigpu::AllreduceAlgo;
+  auto mgpu_run = [&](const GBDTParam& p, AllreduceAlgo algo) {
     multigpu::MultiGpuTrainer trainer(DeviceConfig::titan_x_pascal(), n_gpus,
                                       p, multigpu::Interconnect::pcie3(),
-                                      opts);
+                                      algo);
     auto r = trainer.train(ds);
     return LegOutput{std::move(r.trees), std::move(r.train_scores), 1.0};
   };
-  const multigpu::MultiGpuOptions ring_opts;  // data-parallel, ring
-  multigpu::MultiGpuOptions alltoone_opts;     // data-parallel, legacy merge
-  alltoone_opts.algo = multigpu::AllreduceAlgo::kAllToOne;
 
   // Exact path: the ring-merged forest is the reference; the all-to-one
-  // merge, the tree collective and feature sharding are compared against it.
+  // merge and the tree collective are compared against it.
   bool have_ring = false;
   LegOutput ring_ref;
   try {
-    ring_ref = mgpu_run(base, ring_opts);
+    ring_ref = mgpu_run(base, AllreduceAlgo::kRing);
     have_ring = true;
   } catch (const std::exception& e) {
     LegResult leg;
@@ -742,26 +740,13 @@ OracleResult run_mgpu_oracle(const FuzzCase& c, bool check_invariants) {
 
   if (have_ring) {
     result.legs.push_back(run_leg(
-        "ring_vs_alltoone", [&] { return mgpu_run(base, alltoone_opts); },
-        ring_ref, 0.0, ds.labels()));
+        "ring_vs_alltoone",
+        [&] { return mgpu_run(base, AllreduceAlgo::kAllToOne); }, ring_ref,
+        0.0, ds.labels()));
 
     result.legs.push_back(run_leg(
-        "tree_vs_ring",
-        [&] {
-          multigpu::MultiGpuOptions opts;
-          opts.algo = multigpu::AllreduceAlgo::kTree;
-          return mgpu_run(base, opts);
-        },
+        "tree_vs_ring", [&] { return mgpu_run(base, AllreduceAlgo::kTree); },
         ring_ref, 0.0, ds.labels()));
-
-    result.legs.push_back(run_leg(
-        "feature_vs_data",
-        [&] {
-          multigpu::MultiGpuOptions opts;
-          opts.shard = multigpu::ShardMode::kFeature;
-          return mgpu_run(base, opts);
-        },
-        ring_ref, 1e-7, ds.labels()));
   }
 
   // Histogram-allreduce mode: K-shard hist training vs the single-device
@@ -787,12 +772,14 @@ OracleResult run_mgpu_oracle(const FuzzCase& c, bool check_invariants) {
 
   if (have_hist) {
     result.legs.push_back(run_leg(
-        "mgpu_hist_vs_single", [&] { return mgpu_run(hist, ring_opts); },
-        hist_ref, 0.0, ds.labels()));
+        "mgpu_hist_vs_single",
+        [&] { return mgpu_run(hist, AllreduceAlgo::kRing); }, hist_ref, 0.0,
+        ds.labels()));
 
     result.legs.push_back(run_leg(
-        "hist_ring_vs_alltoone", [&] { return mgpu_run(hist, alltoone_opts); },
-        hist_ref, 0.0, ds.labels()));
+        "hist_ring_vs_alltoone",
+        [&] { return mgpu_run(hist, AllreduceAlgo::kAllToOne); }, hist_ref,
+        0.0, ds.labels()));
   }
 
   set_invariants_enabled(was_enabled);

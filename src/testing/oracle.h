@@ -123,13 +123,9 @@ struct OracleResult {
 /// merge path against the other collective schedules, all bitwise.
 ///  * ring_vs_alltoone   — the default ring collective must produce the
 ///    same forest bit for bit as the legacy all-to-one schedule
-///    (MultiGpuOptions::algo = kAllToOne: same shards, same compute; only
-///    the fold order differs, and every trainer combine is
-///    order-independent);
+///    (AllreduceAlgo::kAllToOne: same shards, same compute; only the fold
+///    order differs, and every trainer combine is order-independent);
 ///  * tree_vs_ring       — the binomial tree collective, same claim;
-///  * feature_vs_data    — feature-parallel sharding against data-parallel
-///    (different shard layouts, so exact gain ties may break differently:
-///    compared at 1e-7 with the functional-equivalence backstop);
 ///  * hist_ring_vs_alltoone — the histogram-allreduce mode against the same
 ///    all-to-one schedule, bitwise;
 ///  * mgpu_hist_vs_single — K-shard histogram training must reproduce the

@@ -154,6 +154,23 @@ TEST_F(CliTest, BadInputsFailGracefully) {
   EXPECT_NE(run("synth --out=/tmp/x --paper=unknown-set").exit_code, 0);
 }
 
+// A numeric flag is parsed whole: a word, a trailing character or a value
+// out of its type's range exits 2 naming the flag instead of training.
+TEST_F(CliTest, MalformedNumericFlagsFailLoudly) {
+  const std::string train =
+      "train --data=/tmp/gbdt_cli_train.libsvm --model=/tmp/x.model "
+      "--trees=2 --depth=2 ";
+  for (const char* bad : {"--eta=abc", "--depth=6x", "--gpus=two",
+                          "--trees=", "--bins=99999999999"}) {
+    const std::string arg = bad;
+    const auto r = run(train + arg);
+    EXPECT_EQ(r.exit_code, 2) << arg << ": " << r.output;
+    EXPECT_NE(r.output.find(arg.substr(0, arg.find('='))), std::string::npos)
+        << arg << ": " << r.output;
+  }
+  EXPECT_EQ(run(train + "--eta=0.25 --depth=3").exit_code, 0);
+}
+
 TEST_F(CliTest, DeviceSelection) {
   for (const char* dev : {"titanx", "p100", "k20"}) {
     const auto r = run(std::string("train --data=/tmp/gbdt_cli_train.libsvm "

@@ -633,7 +633,7 @@ enum class Path {
   kSparse,
   kRleDirect,
   kRleFallback,
-  kFeatureSharded,
+  kSharded,  // exact method on 2 round-robin attribute shards
   kHist,
   kHistRowSharded
 };
@@ -643,13 +643,8 @@ Trained train(Path path, const data::Dataset& ds, GBDTParam p) {
   session.activate();
   Trained run;
   p.use_hist_trainer = path == Path::kHist || path == Path::kHistRowSharded;
-  if (path == Path::kFeatureSharded || path == Path::kHistRowSharded) {
-    multigpu::MultiGpuOptions opts;
-    opts.shard = path == Path::kFeatureSharded ? multigpu::ShardMode::kFeature
-                                               : multigpu::ShardMode::kData;
-    run.trees = multigpu::MultiGpuTrainer(DeviceConfig::titan_x_pascal(), 2,
-                                          p, multigpu::Interconnect::pcie3(),
-                                          opts)
+  if (path == Path::kSharded || path == Path::kHistRowSharded) {
+    run.trees = multigpu::MultiGpuTrainer(DeviceConfig::titan_x_pascal(), 2, p)
                     .train(ds)
                     .trees;
   } else if (path == Path::kHist) {
@@ -681,7 +676,7 @@ TEST(DeviceDecision, ExactTrainingTransfersOncePerTreeAtAnyDepth) {
   spec.seed = 23;
   const auto ds = data::generate(spec);
   for (const Path path : {Path::kSparse, Path::kRleDirect, Path::kRleFallback,
-                          Path::kFeatureSharded}) {
+                          Path::kSharded}) {
     SCOPED_TRACE("path " + std::to_string(static_cast<int>(path)));
     std::vector<std::uint64_t> transfers;
     for (const int depth : {2, 6}) {

@@ -138,7 +138,7 @@ TEST(MultiGpu, RejectsDegenerateConfigurations) {
 // GBDT_CHECK_INVARIANTS reaches inside a sharded exact training: every
 // shard's replicated instance->node map is checked for conservation after
 // node_sync and against the tree at its end.  So a corrupted child count
-// throws under both shardings, and a clean run passes.
+// throws, and a clean run passes.
 TEST(MultiGpu, ShardedExactTrainingRunsTheInvariantChecks) {
   struct Restore {
     bool enabled = gbdt::testing::invariants_enabled();
@@ -149,19 +149,14 @@ TEST(MultiGpu, ShardedExactTrainingRunsTheInvariantChecks) {
   } restore;
   gbdt::testing::set_invariants_enabled(true);
   const auto ds = make_data(17, 400, 8);
-  for (const ShardMode mode : {ShardMode::kData, ShardMode::kFeature}) {
-    const MultiGpuOptions opts{mode, AllreduceAlgo::kRing};
-    const auto train = [&] {
-      return MultiGpuTrainer(DeviceConfig::titan_x_pascal(), 2, small_param(),
-                             Interconnect::pcie3(), opts)
-          .train(ds);
-    };
-    gbdt::testing::fault_injection().break_child_counts = true;
-    EXPECT_THROW((void)train(), gbdt::testing::InvariantViolation)
-        << shard_mode_name(mode);
-    gbdt::testing::fault_injection().break_child_counts = false;
-    EXPECT_NO_THROW((void)train()) << shard_mode_name(mode);
-  }
+  const auto train = [&] {
+    return MultiGpuTrainer(DeviceConfig::titan_x_pascal(), 2, small_param())
+        .train(ds);
+  };
+  gbdt::testing::fault_injection().break_child_counts = true;
+  EXPECT_THROW((void)train(), gbdt::testing::InvariantViolation);
+  gbdt::testing::fault_injection().break_child_counts = false;
+  EXPECT_NO_THROW((void)train());
 }
 
 TEST(MultiGpu, LargerDatasetFitsAcrossDevicesThatOneCannotHold) {
@@ -191,18 +186,15 @@ TEST(MultiGpu, LargerDatasetFitsAcrossDevicesThatOneCannotHold) {
 
 // The collective smoke sweep (label mgpu_smoke): the multigpu bench's
 // analogs at the quick-suite shape (`gbdt_bench --quick`: scale 0.1, 2 trees,
-// depth 3) trained under every schedule — exact training on data and feature
-// shards at K in {2, 4, 8}, the histogram method at K in {2, 4}.  Calls
-// check(label, all_to_one, ring, tree) once per configuration.
+// depth 3) trained under every schedule — exact training at K in {2, 4, 8},
+// the histogram method at K in {2, 4}.  Calls check(label, all_to_one, ring,
+// tree) once per configuration.
 template <typename Check>
 void for_each_smoke_config(Check check) {
   const auto train = [](const data::Dataset& ds, const GBDTParam& p, int k,
-                        ShardMode shard, AllreduceAlgo algo) {
-    MultiGpuOptions opts;
-    opts.shard = shard;
-    opts.algo = algo;
+                        AllreduceAlgo algo) {
     MultiGpuTrainer trainer(DeviceConfig::titan_x_pascal(), k, p,
-                            Interconnect::pcie3(), opts);
+                            Interconnect::pcie3(), algo);
     return trainer.train(ds);
   };
   for (const char* name : {"news20", "higgs"}) {
@@ -218,27 +210,24 @@ void for_each_smoke_config(Check check) {
     hist.n_bins = 16;
     struct Config {
       const GBDTParam* param;
-      ShardMode shard;
       std::vector<int> ks;
     };
-    for (const Config& c : {Config{&p, ShardMode::kData, {2, 4, 8}},
-                            Config{&p, ShardMode::kFeature, {2, 4, 8}},
-                            Config{&hist, ShardMode::kData, {2, 4}}}) {
+    for (const Config& c : {Config{&p, {2, 4, 8}}, Config{&hist, {2, 4}}}) {
       for (const int k : c.ks) {
         const std::string label =
             std::string(name) +
-            (c.param->use_hist_trainer ? " hist " : " exact ") +
-            shard_mode_name(c.shard) + " K=" + std::to_string(k);
-        check(label, train(ds, *c.param, k, c.shard, AllreduceAlgo::kAllToOne),
-              train(ds, *c.param, k, c.shard, AllreduceAlgo::kRing),
-              train(ds, *c.param, k, c.shard, AllreduceAlgo::kTree));
+            (c.param->use_hist_trainer ? " hist" : " exact") +
+            " K=" + std::to_string(k);
+        check(label, train(ds, *c.param, k, AllreduceAlgo::kAllToOne),
+              train(ds, *c.param, k, AllreduceAlgo::kRing),
+              train(ds, *c.param, k, AllreduceAlgo::kTree));
       }
     }
   }
 }
 
-// The all-to-one schedule, chosen through MultiGpuOptions::algo, trains the
-// ring and tree forests bit for bit on every smoke configuration.
+// The all-to-one schedule, chosen through the trainer's AllreduceAlgo, trains
+// the ring and tree forests bit for bit on every smoke configuration.
 TEST(MultiGpuSmoke, AllToOneTrainsTheRingAndTreeForests) {
   for_each_smoke_config([](const std::string& label,
                            const MultiTrainReport& a2o,

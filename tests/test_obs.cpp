@@ -410,6 +410,40 @@ TEST(ObsBenchCompare, PrintsWallClockBatchedCasesWithoutGating) {
   std::remove(out.c_str());
 }
 
+// A case the old report has and a bench of the new one dropped is listed
+// and counted, ungated; a bench the new report did not run lists nothing.
+TEST(ObsBenchCompare, ListsCasesGoneFromTheNewReport) {
+  const std::string now = "/tmp/test_obs_suite_gone_now.json";
+  const std::string old = "/tmp/test_obs_suite_gone_old.json";
+  const std::string out = "/tmp/test_obs_compare_gone_out.txt";
+  write_suite(now, 1.0);
+  write_suite(old, 1.0);
+  std::string err;
+  Json doc = obs::read_json_file(old, &err);
+  ASSERT_FALSE(doc.is_null()) << err;
+  Json dropped = doc.find("benches")->find("t2")->find("cases")->items()[0];
+  dropped["name"] = "ds_dropped";
+  doc["benches"]["t2"]["cases"].push_back(dropped);
+  Json not_run = *doc.find("benches")->find("t2");
+  doc["benches"]["t_not_run"] = std::move(not_run);
+  ASSERT_TRUE(obs::write_json_file(old, doc));
+  EXPECT_EQ(run_tool("--compare-only --json=" + now + " --compare=" + old,
+                     out),
+            0);
+  {
+    std::ifstream in(out);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(text.find("GONE      t2/ds_dropped"), std::string::npos) << text;
+    EXPECT_EQ(text.find("GONE      t2/ds1"), std::string::npos) << text;
+    EXPECT_EQ(text.find("t_not_run"), std::string::npos) << text;
+    EXPECT_NE(text.find("1 gone"), std::string::npos) << text;
+  }
+  std::remove(now.c_str());
+  std::remove(old.c_str());
+  std::remove(out.c_str());
+}
+
 TEST(ObsBenchCompare, ListsSpansWhoseTransferCountsChanged) {
   const std::string now = "/tmp/test_obs_suite_xfer_now.json";
   const std::string old = "/tmp/test_obs_suite_xfer_old.json";

@@ -312,7 +312,9 @@ void print_count_deltas(const std::string& key, const Json* now,
   }
 }
 
-/// Compares two suite reports; returns the number of regressions.
+/// Compares two suite reports; returns the number of regressions.  A case
+/// of the old report that a bench of the new one no longer has is listed as
+/// GONE, ungated; benches the new report did not run (--only) are skipped.
 int compare_suites(const Json& now, const Json& old, double threshold_pct) {
   const auto new_rows = modeled_rows(now);
   const auto old_rows = modeled_rows(old);
@@ -348,9 +350,21 @@ int compare_suites(const Json& now, const Json& old, double threshold_pct) {
     }
     print_count_deltas(row.key, row.trace, it->trace);
   }
-  std::printf("compared %d cases (%d ungated), %d regression(s) beyond "
-              "%.1f%%\n",
-              matched, ungated, regressions, threshold_pct);
+  const Json* ran = now.find("benches");
+  int gone = 0;
+  for (const CaseRow& row : old_rows) {
+    const std::string bench = row.key.substr(0, row.key.find('/'));
+    if (ran == nullptr || ran->find(bench) == nullptr) continue;
+    if (std::any_of(new_rows.begin(), new_rows.end(),
+                    [&](const CaseRow& n) { return n.key == row.key; })) {
+      continue;
+    }
+    ++gone;
+    std::printf("  GONE      %-46s %12.6fs\n", row.key.c_str(), row.modeled);
+  }
+  std::printf("compared %d cases (%d ungated, %d gone), %d regression(s) "
+              "beyond %.1f%%\n",
+              matched, ungated, gone, regressions, threshold_pct);
   return regressions;
 }
 

@@ -11,6 +11,7 @@
 //
 // Run `gbdt help` (or any subcommand with --help) for the full flag list.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -67,13 +68,26 @@ class Flags {
     if (it != values_.end()) used_.push_back(key);
     return it == values_.end() ? def : it->second;
   }
-  [[nodiscard]] double num(const std::string& key, double def) const {
-    const auto s = str(key);
-    return s.empty() ? def : std::atof(s.c_str());
-  }
-  [[nodiscard]] long integer(const std::string& key, long def) const {
-    const auto s = str(key);
-    return s.empty() ? def : std::atol(s.c_str());
+  /// The whole value of --key as a number of `def`'s type, or `def` when
+  /// the flag is absent.  An empty value, trailing characters or a value out
+  /// of the type's range exit 2.
+  template <class T>
+  [[nodiscard]] T num(const std::string& key, T def) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return def;
+    used_.push_back(key);
+    const std::string& s = it->second;
+    T v{};
+    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec == std::errc::result_out_of_range) {
+      std::fprintf(stderr, "--%s=%s is out of range\n", key.c_str(), s.c_str());
+      std::exit(2);
+    }
+    if (s.empty() || ec != std::errc{} || end != s.data() + s.size()) {
+      std::fprintf(stderr, "--%s=%s is not a number\n", key.c_str(), s.c_str());
+      std::exit(2);
+    }
+    return v;
   }
   [[nodiscard]] bool flag(const std::string& key) const {
     return str(key) == "1" || str(key) == "true";
@@ -111,8 +125,8 @@ device::DeviceConfig device_by_name(const std::string& name) {
 
 GBDTParam params_from(const Flags& f) {
   GBDTParam p;
-  p.depth = static_cast<int>(f.integer("depth", p.depth));
-  p.n_trees = static_cast<int>(f.integer("trees", p.n_trees));
+  p.depth = f.num("depth", p.depth);
+  p.n_trees = f.num("trees", p.n_trees);
   p.eta = f.num("eta", p.eta);
   p.lambda = f.num("lambda", p.lambda);
   p.gamma = f.num("gamma", p.gamma);
@@ -135,7 +149,7 @@ GBDTParam params_from(const Flags& f) {
                  objective.c_str());
     std::exit(2);
   }
-  p.ndcg_k = static_cast<int>(f.integer("ndcg-k", p.ndcg_k));
+  p.ndcg_k = f.num("ndcg-k", p.ndcg_k);
   p.subsample = f.num("subsample", p.subsample);
   const std::string bag = f.str("feature-bag", "all");
   if (bag == "all") {
@@ -150,9 +164,8 @@ GBDTParam params_from(const Flags& f) {
       std::exit(2);
     }
   }
-  p.sampling_seed = static_cast<std::uint64_t>(
-      f.integer("sample-seed", static_cast<long>(p.sampling_seed)));
-  p.eval_freq = static_cast<int>(f.integer("eval-freq", p.eval_freq));
+  p.sampling_seed = f.num("sample-seed", p.sampling_seed);
+  p.eval_freq = f.num("eval-freq", p.eval_freq);
   if (p.eval_freq < 1) {
     std::fprintf(stderr, "--eval-freq must be >= 1\n");
     std::exit(2);
@@ -165,7 +178,7 @@ GBDTParam params_from(const Flags& f) {
                  method.c_str());
     std::exit(2);
   }
-  p.n_bins = static_cast<int>(f.integer("bins", p.n_bins));
+  p.n_bins = f.num("bins", p.n_bins);
   if (f.flag("no-rle")) p.use_rle = false;
   if (f.flag("force-rle")) p.force_rle = true;
   if (f.flag("no-smartgd")) p.use_smart_gd = false;
@@ -265,10 +278,9 @@ int cmd_train(const Flags& f) {
   }
   const auto valid_path = f.str("valid");
   const auto valid_query_path = f.str("valid-query-file");
-  const int early = static_cast<int>(f.integer("early-stopping", 0));
+  const int early = f.num("early-stopping", 0);
   const bool profile = f.flag("profile");
-  const int gpus = static_cast<int>(f.integer("gpus", 1));
-  const std::string shard_str = f.str("shard", "data");
+  const int gpus = f.num("gpus", 1);
   const std::string allreduce_str = f.str("allreduce", "ring");
   const std::string link_str = f.str("link", "pcie");
   f.warn_unused();
@@ -279,13 +291,8 @@ int cmd_train(const Flags& f) {
                    "--gpus>1 does not support --valid/--early-stopping\n");
       return 2;
     }
-    multigpu::MultiGpuOptions opts;
-    if (!multigpu::parse_shard_mode(shard_str, opts.shard)) {
-      std::fprintf(stderr, "unknown shard mode '%s' (use data|feature)\n",
-                   shard_str.c_str());
-      return 2;
-    }
-    if (!multigpu::parse_allreduce_algo(allreduce_str, opts.algo)) {
+    multigpu::AllreduceAlgo algo = multigpu::AllreduceAlgo::kRing;
+    if (!multigpu::parse_allreduce_algo(allreduce_str, algo)) {
       std::fprintf(stderr,
                    "unknown allreduce '%s' (use ring|tree|alltoone)\n",
                    allreduce_str.c_str());
@@ -302,7 +309,7 @@ int cmd_train(const Flags& f) {
     obs::ObsSession session;
     if (profile) session.activate();
     multigpu::MultiGpuTrainer trainer(device_by_name(f.str("device")), gpus,
-                                      param, link, opts);
+                                      param, link, algo);
     const auto report = trainer.train(ds);
     if (profile) {
       session.deactivate();
@@ -313,15 +320,14 @@ int cmd_train(const Flags& f) {
     model.save(model_path);
     std::fprintf(
         stderr,
-        "trained %zu trees on %d shards (%s, %s allreduce) -> %s\n"
+        "trained %zu trees on %d shards (%s allreduce) -> %s\n"
         "modeled %.4f s critical path, comm %.4f s (allreduce %.4f s, "
-        "%.1f MiB, %llu msgs), overlap %.0f%%\n",
-        report.trees.size(), gpus, multigpu::shard_mode_name(opts.shard),
-        multigpu::allreduce_algo_name(opts.algo), model_path.c_str(),
-        report.modeled_seconds, report.comm_seconds, report.allreduce_seconds,
+        "%.1f MiB, %llu msgs)\n",
+        report.trees.size(), gpus, multigpu::allreduce_algo_name(algo),
+        model_path.c_str(), report.modeled_seconds, report.comm_seconds,
+        report.allreduce_seconds,
         static_cast<double>(report.comm_bytes) / (1 << 20),
-        static_cast<unsigned long long>(report.comm_messages),
-        100.0 * report.comm_overlap_ratio);
+        static_cast<unsigned long long>(report.comm_messages));
     const double train_rmse = rmse(report.train_scores, ds.labels());
     std::fprintf(stderr, "train rmse %.6f\n", train_rmse);
     return 0;
@@ -427,7 +433,7 @@ int cmd_eval(const Flags& f) {
 
 int cmd_dump(const Flags& f) {
   const auto model = GBDTModel::load(f.require("model"));
-  const long which = f.integer("tree", -1);
+  const long which = f.num("tree", -1);
   f.warn_unused();
   for (std::size_t t = 0; t < model.trees().size(); ++t) {
     if (which >= 0 && static_cast<std::size_t>(which) != t) continue;
@@ -462,11 +468,11 @@ int cmd_importance(const Flags& f) {
 
 int cmd_cv(const Flags& f) {
   const auto ds = data::read_libsvm_file(f.require("data"));
-  const int folds = static_cast<int>(f.integer("folds", 5));
-  const auto seed = static_cast<unsigned>(f.integer("seed", 42));
+  const int folds = f.num("folds", 5);
+  const unsigned seed = f.num("seed", 42U);
   device::Device dev(device_by_name(f.str("device")));
   const auto param = params_from(f);
-  const int early = static_cast<int>(f.integer("early-stopping", 0));
+  const int early = f.num("early-stopping", 0);
   f.warn_unused();
   const auto cv = cross_validate(dev, ds, param, folds, seed, early);
   for (std::size_t k = 0; k < cv.fold_metric.size(); ++k) {
@@ -488,12 +494,12 @@ int cmd_synth(const Flags& f) {
   if (!paper.empty()) {
     spec = data::paper_dataset(paper, f.num("scale", 1.0)).spec;
   } else {
-    spec.n_instances = f.integer("instances", 1000);
-    spec.n_attributes = f.integer("attributes", 20);
+    spec.n_instances = f.num<std::int64_t>("instances", 1000);
+    spec.n_attributes = f.num<std::int64_t>("attributes", 20);
     spec.density = f.num("density", 1.0);
-    spec.distinct_values = static_cast<int>(f.integer("distinct", 0));
+    spec.distinct_values = f.num("distinct", 0);
     spec.binary_labels = f.flag("binary");
-    spec.seed = static_cast<unsigned>(f.integer("seed", 42));
+    spec.seed = f.num("seed", 42U);
   }
   const auto out = f.require("out");
   f.warn_unused();
@@ -506,13 +512,11 @@ int cmd_synth(const Flags& f) {
 
 serve::ServeConfig serve_config_from(const Flags& f) {
   serve::ServeConfig sc;
-  sc.queue_capacity = static_cast<std::size_t>(
-      f.integer("queue", static_cast<long>(sc.queue_capacity)));
-  sc.max_batch = static_cast<std::size_t>(
-      f.integer("max-batch", static_cast<long>(sc.max_batch)));
-  sc.max_wait_ticks = f.integer("max-wait-ticks", sc.max_wait_ticks);
-  sc.n_workers = static_cast<int>(f.integer("workers", sc.n_workers));
-  sc.n_shards = static_cast<int>(f.integer("shards", sc.n_shards));
+  sc.queue_capacity = f.num("queue", sc.queue_capacity);
+  sc.max_batch = f.num("max-batch", sc.max_batch);
+  sc.max_wait_ticks = f.num("max-wait-ticks", sc.max_wait_ticks);
+  sc.n_workers = f.num("workers", sc.n_workers);
+  sc.n_shards = f.num("shards", sc.n_shards);
   sc.device = device_by_name(f.str("device"));
   const auto mode = f.str("mode", "replicate");
   if (mode == "replicate") {
@@ -657,10 +661,9 @@ int cmd_loadgen(const Flags& f) {
   const auto model = GBDTModel::load(f.require("model"));
   const auto ds = read_requests(f.require("data"));
   const double rate = f.num("rate", 1000.0);
-  const auto n_requests = static_cast<std::int64_t>(
-      f.integer("requests", static_cast<long>(ds.n_instances())));
+  const auto n_requests = f.num("requests", ds.n_instances());
   const bool poisson = f.flag("poisson");
-  const auto seed = static_cast<unsigned>(f.integer("seed", 42));
+  const unsigned seed = f.num("seed", 42U);
   const auto sc = serve_config_from(f);
   f.warn_unused();
   if (rate <= 0.0 || ds.n_instances() == 0 || n_requests <= 0) {
@@ -749,8 +752,8 @@ void usage() {
       "           --subsample=1.0 --feature-bag=sqrt|all|N --sample-seed=42\n"
       "           --no-rle --force-rle --no-smartgd --no-setkey\n"
       "           --no-idxcomp --no-direct-rle --autotune --profile]\n"
-      "          [--gpus=K --shard=data|feature --allreduce=ring|tree|alltoone\n"
-      "           --link=pcie|nvlink]  (multi-GPU training)\n"
+      "          [--gpus=K --allreduce=ring|tree|alltoone --link=pcie|nvlink]\n"
+      "          (multi-GPU training)\n"
       "  predict --data=F --model=F [--output=F --transform]\n"
       "  eval    --data=F --model=F\n"
       "  cv      --data=F [--folds=5 --seed=42 --early-stopping=K\n"

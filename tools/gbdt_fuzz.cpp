@@ -96,10 +96,9 @@ void usage() {
          "                     trainer paths, and LambdaMART must beat the\n"
          "                     squared-error baseline on held-out NDCG@10\n"
          "  --mgpu             multi-GPU collective sweep: the ring and\n"
-         "                     tree allreduce merges and feature-parallel\n"
-         "                     sharding must reproduce the legacy\n"
-         "                     all-to-one schedule's forest, and K-shard\n"
-         "                     histogram training must match the\n"
+         "                     tree allreduce merges must reproduce the\n"
+         "                     legacy all-to-one schedule's forest, and\n"
+         "                     K-shard histogram training must match the\n"
          "                     single-device histogram trainer bit for bit\n"
          "  --no-invariants    do not arm in-trainer invariant checks\n"
          "  --no-minimize      report failures without shrinking them\n"

@@ -69,7 +69,8 @@
 //      the four checker and schedule toggles (analysis/access_audit.cpp,
 //      analysis/hb_race.cpp, testing/invariants.cpp,
 //      device/device_context.h).  Every training choice goes through
-//      GBDTParam, or MultiGpuOptions for the collective.
+//      GBDTParam, or the multi-GPU trainer's AllreduceAlgo for the
+//      collective.
 //
 // Comments and string literals are blanked (length-preserving) before any
 // rule other than the justification search runs, so prose never trips the
@@ -561,7 +562,7 @@ void check_file(const fs::path& path) {
          it != std::sregex_iterator(); ++it) {
       report(file, line_of(code, static_cast<std::size_t>(it->position(0))),
              "rule 14: `getenv(` outside the checker and schedule toggles — "
-             "training choices go through GBDTParam or MultiGpuOptions");
+             "training choices go through GBDTParam or AllreduceAlgo");
     }
   }
 
