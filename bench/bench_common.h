@@ -31,6 +31,7 @@
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
+#include "number_flag.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 
@@ -63,11 +64,11 @@ struct Options {
             argv[0], default_scale, default_trees, default_depth);
         std::exit(0);
       } else if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-        o.scale = std::atof(argv[i] + 8);
+        o.scale = cli::number_flag<double>("scale", argv[i] + 8);
       } else if (std::strncmp(argv[i], "--trees=", 8) == 0) {
-        o.trees = std::atoi(argv[i] + 8);
+        o.trees = cli::number_flag<int>("trees", argv[i] + 8);
       } else if (std::strncmp(argv[i], "--depth=", 8) == 0) {
-        o.depth = std::atoi(argv[i] + 8);
+        o.depth = cli::number_flag<int>("depth", argv[i] + 8);
       } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
         o.json_path = argv[i] + 7;
       } else {

@@ -56,10 +56,9 @@ int main(int argc, char** argv) {
         return 0.0;
       }
       c.metric("modeled_seconds", rp.modeled_seconds);
-      c.metric("comm_seconds", rp.comm_seconds);
-      c.metric("allreduce_seconds", rp.allreduce_seconds);
-      c.metric("comm_bytes", static_cast<double>(rp.comm_bytes));
-      c.metric("comm_messages", static_cast<double>(rp.comm_messages));
+      c.metric("comm_seconds", rp.comm.seconds);
+      c.metric("comm_bytes", static_cast<double>(rp.comm.bytes));
+      c.metric("comm_messages", static_cast<double>(rp.comm.messages));
       double nv_secs = 0.0;
       if (with_nvlink) {
         multigpu::MultiGpuTrainer nv(device::DeviceConfig::titan_x_pascal(),
@@ -70,7 +69,7 @@ int main(int argc, char** argv) {
       }
       std::printf("  %8s %4d %12.4f %11.1f%% %10.2f",
                   multigpu::allreduce_algo_name(algo), k, rp.modeled_seconds,
-                  100.0 * rp.comm_seconds / rp.modeled_seconds,
+                  100.0 * rp.comm.seconds / rp.modeled_seconds,
                   base > 0.0 ? base / rp.modeled_seconds : 1.0);
       if (with_nvlink) {
         std::printf(" | %12.4f %10.2f", nv_secs,

@@ -7,6 +7,7 @@
 
 #include "bench_common.h"
 #include "core/out_of_core.h"
+#include "data/csc_matrix.h"
 
 int main(int argc, char** argv) {
   using namespace gbdt;
@@ -44,27 +45,28 @@ int main(int argc, char** argv) {
     device::Device dev2(device::DeviceConfig::titan_x_pascal());
     OutOfCoreTrainer rle(dev2, p, chunk_budget, true);
     const auto r_rle = rle.train(ds);
+    const auto raw_bytes = static_cast<double>(streamed_bytes(dev1.timeline()));
+    const auto rle_bytes = static_cast<double>(streamed_bytes(dev2.timeline()));
     c.metric("modeled_seconds", r_raw.modeled_seconds);
     c.metric("incore_seconds", in_core.modeled_seconds);
     c.metric("rle_stream_seconds", r_rle.modeled_seconds);
-    c.metric("streamed_bytes_raw",
-             static_cast<double>(r_raw.streamed_bytes));
-    c.metric("streamed_bytes_rle",
-             static_cast<double>(r_rle.streamed_bytes));
+    c.metric("streamed_bytes_raw", raw_bytes);
+    c.metric("streamed_bytes_rle", rle_bytes);
     // Fraction of busy device seconds hidden by the copy/compute
     // double-buffer; 0 under GBDT_SYNC_STREAMS=1.
-    c.metric("overlap_ratio_raw", r_raw.overlap_ratio);
-    c.metric("overlap_ratio_rle", r_rle.overlap_ratio);
+    c.metric("overlap_ratio_raw", dev1.overlap_ratio());
+    c.metric("overlap_ratio_rle", dev2.overlap_ratio());
 
     std::printf(
-        "%-10s | %9.3f %8.1fM | %9.3f %11.1f | %9.3f %11.1f %7d %4.2f/%4.2f\n",
+        "%-10s | %9.3f %8.1fM | %9.3f %11.1f | %9.3f %11.1f %7llu "
+        "%4.2f/%4.2f\n",
         name, in_core.modeled_seconds,
-        static_cast<double>(r_raw.in_core_bytes) / (1 << 20),
-        r_raw.modeled_seconds,
-        static_cast<double>(r_raw.streamed_bytes) / (1 << 20),
-        r_rle.modeled_seconds,
-        static_cast<double>(r_rle.streamed_bytes) / (1 << 20), r_rle.n_chunks,
-        r_raw.overlap_ratio, r_rle.overlap_ratio);
+        static_cast<double>(data::build_csc_host(ds).bytes()) / (1 << 20),
+        r_raw.modeled_seconds, raw_bytes / (1 << 20), r_rle.modeled_seconds,
+        rle_bytes / (1 << 20),
+        static_cast<unsigned long long>(
+            chunks_per_level(dev2.timeline(), r_rle.trees, p.depth)),
+        dev1.overlap_ratio(), dev2.overlap_ratio());
   }
   std::printf("(streaming pays PCI-e traffic ~ entries x depth x trees; "
               "RLE chunk shipping recovers most of it on repetitive data "

@@ -13,6 +13,7 @@
 #include "core/metrics.h"
 #include "core/out_of_core.h"
 #include "core/trainer.h"
+#include "data/csc_matrix.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
 
@@ -52,19 +53,25 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The report is the in-core trainer's TrainReport; the streaming
+  // accounting is read off the device's timeline.
+  const double in_core_mib =
+      static_cast<double>(data::build_csc_host(ds).bytes()) / (1 << 20);
   for (const bool compressed : {false, true}) {
     device::Device dev(cfg);
     OutOfCoreTrainer trainer(dev, param, /*chunk_bytes=*/2u << 20, compressed);
     const auto r = trainer.train(ds);
     std::printf("out-of-core (%s): %zu trees in %.3f modeled s, "
-                "streamed %.1f MiB over PCI-e across %d chunks, peak device "
-                "memory %.1f MiB (in-core lists: %.1f MiB), train rmse %.4f\n",
+                "streamed %.1f MiB over PCI-e across %llu chunks a level, "
+                "peak device memory %.1f MiB (in-core lists: %.1f MiB), "
+                "train rmse %.4f\n",
                 compressed ? "RLE chunks" : "raw chunks", r.trees.size(),
                 r.modeled_seconds,
-                static_cast<double>(r.streamed_bytes) / (1 << 20), r.n_chunks,
+                static_cast<double>(streamed_bytes(dev.timeline())) / (1 << 20),
+                static_cast<unsigned long long>(
+                    chunks_per_level(dev.timeline(), r.trees, param.depth)),
                 static_cast<double>(r.peak_device_bytes) / (1 << 20),
-                static_cast<double>(r.in_core_bytes) / (1 << 20),
-                rmse(r.train_scores, ds.labels()));
+                in_core_mib, rmse(r.train_scores, ds.labels()));
   }
   return 0;
 }

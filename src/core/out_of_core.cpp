@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -10,7 +9,6 @@
 #include "core/level_driver.h"
 #include "core/trainer_detail.h"
 #include "data/csc_matrix.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "objective/objective.h"
 #include "primitives/reduce.h"
@@ -98,16 +96,13 @@ OutOfCoreTrainer::OutOfCoreTrainer(device::Device& dev, GBDTParam param,
   }
 }
 
-OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
+TrainReport OutOfCoreTrainer::train(const data::Dataset& ds) {
   obs::ScopedSpan train_span("ooc_train");
-  static obs::Counter& chunks_streamed =
-      obs::Registry::global().counter("gbdt_ooc_chunks_streamed_total");
   const auto wall_start = std::chrono::steady_clock::now();
   const double modeled_start = dev_.elapsed_seconds();
-  const double busy_start = dev_.timeline().total_seconds();
   dev_.allocator().reset_peak();
 
-  OutOfCoreReport report;
+  TrainReport report;
   report.base_score = param_.base_score;
   const std::int64_t n_inst = ds.n_instances();
   const std::int64_t n_attr = ds.n_attributes();
@@ -115,7 +110,6 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
 
   // ---- host-resident sorted columns (built once, never partitioned) ------
   const auto csc = data::build_csc_host(ds);
-  report.in_core_bytes = csc.bytes();
   // The packed (value, inst) stream every raw chunk and split column ships
   // from.
   std::vector<Entry> entries(csc.values.size());
@@ -169,7 +163,6 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
       a = b;
     }
   }
-  report.n_chunks = static_cast<int>(chunks.size());
 
   // ---- double-buffered chunk streaming setup ------------------------------
   // Uploads ride stream_copy one chunk ahead of stream_compute; events order
@@ -329,7 +322,6 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
       const auto n = static_cast<std::size_t>(c.n_entries());
       const auto lo = static_cast<std::size_t>(c.entry_lo);
       obs::ScopedSpan io_span("chunk_io");
-      chunks_streamed.inc();
       if (c.compressed()) {
         dev_.copy_to_device_async(
             "stream_ooc_upload_inst", stream_copy,
@@ -337,13 +329,10 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
             sl.inst);
         dev_.copy_to_device_async("stream_ooc_upload_runs", stream_copy,
                                   std::span<const Run>(c.runs), sl.runs);
-        report.streamed_bytes +=
-            c.runs.size() * sizeof(Run) + n * sizeof(std::int32_t);
       } else {
         dev_.copy_to_device_async(
             "stream_ooc_upload_entries", stream_copy,
             std::span<const Entry>(entries).subspan(lo, n), sl.entries);
-        report.streamed_bytes += n * sizeof(Entry);
       }
     };
 
@@ -567,7 +556,6 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
           std::span<const Entry>(entries).subspan(
               static_cast<std::size_t>(lo), len),
           sl.entries);
-      report.streamed_bytes += len * sizeof(Entry);
     };
     stream_through_slots(attrs.size(), upload_column, [&](std::size_t j,
                                                           ChunkSlot& sl) {
@@ -635,18 +623,34 @@ OutOfCoreReport OutOfCoreTrainer::train(const data::Dataset& ds) {
   report.train_scores = detail::grow_forest(backend, param_, report.trees);
   report.peak_device_bytes = dev_.allocator().peak();
   report.modeled_seconds = dev_.elapsed_seconds() - modeled_start;
-  // Busy seconds are what a single serialized stream would have taken; the
-  // gap to the makespan is the PCI-e time hidden under enumeration.
-  const double busy_seconds = dev_.timeline().total_seconds() - busy_start;
-  report.overlap_ratio =
-      busy_seconds > 0.0
-          ? std::max(0.0, 1.0 - report.modeled_seconds / busy_seconds)
-          : 0.0;
-  obs::Registry::global()
-      .gauge("gbdt_device_overlap_ratio")
-      .set(report.overlap_ratio);
   report.wall_seconds = detail::seconds_since(wall_start);
   return report;
+}
+
+std::uint64_t streamed_bytes(const device::Timeline& t) {
+  std::uint64_t bytes = 0;
+  for (const auto& [label, rec] : t.stream_transfers) {
+    if (label.starts_with("stream_ooc_upload_")) bytes += rec.bytes;
+  }
+  return bytes;
+}
+
+std::uint64_t chunks_per_level(const device::Timeline& t,
+                               const std::vector<Tree>& trees, int depth) {
+  std::uint64_t uploads = 0;
+  for (const char* label :
+       {"stream_ooc_upload_entries", "stream_ooc_upload_inst"}) {
+    const auto it = t.stream_transfers.find(label);
+    if (it != t.stream_transfers.end()) uploads += it->second.count;
+  }
+  // The level loop enters one level past a tree's last split when it stops
+  // early, and `depth` levels otherwise.
+  std::uint64_t levels = 0;
+  for (const Tree& tree : trees) {
+    levels += static_cast<std::uint64_t>(
+        tree.depth() < depth ? tree.depth() + 1 : depth);
+  }
+  return levels == 0 ? 0 : uploads / levels;
 }
 
 }  // namespace gbdt

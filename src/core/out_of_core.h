@@ -45,30 +45,12 @@
 
 #include "core/loss.h"
 #include "core/param.h"
+#include "core/trainer.h"
 #include "core/tree.h"
 #include "data/dataset.h"
 #include "device/device_context.h"
 
 namespace gbdt {
-
-struct OutOfCoreReport {
-  std::vector<Tree> trees;
-  double base_score = 0.0;
-  std::vector<double> train_scores;
-  double modeled_seconds = 0.0;
-  double wall_seconds = 0.0;
-  /// Fraction of busy device seconds hidden by upload/compute overlap
-  /// (0 when GBDT_SYNC_STREAMS routes everything through the default
-  /// stream).
-  double overlap_ratio = 0.0;
-  /// Total bytes streamed over PCI-e for column chunks and split columns.
-  std::uint64_t streamed_bytes = 0;
-  /// Device bytes the in-core trainer would have needed for its lists.
-  std::size_t in_core_bytes = 0;
-  std::size_t peak_device_bytes = 0;
-  /// Column chunks the attribute lists were cut into.
-  int n_chunks = 0;
-};
 
 class OutOfCoreTrainer {
  public:
@@ -79,7 +61,10 @@ class OutOfCoreTrainer {
                    std::size_t chunk_bytes = std::size_t{64} << 20,
                    bool stream_compressed = true);
 
-  [[nodiscard]] OutOfCoreReport train(const data::Dataset& ds);
+  /// Trains on `ds` and reports like GpuGbdtTrainer: modeled seconds are
+  /// the device clock's advance over the call.  The streaming accounting
+  /// lives on the device's timeline; read it with the functions below.
+  [[nodiscard]] TrainReport train(const data::Dataset& ds);
 
  private:
   device::Device& dev_;
@@ -88,5 +73,18 @@ class OutOfCoreTrainer {
   bool stream_compressed_;
   std::unique_ptr<Loss> loss_;
 };
+
+/// PCI-e bytes the out-of-core trainer streamed on a device: the sum of its
+/// timeline's `stream_ooc_upload_*` records (column chunks and split
+/// columns).
+[[nodiscard]] std::uint64_t streamed_bytes(const device::Timeline& t);
+
+/// Column chunks streamed per level: each level a tree enters ships every
+/// chunk in the tree's feature bag once, as one entries (raw) or inst-id
+/// (RLE) upload.  `trees` are the forest trained on the device, grown to at
+/// most `depth`; the result is rounded down.
+[[nodiscard]] std::uint64_t chunks_per_level(const device::Timeline& t,
+                                             const std::vector<Tree>& trees,
+                                             int depth);
 
 }  // namespace gbdt

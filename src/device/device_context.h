@@ -257,8 +257,9 @@ struct Timeline {
   std::uint64_t bytes_to_device = 0;
   std::uint64_t bytes_to_host = 0;
   std::map<std::string, KernelRecord, std::less<>> kernels;
-  /// Labeled async transfers only (the default-stream copy helpers stay
-  /// anonymous, as before).
+  /// Transfers issued under a label (copy_*_async, peer_transfer_async),
+  /// on whichever stream they ran; the blocking to_device / to_host helpers
+  /// stay anonymous.  A zero-byte peer leg is no transfer.
   std::map<std::string, TransferRecord, std::less<>> stream_transfers;
   std::vector<StreamStats> streams;  // indexed by stream id
 
@@ -442,7 +443,7 @@ class Device {
   template <typename T>
   void copy_to_device(std::span<const T> host, DeviceBuffer<T>& buf) {
     if (defer_) drain_all();
-    exec_copy_to_device(kDefaultStream, "h2d", host, buf);
+    exec_copy_to_device(kDefaultStream, kH2D, host, buf);
   }
 
   template <typename T>
@@ -459,7 +460,7 @@ class Device {
     }
     if (defer_) drain_all();
     std::vector<T> out(n);
-    exec_copy_to_host(kDefaultStream, "d2h", buf, std::span<T>(out));
+    exec_copy_to_host(kDefaultStream, kD2H, buf, std::span<T>(out));
     return out;
   }
 
@@ -536,6 +537,10 @@ class Device {
   }
 
  private:
+  // Names of the blocking copy helpers' transfers (race reports only).
+  static constexpr std::string_view kH2D = "h2d";
+  static constexpr std::string_view kD2H = "d2h";
+
   struct EventState {
     bool fired = false;
     double time = 0.0;
@@ -673,24 +678,13 @@ class Device {
     if (analysis::race_detect_enabled()) {
       hb_.on_op(stream, name, "peer", std::move(footprint));
     }
-    timeline_.transfer_seconds += secs;
-    ++timeline_.transfers;
-    // Peer bytes are neither H2D nor D2H: bytes_to_device/host stay PCI-e
-    // only; per-label aggregation lands in stream_transfers like any other
-    // labeled async transfer.
-    if (stream != kDefaultStream) {
-      auto it = timeline_.stream_transfers.find(name);
-      if (it == timeline_.stream_transfers.end()) {
-        it = timeline_.stream_transfers
-                 .emplace(std::string(name), TransferRecord{})
-                 .first;
-      }
-      ++it->second.count;
-      it->second.bytes += bytes;
-      it->second.seconds += secs;
-    }
+    // A leg with nothing to carry (an empty ring chunk) costs nothing and is
+    // no message; its footprint above still orders it for the detector.
     note_op_time(stream, secs);
-    obs::on_transfer(bytes, secs);
+    if (bytes == 0) return;
+    // Peer bytes are neither H2D nor D2H: bytes_to_device/host stay PCI-e
+    // only.
+    count_transfer(name, bytes, secs);
   }
 
   void exec_record_event(int stream, int e) {
@@ -776,10 +770,19 @@ class Device {
   void record_transfer(int stream, std::string_view name, std::uint64_t bytes,
                        bool to_device) {
     const double secs = cost_.transfer_seconds(bytes);
+    (to_device ? timeline_.bytes_to_device : timeline_.bytes_to_host) += bytes;
+    note_op_time(stream, secs);
+    count_transfer(name, bytes, secs);
+  }
+
+  /// Counts one transfer in the timeline and the enclosing trace span;
+  /// labeled ones (every name but the blocking helpers' kH2D / kD2H) also
+  /// land in stream_transfers, whichever stream they were routed to.
+  void count_transfer(std::string_view name, std::uint64_t bytes,
+                      double secs) {
     timeline_.transfer_seconds += secs;
     ++timeline_.transfers;
-    (to_device ? timeline_.bytes_to_device : timeline_.bytes_to_host) += bytes;
-    if (stream != kDefaultStream) {
+    if (name != kH2D && name != kD2H) {
       auto it = timeline_.stream_transfers.find(name);
       if (it == timeline_.stream_transfers.end()) {
         it = timeline_.stream_transfers
@@ -790,7 +793,6 @@ class Device {
       it->second.bytes += bytes;
       it->second.seconds += secs;
     }
-    note_op_time(stream, secs);
     obs::on_transfer(bytes, secs);
   }
 

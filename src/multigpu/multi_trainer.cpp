@@ -14,7 +14,6 @@
 #include "core/trainer_detail.h"
 #include "core/trainer_hist.h"
 #include "data/csc_matrix.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "objective/objective.h"
 #include "primitives/reduce.h"
@@ -42,12 +41,12 @@ struct Shard {
 /// Accumulates the max-over-shards modeled time of one parallel step into
 /// the critical path.  Comm legs advance the per-device comm-stream clocks,
 /// so a step wrapping a collective prices communication through the same
-/// max — never double-counted as a separate additive term.
+/// max — never double-counted as a separate additive term.  Every shard op
+/// runs inside a step, so at K = 1 the critical path is the shard's clock.
 class ParallelStep {
  public:
-  explicit ParallelStep(std::vector<Shard>& shards, double& critical,
-                        std::vector<double>* per_device = nullptr)
-      : shards_(shards), critical_(critical), per_device_(per_device) {
+  ParallelStep(std::vector<Shard>& shards, double& critical)
+      : shards_(shards), critical_(critical) {
     before_.reserve(shards.size());
     for (auto& s : shards_) before_.push_back(s.dev->elapsed_seconds());
   }
@@ -56,7 +55,6 @@ class ParallelStep {
     for (std::size_t k = 0; k < shards_.size(); ++k) {
       const double delta = shards_[k].dev->elapsed_seconds() - before_[k];
       slowest = std::max(slowest, delta);
-      if (per_device_ != nullptr) (*per_device_)[k] += delta;
     }
     critical_ += slowest;
   }
@@ -66,33 +64,7 @@ class ParallelStep {
  private:
   std::vector<Shard>& shards_;
   double& critical_;
-  std::vector<double>* per_device_;
   std::vector<double> before_;
-};
-
-/// Per-train communication tally, folded into the report at the end.
-struct CommStats {
-  double seconds = 0.0;
-  double allreduce_seconds = 0.0;
-  std::uint64_t bytes = 0;
-  std::uint64_t messages = 0;
-
-  void add_collective(const AllreduceReport& r) {
-    seconds += r.seconds;
-    allreduce_seconds += r.seconds;
-    bytes += r.bytes;
-    messages += r.messages;
-  }
-
-  void finish(MultiTrainReport& report) const {
-    static obs::Counter& comm_bytes_total =
-        obs::Registry::global().counter("gbdt_mgpu_comm_bytes_total");
-    comm_bytes_total.inc(bytes);
-    report.comm_seconds = seconds;
-    report.allreduce_seconds = allreduce_seconds;
-    report.comm_bytes = bytes;
-    report.comm_messages = messages;
-  }
 };
 
 /// Fresh ShardLinks with a ready event recorded on each shard's default
@@ -135,12 +107,12 @@ struct MultiGpuTrainer::Impl {
     param.force_rle = false;
   }
 
-  /// Each method builds `shards` and fills `report` (trees, scores,
-  /// modeled seconds) and `comm`.
+  /// Each method builds `shards` and fills `report`'s trees, scores,
+  /// critical-path seconds and `comm`.
   void train_exact(const data::Dataset& ds, std::vector<Shard>& shards,
-                   MultiTrainReport& report, CommStats& comm);
+                   MultiTrainReport& report);
   void train_hist(const data::Dataset& ds, std::vector<Shard>& shards,
-                  MultiTrainReport& report, CommStats& comm);
+                  MultiTrainReport& report);
 };
 
 MultiGpuTrainer::MultiGpuTrainer(device::DeviceConfig cfg, int n_devices,
@@ -152,27 +124,28 @@ MultiGpuTrainer::MultiGpuTrainer(device::DeviceConfig cfg, int n_devices,
 MultiGpuTrainer::~MultiGpuTrainer() = default;
 
 MultiTrainReport MultiGpuTrainer::train(const data::Dataset& ds) {
+  MultiTrainReport report;
   if (impl_->param.autotune) {
     // Shards share one tuned configuration (they see the same shape).
-    autotune::apply(
-        autotune::tune(impl_->cfg, autotune::problem_shape(ds), impl_->param),
-        impl_->param);
+    report.tuning =
+        autotune::tune(impl_->cfg, autotune::problem_shape(ds), impl_->param);
+    autotune::apply(report.tuning, impl_->param);
   }
   obs::ScopedSpan train_span("mgpu_train");
   const auto wall_start = std::chrono::steady_clock::now();
   if (ds.n_instances() == 0) throw std::invalid_argument("empty dataset");
-  MultiTrainReport report;
   report.base_score = impl_->param.base_score;
-  report.device_seconds.assign(static_cast<std::size_t>(impl_->n_devices),
-                               0.0);
-  CommStats comm;
   std::vector<Shard> shards(static_cast<std::size_t>(impl_->n_devices));
   if (impl_->param.use_hist_trainer) {
-    impl_->train_hist(ds, shards, report, comm);
+    impl_->train_hist(ds, shards, report);
   } else {
-    impl_->train_exact(ds, shards, report, comm);
+    impl_->train_exact(ds, shards, report);
   }
-  comm.finish(report);
+  for (const Shard& sh : shards) {
+    report.device_seconds.push_back(sh.dev->elapsed_seconds());
+    report.peak_device_bytes =
+        std::max(report.peak_device_bytes, sh.dev->allocator().peak());
+  }
   report.wall_seconds = gbdt::detail::seconds_since(wall_start);
   return report;
 }
@@ -183,8 +156,7 @@ MultiTrainReport MultiGpuTrainer::train(const data::Dataset& ds) {
 
 void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
                                         std::vector<Shard>& shards,
-                                        MultiTrainReport& report,
-                                        CommStats& comm) {
+                                        MultiTrainReport& report) {
   const int K = n_devices;
   if (K > ds.n_attributes()) {
     throw std::invalid_argument("more devices than attributes");
@@ -260,8 +232,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
   backend.begin_tree = [&](int t, const Tree* prev, Tree& /*tree*/) {
     {
       obs::ScopedSpan span("gradient_compute");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
+      ParallelStep step(shards, report.modeled_seconds);
       for (int k = 0; k < K; ++k) {
         auto& st = *shards[static_cast<std::size_t>(k)].state;
         if (prev != nullptr) gbdt::detail::update_predictions_smart(st);
@@ -274,7 +245,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
     // Gradients are replicated, so every shard reduces the same pairs in
     // the same order to the same bitwise root; no collective is needed to
     // agree on it.
-    ParallelStep step(shards, report.modeled_seconds, &report.device_seconds);
+    ParallelStep step(shards, report.modeled_seconds);
     for (auto& sh : shards) {
       gbdt::detail::begin_device_tree(*sh.state, "mgpu_root_sum_gh");
     }
@@ -292,8 +263,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
     records.reserve(static_cast<std::size_t>(K));
     {
       obs::ScopedSpan span("find_split");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
+      ParallelStep step(shards, report.modeled_seconds);
       for (int k = 0; k < K; ++k) {
         auto& st = *shards[static_cast<std::size_t>(k)].state;
         gbdt::detail::find_splits_sparse(st);
@@ -306,13 +276,12 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
     // 2. Allreduce the records in place, device to device.
     {
       obs::ScopedSpan span("allreduce_merge");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
+      ParallelStep step(shards, report.modeled_seconds);
       auto links = make_links(shards);
       std::vector<std::span<BestSplit>> payloads;
       payloads.reserve(static_cast<std::size_t>(K));
       for (auto& r : records) payloads.push_back(r.span());
-      comm.add_collective(allreduce<BestSplit>(
+      report.comm += allreduce<BestSplit>(
           "comm_cand", link, algo, links, payloads,
           [](const BestSplit& a, const BestSplit& b) {
             if (!b.valid) return a;
@@ -320,14 +289,13 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
             if (b.gain > a.gain) return b;
             if (b.gain == a.gain && b.attr < a.attr) return b;
             return a;
-          }));
+          });
     }
 
     // 3. Every shard decides the level from the same merged winners.
     {
       obs::ScopedSpan span("find_split");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
+      ParallelStep step(shards, report.modeled_seconds);
       for (int k = 0; k < K; ++k) {
         auto& st = *shards[static_cast<std::size_t>(k)].state;
         gbdt::detail::decide_on_device(st, children_are_leaves,
@@ -349,8 +317,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
     //    owner of a node's winning attribute knows the exact sides.
     {
       obs::ScopedSpan span("mark_sides");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
+      ParallelStep step(shards, report.modeled_seconds);
       for (auto& sh : shards) gbdt::detail::apply_mark_sides_sparse(*sh.state);
     }
 
@@ -361,8 +328,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
     //    the rows in place.
     if (K > 1) {
       obs::ScopedSpan span("node_sync");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
+      ParallelStep step(shards, report.modeled_seconds);
       const std::vector<std::int64_t>& rows_of_winner = decided.rows_of_owner;
       auto links = make_links(shards);
       std::vector<double> shard_secs(static_cast<std::size_t>(K), 0.0);
@@ -382,12 +348,12 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
           detail::enqueue_leg(links[ku], waited, "stream_mgpu_node_sync",
                               secs, bytes, dst, detail::ChunkRange{0, 0},
                               detail::ChunkRange{0, dst.size()});
-          comm.bytes += bytes;
-          ++comm.messages;
+          report.comm.bytes += bytes;
+          ++report.comm.messages;
           shard_secs[ku] += secs;
         }
       }
-      comm.seconds +=
+      report.comm.seconds +=
           *std::max_element(shard_secs.begin(), shard_secs.end());
       // Device-side masked gather replacing the old host-side O(K·n)
       // merge loop: w = owner[node_of[i]] picks the shard whose mark_sides
@@ -443,8 +409,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
       for (auto& sh : shards) gbdt::detail::release_working_layout(*sh.state);
     } else {
       obs::ScopedSpan span("partition");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
+      ParallelStep step(shards, report.modeled_seconds);
       for (auto& sh : shards) gbdt::detail::apply_partition_sparse(*sh.state);
     }
     for (auto& sh : shards) gbdt::detail::advance_level(*sh.state, n_next);
@@ -454,7 +419,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
     // Every shard holds the same tree; shard 0's comes back (charged with
     // the decide kernels that wrote it).
     obs::ScopedSpan span("find_split");
-    ParallelStep step(shards, report.modeled_seconds, &report.device_seconds);
+    ParallelStep step(shards, report.modeled_seconds);
     tree = gbdt::detail::read_device_tree(*shards[0].state);
   };
   backend.end_tree = [&](const Tree& tree) {
@@ -465,11 +430,11 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
     }
   };
   backend.finish = [&](const Tree& /*last*/) {
-    // Fold the last tree into the replicated predictions; report shard 0's.
+    // Fold the last tree into the replicated predictions; shard 0's come
+    // back.
+    ParallelStep step(shards, report.modeled_seconds);
     {
       obs::ScopedSpan span("gradient_compute");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
       for (auto& sh : shards) {
         gbdt::detail::update_predictions_smart(*sh.state);
       }
@@ -486,8 +451,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
 
 void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
                                        std::vector<Shard>& shards,
-                                       MultiTrainReport& report,
-                                       CommStats& comm) {
+                                       MultiTrainReport& report) {
   const int K = n_devices;
   if (static_cast<std::int64_t>(K) > ds.n_instances()) {
     throw std::invalid_argument("more devices than instances");
@@ -561,8 +525,7 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
   backend.begin_tree = [&](int /*t*/, const Tree* prev, Tree& /*tree*/) {
     {
       obs::ScopedSpan span("gradient_compute");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
+      ParallelStep step(shards, report.modeled_seconds);
       for (int k = 0; k < K; ++k) {
         auto& st = *shards[static_cast<std::size_t>(k)].state;
         if (prev != nullptr) gbdt::detail::update_predictions_smart(st);
@@ -576,8 +539,7 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
     std::vector<std::array<double, 2>> maxima(static_cast<std::size_t>(K));
     {
       obs::ScopedSpan span("gradient_compute");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
+      ParallelStep step(shards, report.modeled_seconds);
       for (int k = 0; k < K; ++k) {
         const auto mx = growers[static_cast<std::size_t>(k)].local_abs_max();
         maxima[static_cast<std::size_t>(k)] = std::array<double, 2>{mx.g, mx.h};
@@ -585,21 +547,19 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
     }
     if (K > 1) {
       obs::ScopedSpan span("allreduce_merge");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
+      ParallelStep step(shards, report.modeled_seconds);
       auto links = make_links(shards);
       std::vector<std::span<double>> payloads;
       payloads.reserve(static_cast<std::size_t>(K));
       for (auto& m : maxima) payloads.push_back(std::span<double>(m));
-      comm.add_collective(allreduce<double>(
+      report.comm += allreduce<double>(
           "comm_absmax", link, algo, links, payloads,
-          [](double a, double b) { return std::max(a, b); }));
+          [](double a, double b) { return std::max(a, b); });
     }
     std::vector<hist::QGH> rootq(static_cast<std::size_t>(K));
     {
       obs::ScopedSpan span("gradient_compute");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
+      ParallelStep step(shards, report.modeled_seconds);
       for (int k = 0; k < K; ++k) {
         rootq[static_cast<std::size_t>(k)] =
             growers[static_cast<std::size_t>(k)].quantize(
@@ -608,20 +568,19 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
     }
     if (K > 1) {
       obs::ScopedSpan span("allreduce_merge");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
+      ParallelStep step(shards, report.modeled_seconds);
       auto links = make_links(shards);
       std::vector<std::span<hist::QGH>> payloads;
       payloads.reserve(static_cast<std::size_t>(K));
       for (auto& q : rootq) {
         payloads.push_back(std::span<hist::QGH>(&q, 1));
       }
-      comm.add_collective(allreduce<hist::QGH>("comm_rootq", link, algo,
-                                               links, payloads, qgh_sum));
+      report.comm += allreduce<hist::QGH>("comm_rootq", link, algo, links,
+                                          payloads, qgh_sum);
     }
 
     // The root stats are global, so every shard writes the same root.
-    ParallelStep step(shards, report.modeled_seconds, &report.device_seconds);
+    ParallelStep step(shards, report.modeled_seconds);
     for (auto& g : growers) g.begin_tree(rootq[0]);
   };
 
@@ -629,8 +588,7 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
     for (auto& g : growers) g.plan_level();
     {
       obs::ScopedSpan span("hist_build");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
+      ParallelStep step(shards, report.modeled_seconds);
       for (auto& g : growers) g.build_level();
     }
     if (K > 1) {
@@ -638,8 +596,7 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
       // = that slot's cps cells, on each shard's comm stream behind an
       // event recorded after hist_build.
       obs::ScopedSpan span("allreduce_merge");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
+      ParallelStep step(shards, report.modeled_seconds);
       auto links = make_links(shards);
       std::vector<std::vector<std::span<hist::QGH>>> slots(
           static_cast<std::size_t>(K));
@@ -647,36 +604,34 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
         slots[static_cast<std::size_t>(k)] =
             growers[static_cast<std::size_t>(k)].accumulated_slots();
       }
-      AllreduceReport rep;
+      // One level's slots sum first, then join the training's total.
+      AllreduceReport level;
       std::vector<std::span<hist::QGH>> payloads(static_cast<std::size_t>(K));
       for (std::size_t j = 0; j < slots[0].size(); ++j) {
         for (int k = 0; k < K; ++k) {
           payloads[static_cast<std::size_t>(k)] =
               slots[static_cast<std::size_t>(k)][j];
         }
-        rep += allreduce<hist::QGH>("comm_hist", link, algo, links,
-                                    payloads, qgh_sum);
+        level += allreduce<hist::QGH>("comm_hist", link, algo, links,
+                                      payloads, qgh_sum);
       }
-      comm.add_collective(rep);
+      report.comm += level;
     }
     if (growers[0].has_derived()) {
       obs::ScopedSpan span("hist_subtract");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
+      ParallelStep step(shards, report.modeled_seconds);
       for (auto& g : growers) g.subtract_level();
     }
     {
       obs::ScopedSpan span("hist_find_split");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
+      ParallelStep step(shards, report.modeled_seconds);
       for (auto& g : growers) g.find_level(children_are_leaves);
     }
     const std::int64_t n_next = growers[0].n_next();
     if (n_next == 0) return n_next;
     {
       obs::ScopedSpan span("hist_split_node");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
+      ParallelStep step(shards, report.modeled_seconds);
       for (auto& g : growers) g.apply_level(children_are_leaves);
     }
     for (auto& sh : shards) gbdt::detail::advance_level(*sh.state, n_next);
@@ -686,7 +641,7 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
     // Every shard holds the same tree; shard 0's comes back (charged with
     // the decide kernels that wrote it).
     obs::ScopedSpan span("hist_find_split");
-    ParallelStep step(shards, report.modeled_seconds, &report.device_seconds);
+    ParallelStep step(shards, report.modeled_seconds);
     tree = gbdt::detail::read_device_tree(*shards[0].state);
   };
   // No conservation or leaf-map check runs here: each shard's instance->
@@ -697,10 +652,9 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
   backend.finish = [&](const Tree& /*last*/) {
     // Fold the last tree into the per-shard predictions and concatenate the
     // row ranges back into dataset order.
+    ParallelStep step(shards, report.modeled_seconds);
     {
       obs::ScopedSpan span("gradient_compute");
-      ParallelStep step(shards, report.modeled_seconds,
-                        &report.device_seconds);
       for (auto& sh : shards) gbdt::detail::update_predictions_smart(*sh.state);
     }
     std::vector<double> scores;

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "core/param.h"
+#include "core/trainer.h"
 #include "core/tree.h"
 #include "data/dataset.h"
 #include "device/device_config.h"
@@ -41,22 +42,16 @@
 
 namespace gbdt::multigpu {
 
-struct MultiTrainReport {
-  std::vector<Tree> trees;
-  double base_score = 0.0;
-  std::vector<double> train_scores;
-
-  /// Critical-path modeled seconds: sum over steps of the slowest shard.
-  /// Communication legs advance the per-device comm-stream clocks, so their
-  /// cost lands here through the same max — comm_seconds is *included*, not
-  /// additive.
-  double modeled_seconds = 0.0;
-  double comm_seconds = 0.0;           // summed collective + sync leg time
-  double allreduce_seconds = 0.0;      // comm_seconds share spent in merges
-  std::uint64_t comm_bytes = 0;
-  std::uint64_t comm_messages = 0;
-  std::vector<double> device_seconds;  // per-shard busy time
-  double wall_seconds = 0.0;
+/// A TrainReport plus what one device cannot have.  `modeled_seconds` is
+/// the critical path: the sum over parallel steps of the slowest shard's
+/// clock advance.  Comm legs advance the shards' comm-stream clocks, so
+/// `comm.seconds` is included in it, not additive.  `peak_device_bytes` is
+/// the largest shard's peak.
+struct MultiTrainReport : TrainReport {
+  /// Every collective and node_sync leg of the training.
+  AllreduceReport comm;
+  /// Each shard's own modeled clock at the end of the training.
+  std::vector<double> device_seconds;
 };
 
 class MultiGpuTrainer {

@@ -357,7 +357,8 @@ OracleResult run_oracle(const FuzzCase& c, bool check_invariants) {
         OutOfCoreTrainer trainer(dev, base, c.chunk_bytes,
                                  c.ooc_stream_compressed);
         auto r = trainer.train(ds);
-        result.ooc_chunks = r.n_chunks;
+        result.ooc_chunks = static_cast<int>(
+            chunks_per_level(dev.timeline(), r.trees, base.depth));
         return LegOutput{std::move(r.trees), std::move(r.train_scores), 1.0};
       },
       ref, 1e-7, ds.labels()));
@@ -635,7 +636,8 @@ OracleResult run_objective_oracle(const FuzzCase& c, bool check_invariants) {
           OutOfCoreTrainer trainer(dev, sampled, c.chunk_bytes,
                                    c.ooc_stream_compressed);
           auto r = trainer.train(ds);
-          result.ooc_chunks = r.n_chunks;
+          result.ooc_chunks = static_cast<int>(
+              chunks_per_level(dev.timeline(), r.trees, sampled.depth));
           return LegOutput{std::move(r.trees), std::move(r.train_scores), 1.0};
         },
         sampled_ref, 1e-7, ds.labels(), kSampledFitTol));

@@ -53,8 +53,9 @@ struct LegResult {
 struct OracleResult {
   FuzzCase c;
   std::vector<LegResult> legs;
-  /// Column chunks the out-of-core leg cut the lists into (0: no such leg
-  /// ran).  With one chunk the double buffer never alternates slots.
+  /// Column chunks the out-of-core leg streamed per level, read off its
+  /// device's timeline (0: no such leg ran).  With one chunk the double
+  /// buffer never alternates slots.
   int ooc_chunks = 0;
 
   [[nodiscard]] bool pass() const {

@@ -1,5 +1,6 @@
 // End-to-end tests of the `gbdt` command line: every subcommand is driven
-// through a real subprocess against generated LibSVM files.
+// through a real subprocess against generated LibSVM files.  gbdt_fuzz and
+// gbdt_bench are driven the same way for their shared number parsing.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,8 +9,9 @@
 #include <sstream>
 #include <string>
 
-#ifndef GBDT_CLI_PATH
-#error "GBDT_CLI_PATH must be defined by the build"
+#if !defined(GBDT_CLI_PATH) || !defined(GBDT_FUZZ_PATH) || \
+    !defined(GBDT_BENCH_PATH)
+#error "GBDT_CLI_PATH, GBDT_FUZZ_PATH and GBDT_BENCH_PATH must be defined"
 #endif
 
 namespace {
@@ -19,9 +21,9 @@ struct CommandResult {
   std::string output;
 };
 
-CommandResult run(const std::string& args) {
-  const std::string cmd = std::string(GBDT_CLI_PATH) + " " + args +
-                          " > /tmp/gbdt_cli_out.txt 2>&1";
+CommandResult run_tool(const char* tool, const std::string& args) {
+  const std::string cmd =
+      std::string(tool) + " " + args + " > /tmp/gbdt_cli_out.txt 2>&1";
   CommandResult r;
   const int status = std::system(cmd.c_str());
   r.exit_code = WEXITSTATUS(status);
@@ -30,6 +32,10 @@ CommandResult run(const std::string& args) {
   buf << in.rdbuf();
   r.output = buf.str();
   return r;
+}
+
+CommandResult run(const std::string& args) {
+  return run_tool(GBDT_CLI_PATH, args);
 }
 
 class CliTest : public ::testing::Test {
@@ -169,6 +175,42 @@ TEST_F(CliTest, MalformedNumericFlagsFailLoudly) {
         << arg << ": " << r.output;
   }
   EXPECT_EQ(run(train + "--eta=0.25 --depth=3").exit_code, 0);
+}
+
+// --feature-bag takes the words sqrt and all, or a whole positive count.
+TEST_F(CliTest, FeatureBagRejectsTrailingCharacters) {
+  const std::string train =
+      "train --data=/tmp/gbdt_cli_train.libsvm --model=/tmp/x.model "
+      "--trees=2 --depth=2 --feature-bag=";
+  const auto r = run(train + "5x");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--feature-bag"), std::string::npos) << r.output;
+  for (const char* ok : {"5", "sqrt", "all"}) {
+    EXPECT_EQ(run(train + ok).exit_code, 0) << ok;
+  }
+}
+
+// gbdt_fuzz parses its counts whole, so a typo cannot gate zero cases.
+TEST_F(CliTest, FuzzRejectsMalformedCaseCount) {
+  const auto r = run_tool(GBDT_FUZZ_PATH, "--cases abc");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--cases"), std::string::npos) << r.output;
+  EXPECT_EQ(run_tool(GBDT_FUZZ_PATH, "--cases 0x2").exit_code, 0);
+}
+
+// gbdt_bench parses its threshold whole, so a typo cannot gate at 0 %.
+TEST_F(CliTest, BenchRejectsMalformedThreshold) {
+  {
+    std::ofstream suite("/tmp/gbdt_cli_suite.json");
+    suite << R"({"schema": "gbdt-bench-suite-v1", "benches": {}})" << '\n';
+  }
+  const std::string compare =
+      "--compare-only --json=/tmp/gbdt_cli_suite.json "
+      "--compare=/tmp/gbdt_cli_suite.json --threshold=";
+  const auto r = run_tool(GBDT_BENCH_PATH, compare + "abc");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--threshold"), std::string::npos) << r.output;
+  EXPECT_EQ(run_tool(GBDT_BENCH_PATH, compare + "2.5").exit_code, 0);
 }
 
 TEST_F(CliTest, DeviceSelection) {

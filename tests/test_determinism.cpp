@@ -119,7 +119,7 @@ TEST(Determinism, MultiGpuReplaysBitIdentical) {
         << "tree " << t << " differs between identical multi-GPU runs";
   }
   EXPECT_EQ(a.train_scores, b.train_scores);
-  EXPECT_EQ(a.comm_bytes, b.comm_bytes);
+  EXPECT_EQ(a.comm.bytes, b.comm.bytes);
 }
 
 TEST(Determinism, SyntheticGenerationIsAFunctionOfItsSeed) {

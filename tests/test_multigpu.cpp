@@ -4,6 +4,7 @@
 // trains the ring/tree forests, and ring/tree never model slower than it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -74,8 +75,8 @@ TEST(MultiGpu, SingleDeviceShardHasNoPeerTraffic) {
   MultiGpuTrainer multi(DeviceConfig::titan_x_pascal(), 1, small_param());
   const auto r = multi.train(ds);
   // K = 1 still pays the root-stat "broadcast" of zero peers = nothing.
-  EXPECT_EQ(r.comm_bytes, 0u);
-  EXPECT_EQ(r.comm_seconds, 0.0);
+  EXPECT_EQ(r.comm.bytes, 0u);
+  EXPECT_EQ(r.comm.seconds, 0.0);
 }
 
 TEST(MultiGpu, CommunicationGrowsWithDevices) {
@@ -84,14 +85,14 @@ TEST(MultiGpu, CommunicationGrowsWithDevices) {
   for (int k : {2, 4, 8}) {
     MultiGpuTrainer multi(DeviceConfig::titan_x_pascal(), k, small_param());
     const auto r = multi.train(ds);
-    EXPECT_GT(r.comm_bytes, prev_bytes) << k;
-    EXPECT_GT(r.comm_seconds, 0.0);
-    prev_bytes = r.comm_bytes;
+    EXPECT_GT(r.comm.bytes, prev_bytes) << k;
+    EXPECT_GT(r.comm.seconds, 0.0);
+    prev_bytes = r.comm.bytes;
   }
 }
 
 TEST(MultiGpu, ShardsShareComputeWork) {
-  // High-dimensional data: the per-shard busy time must drop as devices are
+  // High-dimensional data: each shard's own clock must drop as devices are
   // added (the find phase is attribute-parallel; per-instance work and
   // kernel-launch overheads replicate, so the drop is sublinear).
   const auto ds = make_data(14, 4000, 128, 0.5);
@@ -110,6 +111,31 @@ TEST(MultiGpu, ShardsShareComputeWork) {
   EXPECT_GT(min_shard, max_shard * 0.3);
 }
 
+// Every shard op runs inside a parallel step, so the critical path is never
+// shorter than a shard's own clock, and with one shard it is that clock.
+TEST(MultiGpu, CriticalPathCoversEveryShardClock) {
+  const auto ds = make_data(18, 1500, 12);
+  for (const bool hist : {false, true}) {
+    GBDTParam p = small_param();
+    p.use_hist_trainer = hist;
+    for (const int k : {1, 2, 4}) {
+      const std::string label =
+          std::string(hist ? "hist" : "exact") + " K=" + std::to_string(k);
+      const auto r =
+          MultiGpuTrainer(DeviceConfig::titan_x_pascal(), k, p).train(ds);
+      ASSERT_EQ(r.device_seconds.size(), static_cast<std::size_t>(k))
+          << label;
+      const double slowest =
+          *std::max_element(r.device_seconds.begin(), r.device_seconds.end());
+      EXPECT_GT(slowest, 0.0) << label;
+      EXPECT_GE(r.modeled_seconds, slowest * (1.0 - 1e-12)) << label;
+      if (k == 1) {
+        EXPECT_NEAR(r.modeled_seconds, slowest, 1e-12 * slowest) << label;
+      }
+    }
+  }
+}
+
 TEST(MultiGpu, NvlinkBeatsPcieOnCommunication) {
   const auto ds = make_data(15, 3000, 24);
   GBDTParam p = small_param();
@@ -119,8 +145,8 @@ TEST(MultiGpu, NvlinkBeatsPcieOnCommunication) {
                          Interconnect::nvlink());
   const auto a = pcie.train(ds);
   const auto b = nvlink.train(ds);
-  EXPECT_GT(a.comm_seconds, b.comm_seconds);
-  EXPECT_EQ(a.comm_bytes, b.comm_bytes);  // same protocol, faster wires
+  EXPECT_GT(a.comm.seconds, b.comm.seconds);
+  EXPECT_EQ(a.comm.bytes, b.comm.bytes);  // same protocol, faster wires
 }
 
 TEST(MultiGpu, RejectsDegenerateConfigurations) {

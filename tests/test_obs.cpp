@@ -628,7 +628,9 @@ TEST(ObsMetrics, TreeAndLevelCountersAgreeAcrossTrainerPaths) {
 // The reports and the span tree are one accounting: each trainer's span
 // subtree holds exactly the device's kernel + transfer seconds of the call,
 // the in-core reports' modeled seconds are that same number, and the
-// out-of-core report's overlap ratio is derived from it.
+// out-of-core device's overlap ratio is derived from it.  Multi-GPU: the
+// merge and node-sync spans carry exactly the report's comm bytes and
+// messages, for every collective, shard count and method.
 TEST(ObsTrace, TrainerSpanTreeReconcilesWithReportsAndDeviceClock) {
   data::SyntheticSpec spec;
   spec.n_instances = 2000;
@@ -681,13 +683,51 @@ TEST(ObsTrace, TrainerSpanTreeReconcilesWithReportsAndDeviceClock) {
   });
 
   // Out of core: several 64 KiB chunks, so uploads overlap enumeration.
+  double overlap = 0.0;
   const auto [total, report] =
       traced("out_of_core", "ooc_train", [&](device::Device& dev) {
-        return OutOfCoreTrainer(dev, p, std::size_t{1} << 16).train(ds);
+        auto r = OutOfCoreTrainer(dev, p, std::size_t{1} << 16).train(ds);
+        overlap = dev.overlap_ratio();
+        return r;
       });
-  EXPECT_NEAR(report.overlap_ratio, 1.0 - report.modeled_seconds / total,
-              1e-9);
-  EXPECT_GT(report.overlap_ratio, 0.0);
+  EXPECT_NEAR(overlap, 1.0 - report.modeled_seconds / total, 1e-9);
+  EXPECT_GT(overlap, 0.0);
+
+  // Multi-GPU: every comm leg runs under an allreduce_merge or node_sync
+  // span, and those spans run no other transfer.
+  GBDTParam hist = p;
+  hist.use_hist_trainer = true;
+  for (const GBDTParam* param : {&p, &hist}) {
+    for (const auto algo : {multigpu::AllreduceAlgo::kRing,
+                            multigpu::AllreduceAlgo::kTree,
+                            multigpu::AllreduceAlgo::kAllToOne}) {
+      for (const int k : {2, 3, 4}) {
+        const std::string where =
+            std::string(param->use_hist_trainer ? "hist" : "exact") + " " +
+            multigpu::allreduce_algo_name(algo) + " K=" + std::to_string(k);
+        obs::ObsSession session;
+        session.activate();
+        const auto r = multigpu::MultiGpuTrainer(
+                           cfg, k, *param, multigpu::Interconnect::pcie3(),
+                           algo)
+                           .train(ds);
+        session.deactivate();
+        std::uint64_t bytes = 0;
+        std::uint64_t transfers = 0;
+        const auto add = [&](const auto& self, const obs::Span& s) -> void {
+          if (s.name() == "allreduce_merge" || s.name() == "node_sync") {
+            bytes += s.stats().transfer_bytes;
+            transfers += s.stats().transfers;
+          }
+          for (const auto& c : s.children()) self(self, *c);
+        };
+        add(add, session.root());
+        EXPECT_GT(r.comm.messages, 0u) << where;
+        EXPECT_EQ(bytes, r.comm.bytes) << where;
+        EXPECT_EQ(transfers, r.comm.messages) << where;
+      }
+    }
+  }
 }
 
 // ---- split-step launch and transfer counts ---------------------------------

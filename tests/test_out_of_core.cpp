@@ -2,7 +2,8 @@
 // in-core exact trainer, bounded device footprint, RLE-compressed streaming,
 // PCI-e traffic accounting and transfer structure, feature-bag chunk
 // skipping, and the double-buffered upload pipeline (async-vs-sync bitwise
-// equality, overlap, race cleanliness).  OutOfCoreDedupe runs under the
+// equality, overlap, race cleanliness).  Streamed bytes, chunk counts and
+// overlap are read off the device timeline.  OutOfCoreDedupe runs under the
 // race_smoke label.
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "core/metrics.h"
 #include "core/out_of_core.h"
 #include "core/trainer.h"
+#include "data/csc_matrix.h"
 #include "data/synthetic.h"
 #include "device/device_context.h"
 #include "obs/metrics.h"
@@ -148,9 +150,9 @@ TEST(OutOfCore, TrainsWithinTinyDeviceWhereInCoreOoms) {
   OutOfCoreTrainer ooc(dev, p, /*chunk_bytes=*/1 << 20);
   const auto r = ooc.train(ds);  // streams in ~1 MiB chunks
   EXPECT_EQ(r.trees.size(), 2u);
-  EXPECT_GT(r.n_chunks, 4);
+  EXPECT_GT(chunks_per_level(dev.timeline(), r.trees, p.depth), 4u);
   EXPECT_LT(r.peak_device_bytes, cfg.global_mem_bytes);
-  EXPECT_GT(r.in_core_bytes, cfg.global_mem_bytes);
+  EXPECT_GT(data::build_csc_host(ds).bytes(), cfg.global_mem_bytes);
 }
 
 TEST(OutOfCore, StreamedBytesGrowWithDepthAndTrees) {
@@ -163,9 +165,10 @@ TEST(OutOfCore, StreamedBytesGrowWithDepthAndTrees) {
   p2.depth = 5;
   Device dev1(DeviceConfig::titan_x_pascal());
   Device dev2(DeviceConfig::titan_x_pascal());
-  const auto a = OutOfCoreTrainer(dev1, p1).train(ds);
-  const auto b = OutOfCoreTrainer(dev2, p2).train(ds);
-  EXPECT_GT(b.streamed_bytes, 3 * a.streamed_bytes);
+  (void)OutOfCoreTrainer(dev1, p1).train(ds);
+  (void)OutOfCoreTrainer(dev2, p2).train(ds);
+  EXPECT_GT(streamed_bytes(dev2.timeline()),
+            3 * streamed_bytes(dev1.timeline()));
 }
 
 TEST(OutOfCore, CompressedStreamingShipsFewerBytes) {
@@ -177,7 +180,8 @@ TEST(OutOfCore, CompressedStreamingShipsFewerBytes) {
   const auto raw = OutOfCoreTrainer(dev1, p, 1 << 20, false).train(ds);
   Device dev2(DeviceConfig::titan_x_pascal());
   const auto rle = OutOfCoreTrainer(dev2, p, 1 << 20, true).train(ds);
-  EXPECT_LT(rle.streamed_bytes, raw.streamed_bytes * 2 / 3);
+  EXPECT_LT(streamed_bytes(dev2.timeline()),
+            streamed_bytes(dev1.timeline()) * 2 / 3);
   // Same forest either way: compression is lossless.
   ASSERT_EQ(raw.trees.size(), rle.trees.size());
   for (std::size_t t = 0; t < raw.trees.size(); ++t) {
@@ -189,11 +193,11 @@ TEST(OutOfCore, IncompressibleDataSkipsCompression) {
   const auto ds = make_data(76, 2000, 8, 1.0, /*distinct=*/0);
   const auto p = small_param();
   Device dev1(DeviceConfig::titan_x_pascal());
-  const auto raw = OutOfCoreTrainer(dev1, p, 1 << 20, false).train(ds);
+  (void)OutOfCoreTrainer(dev1, p, 1 << 20, false).train(ds);
   Device dev2(DeviceConfig::titan_x_pascal());
-  const auto rle = OutOfCoreTrainer(dev2, p, 1 << 20, true).train(ds);
+  (void)OutOfCoreTrainer(dev2, p, 1 << 20, true).train(ds);
   // Continuous values never pass the 1.5x gate; identical traffic.
-  EXPECT_EQ(raw.streamed_bytes, rle.streamed_bytes);
+  EXPECT_EQ(streamed_bytes(dev1.timeline()), streamed_bytes(dev2.timeline()));
 }
 
 TEST(OutOfCore, AsyncPipelineMatchesSyncHatchBitwise) {
@@ -221,12 +225,13 @@ TEST(OutOfCore, AsyncPipelineMatchesSyncHatchBitwise) {
   for (std::size_t i = 0; i < async_r.train_scores.size(); ++i) {
     ASSERT_EQ(async_r.train_scores[i], sync_r.train_scores[i]) << i;
   }
-  EXPECT_EQ(async_r.streamed_bytes, sync_r.streamed_bytes);
+  EXPECT_EQ(streamed_bytes(dev_async.timeline()),
+            streamed_bytes(dev_sync.timeline()));
 
   // Upload time hides under enumeration only when the streams are real.
   // The serial ratio is makespan-vs-sum rounding noise, not overlap.
-  EXPECT_GT(async_r.overlap_ratio, 0.01);
-  EXPECT_LT(sync_r.overlap_ratio, 1e-9);
+  EXPECT_GT(dev_async.overlap_ratio(), 0.01);
+  EXPECT_LT(dev_sync.overlap_ratio(), 1e-9);
   EXPECT_LT(async_r.modeled_seconds, sync_r.modeled_seconds);
 }
 
@@ -238,7 +243,7 @@ TEST(OutOfCore, AsyncPipelineIsRaceClean) {
   analysis::set_race_detect_enabled(true);
   const auto ds = make_data(82, 3000, 10, 0.8, /*distinct=*/4);
   Device dev(DeviceConfig::titan_x_pascal());
-  OutOfCoreReport r;
+  TrainReport r;
   EXPECT_NO_THROW(r = OutOfCoreTrainer(dev, small_param(), 1 << 18).train(ds));
   EXPECT_GT(r.trees.size(), 0u);
 }
@@ -323,9 +328,9 @@ TEST(OutOfCore, OneTransferPerChunkPerLevel) {
         OutOfCoreTrainer(dev, small_param(), 1 << 16, compress).train(ds);
     const std::uint64_t levels =
         counter("gbdt_levels_grown_total") - levels_before;
-    ASSERT_EQ(r.n_chunks, 4);
-    const std::uint64_t per_chunk_level =
-        levels * static_cast<std::uint64_t>(r.n_chunks);
+    ASSERT_EQ(chunks_per_level(dev.timeline(), r.trees, small_param().depth),
+              4u);
+    const std::uint64_t per_chunk_level = levels * 4;
     EXPECT_EQ(transfers(dev, "stream_ooc_upload_entries"),
               compress ? 0 : per_chunk_level);
     EXPECT_EQ(transfers(dev, "stream_ooc_upload_inst"),
@@ -396,9 +401,11 @@ TEST(OutOfCore, FeatureBagSkipsChunksOutsideTheBag) {
   bagged.sampling_seed = 7;
 
   struct Run {
-    OutOfCoreReport report;
+    TrainReport report;
     std::uint64_t levels = 0;
+    std::uint64_t chunks = 0;  // per level
     std::uint64_t chunk_uploads = 0;
+    std::uint64_t streamed_bytes = 0;
     std::uint64_t chunk_bytes = 0;  // streamed by the find step
   };
   auto run = [&](const GBDTParam& q) {
@@ -407,21 +414,23 @@ TEST(OutOfCore, FeatureBagSkipsChunksOutsideTheBag) {
     Device dev(DeviceConfig::titan_x_pascal());
     out.report = OutOfCoreTrainer(dev, q, 1 << 16, false).train(ds);
     out.levels = counter("gbdt_levels_grown_total") - levels_before;
+    out.chunks = chunks_per_level(dev.timeline(), out.report.trees, q.depth);
+    out.streamed_bytes = streamed_bytes(dev.timeline());
     const auto& t = dev.timeline().stream_transfers;
     out.chunk_uploads = t.at("stream_ooc_upload_entries").count;
     out.chunk_bytes =
-        out.report.streamed_bytes - t.at("stream_ooc_upload_column").bytes;
+        out.streamed_bytes - t.at("stream_ooc_upload_column").bytes;
     return out;
   };
   const Run full = run(p);
   const Run bag = run(bagged);
-  ASSERT_EQ(full.report.n_chunks, 12);
+  ASSERT_EQ(full.chunks, 12u);
   EXPECT_EQ(full.chunk_uploads, full.levels * 12);
   EXPECT_EQ(bag.chunk_uploads, bag.levels * 3);
   // Find-step bytes per level fall exactly with the bag (equal columns).
   EXPECT_EQ(bag.chunk_bytes * full.levels * 12,
             full.chunk_bytes * bag.levels * 3);
-  EXPECT_LT(bag.report.streamed_bytes, full.report.streamed_bytes / 2);
+  EXPECT_LT(bag.streamed_bytes, full.streamed_bytes / 2);
 
   // The sampled_ooc oracle leg's tolerance against the in-core sampled
   // trainer: trees equal within 1e-7, or the same fit within 1e-2 RMSE
@@ -454,23 +463,34 @@ TEST(OutOfCoreDedupe, SharedWinningColumnsStayBitwiseAcrossSchedules) {
   for (const std::int64_t d : {3, 6}) {
     for (const bool compress : {false, true}) {
       const auto ds = make_data(95, 4000, d, 1.0, compress ? 12 : 0);
+      struct Run {
+        TrainReport report;
+        std::uint64_t streamed_bytes = 0;
+        std::uint64_t chunks = 0;  // per level
+      };
       auto train = [&](bool async, std::uint64_t fuzz_seed) {
         device::set_stream_async_enabled(async);
         Device dev(DeviceConfig::titan_x_pascal());
         if (fuzz_seed != 0) dev.set_schedule_fuzz(fuzz_seed);
-        auto r = OutOfCoreTrainer(dev, p, 1 << 16, compress).train(ds);
+        Run out;
+        out.report = OutOfCoreTrainer(dev, p, 1 << 16, compress).train(ds);
         if (fuzz_seed != 0) dev.clear_schedule_fuzz();
-        return r;
+        out.streamed_bytes = streamed_bytes(dev.timeline());
+        out.chunks =
+            chunks_per_level(dev.timeline(), out.report.trees, p.depth);
+        return out;
       };
-      const auto ref = train(true, 0);
-      ASSERT_EQ(ref.n_chunks, d);
+      const Run ref_run = train(true, 0);
+      const TrainReport& ref = ref_run.report;
+      ASSERT_EQ(ref_run.chunks, static_cast<std::uint64_t>(d));
       EXPECT_LT(2 * distinct_winning_attributes(ref.trees), splits(ref.trees))
           << "d=" << d;
 
       const std::vector<std::pair<bool, std::uint64_t>> schedules{
           {false, 0}, {true, 1}, {true, 99}};
       for (const auto& [async, seed] : schedules) {
-        const auto other = train(async, seed);
+        const Run other_run = train(async, seed);
+        const TrainReport& other = other_run.report;
         const std::string where = "d=" + std::to_string(d) +
                                   " compress=" + std::to_string(compress) +
                                   " async=" + std::to_string(async) +
@@ -481,7 +501,7 @@ TEST(OutOfCoreDedupe, SharedWinningColumnsStayBitwiseAcrossSchedules) {
               << where << " tree " << t;
         }
         ASSERT_EQ(other.train_scores, ref.train_scores) << where;
-        EXPECT_EQ(other.streamed_bytes, ref.streamed_bytes) << where;
+        EXPECT_EQ(other_run.streamed_bytes, ref_run.streamed_bytes) << where;
       }
     }
   }

@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "number_flag.h"
 #include "obs/json.h"
 
 #ifndef GBDT_BENCH_DIR
@@ -131,7 +132,7 @@ bool parse_args(int argc, char** argv, SuiteOptions& o) {
     } else if (std::strncmp(a, "--compare=", 10) == 0) {
       o.compare_path = a + 10;
     } else if (std::strncmp(a, "--threshold=", 12) == 0) {
-      o.threshold_pct = std::atof(a + 12);
+      o.threshold_pct = gbdt::cli::number_flag<double>("threshold", a + 12);
     } else {
       std::fprintf(stderr, "unknown flag %s (try --help)\n", a);
       return false;

@@ -11,7 +11,6 @@
 //
 // Run `gbdt help` (or any subcommand with --help) for the full flag list.
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -34,6 +33,7 @@
 #include "data/synthetic.h"
 #include "device/device_context.h"
 #include "multigpu/multi_trainer.h"
+#include "number_flag.h"
 #include "obs/trace.h"
 #include "primitives/transform.h"
 #include "serve/percentile.h"
@@ -68,26 +68,14 @@ class Flags {
     if (it != values_.end()) used_.push_back(key);
     return it == values_.end() ? def : it->second;
   }
-  /// The whole value of --key as a number of `def`'s type, or `def` when
-  /// the flag is absent.  An empty value, trailing characters or a value out
-  /// of the type's range exit 2.
+  /// The whole value of --key as a number of `def`'s type (number_flag.h),
+  /// or `def` when the flag is absent.
   template <class T>
   [[nodiscard]] T num(const std::string& key, T def) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return def;
     used_.push_back(key);
-    const std::string& s = it->second;
-    T v{};
-    const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    if (ec == std::errc::result_out_of_range) {
-      std::fprintf(stderr, "--%s=%s is out of range\n", key.c_str(), s.c_str());
-      std::exit(2);
-    }
-    if (s.empty() || ec != std::errc{} || end != s.data() + s.size()) {
-      std::fprintf(stderr, "--%s=%s is not a number\n", key.c_str(), s.c_str());
-      std::exit(2);
-    }
-    return v;
+    return cli::number_flag<T>(key, it->second);
   }
   [[nodiscard]] bool flag(const std::string& key) const {
     return str(key) == "1" || str(key) == "true";
@@ -157,7 +145,7 @@ GBDTParam params_from(const Flags& f) {
   } else if (bag == "sqrt") {
     p.feature_bag = -1;
   } else {
-    p.feature_bag = std::atoll(bag.c_str());
+    p.feature_bag = cli::number_flag<std::int64_t>("feature-bag", bag);
     if (p.feature_bag <= 0) {
       std::fprintf(stderr, "bad --feature-bag '%s' (use sqrt|all|N)\n",
                    bag.c_str());
@@ -285,20 +273,20 @@ int cmd_train(const Flags& f) {
   const std::string link_str = f.str("link", "pcie");
   f.warn_unused();
 
+  multigpu::AllreduceAlgo algo = multigpu::AllreduceAlgo::kRing;
+  multigpu::Interconnect link = multigpu::Interconnect::pcie3();
   if (gpus > 1) {
     if (!valid_path.empty()) {
       std::fprintf(stderr,
                    "--gpus>1 does not support --valid/--early-stopping\n");
       return 2;
     }
-    multigpu::AllreduceAlgo algo = multigpu::AllreduceAlgo::kRing;
     if (!multigpu::parse_allreduce_algo(allreduce_str, algo)) {
       std::fprintf(stderr,
                    "unknown allreduce '%s' (use ring|tree|alltoone)\n",
                    allreduce_str.c_str());
       return 2;
     }
-    multigpu::Interconnect link = multigpu::Interconnect::pcie3();
     if (link_str == "nvlink") {
       link = multigpu::Interconnect::nvlink();
     } else if (link_str != "pcie") {
@@ -306,38 +294,25 @@ int cmd_train(const Flags& f) {
                    link_str.c_str());
       return 2;
     }
-    obs::ObsSession session;
-    if (profile) session.activate();
-    multigpu::MultiGpuTrainer trainer(device_by_name(f.str("device")), gpus,
-                                      param, link, algo);
-    const auto report = trainer.train(ds);
-    if (profile) {
-      session.deactivate();
-      print_profile(session);
-    }
-    GBDTModel model(param, report.trees, report.base_score,
-                    ds.n_attributes());
-    model.save(model_path);
-    std::fprintf(
-        stderr,
-        "trained %zu trees on %d shards (%s allreduce) -> %s\n"
-        "modeled %.4f s critical path, comm %.4f s (allreduce %.4f s, "
-        "%.1f MiB, %llu msgs)\n",
-        report.trees.size(), gpus, multigpu::allreduce_algo_name(algo),
-        model_path.c_str(), report.modeled_seconds, report.comm_seconds,
-        report.allreduce_seconds,
-        static_cast<double>(report.comm_bytes) / (1 << 20),
-        static_cast<unsigned long long>(report.comm_messages));
-    const double train_rmse = rmse(report.train_scores, ds.labels());
-    std::fprintf(stderr, "train rmse %.6f\n", train_rmse);
-    return 0;
   }
 
   obs::ObsSession session;
   if (profile) session.activate();
   GBDTModel model;
   TrainReport report;
-  if (!valid_path.empty()) {
+  if (gpus > 1) {
+    multigpu::MultiGpuTrainer trainer(device_by_name(f.str("device")), gpus,
+                                      param, link, algo);
+    auto r = trainer.train(ds);
+    std::fprintf(stderr,
+                 "sharded over %d devices (%s allreduce): comm %.4f s, "
+                 "%.1f MiB, %llu msgs\n",
+                 gpus, multigpu::allreduce_algo_name(algo), r.comm.seconds,
+                 static_cast<double>(r.comm.bytes) / (1 << 20),
+                 static_cast<unsigned long long>(r.comm.messages));
+    model = GBDTModel(param, r.trees, r.base_score, ds.n_attributes());
+    report = std::move(r);  // modeled seconds: the critical path
+  } else if (!valid_path.empty()) {
     auto valid = data::read_libsvm_file(valid_path);
     if (!valid_query_path.empty()) data::read_query_file(valid, valid_query_path);
     if (param.objective == ObjectiveKind::kRanking && !valid.has_queries()) {

@@ -42,10 +42,12 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "analysis/access_audit.h"
 #include "analysis/fault_kernels.h"
 #include "analysis/hb_race.h"
+#include "number_flag.h"
 #include "testing/invariants.h"
 #include "testing/oracle.h"
 
@@ -123,10 +125,6 @@ void usage() {
          "                     (the negative control: must NOT fire)\n";
 }
 
-std::uint64_t parse_u64(const char* s) {
-  return std::strtoull(s, nullptr, 0);  // base 0: accepts 0x-prefixed hex
-}
-
 bool parse_args(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -137,34 +135,28 @@ bool parse_args(int argc, char** argv, Options& opt) {
       }
       return argv[++i];
     };
+    // Parses the next argument whole into `out` (number_flag.h exits 2
+    // naming the flag when it does not parse); false when it is missing.
+    auto number = [&]<class T>(T& out) {
+      const char* v = next();
+      if (v == nullptr) return false;
+      out = gbdt::cli::number_flag<T>(std::string_view(a).substr(2), v);
+      return true;
+    };
     if (a == "--cases") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.cases = std::atoi(v);
+      if (!number(opt.cases)) return false;
     } else if (a == "--start-seed") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.start_seed = parse_u64(v);
+      if (!number(opt.start_seed)) return false;
     } else if (a == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.seed = parse_u64(v);
+      if (!number(opt.seed.emplace())) return false;
     } else if (a == "--rows") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.rows = std::atoll(v);
+      if (!number(opt.rows.emplace())) return false;
     } else if (a == "--cols") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.cols = std::atoll(v);
+      if (!number(opt.cols.emplace())) return false;
     } else if (a == "--trees") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.trees = std::atoi(v);
+      if (!number(opt.trees.emplace())) return false;
     } else if (a == "--depth") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt.depth = std::atoi(v);
+      if (!number(opt.depth.emplace())) return false;
     } else if (a == "--hist") {
       opt.hist_only = true;
     } else if (a == "--serve") {
