@@ -4,13 +4,12 @@
 // the communication share, and the speedup over one device.
 //
 // Two sweeps per dataset:
-//  * the exact trainer on round-robin attribute shards x {alltoone, ring,
-//    tree} collectives — the ring schedule must beat the legacy all-to-one
-//    at K >= 4 (the mgpu_smoke case in test_multigpu gates ring and tree
-//    against all-to-one); the ring rows also record an NVLink-interconnect
-//    column;
-//  * the histogram trainer on K row shards (ring histogram-allreduce) — the
-//    QGH histograms are merged with the same collective machinery.
+//  * the exact trainer on round-robin attribute shards, over PCI-e and over
+//    NVLink;
+//  * the histogram trainer on K row shards — the QGH histograms are merged
+//    with the same collective.
+// Every merge runs the ring or the tree allreduce, whichever its link
+// prices lower for that payload (multigpu/allreduce.h).
 #include "bench_common.h"
 #include "multigpu/multi_trainer.h"
 
@@ -22,12 +21,6 @@ int main(int argc, char** argv) {
   print_header("Multi-GPU scaling (future work of paper Section VI)", opt);
   BenchJson sink("multigpu", opt);
 
-  const auto algo_of = [](const char* name) {
-    multigpu::AllreduceAlgo a = multigpu::AllreduceAlgo::kRing;
-    (void)multigpu::parse_allreduce_algo(name, a);
-    return a;
-  };
-
   for (const char* name : {"news20", "higgs"}) {
     const auto info = data::paper_dataset(name, opt.scale);
     const auto ds = data::generate(info.spec);
@@ -37,22 +30,21 @@ int main(int argc, char** argv) {
                 static_cast<long long>(ds.n_instances()),
                 static_cast<long long>(ds.n_attributes()));
 
-    // One case: train, record the comm metrics, print one table row.
+    // One case: train, record the comm metrics, print one table row.  The
+    // exact rows add an NVLink column.
     const auto run_case = [&](const std::string& case_name,
-                              const GBDTParam& param,
-                              multigpu::AllreduceAlgo algo, int k,
-                              double base, bool with_nvlink) {
+                              const GBDTParam& param, int k, double base) {
       BenchCase c(sink, case_name);
+      const bool with_nvlink = !param.use_hist_trainer;
       multigpu::MultiGpuTrainer pcie(device::DeviceConfig::titan_x_pascal(),
-                                     k, param, multigpu::Interconnect::pcie3(),
-                                     algo);
+                                     k, param,
+                                     multigpu::Interconnect::pcie3());
       multigpu::MultiTrainReport rp;
       try {
         rp = pcie.train(ds);
       } catch (const std::exception& e) {
         c.skip();
-        std::printf("  %8s %4d  skipped: %s\n",
-                    multigpu::allreduce_algo_name(algo), k, e.what());
+        std::printf("  %4d  skipped: %s\n", k, e.what());
         return 0.0;
       }
       c.metric("modeled_seconds", rp.modeled_seconds);
@@ -63,12 +55,11 @@ int main(int argc, char** argv) {
       if (with_nvlink) {
         multigpu::MultiGpuTrainer nv(device::DeviceConfig::titan_x_pascal(),
                                      k, param,
-                                     multigpu::Interconnect::nvlink(), algo);
+                                     multigpu::Interconnect::nvlink());
         nv_secs = nv.train(ds).modeled_seconds;
         c.metric("nvlink_seconds", nv_secs);
       }
-      std::printf("  %8s %4d %12.4f %11.1f%% %10.2f",
-                  multigpu::allreduce_algo_name(algo), k, rp.modeled_seconds,
+      std::printf("  %4d %12.4f %11.1f%% %10.2f", k, rp.modeled_seconds,
                   100.0 * rp.comm.seconds / rp.modeled_seconds,
                   base > 0.0 ? base / rp.modeled_seconds : 1.0);
       if (with_nvlink) {
@@ -79,34 +70,24 @@ int main(int argc, char** argv) {
       return rp.modeled_seconds;
     };
 
-    std::printf("  %8s %4s %12s %12s %10s | %12s %10s\n", "algo", "GPUs",
-                "pcie(s)", "comm-share", "speedup", "nvlink(s)", "speedup");
+    std::printf("  %4s %12s %12s %10s | %12s %10s\n", "GPUs", "pcie(s)",
+                "comm-share", "speedup", "nvlink(s)", "speedup");
 
-    // Exact trainer, collective-algorithm sweep.  A single shard has no
-    // collective, so K=1 is one row (the speedup baseline).
-    const double base =
-        run_case(std::string(name) + "_data_ring_gpus1", p,
-                 multigpu::AllreduceAlgo::kRing, 1, 0.0, true);
-    for (int k : {2, 4, 8}) {
-      for (const char* algo : {"alltoone", "ring", "tree"}) {
-        const std::string cn =
-            std::string(name) + "_data_" + algo + "_gpus" + std::to_string(k);
-        run_case(cn, p, algo_of(algo), k, base, std::string(algo) == "ring");
-      }
-    }
+    // Exact trainer.  A single shard has no collective, so K=1 is the
+    // speedup baseline.
+    const std::string data = std::string(name) + "_data_gpus";
+    const double base = run_case(data + "1", p, 1, 0.0);
+    for (int k : {2, 4, 8}) run_case(data + std::to_string(k), p, k, base);
 
-    // Histogram-allreduce mode (row shards, ring).
+    // Histogram-allreduce mode (row shards).
     std::printf("  histogram-allreduce mode:\n");
     GBDTParam ph = p;
     ph.use_hist_trainer = true;
-    for (int k : {2, 4}) {
-      run_case(std::string(name) + "_hist_ring_gpus" + std::to_string(k), ph,
-               multigpu::AllreduceAlgo::kRing, k, 0.0, false);
-    }
+    const std::string hist = std::string(name) + "_hist_gpus";
+    for (int k : {2, 4}) run_case(hist + std::to_string(k), ph, k, 0.0);
   }
   std::printf(
-      "(ring spreads 2(K-1) chunk legs across every shard's comm stream vs "
-      "2(K-1) full payloads serialised on shard 0 for all-to-one; scaling "
-      "stays sublinear: per-instance work and node sync replicate)\n");
+      "(each merge runs the ring or the binomial tree, whichever prices lower; "
+      "scaling stays sublinear: per-instance work and node sync replicate)\n");
   return 0;
 }

@@ -85,6 +85,15 @@ struct BestSplit {
   ActiveNode right;
 };
 
+/// The sharded candidate merge's combine: the higher gain, ties to the lower
+/// attribute (the order a single device enumerates).  Attribute ids are
+/// global, so the fold order cannot change the winner.
+inline BestSplit better_split(const BestSplit& a, const BestSplit& b) {
+  if (!b.valid) return a;
+  if (!a.valid) return b;
+  return b.gain > a.gain || (b.gain == a.gain && b.attr < a.attr) ? b : a;
+}
+
 /// Fills b.left / b.right of a winning candidate.  `prefix` sums the
 /// `present_left` present instances on the high side of the split,
 /// `seg_total` all `seg_len` present instances of the segment; the node's

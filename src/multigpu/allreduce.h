@@ -4,27 +4,28 @@
 // quantized gradient histograms, root statistics) every level.  Device memory
 // is host-visible in the simulation, so the wire itself carries no bits: the
 // collective moves the data directly on the host, in the exact combine order
-// the chosen algorithm would produce, and enqueues one modeled
-// `peer_transfer_async` leg per wire message so the per-stream clocks, the
-// happens-before race detector, and the byte accounting all see the real
-// communication schedule.
+// its schedule produces, and enqueues one modeled `peer_transfer_async` leg
+// per wire message so the per-stream clocks, the happens-before race
+// detector, and the byte accounting all see the real communication schedule.
 //
-// Three algorithms, all moving exactly 2(K-1)·P payload bytes total:
+// Each call runs one of two schedules, both moving exactly 2(K-1)·P payload
+// bytes in total:
 //
-//  * kAllToOne — the legacy reduce: shard 0 receives K-1 full payloads
-//    (ascending shard order, acc = combine(acc, v_k)), then sends K-1 full
-//    copies back.  All 2(K-1) legs serialise on shard 0's comm stream:
-//    t ≈ 2(K-1)(lat + P/bw).  Passing kAllToOne to MultiGpuTrainer selects
-//    it for every collective, restoring the pre-ring merge bit-for-bit.
-//  * kRing — chunked reduce-scatter + allgather.  Each shard sends chunk
+//  * ring — chunked reduce-scatter + allgather.  Each shard sends chunk
 //    (k-s) mod K at reduce step s and the legs ride each *receiver's* comm
 //    stream, so every shard carries 2(K-1) legs of one chunk each:
-//    t ≈ 2(K-1)(lat + P/(K·bw)).  Strictly faster than all-to-one for any
-//    nonempty payload, and ~K× faster when bandwidth dominates.
-//  * kTree — binomial reduce to shard 0 + mirrored broadcast.  Reduce legs
+//    t ≈ 2(K-1)(lat + P/(K·bw)).  An empty chunk (payloads of fewer
+//    elements than shards) sends no leg.
+//  * tree — binomial reduce to shard 0 + mirrored broadcast.  Reduce legs
 //    ride the receiver's stream, broadcast legs the sender's, so the root
 //    carries 2·ceil(log2 K) full-payload legs: t ≈ 2·log2(K)(lat + P/bw).
-//    Fewer messages than ring; wins when latency dominates tiny payloads.
+//
+// Like a collective library, the call picks the schedule itself: it prices
+// both leg plans for this payload size, shard count and link and runs the
+// cheaper, ties to the ring.  Pricing and enqueueing walk the same plan
+// (detail::walk_plan), so the choice is exactly what the legs then charge.
+// Bandwidth-bound payloads take the ring; latency-bound ones at K >= 4 with
+// every chunk nonempty take the tree.
 //
 // Timing caveat (documented in DESIGN.md §5j): per-shard legs are FIFO on
 // that shard's comm stream, but cross-shard step dependencies (ring step s
@@ -33,15 +34,17 @@
 // per-shard leg sums still equal the steady-state per-step bound, so the
 // aggregate (max over shards) matches the textbook cost model above.
 //
-// Correctness caveat: the three algorithms fold in different orders, so
-// bitwise ring == tree == all-to-one (asserted by test_allreduce and the
-// ring_vs_alltoone fuzz leg) holds because every combine the trainer uses is
-// order-independent: int64 histogram sums, double max, and lexicographic
-// best-split max over globally distinct attribute ids.
+// Correctness caveat: the two schedules fold in different orders, so the
+// result is independent of the schedule (asserted bitwise against a host
+// fold by test_allreduce and end to end by the gbdt_fuzz --mgpu legs) only
+// because every combine the trainer uses is order-independent: int64
+// histogram sums, double max, and lexicographic best-split max over
+// globally distinct attribute ids.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -70,12 +73,6 @@ struct Interconnect {
            static_cast<double>(bytes) / (bandwidth_gbps * 1e9);
   }
 };
-
-enum class AllreduceAlgo { kAllToOne, kRing, kTree };
-
-[[nodiscard]] const char* allreduce_algo_name(AllreduceAlgo a);
-/// Parses "alltoone" / "ring" / "tree"; returns false on anything else.
-[[nodiscard]] bool parse_allreduce_algo(std::string_view s, AllreduceAlgo& out);
 
 /// One shard's communication endpoints.
 struct ShardLink {
@@ -122,6 +119,129 @@ inline int tree_rounds(int n_shards) {
   return r;
 }
 
+/// The two schedules an allreduce chooses between.
+enum class Schedule { kRing, kTree };
+
+/// One wire message: it rides `shard`'s comm stream and carries `elems`
+/// payload elements; `reads` / `writes` are the ranges of that shard's
+/// payload the leg touches (its race-detector footprint).
+struct Leg {
+  int shard;
+  std::string_view suffix;  // appended to the collective's label
+  std::size_t elems;
+  ChunkRange reads;
+  ChunkRange writes;
+};
+
+/// Calls on_leg(leg, bytes, seconds) for every wire message of `schedule`
+/// over an n-element payload on K shards, in enqueue order, and returns the
+/// plan's modeled seconds: each shard's legs run back to back on its comm
+/// stream, so the slowest shard's summed leg seconds.  An empty leg costs
+/// nothing.
+template <typename OnLeg>
+double walk_plan(Schedule schedule, std::size_t n, int n_shards,
+                 std::size_t elem_bytes, const Interconnect& net,
+                 OnLeg&& on_leg) {
+  std::vector<double> shard_secs(static_cast<std::size_t>(n_shards), 0.0);
+  const auto visit = [&](const Leg& leg) {
+    const auto bytes = static_cast<std::uint64_t>(leg.elems * elem_bytes);
+    const double secs = bytes > 0 ? net.leg_seconds(bytes) : 0.0;
+    shard_secs[static_cast<std::size_t>(leg.shard)] += secs;
+    on_leg(leg, bytes, secs);
+  };
+  const auto chunk = [&](int c) {  // c > -K
+    return chunk_range(n, n_shards, (c + n_shards) % n_shards);
+  };
+  if (schedule == Schedule::kRing) {
+    // Reduce-scatter: step s, shard k sends chunk (k-s), receives and folds
+    // chunk (k-1-s); the leg is charged to the receiver.  Allgather: step
+    // s, shard k sends chunk (k+1-s), receives chunk (k-s) fully reduced —
+    // an overwrite, no fold.
+    for (const int shift : {0, 1}) {
+      const std::string_view suffix = shift == 0 ? "_ring_rs" : "_ring_ag";
+      for (int s = 0; s < n_shards - 1; ++s) {
+        for (int k = 0; k < n_shards; ++k) {
+          const ChunkRange send = chunk(k + shift - s);
+          const ChunkRange recv = chunk(k + shift - 1 - s);
+          if (send.hi == send.lo && recv.hi == recv.lo) continue;
+          visit(Leg{k, suffix, recv.hi - recv.lo, send, recv});
+        }
+      }
+    }
+  } else {
+    const ChunkRange full{0, n};
+    const int rounds = tree_rounds(n_shards);
+    // Reduce legs ride the receiving parent's stream ...
+    for (int r = 0; r < rounds; ++r) {
+      for (int p = 0; p + (1 << r) < n_shards; p += 2 << r) {
+        visit(Leg{p, "_tree_reduce", n, full, full});
+      }
+    }
+    // ... broadcast legs the sending parent's stream (mirrored rounds), so
+    // the root's 2·ceil(log2 K) legs serialise like its DMA engine would.
+    for (int r = rounds - 1; r >= 0; --r) {
+      for (int p = 0; p + (1 << r) < n_shards; p += 2 << r) {
+        visit(Leg{p, "_tree_bcast", n, full, {0, 0}});
+      }
+    }
+  }
+  return *std::max_element(shard_secs.begin(), shard_secs.end());
+}
+
+/// Modeled seconds of `schedule` for an n-element payload of
+/// `elem_bytes`-byte elements on K shards.
+inline double plan_seconds(Schedule schedule, std::size_t n, int n_shards,
+                           std::size_t elem_bytes, const Interconnect& net) {
+  return walk_plan(schedule, n, n_shards, elem_bytes, net,
+                   [](const Leg&, std::uint64_t, double) {});
+}
+
+/// The schedule whose plan prices lower; ties go to the ring.
+inline Schedule pick_schedule(std::size_t n, int n_shards,
+                              std::size_t elem_bytes,
+                              const Interconnect& net) {
+  const auto secs = [&](Schedule s) {
+    return plan_seconds(s, n, n_shards, elem_bytes, net);
+  };
+  return secs(Schedule::kTree) < secs(Schedule::kRing) ? Schedule::kTree
+                                                       : Schedule::kRing;
+}
+
+/// Leaves every payload holding the fold of all K, in `schedule`'s order.
+/// Ring: chunk c travels c -> c+1 -> ... -> c-1, each hop folding the local
+/// value on the right: ((v_c ⊕ v_{c+1}) ⊕ ...) ⊕ v_{c+K-1 mod K}.  Tree:
+/// round r combines acc[p] = combine(acc[p], acc[p+2^r]) into shard 0.
+template <typename T, typename Combine>
+void fold(Schedule schedule, std::vector<std::span<T>>& payloads,
+          Combine& combine) {
+  const int n_shards = static_cast<int>(payloads.size());
+  const std::size_t n = payloads[0].size();
+  if (schedule == Schedule::kRing) {
+    for (int c = 0; c < n_shards; ++c) {
+      const auto [lo, hi] = chunk_range(n, n_shards, c);
+      for (std::size_t i = lo; i < hi; ++i) {
+        T acc = payloads[static_cast<std::size_t>(c)][i];
+        for (int s = 1; s < n_shards; ++s) {
+          acc = combine(acc, payloads[static_cast<std::size_t>(
+                                 (c + s) % n_shards)][i]);
+        }
+        for (auto& p : payloads) p[i] = acc;
+      }
+    }
+    return;
+  }
+  for (int r = 0; r < tree_rounds(n_shards); ++r) {
+    for (int p = 0; p + (1 << r) < n_shards; p += 2 << r) {
+      auto& dst = payloads[static_cast<std::size_t>(p)];
+      const auto& src = payloads[static_cast<std::size_t>(p + (1 << r))];
+      for (std::size_t i = 0; i < n; ++i) dst[i] = combine(dst[i], src[i]);
+    }
+  }
+  for (std::size_t k = 1; k < payloads.size(); ++k) {
+    std::copy(payloads[0].begin(), payloads[0].end(), payloads[k].begin());
+  }
+}
+
 /// Enqueues one modeled wire leg on `link.comm_stream`, waiting on the
 /// shard's ready event before its first leg.
 template <typename T>
@@ -153,169 +273,44 @@ void enqueue_leg(ShardLink& link, bool& waited, std::string_view label,
 
 }  // namespace detail
 
-/// Allreduce over K same-length payload spans, one per shard: on return every
-/// payload holds combine-fold of all K inputs, folded in the order `algo`
-/// prescribes.  `combine(a, b)` must be
-/// associative; it must also be commutative if callers rely on bitwise
-/// equality across algorithms (all trainer combines are).  Leg labels are
-/// `label` + an algorithm suffix and must carry the `comm_` prefix
-/// (lint rule 12).  K == 1 is a no-op reporting zeros.
+
+/// Allreduce over K same-length payload spans, one per shard: on return
+/// every payload holds the combine-fold of all K inputs.  The call runs the
+/// ring or the tree, whichever prices lower for this payload on `net`.
+/// `combine(a, b)` must be associative and commutative (all trainer
+/// combines are), so the result does not depend on the schedule.  Leg
+/// labels are `label` + a schedule suffix (`_ring_rs`, `_ring_ag`,
+/// `_tree_reduce`, `_tree_bcast`) and must carry the `comm_` prefix (lint
+/// rule 12).  K == 1 is a no-op reporting zeros.
 template <typename T, typename Combine>
 AllreduceReport allreduce(std::string_view label, const Interconnect& net,
-                          AllreduceAlgo algo, std::vector<ShardLink>& shards,
+                          std::vector<ShardLink>& shards,
                           std::vector<std::span<T>>& payloads,
                           Combine&& combine) {
   const int n_shards = static_cast<int>(shards.size());
   AllreduceReport rep;
   if (n_shards <= 1) return rep;
   const std::size_t n = payloads[0].size();
-  const std::string tag = std::string(label);
-  std::vector<double> shard_secs(static_cast<std::size_t>(n_shards), 0.0);
-  std::vector<bool> waited(static_cast<std::size_t>(n_shards), false);
+  const detail::Schedule schedule =
+      detail::pick_schedule(n, n_shards, sizeof(T), net);
+  // Producers are executed by enqueue time (default-stream semantics), so
+  // the combined values are computable here; racy *schedules* are still
+  // caught by the detector via the modeled legs' footprints below.
+  detail::fold(schedule, payloads, combine);
 
-  const auto leg = [&](int shard, std::string_view name, std::uint64_t bytes,
-                       detail::ChunkRange reads, detail::ChunkRange writes) {
-    const auto s = static_cast<std::size_t>(shard);
-    const double secs = bytes > 0 ? net.leg_seconds(bytes) : 0.0;
-    bool w = waited[s];
-    detail::enqueue_leg(shards[s], w, name, secs, bytes, payloads[s], reads,
-                        writes);
-    waited[s] = w;
-    if (bytes > 0) {
-      rep.bytes += bytes;
-      ++rep.messages;
-      shard_secs[s] += secs;
-    }
-  };
-
-  // ---- data movement (eager, host-side, algorithm-faithful fold order) ----
-  // Producers are executed by enqueue time (default-stream semantics), so the
-  // combined values are computable here; racy *schedules* are still caught by
-  // the detector via the modeled legs' footprints below.
-  std::vector<T> reduced(n);
-  switch (algo) {
-    case AllreduceAlgo::kAllToOne: {
-      // acc starts at shard 0 and folds shards in ascending order — the
-      // exact order of the historical host-side merge loop.
-      for (std::size_t i = 0; i < n; ++i) reduced[i] = payloads[0][i];
-      for (int k = 1; k < n_shards; ++k) {
-        for (std::size_t i = 0; i < n; ++i) {
-          reduced[i] = combine(reduced[i], payloads[static_cast<std::size_t>(
-                                               k)][i]);
+  const auto waited = std::make_unique<bool[]>(payloads.size());
+  rep.seconds = detail::walk_plan(
+      schedule, n, n_shards, sizeof(T), net,
+      [&](const detail::Leg& leg, std::uint64_t bytes, double secs) {
+        const auto s = static_cast<std::size_t>(leg.shard);
+        detail::enqueue_leg(shards[s], waited[s],
+                            std::string(label).append(leg.suffix), secs, bytes,
+                            payloads[s], leg.reads, leg.writes);
+        if (bytes > 0) {
+          rep.bytes += bytes;
+          ++rep.messages;
         }
-      }
-      break;
-    }
-    case AllreduceAlgo::kRing: {
-      // Chunk c travels c -> c+1 -> ... -> c-1, each hop folding the local
-      // value on the right: ((v_c ⊕ v_{c+1}) ⊕ ...) ⊕ v_{c+K-1 mod K}.
-      for (int c = 0; c < n_shards; ++c) {
-        const auto [lo, hi] = detail::chunk_range(n, n_shards, c);
-        for (std::size_t i = lo; i < hi; ++i) {
-          T acc = payloads[static_cast<std::size_t>(c)][i];
-          for (int s = 1; s < n_shards; ++s) {
-            const auto k = static_cast<std::size_t>((c + s) % n_shards);
-            acc = combine(acc, payloads[k][i]);
-          }
-          reduced[i] = acc;
-        }
-      }
-      break;
-    }
-    case AllreduceAlgo::kTree: {
-      // Binomial fold: round r combines acc[p] = combine(acc[p], acc[p+2^r]).
-      std::vector<std::vector<T>> acc(static_cast<std::size_t>(n_shards));
-      for (int k = 0; k < n_shards; ++k) {
-        const auto& p = payloads[static_cast<std::size_t>(k)];
-        acc[static_cast<std::size_t>(k)].assign(p.begin(), p.end());
-      }
-      const int rounds = detail::tree_rounds(n_shards);
-      for (int r = 0; r < rounds; ++r) {
-        const int step = 1 << r;
-        for (int p = 0; p + step < n_shards; p += 2 * step) {
-          auto& dst = acc[static_cast<std::size_t>(p)];
-          const auto& src = acc[static_cast<std::size_t>(p + step)];
-          for (std::size_t i = 0; i < n; ++i) {
-            dst[i] = combine(dst[i], src[i]);
-          }
-        }
-      }
-      reduced = std::move(acc[0]);
-      break;
-    }
-  }
-
-  // ---- modeled wire legs --------------------------------------------------
-  const auto span_bytes = [](detail::ChunkRange r) {
-    return static_cast<std::uint64_t>(r.hi - r.lo) * sizeof(T);
-  };
-  switch (algo) {
-    case AllreduceAlgo::kAllToOne: {
-      const std::uint64_t pb = static_cast<std::uint64_t>(n) * sizeof(T);
-      const detail::ChunkRange full{0, n};
-      for (int k = 1; k < n_shards; ++k) {
-        leg(0, tag + "_a2o_gather", pb, full, full);
-      }
-      for (int k = 1; k < n_shards; ++k) {
-        leg(0, tag + "_a2o_bcast", pb, full, {0, 0});
-      }
-      break;
-    }
-    case AllreduceAlgo::kRing: {
-      // Reduce-scatter: step s, shard k sends chunk (k-s), receives and
-      // folds chunk (k-1-s); the leg is charged to the receiver.
-      for (int s = 0; s < n_shards - 1; ++s) {
-        for (int k = 0; k < n_shards; ++k) {
-          const int c_send = ((k - s) % n_shards + n_shards) % n_shards;
-          const int c_recv = ((k - 1 - s) % n_shards + n_shards) % n_shards;
-          const auto send = detail::chunk_range(n, n_shards, c_send);
-          const auto recv = detail::chunk_range(n, n_shards, c_recv);
-          if (send.hi == send.lo && recv.hi == recv.lo) continue;
-          leg(k, tag + "_ring_rs", span_bytes(recv), send, recv);
-        }
-      }
-      // Allgather: step s, shard k sends chunk (k+1-s), receives chunk (k-s)
-      // fully reduced — an overwrite, no fold.
-      for (int s = 0; s < n_shards - 1; ++s) {
-        for (int k = 0; k < n_shards; ++k) {
-          const int c_send = ((k + 1 - s) % n_shards + n_shards) % n_shards;
-          const int c_recv = ((k - s) % n_shards + n_shards) % n_shards;
-          const auto send = detail::chunk_range(n, n_shards, c_send);
-          const auto recv = detail::chunk_range(n, n_shards, c_recv);
-          if (send.hi == send.lo && recv.hi == recv.lo) continue;
-          leg(k, tag + "_ring_ag", span_bytes(recv), send, recv);
-        }
-      }
-      break;
-    }
-    case AllreduceAlgo::kTree: {
-      const std::uint64_t pb = static_cast<std::uint64_t>(n) * sizeof(T);
-      const detail::ChunkRange full{0, n};
-      const int rounds = detail::tree_rounds(n_shards);
-      // Reduce legs ride the receiving parent's stream ...
-      for (int r = 0; r < rounds; ++r) {
-        const int step = 1 << r;
-        for (int p = 0; p + step < n_shards; p += 2 * step) {
-          leg(p, tag + "_tree_reduce", pb, full, full);
-        }
-      }
-      // ... broadcast legs the sending parent's stream (mirrored rounds), so
-      // the root's 2·ceil(log2 K) legs serialise like its DMA engine would.
-      for (int r = rounds - 1; r >= 0; --r) {
-        const int step = 1 << r;
-        for (int p = 0; p + step < n_shards; p += 2 * step) {
-          leg(p, tag + "_tree_bcast", pb, full, {0, 0});
-        }
-      }
-      break;
-    }
-  }
-
-  for (int k = 0; k < n_shards; ++k) {
-    auto& p = payloads[static_cast<std::size_t>(k)];
-    std::copy(reduced.begin(), reduced.end(), p.begin());
-  }
-  rep.seconds = *std::max_element(shard_secs.begin(), shard_secs.end());
+      });
   return rep;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -80,12 +81,6 @@ std::vector<ShardLink> make_links(std::vector<Shard>& shards) {
   return links;
 }
 
-hist::QGH qgh_sum(const hist::QGH& a, const hist::QGH& b) {
-  hist::QGH r = a;
-  r += b;
-  return r;
-}
-
 }  // namespace
 
 struct MultiGpuTrainer::Impl {
@@ -93,13 +88,11 @@ struct MultiGpuTrainer::Impl {
   int n_devices;
   GBDTParam param;
   Interconnect link;
-  AllreduceAlgo algo;
   std::unique_ptr<Loss> loss;
 
-  Impl(device::DeviceConfig c, int n, GBDTParam p, Interconnect l,
-       AllreduceAlgo a)
+  Impl(device::DeviceConfig c, int n, GBDTParam p, Interconnect l)
       : cfg(std::move(c)), n_devices(n), param(std::move(p)), link(l),
-        algo(a), loss(make_loss(param.loss)) {
+        loss(make_loss(param.loss)) {
     if (n_devices < 1) throw std::invalid_argument("need >= 1 device");
     gbdt::detail::validate_param(param, param.use_hist_trainer);
     // The multi-GPU exact path shards by attribute over the sparse layout.
@@ -116,10 +109,9 @@ struct MultiGpuTrainer::Impl {
 };
 
 MultiGpuTrainer::MultiGpuTrainer(device::DeviceConfig cfg, int n_devices,
-                                 GBDTParam param, Interconnect link,
-                                 AllreduceAlgo algo)
+                                 GBDTParam param, Interconnect link)
     : impl_(std::make_unique<Impl>(std::move(cfg), n_devices, std::move(param),
-                                   link, algo)) {}
+                                   link)) {}
 
 MultiGpuTrainer::~MultiGpuTrainer() = default;
 
@@ -143,6 +135,12 @@ MultiTrainReport MultiGpuTrainer::train(const data::Dataset& ds) {
   }
   for (const Shard& sh : shards) {
     report.device_seconds.push_back(sh.dev->elapsed_seconds());
+    for (const auto& [label, rec] : sh.dev->timeline().stream_transfers) {
+      auto& sum = report.stream_transfers[label];
+      sum.count += rec.count;
+      sum.bytes += rec.bytes;
+      sum.seconds += rec.seconds;
+    }
     report.peak_device_bytes =
         std::max(report.peak_device_bytes, sh.dev->allocator().peak());
   }
@@ -256,7 +254,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
     //    records whose attribute ids are global and whose owner is the
     //    shard, so the combine (max gain, ties to the lowest global
     //    attribute — the order a single device enumerates) is
-    //    order-independent and every algorithm converges on the same winner
+    //    order-independent and either schedule converges on the same winner
     //    bit for bit.  A winner's seg/pos stay shard-local: only its owner
     //    applies them.
     std::vector<device::ArenaBuffer<BestSplit>> records;
@@ -281,15 +279,8 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
       std::vector<std::span<BestSplit>> payloads;
       payloads.reserve(static_cast<std::size_t>(K));
       for (auto& r : records) payloads.push_back(r.span());
-      report.comm += allreduce<BestSplit>(
-          "comm_cand", link, algo, links, payloads,
-          [](const BestSplit& a, const BestSplit& b) {
-            if (!b.valid) return a;
-            if (!a.valid) return b;
-            if (b.gain > a.gain) return b;
-            if (b.gain == a.gain && b.attr < a.attr) return b;
-            return a;
-          });
+      report.comm += allreduce<BestSplit>("comm_cand", link, links, payloads,
+                                          gbdt::detail::better_split);
     }
 
     // 3. Every shard decides the level from the same merged winners.
@@ -553,7 +544,7 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
       payloads.reserve(static_cast<std::size_t>(K));
       for (auto& m : maxima) payloads.push_back(std::span<double>(m));
       report.comm += allreduce<double>(
-          "comm_absmax", link, algo, links, payloads,
+          "comm_absmax", link, links, payloads,
           [](double a, double b) { return std::max(a, b); });
     }
     std::vector<hist::QGH> rootq(static_cast<std::size_t>(K));
@@ -575,8 +566,8 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
       for (auto& q : rootq) {
         payloads.push_back(std::span<hist::QGH>(&q, 1));
       }
-      report.comm += allreduce<hist::QGH>("comm_rootq", link, algo, links,
-                                          payloads, qgh_sum);
+      report.comm += allreduce<hist::QGH>("comm_rootq", link, links,
+                                          payloads, std::plus<hist::QGH>());
     }
 
     // The root stats are global, so every shard writes the same root.
@@ -612,8 +603,8 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
           payloads[static_cast<std::size_t>(k)] =
               slots[static_cast<std::size_t>(k)][j];
         }
-        level += allreduce<hist::QGH>("comm_hist", link, algo, links,
-                                      payloads, qgh_sum);
+        level += allreduce<hist::QGH>("comm_hist", link, links, payloads,
+                                      std::plus<hist::QGH>());
       }
       report.comm += level;
     }

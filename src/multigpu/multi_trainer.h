@@ -15,12 +15,12 @@
 // (the production data-parallel scheme of LightGBM/XGBoost).  Each shard
 // keeps its own histogram segment grid, keyed only when a level outgrows it.
 //
-// All merges run through multigpu::allreduce (ring by default, tree or
-// all-to-one selectable through the trainer's AllreduceAlgo; all-to-one
-// restores the legacy merge bit-for-bit).  Communication is modeled over a
-// configurable interconnect and rides per-shard dedicated comm streams with
-// record_event/wait_event edges, so the race detector checks the comm
-// schedule and the per-device clocks price it.
+// All merges run through multigpu::allreduce, which runs the ring or the
+// binomial tree per call, whichever prices lower for that payload on the
+// trainer's interconnect; no caller picks a schedule.  Communication rides
+// per-shard dedicated comm streams with record_event/wait_event edges, so
+// the race detector checks the comm schedule and the per-device clocks
+// price it.
 //
 // The exact-mode trees are equivalent to single-device training (identical
 // splits up to floating-point tie-breaks; see EXPERIMENTS.md); hist-mode
@@ -52,6 +52,9 @@ struct MultiTrainReport : TrainReport {
   AllreduceReport comm;
   /// Each shard's own modeled clock at the end of the training.
   std::vector<double> device_seconds;
+  /// Every shard's labelled transfers (Timeline::stream_transfers), summed
+  /// by label: the comm legs name their schedule (`_ring_*`, `_tree_*`).
+  decltype(device::Timeline::stream_transfers) stream_transfers;
 };
 
 class MultiGpuTrainer {
@@ -59,10 +62,9 @@ class MultiGpuTrainer {
   /// n_devices identical devices of configuration `cfg`.  With
   /// param.use_hist_trainer the shards train the histogram method over row
   /// shards; otherwise the exact method over round-robin attribute shards.
-  /// `algo` picks the collective every merge runs through.
+  /// `link` prices every merge, and so decides each one's schedule.
   MultiGpuTrainer(device::DeviceConfig cfg, int n_devices, GBDTParam param,
-                  Interconnect link = Interconnect::pcie3(),
-                  AllreduceAlgo algo = AllreduceAlgo::kRing);
+                  Interconnect link = Interconnect::pcie3());
   ~MultiGpuTrainer();
 
   [[nodiscard]] MultiTrainReport train(const data::Dataset& ds);

@@ -15,6 +15,7 @@
 #include "core/metrics.h"
 #include "core/out_of_core.h"
 #include "core/trainer.h"
+#include "core/trainer_detail.h"
 #include "core/predictor.h"
 #include "multigpu/allreduce.h"
 #include "multigpu/multi_trainer.h"
@@ -694,6 +695,49 @@ OracleResult run_objective_oracle(const FuzzCase& c, bool check_invariants) {
   return result;
 }
 
+std::string schedule_mismatch(const GBDTParam& p, int n_shards,
+                              const multigpu::MultiTrainReport& bandwidth_only,
+                              const multigpu::MultiTrainReport& latency_bound) {
+  // Every histogram merge of a level carries n_attr·n_bins >= K cells; an
+  // exact level's candidate merge one winner record per node of the level.
+  bool expect_tree = n_shards >= 4 && p.use_hist_trainer;
+  for (const Tree& t : bandwidth_only.trees) {
+    std::vector<std::int32_t> level{0};
+    for (int d = 0; d < p.depth && !level.empty(); ++d) {
+      expect_tree |=
+          !p.use_hist_trainer &&
+          multigpu::detail::pick_schedule(level.size(), n_shards,
+                                          sizeof(gbdt::detail::BestSplit),
+                                          kLatencyBoundLink) ==
+              multigpu::detail::Schedule::kTree;
+      std::vector<std::int32_t> next;
+      for (const std::int32_t id : level) {
+        const TreeNode& n = t.node(id);
+        if (!n.is_leaf()) next.insert(next.end(), {n.left, n.right});
+      }
+      level = std::move(next);
+    }
+  }
+  // The schedules a run's comm labels show: "ring", "tree" or "ring+tree".
+  const auto ran = [](const multigpu::MultiTrainReport& r) {
+    std::string out;
+    for (const std::string s : {"ring", "tree"}) {
+      for (const auto& [label, rec] : r.stream_transfers) {
+        if (label.find("_" + s + "_") == std::string::npos) continue;
+        out += (out.empty() ? "" : "+") + s;
+        break;
+      }
+    }
+    return out;
+  };
+  const std::string want = expect_tree ? "ring+tree" : "ring";
+  if (ran(bandwidth_only) == "ring" && ran(latency_bound) == want) return "";
+  return "at K = " + std::to_string(n_shards) +
+         " the bandwidth-only link ran '" + ran(bandwidth_only) +
+         "' (want 'ring') and the latency-bound link '" + ran(latency_bound) +
+         "' (want '" + want + "')";
+}
+
 OracleResult run_mgpu_oracle(const FuzzCase& c, bool check_invariants) {
   OracleResult result;
   result.c = c;
@@ -716,43 +760,38 @@ OracleResult run_mgpu_oracle(const FuzzCase& c, bool check_invariants) {
     return result;
   }
 
-  using multigpu::AllreduceAlgo;
-  auto mgpu_run = [&](const GBDTParam& p, AllreduceAlgo algo) {
-    multigpu::MultiGpuTrainer trainer(DeviceConfig::titan_x_pascal(), n_gpus,
-                                      p, multigpu::Interconnect::pcie3(),
-                                      algo);
-    auto r = trainer.train(ds);
-    return LegOutput{std::move(r.trees), std::move(r.train_scores), 1.0};
+  auto mgpu_run = [&](const GBDTParam& p, const multigpu::Interconnect& link) {
+    return multigpu::MultiGpuTrainer(DeviceConfig::titan_x_pascal(), n_gpus,
+                                     p, link)
+        .train(ds);
   };
-
-  // Exact path: the ring-merged forest is the reference; the all-to-one
-  // merge and the tree collective are compared against it.
-  bool have_ring = false;
-  LegOutput ring_ref;
-  try {
-    ring_ref = mgpu_run(base, AllreduceAlgo::kRing);
-    have_ring = true;
-  } catch (const std::exception& e) {
-    LegResult leg;
-    leg.name = "mgpu_ring_baseline";
-    leg.ran = true;
-    leg.detail = std::string("ring trainer threw: ") + e.what();
-    result.legs.push_back(std::move(leg));
-  }
-
-  if (have_ring) {
-    result.legs.push_back(run_leg(
-        "ring_vs_alltoone",
-        [&] { return mgpu_run(base, AllreduceAlgo::kAllToOne); }, ring_ref,
-        0.0, ds.labels()));
-
-    result.legs.push_back(run_leg(
-        "tree_vs_ring", [&] { return mgpu_run(base, AllreduceAlgo::kTree); },
-        ring_ref, 0.0, ds.labels()));
-  }
+  // One configuration on both links: the latency-bound run must build the
+  // bandwidth-only run's forest bit for bit, and the comm labels must show
+  // the schedules each link implies.  The body fills `ref` before run_leg
+  // compares against it, so a throw on either link fails the leg.
+  const auto two_links_leg = [&](const std::string& name, const GBDTParam& p) {
+    multigpu::MultiTrainReport ring;
+    multigpu::MultiTrainReport latency;
+    LegOutput ref;
+    LegResult leg = run_leg(
+        name,
+        [&] {
+          ring = mgpu_run(p, kBandwidthOnlyLink);
+          ref = LegOutput{ring.trees, ring.train_scores, 1.0};
+          latency = mgpu_run(p, kLatencyBoundLink);
+          return LegOutput{latency.trees, latency.train_scores, 1.0};
+        },
+        ref, 0.0, ds.labels());
+    if (!leg.failed()) {
+      leg.detail = schedule_mismatch(p, n_gpus, ring, latency);
+      leg.exact = leg.detail.empty();
+    }
+    return leg;
+  };
+  result.legs.push_back(two_links_leg("latency_vs_bandwidth", base));
 
   // Histogram-allreduce mode: K-shard hist training vs the single-device
-  // histogram method, and the ring collective vs all-to-one — all bitwise.
+  // histogram method, and on both links, all bitwise.
   GBDTParam hist = base;
   hist.use_hist_trainer = true;
   hist.n_bins = c.n_bins;
@@ -775,13 +814,12 @@ OracleResult run_mgpu_oracle(const FuzzCase& c, bool check_invariants) {
   if (have_hist) {
     result.legs.push_back(run_leg(
         "mgpu_hist_vs_single",
-        [&] { return mgpu_run(hist, AllreduceAlgo::kRing); }, hist_ref, 0.0,
-        ds.labels()));
-
-    result.legs.push_back(run_leg(
-        "hist_ring_vs_alltoone",
-        [&] { return mgpu_run(hist, AllreduceAlgo::kAllToOne); }, hist_ref,
-        0.0, ds.labels()));
+        [&] {
+          auto r = mgpu_run(hist, multigpu::Interconnect::pcie3());
+          return LegOutput{std::move(r.trees), std::move(r.train_scores), 1.0};
+        },
+        hist_ref, 0.0, ds.labels()));
+    result.legs.push_back(two_links_leg("hist_latency_vs_bandwidth", hist));
   }
 
   set_invariants_enabled(was_enabled);

@@ -23,9 +23,11 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "multigpu/multi_trainer.h"
 #include "testing/case_gen.h"
 
 namespace gbdt::testing {
@@ -120,21 +122,34 @@ struct OracleResult {
 [[nodiscard]] OracleResult run_objective_oracle(const FuzzCase& c,
                                                 bool check_invariants = true);
 
-/// Multi-GPU collective oracle (`gbdt_fuzz --mgpu`): the ring-allreduce
-/// merge path against the other collective schedules, all bitwise.
-///  * ring_vs_alltoone   — the default ring collective must produce the
-///    same forest bit for bit as the legacy all-to-one schedule
-///    (AllreduceAlgo::kAllToOne: same shards, same compute; only the fold
-///    order differs, and every trainer combine is order-independent);
-///  * tree_vs_ring       — the binomial tree collective, same claim;
-///  * hist_ring_vs_alltoone — the histogram-allreduce mode against the same
-///    all-to-one schedule, bitwise;
+/// Multi-GPU collective oracle (`gbdt_fuzz --mgpu`), all bitwise:
+///  * latency_vs_bandwidth — exact training on kLatencyBoundLink must
+///    build the forest of kBandwidthOnlyLink, and schedule_mismatch must
+///    find nothing;
+///  * hist_latency_vs_bandwidth — the histogram-allreduce mode, same claims;
 ///  * mgpu_hist_vs_single — K-shard histogram training must reproduce the
-///    single-device histogram trainer bit for bit (global cuts, quantized
-///    int64 histogram sums and the merged-histogram splits are all
+///    single-device histogram trainer (global cuts, quantized int64
+///    histogram sums and the merged-histogram splits are all
 ///    shard-count-invariant).
 [[nodiscard]] OracleResult run_mgpu_oracle(const FuzzCase& c,
                                            bool check_invariants = true);
+
+/// No per-message latency: the ring never prices above the tree.
+inline constexpr multigpu::Interconnect kBandwidthOnlyLink{12.0, 0.0};
+/// Infinite bandwidth, so a leg costs its latency alone: at K >= 4 a
+/// payload of at least K elements prices the tree lower (2·ceil(log2 K)
+/// legs on the root against the ring's 2(K-1)); below K = 4 it never does.
+inline constexpr multigpu::Interconnect kLatencyBoundLink{
+    std::numeric_limits<double>::infinity(), 10.0};
+/// Empty when the comm labels (MultiTrainReport::stream_transfers) of `p`
+/// trained on K shards show the schedules each link implies: the ring alone
+/// on kBandwidthOnlyLink; on kLatencyBoundLink the ring, plus the
+/// tree exactly when some merge prices it lower (every histogram level at
+/// K >= 4, an exact level by its node count).  Otherwise, what differs.
+[[nodiscard]] std::string schedule_mismatch(
+    const GBDTParam& p, int n_shards,
+    const multigpu::MultiTrainReport& bandwidth_only,
+    const multigpu::MultiTrainReport& latency_bound);
 
 /// Race-detection oracle (`gbdt_fuzz --race`): the full trainer-path oracle
 /// with the happens-before race detector armed (a RaceViolation or

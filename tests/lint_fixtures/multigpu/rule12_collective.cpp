@@ -6,9 +6,9 @@
 
 namespace gbdt::multigpu {
 
-void merge_gains(Link& link, std::vector<Link>& links, std::span<double> v) {
-  (void)allreduce<double>("gains", link, Algo::kRing, links, v);
-  link.dev->peer_transfer_async("gains_leg", link.comm_stream, 1e-6, 64, 0);
+void merge_gains(Interconnect& net, std::vector<ShardLink>& links, V& v) {
+  (void)allreduce<double>("gains", net, links, v, Max{});
+  links[0].dev->peer_transfer_async("gains_leg", 1, 1e-6, 64, 0);
 }
 
 }  // namespace gbdt::multigpu

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #if !defined(GBDT_CLI_PATH) || !defined(GBDT_FUZZ_PATH) || \
     !defined(GBDT_BENCH_PATH)
@@ -175,6 +176,25 @@ TEST_F(CliTest, MalformedNumericFlagsFailLoudly) {
         << arg << ": " << r.output;
   }
   EXPECT_EQ(run(train + "--eta=0.25 --depth=3").exit_code, 0);
+}
+
+// A flag its subcommand never reads exits 2 naming it instead of being
+// ignored: the retired --allreduce, a typo, and a train flag given to synth.
+TEST_F(CliTest, UnreadFlagsFailLoudly) {
+  const std::string train =
+      "train --data=/tmp/gbdt_cli_train.libsvm --model=/tmp/x.model "
+      "--trees=2 --depth=2 ";
+  const std::pair<std::string, std::string> cases[] = {
+      {train + "--gpus=4 --allreduce=ring", "--allreduce"},
+      {train + "--dpeth=8", "--dpeth"},
+      {"synth --out=/tmp/gbdt_cli_unread.libsvm --instances=50 --trees=3",
+       "--trees"}};
+  for (const auto& [args, flag] : cases) {
+    const auto r = run(args);
+    EXPECT_EQ(r.exit_code, 2) << args << ": " << r.output;
+    EXPECT_NE(r.output.find(flag), std::string::npos)
+        << args << ": " << r.output;
+  }
 }
 
 // --feature-bag takes the words sqrt and all, or a whole positive count.

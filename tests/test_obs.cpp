@@ -21,6 +21,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "testing/oracle.h"
 
 namespace {
 
@@ -698,19 +699,20 @@ TEST(ObsTrace, TrainerSpanTreeReconcilesWithReportsAndDeviceClock) {
   GBDTParam hist = p;
   hist.use_hist_trainer = true;
   for (const GBDTParam* param : {&p, &hist}) {
-    for (const auto algo : {multigpu::AllreduceAlgo::kRing,
-                            multigpu::AllreduceAlgo::kTree,
-                            multigpu::AllreduceAlgo::kAllToOne}) {
+    // The ring everywhere, the tree wherever it prices lower, and PCI-e.
+    for (const auto& link :
+         {gbdt::testing::kBandwidthOnlyLink,
+          gbdt::testing::kLatencyBoundLink,
+          multigpu::Interconnect::pcie3()}) {
       for (const int k : {2, 3, 4}) {
         const std::string where =
             std::string(param->use_hist_trainer ? "hist" : "exact") + " " +
-            multigpu::allreduce_algo_name(algo) + " K=" + std::to_string(k);
+            std::to_string(link.bandwidth_gbps) + " GB/s " +
+            std::to_string(link.latency_us) + " us K=" + std::to_string(k);
         obs::ObsSession session;
         session.activate();
-        const auto r = multigpu::MultiGpuTrainer(
-                           cfg, k, *param, multigpu::Interconnect::pcie3(),
-                           algo)
-                           .train(ds);
+        const auto r =
+            multigpu::MultiGpuTrainer(cfg, k, *param, link).train(ds);
         session.deactivate();
         std::uint64_t bytes = 0;
         std::uint64_t transfers = 0;

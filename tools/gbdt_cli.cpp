@@ -89,10 +89,15 @@ class Flags {
     return s;
   }
 
-  void warn_unused() const {
+  /// Exits 2 naming the first flag the subcommand never read, so a typo or
+  /// a flag meant for another subcommand cannot be silently ignored.  Call
+  /// once every flag the subcommand reads has been read.
+  void reject_unused() const {
     for (const auto& [k, v] : values_) {
       if (std::find(used_.begin(), used_.end(), k) == used_.end()) {
-        std::fprintf(stderr, "warning: unused flag --%s\n", k.c_str());
+        std::fprintf(stderr, "flag --%s is not read by this subcommand\n",
+                     k.c_str());
+        std::exit(2);
       }
     }
   }
@@ -245,14 +250,21 @@ void print_tuning(const autotune::TuningReport& t, const char* per) {
 int cmd_train(const Flags& f) {
   const auto data_path = f.require("data");
   const auto model_path = f.require("model");
+  device::Device dev(device_by_name(f.str("device")));
+  const auto param = params_from(f);
+  const auto query_path = f.str("query-file");
+  const auto valid_path = f.str("valid");
+  const auto valid_query_path = f.str("valid-query-file");
+  const int early = f.num("early-stopping", 0);
+  const bool profile = f.flag("profile");
+  const int gpus = f.num("gpus", 1);
+  const std::string link_str = f.str("link", "pcie");
+  f.reject_unused();
+
   auto ds = data::read_libsvm_file(data_path);
   std::fprintf(stderr, "loaded %lld instances x %lld attributes from %s\n",
                static_cast<long long>(ds.n_instances()),
                static_cast<long long>(ds.n_attributes()), data_path.c_str());
-
-  device::Device dev(device_by_name(f.str("device")));
-  const auto param = params_from(f);
-  const auto query_path = f.str("query-file");
   if (!query_path.empty()) {
     data::read_query_file(ds, query_path);
     std::fprintf(stderr, "loaded %lld query groups from %s\n",
@@ -264,27 +276,12 @@ int cmd_train(const Flags& f) {
                  "--query-file=F (one docs-per-query count per line)\n");
     return 2;
   }
-  const auto valid_path = f.str("valid");
-  const auto valid_query_path = f.str("valid-query-file");
-  const int early = f.num("early-stopping", 0);
-  const bool profile = f.flag("profile");
-  const int gpus = f.num("gpus", 1);
-  const std::string allreduce_str = f.str("allreduce", "ring");
-  const std::string link_str = f.str("link", "pcie");
-  f.warn_unused();
 
-  multigpu::AllreduceAlgo algo = multigpu::AllreduceAlgo::kRing;
   multigpu::Interconnect link = multigpu::Interconnect::pcie3();
   if (gpus > 1) {
     if (!valid_path.empty()) {
       std::fprintf(stderr,
                    "--gpus>1 does not support --valid/--early-stopping\n");
-      return 2;
-    }
-    if (!multigpu::parse_allreduce_algo(allreduce_str, algo)) {
-      std::fprintf(stderr,
-                   "unknown allreduce '%s' (use ring|tree|alltoone)\n",
-                   allreduce_str.c_str());
       return 2;
     }
     if (link_str == "nvlink") {
@@ -302,12 +299,11 @@ int cmd_train(const Flags& f) {
   TrainReport report;
   if (gpus > 1) {
     multigpu::MultiGpuTrainer trainer(device_by_name(f.str("device")), gpus,
-                                      param, link, algo);
+                                      param, link);
     auto r = trainer.train(ds);
     std::fprintf(stderr,
-                 "sharded over %d devices (%s allreduce): comm %.4f s, "
-                 "%.1f MiB, %llu msgs\n",
-                 gpus, multigpu::allreduce_algo_name(algo), r.comm.seconds,
+                 "sharded over %d devices: comm %.4f s, %.1f MiB, %llu msgs\n",
+                 gpus, r.comm.seconds,
                  static_cast<double>(r.comm.bytes) / (1 << 20),
                  static_cast<unsigned long long>(r.comm.messages));
     model = GBDTModel(param, r.trees, r.base_score, ds.n_attributes());
@@ -367,7 +363,7 @@ int cmd_predict(const Flags& f) {
   const auto out_path = f.str("output");
   const bool transform = f.flag("transform");
   device::Device dev(device_by_name(f.str("device")));
-  f.warn_unused();
+  f.reject_unused();
 
   // Device-resident scoring: the forest and the rows are each uploaded
   // exactly once (predict_on_device would re-upload per call).
@@ -397,7 +393,7 @@ int cmd_predict(const Flags& f) {
 int cmd_eval(const Flags& f) {
   const auto ds = data::read_libsvm_file(f.require("data"));
   const auto model = GBDTModel::load(f.require("model"));
-  f.warn_unused();
+  f.reject_unused();
   const auto raw = model.predict(ds);
   const auto prob = model.transform_scores(raw);
   std::printf("instances: %lld\n", static_cast<long long>(ds.n_instances()));
@@ -409,7 +405,7 @@ int cmd_eval(const Flags& f) {
 int cmd_dump(const Flags& f) {
   const auto model = GBDTModel::load(f.require("model"));
   const long which = f.num("tree", -1);
-  f.warn_unused();
+  f.reject_unused();
   for (std::size_t t = 0; t < model.trees().size(); ++t) {
     if (which >= 0 && static_cast<std::size_t>(which) != t) continue;
     std::printf("booster[%zu]:\n%s", t, model.trees()[t].dump().c_str());
@@ -420,7 +416,7 @@ int cmd_dump(const Flags& f) {
 int cmd_importance(const Flags& f) {
   const auto model = GBDTModel::load(f.require("model"));
   const auto kind_s = f.str("kind", "gain");
-  f.warn_unused();
+  f.reject_unused();
   ImportanceKind kind = ImportanceKind::kGain;
   if (kind_s == "cover") kind = ImportanceKind::kCover;
   else if (kind_s == "splits") kind = ImportanceKind::kSplitCount;
@@ -448,7 +444,7 @@ int cmd_cv(const Flags& f) {
   device::Device dev(device_by_name(f.str("device")));
   const auto param = params_from(f);
   const int early = f.num("early-stopping", 0);
-  f.warn_unused();
+  f.reject_unused();
   const auto cv = cross_validate(dev, ds, param, folds, seed, early);
   for (std::size_t k = 0; k < cv.fold_metric.size(); ++k) {
     std::printf("fold %zu: %s = %.6f", k, cv.metric_name.c_str(),
@@ -477,7 +473,7 @@ int cmd_synth(const Flags& f) {
     spec.seed = f.num("seed", 42U);
   }
   const auto out = f.require("out");
-  f.warn_unused();
+  f.reject_unused();
   data::write_libsvm_file(data::generate(spec), out);
   std::fprintf(stderr, "wrote %s (%lld x %lld)\n", out.c_str(),
                static_cast<long long>(spec.n_instances),
@@ -530,7 +526,7 @@ int cmd_serve(const Flags& f) {
   const bool selfcheck = f.flag("selfcheck");
   const bool row_path = f.flag("row-path");
   const auto sc = serve_config_from(f);
-  f.warn_unused();
+  f.reject_unused();
 
   serve::PredictionService svc(model, sc);
   const auto t0 = std::chrono::steady_clock::now();
@@ -640,7 +636,7 @@ int cmd_loadgen(const Flags& f) {
   const bool poisson = f.flag("poisson");
   const unsigned seed = f.num("seed", 42U);
   const auto sc = serve_config_from(f);
-  f.warn_unused();
+  f.reject_unused();
   if (rate <= 0.0 || ds.n_instances() == 0 || n_requests <= 0) {
     std::fprintf(stderr, "--rate must be > 0 and data must be non-empty\n");
     return 2;
@@ -727,8 +723,7 @@ void usage() {
       "           --subsample=1.0 --feature-bag=sqrt|all|N --sample-seed=42\n"
       "           --no-rle --force-rle --no-smartgd --no-setkey\n"
       "           --no-idxcomp --no-direct-rle --autotune --profile]\n"
-      "          [--gpus=K --allreduce=ring|tree|alltoone --link=pcie|nvlink]\n"
-      "          (multi-GPU training)\n"
+      "          [--gpus=K --link=pcie|nvlink]  (multi-GPU training)\n"
       "  predict --data=F --model=F [--output=F --transform]\n"
       "  eval    --data=F --model=F\n"
       "  cv      --data=F [--folds=5 --seed=42 --early-stopping=K\n"

@@ -17,9 +17,9 @@
 //                                                   # (seeded-sampling
 //                                                   # determinism + ranking)
 //   gbdt_fuzz --mgpu --cases 25                     # multi-GPU collective
-//                                                   # sweep (ring/tree vs
-//                                                   # the all-to-one
-//                                                   # schedule, bitwise)
+//                                                   # sweep (ring-only vs
+//                                                   # tree-picking links,
+//                                                   # bitwise)
 //   gbdt_fuzz --self-test                           # fault-injection check
 //   gbdt_fuzz --cases 50 --audit                    # sweep with the kernel
 //                                                   # access auditor armed
@@ -97,10 +97,10 @@ void usage() {
          "                     runs must replay bit for bit and agree across\n"
          "                     trainer paths, and LambdaMART must beat the\n"
          "                     squared-error baseline on held-out NDCG@10\n"
-         "  --mgpu             multi-GPU collective sweep: the ring and\n"
-         "                     tree allreduce merges must reproduce the\n"
-         "                     legacy all-to-one schedule's forest, and\n"
-         "                     K-shard histogram training must match the\n"
+         "  --mgpu             multi-GPU collective sweep: a latency-bound\n"
+         "                     link (tree where cheaper) must train the\n"
+         "                     forest of a bandwidth-only link (ring only),\n"
+         "                     and K-shard histogram training must match the\n"
          "                     single-device histogram trainer bit for bit\n"
          "  --no-invariants    do not arm in-trainer invariant checks\n"
          "  --no-minimize      report failures without shrinking them\n"
