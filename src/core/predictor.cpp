@@ -67,7 +67,7 @@ DeviceForest::DeviceForest(device::Device& dev, const ForestSoA& host)
       d_weight_(dev.to_device<double>(host.weight)) {}
 
 DeviceRows::DeviceRows(device::Device& dev, const data::Dataset& ds)
-    : n_rows_(ds.n_instances()) {
+    : n_rows_(ds.n_instances()), n_attr_(ds.n_attributes()) {
   std::vector<std::int32_t> attrs(static_cast<std::size_t>(ds.n_entries()));
   std::vector<float> vals(static_cast<std::size_t>(ds.n_entries()));
   for (std::size_t k = 0; k < attrs.size(); ++k) {
@@ -106,8 +106,8 @@ void predict_resident(device::Device& dev, const DeviceForest& forest,
                  const std::int64_t t = tree_lo + x / n;   // tree
                  const auto iu = static_cast<std::size_t>(i);
                  const DeviceWalk w =
-                     walk_row(ra, rv, ro[iu], ro[iu + 1], nodes,
-                              toff[static_cast<std::size_t>(t)]);
+                     walk_row(ra, rv, ro[iu], ro[iu + 1], rows.n_attr(),
+                              nodes, toff[static_cast<std::size_t>(t)]);
                  steps += w.misses + 3 * w.nodes;
                  // One thread per (instance, tree): partial sums accumulate
                  // with a global atomic, as in the paper's prediction kernel.

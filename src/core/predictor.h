@@ -126,6 +126,8 @@ class DeviceRows {
   DeviceRows(device::Device& dev, const data::Dataset& ds);
 
   [[nodiscard]] std::int64_t n_rows() const { return n_rows_; }
+  /// The dataset's n_attributes: every row's attributes lie below it.
+  [[nodiscard]] std::int64_t n_attr() const { return n_attr_; }
   [[nodiscard]] std::span<const std::int64_t> offsets() const {
     return d_offsets_.span();
   }
@@ -138,6 +140,7 @@ class DeviceRows {
 
  private:
   std::int64_t n_rows_;
+  std::int64_t n_attr_;
   device::DeviceBuffer<std::int64_t> d_offsets_;
   device::DeviceBuffer<std::int32_t> d_attrs_;
   device::DeviceBuffer<float> d_values_;
@@ -154,41 +157,31 @@ struct DeviceNodes {
 /// Where one row lands under one tree, and the counts its kernel charges.
 struct DeviceWalk {
   std::int64_t leaf = 0;       // node index, the tree's base offset included
-  std::uint64_t misses = 0;    // binary-search probes that missed
+  std::uint64_t misses = 0;    // row-lookup probes that missed
   std::uint64_t nodes = 0;     // internal nodes visited
 };
 
 /// The device tree walk: one logical thread routes CSR row entries
-/// [row_lo, row_hi) of (attrs, values), sorted by attr ascending, through
-/// the tree whose root is node `base`.  Each internal node binary-searches
-/// the row for its split attribute; value >= split goes left, a missing
+/// [row_lo, row_hi) of (attrs, values), strictly increasing attributes
+/// below `n_attr` (the rows' dataset's n_attributes), through the tree whose
+/// root is node `base`.  Each internal node looks its split attribute up in
+/// the window of the row where it can sit (data::find_in_row: one probe on
+/// a row that holds every attribute); value >= split goes left, a missing
 /// attribute follows the default child.  Child ids are tree-local.
 inline DeviceWalk walk_row(std::span<const std::int32_t> attrs,
                            std::span<const float> values, std::int64_t row_lo,
-                           std::int64_t row_hi, const DeviceNodes& nodes,
-                           std::int64_t base) {
+                           std::int64_t row_hi, std::int64_t n_attr,
+                           const DeviceNodes& nodes, std::int64_t base) {
   DeviceWalk w;
   std::int64_t id = base;
   while (nodes.left[static_cast<std::size_t>(id)] >= 0) {
     const auto nu = static_cast<std::size_t>(id);
-    const std::int32_t want = nodes.attr[nu];
-    std::int64_t lo = row_lo, hi = row_hi;
-    const float* found = nullptr;
-    while (lo < hi) {
-      const std::int64_t mid = (lo + hi) / 2;
-      const auto mu = static_cast<std::size_t>(mid);
-      if (attrs[mu] < want) {
-        lo = mid + 1;
-      } else if (attrs[mu] > want) {
-        hi = mid;
-      } else {
-        found = &values[mu];
-        break;
-      }
-      ++w.misses;
-    }
+    const data::RowHit hit =
+        data::find_in_row(attrs, row_lo, row_hi, n_attr, nodes.attr[nu]);
+    w.misses += hit.probes - (hit.found ? 1 : 0);
     const bool go_left =
-        found != nullptr ? *found >= nodes.split[nu] : nodes.def_left[nu] != 0;
+        hit.found ? values[static_cast<std::size_t>(hit.pos)] >= nodes.split[nu]
+                  : nodes.def_left[nu] != 0;
     id = base + (go_left ? nodes.left[nu] : nodes.right[nu]);
     ++w.nodes;
   }

@@ -486,7 +486,8 @@ void update_predictions_naive(TrainState& st, const DeviceRows& rows,
                     if (i >= n) return;
                     const auto u = static_cast<std::size_t>(i);
                     const DeviceWalk w =
-                        walk_row(ra, rv, ro[u], ro[u + 1], nodes, 0);
+                        walk_row(ra, rv, ro[u], ro[u + 1], rows.n_attr(),
+                                 nodes, 0);
                     steps += w.misses + 4 * w.nodes;  // divergent node reads
                     p[u] = static_cast<float>(
                         p[u] + W[static_cast<std::size_t>(w.leaf)]);

@@ -19,9 +19,11 @@
 //                   attr holds exactly n_bins cells, so the histogram buffer
 //                   itself is the segment layout, and its offsets and cell
 //                   keys are one grid kept for the widest level yet;
-//   hist_split_node rows of splitting nodes binary-search their CSR row for
-//                   the split attribute and compare bin indices, then the
-//                   row index is partitioned by next-level slot.
+//   hist_split_node rows of splitting nodes look the split attribute up in
+//                   the window of their CSR row where it can sit (one
+//                   probe on a full row) and compare its symbol with the
+//                   split's, then the row index is partitioned by
+//                   next-level slot.
 //
 // hist_find_split ends in the level's decision (hist_decide_level), which
 // writes the device tree and the next level's tables, so no level crosses
@@ -37,7 +39,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -143,6 +147,19 @@ struct TableColumns {
   }
 };
 
+/// Every symbol a * n_bins + bin of the matrix fits BinSymbol.
+void check_symbol_width(const data::Dataset& ds, int n_bins) {
+  const std::int64_t n_attr = ds.n_attributes();
+  constexpr std::int64_t kSymbols =
+      std::int64_t{std::numeric_limits<hist::BinSymbol>::max()} + 1;
+  if (n_bins < 1 || n_attr > kSymbols / n_bins) {
+    throw std::invalid_argument(
+        "hist: n_attr (" + std::to_string(n_attr) + ") * n_bins (" +
+        std::to_string(n_bins) + ") symbols do not fit a " +
+        std::to_string(8 * sizeof(hist::BinSymbol)) + "-bit bin symbol");
+  }
+}
+
 }  // namespace
 
 std::vector<hist::BinCuts> build_hist_cuts(const data::Dataset& ds,
@@ -164,20 +181,20 @@ std::vector<hist::BinCuts> build_hist_cuts(const data::Dataset& ds,
 BinnedMatrix build_binned_matrix(Device& dev, const data::Dataset& ds,
                                  int n_bins,
                                  const std::vector<hist::BinCuts>& cuts) {
+  check_symbol_width(ds, n_bins);
   BinnedMatrix m;
   m.n_inst = ds.n_instances();
   m.n_attr = ds.n_attributes();
   m.n_bins = n_bins;
   m.cuts = cuts;
-  // Rewrite the entry stream as (attr, bin) pairs and upload.
+  // Rewrite the entry stream as symbols (attr * n_bins + bin) and upload.
   const auto& entries = ds.entries();
-  std::vector<std::int32_t> attr(entries.size());
-  std::vector<std::uint16_t> bin(entries.size());
+  std::vector<hist::BinSymbol> sym(entries.size());
   for (std::size_t k = 0; k < entries.size(); ++k) {
-    attr[k] = entries[k].attr;
-    bin[k] = static_cast<std::uint16_t>(
-        m.cuts[static_cast<std::size_t>(entries[k].attr)].bin_of(
-            entries[k].value));
+    const auto a = static_cast<std::size_t>(entries[k].attr);
+    sym[k] = static_cast<hist::BinSymbol>(
+        a * static_cast<std::size_t>(n_bins) +
+        static_cast<std::size_t>(m.cuts[a].bin_of(entries[k].value)));
   }
   std::vector<float> cut_values(
       static_cast<std::size_t>(m.n_attr) * static_cast<std::size_t>(n_bins),
@@ -189,14 +206,14 @@ BinnedMatrix build_binned_matrix(Device& dev, const data::Dataset& ds,
                                                       n_bins)));
   }
   m.row_offsets = dev.to_device<std::int64_t>(ds.row_offsets());
-  m.entry_attr = dev.to_device<std::int32_t>(attr);
-  m.entry_bin = dev.to_device<std::uint16_t>(bin);
+  m.entry_sym = dev.to_device<hist::BinSymbol>(sym);
   m.cut_values = dev.to_device<float>(cut_values);
   return m;
 }
 
 BinnedMatrix build_binned_matrix(Device& dev, const data::Dataset& ds,
                                  int n_bins) {
+  check_symbol_width(ds, n_bins);
   return build_binned_matrix(dev, ds, n_bins, build_hist_cuts(ds, n_bins));
 }
 
@@ -429,10 +446,9 @@ void HistGrower::plan_level() {
 
 void HistGrower::build_level() {
   hist::build_histograms(dev_, st_.arena, binned_.row_offsets.span(),
-                         binned_.entry_attr.span(), binned_.entry_bin.span(),
-                         qg_.span(), qh_.span(), rows_.span(),
-                         slot_rows_.span(), tables_.build, st_.n_attr,
-                         n_bins_, hist_cur_.span());
+                         binned_.entry_sym.span(), qg_.span(), qh_.span(),
+                         rows_.span(), slot_rows_.span(), tables_.build,
+                         binned_.n_attr, n_bins_, hist_cur_.span());
 }
 
 std::vector<std::span<hist::QGH>> HistGrower::accumulated_slots() {
@@ -491,10 +507,9 @@ void HistGrower::maybe_verify_subtraction() {
                         .view(std::move(block), chunk_);
   auto direct = st_.arena.alloc<hist::QGH>(hist_cur_.size());
   hist::build_histograms(st_.dev, st_.arena, binned_.row_offsets.span(),
-                         binned_.entry_attr.span(), binned_.entry_bin.span(),
-                         qg_.span(), qh_.span(), rows_.span(),
-                         slot_rows_.span(), plan.build, st_.n_attr, n_bins_,
-                         direct.span());
+                         binned_.entry_sym.span(), qg_.span(), qh_.span(),
+                         rows_.span(), slot_rows_.span(), plan.build,
+                         binned_.n_attr, n_bins_, direct.span());
   for (const std::int64_t slot : derived) {
     const std::size_t base =
         static_cast<std::size_t>(slot) * static_cast<std::size_t>(cps_);
@@ -651,7 +666,7 @@ void HistGrower::apply_level(bool children_are_leaves) {
   auto next_slot_rows = st_.arena.alloc<std::int64_t>(
       grow ? static_cast<std::size_t>(next_.n_slots) + 1 : 0);
   hist::split_rows(dev_, st_.arena, binned_.row_offsets.span(),
-                   binned_.entry_attr.span(), binned_.entry_bin.span(),
+                   binned_.entry_sym.span(), binned_.n_attr, n_bins_,
                    std::span<const TreeNode>(st_.nodes.span())
                        .subspan(static_cast<std::size_t>(st_.level_base),
                                 static_cast<std::size_t>(st_.n_slots)),

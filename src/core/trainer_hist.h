@@ -37,16 +37,19 @@
 namespace gbdt {
 
 /// Device-resident quantized feature matrix: per-attribute quantile cuts plus
-/// the CSR entry stream rewritten as (attribute, bin-index) pairs.  Built
-/// once per training run; every tree and level reads bins, never raw floats.
+/// the CSR entry stream rewritten as one symbol per entry, attribute *
+/// n_bins + bin (hist::BinSymbol), which is the entry's histogram cell.
+/// Built once per training run; every tree and level reads symbols, never
+/// raw floats.  A row lookup searches only the positions its length leaves
+/// the attribute (data::find_in_row), so rows keep the CSR layout with no
+/// padding.
 struct BinnedMatrix {
   std::vector<hist::BinCuts> cuts;                   // per attribute
   /// cuts[a].bin_low[b] at a * n_bins + b (0 past an attribute's last bin):
   /// the split values the device decision reads.
   device::DeviceBuffer<float> cut_values;
   device::DeviceBuffer<std::int64_t> row_offsets;    // [n_inst + 1]
-  device::DeviceBuffer<std::int32_t> entry_attr;     // per CSR entry
-  device::DeviceBuffer<std::uint16_t> entry_bin;
+  device::DeviceBuffer<hist::BinSymbol> entry_sym;   // per CSR entry
   std::int64_t n_inst = 0;
   std::int64_t n_attr = 0;
   int n_bins = 0;  // bin budget; cuts[a].bin_low.size() may be smaller
@@ -59,14 +62,15 @@ struct BinnedMatrix {
     const data::Dataset& ds, int n_bins);
 
 /// Quantizes the dataset: builds per-attribute quantile cuts (hist::build_cuts)
-/// and uploads the cut values and the bin-index entry stream (PCI-e
-/// accounted).
+/// and uploads the cut values and the symbol stream (PCI-e accounted).
+/// Throws std::invalid_argument, before building any cut or allocating on
+/// the device, when n_attributes * n_bins symbols do not fit BinSymbol.
 [[nodiscard]] BinnedMatrix build_binned_matrix(device::Device& dev,
                                                const data::Dataset& ds,
                                                int n_bins);
 
 /// Same, against caller-supplied cuts (multi-GPU shards pass the global
-/// dataset's cuts and a row-sliced `ds`).
+/// dataset's cuts and a row-sliced `ds`), with the same width check.
 [[nodiscard]] BinnedMatrix build_binned_matrix(
     device::Device& dev, const data::Dataset& ds, int n_bins,
     const std::vector<hist::BinCuts>& cuts);

@@ -3,6 +3,7 @@
 // pairs, CSR-style, plus a label per instance.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -96,5 +97,54 @@ class Dataset {
   std::vector<float> labels_;
   std::vector<std::int64_t> query_offsets_;  // empty = no query structure
 };
+
+/// Where one attribute sits in one CSR row, and what finding it read.
+struct RowHit {
+  std::int64_t pos = 0;      // first entry whose attribute is >= a
+  bool found = false;        // entry `pos` holds it
+  std::uint64_t probes = 0;  // entries read, the hit included
+};
+
+/// Looks attribute `a` up in entries [row_lo, row_hi) of `keys`, where an
+/// entry's key is attribute * n_bins + bin (n_bins = 1: the attribute
+/// itself).  The row's attributes are strictly increasing and below
+/// `n_attr` (the add_instance contract), so in a row of `len` entries the
+/// entry at position k holds an attribute in [k, k + n_attr - len], and `a`
+/// can only sit at positions [a - (n_attr - len), a].  The lookup
+/// binary-searches that window alone: one probe on a row that holds every
+/// attribute, none for an attribute at or past n_attr.  `pos` is
+/// std::lower_bound's answer over the whole row, since every entry left of
+/// the window holds a smaller attribute and every entry right of it a
+/// larger one.  The device row lookup of the histogram kernels and of the
+/// device tree walk.
+template <class Key>
+[[nodiscard]] inline RowHit find_in_row(std::span<const Key> keys,
+                                        std::int64_t row_lo,
+                                        std::int64_t row_hi,
+                                        std::int64_t n_attr, std::int64_t a,
+                                        std::int64_t n_bins = 1) {
+  std::int64_t lo = std::max(row_lo, row_hi - n_attr + a);
+  std::int64_t hi = std::min(row_hi, row_lo + a + 1);
+  const std::int64_t key_lo = a * n_bins;
+  const std::int64_t key_hi = key_lo + n_bins;
+  RowHit hit;
+  while (lo < hi) {
+    const std::int64_t mid = (lo + hi) / 2;
+    const auto key =
+        static_cast<std::int64_t>(keys[static_cast<std::size_t>(mid)]);
+    ++hit.probes;
+    if (key < key_lo) {
+      lo = mid + 1;
+    } else if (key >= key_hi) {
+      hi = mid;
+    } else {
+      hit.pos = mid;
+      hit.found = true;
+      return hit;
+    }
+  }
+  hit.pos = std::min(lo, row_hi);  // lo passes the row when a > n_attr
+  return hit;
+}
 
 }  // namespace gbdt::data

@@ -7,7 +7,7 @@
 // scanning sorted value lists.  This header holds the shared pieces:
 //
 //  * BinCuts / build_cuts — host-side quantile binning (one implementation,
-//    so the device trainer's bin-index matrix can be verified against
+//    so the device trainer's symbol matrix can be verified against
 //    BinCuts::bin_of directly);
 //  * QGH — the histogram cell: gradient/hessian sums quantized to int64
 //    fixed point plus an instance count.  Integer addition is exact and
@@ -18,15 +18,21 @@
 //    deterministic;
 //  * the build plan (BuildTables): the accumulated slots as int64 columns
 //    of the level's table block;
+//  * BinSymbol — one 4-byte symbol per CSR entry, attribute * n_bins + bin:
+//    the entry's histogram cell, so the build adds at the symbol itself and
+//    the row split reads the attribute and the bin in one access;
 //  * the `hist_`-labelled kernels over a row index sorted by tree node
 //    (Mitchell 2018's row partitioner): the tiled build (each block
 //    accumulates one shared-memory-sized tile of one slot's histogram over
 //    a chunk of that slot's rows and writes it once), the merge of the
 //    partial copies of slots that span several chunks, the subtraction
 //    kernel, and the row split that moves rows to the children the device
-//    tree names and partitions the index by next-level slot.  gbdt_lint
-//    enforces the
-//    `hist_` label prefix for every launch in this file.
+//    tree names and partitions the index by next-level slot.  A kernel that
+//    looks an attribute up in a row searches only the positions the row's
+//    length leaves it (data::find_in_row: one probe on a full row), and
+//    every probe, the hit included, is charged as one irregular
+//    transaction.  gbdt_lint enforces the `hist_` label prefix for every
+//    launch in this file.
 #pragma once
 
 #include <algorithm>
@@ -37,6 +43,7 @@
 #include <vector>
 
 #include "core/tree.h"
+#include "data/dataset.h"
 #include "device/device_context.h"
 #include "device/workspace_arena.h"
 #include "primitives/transform.h"
@@ -115,6 +122,11 @@ inline BinCuts build_cuts(std::vector<float> values, int n_bins) {
   }
   return cuts;
 }
+
+/// One quantized CSR entry: attribute * n_bins + bin, which is also the
+/// entry's cell in a slot's histogram row.  Rows keep their entries in
+/// attribute order, so a row's symbols are strictly increasing.
+using BinSymbol = std::uint32_t;
 
 // ---- fixed-point gradient quantization -------------------------------------
 
@@ -222,7 +234,10 @@ struct BuildTables {
 ///
 /// Block (item, tile) walks its item's rows and accumulates the tile's cells
 /// in shared memory (QGH cells, zeroed on entry, never larger than
-/// DeviceConfig::shared_mem_per_block_bytes), then writes the tile once:
+/// DeviceConfig::shared_mem_per_block_bytes): an entry adds at its symbol
+/// less the tile's first cell.  When a slot needs several tiles, each row
+/// first looks up the tile's first attribute.  The block then writes the
+/// tile once:
 /// into the slot's row of `out` when the slot has one item, else into the
 /// item's partial copy, which hist_merge folds in item order.  Cells are
 /// int64, so neither the tile split nor the fold order can change a bit.
@@ -232,8 +247,7 @@ struct BuildTables {
 inline void build_histograms(device::Device& dev,
                              device::WorkspaceArena& arena,
                              std::span<const std::int64_t> row_offsets,
-                             std::span<const std::int32_t> entry_attr,
-                             std::span<const std::uint16_t> entry_bin,
+                             std::span<const BinSymbol> entry_sym,
                              std::span<const std::int64_t> qg,
                              std::span<const std::int64_t> qh,
                              std::span<const std::int32_t> rows,
@@ -256,7 +270,6 @@ inline void build_histograms(device::Device& dev,
         const std::int64_t c_lo = (b.block_idx() % n_tiles) * tile;
         const std::int64_t c_hi = std::min(c_lo + tile, cps);
         const std::int64_t a_lo = c_lo / n_bins;
-        const std::int64_t a_hi = (c_hi + n_bins - 1) / n_bins;
         const auto a = static_cast<std::size_t>(
             std::upper_bound(plan.item.begin(), plan.item.end(), it) -
             plan.item.begin() - 1);
@@ -279,33 +292,26 @@ inline void build_histograms(device::Device& dev,
           std::int64_t e = row_offsets[r];
           const std::int64_t e_end = row_offsets[r + 1];
           if (!whole_rows) {
-            // First entry of the tile's attributes (rows are attr-sorted).
-            std::int64_t hi_e = e_end;
-            while (e < hi_e) {
-              const std::int64_t mid = (e + hi_e) / 2;
-              ++probes;
-              if (entry_attr[static_cast<std::size_t>(mid)] < a_lo) {
-                e = mid + 1;
-              } else {
-                hi_e = mid;
-              }
-            }
+            // First entry of the tile's first attribute, or past it.
+            const data::RowHit at =
+                data::find_in_row(entry_sym, e, e_end, n_attr, a_lo, n_bins);
+            probes += at.probes;
+            e = at.pos;
           }
           const std::int64_t e_first = e;
           for (; e < e_end; ++e) {
-            const auto eu = static_cast<std::size_t>(e);
-            if (entry_attr[eu] >= a_hi) break;
+            // The symbol is the cell; a tile may start or end mid-attribute.
             const std::int64_t c =
-                entry_attr[eu] * n_bins + entry_bin[eu] - c_lo;
-            if (c < 0 || c >= c_hi - c_lo) continue;  // tile cuts the attr
+                entry_sym[static_cast<std::size_t>(e)] - c_lo;
+            if (c >= c_hi - c_lo) break;
+            if (c < 0) continue;
             acc[static_cast<std::size_t>(c)] += gh;
             ++touched;
           }
           b.reads(qg, static_cast<std::int64_t>(r));
           b.reads(qh, static_cast<std::int64_t>(r));
           b.reads(row_offsets, static_cast<std::int64_t>(r), 2);
-          b.reads(entry_attr, e_first, e - e_first);
-          b.reads(entry_bin, e_first, e - e_first);
+          b.reads(entry_sym, e_first, std::min(e + 1, e_end) - e_first);
         }
         const std::int64_t first = plan.part[a];
         const auto dst = first < 0 ? out : part;
@@ -330,8 +336,7 @@ inline void build_histograms(device::Device& dev,
         b.mem_irregular(3 * run_starts + (whole_rows ? run_starts : n) +
                         probes);
         b.mem_coalesced(n * sizeof(std::int32_t) + (n - run_starts) * 24 +
-                        touched * (sizeof(std::int32_t) +
-                                   sizeof(std::uint16_t)) +
+                        touched * sizeof(BinSymbol) +
                         acc.size() * sizeof(QGH));
       });
 
@@ -431,22 +436,24 @@ inline void subtract_histograms(device::Device& dev,
 /// slots[s].left - next_base and the one after.
 ///
 ///  - hist_update_positions: one thread per index position; a row of a
-///    splitting slot binary-searches its CSR row for the split attribute,
-///    compares bin indices (absent: the default direction) and writes its
-///    child into node_of; it also records its side and each block's left
-///    count.  Mirrors the exact trainer's instance->node map contract, so
-///    SmartGD and check_leaf_map work unchanged.
+///    splitting slot looks the split attribute up in the window of its CSR
+///    row where it can sit (data::find_in_row; one probe when the row holds
+///    every attribute), compares the symbol with the split's last left
+///    symbol (absent: the default direction) and writes its child into
+///    node_of; it also records its side and each block's left count.
+///    Mirrors the exact trainer's instance->node map contract, so SmartGD
+///    and check_leaf_map work unchanged.
 ///  - hist_partition_offsets: one block scans the per-block left counts and
 ///    lays out the children's index ranges in next-slot order.
 ///  - hist_partition_scatter: each row moves to its child's range at its
 ///    stable rank.
 ///
 /// `n_rows` bounds the index's length (the device's own is
-/// slot_rows[n_slots]).
+/// slot_rows[n_slots]); `n_attr` and `n_bins` are the matrix's.
 inline void split_rows(device::Device& dev, device::WorkspaceArena& arena,
                        std::span<const std::int64_t> row_offsets,
-                       std::span<const std::int32_t> entry_attr,
-                       std::span<const std::uint16_t> entry_bin,
+                       std::span<const BinSymbol> entry_sym,
+                       std::int64_t n_attr, std::int64_t n_bins,
                        std::span<const TreeNode> slots,
                        std::span<const std::int64_t> split_bin,
                        std::int64_t next_base,
@@ -496,28 +503,21 @@ inline void split_rows(device::Device& dev, device::WorkspaceArena& arena,
             const auto ku = static_cast<std::size_t>(k);
             const auto r = static_cast<std::size_t>(rows[ku]);
             run_starts += k == lo || rows[ku] != rows[ku - 1] + 1;
-            std::int64_t e_lo = row_offsets[r];
-            std::int64_t e_hi = row_offsets[r + 1];
-            int found_bin = -1;
-            while (e_lo < e_hi) {
-              const std::int64_t mid = (e_lo + e_hi) / 2;
-              const auto mu = static_cast<std::size_t>(mid);
-              if (entry_attr[mu] < tn.attr) {
-                e_lo = mid + 1;
-              } else if (entry_attr[mu] > tn.attr) {
-                e_hi = mid;
-              } else {
-                found_bin = entry_bin[mu];
-                break;
-              }
-              ++probes;
-            }
+            const data::RowHit hit =
+                data::find_in_row(entry_sym, row_offsets[r], row_offsets[r + 1],
+                                  n_attr, tn.attr, n_bins);
+            probes += hit.probes;
+            // The split's left side is symbols [attr * n_bins, that +
+            // split_bin]; the hit is in [attr * n_bins, that + n_bins).
             const bool go_left =
-                found_bin >= 0
-                    ? found_bin <= split_bin[static_cast<std::size_t>(s)]
+                hit.found
+                    ? entry_sym[static_cast<std::size_t>(hit.pos)] <=
+                          tn.attr * n_bins +
+                              split_bin[static_cast<std::size_t>(s)]
                     : tn.default_left;
             node_of[r] = go_left ? tn.left : tn.right;
             b.reads(row_offsets, static_cast<std::int64_t>(r), 2);
+            if (hit.found) b.reads(entry_sym, hit.pos);
             // Rows are distinct, so the scattered stores stay
             // block-disjoint; the auditor verifies it.
             b.writes(node_of, static_cast<std::int64_t>(r));
@@ -539,7 +539,8 @@ inline void split_rows(device::Device& dev, device::WorkspaceArena& arena,
         const auto n = static_cast<std::uint64_t>(hi - lo);
         b.work(n + probes);
         // A moved row gathers its CSR offsets and scatters its node id: one
-        // transaction each at a run start, streamed otherwise.
+        // transaction each at a run start, streamed otherwise.  Every probe
+        // of its row lookup, the hit included, is one transaction.
         b.mem_irregular(probes + 2 * run_starts);
         b.mem_coalesced(n * (sizeof(std::int32_t) + (partition ? 1 : 0)) +
                         (moved - run_starts) * 20);

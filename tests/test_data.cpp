@@ -3,8 +3,12 @@
 // LibSVM round trips, synthetic generator statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <random>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -105,6 +109,82 @@ TEST(Dataset, AddInstanceRejectsMalformedRows) {
   EXPECT_EQ(ds.n_entries(), 2);
   ds.add_instance(std::vector<Entry>{{1, 3.f}}, 0.f);
   EXPECT_EQ(ds.n_instances(), 2);
+}
+
+/// Attribute sets of every row shape the window lookup must handle over
+/// `d` attributes: full, first or last missing, a missing run, empty, each
+/// single entry, and random subsets.
+std::vector<std::vector<std::int32_t>> row_shapes(std::int32_t d,
+                                                  std::mt19937& rng) {
+  std::vector<std::int32_t> all(static_cast<std::size_t>(d));
+  for (std::int32_t a = 0; a < d; ++a) all[static_cast<std::size_t>(a)] = a;
+  std::vector<std::vector<std::int32_t>> rows = {all, {}};
+  rows.emplace_back(all.begin() + 1, all.end());
+  rows.emplace_back(all.begin(), all.end() - 1);
+  for (std::int32_t a = 0; a < d; ++a) rows.push_back({a});
+  for (std::int32_t lo = 0; lo < d; lo += 3) {
+    for (const std::int32_t run : {1, 2, d / 2}) {
+      std::vector<std::int32_t> r;
+      for (std::int32_t a = 0; a < d; ++a) {
+        if (a < lo || a >= lo + run) r.push_back(a);
+      }
+      rows.push_back(r);
+    }
+  }
+  for (const double keep : {0.1, 0.5, 0.9}) {
+    for (int k = 0; k < 8; ++k) {
+      std::vector<std::int32_t> r;
+      for (std::int32_t a = 0; a < d; ++a) {
+        if (std::uniform_real_distribution<double>(0, 1)(rng) < keep) {
+          r.push_back(a);
+        }
+      }
+      rows.push_back(r);
+    }
+  }
+  return rows;
+}
+
+TEST(FindInRow, WindowLookupAgreesWithLowerBoundOnEveryRowShape) {
+  std::mt19937 rng(7);
+  for (const std::int32_t d : {1, 2, 5, 28, 64}) {
+    for (const std::int64_t n_bins : {1, 7}) {
+      // Every row in one key stream, so rows start past position 0; key =
+      // attribute * n_bins + a bin.
+      const auto shapes = row_shapes(d, rng);
+      std::vector<std::uint32_t> keys;
+      std::vector<std::int64_t> offsets = {0};
+      for (const auto& r : shapes) {
+        for (const std::int32_t a : r) {
+          keys.push_back(static_cast<std::uint32_t>(
+              a * n_bins + static_cast<std::int64_t>(rng() % n_bins)));
+        }
+        offsets.push_back(static_cast<std::int64_t>(keys.size()));
+      }
+      const std::span<const std::uint32_t> view(keys);
+      for (std::size_t i = 0; i < shapes.size(); ++i) {
+        const auto& attrs = shapes[i];
+        const std::int64_t lo = offsets[i];
+        const std::int64_t hi = offsets[i + 1];
+        for (std::int32_t a = 0; a < d + 2; ++a) {
+          SCOPED_TRACE("d " + std::to_string(d) + ", bins " +
+                       std::to_string(n_bins) + ", row " + std::to_string(i) +
+                       ", attribute " + std::to_string(a));
+          const auto it = std::lower_bound(attrs.begin(), attrs.end(), a);
+          const std::int64_t want = lo + (it - attrs.begin());
+          const bool present = it != attrs.end() && *it == a;
+          const RowHit hit = find_in_row(view, lo, hi, d, a, n_bins);
+          EXPECT_EQ(hit.found, present);
+          EXPECT_EQ(hit.pos, want);
+          if (a >= d) {
+            EXPECT_EQ(hit.probes, 0u) << "no row holds an attribute past d";
+          } else if (hi - lo == d) {
+            EXPECT_EQ(hit.probes, 1u) << "a full row costs one probe";
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(CscHost, MatchesPaperSortedLists) {

@@ -2,15 +2,18 @@
 // kernel layer (primitives/histogram.h): the tiled build is bitwise equal to
 // a host reference across bin counts, tile capacities, worker counts and
 // skewed slots, the row partition is stable (and its invariant check
-// fires on a misplaced row), the histogram-subtraction trick
-// is bitwise-identical to direct accumulation, the device bin-index matrix
-// round-trips through BinCuts::bin_of, empty-node and single-bin edge cases,
+// fires on a misplaced row), rows with missing attributes split and build
+// as the host does, a full row's lookup is charged one transaction, the
+// histogram-subtraction trick is bitwise-identical to direct accumulation,
+// the device symbol matrix round-trips through BinCuts::bin_of and refuses
+// a width its symbols cannot hold, empty-node and single-bin edge cases,
 // determinism across replayed runs, the subtraction self-check catches an
 // injected fault, and an audit-armed end-to-end training run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -126,9 +129,8 @@ void build_slots(Device& dev, device::WorkspaceArena& arena,
   auto d_part = dev.to_device<std::int64_t>(part);
   auto d_multi = dev.to_device<std::int64_t>(multi);
   hist::build_histograms(
-      dev, arena, binned.row_offsets.span(), binned.entry_attr.span(),
-      binned.entry_bin.span(), qg.span(), qh.span(), idx.rows.span(),
-      idx.slot_rows.span(),
+      dev, arena, binned.row_offsets.span(), binned.entry_sym.span(),
+      qg.span(), qh.span(), idx.rows.span(), idx.slot_rows.span(),
       hist::BuildTables{d_slot.span(), d_item.span(), d_part.span(),
                         d_multi.span(), chunk, item.back(), n_parts},
       binned.n_attr, binned.n_bins, out);
@@ -217,18 +219,41 @@ TEST(HistDevice, BinIndexMatrixRoundTripsThroughBinOf) {
   ASSERT_EQ(binned.n_attr, ds.n_attributes());
   ASSERT_EQ(static_cast<std::int64_t>(binned.cuts.size()), ds.n_attributes());
 
-  const auto attr = dev.to_host(binned.entry_attr);
-  const auto bin = dev.to_host(binned.entry_bin);
+  // Each entry's symbol is its attribute * n_bins + BinCuts::bin_of.
+  const auto sym = dev.to_host(binned.entry_sym);
   const auto& entries = ds.entries();
-  ASSERT_EQ(attr.size(), entries.size());
-  ASSERT_EQ(bin.size(), entries.size());
+  ASSERT_EQ(sym.size(), entries.size());
   for (std::size_t k = 0; k < entries.size(); ++k) {
-    ASSERT_EQ(attr[k], entries[k].attr) << "entry " << k;
+    const std::int64_t attr = sym[k] / binned.n_bins;
+    const std::int64_t bin = sym[k] % binned.n_bins;
+    ASSERT_EQ(attr, entries[k].attr) << "entry " << k;
     const auto& cuts = binned.cuts[static_cast<std::size_t>(entries[k].attr)];
-    ASSERT_EQ(static_cast<int>(bin[k]), cuts.bin_of(entries[k].value))
-        << "entry " << k;
-    ASSERT_LT(static_cast<int>(bin[k]), binned.n_bins);
+    ASSERT_EQ(bin, cuts.bin_of(entries[k].value)) << "entry " << k;
   }
+}
+
+TEST(HistDevice, SymbolWidthGuardThrowsBeforeAnyAllocation) {
+  // A one-row dataset whose width (say, one huge LibSVM index) makes
+  // n_attr * n_bins overflow a 32-bit symbol: the build refuses it by name
+  // before it sizes a cut column or a device buffer.
+  data::Dataset ds(4);
+  const std::vector<data::Entry> row = {{0, 1.f}, {3, 2.f}};
+  ds.add_instance(row, 1.f);
+  const int bins = 64;
+  ds.set_n_attributes((std::int64_t{1} << 32) / bins + 1);
+  Device dev(DeviceConfig::titan_x_pascal());
+  try {
+    (void)build_binned_matrix(dev, ds, bins);
+    FAIL() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("n_attr"), std::string::npos) << what;
+    EXPECT_NE(what.find("n_bins"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)build_binned_matrix(dev, ds, bins, {}),
+               std::invalid_argument);
+  EXPECT_EQ(dev.allocator().used(), 0u);
+  EXPECT_EQ(dev.allocator().peak(), 0u);
 }
 
 TEST(HistDevice, EmptyNodeYieldsZeroHistogramAndOnlyDestRowsAreWritten) {
@@ -366,7 +391,7 @@ TEST(HistDevice, SplitRowsPartitionsIndexStablyBySlot) {
       dev.alloc<std::int32_t>(static_cast<std::size_t>(ds.n_instances()));
   auto next_slot_rows = dev.alloc<std::int64_t>(7);
   hist::split_rows(dev, arena, binned.row_offsets.span(),
-                   binned.entry_attr.span(), binned.entry_bin.span(),
+                   binned.entry_sym.span(), binned.n_attr, binned.n_bins,
                    d_slots.span(), d_split_bin.span(), /*next_base=*/20,
                    idx.rows.span(), idx.slot_rows.span(), ds.n_instances(),
                    node_of.span(), next_rows.span(), next_slot_rows.span());
@@ -400,6 +425,179 @@ TEST(HistDevice, SplitRowsPartitionsIndexStablyBySlot) {
     }
   }
   EXPECT_EQ(next_slot_rows[6], at);
+}
+
+/// `n` rows over `d` attributes cycling through the shapes a row lookup
+/// must handle: full, first or last attribute missing, a missing run in
+/// the middle, empty, a single entry, and a sparse stride.
+data::Dataset shaped_rows(std::int64_t n, std::int32_t d) {
+  data::Dataset ds(d);
+  std::vector<data::Entry> row;
+  for (std::int64_t i = 0; i < n; ++i) {
+    row.clear();
+    const auto shape = i % 7;
+    for (std::int32_t a = 0; a < d; ++a) {
+      const bool keep = shape == 0 || (shape == 1 && a > 0) ||
+                        (shape == 2 && a + 1 < d) ||
+                        (shape == 3 && (a < d / 3 || a >= 2 * d / 3)) ||
+                        (shape == 5 && a == static_cast<std::int32_t>(i % d)) ||
+                        (shape == 6 && (a + i) % 4 == 0);
+      if (keep) {
+        const auto h = static_cast<std::uint64_t>(i * 131 + a * 17);
+        row.push_back({a, static_cast<float>((h * 2654435761u) % 97)});
+      }
+    }
+    ds.add_instance(row, static_cast<float>(i % 3));
+  }
+  return ds;
+}
+
+/// Slots 0..3 split on attributes 0, d - 1, d / 2 and 1 at bin `split`, the
+/// children are next slots 2s and 2s + 1 (tree nodes 20 + next slot); each
+/// row in slot r % 4, except every fifth row, which is in no slot.
+struct SplitCase {
+  std::vector<int> slot_of_row;
+  std::vector<TreeNode> slots;
+  std::vector<std::int64_t> split_bin;
+};
+
+SplitCase split_case(std::int64_t n, std::int32_t d, std::int64_t split) {
+  SplitCase c;
+  c.slot_of_row.resize(static_cast<std::size_t>(n));
+  for (std::size_t r = 0; r < c.slot_of_row.size(); ++r) {
+    c.slot_of_row[r] = r % 5 == 4 ? -1 : static_cast<int>(r % 4);
+  }
+  const std::int32_t attr_of[4] = {0, d - 1, d / 2, 1};
+  c.slots.resize(4);
+  c.split_bin.assign(4, split);
+  for (std::int32_t s = 0; s < 4; ++s) {
+    auto& tn = c.slots[static_cast<std::size_t>(s)];
+    tn.attr = attr_of[s];
+    tn.left = 20 + 2 * s;
+    tn.right = 21 + 2 * s;
+    tn.default_left = s % 2 == 1;
+  }
+  return c;
+}
+
+TEST(HistDevice, RowsWithMissingAttributesSplitAndBuildAsTheHostDoes) {
+  const std::int32_t d = 28;
+  const auto ds = shaped_rows(700, d);
+  const auto qg_h = fake_quantized(ds.n_instances(), 2);
+  const auto qh_h = fake_quantized(ds.n_instances(), 13);
+  for (const int bins : {8, 256}) {
+    for (const std::size_t shared :
+         {std::size_t{48} << 10, std::size_t{1024}}) {
+      SCOPED_TRACE("bins " + std::to_string(bins) + ", shared " +
+                   std::to_string(shared));
+      DeviceConfig cfg = DeviceConfig::titan_x_pascal();
+      cfg.shared_mem_per_block_bytes = shared;
+      Device dev(cfg, 4);
+      device::WorkspaceArena arena(dev.allocator());
+      const auto binned = build_binned_matrix(dev, ds, bins);
+      const std::int64_t cps = binned.n_attr * binned.n_bins;
+      const SplitCase sc = split_case(ds.n_instances(), d, bins / 2 - 1);
+      const RowIndex idx = make_index(dev, sc.slot_of_row, 4);
+
+      // The tiled build (several tiles except at 8 bins in 48 KB).
+      auto qg = dev.to_device<std::int64_t>(qg_h);
+      auto qh = dev.to_device<std::int64_t>(qh_h);
+      auto out = arena.alloc<QGH>(static_cast<std::size_t>(4 * cps));
+      build_slots(dev, arena, binned, qg, qh, idx, {0, 1, 2, 3}, 100,
+                  out.span());
+      const auto ref =
+          reference_histograms(ds, binned, qg_h, qh_h, sc.slot_of_row, 4);
+      for (std::size_t c = 0; c < ref.size(); ++c) {
+        ASSERT_TRUE(out[c] == ref[c]) << "cell " << c;
+      }
+      EXPECT_EQ(hist::tile_cells(cfg, bins, cps) < cps,
+                bins == 256 || shared == 1024);
+
+      // The row split: each row's child from the host's bin of its value.
+      auto d_slots = dev.to_device<TreeNode>(sc.slots);
+      auto d_split_bin = dev.to_device<std::int64_t>(sc.split_bin);
+      auto node_of = dev.to_device<std::int32_t>(
+          std::vector<std::int32_t>(sc.slot_of_row.size(), -1));
+      auto next_rows =
+          dev.alloc<std::int32_t>(static_cast<std::size_t>(ds.n_instances()));
+      auto next_slot_rows = dev.alloc<std::int64_t>(9);
+      hist::split_rows(dev, arena, binned.row_offsets.span(),
+                       binned.entry_sym.span(), binned.n_attr, binned.n_bins,
+                       d_slots.span(), d_split_bin.span(), /*next_base=*/20,
+                       idx.rows.span(), idx.slot_rows.span(),
+                       ds.n_instances(), node_of.span(), next_rows.span(),
+                       next_slot_rows.span());
+      std::int64_t present = 0;
+      std::int64_t missing = 0;
+      for (std::size_t r = 0; r < sc.slot_of_row.size(); ++r) {
+        const int s = sc.slot_of_row[r];
+        if (s < 0) {
+          EXPECT_EQ(node_of[r], -1) << "row " << r;
+          continue;
+        }
+        const TreeNode& tn = sc.slots[static_cast<std::size_t>(s)];
+        int bin = -1;
+        for (const data::Entry& e :
+             ds.instance(static_cast<std::int64_t>(r))) {
+          if (e.attr == tn.attr) {
+            bin = binned.cuts[static_cast<std::size_t>(e.attr)].bin_of(e.value);
+          }
+        }
+        (bin >= 0 ? present : missing) += 1;
+        const bool left = bin >= 0 ? bin <= sc.split_bin[0] : tn.default_left;
+        EXPECT_EQ(node_of[r], left ? tn.left : tn.right) << "row " << r;
+      }
+      EXPECT_GT(present, 0);
+      EXPECT_GT(missing, 0);  // the default direction was exercised
+    }
+  }
+}
+
+TEST(HistDevice, FullRowLookupIsChargedOneTransaction) {
+  // Every row holds all six attributes, so each moved row's lookup reads
+  // exactly one entry.  The splits are on attributes 0, 5, 3 and 1, which a
+  // binary search of the whole row finds in 2 or 3 probes.
+  const std::int32_t d = 6;
+  data::Dataset ds(d);
+  for (std::int64_t i = 0; i < 900; ++i) {
+    std::vector<data::Entry> row;
+    for (std::int32_t a = 0; a < d; ++a) {
+      row.push_back({a, static_cast<float>((i * 7 + a * 3) % 11)});
+    }
+    ds.add_instance(row, 0.f);
+  }
+  Device dev(DeviceConfig::titan_x_pascal(), 4);
+  device::WorkspaceArena arena(dev.allocator());
+  const auto binned = build_binned_matrix(dev, ds, 4);
+  const SplitCase sc = split_case(ds.n_instances(), d, 1);
+  const RowIndex idx = make_index(dev, sc.slot_of_row, 4);
+  auto d_slots = dev.to_device<TreeNode>(sc.slots);
+  auto d_split_bin = dev.to_device<std::int64_t>(sc.split_bin);
+  auto node_of = dev.to_device<std::int32_t>(
+      std::vector<std::int32_t>(sc.slot_of_row.size(), -1));
+  auto next_rows =
+      dev.alloc<std::int32_t>(static_cast<std::size_t>(ds.n_instances()));
+  auto next_slot_rows = dev.alloc<std::int64_t>(9);
+  const auto rows = dev.to_host(idx.rows);
+  const auto n_rows = static_cast<std::int64_t>(sc.slot_of_row.size()) -
+                      static_cast<std::int64_t>(sc.slot_of_row.size()) / 5;
+  hist::split_rows(dev, arena, binned.row_offsets.span(),
+                   binned.entry_sym.span(), binned.n_attr, binned.n_bins,
+                   d_slots.span(), d_split_bin.span(), /*next_base=*/20,
+                   idx.rows.span(), idx.slot_rows.span(), n_rows,
+                   node_of.span(), next_rows.span(), next_slot_rows.span());
+
+  // Every indexed row moves; a row that does not continue its block
+  // predecessor's id also gathers its CSR offsets and scatters its node id
+  // as one transaction each.
+  std::uint64_t run_starts = 0;
+  for (std::int64_t k = 0; k < n_rows; ++k) {
+    const auto ku = static_cast<std::size_t>(k);
+    run_starts += k % prim::kBlockDim == 0 || rows[ku] != rows[ku - 1] + 1;
+  }
+  const auto& stats = dev.timeline().kernels.at("hist_update_positions").stats;
+  EXPECT_EQ(stats.irregular_accesses,
+            static_cast<std::uint64_t>(n_rows) + 2 * run_starts);
 }
 
 TEST(HistDevice, RowIndexCheckCatchesMisplacedRows) {

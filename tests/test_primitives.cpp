@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <ostream>
 #include <random>
 #include <vector>
 
@@ -387,15 +388,19 @@ TEST(Sort, FullWidthKeys) {
 
 // ---- histogram partition ---------------------------------------------------
 
-// No padding: gtest names each case by the bytes of its parameter, so every
-// byte must be a field's.
 struct PartitionCase {
   std::int64_t n;
   std::int64_t n_parts;
   std::int32_t customized;  // 0/1
   std::uint32_t seed;
 };
-static_assert(sizeof(PartitionCase) == 24);
+
+// Names each case (its test id suffix and `GetParam() =` note), e.g.
+// `n1000_parts2_customized`, where gtest would print the struct's bytes.
+void PrintTo(const PartitionCase& c, std::ostream* os) {
+  *os << "n" << c.n << "_parts" << c.n_parts
+      << (c.customized != 0 ? "_customized" : "_naive");
+}
 
 class Partition : public ::testing::TestWithParam<PartitionCase> {};
 

@@ -3,6 +3,8 @@
 // running example from Figure 4.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
 #include <random>
 #include <vector>
 
@@ -117,15 +119,18 @@ TEST(Rle, EmptyInput) {
   EXPECT_DOUBLE_EQ(measured_ratio(rle), 1.0);
 }
 
-// No padding: gtest names each case by the bytes of its parameter, so every
-// byte must be a field's.
 struct RleCase {
   std::int64_t n;
   std::int32_t distinct;  // values drawn from this many; smaller = longer runs
   std::int32_t seg_len;   // average segment length
   std::uint64_t seed;
 };
-static_assert(sizeof(RleCase) == 24);
+
+// Names each case (its test id suffix and `GetParam() =` note), e.g.
+// `n1000_distinct3_seg50`, where gtest would print the struct's bytes.
+void PrintTo(const RleCase& c, std::ostream* os) {
+  *os << "n" << c.n << "_distinct" << c.distinct << "_seg" << c.seg_len;
+}
 
 class RleRoundTrip : public ::testing::TestWithParam<RleCase> {};
 
