@@ -73,32 +73,6 @@ TreeNode child_node(const ActiveNode& child, bool leaf, const GBDTParam& p) {
   return tn;
 }
 
-std::vector<ActiveNode> decide_level(Tree& tree,
-                                     const std::vector<ActiveNode>& active,
-                                     const std::vector<BestSplit>& best,
-                                     const GBDTParam& p,
-                                     bool children_are_leaves) {
-  std::vector<ActiveNode> next;
-  for (std::size_t s = 0; s < active.size(); ++s) {
-    const ActiveNode& node = active[s];
-    const BestSplit& b = best[s];
-    const TreeNode tn = decide_slot(node, b, p, tree.n_nodes());
-    if (!tn.is_leaf()) {
-      (void)tree.split(node.tree_node, tn.attr, tn.split_value,
-                       tn.default_left, tn.gain);
-    }
-    tree.node(node.tree_node) = tn;
-    if (tn.is_leaf()) continue;
-    tree.node(tn.left) = child_node(b.left, children_are_leaves, p);
-    tree.node(tn.right) = child_node(b.right, children_are_leaves, p);
-    next.push_back(b.left);
-    next.back().tree_node = tn.left;
-    next.push_back(b.right);
-    next.back().tree_node = tn.right;
-  }
-  return next;
-}
-
 std::vector<double> grow_forest(const LevelBackend& backend,
                                 const GBDTParam& p, std::vector<Tree>& trees,
                                 const TreeCallback& on_tree) {
@@ -108,10 +82,8 @@ std::vector<double> grow_forest(const LevelBackend& backend,
       obs::Registry::global().counter("gbdt_levels_grown_total");
   trees.reserve(static_cast<std::size_t>(p.n_trees));
   for (int t = 0; t < p.n_trees; ++t) {
-    // reserve() keeps `prev` valid across the emplace.
-    const Tree* prev = t > 0 ? &trees.back() : nullptr;
-    Tree& tree = trees.emplace_back();
-    backend.begin_tree(t, prev, tree);
+    // reserve() keeps earlier trees in place as the forest grows.
+    backend.begin_tree(t, t > 0 ? &trees.back() : nullptr);
     // The decision of the level at the depth limit makes its children
     // leaves, so the tree is complete once a level splits nothing or the
     // depth limit is reached.
@@ -120,7 +92,7 @@ std::vector<double> grow_forest(const LevelBackend& backend,
       levels_grown.inc();
       n_slots = backend.split_level(level + 1 == p.depth);
     }
-    if (backend.read_tree) backend.read_tree(tree);
+    const Tree& tree = trees.emplace_back(backend.read_tree());
     if (backend.end_tree) backend.end_tree(tree);
     trees_trained.inc();
     if (on_tree && !on_tree(t, trees)) break;

@@ -6,12 +6,11 @@
 // decision of the level at the depth limit makes the children leaves.
 // grow_forest() owns that loop and the tree/level counters.  This file owns
 // the split decision and the leaf rule, written once per slot (decide_slot,
-// child_node, leaf_node): the exact and histogram trainers' one-block
-// decide kernels run them on the device, and the host decide_level() runs
-// them for out-of-core training (which keeps no device tree) and as the
-// tests' reference.  A path plugs in as a LevelBackend: its own kernels,
-// spans and invariant checks live inside the steps, so the loop itself
-// adds no device work.
+// child_node, leaf_node): every path's one-block decide kernel runs them
+// over its device tree through decide_slots, and each finished tree is read
+// back once.  A path plugs in as a LevelBackend: its own kernels, spans and
+// invariant checks live inside the steps, so the loop itself adds no device
+// work.
 //
 // The paths and their steps are listed in DESIGN.md §5k.
 #pragma once
@@ -107,30 +106,20 @@ std::int64_t decide_slots(device::BlockCtx& b, TrainState& st,
   return n_next;
 }
 
-/// Host split decision of one level (decide_slot per slot): the splits
-/// become `tree`'s records, and the children, written as
-/// child_node(child, children_are_leaves) like the decide kernels write
-/// them, are appended to the tree and returned in slot order (left, right).
-[[nodiscard]] std::vector<ActiveNode> decide_level(
-    Tree& tree, const std::vector<ActiveNode>& active,
-    const std::vector<BestSplit>& best, const GBDTParam& p,
-    bool children_are_leaves);
-
-/// One trainer path's steps.  begin_tree, split_level and finish are
-/// required; read_tree and end_tree may stay empty.
+/// One trainer path's steps.  begin_tree, split_level, read_tree and finish
+/// are required; end_tree may stay empty.
 struct LevelBackend {
   /// Per-tree setup: folds `prev` (null for the first tree) into the
   /// predictions, computes round `t`'s gradients, and makes the root the
-  /// level's only slot.  `tree` is the fresh tree this round grows.
-  std::function<void(int t, const Tree* prev, Tree& tree)> begin_tree;
+  /// level's only slot.
+  std::function<void(int t, const Tree* prev)> begin_tree;
   /// Finds, decides and applies the current level, and returns the next
   /// level's slot count (0 ends the tree).  With `children_are_leaves` the
   /// decision makes the children leaves and the apply step updates only the
   /// instance->node map.
   std::function<std::int64_t(bool children_are_leaves)> split_level;
-  /// Copies the finished tree into `tree`: the paths that decide on the
-  /// device read it back once.  Empty when the path decides into `tree`.
-  std::function<void(Tree& tree)> read_tree;
+  /// Reads the finished device tree back (once per tree).
+  std::function<Tree()> read_tree;
   /// After the tree's last leaf is written: per-path checks and releases.
   std::function<void(const Tree& tree)> end_tree;
   /// Folds the last tree into the predictions and returns the final raw

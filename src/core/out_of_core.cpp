@@ -11,13 +11,11 @@
 #include "data/csc_matrix.h"
 #include "obs/trace.h"
 #include "objective/objective.h"
-#include "primitives/reduce.h"
 #include "primitives/transform.h"
 #include "testing/invariants.h"
 
 namespace gbdt {
 
-using detail::ActiveNode;
 using detail::BestSplit;
 using detail::GHPair;
 using device::BlockCtx;
@@ -60,28 +58,21 @@ struct Chunk {
   [[nodiscard]] bool compressed() const { return !runs.empty(); }
 };
 
-/// Per-(column, slot) best-candidate record produced by the streaming walk.
+/// A slot's best candidate: in one column (the enumerate kernel's output),
+/// or over the level's columns so far (the fold's running best, which also
+/// records the column's attribute).  A record is valid exactly when its
+/// gain is > 0: a candidate only replaces a record it beats, starting from
+/// gain 0.  40 bytes, so the level's table stays small.
 struct ColumnBest {
   double gain = 0.0;
-  float split_value = 0.f;
-  std::uint8_t default_left = 0;
   double left_g = 0.0;
   double left_h = 0.0;
-  std::int64_t left_cnt = 0;
-  std::uint8_t valid = 0;
-};
-
-/// One tree node's row of a split step's route table.  A node that splits
-/// this level sends its instances to `default_child` first; a child created
-/// this level carries its parent's split, so the exact-side kernel of the
-/// parent's attribute can route the parent's present instances.
-struct Route {
-  std::int32_t default_child = -1;
-  std::int32_t attr = -1;
   float split_value = 0.f;
-  std::int32_t left = -1;
-  std::int32_t right = -1;
+  std::int32_t left_cnt = 0;  // instance ids are int32, so counts fit
+  std::int32_t attr = -1;
+  std::uint8_t default_left = 0;
 };
+static_assert(sizeof(ColumnBest) == 40);
 
 }  // namespace
 
@@ -179,6 +170,7 @@ TrainReport OutOfCoreTrainer::train(const data::Dataset& ds) {
   std::vector<std::int64_t> local_offs;
   std::size_t max_entries = 0;
   std::size_t max_runs = 0;
+  std::int64_t max_cols = 0;
   for (Chunk& c : chunks) {
     if (c.n_entries() == 0) continue;
     live.push_back(&c);
@@ -190,6 +182,7 @@ TrainReport OutOfCoreTrainer::train(const data::Dataset& ds) {
     max_entries =
         std::max(max_entries, static_cast<std::size_t>(c.n_entries()));
     max_runs = std::max(max_runs, c.runs.size());
+    max_cols = std::max(max_cols, c.attr_hi - c.attr_lo);
   }
   // Every live chunk's column offsets, resident for the whole training run.
   const auto d_offs = dev_.to_device<std::int64_t>(local_offs);
@@ -255,51 +248,42 @@ TrainReport OutOfCoreTrainer::train(const data::Dataset& ds) {
   detail::alloc_instance_state(st);
 
   // ---- boosting loop (core/level_driver.h) --------------------------------
-  // The tree and its level's active nodes stay on the host: each level's
-  // winners are merged on the host, and the host decide_level decides it.
-  Tree* tree = nullptr;
-  std::vector<ActiveNode> active;
-  // The level's node tables: uploaded by the find step, read by both steps.
-  device::ArenaBuffer<std::int32_t> d_slot_of;
-  device::ArenaBuffer<GainStats> d_stats;
+  // The tree is decided on the device like the in-core paths': slot s of
+  // the level is tree node level_base + s, and only data crosses PCI-e —
+  // chunks and split columns up, each level's records and each finished
+  // tree down.
+  detail::alloc_device_tree(st, n_inst);
+  // The level's winner table: each slot's running best over the columns
+  // streamed so far (records [0, n_slots)), then the current chunk's
+  // per-(column, slot) winners.  It doubles only for a level wider than
+  // any before it, like the histogram grid.
+  DeviceBuffer<ColumnBest> d_best;
+  std::int64_t best_slots = 0;
   detail::LevelBackend backend;
-  backend.begin_tree = [&](int t, const Tree* prev, Tree& fresh) {
-    tree = &fresh;
+  backend.begin_tree = [&](int t, const Tree* prev) {
     obs::ScopedSpan span("gradient_compute");
-    if (prev != nullptr) detail::update_predictions_smart(st, *prev);
+    if (prev != nullptr) detail::update_predictions_smart(st);
     round_driver.begin_round(st, d_labels, t);
     prim::fill(dev_, st.node_of, std::int32_t{0});
-    const GHPair root = prim::reduce_sum(dev_, st.gh, "ooc_root_sum_gh");
-    active.assign(1, ActiveNode{0, root.g, root.h, n_inst});
+    detail::begin_device_tree(st, "ooc_root_sum_gh");
   };
 
-  // Best split of every active node, streaming every chunk once.
-  const auto find_splits = [&] {
-    const auto n_slots = static_cast<std::int64_t>(active.size());
-    std::vector<std::int32_t> slot_of(
-        static_cast<std::size_t>(tree->n_nodes()), -1);
-    for (std::size_t s = 0; s < active.size(); ++s) {
-      slot_of[static_cast<std::size_t>(active[s].tree_node)] =
-          static_cast<std::int32_t>(s);
-    }
-    // The previous level's tables go back to the arena first.
-    d_stats.free();
-    d_slot_of.free();
-    // Each slot's statistics packed into one record, so the upload is one
-    // latency-bound PCI-e transfer instead of three.
-    std::vector<GainStats> stats;
-    for (const ActiveNode& a : active) {
-      stats.push_back(GainStats{a.sum_g, a.sum_h, a.count});
-    }
-    d_slot_of = detail::upload_pooled(dev_, st.arena, slot_of);
-    d_stats = detail::upload_pooled(dev_, st.arena, stats);
-    std::vector<BestSplit> best(active.size());
-
-    // ---- stream every chunk through the device once per level --------
+  // Streams every chunk once: enumerates each column's best split per slot
+  // and folds the chunk's winners into the running best, then decides the
+  // level and returns its records, read back in one transfer.
+  const auto find_and_decide = [&](bool children_are_leaves) {
     obs::ScopedSpan find_span("find_split");
+    const std::int64_t n_slots = st.n_slots;
+    const std::int64_t base = st.level_base;
+    if (n_slots > best_slots) {
+      best_slots = std::max(n_slots, 2 * best_slots);
+      d_best.free();
+      d_best = dev_.alloc<ColumnBest>(
+          static_cast<std::size_t>((max_cols + 1) * best_slots));
+    }
     // Columns outside this tree's feature bag yield no splits, so a chunk
     // with none inside it is neither uploaded nor enumerated (host glue
-    // over the mask the merge below reads too).
+    // over the mask the fold reads too).
     auto in_bag = [&](std::int64_t attr) {
       return st.feature_mask.empty() ||
              st.feature_mask[static_cast<std::size_t>(attr)] != 0;
@@ -336,6 +320,8 @@ TrainReport OutOfCoreTrainer::train(const data::Dataset& ds) {
       }
     };
 
+    const auto table = d_best.span();
+    const auto nodes = std::span<const TreeNode>(st.nodes.span());
     stream_through_slots(visit.size(), upload_chunk, [&](std::size_t k,
                                                          ChunkSlot& sl) {
       const Chunk& c = *visit[k];
@@ -372,28 +358,24 @@ TrainReport OutOfCoreTrainer::train(const data::Dataset& ds) {
             });
       }
 
-      // Per-(column, slot) winners, checked out per chunk (every entry is
-      // written by ooc_enumerate, so the unzeroed checkout is safe).
-      auto d_best = st.arena.alloc<ColumnBest>(
-          static_cast<std::size_t>(n_cols) * static_cast<std::size_t>(n_slots));
-
       const auto offs =
           d_offs.span().subspan(static_cast<std::size_t>(c.offs_base),
                                 static_cast<std::size_t>(n_cols) + 1);
       const auto node_of = st.node_of.span();
-      const auto so = d_slot_of.span();
-      const auto stats = d_stats.span();
-      const auto out_best = d_best.span();
+      const auto out_best = table.subspan(
+          static_cast<std::size_t>(n_slots),
+          static_cast<std::size_t>(n_cols * n_slots));
       const auto gh = st.gh.span();
 
       // One logical block per column: two fused passes (present totals,
       // then candidate enumeration with both missing directions) against
       // per-slot running accumulators — the streaming analogue of node
-      // interleaving.  Spans are captured by value: under schedule
-      // perturbation the body runs at a later drain point.
+      // interleaving.  A slot's statistics are its tree node's record.
+      // Spans are captured by value: under schedule perturbation the body
+      // runs at a later drain point.
       dev_.launch_async(
           "stream_ooc_enumerate", stream_compute, n_cols, kBlockDim,
-          [list, offs, node_of, so, stats, out_best, gh, n_slots,
+          [list, offs, node_of, nodes, out_best, gh, n_slots, base,
            lambda = param_.lambda](BlockCtx& b) {
         const std::int64_t col = b.block_idx();
         const std::int64_t lo = offs[static_cast<std::size_t>(col)];
@@ -405,8 +387,7 @@ TrainReport OutOfCoreTrainer::train(const data::Dataset& ds) {
         for (std::int64_t e = lo; e < hi; ++e) {
           const auto iu = static_cast<std::size_t>(
               list[static_cast<std::size_t>(e)].inst);
-          const std::int32_t slot =
-              so[static_cast<std::size_t>(node_of[iu])];
+          const std::int64_t slot = node_of[iu] - base;
           if (slot < 0) continue;
           present[static_cast<std::size_t>(slot)] += gh[iu];
           ++present_cnt[static_cast<std::size_t>(slot)];
@@ -418,21 +399,22 @@ TrainReport OutOfCoreTrainer::train(const data::Dataset& ds) {
         std::vector<float> last(static_cast<std::size_t>(n_slots), 0.f);
         std::vector<ColumnBest> cb(static_cast<std::size_t>(n_slots));
 
-        auto evaluate = [&](std::int32_t slot) {
+        auto evaluate = [&](std::int64_t slot) {
           const auto su = static_cast<std::size_t>(slot);
+          const TreeNode& tn = nodes[static_cast<std::size_t>(base + slot)];
+          const GainStats node{tn.sum_g, tn.sum_h, tn.n_instances};
           const GainStats left{acc[su].g, acc[su].h, acc_cnt[su]};
           const GainStats pres{present[su].g, present[su].h, present_cnt[su]};
-          const GainStats& node = stats[su];
           const CandidateGain c = missing_aware_gain(left, pres, node, lambda);
           if (c.gain > cb[su].gain) {
             const bool dl = c.default_left;
-            cb[su].valid = 1;
             cb[su].gain = c.gain;
             cb[su].split_value = last[su];
             cb[su].default_left = dl ? 1 : 0;
             cb[su].left_g = left.g + (dl ? node.g - pres.g : 0.0);
             cb[su].left_h = left.h + (dl ? node.h - pres.h : 0.0);
-            cb[su].left_cnt = left.cnt + (dl ? node.cnt - pres.cnt : 0);
+            cb[su].left_cnt = static_cast<std::int32_t>(
+                left.cnt + (dl ? node.cnt - pres.cnt : 0));
           }
         };
 
@@ -440,8 +422,7 @@ TrainReport OutOfCoreTrainer::train(const data::Dataset& ds) {
         for (std::int64_t e = lo; e < hi; ++e) {
           const Entry en = list[static_cast<std::size_t>(e)];
           const auto iu = static_cast<std::size_t>(en.inst);
-          const std::int32_t slot =
-              so[static_cast<std::size_t>(node_of[iu])];
+          const std::int64_t slot = node_of[iu] - base;
           if (slot < 0) continue;
           const auto su = static_cast<std::size_t>(slot);
           if (acc_cnt[su] > 0 && en.value != last[su]) evaluate(slot);
@@ -451,13 +432,14 @@ TrainReport OutOfCoreTrainer::train(const data::Dataset& ds) {
           ++touched;
         }
         // Final boundary of every slot (all present left, missing right).
-        for (std::int32_t s = 0; s < n_slots; ++s) {
+        for (std::int64_t s = 0; s < n_slots; ++s) {
           if (acc_cnt[static_cast<std::size_t>(s)] > 0) evaluate(s);
           out_best[static_cast<std::size_t>(col * n_slots + s)] =
               cb[static_cast<std::size_t>(s)];
         }
         b.reads(offs, col, 2);
         b.reads(list, lo, hi - lo);
+        b.reads(nodes, base, n_slots);
         b.writes(out_best, col * n_slots, n_slots);
         // Two fused passes: stream the chunk twice, gather (g,h) twice.
         b.work(4 * touched);
@@ -466,84 +448,86 @@ TrainReport OutOfCoreTrainer::train(const data::Dataset& ds) {
         b.flop(touched * 8);
       });
 
-      // Host merge needs the winners; the copy stream keeps prefetching
-      // chunk k+1 underneath this sync.
-      dev_.sync(stream_compute);
-
-      // Merge the chunk's winners into the per-node best (columns in
-      // ascending attribute order; strict > keeps the lowest attribute on
-      // ties, like the in-core argmax).
-      for (std::int64_t col = 0; col < n_cols; ++col) {
-        // The mask byte read mirrors the scalar winner reads below.
-        if (!in_bag(c.attr_lo + col)) continue;
-        for (std::int64_t s = 0; s < n_slots; ++s) {
-          const ColumnBest& cb =
-              d_best[static_cast<std::size_t>(col * n_slots + s)];
-          if (cb.valid == 0) continue;
-          const auto su = static_cast<std::size_t>(s);
-          BestSplit& b = best[su];
-          if (cb.gain > b.gain) {
-            const ActiveNode& node = active[su];
-            b.valid = true;
-            b.gain = cb.gain;
-            b.attr = static_cast<std::int32_t>(c.attr_lo + col);
-            b.split_value = cb.split_value;
-            b.default_left = cb.default_left != 0;
-            b.left = ActiveNode{-1, cb.left_g, cb.left_h, cb.left_cnt};
-            b.right = ActiveNode{-1, node.sum_g - cb.left_g,
-                                 node.sum_h - cb.left_h,
-                                 node.count - cb.left_cnt};
-          }
-        }
-      }
+      // Fold the chunk's winners into each slot's running best: in-bag
+      // columns in ascending attribute order, and a strict > keeps the
+      // lowest attribute on ties, like the in-core argmax.  The level's
+      // first chunk starts from no candidate.  On the compute stream, so
+      // the next chunk's enumeration overwrites the winners only after it.
+      dev_.launch_async(
+          "stream_ooc_fold", stream_compute, 1, kBlockDim,
+          [table, mask = st.feature_mask, n_slots, n_cols,
+           attr_lo = c.attr_lo, first = k == 0](BlockCtx& b) {
+            const auto best = table.first(static_cast<std::size_t>(n_slots));
+            if (first) std::fill(best.begin(), best.end(), ColumnBest{});
+            std::int64_t folded = 0;
+            for (std::int64_t col = 0; col < n_cols; ++col) {
+              const std::int64_t attr = attr_lo + col;
+              if (!mask.empty() && mask[static_cast<std::size_t>(attr)] == 0) {
+                continue;
+              }
+              ++folded;
+              for (std::int64_t s = 0; s < n_slots; ++s) {
+                const ColumnBest& cb =
+                    table[static_cast<std::size_t>((col + 1) * n_slots + s)];
+                ColumnBest& run = best[static_cast<std::size_t>(s)];
+                if (cb.gain > run.gain) {
+                  run = cb;
+                  run.attr = static_cast<std::int32_t>(attr);
+                }
+              }
+            }
+            b.reads(mask, attr_lo, mask.empty() ? 0 : n_cols);
+            b.reads(table, n_slots, n_cols * n_slots);
+            if (!first) b.reads(table, 0, n_slots);
+            b.writes(table, 0, n_slots);
+            b.work(static_cast<std::uint64_t>(n_cols * n_slots));
+            b.mem_coalesced(
+                static_cast<std::uint64_t>((folded + 2) * n_slots) *
+                    sizeof(ColumnBest) +
+                (mask.empty() ? 0 : static_cast<std::uint64_t>(n_cols)));
+          });
     });
-    return best;
+
+    // Decide the level from the running best (nothing streamed: no slot has
+    // a candidate).
+    const auto best = std::span<const ColumnBest>(table).first(
+        static_cast<std::size_t>(n_slots));
+    const bool streamed = !visit.empty();
+    dev_.launch("ooc_decide", 1, kBlockDim, [&](BlockCtx& b) {
+      (void)detail::decide_slots(
+          b, st, children_are_leaves,
+          [&](std::int64_t s, const auto& node) {
+            BestSplit w;
+            if (!streamed) return w;
+            const ColumnBest& r = best[static_cast<std::size_t>(s)];
+            w.valid = r.gain > 0.0;
+            w.gain = r.gain;
+            w.attr = r.attr;
+            w.split_value = r.split_value;
+            w.default_left = r.default_left != 0;
+            w.left = {-1, r.left_g, r.left_h, r.left_cnt};
+            w.right = {-1, node.sum_g - r.left_g, node.sum_h - r.left_h,
+                       node.count - r.left_cnt};
+            return w;
+          },
+          [](std::int64_t, const auto&, const BestSplit&, std::int64_t) {});
+      if (streamed) b.reads(best, 0, n_slots);
+      b.mem_coalesced(static_cast<std::uint64_t>(n_slots) *
+                      sizeof(ColumnBest));
+    });
+    return dev_.to_host(st.nodes, static_cast<std::size_t>(n_slots),
+                        static_cast<std::size_t>(base));
   };
 
   // Moves the instances of the level's splitting nodes to their children:
-  // defaults for every instance of a splitting node, then the exact side
-  // from each distinct winning column, re-streamed from the host once no
-  // matter how many nodes split on it.  One route table upload serves every
-  // kernel of the step.
-  const auto apply_splits = [&](const std::vector<ActiveNode>& next) {
+  // the exact side from each distinct winning column, re-streamed from the
+  // host once no matter how many nodes split on it, then the default child
+  // for every instance still in a splitting node.
+  const auto apply_splits = [&](const std::vector<std::int32_t>& attrs) {
     obs::ScopedSpan split_span("split_node");
-    std::vector<Route> route(static_cast<std::size_t>(tree->n_nodes()));
-    std::vector<std::int32_t> attrs;
-    for (const ActiveNode& a : active) {
-      const TreeNode& d = tree->node(a.tree_node);
-      if (d.is_leaf()) continue;
-      route[static_cast<std::size_t>(a.tree_node)].default_child =
-          d.default_left ? d.left : d.right;
-      const Route child{-1, d.attr, d.split_value, d.left, d.right};
-      route[static_cast<std::size_t>(d.left)] = child;
-      route[static_cast<std::size_t>(d.right)] = child;
-      attrs.push_back(d.attr);
-    }
-    std::sort(attrs.begin(), attrs.end());
-    attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
-    const auto d_route = detail::upload_pooled(dev_, st.arena, route);
-    const auto routes = d_route.span();
+    const auto nodes = std::span<const TreeNode>(st.nodes.span()).first(
+        static_cast<std::size_t>(st.level_base + st.n_slots));
     const auto node_of = st.node_of.span();
-
-    // On the compute stream, so the first column upload overlaps it.
-    dev_.launch_async(
-        "stream_ooc_assign_default", stream_compute,
-        device::grid_for(n_inst, kBlockDim), kBlockDim,
-        [node_of, routes, n_inst](BlockCtx& b) {
-          b.for_each_thread([&](std::int64_t i) {
-            if (i >= n_inst) return;
-            const auto u = static_cast<std::size_t>(i);
-            const std::int32_t child =
-                routes[static_cast<std::size_t>(node_of[u])].default_child;
-            if (child >= 0) node_of[u] = child;
-          });
-          b.reads_tile(node_of, n_inst);
-          b.writes_tile(node_of, n_inst);
-          b.reads(routes, 0, static_cast<std::int64_t>(routes.size()));
-          b.mem_coalesced(elems_in_block(b, n_inst) * 8);
-        });
-
-    // One upload and one exact-side kernel per distinct winning column.
     auto column_range = [&](std::int64_t attr) {
       const auto a = static_cast<std::size_t>(attr);
       return std::pair{csc.col_offsets[a], csc.col_offsets[a + 1]};
@@ -567,56 +551,61 @@ TrainReport OutOfCoreTrainer::train(const data::Dataset& ds) {
       dev_.launch_async(
           "stream_ooc_exact_side", stream_compute,
           device::grid_for(len, kBlockDim), kBlockDim,
-          [column, node_of, routes, attr, len](BlockCtx& b) {
+          [column, node_of, nodes, attr, len](BlockCtx& b) {
             b.for_each_thread([&](std::int64_t e) {
               if (e >= len) return;
               const Entry en = column[static_cast<std::size_t>(e)];
               auto& node = node_of[static_cast<std::size_t>(en.inst)];
               b.reads(node_of, en.inst);
-              const Route& r = routes[static_cast<std::size_t>(node)];
-              // Only children of a node that split on this attribute move;
-              // the default assignment already put them in one of the two.
-              if (r.attr != attr) return;
-              node = en.value >= r.split_value ? r.left : r.right;
+              const TreeNode& tn = nodes[static_cast<std::size_t>(node)];
+              // Only instances of a node that split on this attribute
+              // move (a leaf's or a fresh child's attr is -1).
+              if (tn.attr != attr) return;
+              node = en.value >= tn.split_value ? tn.left : tn.right;
               // An instance appears once per column, so the scattered
               // node_of updates are block-disjoint; the auditor verifies
               // it.
               b.writes(node_of, en.inst);
             });
             b.reads_tile(column, len);
-            b.reads(routes, 0, static_cast<std::int64_t>(routes.size()));
+            b.reads(nodes, 0, static_cast<std::int64_t>(nodes.size()));
             const auto m = elems_in_block(b, len);
             b.mem_coalesced(m * sizeof(Entry));
             b.mem_irregular(m);
           });
     });
-    dev_.sync(stream_compute);
-
-    if (testing::invariants_enabled()) {
-      std::vector<std::pair<std::int32_t, std::int64_t>> counts;
-      for (const ActiveNode& c : next) {
-        counts.emplace_back(c.tree_node, c.count);
-      }
-      testing::check_instance_counts(st.node_of.span(), counts, "ooc_level");
-    }
+    detail::assign_default_children(st);
   };
 
   backend.split_level = [&](bool children_are_leaves) -> std::int64_t {
-    std::vector<ActiveNode> next = detail::decide_level(
-        *tree, active, find_splits(), param_, children_are_leaves);
-    if (!next.empty()) apply_splits(next);
-    active = std::move(next);
-    return static_cast<std::int64_t>(active.size());
+    // The decided records give the next level's size and the distinct
+    // attributes the split step ships.
+    std::int64_t n_next = 0;
+    std::vector<std::int32_t> attrs;
+    for (const TreeNode& tn : find_and_decide(children_are_leaves)) {
+      if (tn.is_leaf()) continue;
+      n_next += 2;
+      attrs.push_back(tn.attr);
+    }
+    if (n_next == 0) return n_next;
+    std::sort(attrs.begin(), attrs.end());
+    attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
+    apply_splits(attrs);
+    testing::check_level_conservation(st, "ooc_level");
+    detail::advance_level(st, n_next);
+    return n_next;
   };
-
+  backend.read_tree = [&] {
+    // Charged with the decide kernels that wrote the tree.
+    obs::ScopedSpan span("find_split");
+    return detail::read_device_tree(st);
+  };
   backend.end_tree = [&](const Tree& done) {
-    d_stats.free();
-    d_slot_of.free();
     testing::check_leaf_map(st.node_of.span(), done, ds, "ooc_leaf_map");
   };
-  backend.finish = [&](const Tree& last) {
+  backend.finish = [&](const Tree& /*last*/) {
     obs::ScopedSpan final_span("gradient_compute");
-    detail::update_predictions_smart(st, last);
+    detail::update_predictions_smart(st);
     const auto final_pred = dev_.to_host(st.y_pred);
     return std::vector<double>(final_pred.begin(), final_pred.end());
   };

@@ -8,7 +8,9 @@
 //
 //  * only the per-instance state (gradients, predictions, instance->node
 //    map) is resident on the device — O(n_instances) — plus every chunk's
-//    column offsets, uploaded once per training run;
+//    column offsets, uploaded once per training run, and the tree being
+//    grown, which is decided level by level on the device like the
+//    in-core trainers' and read back once per tree;
 //  * the root-sorted attribute lists stay on the host as packed
 //    (value, inst) entries and are streamed in column chunks once per
 //    level; enumeration uses position lookups against the resident
@@ -21,12 +23,15 @@
 //    the default stream for a bitwise-identical serial schedule;
 //  * chunks whose columns all fall outside the tree's feature bag are
 //    skipped;
-//  * per-(node, attribute) running statistics live in a small device table
-//    (#nodes x #chunk-attributes), the streaming analogue of node
-//    interleaving;
-//  * the split step uploads one route table per level, then each distinct
-//    winning attribute's column once, through the same two slots, and runs
-//    one exact-side kernel per column for every node that split on it.
+//  * each chunk's per-(column, node) winners are folded on the device into
+//    each node's running best, in one table of (#chunk-attributes + 1) x
+//    #nodes records; the level is decided from it on the device, and its
+//    decided records come back in one transfer, which gives the next
+//    level's size and the winning attributes;
+//  * the split step uploads each distinct winning attribute's column once,
+//    through the same two slots, runs one exact-side kernel per column for
+//    every node that split on it (reading the split from the device tree),
+//    then sends the nodes' other instances to their default children.
 //
 // A chunk holds up to chunk_bytes / 12 entries; a column never splits
 // across chunks, so a column with more entries than that still streams as

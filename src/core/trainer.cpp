@@ -383,17 +383,14 @@ void compute_gradients(TrainState& st, const DeviceBuffer<float>& labels) {
                 });
 }
 
-namespace {
-
 /// SmartGD prediction update: one gather through the instance->leaf map the
 /// tree construction left behind — no tree traversal (paper Section III-B).
-/// `table` is indexed by tree node; `weight` reads a leaf's weight from it.
-template <typename Row, typename Weight>
-void smartgd_update(TrainState& st, std::span<const Row> table,
-                    Weight weight) {
+void update_predictions_smart(TrainState& st) {
   const std::int64_t n = st.n_inst;
   auto p = st.y_pred.span();
   auto node_of = st.node_of.span();
+  const auto table = std::span<const TreeNode>(st.nodes.span()).first(
+      static_cast<std::size_t>(st.level_base + st.n_slots));
   st.dev.launch("smartgd_update", device::grid_for(n, kBlockDim), kBlockDim,
                 [&](device::BlockCtx& b) {
                   b.for_each_thread([&](std::int64_t i) {
@@ -401,7 +398,7 @@ void smartgd_update(TrainState& st, std::span<const Row> table,
                     const auto u = static_cast<std::size_t>(i);
                     p[u] = static_cast<float>(
                         p[u] +
-                        weight(table[static_cast<std::size_t>(node_of[u])]));
+                        table[static_cast<std::size_t>(node_of[u])].weight);
                   });
                   b.reads_tile(p, n);
                   b.reads_tile(node_of, n);
@@ -411,26 +408,6 @@ void smartgd_update(TrainState& st, std::span<const Row> table,
                   b.mem_coalesced(m * 12);
                   b.mem_irregular(m / 8 + 1);  // leaf-weight table, cached
                 });
-}
-
-}  // namespace
-
-void update_predictions_smart(TrainState& st, const Tree& tree) {
-  std::vector<double> weights(static_cast<std::size_t>(tree.n_nodes()), 0.0);
-  for (std::int32_t i = 0; i < tree.n_nodes(); ++i) {
-    weights[static_cast<std::size_t>(i)] = tree.node(i).weight;
-  }
-  auto d_w = upload_pooled(st.dev, st.arena, weights);
-  smartgd_update(st, std::span<const double>(d_w.span()),
-                 [](double w) { return w; });
-}
-
-void update_predictions_smart(TrainState& st) {
-  smartgd_update(st,
-                 std::span<const TreeNode>(st.nodes.span())
-                     .first(static_cast<std::size_t>(st.level_base +
-                                                     st.n_slots)),
-                 [](const TreeNode& tn) { return tn.weight; });
 }
 
 void reset_working_layout(TrainState& st) {
@@ -646,7 +623,7 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
   // the level's find step until the next level or the end of the tree.
   std::vector<device::ArenaBuffer<double>> interleaved;
   detail::LevelBackend backend;
-  backend.begin_tree = [&](int t, const Tree* prev, Tree& /*tree*/) {
+  backend.begin_tree = [&](int t, const Tree* prev) {
     {
       obs::ScopedSpan span("gradient_compute");
       if (prev != nullptr) update_predictions(*prev);
@@ -702,10 +679,10 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
       detail::advance_level(st, n_next);
       return n_next;
     };
-    backend.read_tree = [&](Tree& tree) {
+    backend.read_tree = [&] {
       // Charged with the decide kernels that wrote the tree.
       obs::ScopedSpan span("hist_find_split");
-      tree = detail::read_device_tree(st);
+      return detail::read_device_tree(st);
     };
   } else {
     backend.split_level = [&](bool children_are_leaves) {
@@ -740,11 +717,11 @@ TrainReport GpuGbdtTrainer::train(const data::Dataset& ds,
       detail::advance_level(st, n_next);
       return n_next;
     };
-    backend.read_tree = [&](Tree& tree) {
+    backend.read_tree = [&] {
       // The decision's output: charged with the decide kernels that wrote
       // the tree.
       obs::ScopedSpan span("find_split");
-      tree = detail::read_device_tree(st);
+      return detail::read_device_tree(st);
     };
   }
   backend.end_tree = [&](const Tree& tree) {

@@ -63,7 +63,8 @@ struct GHPair {
   friend bool operator==(const GHPair&, const GHPair&) = default;
 };
 
-/// An active (splittable) node of the level currently being processed.
+/// An active (splittable) node of the level being decided: a slot's
+/// statistics as decide_slots hands them to a winner.
 struct ActiveNode {
   std::int32_t tree_node = 0;
   double sum_g = 0.0;
@@ -280,7 +281,7 @@ struct TrainState {
   device::ArenaBuffer<std::int32_t> keys;
   device::ArenaBuffer<std::int32_t> run_keys;
 
-  // ---- the device-decided tree (in-core paths) ---------------------------
+  // ---- the device-decided tree --------------------------------------------
   /// The tree being grown, decided level by level on the device: sized for
   /// the deepest tree (alloc_device_tree), read back once per tree.  Slot s
   /// of the current level is node level_base + s, so the nodes' statistics
@@ -422,8 +423,8 @@ void apply_splits_sparse(TrainState& st, bool children_are_leaves);
 /// trainer, which runs them replicated on every shard).
 void compute_gradients(TrainState& st,
                        const device::DeviceBuffer<float>& labels);
-void update_predictions_smart(TrainState& st, const Tree& tree);
-/// The same, with the leaf weights of the device tree st.nodes (no upload).
+/// SmartGD: adds each instance's leaf weight in the device tree st.nodes
+/// (the tree st's last level closed) to its prediction.
 void update_predictions_smart(TrainState& st);
 
 /// Starts a tree's lists: the root level views the root-level originals in

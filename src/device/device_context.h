@@ -451,16 +451,16 @@ class Device {
     return to_host(buf, buf.size());
   }
 
-  /// Copies buf[0, n) to the host.
+  /// Copies buf[first, first + n) to the host.
   template <typename T>
   [[nodiscard]] std::vector<T> to_host(const DeviceBuffer<T>& buf,
-                                       std::size_t n) {
-    if (n > buf.size()) {
-      throw std::invalid_argument("to_host: count larger than device buffer");
+                                       std::size_t n, std::size_t first = 0) {
+    if (first > buf.size() || n > buf.size() - first) {
+      throw std::invalid_argument("to_host: range larger than device buffer");
     }
     if (defer_) drain_all();
     std::vector<T> out(n);
-    exec_copy_to_host(kDefaultStream, kD2H, buf, std::span<T>(out));
+    exec_copy_to_host(kDefaultStream, kD2H, buf, std::span<T>(out), first);
     return out;
   }
 
@@ -661,14 +661,16 @@ class Device {
 
   template <typename T>
   void exec_copy_to_host(int stream, std::string_view name,
-                         const DeviceBuffer<T>& buf, std::span<T> out) {
+                         const DeviceBuffer<T>& buf, std::span<T> out,
+                         std::size_t first = 0) {
     if (analysis::race_detect_enabled()) {
       analysis::LaunchFootprint fp;
-      fp.record(buf.data(), sizeof(T), buf.size(), 0,
+      fp.record(buf.data(), sizeof(T), buf.size(),
+                static_cast<std::int64_t>(first),
                 static_cast<std::int64_t>(out.size()), /*is_write=*/false);
       hb_.on_op(stream, name, "copy", fp.take());
     }
-    std::copy_n(buf.data(), out.size(), out.begin());
+    std::copy_n(buf.data() + first, out.size(), out.begin());
     record_transfer(stream, name, out.size_bytes(), /*to_device=*/false);
   }
 

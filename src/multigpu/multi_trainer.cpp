@@ -227,7 +227,7 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
   // Every shard holds the whole tree on its device and decides each level
   // itself from the allreduced winners, so no level crosses PCI-e.
   gbdt::detail::LevelBackend backend;
-  backend.begin_tree = [&](int t, const Tree* prev, Tree& /*tree*/) {
+  backend.begin_tree = [&](int t, const Tree* prev) {
     {
       obs::ScopedSpan span("gradient_compute");
       ParallelStep step(shards, report.modeled_seconds);
@@ -406,12 +406,12 @@ void MultiGpuTrainer::Impl::train_exact(const data::Dataset& ds,
     for (auto& sh : shards) gbdt::detail::advance_level(*sh.state, n_next);
     return n_next;
   };
-  backend.read_tree = [&](Tree& tree) {
+  backend.read_tree = [&] {
     // Every shard holds the same tree; shard 0's comes back (charged with
     // the decide kernels that wrote it).
     obs::ScopedSpan span("find_split");
     ParallelStep step(shards, report.modeled_seconds);
-    tree = gbdt::detail::read_device_tree(*shards[0].state);
+    return gbdt::detail::read_device_tree(*shards[0].state);
   };
   backend.end_tree = [&](const Tree& tree) {
     // Every shard's replicated instance->leaf map must match the tree.
@@ -513,7 +513,7 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
   // The histograms and slot stats are global once merged, so every shard
   // decides each level the same on its own device tree.
   gbdt::detail::LevelBackend backend;
-  backend.begin_tree = [&](int /*t*/, const Tree* prev, Tree& /*tree*/) {
+  backend.begin_tree = [&](int /*t*/, const Tree* prev) {
     {
       obs::ScopedSpan span("gradient_compute");
       ParallelStep step(shards, report.modeled_seconds);
@@ -628,12 +628,12 @@ void MultiGpuTrainer::Impl::train_hist(const data::Dataset& ds,
     for (auto& sh : shards) gbdt::detail::advance_level(*sh.state, n_next);
     return n_next;
   };
-  backend.read_tree = [&](Tree& tree) {
+  backend.read_tree = [&] {
     // Every shard holds the same tree; shard 0's comes back (charged with
     // the decide kernels that wrote it).
     obs::ScopedSpan span("hist_find_split");
     ParallelStep step(shards, report.modeled_seconds);
-    tree = gbdt::detail::read_device_tree(*shards[0].state);
+    return gbdt::detail::read_device_tree(*shards[0].state);
   };
   // No conservation or leaf-map check runs here: each shard's instance->
   // node map holds only its own rows, while the tree's counts are global.

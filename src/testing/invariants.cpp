@@ -230,6 +230,32 @@ void check_rle_roundtrip(device::Device& dev, const rle::DeviceRle& compressed,
   }
 }
 
+namespace {
+
+/// node_of must hold each listed (tree node, count) pair's count.
+void check_instance_counts(
+    std::span<const std::int32_t> node_of,
+    std::span<const std::pair<std::int32_t, std::int64_t>> expected,
+    const char* where) {
+  if (expected.empty()) return;
+  std::int32_t max_id = 0;
+  for (const auto& [id, cnt] : expected) max_id = std::max(max_id, id);
+  std::vector<std::int64_t> counts(static_cast<std::size_t>(max_id) + 1, 0);
+  for (const std::int32_t id : node_of) {
+    if (id >= 0 && id <= max_id) ++counts[static_cast<std::size_t>(id)];
+  }
+  for (const auto& [id, cnt] : expected) {
+    if (counts[static_cast<std::size_t>(id)] != cnt) {
+      fail(where, "instance->node map holds " +
+                      std::to_string(counts[static_cast<std::size_t>(id)]) +
+                      " instances for node " + std::to_string(id) +
+                      ", expected " + std::to_string(cnt));
+    }
+  }
+}
+
+}  // namespace
+
 void check_level_conservation(const detail::TrainState& st,
                               const char* where) {
   if (!invariants_enabled()) return;
@@ -266,27 +292,6 @@ void check_level_conservation(const detail::TrainState& st,
     expected.emplace_back(parent.right, right.n_instances);
   }
   check_instance_counts(st.node_of.span(), expected, where);
-}
-
-void check_instance_counts(
-    std::span<const std::int32_t> node_of,
-    std::span<const std::pair<std::int32_t, std::int64_t>> expected,
-    const char* where) {
-  if (!invariants_enabled() || expected.empty()) return;
-  std::int32_t max_id = 0;
-  for (const auto& [id, cnt] : expected) max_id = std::max(max_id, id);
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(max_id) + 1, 0);
-  for (const std::int32_t id : node_of) {
-    if (id >= 0 && id <= max_id) ++counts[static_cast<std::size_t>(id)];
-  }
-  for (const auto& [id, cnt] : expected) {
-    if (counts[static_cast<std::size_t>(id)] != cnt) {
-      fail(where, "instance->node map holds " +
-                      std::to_string(counts[static_cast<std::size_t>(id)]) +
-                      " instances for node " + std::to_string(id) +
-                      ", expected " + std::to_string(cnt));
-    }
-  }
 }
 
 void check_row_index(std::span<const std::int32_t> rows,

@@ -27,7 +27,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/tree.h"
@@ -113,13 +112,6 @@ void check_rle_roundtrip(device::Device& dev, const rle::DeviceRle& compressed,
 /// must agree with the children's counts.
 void check_level_conservation(const detail::TrainState& st,
                               const char* where);
-
-/// node_of occurrence counts must equal `expected` (pairs of tree-node id
-/// and count) for every listed node.
-void check_instance_counts(
-    std::span<const std::int32_t> node_of,
-    std::span<const std::pair<std::int32_t, std::int64_t>> expected,
-    const char* where);
 
 /// The histogram trainer's slot-sorted row index: slot s's range
 /// [slot_rows[s], slot_rows[s + 1]) holds, in ascending order, exactly the

@@ -139,7 +139,18 @@ TEST(Autotune, ApplyWritesChosenKnobs) {
 }
 
 // Both training methods, by param.use_hist_trainer.
-class AutotuneMethod : public ::testing::TestWithParam<bool> {};
+enum class Method { kExact, kHist };
+
+// Names each case: gtest_discover_tests turns the printed value into the
+// test id, as for test_properties.cpp's cases.
+void PrintTo(Method m, std::ostream* os) {
+  *os << (m == Method::kHist ? "hist" : "exact");
+}
+
+class AutotuneMethod : public ::testing::TestWithParam<Method> {
+ protected:
+  [[nodiscard]] bool hist() const { return GetParam() == Method::kHist; }
+};
 
 // End-to-end: --autotune produces a report with the tuning evidence attached
 // and a model that fits the data exactly as well as the untuned one.
@@ -155,7 +166,7 @@ TEST_P(AutotuneMethod, TrainerRunsTunedAndFits) {
   p.depth = 4;
   p.n_trees = 4;
   p.use_rle = false;
-  p.use_hist_trainer = GetParam();
+  p.use_hist_trainer = hist();
 
   device::Device plain_dev(DeviceConfig::titan_x_pascal());
   const auto plain = GpuGbdtTrainer(plain_dev, p).train(ds);
@@ -197,7 +208,7 @@ void for_each_fig9_analog(bool use_hist_trainer, Check check) {
 // The tuned Figure 9 suite trains every analog and fits it exactly as well
 // as the paper constants do.
 TEST_P(AutotuneMethod, TunedFig9AnalogsFitLikePaperConstants) {
-  for_each_fig9_analog(GetParam(), [](const std::string& name,
+  for_each_fig9_analog(hist(), [](const std::string& name,
                                       const data::Dataset& ds,
                                       const TrainReport& fixed,
                                       const TrainReport& tuned) {
@@ -213,7 +224,7 @@ TEST_P(AutotuneMethod, TunedFig9AnalogsFitLikePaperConstants) {
 // training with param.autotune never models slower than the paper's fixed
 // constants.
 TEST_P(AutotuneMethod, NeverModelsSlowerThanPaperConstantsOnFig9Analogs) {
-  for_each_fig9_analog(GetParam(), [](const std::string& name,
+  for_each_fig9_analog(hist(), [](const std::string& name,
                                       const data::Dataset&,
                                       const TrainReport& fixed,
                                       const TrainReport& tuned) {
@@ -221,10 +232,8 @@ TEST_P(AutotuneMethod, NeverModelsSlowerThanPaperConstantsOnFig9Analogs) {
   });
 }
 
-INSTANTIATE_TEST_SUITE_P(Methods, AutotuneMethod, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "hist" : "exact";
-                         });
+INSTANTIATE_TEST_SUITE_P(Methods, AutotuneMethod,
+                         ::testing::Values(Method::kExact, Method::kHist));
 
 }  // namespace
 }  // namespace gbdt::autotune

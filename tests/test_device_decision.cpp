@@ -1,7 +1,7 @@
 // The exact and histogram trainers decide every level on the device
 // (decide_on_device in core/trainer_detail.h, decide_hist_level in
 // core/trainer_hist.h).  Both decide kernels run the same per-slot rule as
-// the host decide_level (core/level_driver.h); these tests hold them to
+// the host decide_level (testing/host_decision.h); these tests hold them to
 // byte-identical trees, plans and next-level tables on hand-built winners,
 // and check end to end that in-core training makes no PCI-e transfer per
 // level: its transfers are the setup's plus one tree read-back per tree,
@@ -27,9 +27,12 @@
 #include "data/synthetic.h"
 #include "multigpu/multi_trainer.h"
 #include "obs/trace.h"
+#include "testing/host_decision.h"
 
 namespace gbdt::detail {
 namespace {
+
+using gbdt::testing::decide_level;
 
 using device::Device;
 using device::DeviceConfig;

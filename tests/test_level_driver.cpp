@@ -1,8 +1,9 @@
-// Unit tests of the shared level driver (core/level_driver.h): the host
-// split decision on hand-built ActiveNode / BestSplit inputs, and the
-// boosting loop over scripted backends that run no device work, one
-// deciding on the host (as out-of-core training does) and one on the
-// device.
+// Unit tests of the shared level driver (core/level_driver.h): the split
+// decision's per-slot rule, run by the host reference decide_level
+// (testing/host_decision.h) on hand-built ActiveNode / BestSplit inputs,
+// and the boosting loop over scripted backends that run no device work, one
+// deciding into a host tree it hands back as the read tree and one
+// standing in for a device-decided path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,9 +14,12 @@
 #include "core/level_driver.h"
 #include "core/loss.h"
 #include "obs/metrics.h"
+#include "testing/host_decision.h"
 
 namespace gbdt::detail {
 namespace {
+
+using gbdt::testing::decide_level;
 
 GBDTParam make_param(double gamma = 0.0) {
   GBDTParam p;
@@ -159,9 +163,9 @@ TEST(LevelDriver, ChildrenComeOutInSlotOrder) {
 /// Scripted backend deciding on the host: the root holds 16 instances;
 /// `split_levels` levels of every tree split each node in half, after which
 /// the scripted find step reports no valid candidate.  Its split_level
-/// finds, runs decide_level and applies a level with children, as
-/// out-of-core training does.  Counts every step and records each applied
-/// level's children_are_leaves.
+/// finds, runs decide_level into its own tree and applies a level with
+/// children; read_tree hands that tree back.  Counts every step and records
+/// each applied level's children_are_leaves.
 struct Script {
   int split_levels = 0;
   int find_calls = 0;
@@ -171,7 +175,7 @@ struct Script {
   int level = 0;
   std::vector<const Tree*> prevs;
   const Tree* finished = nullptr;
-  Tree* tree = nullptr;
+  Tree tree;
   std::vector<ActiveNode> active;
   GBDTParam p;
 
@@ -194,19 +198,20 @@ struct Script {
   LevelBackend backend(const GBDTParam& param) {
     p = param;
     LevelBackend b;
-    b.begin_tree = [this](int /*t*/, const Tree* prev, Tree& fresh) {
+    b.begin_tree = [this](int /*t*/, const Tree* prev) {
       prevs.push_back(prev);
       level = 0;
-      tree = &fresh;
+      tree = Tree();
       active.assign(1, make_node(0, -8.0, 16.0, 16));
     };
     b.split_level = [this](bool children_are_leaves) -> std::int64_t {
       std::vector<ActiveNode> next =
-          decide_level(*tree, active, find_splits(), p, children_are_leaves);
+          decide_level(tree, active, find_splits(), p, children_are_leaves);
       if (!next.empty()) apply_splits(children_are_leaves);
       active = std::move(next);
       return static_cast<std::int64_t>(active.size());
     };
+    b.read_tree = [this] { return tree; };
     b.end_tree = [this](const Tree& /*tree*/) { ++end_calls; };
     b.finish = [this](const Tree& last) {
       finished = &last;
@@ -290,14 +295,16 @@ TEST(LevelDriver, DeviceDecidedLevelsStopAtNoSplitOrDepth) {
     int level = 0;
     int reads = 0;
     LevelBackend b;
-    b.begin_tree = [&](int, const Tree*, Tree&) { level = 0; };
+    b.begin_tree = [&](int, const Tree*) { level = 0; };
     b.split_level = [&](bool children_are_leaves) -> std::int64_t {
       leaf_flags.push_back(children_are_leaves);
       return level++ < splitting_levels ? std::int64_t{2} << level : 0;
     };
-    b.read_tree = [&](Tree& tree) {
+    b.read_tree = [&] {
       ++reads;
+      Tree tree;
       (void)tree.split(0, 1, 0.5f, true, 3.0);
+      return tree;
     };
     b.finish = [](const Tree&) { return std::vector<double>{}; };
     std::vector<Tree> trees;
@@ -305,7 +312,7 @@ TEST(LevelDriver, DeviceDecidedLevelsStopAtNoSplitOrDepth) {
 
     ASSERT_EQ(trees.size(), 2u);
     EXPECT_EQ(reads, 2);
-    EXPECT_EQ(trees[1].n_nodes(), 3);  // what read_tree wrote
+    EXPECT_EQ(trees[1].n_nodes(), 3);  // what read_tree returned
     const std::vector<bool> per_tree =
         splitting_levels == 1 ? std::vector<bool>{false, false}
                               : std::vector<bool>{false, false, false, true};

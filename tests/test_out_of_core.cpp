@@ -7,6 +7,8 @@
 // race_smoke label.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <set>
 #include <string>
 
@@ -319,7 +321,9 @@ TEST(OutOfCore, OneTransferPerChunkPerLevel) {
   // per chunk, four live chunks.  A raw chunk ships its packed (value, inst)
   // entries in one transfer, a compressed one its inst ids and one run
   // array.  Column offsets stay resident, so nothing else streams per chunk;
-  // the split step adds only its column uploads.
+  // the split step adds only its column uploads.  The tree stays on the
+  // device: per level one read of the decided records comes back, per tree
+  // one read of the finished tree, and no table goes up.
   for (const bool compress : {false, true}) {
     const auto ds = make_data(91, 2000, 8, 1.0, compress ? 3 : 0);
     const std::uint64_t levels_before = counter("gbdt_levels_grown_total");
@@ -348,6 +352,16 @@ TEST(OutOfCore, OneTransferPerChunkPerLevel) {
                  : std::set<std::string>{"stream_ooc_upload_column",
                                          "stream_ooc_upload_entries"};
     EXPECT_EQ(labels, expected) << "compress=" << compress;
+    // Every transfer, labelled and blocking: the streamed ones, a records
+    // read per level and a tree read per tree, plus the run's column
+    // offsets and labels up and its scores down.
+    std::uint64_t streamed = 0;
+    for (const auto& [label, rec] : dev.timeline().stream_transfers) {
+      streamed += rec.count;
+    }
+    EXPECT_EQ(dev.timeline().transfers,
+              streamed + levels + r.trees.size() + 3)
+        << "compress=" << compress;
   }
 }
 
@@ -387,6 +401,48 @@ TEST(OutOfCore, AllocatorCallsDoNotGrowWithTrees) {
   const std::uint64_t ooc_growth = allocs(true, 8) - allocs(true, 2);
   EXPECT_EQ(ooc_growth, allocs(false, 8) - allocs(false, 2));
   EXPECT_EQ(ooc_growth, 6u);  // the six extra trees' root sums
+}
+
+TEST(OutOfCore, PeakIsResidentStateTreeAndOneWinnerTable) {
+  // Dense 2000-entry columns in 64 KiB chunks (5461 entries): two columns
+  // per chunk, four raw chunks.  Nothing goes up per level or per tree, so
+  // the peak is the resident state, the two landing slots, the device tree
+  // and the one table that holds each slot's running best and the current
+  // chunk's per-(column, slot) winners in 40-byte records.  The table
+  // doubles with the level width, so it ends at the widest level rounded
+  // up to a power of two.
+  const std::size_t rows = 2000;
+  const auto ds = make_data(96, static_cast<std::int64_t>(rows), 8, 1.0);
+  const GBDTParam p = small_param();
+  Device dev(DeviceConfig::titan_x_pascal());
+  const auto r = OutOfCoreTrainer(dev, p, 1 << 16, false).train(ds);
+  ASSERT_GE(r.trees.size(), 2u);  // a later tree's root sum meets the table
+  std::size_t widest = 1;
+  for (const Tree& t : r.trees) {
+    std::vector<std::int32_t> level{0};
+    for (int d = 0; d < p.depth && !level.empty(); ++d) {
+      widest = std::max(widest, level.size());
+      std::vector<std::int32_t> next;
+      for (const std::int32_t id : level) {
+        const TreeNode& n = t.node(id);
+        if (n.is_leaf()) continue;
+        next.push_back(n.left);
+        next.push_back(n.right);
+      }
+      level = std::move(next);
+    }
+  }
+  const std::size_t column_offsets = 4 * 3 * sizeof(std::int64_t);
+  const std::size_t landing_slots = 2 * 2 * rows * 8;  // (value, inst)
+  // gh pairs, predictions, labels and the instance->node map.
+  const std::size_t per_instance = rows * (16 + 4 + 4 + 4);
+  const std::size_t root_partials = ((rows + 255) / 256) * 16;
+  const std::size_t tree = ((std::size_t{1} << (p.depth + 1)) - 1) *
+                           sizeof(TreeNode);
+  const std::size_t winners = (2 + 1) * std::bit_ceil(widest) * 40;
+  EXPECT_EQ(r.peak_device_bytes, column_offsets + landing_slots +
+                                     per_instance + root_partials + tree +
+                                     winners);
 }
 
 TEST(OutOfCore, FeatureBagSkipsChunksOutsideTheBag) {

@@ -31,12 +31,8 @@ struct RleSweepCase {
   int n_trees;
 };
 
-std::string case_name(const ::testing::TestParamInfo<RleSweepCase>& info) {
-  return info.param.tag;
-}
-
-// Prints the tag where gtest would print the struct's bytes (the tag's heap
-// pointer among them) in each case's `GetParam() =` note.
+// Names each case by its tag: gtest_discover_tests turns the printed value
+// into the test id, as for test_properties.cpp's cases.
 void PrintTo(const RleSweepCase& c, std::ostream* os) { *os << c.tag; }
 
 class RlePathSweep : public ::testing::TestWithParam<RleSweepCase> {};
@@ -109,8 +105,7 @@ INSTANTIATE_TEST_SUITE_P(
         RleSweepCase{"continuous_dense_l2_d3", 0, 1.0, true,
                      LossKind::kSquaredError, 3, 2},
         RleSweepCase{"continuous_sparse_logistic_d4", 0, 0.6, true,
-                     LossKind::kLogistic, 4, 2}),
-    case_name);
+                     LossKind::kLogistic, 4, 2}));
 
 }  // namespace
 }  // namespace gbdt

@@ -313,9 +313,15 @@ int self_test() {
     fi.break_child_counts = true;
     const OracleResult r = run_oracle(c, /*check_invariants=*/true);
     bool caught = false;
-    for (const auto& leg : r.legs) caught |= leg.invariant_violation;
+    bool ooc_caught = false;  // out of core decides on the device too
+    for (const auto& leg : r.legs) {
+      caught |= leg.invariant_violation;
+      ooc_caught |= leg.name == "out_of_core" && leg.invariant_violation &&
+                    leg.detail.find("ooc_level") != std::string::npos;
+    }
     expect("child-count fault caught by conservation check",
            caught && !r.pass());
+    expect("child-count fault caught on the out-of-core leg", ooc_caught);
   }
   {
     fi = {};

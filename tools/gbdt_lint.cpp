@@ -57,13 +57,15 @@
 //      `stream_`-prefixed literal or forwards the collective's `label`
 //      parameter (the enqueue_leg machinery).
 //  13. One split decision and one leaf rule: outside core/level_driver.cpp
-//      (and baselines/xgb_exact.cpp, the independent CPU reference the
-//      oracle checks the device trainers against) no file calls
-//      the free `leaf_weight(` function or a `.split(` / `->split(` member
-//      with arguments (Tree::split; DeviceForest::split() takes none).
-//      Every trainer path goes through the shared level driver instead, so
-//      the decision and the leaf weight cannot fork per path again.
-//      Declarations and definitions (`double leaf_weight(`,
+//      no file calls the free `leaf_weight(` function, and outside
+//      testing/host_decision.h (the host reference the decide kernels are
+//      tested against) no file calls a `.split(` / `->split(` member with
+//      arguments (Tree::split; DeviceForest::split() takes none).
+//      baselines/xgb_exact.cpp, the independent CPU reference the oracle
+//      checks the device trainers against, may do both.  Every trainer path
+//      decides its levels on the device through the shared level driver
+//      instead, so the decision and the leaf weight cannot fork per path
+//      again.  Declarations and definitions (`double leaf_weight(`,
 //      `Tree::split(`) are not calls.
 //  14. No environment overrides of what trains: `getenv(` appears only in
 //      the four checker and schedule toggles (analysis/access_audit.cpp,
@@ -509,8 +511,8 @@ void check_file(const fs::path& path) {
   }
 
   // Rule 13: the level driver owns the split decision and the leaf rule.
-  if (!file.ends_with("core/level_driver.cpp") &&
-      !file.ends_with("baselines/xgb_exact.cpp")) {
+  const bool cpu_reference = file.ends_with("baselines/xgb_exact.cpp");
+  if (!file.ends_with("core/level_driver.cpp") && !cpu_reference) {
     static const std::regex leaf_re(R"(\bleaf_weight\s*\()");
     for (auto it = std::sregex_iterator(code.begin(), code.end(), leaf_re);
          it != std::sregex_iterator(); ++it) {
@@ -541,12 +543,15 @@ void check_file(const fs::path& path) {
              "rule 13: free `leaf_weight(` call outside core/level_driver.cpp "
              "— leaves go through detail::leaf_node");
     }
+  }
+  if (!file.ends_with("testing/host_decision.h") && !cpu_reference) {
     static const std::regex split_re(R"((\.|->)\s*split\s*\(\s*[^\s)])");
     for (auto it = std::sregex_iterator(code.begin(), code.end(), split_re);
          it != std::sregex_iterator(); ++it) {
       report(file, line_of(code, static_cast<std::size_t>(it->position(0))),
              "rule 13: `.split(` call with arguments outside "
-             "core/level_driver.cpp — splits go through detail::decide_level");
+             "testing/host_decision.h — splits go through "
+             "detail::decide_slots");
     }
   }
 
